@@ -31,12 +31,18 @@
 #                     errors, zero wrong/stale answers vs a per-version
 #                     oracle, non-degraded p95 <= 2x the no-fault baseline
 #   make chaos-smoke  same suite, small scale + same gates (runs in CI)
+#   make bench-e2e    the end-to-end yardstick (benchmarks/e2e): all four seeded
+#                     workloads through a real `repro serve` over TCP -- timed
+#                     window, then the traced per-layer run; JSON under
+#                     benchmarks/e2e/out/
+#   make e2e-smoke    same harness at toy scale: every BENCHMARK.json metric comes
+#                     out finite, no wrong answer, no server left behind (runs in CI)
 #   make ci           what CI runs: tier-1 tests + smoke benchmarks + lint
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint bench bench-smoke bench-store store-smoke bench-candidates candidates-smoke bench-fd fd-smoke bench-service serve-smoke bench-segments segments-smoke obs-smoke obs-export-smoke bench-shard shard-smoke bench-chaos chaos-smoke ci
+.PHONY: test lint bench bench-smoke bench-store store-smoke bench-candidates candidates-smoke bench-fd fd-smoke bench-service serve-smoke bench-segments segments-smoke obs-smoke obs-export-smoke bench-shard shard-smoke bench-chaos chaos-smoke bench-e2e e2e-smoke ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -155,4 +161,14 @@ chaos-smoke:
 bench-chaos:
 	$(PYTHON) benchmarks/bench_chaos.py --check --json .benchmarks/chaos.json
 
-ci: test bench-smoke store-smoke candidates-smoke fd-smoke serve-smoke segments-smoke obs-smoke obs-export-smoke shard-smoke chaos-smoke lint
+# End-to-end smoke: the bench_e2e harness (real server process tree, TCP
+# clients, oracle check, traced layer budget) on tiny lakes with 1 s
+# windows.  It gates the contract, not the numbers: exit status 1 on any
+# wrong answer or on a metric BENCHMARK.json names that did not come out.
+e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
+
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py
+
+ci: test bench-smoke store-smoke candidates-smoke fd-smoke serve-smoke segments-smoke obs-smoke obs-export-smoke shard-smoke chaos-smoke e2e-smoke lint

@@ -42,7 +42,9 @@ warm build.  The audit, structure by structure:
   fully-built structures are published by a single attribute store, after
   which reads are lock-free.
 * **Posting probes / registry reads / sketch queries** are pure reads of
-  immutable-after-build structures -- safe.
+  immutable-after-build structures -- safe.  (An ensemble sorts a
+  partition's band keys on the first query that picks that band width;
+  racing first queries sort equal arrays and one assignment wins.)
 * **Accounting** (``_reports`` / ``_query_counts``) is advisory,
   last-write-wins: single dict stores under the GIL, never structurally
   torn.  Concurrent explains may interleave reports of different queries;
@@ -56,7 +58,9 @@ warm build.  The audit, structure by structure:
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Hashable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from ..obs import metrics, trace
 from ..sketch.ensemble import LSHEnsemble
@@ -211,24 +215,13 @@ class CandidateEngine:
                 ensemble = self._ensembles.get(params)
                 if ensemble is not None:
                     return ensemble
-                # Band insertion from (hydrated) signatures is cheap and is
-                # not counted as a posting-index rebuild: build_count tracks
+                # Stacking (hydrated) signatures is cheap and is not
+                # counted as a posting-index rebuild: build_count tracks
                 # the registry / posting channels the store artifact
                 # replaces.  Built fully before publication, so concurrent
                 # readers only ever see a complete ensemble.
                 metrics.counter("engine.build.ensemble").inc()
-                # size-buckets: a column's partition (and hence its band
-                # parameters) is a function of its own cardinality, not of
-                # the lake distribution -- an engine over any subset of the
-                # lake retrieves exactly the global band hits restricted to
-                # that subset.  Required for sharded scatter-gather to be
-                # byte-identical with the single-store pipeline.
-                ensemble = LSHEnsemble(
-                    num_perm=num_perm,
-                    num_partitions=num_partitions,
-                    seed=seed,
-                    partitioning="size-buckets",
-                )
+                ensemble = self._new_ensemble(num_perm, num_partitions, seed)
                 hasher = ensemble.hasher
                 registry = self.registry
                 ensemble.index_signatures(
@@ -239,17 +232,45 @@ class CandidateEngine:
                 self._ensembles[params] = ensemble
         return ensemble
 
-    def materialized_ensembles(self) -> dict[tuple[int, int, int, int], LSHEnsemble]:
-        """The sketch ensembles built so far, keyed by their parameters
-        (what the lake store pickles next to the postings artifact)."""
-        return dict(self._ensembles)
+    @staticmethod
+    def _new_ensemble(num_perm: int, num_partitions: int, seed: int) -> LSHEnsemble:
+        # size-buckets: a column's partition (and hence its band
+        # parameters) is a function of its own cardinality, not of the
+        # lake distribution -- an engine over any subset of the lake
+        # retrieves exactly the global band hits restricted to that
+        # subset.  Required for sharded scatter-gather to be
+        # byte-identical with the single-store pipeline.
+        return LSHEnsemble(
+            num_perm=num_perm,
+            num_partitions=num_partitions,
+            seed=seed,
+            partitioning="size-buckets",
+        )
+
+    def materialized_ensembles(
+        self,
+    ) -> dict[tuple[int, int, int, int], tuple[list[int], np.ndarray, np.ndarray]]:
+        """The sketch ensembles built so far as signature tables -- per
+        parameter set the registry keys, their set sizes and the ``(n,
+        num_perm)`` signature matrix (what the lake store writes next to
+        the postings artifact)."""
+        return {
+            params: ensemble.signature_table()
+            for params, ensemble in self._ensembles.items()
+        }
 
     def adopt_ensembles(
-        self, ensembles: Mapping[tuple[int, int, int, int], LSHEnsemble]
+        self,
+        tables: Mapping[
+            tuple[int, int, int, int], tuple[Sequence[int], np.ndarray, np.ndarray]
+        ],
     ) -> None:
-        """Install persisted sketch ensembles (store hydration); matching
+        """Install persisted signature tables (store hydration); matching
         parameter sets will never rebuild from stats."""
-        for params, ensemble in ensembles.items():
+        for params, (keys, sizes, matrix) in tables.items():
+            num_perm, num_partitions, seed, _min_size = params
+            ensemble = self._new_ensemble(num_perm, num_partitions, seed)
+            ensemble.index_table(keys, sizes, matrix)
             self._ensembles[tuple(params)] = ensemble
 
     def warm(self, channels: Iterable[str]) -> "CandidateEngine":
@@ -644,13 +665,7 @@ class CandidateEngine:
                 "seed": seed,
                 "min_size": min_size,
                 "indexed_columns": len(ensemble),
-                "bands": sum(
-                    index.b
-                    for partition in (
-                        list(ensemble._partitions) + list(ensemble._buckets.values())
-                    )
-                    for index in partition.indexes.values()
-                ),
+                "bands": ensemble.num_bands,
             }
             for (num_perm, partitions, seed, min_size), ensemble in sorted(
                 self._ensembles.items()
@@ -688,9 +703,9 @@ class CandidateEngine:
         ``values``; channels nobody declared are neither built nor
         written).
 
-        Sketch ensembles serialize separately (the store pickles them
-        next to this artifact): their band structures are not
-        JSONL-friendly, and rebuilding them would page in every stats
+        Sketch ensembles serialize separately (the store writes their
+        signature tables next to this artifact): a matrix is not
+        JSONL-friendly, and restacking it would page in every stats
         snapshot on a warm process's first sketch query.
         """
         wanted = set(channels)

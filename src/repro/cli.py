@@ -438,9 +438,11 @@ def _cmd_index(args: argparse.Namespace) -> int:
     from .store import LakeStore
 
     if args.index_command == "info":
-        info = open_any_store(args.store, check_sketch=False).info()
+        store = open_any_store(args.store, check_sketch=False)
+        info = store.info()
         if info.get("sharded"):
             _print_sharded_info(info)
+            print(_bytes_line(store.artifact_bytes()))
             _print_live_service(args.store, info["lake_version"])
             return 0
         counts = info.get("segment_format_counts") or {}
@@ -453,6 +455,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
             + (f" ({mix})" if mix else "")
             + f"\nsketch config: {info['sketch']}"
         )
+        print(_bytes_line(store.artifact_bytes()))
         if info["indexes"]:
             staleness = (
                 "current"
@@ -567,6 +570,16 @@ def _cmd_index(args: argparse.Namespace) -> int:
     )
     print(f"fitted indexes ({timings}) persisted to {store.path}")
     return 0
+
+
+def _bytes_line(sizes: dict[str, int]) -> str:
+    """The `index info` bytes-per-artifact-class line."""
+
+    def show(size: int) -> str:
+        return f"{size / 1e6:.2f} MB" if size >= 100_000 else f"{size / 1e3:.1f} kB"
+
+    shown = ", ".join(f"{kind} {show(size)}" for kind, size in sizes.items())
+    return f"bytes on disk: {shown} (total {show(sum(sizes.values()))})"
 
 
 def _print_sharded_info(info: dict) -> None:

@@ -152,9 +152,15 @@ class SantosUnionSearch(Discoverer):
         return annotation
 
     def _annotate_column(self, table: Table, column: str) -> dict[str, float]:
-        distinct = list(table.distinct_values(column))[: self.config.max_distinct_values]
+        distinct = table.distinct_values(column)
         if not distinct:
             return {}
+        if len(distinct) > self.config.max_distinct_values:
+            # Which values survive the cap must not depend on the set's
+            # iteration order (it changes with PYTHONHASHSEED).
+            distinct = sorted(distinct, key=lambda v: (type(v).__name__, str(v)))[
+                : self.config.max_distinct_values
+            ]
         support: dict[str, int] = {}
         annotatable = 0
         for value in distinct:
@@ -223,6 +229,11 @@ class SantosUnionSearch(Discoverer):
             if intent is not None
             else query_annotation.all_types()
         )
+        # Both dicts descend from frozenset iteration, and _score sums
+        # floats over them: sorted once here, every process adds in the
+        # same order and near-tied tables rank the same everywhere.
+        query_relationships = dict(sorted(query_relationships.items()))
+        intent_types = dict(sorted(intent_types.items()))
         candidates = engine.label_candidates(
             self.name,
             self.candidate_spec(),

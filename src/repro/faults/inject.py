@@ -59,6 +59,8 @@ FAULT_POINTS: dict[str, tuple[str, str | None]] = {
     "store.clear_journal": ("store/journal.py", None),
     "store.write_segment": ("store/lakestore.py", None),
     "store.write_stats": ("store/lakestore.py", None),
+    "store.write_index": ("store/lakestore.py", None),
+    "store.write_postings": ("store/lakestore.py", None),
     "store.write_manifest": ("store/lakestore.py", None),
     "store.write_version": ("store/lakestore.py", None),
     "store.unlink_stale": ("store/lakestore.py", None),

@@ -271,9 +271,11 @@ class LakeServer(socketserver.ThreadingTCPServer):
         self._beacon_path = beacon
 
     def remove_beacon(self) -> None:
-        if self._beacon_path is not None and self._beacon_path.exists():
-            self._beacon_path.unlink()
-            self._beacon_path = None
+        # The shutdown op's closer thread and run()'s finally both get
+        # here; whoever comes second must find nothing to do.
+        beacon, self._beacon_path = self._beacon_path, None
+        if beacon is not None:
+            beacon.unlink(missing_ok=True)
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         self._serving = True

@@ -361,19 +361,28 @@ class ShardedLakeIndex:
         self._store.save_fit_state(state)
         self._build_seconds = {}
         for i, shard in enumerate(self._store.shards):
-            built = LakeIndex(shard.lake(), self._adapted_roster(state)).build()
-            built.save_to_store(shard)
-            for name, seconds in built.build_seconds.items():
-                self._build_seconds[name] = (
-                    self._build_seconds.get(name, 0.0) + seconds
-                )
-            if self._executor == "threads":
-                built.engine.defer_policy = True
-                self._shard_indexes[i] = built
+            self._fit_shard(i, shard, state)
         self._shard_versions = self._store.shard_versions()
         self._roster_names = [d.name for d in self._prototypes]
         self._built = True
         return self
+
+    def _fit_shard(self, i: int, shard, state: dict[str, Any]) -> None:
+        """Fit shard *i*'s roster here, in the driver, and persist it
+        pinned to the shard's version."""
+        built = LakeIndex(shard.lake(), self._adapted_roster(state)).build()
+        built.save_to_store(shard)
+        for name, seconds in built.build_seconds.items():
+            self._build_seconds[name] = self._build_seconds.get(name, 0.0) + seconds
+        if self._executor == "threads":
+            built.engine.defer_policy = True
+            self._shard_indexes[i] = built
+        else:
+            # The worker process hydrates its own copy; the stats this fit
+            # paged in would otherwise sit in the driver (and in every
+            # worker later forked from it) until the generation retires
+            # and the cycle collector gets to it.
+            shard.release_stats()
 
     @classmethod
     def from_store(
@@ -481,17 +490,7 @@ class ShardedLakeIndex:
                     )
                 if state is None:
                     state = self._ensure_fit_state()
-                built = LakeIndex(
-                    shard.lake(), self._adapted_roster(state)
-                ).build()
-                built.save_to_store(shard)
-                for name, seconds in built.build_seconds.items():
-                    self._build_seconds[name] = (
-                        self._build_seconds.get(name, 0.0) + seconds
-                    )
-                if self._executor == "threads":
-                    built.engine.defer_policy = True
-                    self._shard_indexes[i] = built
+                self._fit_shard(i, shard, state)
                 continue
             if self._executor == "threads":
                 if self._prototypes is not None:

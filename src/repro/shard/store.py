@@ -414,6 +414,18 @@ class ShardedLakeStore:
             ),
         }
 
+    def artifact_bytes(self) -> dict[str, int]:
+        """Bytes on disk per artifact class, summed over the shards; the
+        lake-global fit state counts as an index."""
+        totals = {kind: 0 for kind in ("segments", "stats", "postings", "indexes")}
+        for shard in self._shards:
+            for kind, size in shard.artifact_bytes().items():
+                totals[kind] += size
+        fit_state = self._path / _FIT_STATE_FILE
+        if fit_state.exists():
+            totals["indexes"] += fit_state.stat().st_size
+        return totals
+
     # ------------------------------------------------------------------
     # Mutation (each table's writes land on exactly one shard)
     # ------------------------------------------------------------------
@@ -507,11 +519,10 @@ class ShardedLakeStore:
         byte-identity requirement (see :mod:`repro.shard.index`)."""
         payload = dict(payload)
         payload["epoch"] = self.lake_version
-        file = self._path / _FIT_STATE_FILE
-        temp = file.with_name(file.name + ".tmp")
-        with temp.open("wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        temp.replace(file)
+        journal.write_bytes_atomic(
+            self._path / _FIT_STATE_FILE,
+            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     def load_fit_state(self) -> dict[str, Any] | None:
         """The persisted global fit products, or None.  The payload's

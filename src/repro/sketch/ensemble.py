@@ -20,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
+import numpy as np
+
 from .lsh import BandedLSHIndex, optimal_param
-from .minhash import MinHasher, MinHashSignature
+from .minhash import MinHasher, MinHashSignature, containment_from_jaccard
 
 __all__ = ["LSHEnsemble", "EnsembleMatch"]
 
@@ -37,7 +39,10 @@ class EnsembleMatch:
 
 
 class _Partition:
-    """One cardinality range: shared signatures, one banded index per r.
+    """One cardinality range: rows of the ensemble's signature matrix, and
+    one banded index per ``r`` built the first time a query picks that
+    ``r`` (a query's ``r`` follows from its size and threshold, so most
+    of the allowed widths are never probed).
 
     With ``fixed_upper`` the partition's upper size bound is pinned at
     construction (size-bucket mode) instead of tracking the max observed
@@ -45,23 +50,26 @@ class _Partition:
     of which keys happen to be indexed.
     """
 
-    def __init__(
-        self,
-        num_perm: int,
-        allowed_r: Sequence[int],
-        fixed_upper: int | None = None,
-    ):
+    def __init__(self, fixed_upper: int | None = None):
         self.upper = fixed_upper if fixed_upper is not None else 0
         self._fixed = fixed_upper is not None
-        self.signatures: dict[Hashable, MinHashSignature] = {}
-        self.indexes = {r: BandedLSHIndex(num_perm, r) for r in allowed_r}
+        self.rows = np.empty(0, dtype=np.intp)
+        self._indexes: dict[int, BandedLSHIndex] = {}
 
-    def insert(self, key: Hashable, signature: MinHashSignature) -> None:
+    def add(self, rows: np.ndarray, largest: int) -> None:
         if not self._fixed:
-            self.upper = max(self.upper, signature.size)
-        self.signatures[key] = signature
-        for index in self.indexes.values():
-            index.insert(key, signature)
+            self.upper = max(self.upper, largest)
+        self.rows = np.concatenate([self.rows, rows])
+        self._indexes = {}
+
+    def probe(self, matrix: np.ndarray, values: np.ndarray, b: int, r: int) -> np.ndarray:
+        """Matrix rows of this partition colliding with *values* in any
+        of the first *b* bands of width *r*."""
+        index = self._indexes.get(r)
+        if index is None:
+            # Racing first probes build equal indexes; one assignment wins.
+            index = self._indexes[r] = BandedLSHIndex(matrix[self.rows], r)
+        return self.rows[index.query(values, bands=b)]
 
 
 class LSHEnsemble:
@@ -124,14 +132,25 @@ class LSHEnsemble:
         )
         if not self._allowed_r:
             raise ValueError("allowed_r has no entry <= num_perm")
+        # Row i of ``_matrix`` is the signature of ``_keys[i]``, a set of
+        # ``_sizes[i]`` tokens.
+        self._keys: list[Hashable] = []
+        self._sizes = np.empty(0, dtype=np.int64)
+        self._matrix = np.empty((0, num_perm), dtype=np.uint32)
         self._partitions: list[_Partition] = []
         # size-buckets mode: bucket index -> partition, created on demand.
         self._buckets: dict[int, _Partition] = {}
-        self._indexed = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._indexed
+        return len(self._keys)
+
+    @property
+    def num_bands(self) -> int:
+        """How many bands a query can choose among: every partition
+        offers ``num_perm // r`` of them per allowed ``r``."""
+        partitions = len(self._partitions) + len(self._buckets)
+        return partitions * sum(self.num_perm // r for r in self._allowed_r)
 
     @property
     def hasher(self) -> MinHasher:
@@ -143,6 +162,13 @@ class LSHEnsemble:
     def signature_of(self, tokens: Iterable[Hashable]) -> MinHashSignature:
         """Expose the hasher so callers can cache query signatures."""
         return self._hasher.signature(tokens)
+
+    def signature_table(self) -> tuple[list[Hashable], np.ndarray, np.ndarray]:
+        """Everything indexed so far, in insertion order: the keys, their
+        set sizes (int64) and the ``(n, num_perm)`` uint32 signature
+        matrix.  :meth:`index_table` over the same three rebuilds an
+        ensemble that answers identically."""
+        return self._keys, self._sizes, self._matrix
 
     def index(self, entries: Iterable[tuple[Hashable, Iterable[Hashable]]]) -> None:
         """Bulk-index ``(key, token set)`` pairs with equi-depth partitioning."""
@@ -156,33 +182,55 @@ class LSHEnsemble:
         """Bulk-index precomputed ``(key, signature)`` pairs (signatures must
         come from a hasher matching :attr:`hasher`)."""
         signed = [(key, sig) for key, sig in entries if sig.size > 0]
-        if not signed:
-            return
-        if self.partitioning == "size-buckets":
-            for key, signature in signed:
-                self._bucket_for(signature.size).insert(key, signature)
-            self._indexed += len(signed)
-            return
-        signed.sort(key=lambda pair: pair[1].size)
-        chunks = max(1, min(self.num_partitions, len(signed)))
-        per_chunk = -(-len(signed) // chunks)  # ceil division: equi-depth
-        for start in range(0, len(signed), per_chunk):
-            partition = _Partition(self.num_perm, self._allowed_r)
-            for key, signature in signed[start : start + per_chunk]:
-                partition.insert(key, signature)
-            self._partitions.append(partition)
-        self._indexed += len(signed)
+        if signed:
+            self.index_table(
+                [key for key, _ in signed],
+                np.array([sig.size for _, sig in signed], dtype=np.int64),
+                np.stack([sig.values for _, sig in signed]),
+            )
 
-    def _bucket_for(self, size: int) -> _Partition:
-        """The geometric bucket owning cardinality *size* (size-buckets
-        mode), created on first use.  Bucket ``b`` covers sizes in
-        ``[2^b, 2^(b+1) - 1]`` with that fixed upper bound."""
-        bucket = max(0, size.bit_length() - 1)
+    def index_table(
+        self, keys: Sequence[Hashable], sizes: np.ndarray, matrix: np.ndarray
+    ) -> None:
+        """Bulk-index non-empty sets given as parallel arrays: *keys*,
+        their set *sizes* and one signature per row of *matrix*."""
+        if not len(keys):
+            return
+        sizes = np.asarray(sizes, dtype=np.int64)
+        rows = self._append(keys, sizes, np.asarray(matrix, dtype=np.uint32))
+        if self.partitioning == "size-buckets":
+            # frexp's exponent of a positive integer is its bit length.
+            buckets = np.frexp(sizes.astype(np.float64))[1] - 1
+            for bucket in np.unique(buckets):
+                members = buckets == bucket
+                self._bucket_for(int(bucket)).add(rows[members], 0)
+            return
+        order = np.argsort(sizes, kind="stable")
+        chunks = max(1, min(self.num_partitions, len(order)))
+        per_chunk = -(-len(order) // chunks)  # ceil division: equi-depth
+        for start in range(0, len(order), per_chunk):
+            chunk = order[start : start + per_chunk]
+            partition = _Partition()
+            partition.add(rows[chunk], int(sizes[chunk[-1]]))
+            self._partitions.append(partition)
+
+    def _append(
+        self, keys: Sequence[Hashable], sizes: np.ndarray, matrix: np.ndarray
+    ) -> np.ndarray:
+        """Add signature rows; returns their row numbers."""
+        rows = np.arange(len(self._keys), len(self._keys) + len(keys))
+        self._keys.extend(keys)
+        self._sizes = np.concatenate([self._sizes, sizes])
+        self._matrix = np.concatenate([self._matrix, matrix])
+        return rows
+
+    def _bucket_for(self, bucket: int) -> _Partition:
+        """The geometric bucket *bucket* (size-buckets mode), created on
+        first use: it covers sizes in ``[2^bucket, 2^(bucket+1) - 1]``
+        with that fixed upper bound."""
         partition = self._buckets.get(bucket)
         if partition is None:
-            partition = _Partition(
-                self.num_perm, self._allowed_r, fixed_upper=(1 << (bucket + 1)) - 1
-            )
+            partition = _Partition(fixed_upper=(1 << (bucket + 1)) - 1)
             self._buckets[bucket] = partition
         return partition
 
@@ -191,18 +239,17 @@ class LSHEnsemble:
         signature = self._hasher.signature(tokens)
         if signature.size == 0:
             return
-        if self.partitioning == "size-buckets":
-            self._bucket_for(signature.size).insert(key, signature)
-            self._indexed += 1
+        if self.partitioning == "size-buckets" or not self._partitions:
+            self.index_signatures([(key, signature)])
             return
-        if not self._partitions:
-            self._partitions.append(_Partition(self.num_perm, self._allowed_r))
         target = min(
             self._partitions,
             key=lambda p: abs(p.upper - signature.size),
         )
-        target.insert(key, signature)
-        self._indexed += 1
+        rows = self._append(
+            [key], np.array([signature.size], dtype=np.int64), signature.values[None, :]
+        )
+        target.add(rows, signature.size)
 
     # ------------------------------------------------------------------
     def query(
@@ -226,37 +273,34 @@ class LSHEnsemble:
         )
         if query_sig.size == 0:
             return []
-        candidates: set[Hashable] = set()
-        signature_of: dict[Hashable, MinHashSignature] = {}
+        keys, sizes, matrix = self.signature_table()
         partitions: Iterable[_Partition] = self._partitions
         if self.partitioning == "size-buckets":
             partitions = (self._buckets[b] for b in sorted(self._buckets))
+        matches = []
         for partition in partitions:
-            if not partition.signatures:
-                continue
             jaccard_threshold = self._containment_to_jaccard(
                 threshold, query_sig.size, partition.upper
             )
             b, r = optimal_param(jaccard_threshold, self.num_perm, self._allowed_r)
-            hits = partition.indexes[r].query(query_sig, bands=b)
-            for key in hits:
-                candidates.add(key)
-                signature_of[key] = partition.signatures[key]
-        matches = []
-        for key in candidates:
-            candidate_sig = signature_of[key]
+            rows = partition.probe(matrix, query_sig.values, b, r)
             # Cardinality gate: containment_from_jaccard is increasing in
             # the Jaccard estimate, so its value at j = 1 -- (|Q| + |C|) /
             # 2|Q| -- bounds every possible estimate for this candidate.
             # A candidate whose (sketched) cardinality puts that bound
             # below the threshold can never verify; skip the signature
             # comparison entirely.  Pure pruning: never changes results.
-            upper = (query_sig.size + candidate_sig.size) / (2.0 * query_sig.size)
-            if upper < threshold:
+            upper = (query_sig.size + sizes[rows]) / (2.0 * query_sig.size)
+            rows = rows[upper >= threshold]
+            if not len(rows):
                 continue
-            estimate = query_sig.containment_in(candidate_sig)
-            if estimate >= threshold:
-                matches.append(EnsembleMatch(key=key, containment=estimate))
+            jaccards = (matrix[rows] == query_sig.values).mean(axis=1)
+            for row, size, jaccard in zip(
+                rows.tolist(), sizes[rows].tolist(), jaccards.tolist()
+            ):
+                estimate = containment_from_jaccard(jaccard, query_sig.size, size)
+                if estimate >= threshold:
+                    matches.append(EnsembleMatch(key=keys[row], containment=estimate))
         matches.sort(key=lambda m: (-m.containment, str(m.key)))
         if k is not None:
             matches = matches[:k]

@@ -24,6 +24,15 @@ from ..embeddings.hashing import stable_hash
 __all__ = ["HyperLogLog"]
 
 
+#: High bit of the payload's precision byte: the registers follow as a
+#: sparse (index, rank) list instead of the dense array.
+_SPARSE = 0x80
+
+
+def _sparse_index_dtype(precision: int) -> np.dtype:
+    return np.dtype("<u2" if precision <= 16 else "<u4")
+
+
 def _alpha(m: int) -> float:
     if m == 16:
         return 0.673
@@ -97,25 +106,58 @@ class HyperLogLog:
     # Serialization (the persistent lake store's sketch snapshot format)
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Precision byte followed by the raw register array; the encoding
-        is position-exact, so equal-content columns always serialize to
-        byte-identical payloads regardless of insertion order."""
-        return struct.pack("<B", self.precision) + self._registers.tobytes()
+        """Precision byte, then whichever of two register encodings is
+        shorter.  *Dense*: the raw register array.  *Sparse* (precision
+        byte with the high bit set): the indices of the non-zero registers
+        in ascending order (little-endian uint16, uint32 above precision
+        16), then their ranks (one byte each).  The choice and both
+        encodings are pure functions of the registers, so equal-content
+        columns always serialize to byte-identical payloads regardless of
+        insertion order."""
+        occupied = np.flatnonzero(self._registers)
+        index_dtype = _sparse_index_dtype(self.precision)
+        if len(occupied) * (index_dtype.itemsize + 1) >= len(self._registers):
+            return struct.pack("<B", self.precision) + self._registers.tobytes()
+        return (
+            struct.pack("<B", self.precision | _SPARSE)
+            + occupied.astype(index_dtype).tobytes()
+            + self._registers[occupied].tobytes()
+        )
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "HyperLogLog":
         """Inverse of :meth:`to_bytes` (byte-identical round trip)."""
         if not payload:
             raise ValueError("empty HyperLogLog payload")
-        precision = struct.unpack_from("<B", payload)[0]
-        registers = payload[1:]
-        if len(registers) != 1 << precision:
+        sketch = cls(payload[0] & ~_SPARSE)  # rejects precisions outside [4, 18]
+        body = memoryview(payload)[1:]
+        if not payload[0] & _SPARSE:
+            if len(body) != len(sketch._registers):
+                raise ValueError(
+                    f"HyperLogLog payload declares precision {sketch.precision} "
+                    f"but carries {len(body)} registers"
+                )
+            sketch._registers = np.frombuffer(body, dtype=np.uint8).copy()
+            return sketch
+        index_dtype = _sparse_index_dtype(sketch.precision)
+        count, rest = divmod(len(body), index_dtype.itemsize + 1)
+        if rest:
             raise ValueError(
-                f"HyperLogLog payload declares precision {precision} but "
-                f"carries {len(registers)} registers"
+                f"sparse HyperLogLog payload of {len(body)} bytes is not a "
+                f"whole number of (index, rank) entries"
             )
-        sketch = cls(precision)
-        sketch._registers = np.frombuffer(registers, dtype=np.uint8).copy()
+        indices = np.frombuffer(body, dtype=index_dtype, count=count)
+        ranks = np.frombuffer(body, dtype=np.uint8, offset=count * index_dtype.itemsize)
+        if count and (
+            indices[-1] >= len(sketch._registers)
+            or np.any(indices[1:] <= indices[:-1])
+            or not ranks.all()
+        ):
+            raise ValueError(
+                "sparse HyperLogLog payload must list distinct in-range "
+                "indices in ascending order with non-zero ranks"
+            )
+        sketch._registers[indices] = ranks
         return sketch
 
     # ------------------------------------------------------------------

@@ -9,11 +9,8 @@ provides the bucket structure and the false-positive/negative optimizer.
 from __future__ import annotations
 
 import math
-from typing import Hashable
 
 import numpy as np
-
-from .minhash import MinHashSignature
 
 __all__ = ["collision_probability", "optimal_param", "BandedLSHIndex"]
 
@@ -70,45 +67,57 @@ def optimal_param(
 
 
 class BandedLSHIndex:
-    """One banded index with fixed ``r``; bands can be probed prefix-wise.
+    """One banded index with fixed ``r`` over the rows of a signature
+    matrix; bands can be probed prefix-wise.
 
     The same stored signatures serve any effective band count ``b' <= b``:
     probing only the first ``b'`` bands is exactly LSH with ``(b', r)``.
     That prefix trick is what lets LSH Ensemble tune parameters per query
     without rebuilding anything.
+
+    A band key is the band's number followed by its ``r`` minima, viewed
+    as one opaque ``4 * (r + 1)``-byte value.  Every ``(row, band)`` key
+    of the matrix sits in one sorted array, so a probe is two binary
+    searches for all of its bands at once, and equal keys -- compared
+    byte for byte, never hashed -- are exactly the colliding rows.
     """
 
-    def __init__(self, num_perm: int, r: int):
+    def __init__(self, matrix: np.ndarray, r: int):
+        num_perm = matrix.shape[1]
         if r <= 0 or r > num_perm:
             raise ValueError(f"invalid band width r={r} for num_perm={num_perm}")
         self.num_perm = num_perm
         self.r = r
         self.b = num_perm // r
-        self._buckets: list[dict[bytes, list[Hashable]]] = [{} for _ in range(self.b)]
-        self._count = 0
+        keys = self._band_keys(matrix).ravel()  # entry ``row * b + band``
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        self._rows = order // self.b
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._rows) // self.b
 
-    def _band_key(self, signature: MinHashSignature, band: int) -> bytes:
-        start = band * self.r
-        return signature.values[start : start + self.r].tobytes()
+    def _band_keys(self, matrix: np.ndarray) -> np.ndarray:
+        """``(len(matrix), b)`` band keys of a ``(n, num_perm)`` matrix."""
+        n = len(matrix)
+        keyed = np.empty((n, self.b, self.r + 1), dtype=np.uint32)
+        keyed[:, :, 0] = np.arange(self.b)
+        keyed[:, :, 1:] = matrix[:, : self.b * self.r].reshape(n, self.b, self.r)
+        return keyed.view(np.dtype((np.void, 4 * (self.r + 1)))).reshape(n, self.b)
 
-    def insert(self, key: Hashable, signature: MinHashSignature) -> None:
-        """Index *signature* under *key* in every band."""
-        self._count += 1
-        for band in range(self.b):
-            self._buckets[band].setdefault(self._band_key(signature, band), []).append(key)
-
-    def query(self, signature: MinHashSignature, bands: int | None = None) -> set[Hashable]:
-        """Keys colliding with *signature* in any of the first *bands* bands."""
+    def query(self, values: np.ndarray, bands: int | None = None) -> np.ndarray:
+        """Ascending row numbers colliding with the signature *values* in
+        any of the first *bands* bands."""
         use = self.b if bands is None else min(bands, self.b)
-        result: set[Hashable] = set()
-        for band in range(use):
-            hits = self._buckets[band].get(self._band_key(signature, band))
-            if hits:
-                result.update(hits)
-        return result
+        probe = self._band_keys(values[None, :])[0, :use]
+        starts = np.searchsorted(self._keys, probe, side="left")
+        stops = np.searchsorted(self._keys, probe, side="right")
+        found = np.flatnonzero(stops > starts)
+        if not len(found):
+            return np.empty(0, dtype=np.intp)
+        return np.unique(
+            np.concatenate([self._rows[starts[band] : stops[band]] for band in found])
+        )
 
 
 def minhash_accuracy_stderr(num_perm: int) -> float:

@@ -83,25 +83,30 @@ class MinHashSignature:
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """A compact, endianness-fixed encoding: ``num_perm``, exact set
-        size, then the permutation minima as little-endian uint64."""
-        values = np.ascontiguousarray(self.values, dtype="<u8")
+        size, then the permutation minima as little-endian uint32 (every
+        minimum is a residue modulo 2**31 - 1, so four bytes hold it)."""
+        values = np.ascontiguousarray(self.values, dtype="<u4")
         return struct.pack("<IQ", len(values), self.size) + values.tobytes()
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "MinHashSignature":
-        """Inverse of :meth:`to_bytes` (byte-identical round trip)."""
+        """Inverse of :meth:`to_bytes` (byte-identical round trip).  Also
+        accepts the earlier payload whose minima are uint64."""
         header = struct.calcsize("<IQ")
         if len(payload) < header:
             raise ValueError("truncated MinHash signature payload")
         num_perm, size = struct.unpack_from("<IQ", payload)
         body = payload[header:]
-        if len(body) != num_perm * 8:
+        if len(body) == num_perm * 4:
+            values = np.frombuffer(body, dtype="<u4")
+        elif len(body) == num_perm * 8:
+            values = np.frombuffer(body, dtype="<u8")
+        else:
             raise ValueError(
                 f"MinHash payload declares {num_perm} permutations but carries "
                 f"{len(body)} value bytes"
             )
-        values = np.frombuffer(body, dtype="<u8").astype(np.uint64)
-        return cls(values, size)
+        return cls(values.astype(np.uint32), size)
 
 
 def containment_from_jaccard(jaccard: float, query_size: int, candidate_size: int) -> float:
@@ -138,7 +143,7 @@ class MinHasher:
         token_set = {str(t) for t in tokens}
         if not token_set:
             return MinHashSignature(
-                np.full(self.num_perm, _MAX_HASH, dtype=np.uint64), 0
+                np.full(self.num_perm, _MAX_HASH, dtype=np.uint32), 0
             )
         raw = np.fromiter(
             (stable_hash(t, salt="minhash") for t in token_set),
@@ -147,4 +152,4 @@ class MinHasher:
         )
         raw %= _MERSENNE_PRIME
         hashed = (raw[:, None] * self._a[None, :] + self._b[None, :]) % _MERSENNE_PRIME
-        return MinHashSignature(hashed.min(axis=0), len(token_set))
+        return MinHashSignature(hashed.min(axis=0).astype(np.uint32), len(token_set))

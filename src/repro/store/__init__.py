@@ -10,7 +10,8 @@ layer:
 * :mod:`repro.store.snapshot` -- serialized
   :class:`~repro.table.stats.ColumnStats` payloads (dtype, null counts,
   distinct/token sets, normalized text, MinHash + HLL sketches) under a
-  pinned :class:`SketchConfig`;
+  pinned :class:`SketchConfig`, and the binary codec of the candidate
+  engine's sketch artifact;
 * :mod:`repro.store.lakestore` -- the :class:`LakeStore` itself: a
   versioned manifest with per-table content hashes (incremental ingest
   rewrites only changed tables), persisted fitted discoverer indexes, and
@@ -40,7 +41,7 @@ from .lakestore import (
     StoreNotFound,
 )
 from .segment import SegmentCorrupted
-from .snapshot import DEFAULT_HLL_PRECISION, SketchConfig
+from .snapshot import DEFAULT_HLL_PRECISION, SketchArtifactError, SketchConfig
 
 __all__ = [
     "LakeStore",
@@ -52,6 +53,7 @@ __all__ = [
     "StoreNotFound",
     "SketchConfigMismatch",
     "SegmentCorrupted",
+    "SketchArtifactError",
     "BinaryCodecError",
     "table_content_hash",
     "DEFAULT_HLL_PRECISION",

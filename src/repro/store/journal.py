@@ -70,6 +70,7 @@ __all__ = [
     "read_journal",
     "set_fsync_enabled",
     "txn_id",
+    "write_bytes_atomic",
     "write_journal",
     "write_json_atomic",
 ]
@@ -117,18 +118,24 @@ def fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def write_json_atomic(path: Path, payload: Any) -> None:
+def write_bytes_atomic(path: Path, data: bytes) -> None:
     """tmp + fsync + replace + directory fsync: after this returns the
     new bytes are durable and a crash at any instant shows either the old
     file or the new one, never a torn mix."""
     temp = path.with_name(path.name + ".tmp")
-    with temp.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, separators=(",", ":"))
+    with temp.open("wb") as handle:
+        handle.write(data)
         handle.flush()
         if _fsync_on:
             os.fsync(handle.fileno())
     temp.replace(path)
     fsync_dir(path.parent)
+
+
+def write_json_atomic(path: Path, payload: Any) -> None:
+    """:func:`write_bytes_atomic` of *payload* as compact UTF-8 JSON."""
+    text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+    write_bytes_atomic(path, text.encode("utf-8"))
 
 
 class WriterLock:

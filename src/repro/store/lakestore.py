@@ -13,10 +13,18 @@ Layout of a store directory::
                              manifest tags let both coexist; see
                              :meth:`LakeStore.migrate`)
     stats/<t>.stats.json     the table's ColumnStats snapshot payloads
+                             (sketches inside as base64: MinHash minima
+                             as uint32, HyperLogLog registers as a sparse
+                             (index, rank) list when that is shorter)
     indexes/<d>.pkl          one fitted discoverer index per file
     postings/engine.post.jsonl  the candidate engine's inverted posting
                              structures (column registry, token and
                              normalized-value posting lists)
+    postings/engine.sketches.bin  the engine's sketch ensembles: per
+                             parameter set the registry keys, set sizes
+                             and one (n, num_perm) uint32 signature
+                             matrix, closed by a CRC-32 (see
+                             :func:`~repro.store.snapshot.encode_signature_tables`)
 
 The design goals, in order:
 
@@ -92,7 +100,14 @@ from .segment import (
     write_segment,
     write_segment_v2,
 )
-from .snapshot import SketchConfig, column_stats_payload, hydrate_column_stats
+from .snapshot import (
+    SketchArtifactError,
+    SketchConfig,
+    column_stats_payload,
+    decode_signature_tables,
+    encode_signature_tables,
+    hydrate_column_stats,
+)
 
 __all__ = [
     "LakeStore",
@@ -469,6 +484,18 @@ class LakeStore:
             "postings": self._manifest.get("postings"),
         }
 
+    def artifact_bytes(self) -> dict[str, int]:
+        """Bytes on disk per artifact class -- the files under
+        ``segments/``, ``stats/``, ``postings/`` and ``indexes/``."""
+        return {
+            kind: sum(
+                file.stat().st_size
+                for file in (self._path / kind).glob("*")
+                if file.is_file()
+            )
+            for kind in ("segments", "stats", "postings", "indexes")
+        }
+
     # ------------------------------------------------------------------
     # Ingest (incremental)
     # ------------------------------------------------------------------
@@ -744,6 +771,18 @@ class LakeStore:
             raise
         return txn
 
+    def _begin_artifacts(
+        self, op: str, files: Iterable[str], owned: Iterable[str]
+    ) -> tuple[str, list[str]]:
+        """:meth:`_begin` for a save of version-pinned artifacts to the
+        fixed names *files*, replacing the *owned* ones the manifest lists
+        now; returns ``(txn, stale)``.  A file written over an owned one
+        is neither pending nor stale: a crash leaves its old or its new
+        bytes, and either serves the unchanged lake version."""
+        files, owned = set(files), set(owned)
+        stale = sorted(owned - files)
+        return self._begin(op, sorted(files - owned), stale), stale
+
     def _end(self) -> None:
         """Drop the writer lock (idempotent).  Runs in ``finally`` --
         releasing on *failure* is deliberate: a died operation should be
@@ -825,6 +864,11 @@ class LakeStore:
             )
         return cached
 
+    def release_stats(self) -> None:
+        """Forget every hydrated stats snapshot (they re-hydrate from disk
+        on next use; a live table keeps the snapshot it adopted)."""
+        self._stats_cache.clear()
+
     def _column_loader(self, name: str, column: str):
         def load() -> tuple[Cell, ...]:
             return self.load_column(name, column)
@@ -851,18 +895,14 @@ class LakeStore:
         """Persist fitted discoverer indexes, pinned to the current
         ``lake_version`` (a later ingest that changes content drops them)."""
         entries: dict[str, Any] = {}
+        pickles: dict[str, bytes] = {}
         for discoverer in discoverers:
             if not discoverer.is_fitted:
                 raise StoreError(
                     f"discoverer {discoverer.name!r} is not fitted; build before saving"
                 )
             rel = f"indexes/{self._file_stem(discoverer.name)}.pkl"
-            file = self._path / rel
-            file.parent.mkdir(parents=True, exist_ok=True)
-            temp = file.with_name(file.name + ".tmp")
-            with temp.open("wb") as handle:
-                pickle.dump(discoverer, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            temp.replace(file)
+            pickles[rel] = pickle.dumps(discoverer, protocol=pickle.HIGHEST_PROTOCOL)
             spec = discoverer.candidate_spec()
             entries[discoverer.name] = {
                 "file": rel,
@@ -875,11 +915,19 @@ class LakeStore:
                     ),
                 },
             }
-        self._manifest["indexes"] = {
-            "lake_version": self.lake_version,
-            "discoverers": entries,
-        }
-        self._write_manifest()
+        owned = self._invalidate_indexes()
+        txn, stale = self._begin_artifacts("save_indexes", pickles, owned)
+        try:
+            for rel, data in pickles.items():
+                self._write_bytes(self._path / rel, data)
+                inject.fire("store.write_index", file=rel)
+            self._manifest["indexes"] = {
+                "lake_version": self.lake_version,
+                "discoverers": entries,
+            }
+            self._commit(txn, stale)
+        finally:
+            self._end()
 
     def load_indexes(self) -> dict[str, Discoverer]:
         """The persisted, *current* discoverer indexes (empty dict if none
@@ -932,51 +980,57 @@ class LakeStore:
 
         *channels* is the roster's declared channel union; posting
         channels (``tokens``, ``values``) serialize as JSONL, materialized
-        sketch ensembles (banded LSH structures + their signatures) as a
-        sibling pickle -- rebuilding bands would otherwise force a warm
+        sketch ensembles as a sibling binary artifact holding their
+        signature tables -- restacking them would otherwise force a warm
         process to page in every table's stats snapshot on its first
         sketch query.  Label namespaces ride inside their publishers'
         index pickles.
         """
-        rel = "postings/engine.post.jsonl"
-        file = self._path / rel
-        file.parent.mkdir(parents=True, exist_ok=True)
-        temp = file.with_name(file.name + ".tmp")
-        with temp.open("w", encoding="utf-8") as handle:
-            for record in engine.to_records(channels):
-                handle.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
-                handle.write("\n")
-        temp.replace(file)
-        sketches_rel = None
-        ensembles = engine.materialized_ensembles()
-        if ensembles:
-            sketches_rel = "postings/engine.sketches.pkl"
-            sketch_file = self._path / sketches_rel
-            temp = sketch_file.with_name(sketch_file.name + ".tmp")
-            with temp.open("wb") as handle:
-                pickle.dump(ensembles, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            temp.replace(sketch_file)
-        stats = engine.stats()
-        self._manifest["postings"] = {
-            "file": rel,
-            "sketches": sketches_rel,
-            "lake_version": self.lake_version,
-            "columns": stats["columns"],
-            "tokens": (stats["token_postings"] or {}).get("tokens"),
-            "token_entries": (stats["token_postings"] or {}).get("entries"),
-            "values": (stats["value_postings"] or {}).get("values"),
-            "value_entries": (stats["value_postings"] or {}).get("entries"),
-            # Band shapes recorded for `index info`; the structures
-            # themselves live in the sketches pickle above.
-            "ensembles": stats["ensembles"],
+        posting_rel = "postings/engine.post.jsonl"
+        files = {
+            posting_rel: "".join(
+                json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
+                for record in engine.to_records(channels)
+            ).encode("utf-8")
         }
-        self._write_manifest()
+        sketches_rel = None
+        tables = engine.materialized_ensembles()
+        if tables:
+            sketches_rel = "postings/engine.sketches.bin"
+            files[sketches_rel] = encode_signature_tables(tables)
+        stats = engine.stats()
+        owned = self._invalidate_postings()
+        txn, stale = self._begin_artifacts("save_engine", files, owned)
+        try:
+            for rel, data in files.items():
+                self._write_bytes(self._path / rel, data)
+                inject.fire("store.write_postings", file=rel)
+            self._manifest["postings"] = {
+                "file": posting_rel,
+                "sketches": sketches_rel,
+                "lake_version": self.lake_version,
+                "columns": stats["columns"],
+                "tokens": (stats["token_postings"] or {}).get("tokens"),
+                "token_entries": (stats["token_postings"] or {}).get("entries"),
+                "values": (stats["value_postings"] or {}).get("values"),
+                "value_entries": (stats["value_postings"] or {}).get("entries"),
+                # Band shapes recorded for `index info`; the signatures
+                # themselves live in the sketch artifact above.
+                "ensembles": stats["ensembles"],
+            }
+            self._commit(txn, stale)
+        finally:
+            self._end()
 
     def load_engine(self, lake: Mapping[str, Table] | None = None, stats=None):
         """The persisted, *current* candidate engine, hydrated over *lake*
         (the store's lazy lake view by default); None when no artifact was
         saved or the lake has changed since it was built.  A hydrated
-        engine's posting channels never rebuild (``build_count`` stays 0)."""
+        engine's posting channels never rebuild (``build_count`` stays 0).
+
+        A sketch artifact that is missing, truncated, garbled or in an
+        earlier release's format is skipped: the engine restacks its
+        ensembles from the hydrated stats on first use."""
         from ..candidates.engine import CandidateEngine
 
         info = self._manifest.get("postings")
@@ -991,10 +1045,12 @@ class LakeStore:
         with file.open("r", encoding="utf-8") as handle:
             records = (json.loads(line) for line in handle if line.strip())
             engine = CandidateEngine.from_records(lake, records, stats=stats)
-        sketches_rel = info.get("sketches")
-        if sketches_rel and (self._path / sketches_rel).exists():
-            with (self._path / sketches_rel).open("rb") as handle:
-                engine.adopt_ensembles(pickle.load(handle))
+        if info.get("sketches"):
+            try:
+                payload = (self._path / info["sketches"]).read_bytes()
+                engine.adopt_ensembles(decode_signature_tables(payload))
+            except (FileNotFoundError, SketchArtifactError):
+                metrics.counter("store.sketch_artifact.skipped").inc()
         return engine
 
     def _invalidate_postings(self) -> list[str]:
@@ -1026,6 +1082,10 @@ class LakeStore:
     def _write_json(self, path: Path, payload: dict[str, Any]) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         journal.write_json_atomic(path, payload)
+
+    def _write_bytes(self, path: Path, data: bytes) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        journal.write_bytes_atomic(path, data)
 
     def _write_manifest(self) -> None:
         self._write_json(self._path / "manifest.json", self._manifest)

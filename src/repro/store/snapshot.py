@@ -18,9 +18,13 @@ serving incomparable sketches.
 from __future__ import annotations
 
 import base64
+import struct
+import zlib
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, Sequence
+
+import numpy as np
 
 from ..sketch.hll import HyperLogLog
 from ..sketch.minhash import DEFAULT_NUM_PERM, DEFAULT_SEED, MinHasher, MinHashSignature
@@ -28,7 +32,15 @@ from ..table.stats import ColumnStats
 from ..table.values import Cell
 from .codec import decode_cell, encode_cell
 
-__all__ = ["SketchConfig", "DEFAULT_HLL_PRECISION", "column_stats_payload", "hydrate_column_stats"]
+__all__ = [
+    "SketchConfig",
+    "DEFAULT_HLL_PRECISION",
+    "SketchArtifactError",
+    "column_stats_payload",
+    "hydrate_column_stats",
+    "encode_signature_tables",
+    "decode_signature_tables",
+]
 
 DEFAULT_HLL_PRECISION = 12
 
@@ -119,3 +131,73 @@ def hydrate_column_stats(
         hll={config.hll_precision: hll},
         array_loader=array_loader,
     )
+
+
+# ----------------------------------------------------------------------
+# The sketch artifact: the candidate engine's signature tables
+# ----------------------------------------------------------------------
+#: ``(num_perm, num_partitions, seed, min_size)`` of one sketch ensemble.
+EnsembleParams = tuple[int, int, int, int]
+#: Registry keys, their set sizes, and one signature row per key.
+SignatureTable = tuple[Sequence[int], np.ndarray, np.ndarray]
+
+_ARTIFACT_HEADER = struct.Struct("<4sBI")  # magic, format version, table count
+_ARTIFACT_MAGIC = b"RSKT"
+_ARTIFACT_VERSION = 1
+_TABLE_HEADER = struct.Struct("<IIqIQ")  # the four parameters, then the row count
+_CHECKSUM = struct.Struct("<I")  # CRC-32 of every byte before it
+
+
+class SketchArtifactError(ValueError):
+    """The bytes are not a complete, intact sketch artifact."""
+
+
+def encode_signature_tables(tables: Mapping[EnsembleParams, SignatureTable]) -> bytes:
+    """One binary document holding every table: per parameter set (in
+    sorted order) the registry keys as little-endian uint32, the set sizes
+    as uint64 and the ``(n, num_perm)`` signature matrix as one contiguous
+    uint32 block; a CRC-32 of everything closes it."""
+    parts = [_ARTIFACT_HEADER.pack(_ARTIFACT_MAGIC, _ARTIFACT_VERSION, len(tables))]
+    for params in sorted(tables):
+        keys, sizes, matrix = tables[params]
+        parts.append(_TABLE_HEADER.pack(*params, len(keys)))
+        parts.append(np.asarray(keys, dtype="<u4").tobytes())
+        parts.append(np.asarray(sizes, dtype="<u8").tobytes())
+        parts.append(np.ascontiguousarray(matrix, dtype="<u4").tobytes())
+    body = b"".join(parts)
+    return body + _CHECKSUM.pack(zlib.crc32(body))
+
+
+def decode_signature_tables(payload: bytes) -> dict[EnsembleParams, SignatureTable]:
+    """Inverse of :func:`encode_signature_tables`; anything but a complete
+    document with a matching checksum raises :class:`SketchArtifactError`."""
+    if len(payload) < _ARTIFACT_HEADER.size + _CHECKSUM.size:
+        raise SketchArtifactError("sketch artifact is truncated")
+    magic, version, count = _ARTIFACT_HEADER.unpack_from(payload)
+    if magic != _ARTIFACT_MAGIC or version != _ARTIFACT_VERSION:
+        raise SketchArtifactError("not a version-1 sketch artifact")
+    end = len(payload) - _CHECKSUM.size
+    if _CHECKSUM.unpack_from(payload, end)[0] != zlib.crc32(memoryview(payload)[:end]):
+        raise SketchArtifactError("sketch artifact checksum mismatch")
+    tables: dict[EnsembleParams, SignatureTable] = {}
+    offset = _ARTIFACT_HEADER.size
+    try:
+        for _ in range(count):
+            *params, rows = _TABLE_HEADER.unpack_from(payload, offset)
+            offset += _TABLE_HEADER.size
+            columns = []
+            for dtype, width in (("<u4", 1), ("<u8", 1), ("<u4", params[0])):
+                block = np.frombuffer(payload, dtype=dtype, count=rows * width, offset=offset)
+                offset += block.nbytes
+                columns.append(block)
+            keys, sizes, matrix = columns
+            tables[tuple(params)] = (
+                keys.tolist(),
+                sizes.astype(np.int64),
+                matrix.astype(np.uint32).reshape(rows, params[0]),
+            )
+    except (struct.error, ValueError) as error:
+        raise SketchArtifactError(f"sketch artifact is malformed: {error}") from None
+    if offset != end:
+        raise SketchArtifactError("sketch artifact has trailing bytes")
+    return tables

@@ -1,0 +1,56 @@
+"""Discovery answers must not depend on ``PYTHONHASHSEED``.
+
+A server and the oracle that checks it are different processes; so are
+two replicas.  SANTOS used to sum its relationship / type scores in an
+order that descended from frozenset iteration, so near-tied tables
+ranked differently from one process to the next.  The same discovers are
+run here in two interpreters under different hash seeds and must produce
+byte-identical payloads (on the e2e benchmark's smoke lake, whose small
+key vocabulary produces the near-ties).
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads as wl
+from repro import Dialite
+from repro.datalake import DataLake
+from repro.service import oracle_discover_payload
+
+pipeline = Dialite(lake=DataLake(wl.sharded_lake(3, wl.SMOKE))).fit()
+print(json.dumps([
+    oracle_discover_payload(
+        pipeline, wl.key_query(3, wl.SMOKE, "probe", i),
+        k=wl.DISCOVER_K, query_column=wl.KEY_COLUMN,
+    )
+    for i in range(12)
+], sort_keys=True))
+"""
+
+
+def discover_under(hash_seed: str) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "benchmarks" / "e2e")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout
+
+
+def test_discover_payloads_are_identical_under_two_hash_seeds():
+    first, second = discover_under("1"), discover_under("2")
+    assert '"santos"' in first  # SANTOS took part in the answers compared
+    assert first == second

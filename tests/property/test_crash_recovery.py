@@ -21,8 +21,10 @@ After recovery:
   post-state.
 
 Covered operations: ``LakeStore.ingest`` (adds + an update, so both
-``pending`` and ``stale`` paths run), ``LakeStore.remove``, and the
-journaled ``ShardedLakeStore.rebalance`` (whose crash windows include
+``pending`` and ``stale`` paths run), ``LakeStore.remove``, the two
+artifact saves ``LakeStore.save_indexes`` / ``save_engine`` (index
+pickles, posting JSONL, sketch artifact), and the journaled
+``ShardedLakeStore.rebalance`` (whose crash windows include
 whole-directory backup renames and moves -- the "table in two shards"
 hazard the journal exists to close).
 """
@@ -178,6 +180,48 @@ def test_remove_crash_at_every_write_point(plain_store, tmp_path):
     )
     assert cases >= 4
     assert rollbacks and rollforwards
+
+
+def test_artifact_saves_crash_at_every_write_point(plain_store, tmp_path):
+    """Index pickles, the posting JSONL and the sketch artifact are
+    journaled like table data: a crash between any two of their writes
+    leaves no file the manifest does not name, and the save can simply be
+    run again."""
+    from repro.datalake.indexer import LakeIndex
+    from repro.discovery import JosieJoinSearch, LSHEnsembleJoinSearch
+
+    index = LakeIndex(
+        LakeStore.open(plain_store).lake(), [JosieJoinSearch(), LSHEnsembleJoinSearch()]
+    ).build()
+
+    def save_indexes(path):
+        LakeStore.open(path).save_indexes(index.discoverers)
+
+    def save_engine(path):
+        LakeStore.open(path).save_engine(index.engine, channels=("tokens", "sketch"))
+
+    cases, rollbacks, rollforwards = crash_matrix(
+        plain_store, save_indexes, LakeStore.open, tmp_path / "indexes"
+    )
+    assert cases >= 6  # journal, 2 pickles, manifest, version, clear
+    assert rollbacks and rollforwards
+
+    with_indexes = tmp_path / "with-indexes"
+    shutil.copytree(plain_store, with_indexes)
+    save_indexes(with_indexes)
+    cases, rollbacks, rollforwards = crash_matrix(
+        with_indexes, save_engine, LakeStore.open, tmp_path / "engine"
+    )
+    assert cases >= 6  # journal, postings + sketches, manifest, version, clear
+    assert rollbacks and rollforwards
+    # The crash-free run the matrix compared against wrote both files,
+    # and they load.
+    saved = tmp_path / "engine" / "clean"
+    assert {f.name for f in (saved / "postings").iterdir()} == {
+        "engine.post.jsonl", "engine.sketches.bin"
+    }
+    engine = LakeStore.open(saved).load_engine()
+    assert engine.build_count == 0 and len(engine.materialized_ensembles()) == 1
 
 
 def test_recovery_is_idempotent(plain_store, tmp_path):

@@ -1,0 +1,261 @@
+"""Sketch encodings and the array-backed band index, as properties.
+
+Three contracts (the reference sides live in ``tests/sketch_oracles.py``):
+
+* ``to_bytes`` / ``from_bytes`` round-trip every HyperLogLog register
+  array -- in particular on both sides of the point where the sparse
+  (index, rank) list stops being shorter than the dense registers -- and
+  every MinHash signature, and the bytes are a function of the content
+  alone;
+* payloads written by earlier releases still decode to the same sketch;
+* :class:`BandedLSHIndex` and :class:`LSHEnsemble` over a signature
+  matrix return exactly what one ``{band bytes: keys}`` dict per band
+  returned, for every band width and every prefix of bands.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sketch import BandedLSHIndex, HyperLogLog, LSHEnsemble, MinHasher, MinHashSignature
+from sketch_oracles import (
+    DictBandedLSHIndex,
+    DictLSHEnsemble,
+    legacy_hll_bytes,
+    legacy_minhash_bytes,
+)
+
+PRECISIONS = range(4, 19)
+
+
+def sparse_entry_bytes(precision: int) -> int:
+    return (2 if precision <= 16 else 4) + 1
+
+
+def hll_with(precision: int, occupied: int, seed: int) -> HyperLogLog:
+    """A sketch with exactly *occupied* non-zero registers."""
+    rng = np.random.default_rng(seed)
+    sketch = HyperLogLog(precision)
+    where = rng.choice(1 << precision, size=occupied, replace=False)
+    sketch._registers[where] = rng.integers(1, 64 - precision + 2, size=occupied)
+    return sketch
+
+
+def crossover(precision: int) -> int:
+    """The smallest occupied count whose sparse list is no shorter than
+    the dense registers."""
+    return -(-(1 << precision) // sparse_entry_bytes(precision))
+
+
+@st.composite
+def register_fills(draw):
+    precision = draw(st.sampled_from(PRECISIONS))
+    edge = crossover(precision)
+    occupied = draw(
+        st.sampled_from([0, 1, edge - 1, edge, edge + 1, 1 << precision])
+        | st.integers(0, 1 << precision)
+    )
+    return precision, min(occupied, 1 << precision), draw(st.integers(0, 2**32 - 1))
+
+
+# ----------------------------------------------------------------------
+# HyperLogLog
+# ----------------------------------------------------------------------
+@settings(max_examples=120, deadline=None)
+@given(register_fills())
+def test_hll_round_trip_at_any_fill(fill):
+    precision, occupied, seed = fill
+    sketch = hll_with(precision, occupied, seed)
+    payload = sketch.to_bytes()
+    restored = HyperLogLog.from_bytes(payload)
+    assert restored.precision == precision
+    assert np.array_equal(restored._registers, sketch._registers)
+    assert restored.to_bytes() == payload
+    assert restored.cardinality() == sketch.cardinality()
+    dense = 1 + (1 << precision)
+    sparse = 1 + occupied * sparse_entry_bytes(precision)
+    assert len(payload) == min(dense, sparse)  # whichever is shorter, always
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_hll_switches_encoding_exactly_at_the_crossover(precision):
+    edge = crossover(precision)
+    below = hll_with(precision, edge - 1, seed=precision).to_bytes()
+    at = hll_with(precision, edge, seed=precision).to_bytes()
+    assert below[0] == precision | 0x80 and len(below) < 1 + (1 << precision)
+    assert at[0] == precision and len(at) == 1 + (1 << precision)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(PRECISIONS),
+    st.lists(st.text(max_size=6), max_size=60),
+    st.randoms(use_true_random=False),
+)
+def test_hll_bytes_ignore_insertion_order(precision, items, rng):
+    shuffled = list(items)
+    rng.shuffle(shuffled)
+    forward = HyperLogLog(precision).update(items).to_bytes()
+    assert HyperLogLog(precision).update(shuffled).to_bytes() == forward
+    assert HyperLogLog(precision).update(items + shuffled).to_bytes() == forward
+
+
+@settings(max_examples=60, deadline=None)
+@given(register_fills())
+def test_hll_decodes_the_earlier_dense_payload(fill):
+    precision, occupied, seed = fill
+    sketch = hll_with(precision, occupied, seed)
+    restored = HyperLogLog.from_bytes(legacy_hll_bytes(sketch))
+    assert np.array_equal(restored._registers, sketch._registers)
+    assert restored.to_bytes() == sketch.to_bytes()
+
+
+def test_hll_rejects_malformed_sparse_payloads():
+    head = bytes([12 | 0x80])
+
+    def entries(indices, ranks):
+        return head + np.array(indices, "<u2").tobytes() + bytes(ranks)
+
+    assert HyperLogLog.from_bytes(entries([3, 9], [1, 2]))._registers[9] == 2
+    for bad in (
+        entries([9, 3], [1, 2]),  # not ascending
+        entries([3, 3], [1, 2]),  # repeated index
+        entries([3, 4096], [1, 2]),  # index past the registers
+        entries([3, 9], [1, 0]),  # a zero rank is not an entry
+        entries([3, 9], [1, 2])[:-1],  # not a whole number of entries
+        bytes([3 | 0x80]),  # precision out of range
+    ):
+        with pytest.raises(ValueError):
+            HyperLogLog.from_bytes(bad)
+
+
+# ----------------------------------------------------------------------
+# MinHash
+# ----------------------------------------------------------------------
+token_sets = st.sets(st.text(max_size=5), max_size=40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 16, 100, 128]), st.integers(0, 50), token_sets)
+def test_minhash_round_trip(num_perm, seed, tokens):
+    signature = MinHasher(num_perm, seed=seed).signature(tokens)
+    payload = signature.to_bytes()
+    assert len(payload) == 12 + 4 * num_perm
+    restored = MinHashSignature.from_bytes(payload)
+    assert restored.size == signature.size == len(tokens)
+    assert restored.values.dtype == np.uint32
+    assert np.array_equal(restored.values, signature.values)
+    assert restored.to_bytes() == payload
+
+
+def test_minhash_empty_set_sentinel_survives():
+    signature = MinHasher(32).signature(set())
+    assert set(signature.values.tolist()) == {2**31 - 2}
+    restored = MinHashSignature.from_bytes(signature.to_bytes())
+    assert restored.size == 0 and np.array_equal(restored.values, signature.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(token_sets, st.randoms(use_true_random=False))
+def test_minhash_bytes_ignore_token_order(tokens, rng):
+    ordered = sorted(tokens)
+    shuffled = list(ordered)
+    rng.shuffle(shuffled)
+    hasher = MinHasher(64, seed=3)
+    assert hasher.signature(ordered).to_bytes() == hasher.signature(shuffled).to_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([16, 128]), token_sets)
+def test_minhash_decodes_the_earlier_uint64_payload(num_perm, tokens):
+    signature = MinHasher(num_perm).signature(tokens)
+    legacy = legacy_minhash_bytes(signature)
+    assert len(legacy) == 12 + 8 * num_perm
+    restored = MinHashSignature.from_bytes(legacy)
+    assert restored.size == signature.size
+    assert restored.to_bytes() == signature.to_bytes()
+
+
+def test_minhash_rejects_a_body_of_neither_width():
+    payload = MinHasher(16).signature({"a"}).to_bytes()
+    for bad in (payload[:-3], payload + b"\0" * 5, payload[:8]):
+        with pytest.raises(ValueError):
+            MinHashSignature.from_bytes(bad)
+
+
+# ----------------------------------------------------------------------
+# Array-backed bands == one dict per band
+# ----------------------------------------------------------------------
+def random_signatures(num_perm: int, count: int, seed: int) -> list[MinHashSignature]:
+    """Signatures of overlapping sets over a small universe, so bands
+    collide often and at every width."""
+    rng = random.Random(seed)
+    hasher = MinHasher(num_perm, seed=1)
+    universe = [f"tok{i}" for i in range(120)]
+    cores = [rng.sample(universe, rng.randint(2, 40)) for _ in range(6)]
+    signatures = []
+    for _ in range(count):
+        core = rng.choice(cores)
+        kept = [t for t in core if rng.random() < 0.9]
+        signatures.append(hasher.signature(kept + rng.sample(universe, rng.randint(0, 4))))
+    return signatures
+
+
+@pytest.mark.parametrize(
+    "num_perm, r",
+    [(p, r) for p in (128, 100, 24) for r in (1, 2, 3, 4, 8, 16, 32) if r <= p],
+)
+def test_band_index_matches_the_dict_oracle_on_every_prefix(num_perm, r):
+    signatures = random_signatures(num_perm, 80, seed=num_perm * 100 + r)
+    index = BandedLSHIndex(np.stack([s.values for s in signatures]), r)
+    oracle = DictBandedLSHIndex(num_perm, r)
+    for row, signature in enumerate(signatures):
+        oracle.insert(row, signature)
+    assert index.b == oracle.b and len(index) == len(signatures)
+    probes = signatures[:10] + random_signatures(num_perm, 10, seed=7)
+    collided = 0
+    for probe in probes:
+        for bands in [None, *range(1, index.b + 1), index.b + 5]:
+            rows = index.query(probe.values, bands=bands)
+            assert rows.tolist() == sorted(oracle.query(probe, bands=bands))
+            collided += len(rows)
+    assert collided  # the comparison was not vacuous
+
+
+@pytest.mark.parametrize("partitioning", ["equi-depth", "size-buckets"])
+@pytest.mark.parametrize("num_perm", [128, 48])
+def test_ensemble_matches_the_dict_oracle(partitioning, num_perm):
+    signatures = random_signatures(num_perm, 150, seed=num_perm)
+    entries = [(f"col{i:03d}", s) for i, s in enumerate(signatures)]
+    ensemble = LSHEnsemble(num_perm=num_perm, num_partitions=5, partitioning=partitioning)
+    ensemble.index_signatures(entries)
+    oracle = DictLSHEnsemble(num_perm=num_perm, num_partitions=5, partitioning=partitioning)
+    oracle.index_signatures(entries)
+    matched = 0
+    for probe in signatures[:15] + random_signatures(num_perm, 15, seed=11):
+        for threshold in (0.0, 0.2, 0.35, 0.6, 0.9, 1.0):
+            expected = oracle.query(probe, threshold)
+            # Keys, containment floats and order: all identical.
+            assert ensemble.query(probe, threshold=threshold) == expected
+            assert ensemble.query(probe, threshold=threshold, k=3) == expected[:3]
+            matched += len(expected)
+    assert matched
+
+
+def test_ensemble_rebuilt_from_its_signature_table_answers_identically():
+    signatures = random_signatures(128, 60, seed=5)
+    first = LSHEnsemble(partitioning="size-buckets")
+    first.index_signatures(enumerate(signatures))
+    second = LSHEnsemble(partitioning="size-buckets")
+    second.index_table(*first.signature_table())
+    for probe in signatures[:10]:
+        assert second.query(probe, threshold=0.3) == first.query(probe, threshold=0.3)
+    # Incremental inserts land in the same table and invalidate nothing
+    # they should not: the new key is found, the old answers stand.
+    first.insert("late", {"tok1", "tok2", "tok3"})
+    assert any(m.key == "late" for m in first.query({"tok1", "tok2", "tok3"}, threshold=0.9))

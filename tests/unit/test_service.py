@@ -547,6 +547,52 @@ class TestServerLifecycle:
         assert not closer.is_alive(), "close() on a never-served LakeServer hung"
         assert svc._closed
 
+    def test_concurrent_closes_both_exit_clean(self, store_path):
+        """The shutdown op's closer thread and run()'s finally-close both
+        reach close(); neither may raise, whoever unlinks the beacon."""
+        from repro.service import LakeServer
+
+        svc = LakeService(store=store_path, workers=1, batch_window=0.0)
+        server = LakeServer(svc, port=0)
+        server.start()
+        assert (store_path / "service.json").exists()
+        barrier = threading.Barrier(2)
+        errors: list[BaseException] = []
+
+        def close():
+            barrier.wait(timeout=5)
+            try:
+                server.close()
+            except BaseException as error:  # noqa: BLE001 - the assertion below reports it
+                errors.append(error)
+
+        closers = [threading.Thread(target=close) for _ in range(2)]
+        for closer in closers:
+            closer.start()
+        for closer in closers:
+            closer.join(timeout=10)
+        assert not any(closer.is_alive() for closer in closers)
+        assert errors == []
+        assert not (store_path / "service.json").exists()
+        assert svc._closed
+
+    def test_close_after_the_beacon_was_removed_externally(self, store_path, monkeypatch):
+        from repro.service import LakeServer
+
+        svc = LakeService(store=store_path, workers=1, batch_window=0.0)
+        server = LakeServer(svc, port=0)
+        server.start()
+        beacon = store_path / "service.json"
+        beacon.unlink()
+        # What the loser of a close/close race sees: the beacon was still
+        # there when it looked, and gone when it came to unlink it.
+        exists = type(beacon).exists
+        monkeypatch.setattr(
+            type(beacon), "exists", lambda path: path == beacon or exists(path)
+        )
+        server.close()
+        assert svc._closed
+
 
 class TestObservability:
     """ISSUE 7: tracing + metrics threaded through the serving layer."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.sketch import (
@@ -37,8 +38,6 @@ class TestMinHash:
         assert abs(estimate - true_jaccard) < 3 * sigma + 0.02
 
     def test_signatures_deterministic_across_hashers(self):
-        import numpy as np
-
         a = MinHasher(64, seed=5).signature({"p", "q"})
         b = MinHasher(64, seed=5).signature({"p", "q"})
         assert np.array_equal(a.values, b.values)
@@ -83,26 +82,26 @@ class TestBandedLSH:
 
     def test_index_finds_similar(self):
         hasher = MinHasher(128)
-        index = BandedLSHIndex(128, r=4)
         base = {f"x{i}" for i in range(100)}
-        index.insert("near", hasher.signature(base | {"extra"}))
-        index.insert("far", hasher.signature({f"y{i}" for i in range(100)}))
-        hits = index.query(hasher.signature(base))
-        assert "near" in hits
-        assert "far" not in hits
+        near = hasher.signature(base | {"extra"})
+        far = hasher.signature({f"y{i}" for i in range(100)})
+        index = BandedLSHIndex(np.stack([near.values, far.values]), r=4)
+        hits = index.query(hasher.signature(base).values)
+        assert hits.tolist() == [0]  # row 0 = near; far never collides
 
     def test_prefix_bands_subset(self):
         hasher = MinHasher(64)
-        index = BandedLSHIndex(64, r=2)
         sig = hasher.signature({"a", "b", "c"})
-        index.insert("k", sig)
-        assert index.query(sig, bands=1) <= index.query(sig)
+        index = BandedLSHIndex(sig.values[None, :], r=2)
+        assert set(index.query(sig.values, bands=1)) <= set(index.query(sig.values))
+        assert index.query(sig.values, bands=1).tolist() == [0]
 
     def test_invalid_r_rejected(self):
+        matrix = np.zeros((1, 64), dtype=np.uint32)
         with pytest.raises(ValueError):
-            BandedLSHIndex(64, r=0)
+            BandedLSHIndex(matrix, r=0)
         with pytest.raises(ValueError):
-            BandedLSHIndex(64, r=65)
+            BandedLSHIndex(matrix, r=65)
 
 
 class TestLSHEnsemble:
