@@ -25,6 +25,11 @@ The claims under test (ISSUE 8 acceptance):
    store bumps exactly one shard's version; the other shards' versions
    are untouched, so their persisted indexes stay current and a
    warm-start refits only the home shard.
+4. **The driver routes.**  Building the 4-shard index and querying it
+   through the process executor decodes no segment and hydrates no
+   stats snapshot in *this* process (``store.decode.*`` and
+   ``store.stats_cache.rehydrates`` do not move): each shard is fitted,
+   persisted and served by its own worker.  Asserted at every scale.
 
 Two entry points:
 
@@ -138,6 +143,16 @@ def build_sharded(root: Path, lake: DataLake, num_shards: int, executor: str):
     return store, index
 
 
+def driver_store_reads() -> int:
+    """Tables this process has decoded or hydrated stats for, so far."""
+    counters = obs_metrics.global_registry().snapshot()["counters"]
+    return sum(
+        value
+        for name, value in counters.items()
+        if name.startswith("store.decode") or name == "store.stats_cache.rehydrates"
+    )
+
+
 def comparable(answer) -> dict:
     return {
         name: [(r.table_name, round(r.score, 9), r.discoverer) for r in results]
@@ -186,10 +201,12 @@ def run_suite(
         # 1 shard = the single-store pipeline shape (thread executor: no
         # fan-out, no IPC); N shards = parallel scatter-gather workers.
         _store_1, index_1 = build_sharded(base / "one", lake, 1, executor="threads")
+        reads_before = driver_store_reads()
         store_n, index_n = build_sharded(base / "many", lake, shards, executor="processes")
         try:
-            lat_1, crit_1, answers_1 = run_queries(index_1, queries, repeats)
             lat_n, crit_n, answers_n = run_queries(index_n, queries, repeats)
+            driver_reads = driver_store_reads() - reads_before
+            lat_1, crit_1, answers_1 = run_queries(index_1, queries, repeats)
         finally:
             index_1.close()
             index_n.close()
@@ -227,6 +244,7 @@ def run_suite(
             "sharded_critical_p95_ms": round(cp95_n * 1e3, 2),
             "critical_p95_speedup": round(cp95_1 / max(cp95_n, 1e-12), 2),
             "identical": answers_n == answers_1,
+            "driver_store_reads": driver_reads,
             "ingest_bumped_shards": bumped,
             "ingest_home_shard": home,
             "one_shard_rewrite": bumped == [home],
@@ -287,6 +305,11 @@ def main(argv=None) -> int:
     failures = []
     if not results["identical"]:
         failures.append("sharded top-k differs from the 1-shard pipeline")
+    if results["driver_store_reads"]:
+        failures.append(
+            f"the process-mode driver read {results['driver_store_reads']} "
+            f"tables/stats snapshots itself (workers own fit + persist)"
+        )
     if not results["one_shard_rewrite"]:
         failures.append(
             f"single-table ingest touched shards {results['ingest_bumped_shards']} "

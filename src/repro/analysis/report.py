@@ -90,9 +90,10 @@ def pipeline_report(result: "Any", title: str = "DIALITE run report") -> str:
         f"- query: `{discovery.query.name}` "
         f"({discovery.query.num_rows}×{discovery.query.num_columns})"
     )
+    names = result.integration_set_names
     lines.append(
-        f"- integration set ({len(discovery.integration_set)} tables): "
-        + ", ".join(f"`{t.name}`" for t in discovery.integration_set)
+        f"- integration set ({len(names)} tables): "
+        + ", ".join(f"`{name}`" for name in names)
     )
     lines.append("")
     lines.append(table_to_markdown(discovery.summary()))

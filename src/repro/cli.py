@@ -875,7 +875,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
             result = pipeline.integrate(
                 outcome, integrator=args.integrator, align=not args.no_align
             )
-        print("integration set: " + ", ".join(t.name for t in outcome.integration_set) + "\n")
+        print("integration set: " + ", ".join([query.name, *outcome.discovered_names]) + "\n")
     if args.explain:
         chosen = pipeline.integrators.get(
             args.integrator or pipeline.default_integrator

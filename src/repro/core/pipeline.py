@@ -313,7 +313,9 @@ class Dialite:
 
         The integration set is the query plus the union of every requested
         discoverer's top-k (overlapping results deduplicated), preserving
-        the merged ranking order.
+        the merged ranking order.  The outcome names it; its tables are
+        read from the lake when ``outcome.integration_set`` is first asked
+        for (``integrate`` does), so discovering alone loads no table.
         """
         if query.name in self.lake:
             raise ValueError(
@@ -324,16 +326,15 @@ class Dialite:
                 query, k=k, query_column=query_column, discoverer_names=discoverer_names
             )
             merged = merge_result_sets(list(per_discoverer.values()))
-            integration_set = [query] + [self.lake[r.table_name] for r in merged]
             discover_span.add(
-                discoverers=len(per_discoverer), integration_set=len(integration_set)
+                discoverers=len(per_discoverer), integration_set=len(merged) + 1
             )
         reports = self.index.retrieval_reports()
         return DiscoveryOutcome(
             query=query,
             per_discoverer=per_discoverer,
             merged=merged,
-            integration_set=integration_set,
+            lake=self.lake,
             retrieval={name: reports[name] for name in per_discoverer if name in reports},
             # Sharded indexes report shards that stayed dead through the
             # supervised retry; plain indexes have no such attribute.

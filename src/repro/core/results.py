@@ -9,7 +9,8 @@ inspect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from functools import cached_property
+from typing import Any, Mapping
 
 from ..discovery.base import DiscoveryResult
 from ..integration.tuples import IntegratedTable
@@ -21,12 +22,15 @@ __all__ = ["DiscoveryOutcome", "PipelineResult"]
 @dataclass
 class DiscoveryOutcome:
     """The discover stage's output: per-discoverer results, their union, and
-    the resulting integration set (query table included, as in Sec. 2.1)."""
+    the resulting integration set (query table included, as in Sec. 2.1).
+    What comes back is a ranked list of names; its tables are read from
+    :attr:`lake` when :attr:`integration_set` or :meth:`select` asks."""
 
     query: Table
     per_discoverer: dict[str, list[DiscoveryResult]]
     merged: list[DiscoveryResult]
-    integration_set: list[Table]
+    #: Where the discovered tables live (a stored lake decodes on access).
+    lake: Mapping[str, Table] = field(repr=False)
     #: Per-discoverer retrieval accounting for this query: candidate
     #: counts before scoring, channels used, fallback/truncation flags
     #: (what ``discover --explain`` prints).
@@ -41,14 +45,22 @@ class DiscoveryOutcome:
     def discovered_names(self) -> list[str]:
         return [result.table_name for result in self.merged]
 
+    @cached_property
+    def integration_set(self) -> list[Table]:
+        """The query followed by every discovered table in merged ranking
+        order, loaded from the lake on first access and kept."""
+        return [self.query] + [self.lake[name] for name in self.discovered_names]
+
     def select(self, names: list[str]) -> list[Table]:
         """A user-chosen subset of the integration set (query always kept),
-        mirroring the demo's 'select a subset of the discovered tables'."""
-        chosen = {self.query.name, *names}
-        unknown = set(names) - {t.name for t in self.integration_set}
+        mirroring the demo's 'select a subset of the discovered tables'.
+        Only the chosen tables are loaded."""
+        discovered = self.discovered_names
+        unknown = set(names) - {self.query.name, *discovered}
         if unknown:
             raise KeyError(f"not in the integration set: {sorted(unknown)}")
-        return [t for t in self.integration_set if t.name in chosen]
+        chosen = set(names)
+        return [self.query] + [self.lake[n] for n in discovered if n in chosen]
 
     def summary(self) -> Table:
         """One row per discovered table: score, who found it, why."""
@@ -69,4 +81,4 @@ class PipelineResult:
 
     @property
     def integration_set_names(self) -> list[str]:
-        return [t.name for t in self.discovery.integration_set]
+        return [self.discovery.query.name, *self.discovery.discovered_names]

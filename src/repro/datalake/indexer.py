@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 
 from ..candidates.engine import CandidateEngine
 from ..discovery.base import Discoverer, DiscoveryResult, merge_result_sets
+from ..obs import trace
 from ..table.table import Table
 from .stats import LakeStats
 
@@ -179,7 +180,8 @@ class LakeIndex:
             store = LakeStore.open(store)
         if lake is None:
             lake = store.lake()
-        persisted = store.load_indexes()
+        with trace.span("index.hydrate"):
+            persisted = store.load_indexes()
         if discoverers is None:
             if not persisted:
                 raise StoreError(
@@ -202,7 +204,9 @@ class LakeIndex:
             else:
                 start = time.perf_counter()
                 discoverer.fit(lake, engine=engine)
-                index._build_seconds[discoverer.name] = time.perf_counter() - start
+                seconds = time.perf_counter() - start
+                index._build_seconds[discoverer.name] = seconds
+                trace.record(f"index.fit.{discoverer.name}", wall_s=seconds)
         index._built = True
         return index
 

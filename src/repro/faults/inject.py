@@ -15,7 +15,8 @@ truthiness check per call site.  Tests and the chaos harness arm faults:
 * :func:`fail_at` -- raise an arbitrary error at the nth fire;
 * :func:`kill_worker` -- the next scatter to shard *i* ships a poison
   payload whose worker calls ``os._exit`` (a real process death, not an
-  exception -- the driver sees ``BrokenProcessPool``);
+  exception -- the driver sees ``BrokenProcessPool``); a worker started
+  to *fit* shard *i* consumes it first and dies before persisting;
 * :func:`drop_connection` -- the nth client connect raises
   ``ConnectionError`` before touching the socket;
 * :func:`record` -- count every fire, used by the crash-recovery
@@ -31,6 +32,7 @@ refactor cannot silently strand a point with no caller.
 
 from __future__ import annotations
 
+import os
 import threading
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
@@ -54,6 +56,9 @@ __all__ = [
 # the two exceptions are the worker-kill pair, which crosses a process
 # boundary: the driver consumes the kill at submit time and the worker
 # honors a poison payload flag instead of calling back into this module.
+# A worker process inherits what is armed here through the fork; a fault
+# raised in its fit (``shard.worker.fit``, between fit and persist, or any
+# store write point under it) ends in ``os._exit``: a real death.
 FAULT_POINTS: dict[str, tuple[str, str | None]] = {
     "store.write_journal": ("store/journal.py", None),
     "store.clear_journal": ("store/journal.py", None),
@@ -70,6 +75,7 @@ FAULT_POINTS: dict[str, tuple[str, str | None]] = {
     "shard.rebalance.commit": ("shard/store.py", None),
     "shard.scatter.kill": ("shard/index.py", "inject.take_worker_kill("),
     "shard.worker.exit": ("shard/worker.py", "_fault_kill"),
+    "shard.worker.fit": ("shard/worker.py", None),
     "client.connect": ("service/protocol.py", None),
     "server.handle": ("service/protocol.py", None),
 }
@@ -108,6 +114,16 @@ class _Armed:
 
 
 _lock = threading.Lock()
+
+
+def _fresh_lock() -> None:
+    global _lock
+    _lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    # Forked while a thread holds it, a worker would hang on its first fire.
+    os.register_at_fork(after_in_child=_fresh_lock)
 _enabled = False  # fast-path gate: True iff anything below is armed
 _faults: dict[str, list[_Armed]] = {}
 _counts: dict[str, int] | None = None

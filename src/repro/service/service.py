@@ -897,8 +897,9 @@ class LakeService:
             # The previous generation's sharded index donates per-shard
             # state (hydrated indexes or warm worker pools) for every
             # shard whose version did not move -- a one-table ingest
-            # reload refits exactly one shard; stale shards refit and
-            # re-persist inside the sharded hydration itself.
+            # reload refits exactly one shard; a stale shard is refitted
+            # and re-persisted where its index lives (in process mode its
+            # new worker; this process only waits for it to report ready).
             pipeline.fit(previous_index=previous.pipeline._index)
         else:
             pipeline.fit()
@@ -1235,7 +1236,7 @@ class LakeService:
                 result = gen.pipeline.integrate(
                     outcome, integrator=integrator, align=do_align
                 )
-            integration_set = [t.name for t in outcome.integration_set[1:]]
+            integration_set = outcome.discovered_names
         display = result.to_display_table()
         return {
             "integration_set": integration_set,
@@ -1329,7 +1330,7 @@ def _discover_payload(outcome) -> dict[str, Any]:
             }
             for r in outcome.merged
         ],
-        "integration_set": [t.name for t in outcome.integration_set[1:]],
+        "integration_set": outcome.discovered_names,
     }
     degraded = tuple(getattr(outcome, "degraded_shards", ()) or ())
     if degraded:

@@ -39,9 +39,16 @@ per-shard half and the full byte-identity argument.
 Executors: ``"threads"`` runs shards on a thread pool in-process (the
 default for <= 2 shards, where GIL contention is cheaper than process
 hops); ``"processes"`` gives each shard a single-worker process pool
-whose initializer hydrates the shard index once (warm across requests).
-Pools are wrapped in refcounted leases so a service reload keeps the
-warm worker of every shard whose version did not move.
+whose initializer opens the shard index once (warm across requests).
+Either way the index comes from
+:func:`repro.shard.worker.open_shard_index` (hydrate, fit the rest,
+persist what was fitted), and in process mode that runs *in the worker*:
+the driver is a router that never decodes a segment, hydrates a stats
+snapshot or fits an index.  It makes sure the lake-global fit state
+exists, starts the workers of stale shards (at once: they fit in
+parallel) and waits for each to report ready.  Pools are wrapped in
+refcounted leases so a service reload keeps the warm worker of every
+shard whose version did not move.
 
 **Supervision** (process mode): a scatter that loses a worker -- the
 process died (``BrokenProcessPool``) or blew the per-scatter deadline
@@ -52,7 +59,8 @@ returns the surviving shards' answer, explicitly *degraded* rather than
 failed (the serving layer annotates the payload and skips its result
 cache).  Only when every shard fails does the search raise.  Respawns
 and degraded scatters are counted in ``repro.obs`` metrics
-(``shard.worker.respawns``, ``shard.scatter.degraded``).
+(``shard.worker.respawns``, ``shard.scatter.degraded``).  The wait for a
+fitting worker is supervised the same way (see ``_fit_in_workers``).
 """
 
 from __future__ import annotations
@@ -61,6 +69,8 @@ import copy
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Sequence
 
 from ..datalake.indexer import LakeIndex
@@ -80,6 +90,9 @@ _THREAD_SHARD_LIMIT = 2
 
 #: Buckets for the scatter skew ratio (slowest shard / mean shard wall).
 _SKEW_BOUNDS = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0)
+
+#: A worker that fits gets this many scatter deadlines to report ready.
+_FIT_DEADLINES = 10
 
 
 def _mp_context():
@@ -102,9 +115,10 @@ class _PoolLease:
     (:meth:`acquire`) instead of respawning -- the warm worker (hydrated
     stats snapshots, unpickled discoverer indexes) survives the
     generation swap.  The last :meth:`release` shuts the pool down.
+    The worker process starts on the first :meth:`submit`.
     """
 
-    def __init__(self, shard_path: str, version: int):
+    def __init__(self, shard_path: str, version: int, *worker_args: Any):
         self.path = str(shard_path)
         self.version = version
         self._refs = 1
@@ -116,9 +130,9 @@ class _PoolLease:
             # The version pin makes respawns safe under concurrent
             # ingests: a worker spawned while the shard's on-disk state
             # has already moved past this lease's generation exits
-            # cleanly instead of hydrating -- and answering from -- a
+            # cleanly instead of opening -- and answering from -- a
             # version its driver is not serving.
-            initargs=(self.path, self.version),
+            initargs=(self.path, self.version, *worker_args),
         )
 
     def acquire(self) -> "_PoolLease":
@@ -317,38 +331,18 @@ class ShardedLakeIndex:
                 state["idf"][proto.name] = idf
         return state
 
-    def _ensure_fit_state(self) -> dict[str, Any]:
-        state = self._store.load_fit_state()
-        if state is None:
-            state = self._compute_fit_state()
-            self._store.save_fit_state(state)
-        return state
-
-    def _adapted_roster(self, state: dict[str, Any]) -> list[Discoverer]:
-        """Unfitted clones of the prototypes with the lake-global fit
-        products injected -- what every shard's fit (and warm-start
-        substitution) receives; the prototypes themselves are never
-        fitted."""
-        assert self._prototypes is not None
-        roster: list[Discoverer] = []
-        for proto in self._prototypes:
-            clone = proto.clone_unfitted()
-            kb = state.get("kb", {}).get(proto.name)
-            if kb is not None and hasattr(clone, "adopt_kb"):
-                clone.adopt_kb(kb)
-            idf = state.get("idf", {}).get(proto.name)
-            if idf is not None and hasattr(clone, "adopt_corpus_idf"):
-                clone.adopt_corpus_idf(idf)
-            roster.append(clone)
-        return roster
+    def _ensure_fit_state(self) -> None:
+        # A worker about to fit reads it from the lake root.
+        if not self._store.has_fit_state():
+            self._store.save_fit_state(self._compute_fit_state())
 
     # ------------------------------------------------------------------
     # Build / hydrate
     # ------------------------------------------------------------------
     def build(self) -> "ShardedLakeIndex":
-        """Fit every shard's roster (global fit state first), persisting
-        each shard's indexes + postings pinned to its version; returns
-        self.  Idempotent like :meth:`LakeIndex.build`."""
+        """Make every shard's index current: the lake-global fit state
+        first (computed unless persisted), then each stale shard's roster
+        fitted and persisted pinned to its version.  Idempotent."""
         if self._built:
             return self
         if self._prototypes is None:
@@ -357,32 +351,8 @@ class ShardedLakeIndex:
                 "pass discoverers= (or hydrate with from_store after an "
                 "index build)"
             )
-        state = self._compute_fit_state()
-        self._store.save_fit_state(state)
-        self._build_seconds = {}
-        for i, shard in enumerate(self._store.shards):
-            self._fit_shard(i, shard, state)
-        self._shard_versions = self._store.shard_versions()
-        self._roster_names = [d.name for d in self._prototypes]
-        self._built = True
+        self._hydrate()
         return self
-
-    def _fit_shard(self, i: int, shard, state: dict[str, Any]) -> None:
-        """Fit shard *i*'s roster here, in the driver, and persist it
-        pinned to the shard's version."""
-        built = LakeIndex(shard.lake(), self._adapted_roster(state)).build()
-        built.save_to_store(shard)
-        for name, seconds in built.build_seconds.items():
-            self._build_seconds[name] = self._build_seconds.get(name, 0.0) + seconds
-        if self._executor == "threads":
-            built.engine.defer_policy = True
-            self._shard_indexes[i] = built
-        else:
-            # The worker process hydrates its own copy; the stats this fit
-            # paged in would otherwise sit in the driver (and in every
-            # worker later forked from it) until the generation retires
-            # and the cycle collector gets to it.
-            shard.release_stats()
 
     @classmethod
     def from_store(
@@ -400,9 +370,10 @@ class ShardedLakeIndex:
         did not move: the hydrated in-process index in thread mode, the
         warm worker-pool lease in process mode -- so a single-table
         ingest reload rebuilds exactly one shard.  Shards with missing
-        or stale persisted indexes are refitted here (with the pinned
-        global fit state) and re-persisted; with ``discoverers=None``
-        that situation raises instead (nothing to refit from).
+        or stale persisted indexes are refitted (with the pinned global
+        fit state) and re-persisted where their index lives -- here in
+        thread mode, in the shard's worker in process mode; with
+        ``discoverers=None`` that situation raises instead.
         """
         index = cls(store, discoverers=discoverers, executor=executor)
         index._hydrate(previous)
@@ -426,9 +397,8 @@ class ShardedLakeIndex:
     def _hydrate(self, previous: "ShardedLakeIndex | None" = None) -> None:
         store = self._store
         reuse = self._reusable(previous)
-        recorded = store.index_build_seconds()
-        self._build_seconds = dict(recorded)
-        state: dict[str, Any] | None = None  # loaded/computed on first need
+        self._build_seconds = dict(store.index_build_seconds())
+        self._shard_versions = store.shard_versions()
         roster_names: list[str] = list(self._roster_names)
         if not roster_names:
             # No prototypes: serve the roster every shard can answer.
@@ -455,8 +425,12 @@ class ShardedLakeIndex:
                     "index build or pass explicit discoverers"
                 )
             self._roster_names = list(roster_names)
+        # Shards to open now: in thread mode all that nobody donated, in
+        # process mode the stale ones (a current shard's worker starts --
+        # and hydrates -- on the first scatter, see _ensure_leases).
+        pending: list[int] = []
         for i, shard in enumerate(store.shards):
-            version = shard.lake_version
+            version = self._shard_versions[i]
             if (
                 reuse
                 and previous is not None
@@ -477,36 +451,74 @@ class ShardedLakeIndex:
                         self._last_respawn_at[i] = previous._last_respawn_at[i]
                         continue
             info = shard.info()
-            persisted_names = list(info.get("indexes") or [])
             current = info.get("indexes_lake_version") == version and set(
                 roster_names
-            ) <= set(persisted_names)
-            if not current:
-                if self._prototypes is None:
-                    raise StoreError(
-                        f"shard {store.shard_names[i]} has no current persisted "
-                        f"indexes for version {version}; run an index build or "
-                        f"pass explicit discoverers"
+            ) <= set(info.get("indexes") or [])
+            if not current and self._prototypes is None:
+                raise StoreError(
+                    f"shard {store.shard_names[i]} has no current persisted "
+                    f"indexes for version {version}; run an index build or "
+                    f"pass explicit discoverers"
+                )
+            if self._executor == "threads" or not current:
+                pending.append(i)
+        if pending:
+            if self._prototypes is not None:
+                self._ensure_fit_state()
+            if self._executor == "processes":
+                self._fit_in_workers(pending)
+            else:
+                state = store.load_fit_state() if self._prototypes else None
+                for i in pending:
+                    self._shard_indexes[i], fitted = shard_worker.open_shard_index(
+                        store.shards[i], self._prototypes, state
                     )
-                if state is None:
-                    state = self._ensure_fit_state()
-                self._fit_shard(i, shard, state)
-                continue
-            if self._executor == "threads":
-                if self._prototypes is not None:
-                    if state is None:
-                        state = self._ensure_fit_state()
-                    hydrated = LakeIndex.from_store(
-                        shard, discoverers=self._adapted_roster(state)
-                    )
-                else:
-                    hydrated = LakeIndex.from_store(shard)
-                hydrated.engine.defer_policy = True
-                self._shard_indexes[i] = hydrated
-            # Process mode: the pool initializer hydrates lazily on first
-            # search (LakeIndex.from_store over the persisted roster).
-        self._shard_versions = store.shard_versions()
+                    self._add_build_seconds(fitted)
         self._built = True
+
+    def _add_build_seconds(self, fitted: dict[str, float]) -> None:
+        for name, seconds in fitted.items():
+            self._build_seconds[name] = self._build_seconds.get(name, 0.0) + seconds
+
+    def _fit_in_workers(self, shards: list[int]) -> None:
+        """Process mode: start the workers of stale *shards* at once (each
+        initializer fits and persists) and wait until all report ready.
+        Supervised like a scatter: a worker that dies or blows the
+        deadline is respawned and awaited once more; after a second
+        failure the shard keeps a fresh lease, to be fitted by the first
+        scatter that reaches it (degraded, never cached, if that fails
+        too).  An armed worker kill is consumed by a worker that will fit
+        (fault point ``shard.worker.fit``)."""
+        timeout = self._scatter_timeout and self._scatter_timeout * _FIT_DEADLINES
+        tracer = trace.current_tracer()
+        for attempt in range(2):
+            for i in shards:
+                if attempt:
+                    self._respawn_lease(i, inject.take_worker_kill(i))
+                else:
+                    self._leases[i] = self._new_lease(i, inject.take_worker_kill(i))
+            futures = {
+                i: self._leases[i].submit(shard_worker.process_worker_ready, None)
+                for i in shards
+            }
+            shards = []
+            for i, future in futures.items():
+                try:
+                    ready = future.result(timeout=timeout)
+                except (BrokenProcessPool, FutureTimeout):
+                    shards.append(i)
+                    continue
+                # The worker committed through its own handle; this one
+                # must know the files it now owns.
+                self._store.shards[i].refresh()
+                self._add_build_seconds(ready["build_seconds"])
+                metrics.histogram("shard.worker.fit_seconds").observe_seconds(
+                    ready["wall_s"]
+                )
+                if tracer is not None:
+                    tracer.attach_tree(ready["trace"])
+        for i in shards:
+            self._respawn_lease(i)
 
     # ------------------------------------------------------------------
     # Executors
@@ -520,26 +532,32 @@ class ShardedLakeIndex:
                 )
             return self._thread_pool
 
+    def _new_lease(self, i: int, fault_kill: bool = False) -> _PoolLease:
+        return _PoolLease(
+            str(self._store.shards[i].path),
+            self._shard_versions[i],
+            self._prototypes,
+            trace.current_tracer() is not None,
+            fault_kill,
+        )
+
     def _ensure_leases(self) -> list[_PoolLease]:
         with self._exec_lock:
             leases: list[_PoolLease] = []
-            for i, shard in enumerate(self._store.shards):
+            for i in range(self._store.num_shards):
                 lease = self._leases[i]
                 if lease is None:
-                    lease = _PoolLease(str(shard.path), self._shard_versions[i])
-                    self._leases[i] = lease
+                    lease = self._leases[i] = self._new_lease(i)
                 leases.append(lease)
             return leases
 
-    def _respawn_lease(self, i: int) -> None:
+    def _respawn_lease(self, i: int, fault_kill: bool = False) -> None:
         """Replace shard *i*'s pool with a fresh one (its worker died or
         hung); the old lease is released, not waited on -- a hung task
         cannot block the respawn."""
         with self._exec_lock:
             old = self._leases[i]
-            self._leases[i] = _PoolLease(
-                str(self._store.shards[i].path), self._shard_versions[i]
-            )
+            self._leases[i] = self._new_lease(i, fault_kill)
         if old is not None:
             try:
                 old.release()

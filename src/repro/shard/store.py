@@ -50,6 +50,7 @@ __all__ = [
     "ShardedLakeStore",
     "ShardedDataLake",
     "ShardedLakeStats",
+    "load_fit_state",
     "open_any_store",
     "recover_any_store",
 ]
@@ -69,6 +70,17 @@ def shard_route(name: str, seed: int, num_shards: int) -> int:
     """
     digest = hashlib.sha1(f"{seed}:{name}".encode("utf-8")).hexdigest()
     return int(digest[:8], 16) % num_shards
+
+
+def load_fit_state(root: str | Path) -> dict[str, Any] | None:
+    """:meth:`ShardedLakeStore.load_fit_state` by path (a shard worker
+    holds only its own shard, not the sharded store)."""
+    file = Path(root) / _FIT_STATE_FILE
+    if not file.exists():
+        return None
+    with file.open("rb") as handle:
+        payload = pickle.load(handle)
+    return payload if isinstance(payload, dict) else None
 
 
 def open_any_store(path: str | Path, **open_options: Any):
@@ -524,18 +536,16 @@ class ShardedLakeStore:
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
         )
 
+    def has_fit_state(self) -> bool:
+        return (self._path / _FIT_STATE_FILE).exists()
+
     def load_fit_state(self) -> dict[str, Any] | None:
         """The persisted global fit products, or None.  The payload's
         ``epoch`` records when it was computed; a partial refit after a
         single-shard ingest deliberately reuses the pinned state (all
         shards stay mutually consistent) -- rebuild or rebalance to
         refresh it (the drift caveat in README's "Sharded lakes")."""
-        file = self._path / _FIT_STATE_FILE
-        if not file.exists():
-            return None
-        with file.open("rb") as handle:
-            payload = pickle.load(handle)
-        return payload if isinstance(payload, dict) else None
+        return load_fit_state(self._path)
 
     # ------------------------------------------------------------------
     # Rebalance (re-route everything under a new shard count/seed)
@@ -645,6 +655,11 @@ class ShardedDataLake(DataLake):
     @property
     def store(self) -> ShardedLakeStore:
         return self._store
+
+    @property
+    def loaded_names(self) -> list[str]:
+        """Tables whose cell data has actually been materialized so far."""
+        return [name for view in self._shard_views for name in view.loaded_names]
 
     def add(self, table: Table) -> None:
         raise TypeError(

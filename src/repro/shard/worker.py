@@ -30,11 +30,18 @@ Why this preserves byte-identity with the single-store pipeline:
   retrieval evidence retained, mirroring the unsharded fallback's
   evidence-retention semantics.
 
+**Fit where the index lives.**  :func:`open_shard_index` is the one
+place a shard's index comes to life -- first build, warm start, the
+refit after an ingest, a supervised respawn: hydrate what the shard
+persists at its version, fit what it does not, persist what was fitted
+(the journaled saves take the shard's writer lock).  In process mode it
+runs in the shard's own worker, never in the driver.
+
 The module-level functions double as process-pool entry points: a pool
-worker hydrates its shard's persisted index once (initializer), then
-answers searches from warm state.  Queries cross the process boundary as
-codec documents (stored tables carry unpicklable column loaders), and
-span trees come back as dicts for the driver to graft
+worker opens its shard's index once (initializer), then answers searches
+from warm state.  Queries cross the process boundary as codec documents
+(stored tables carry unpicklable column loaders), and span trees come
+back as dicts for the driver to graft
 (:meth:`Tracer.attach_tree <repro.obs.trace.Tracer.attach_tree>`).
 """
 
@@ -42,24 +49,82 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..candidates.spec import CandidateSet
+from ..faults import inject
 from ..obs import metrics, trace
 from ..store.codec import decode_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..datalake.indexer import LakeIndex
     from ..discovery.base import Discoverer
+    from ..store.lakestore import LakeStore
     from ..table.table import Table
 
 __all__ = [
+    "adapted_roster",
+    "open_shard_index",
     "deferred_search",
     "fallback_search",
     "process_worker_init",
+    "process_worker_ready",
     "process_worker_run",
     "process_worker_metrics",
 ]
+
+
+def adapted_roster(
+    prototypes: Sequence["Discoverer"], state: dict[str, Any] | None
+) -> list["Discoverer"]:
+    """Unfitted clones of *prototypes* with the lake-global fit products
+    of *state* injected -- what a shard fits (and substitutes persisted
+    indexes into); the prototypes themselves are never fitted."""
+    state = state or {}
+    roster: list["Discoverer"] = []
+    for proto in prototypes:
+        clone = proto.clone_unfitted()
+        kb = state.get("kb", {}).get(proto.name)
+        if kb is not None and hasattr(clone, "adopt_kb"):
+            clone.adopt_kb(kb)
+        idf = state.get("idf", {}).get(proto.name)
+        if idf is not None and hasattr(clone, "adopt_corpus_idf"):
+            clone.adopt_corpus_idf(idf)
+        roster.append(clone)
+    return roster
+
+
+def open_shard_index(
+    store: "LakeStore",
+    prototypes: Sequence["Discoverer"] | None = None,
+    state: dict[str, Any] | None = None,
+) -> tuple["LakeIndex", dict[str, float]]:
+    """Shard *store*'s ready-to-search index, plus the fit seconds of
+    every discoverer that had to be fitted to make it (none on a pure
+    hydration).  ``LakeIndex.from_store`` hydrates the persisted roster
+    and fits the rest (``prototypes=None``: the persisted roster,
+    verbatim); what it fitted -- or a posting artifact it had to rebuild
+    -- is persisted before returning, pinned to the shard's version.
+    """
+    from ..datalake.indexer import LakeIndex
+
+    roster = adapted_roster(prototypes, state) if prototypes is not None else None
+    with trace.span("shard.worker.fit", shard=store.path.name) as span:
+        index = LakeIndex.from_store(store, discoverers=roster)
+        clones = {id(d) for d in roster or ()}
+        fitted = {
+            d.name: index.build_seconds[d.name]
+            for d in index.discoverers
+            if id(d) in clones
+        }
+        span.add(fitted=len(fitted))
+        if fitted or not index.engine.loaded_from_store:
+            inject.fire("shard.worker.fit", shard=store.path.name)
+            with trace.span("shard.worker.persist"):
+                index.save_to_store(store)
+    index.engine.defer_policy = True
+    return index, fitted
 
 
 def _chosen(index: "LakeIndex", names: Sequence[str] | None) -> list["Discoverer"]:
@@ -175,37 +240,73 @@ def fallback_search(
 _WORKER: dict[str, Any] = {}
 
 
-def process_worker_init(shard_path: str, expected_version: int | None = None) -> None:
-    """Pool initializer: hydrate this shard's persisted index (stats
-    snapshots, postings artifact, discoverer pickles) exactly once.
+def process_worker_init(
+    shard_path: str,
+    expected_version: int | None = None,
+    prototypes: Sequence["Discoverer"] | None = None,
+    traced: bool = False,
+    fault_kill: bool = False,
+) -> None:
+    """Pool initializer: :func:`open_shard_index` on this worker's own
+    handle of the shard, once; the worker serves what it hydrated or
+    fitted.  The lake-global fit products are read from the lake root.
 
-    ``expected_version`` pins hydration to the lease's generation.  A
+    ``expected_version`` pins the worker to the lease's generation.  A
     *respawned* worker (supervision replacing a dead one) can race a
     concurrent ingest: the shard's on-disk version has moved and its
-    persisted indexes belong to a lake the driver is not serving --
-    answering from them would return wrong-version results.  Exiting
-    cleanly instead turns the race into a supervised scatter failure:
-    the affected answer degrades (annotated, never cached) until the
-    service reload swaps in a generation built for the new version.
-    ``os._exit`` rather than ``raise`` so the driver sees the same
-    broken-pool signal as a crash, without an initializer traceback
-    polluting stderr on an expected transition.
-    """
-    from ..datalake.indexer import LakeIndex
-    from ..store.lakestore import LakeStore, StoreError
+    state belongs to a lake the driver is not serving -- answering from
+    it would return wrong-version results.  Exiting cleanly instead turns
+    the race into a supervised failure: the affected answer degrades
+    (annotated, never cached) until the service reload swaps in a
+    generation built for the new version.  ``os._exit`` rather than
+    ``raise`` so the driver sees the same broken-pool signal as a crash,
+    without an initializer traceback polluting stderr on an expected
+    transition.
 
+    ``traced`` records the open as a span tree for
+    :func:`process_worker_ready` to ship.  ``fault_kill`` is the
+    driver-consumed half of an armed worker kill: it arms this process's
+    own fault plane so the worker dies for real between fitting and
+    persisting; a fault inherited through the fork (``store.write_index``,
+    ...) ends the same way -- a death, not an exception.
+    """
+    from ..faults import FaultInjected
+    from ..store.lakestore import LakeStore, StoreError
+    from .store import load_fit_state
+
+    if fault_kill:
+        inject.crash_after("shard.worker.fit")
+    tracer = trace.Tracer()
+    start = time.perf_counter()
     try:
         store = LakeStore.open(shard_path)
         if expected_version is not None and store.lake_version != expected_version:
             os._exit(3)
-        index = LakeIndex.from_store(store)
+        state = (
+            load_fit_state(store.path.parent) if prototypes is not None else None
+        )
+        with tracer.activate() if traced else nullcontext():
+            index, fitted = open_shard_index(store, prototypes, state)
     except StoreError:
-        # Mid-ingest artifact state (persisted indexes dropped, not yet
-        # rebuilt): same transition as the version race above.
+        # Mid-ingest artifact state, or a commit refused because the shard
+        # moved on during the fit: same transition as the version race.
         os._exit(3)
-    index.engine.defer_policy = True
+    except FaultInjected:
+        os._exit(17)
     _WORKER["index"] = index
     _WORKER["shard_path"] = shard_path
+    _WORKER["ready"] = {
+        "build_seconds": fitted,
+        "wall_s": time.perf_counter() - start,
+        "trace": tracer.to_dict(),
+    }
+
+
+def process_worker_ready(_: Any = None) -> dict[str, Any]:
+    """What the initializer did, for a driver that waits for it: fit
+    seconds per discoverer, wall time of the open and, if traced, its span
+    tree (``shard.worker.fit``: hydrate / per-discoverer fit / persist)."""
+    return _WORKER["ready"]
 
 
 def process_worker_run(payload: dict[str, Any]) -> dict[str, Any]:

@@ -438,6 +438,16 @@ class LakeStore:
             stats_cache_capacity=self._stats_cache.capacity,
         )
 
+    def refresh(self) -> None:
+        """Adopt the on-disk manifest if it still describes this handle's
+        lake version: a shard worker may have persisted indexes for it,
+        and a handle that does not know them orphans their files."""
+        manifest = json.loads(
+            (self._path / "manifest.json").read_text(encoding="utf-8")
+        )
+        if manifest["lake_version"] == self.lake_version:
+            self._manifest = manifest
+
     @property
     def table_names(self) -> list[str]:
         return list(self._manifest["tables"])
@@ -751,6 +761,14 @@ class LakeStore:
         other)."""
         self._writer_lock = journal.acquire_writer_lock(self._path)
         try:
+            on_disk = self.current_version()
+            if on_disk != self.lake_version:
+                # This handle's manifest would erase what moved the store
+                # on (a worker that fitted v while an ingest wrote v+1).
+                raise StoreError(
+                    f"store at {self._path} moved to v{on_disk} while this "
+                    f"handle holds v{self.lake_version}; reopen() before {op}"
+                )
             txn = journal.txn_id(
                 op, self._manifest["lake_version"], sorted(pending), sorted(set(stale))
             )
@@ -863,11 +881,6 @@ class LakeStore:
                 self._stats_cache.evictions
             )
         return cached
-
-    def release_stats(self) -> None:
-        """Forget every hydrated stats snapshot (they re-hydrate from disk
-        on next use; a live table keeps the snapshot it adopted)."""
-        self._stats_cache.clear()
 
     def _column_loader(self, name: str, column: str):
         def load() -> tuple[Cell, ...]:

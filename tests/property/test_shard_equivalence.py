@@ -18,6 +18,9 @@ test pins:
   process pools under ``executor="auto"``, which is equivalence-tested
   elsewhere and too slow for a property sweep.
 
+Process mode fits each shard in that shard's worker; the artifact test
+pins that what a worker persists is what an in-process build persists.
+
 The incremental-ingest test pins the perf contract the routing rule
 buys: one table's ingest rewrites exactly one shard (version bump +
 file churn confined to the home shard; every other shard's persisted
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -45,6 +49,8 @@ from repro.discovery import (
     TusUnionSearch,
 )
 from repro.shard import ShardedLakeIndex, ShardedLakeStore
+from repro.shard.worker import adapted_roster
+from repro.store import LakeStore
 from repro.table import MISSING, Table
 
 SHARD_COUNTS = (1, 2, 4, 7)
@@ -228,3 +234,31 @@ def test_single_table_ingest_rewrites_exactly_one_shard(tmp_path):
     assert after_digests[home] != before_digests[home]
     info = store.shards[home].info()
     assert newcomer.name in info["tables"]
+
+
+def _artifact_bytes(shard_path: Path) -> dict[str, bytes]:
+    return {
+        str(file.relative_to(shard_path)): file.read_bytes()
+        for kind in ("indexes", "postings")
+        for file in sorted((shard_path / kind).iterdir())
+    }
+
+
+def test_worker_persisted_artifacts_equal_an_in_process_build(tmp_path):
+    """Process mode fits and persists each shard in that shard's worker;
+    what lands in ``indexes/`` and ``postings/`` is byte for byte what
+    ``LakeIndex.build().save_to_store()`` writes for the same shard in
+    this process (the forked workers share its string-hash seed)."""
+    store = ShardedLakeStore.create(tmp_path / "lake", num_shards=4)
+    store.ingest(make_lake(seed=11))
+    ShardedLakeIndex(store, roster(), executor="processes").build().close()
+    state = store.load_fit_state()
+    for shard in store.shards:
+        assert shard.info()["indexes_lake_version"] == shard.lake_version
+        twin_path = tmp_path / "twin" / shard.path.name
+        shutil.copytree(shard.path, twin_path)
+        for kind in ("indexes", "postings"):
+            shutil.rmtree(twin_path / kind)
+        twin = LakeStore.open(twin_path)
+        LakeIndex(twin.lake(), adapted_roster(roster(), state)).build().save_to_store(twin)
+        assert _artifact_bytes(twin_path) == _artifact_bytes(shard.path)

@@ -8,6 +8,8 @@ from repro import Dialite, DataLake
 from repro.core.registry import DuplicateComponentError, Registry
 from repro.discovery import inner_join_similarity
 from repro.integration import Integrator
+from repro.service import LakeService
+from repro.store import LakeStore
 from repro.table import Table
 
 
@@ -70,6 +72,48 @@ class TestDialiteDiscovery:
         outcome = pipeline.discover(covid_query, k=3)
         summary = outcome.summary()
         assert summary.columns == ("table", "score", "best_discoverer", "reason")
+
+
+class TestLazyIntegrationSet:
+    """The outcome names its integration set; tables are read from the
+    lake when -- and only when -- somebody asks for them."""
+
+    @pytest.fixture
+    def stored(self, tmp_path, covid_unionable, covid_joinable):
+        store = LakeStore.create(tmp_path / "lake.store")
+        store.ingest(DataLake([covid_unionable, covid_joinable]))
+        Dialite(store=store).index.save_to_store(store)
+        return Dialite.open(tmp_path / "lake.store").fit()
+
+    def test_discover_reads_no_table(self, stored, covid_query):
+        outcome = stored.discover(covid_query, k=3, query_column="City")
+        assert set(outcome.discovered_names) == {"T2", "T3"}
+        assert stored.lake.loaded_names == []
+
+    def test_materialised_once_and_equal_to_the_eager_list(self, stored, covid_query):
+        outcome = stored.discover(covid_query, k=3, query_column="City")
+        tables = outcome.integration_set
+        assert sorted(stored.lake.loaded_names) == sorted(outcome.discovered_names)
+        assert tables[0] is covid_query
+        for table, name in zip(tables[1:], outcome.discovered_names, strict=True):
+            assert table is stored.lake[name]
+        assert outcome.integration_set is tables  # kept, not rebuilt
+
+    def test_select_validates_names_before_loading_and_loads_the_subset(
+        self, stored, covid_query
+    ):
+        outcome = stored.discover(covid_query, k=3, query_column="City")
+        with pytest.raises(KeyError):
+            outcome.select(["T3", "nope"])
+        assert stored.lake.loaded_names == []
+        assert [t.name for t in outcome.select(["T3"])] == ["T1", "T3"]
+        assert stored.lake.loaded_names == ["T3"]
+
+    def test_service_discover_never_touches_it(self, stored, covid_query):
+        with LakeService(pipeline=stored, batch_window=0.0) as service:
+            payload = service.discover(covid_query, k=3, query_column="City").payload
+        assert set(payload["integration_set"]) == {"T2", "T3"}
+        assert stored.lake.loaded_names == []
 
 
 class TestDialiteIntegration:

@@ -14,7 +14,11 @@ What is pinned here:
 * shard-worker supervision end to end over a real process pool: one
   worker kill is invisible (respawn + retry, byte-identical answer), a
   kill that also takes the retry degrades the answer -- annotated with
-  ``degraded_shards``, reported by ``health``, and **never cached**.
+  ``degraded_shards``, reported by ``health``, and **never cached**;
+* the same supervision around a worker that *fits*: a death between fit
+  and persist (``shard.worker.fit``) or mid-persist
+  (``store.write_index``, inherited through the fork) ends in a correct
+  answer, or a degraded one that is never cached, and a settled store.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ from repro.service import (
     ServiceClient,
     ServiceOverloaded,
     ServiceUnavailable,
+    oracle_discover_payload,
 )
-from repro.shard import ShardedLakeStore
+from repro.shard import ShardedLakeStore, open_any_store
 from repro.store import LakeStore
 from repro.table.table import Table
 
@@ -309,3 +314,111 @@ class TestSupervision:
             assert health["slo"]["firing"]
         # ... and the healthy recompute is cacheable as usual.
         assert sharded_service.discover(query, k=5).cached
+
+
+# ----------------------------------------------------------------------
+# A shard's refit lives in its worker: deaths mid-fit and mid-persist
+# ----------------------------------------------------------------------
+def _indexes_current(path) -> list[bool]:
+    return [
+        shard.info()["indexes_lake_version"] == shard.lake_version
+        for shard in open_any_store(path).shards
+    ]
+
+
+def _assert_shards_settled(path) -> None:
+    """No journal left behind, and no artifact file the manifest does not
+    name (opening ran recovery)."""
+    for shard in open_any_store(path).shards:
+        assert not (shard.path / "journal.json").exists()
+        owned = set(shard._artifact_files())
+        on_disk = {
+            f"{kind}/{file.name}"
+            for kind in ("indexes", "postings")
+            if (shard.path / kind).is_dir()
+            for file in (shard.path / kind).iterdir()
+        }
+        assert on_disk == owned
+
+
+class TestWorkerFitSupervision:
+    @pytest.fixture
+    def service(self, tmp_path):
+        path = tiny_sharded_store(tmp_path)
+        service = LakeService(
+            store=path, workers=2, batch_window=0.0, reload_check_interval=0.0
+        )
+        yield service
+        service.close()
+
+    @staticmethod
+    def newcomer():
+        rows = [(f"city3_{j}", f"state{j % 3}", j) for j in range(6)]
+        return Table(["City", "State", "Pop"], rows, name="newcomer")
+
+    def oracle(self, service, query):
+        fresh = Dialite.open(service.store_path).fit()
+        try:
+            return json.dumps(oracle_discover_payload(fresh, query, k=5), sort_keys=True)
+        finally:
+            fresh.index.close()
+
+    def test_one_death_between_fit_and_persist_is_retried(self, service):
+        home = service._gen.store.shard_of("newcomer")
+        inject.kill_worker(home, times=1)
+        service.ingest([self.newcomer()])
+        # The replacement fitted and persisted before the ack.
+        assert service.pipeline.index.worker_respawns == 1
+        assert all(_indexes_current(service.store_path))
+        answer = service.discover(fresh_query(3), k=5)
+        assert "degraded_shards" not in answer.payload
+        assert "newcomer" in answer.payload["integration_set"]
+        assert json.dumps(answer.payload, sort_keys=True) == self.oracle(
+            service, fresh_query(3)
+        )
+
+    def test_two_deaths_leave_the_fit_to_the_first_scatter(self, service):
+        home = service._gen.store.shard_of("newcomer")
+        inject.kill_worker(home, times=2)  # the fitting worker AND its retry
+        report = service.ingest([self.newcomer()])
+        assert service.version == report["lake_version"]
+        assert _indexes_current(service.store_path).count(False) == 1
+        answer = service.discover(fresh_query(3), k=5)
+        assert "degraded_shards" not in answer.payload
+        assert "newcomer" in answer.payload["integration_set"]
+        assert all(_indexes_current(service.store_path))
+        _assert_shards_settled(service.store_path)
+
+    def test_death_mid_persist_degrades_then_recovers(self, service):
+        home = service._gen.store.shard_of("newcomer")
+        # The driver never writes an index pickle; every worker forked
+        # while this is armed dies right after writing its first one.
+        inject.crash_after("store.write_index")
+        service.ingest([self.newcomer()])
+        assert service.pipeline.index.worker_respawns == 2  # retry, then lazy lease
+        degraded = service.discover(fresh_query(3), k=5)
+        assert degraded.payload["degraded_shards"] == [home]
+        assert not degraded.cached
+        inject.reset()
+        _assert_shards_settled(service.store_path)  # rolled back, no orphan pickle
+        whole = service.discover(fresh_query(3), k=5)
+        assert not whole.cached and "degraded_shards" not in whole.payload
+        assert json.dumps(whole.payload, sort_keys=True) == self.oracle(
+            service, fresh_query(3)
+        )
+        assert all(_indexes_current(service.store_path))
+        _assert_shards_settled(service.store_path)
+
+    def test_worker_pinned_to_a_version_the_shard_left_exits(self, service):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.shard import worker as shard_worker
+        from repro.shard.index import _PoolLease
+
+        shard = service._gen.store.shards[0]
+        lease = _PoolLease(str(shard.path), shard.lake_version + 1)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                lease.submit(shard_worker.process_worker_ready, None).result(timeout=60)
+        finally:
+            lease.release()

@@ -33,6 +33,8 @@ from repro.datalake.fixtures import (
 )
 from repro.datalake.indexer import LakeIndex
 from repro.integration.alite import AliteFD
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as tracing
 from repro.service import (
     DeadlineExceeded,
     LakeService,
@@ -42,6 +44,7 @@ from repro.service import (
     oracle_discover_payload,
 )
 from repro.service.service import _table_payload
+from repro.shard import ShardedLakeStore, open_any_store
 from repro.store import LakeStore
 from repro.table.table import Table
 
@@ -909,3 +912,83 @@ class TestTelemetry:
             )
         finally:
             server.close()
+
+
+# ----------------------------------------------------------------------
+# Sharded lake, process mode: the serving process is a router
+# ----------------------------------------------------------------------
+def _keyed_table(name: str, tag: int) -> Table:
+    rows = [(f"city{tag}_{j}", f"state{j % 3}", tag * j) for j in range(6)]
+    return Table(["City", "State", "Pop"], rows, name=name)
+
+
+def _driver_store_reads() -> dict[str, int]:
+    """What this process has decoded or re-hydrated from any store so
+    far (exact counts: the store bumps them once per table read)."""
+    counters = obs_metrics.global_registry().snapshot()["counters"]
+    return {
+        name: value
+        for name, value in counters.items()
+        if name.startswith("store.decode") or name == "store.stats_cache.rehydrates"
+    }
+
+
+class TestShardedRouter:
+    @pytest.fixture
+    def sharded_path(self, tmp_path):
+        store = ShardedLakeStore.create(tmp_path / "lake", num_shards=4)
+        store.ingest({f"t{i:02d}": _keyed_table(f"t{i:02d}", i) for i in range(12)})
+        Dialite(store=store).index.close()  # fit + persist every shard
+        return tmp_path / "lake"
+
+    def test_driver_decodes_hydrates_and_fits_nothing(self, sharded_path):
+        newcomer = _keyed_table("newcomer", 3)
+        probe = Table(["City"], [(f"city3_{j}",) for j in range(6)], name="probe")
+        reads_before = _driver_store_reads()
+        with LakeService(
+            store=sharded_path, workers=2, batch_window=0.0, reload_check_interval=0.0
+        ) as service:
+            assert service.pipeline.index.executor == "processes"
+            for tag in range(5):
+                query = Table(["City"], [(f"city{tag}_2",), (f"city{tag}_4",)], name="q")
+                assert service.discover(query, k=5).payload["results"]
+            report = service.ingest([newcomer])
+            # At the ack, every shard -- the moved one included -- holds
+            # indexes fitted at its own version: its worker persisted them
+            # before reporting ready.
+            on_disk = open_any_store(sharded_path)
+            assert on_disk.lake_version == report["lake_version"]
+            for shard in on_disk.shards:
+                assert shard.info()["indexes_lake_version"] == shard.lake_version
+            answer = service.discover(probe, k=5)
+            assert answer.lake_version == report["lake_version"]
+            assert "newcomer" in answer.payload["integration_set"]
+            assert service.pipeline.lake.loaded_names == []
+            assert service.pipeline.index.worker_respawns == 0
+            served = canonical(answer.payload)
+        assert _driver_store_reads() == reads_before
+        fresh = Dialite.open(sharded_path).fit()
+        try:
+            assert served == canonical(oracle_discover_payload(fresh, probe, k=5))
+        finally:
+            fresh.index.close()
+
+    def test_traced_ingest_shows_where_the_refit_went(self, sharded_path):
+        fits_before = obs_metrics.histogram("shard.worker.fit_seconds").count
+        tracer = tracing.Tracer()
+        with LakeService(
+            store=sharded_path, workers=2, batch_window=0.0, reload_check_interval=0.0
+        ) as service:
+            with tracing.activate(tracer), tracer.span("test.ingest"):
+                service.ingest([_keyed_table("newcomer", 3)])
+            build_seconds = service.pipeline.index.build_seconds
+        reload_span = tracer.root.child("service.reload")
+        fit = reload_span.child("shard.worker.fit")
+        assert fit is not None and fit.counters["fitted"] == len(build_seconds)
+        names = [child.name for child in fit.children]
+        assert "index.hydrate" in names and "shard.worker.persist" in names
+        for discoverer, seconds in build_seconds.items():
+            assert f"index.fit.{discoverer}" in names and seconds > 0.0
+        # One worker fitted (the moved shard's); the other three leases
+        # were donated by the previous generation.
+        assert obs_metrics.histogram("shard.worker.fit_seconds").count == fits_before + 1

@@ -19,6 +19,7 @@ from repro.datalake.fixtures import (
     covid_query_table,
     covid_unionable_table,
 )
+from repro.discovery import JosieJoinSearch
 from repro.store import (
     IngestReport,
     LakeStore,
@@ -351,6 +352,34 @@ class TestVersionWatch:
         assert store.current_version() == 1
         beacon.write_text("not json")
         assert store.current_version() == 1
+
+    def test_handle_left_behind_refuses_to_commit(self, store, lake):
+        """A handle whose version the store has moved past must not write
+        its manifest over the newer one (a shard worker that fitted v
+        while an ingest wrote v+1 is exactly such a handle)."""
+        behind = LakeStore.open(store.path)
+        index = LakeIndex(behind.lake(), [JosieJoinSearch()]).build()
+        LakeStore.open(store.path).ingest(
+            {"extra": Table(["City"], [("Oslo",)], name="extra")}, prune=False
+        )
+        with pytest.raises(StoreError, match="moved to v2"):
+            index.save_to_store(behind)
+        with pytest.raises(StoreError, match="moved to v2"):
+            behind.remove("T2")
+        current = LakeStore.open(store.path)
+        assert current.lake_version == 2 and "extra" in current
+        assert not (store.path / "journal.json").exists()
+
+    def test_refresh_adopts_artifacts_another_handle_persisted(self, store):
+        other = LakeStore.open(store.path)
+        LakeIndex(other.lake(), [JosieJoinSearch()]).build().save_to_store(other)
+        assert store.info()["indexes"] == []
+        store.refresh()
+        assert store.info()["indexes"] == ["josie"]
+        assert store.info()["indexes_lake_version"] == store.lake_version
+        # ...so the next content change knows the files it orphans.
+        store.remove("T2")
+        assert not list((store.path / "indexes").glob("*.pkl"))
 
     def test_reopen_returns_fresh_handle_same_config(self, store):
         fresh = store.reopen()

@@ -25,8 +25,10 @@ The sharded-lake layer (ISSUE 8) is held to the same bar: the
 scatter-gather *query* path (``ShardedLakeIndex.search`` and the worker
 round functions) must never walk a lake mapping -- each shard retrieves
 through its own engine and the reducer merges.  Its exemptions are the
-write/build-side lifecycle where routing or (re)indexing a full lake is
-the point.
+write-side lifecycle where routing or profiling a full lake is the
+point; ``build`` / ``_hydrate`` are no longer among them -- a shard's
+index is fitted where it lives (``open_shard_index``, through
+``LakeIndex.from_store``), and the driver only routes.
 """
 
 from __future__ import annotations
@@ -49,14 +51,12 @@ FIT_TIME = {
     "evaluate_discoverer",     # offline benchmark metric, fits then searches
 }
 
-#: Ingest/build-side lifecycle in repro.shard where routing or indexing
-#: the whole lake is the operation itself (never on the query path).
+#: Write-side lifecycle in repro.shard where routing or profiling the
+#: whole lake is the operation itself (never on the query path).
 SHARD_FIT_TIME = {
     "ingest",             # routes every table to its home shard
-    "build",              # offline index construction, one pass per shard
     "rebalance",          # full rewrite under a new routing rule
-    "_hydrate",           # warm-start refit of stale shards
-    "_compute_fit_state",  # lake-global KB/IDF products, computed at build
+    "_compute_fit_state",  # lake-global KB/IDF products, computed once
 }
 
 CHECKED_DIRS = (
