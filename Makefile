@@ -37,7 +37,9 @@
 #                     benchmarks/e2e/out/
 #   make e2e-smoke    same harness at toy scale: every BENCHMARK.json metric comes
 #                     out finite, no wrong answer, no server left behind (runs in CI)
-#   make ci           what CI runs: tier-1 tests + smoke benchmarks + lint
+#   make ci           what CI runs: tier-1 tests + smoke benchmarks + lint; leaves
+#                     `git status` clean (smoke JSON goes to the ignored
+#                     .benchmarks/smoke/; full-scale runs write .benchmarks/*.json)
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -70,15 +72,15 @@ lint:
 	$(PYTHON) tools/check_fault_sites.py
 
 bench-smoke:
-	$(PYTHON) benchmarks/bench_table_engine.py --smoke --json .benchmarks/table_engine_smoke.json
+	$(PYTHON) benchmarks/bench_table_engine.py --smoke --json .benchmarks/smoke/table_engine_smoke.json
 
 bench:
 	$(PYTHON) benchmarks/bench_table_engine.py --json .benchmarks/table_engine.json
 
 # Store round-trip smoke: warm results == cold results, zero warm scans,
-# timings recorded under .benchmarks/ (no speedup gate at smoke scale).
+# timings recorded under .benchmarks/smoke/ (no speedup gate at smoke scale).
 store-smoke:
-	$(PYTHON) benchmarks/bench_store_warmstart.py --smoke --json .benchmarks/store_warmstart.json
+	$(PYTHON) benchmarks/bench_store_warmstart.py --smoke --json .benchmarks/smoke/store_warmstart.json
 
 bench-store:
 	$(PYTHON) benchmarks/bench_store_warmstart.py --check --json .benchmarks/store_warmstart.json
@@ -89,17 +91,17 @@ bench-store:
 # gate); the gate is relaxed to 1.5x (measured ~2.5x) to absorb CI
 # timing jitter -- the correctness assertions run regardless.
 candidates-smoke:
-	$(PYTHON) benchmarks/bench_candidates.py --smoke --check --json .benchmarks/candidates.json
+	$(PYTHON) benchmarks/bench_candidates.py --smoke --check --json .benchmarks/smoke/candidates.json
 
 bench-candidates:
 	$(PYTHON) benchmarks/bench_candidates.py --check --json .benchmarks/candidates.json
 
 # FD kernel smoke: interned kernel output is asserted cell/provenance/
 # null-kind/row-order identical to the legacy object kernel; timings land
-# in .benchmarks/ but the >= 3x gate only runs at full scale (bench-fd),
+# in .benchmarks/smoke/ but the >= 3x gate only runs at full scale (bench-fd),
 # where the measurement is not jitter-dominated.
 fd-smoke:
-	$(PYTHON) benchmarks/bench_fd_kernel.py --smoke --json .benchmarks/fd_kernel.json
+	$(PYTHON) benchmarks/bench_fd_kernel.py --smoke --json .benchmarks/smoke/fd_kernel.json
 
 bench-fd:
 	$(PYTHON) benchmarks/bench_fd_kernel.py --check --json .benchmarks/fd_kernel.json
@@ -110,7 +112,7 @@ bench-fd:
 # throughput gate only runs at full scale (bench-service), where the
 # cold-open baseline is not jitter-dominated.
 serve-smoke:
-	$(PYTHON) benchmarks/bench_service.py --smoke --json .benchmarks/service.json
+	$(PYTHON) benchmarks/bench_service.py --smoke --json .benchmarks/smoke/service.json
 
 bench-service:
 	$(PYTHON) benchmarks/bench_service.py --check --json .benchmarks/service.json
@@ -120,7 +122,7 @@ bench-service:
 # format-blind; the >= 2x decode gate only runs at full scale
 # (bench-segments), on the decode-dominated 1k x 512 categorical lake.
 segments-smoke:
-	$(PYTHON) benchmarks/bench_segments.py --smoke --json .benchmarks/segments.json
+	$(PYTHON) benchmarks/bench_segments.py --smoke --json .benchmarks/smoke/segments.json
 
 bench-segments:
 	$(PYTHON) benchmarks/bench_segments.py --check --json .benchmarks/segments.json
@@ -144,7 +146,7 @@ obs-export-smoke:
 # must bump exactly one shard version; the >= 2.5x p95 gate only runs at
 # full scale (bench-shard), where per-query work dwarfs the fan-out IPC.
 shard-smoke:
-	$(PYTHON) benchmarks/bench_shard.py --smoke --json .benchmarks/shard.json
+	$(PYTHON) benchmarks/bench_shard.py --smoke --json .benchmarks/smoke/shard.json
 
 bench-shard:
 	$(PYTHON) benchmarks/bench_shard.py --check --json .benchmarks/shard.json
@@ -156,7 +158,7 @@ bench-shard:
 # zero wrong/stale answers vs a per-lake-version oracle, and non-degraded
 # p95 stays within 2x the no-fault baseline measured in the same run.
 chaos-smoke:
-	$(PYTHON) benchmarks/bench_chaos.py --smoke --check --json .benchmarks/chaos.json
+	$(PYTHON) benchmarks/bench_chaos.py --smoke --check --json .benchmarks/smoke/chaos.json
 
 bench-chaos:
 	$(PYTHON) benchmarks/bench_chaos.py --check --json .benchmarks/chaos.json

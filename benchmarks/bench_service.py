@@ -41,7 +41,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.pipeline import Dialite  # noqa: E402
-from repro.datalake import DataLake, LakeIndex, seeds  # noqa: E402
+from repro.datalake import DataLake, seeds  # noqa: E402
 from repro.service import (  # noqa: E402
     LakeServer,
     LakeService,
@@ -134,7 +134,7 @@ def build_store(lake: DataLake, directory: Path) -> Path:
     store = LakeStore.create(directory)
     store.ingest(lake)
     roster = Dialite(DataLake()).discoverers.components()
-    LakeIndex.from_store(store, roster, lake=store.lake()).save_to_store(store)
+    store.open_index(roster)  # hydrate -> fit -> persist
     return directory
 
 

@@ -262,6 +262,7 @@ def main(argv=None) -> int:
     print()
     print(json.dumps(results))
     if args.json:
+        Path(args.json).parent.mkdir(parents=True, exist_ok=True)
         Path(args.json).write_text(json.dumps(results, indent=2), encoding="utf-8")
         print(f"written: {args.json}")
 

@@ -19,7 +19,6 @@ import threading
 from pathlib import Path
 
 from repro import DataLake, Dialite, LakeServer, LakeService, ServiceClient, Table
-from repro.datalake.indexer import LakeIndex
 from repro.store import LakeStore
 
 # --- a small lake, persisted as a store (the offline step) ---------------
@@ -46,7 +45,7 @@ store_dir = Path(tempfile.mkdtemp(prefix="serve_demo_")) / "lake.store"
 store = LakeStore.create(store_dir)
 store.ingest(lake)
 roster = Dialite(DataLake()).discoverers.components()
-LakeIndex.from_store(store, roster, lake=store.lake()).save_to_store(store)
+store.open_index(roster)  # hydrate -> fit -> persist
 print(f"store built at {store_dir} (lake v{store.lake_version})")
 
 # --- the serving session, behind a TCP front end -------------------------

@@ -1,11 +1,13 @@
-"""Optional-acceleration gate: one place that decides whether numpy exists.
+"""Vectorized-dispatch gate: one switch between numpy and pure-Python twins.
 
-Everything in this library must run on the stdlib alone, so every
-vectorized hot path (binary segment decode, posting probes, the FD
-bitmask kernels) imports numpy through this module and keeps a
-pure-Python twin.  ``np`` is the numpy module or ``None``; callers branch
-on :data:`HAVE_NUMPY` (or on ``np is None``) exactly once, at dispatch
-level -- never inside inner loops.
+numpy is a declared dependency (``pyproject.toml``: ``numpy>=2.0``) and
+the sketch, embedding, snapshot and candidate-engine modules import it
+unconditionally -- the library does *not* run on the stdlib alone.  What
+this module gates is *dispatch*: the vectorized hot paths that keep a
+pure-Python twin (binary segment decode, posting probes, the FD bitmask
+kernels) import numpy through here.  ``np`` is the numpy module or
+``None``; callers branch on :data:`HAVE_NUMPY` (or on ``np is None``)
+exactly once, at dispatch level -- never inside inner loops.
 
 Tests and benchmarks may call :func:`set_numpy_enabled` to force the
 pure-Python paths in-process (e.g. to pin vectorized == pure equivalence

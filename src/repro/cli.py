@@ -44,6 +44,7 @@ from .core.pipeline import Dialite
 from .datalake.catalog import DataLake
 from .genquery.generator import generate_query_table
 from .integration.tuples import IntegratedTable
+from .store.lakestore import LakeStore, StoreError, StoreNotFound
 from .table.io import read_csv, write_csv
 from .table.table import Table
 
@@ -433,9 +434,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    from .datalake.indexer import LakeIndex
-    from .shard import ShardedLakeIndex, ShardedLakeStore, open_any_store
-    from .store import LakeStore
+    from .shard import ShardedLakeStore, open_any_store
 
     if args.index_command == "info":
         store = open_any_store(args.store, check_sketch=False)
@@ -517,56 +516,27 @@ def _cmd_index(args: argparse.Namespace) -> int:
         return 0
 
     lake = DataLake.from_dir(args.lake)
-    if args.index_command == "build":
-        from pathlib import Path as _Path
-
-        if getattr(args, "shards", None):
-            store = ShardedLakeStore.create(
-                args.store, num_shards=args.shards, exist_ok=True
-            )
-            if store.num_shards != args.shards:
-                print(
-                    f"store is already sharded into {store.num_shards}; "
-                    f"use `repro store shard rebalance --shards {args.shards}` "
-                    f"to change the layout",
-                    file=sys.stderr,
-                )
-                return 2
-        elif (_Path(args.store) / "lake.json").exists():
-            # An existing sharded layout: keep building it sharded.
+    if args.index_command == "build" and args.shards:
+        store = ShardedLakeStore.create(
+            args.store, num_shards=args.shards, exist_ok=True
+        )
+    else:
+        try:  # whichever layout lives there keeps being built as it is
             store = open_any_store(args.store)
-        else:
-            store = LakeStore.create(args.store, exist_ok=True)
-    else:  # update: incremental by design, so the store must already exist
-        store = open_any_store(args.store)
+        except StoreNotFound:
+            if args.index_command == "update":
+                raise  # incremental by design, so the store must already exist
+            store = LakeStore.create(args.store)
     report = store.ingest(lake)
     print(f"ingest {report.summary()}")
-    warm_lake = store.lake()
-    roster = _resolve_roster(args, warm_lake)
-    if isinstance(store, ShardedLakeStore):
-        # Per-shard hydration reuses every shard whose version (and
-        # persisted roster) is current and refits only the rest.
-        index = ShardedLakeIndex.from_store(store, roster)
-        timings = ", ".join(
-            f"{name}: {seconds:.2f}s"
-            for name, seconds in sorted(index.build_seconds.items())
-        )
-        index.close()
-        print(
-            f"fitted {store.num_shards}-shard indexes ({timings}) "
-            f"persisted to {store.path}"
-        )
+    # Hydrates what is current; fits and persists the rest.
+    index = store.open_index(_resolve_roster(args, store.lake()))
+    index.close()
+    if not index.fitted:
+        print("nothing to fit: lake unchanged, persisted indexes are current")
         return 0
-    persisted = store.load_indexes()
-    if not report.changed and all(d.name in persisted for d in roster):
-        print("lake unchanged; persisted indexes are current")
-        return 0
-    # from_store reuses any still-current persisted index and fits only
-    # the missing roster members (everything, after a content change).
-    index = LakeIndex.from_store(store, roster, lake=warm_lake)
-    index.save_to_store(store)
     timings = ", ".join(
-        f"{name}: {seconds:.2f}s" for name, seconds in index.build_seconds.items()
+        f"{name}: {seconds:.2f}s" for name, seconds in sorted(index.fitted.items())
     )
     print(f"fitted indexes ({timings}) persisted to {store.path}")
     return 0
@@ -780,21 +750,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     print(outcome.summary().to_pretty(50))
     if args.explain:
         _print_retrieval(outcome.retrieval)
-        engine = getattr(pipeline.index, "engine", None)
-        if engine is not None:
-            engine_stats = engine.stats()
-            budget = engine_stats["default_budget"]
-            print(
-                f"\nengine: {engine_stats['tables']} tables, "
-                f"budget={'unbudgeted' if budget is None else budget}, "
-                f"postings loaded from store: {engine_stats['loaded_from_store']}"
-            )
-        else:  # sharded: one engine per shard, summarized by the reducer
-            index = pipeline.index
-            print(
-                f"\nsharded engine: {len(index.store)} tables across "
-                f"{index.store.num_shards} shards ({index.executor})"
-            )
+        print("\n" + pipeline.index.engine_summary())
     if tracer is not None:
         _print_trace(tracer.to_dict())
     return 0
@@ -1114,9 +1070,14 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code (2 for a store that is
+    missing, of the wrong layout or built under other sketch parameters)."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except StoreError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -83,14 +83,10 @@ class Dialite:
         fd_workers: int = 1,
     ):
         if store is not None:
-            from ..shard.store import ShardedLakeStore, open_any_store
-            from ..store.lakestore import LakeStore
+            if isinstance(store, (str, Path)):
+                from ..shard.store import open_any_store
 
-            if not isinstance(store, (LakeStore, ShardedLakeStore)):
-                # Auto-detect the layout: a directory with a
-                # manifest-of-manifests (lake.json) opens as a sharded
-                # lake, anything else as a single store.
-                store = open_any_store(store)
+                store = open_any_store(store)  # whichever layout lives there
             if lake is None:
                 lake = store.lake()
         self._store = store
@@ -147,7 +143,7 @@ class Dialite:
         ):
             self.apps.register(app.name, app)
 
-        #: A LakeIndex, or a ShardedLakeIndex when the store is sharded.
+        #: The fitted index; None until :meth:`fit`, or the roster changed.
         self._index: Any | None = None
 
     @classmethod
@@ -163,9 +159,8 @@ class Dialite:
         all column statistics pre-hydrated, and :meth:`fit` reuses any
         persisted fitted discoverer indexes -- so a process goes from zero
         to serving discovery queries without re-scanning a single cell.
-        Build the store with ``repro index build`` or
-        :meth:`repro.store.LakeStore.ingest` +
-        :meth:`~repro.datalake.indexer.LakeIndex.save_to_store`.
+        Build the store with ``repro index build``, or ``ingest`` into it
+        and :meth:`fit`: what a fit had to fit, it persists.
         """
         return cls(store=store_path, **options)
 
@@ -215,20 +210,18 @@ class Dialite:
         replace: bool = False,
     ) -> Discoverer:
         """Register a discoverer, or wrap a bare ``f(query, candidate) ->
-        float`` similarity function (the Fig. 4 extensibility path).  Newly
-        added discoverers are fitted immediately if the lake is indexed."""
+        float`` similarity function (the Fig. 4 extensibility path).  An
+        index fitted for the old roster is closed; the next
+        :meth:`discover` (or :meth:`fit`) fits the newcomer and reuses
+        what the store persists for the rest."""
         if not isinstance(discoverer, Discoverer):
             discoverer = FunctionDiscoverer(discoverer, name=name or "user_defined")
         elif name is not None:
             discoverer.name = name
         self.discoverers.register(discoverer.name, discoverer, replace=replace)
         if self._index is not None:
-            engine = getattr(self._index, "engine", None)
-            if engine is not None:
-                discoverer.fit(self.lake, engine=engine)
-            # Sharded indexes have no single engine: the refit happens
-            # per shard when the index lazily rebuilds.
-            self._index = None  # rebuild lazily with the new roster
+            self._index.close()  # pools and leases; refit lazily, new roster
+            self._index = None
         return discoverer
 
     def add_integrator(self, integrator: Integrator, replace: bool = False) -> Integrator:
@@ -252,43 +245,28 @@ class Dialite:
     def fit(self, previous_index: "Any | None" = None) -> "Dialite":
         """Build all discovery indexes offline (idempotent); returns self.
 
-        With a backing store (:meth:`open`), fitting hydrates persisted
-        discoverer indexes instead of rebuilding them; discoverers without
-        a persisted index (e.g. newly registered ones) are fitted against
-        the hydrated lake, warm.  On a sharded store the index is a
-        scatter-gather :class:`~repro.shard.ShardedLakeIndex`;
-        *previous_index* (a still-serving sharded index over the same
-        lake, the hot-reload path) donates per-shard state for every
-        shard whose version did not move, so a single-table ingest
-        rebuilds exactly one shard.
+        With a backing store (:meth:`open`) the index is what the store's
+        ``open_index`` answers: persisted discoverer indexes are hydrated
+        instead of rebuilt, discoverers without one (e.g. newly registered
+        ones) are fitted against the hydrated lake, warm, and persisted (a
+        store that moved on meanwhile refuses: ``StoreError``).
+        *previous_index* (a still-serving index over the same lake, the
+        hot-reload path) donates what did not move: on a sharded store
+        every unchanged shard, so a single-table ingest rebuilds one.
         """
-        from ..shard.store import ShardedLakeStore
-
-        if isinstance(self._store, ShardedLakeStore):
-            from ..shard.index import ShardedLakeIndex
-
-            # The registry keeps the prototypes (per-shard fitted clones
-            # live inside the sharded index or its worker processes).
-            self._index = ShardedLakeIndex.from_store(
-                self._store,
-                self.discoverers.components(),
-                previous=(
-                    previous_index
-                    if isinstance(previous_index, ShardedLakeIndex)
-                    else None
-                ),
-            )
-        elif self._store is not None:
-            self._index = LakeIndex.from_store(
-                self._store, self.discoverers.components(), lake=self.lake
-            )
-            for discoverer in self._index.discoverers:
-                # The hydrated instances replace the cold constructor
-                # defaults so the registry and the index agree.
-                self.discoverers.register(discoverer.name, discoverer, replace=True)
+        roster = self.discoverers.components()
+        if self._store is None:
+            index = LakeIndex(self.lake, roster).build()
         else:
-            self._index = LakeIndex(self.lake, self.discoverers.components()).build()
-        self._index.set_candidate_budget(self.candidate_budget)
+            index = self._store.open_index(roster, previous=previous_index)
+        for discoverer in index.discoverers:
+            # Hydrated instances replace the cold constructor defaults so
+            # the registry and the index agree (sharded: the prototypes).
+            self.discoverers.register(discoverer.name, discoverer, replace=True)
+        index.set_candidate_budget(self.candidate_budget)
+        if self._index is not None:
+            self._index.close()  # leases are refcounted: what it donated lives on
+        self._index = index
         return self
 
     @property
@@ -296,7 +274,8 @@ class Dialite:
         """The discovery index: a :class:`LakeIndex`, or a
         :class:`~repro.shard.ShardedLakeIndex` over a sharded store (both
         expose ``search`` / ``search_merged`` / ``retrieval_reports`` /
-        ``set_candidate_budget``)."""
+        ``set_candidate_budget`` / ``build_seconds`` / ``fitted`` /
+        ``health`` / ``close``)."""
         if self._index is None:
             self.fit()
         assert self._index is not None
@@ -336,11 +315,8 @@ class Dialite:
             merged=merged,
             lake=self.lake,
             retrieval={name: reports[name] for name in per_discoverer if name in reports},
-            # Sharded indexes report shards that stayed dead through the
-            # supervised retry; plain indexes have no such attribute.
-            degraded_shards=tuple(
-                getattr(self.index, "last_degraded_shards", ()) or ()
-            ),
+            # Shards that stayed dead through the supervised retry.
+            degraded_shards=self.index.last_degraded_shards,
         )
 
     def discover_many(

@@ -52,12 +52,13 @@ class DataLake(Mapping[str, Table]):
         cell data is paged in from its columnar segment on first access,
         and every table arrives with its statistics snapshot (distinct
         sets, tokens, sketches) pre-hydrated -- a warm start that performs
-        zero raw-cell scans.  Keyword options are forwarded to
-        :meth:`repro.store.LakeStore.open` (e.g. ``sketch_config``).
+        zero raw-cell scans.  Plain and sharded store layouts both open
+        (:func:`repro.shard.open_any_store`); keyword options are
+        forwarded to the store's ``open`` (e.g. ``sketch_config``).
         """
-        from ..store.lakestore import LakeStore
+        from ..shard.store import open_any_store
 
-        return LakeStore.open(store_path, **open_options).lake()
+        return open_any_store(store_path, **open_options).lake()
 
     def add(self, table: Table) -> None:
         """Register a table; duplicate names are an error (ambiguity in a

@@ -21,7 +21,7 @@ from __future__ import annotations
 import pickle
 import time
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..candidates.engine import CandidateEngine
 from ..discovery.base import Discoverer, DiscoveryResult, merge_result_sets
@@ -43,6 +43,7 @@ class LakeIndex:
         self._lake = lake
         self._discoverers = list(discoverers)
         self._build_seconds: dict[str, float] = {}
+        self._fitted: dict[str, float] = {}
         self._built = False
         self._engine: CandidateEngine | None = None
 
@@ -84,8 +85,38 @@ class LakeIndex:
         return dict(self._build_seconds)
 
     @property
+    def fitted(self) -> dict[str, float]:
+        """Fit seconds of every discoverer :meth:`from_store` had to fit
+        (empty on a pure hydration) -- what ``open_index`` persists."""
+        return dict(self._fitted)
+
+    @property
     def is_built(self) -> bool:
         return self._built
+
+    # The serving surface shared with the sharded index: a plain index
+    # has no shard to lose, no worker to respawn and nothing to release.
+    last_degraded_shards: tuple[int, ...] = ()
+
+    def health(self) -> dict[str, Any]:
+        """The index's part of the service ``health`` document."""
+        return {"degraded_shards": [], "worker_respawns": 0}
+
+    def worker_metrics(self) -> None:
+        """No worker processes: this process's registry is the whole view."""
+
+    def engine_summary(self) -> str:
+        """The engine line of ``discover --explain``."""
+        stats = self.engine.stats()
+        budget = stats["default_budget"]
+        return (
+            f"engine: {stats['tables']} tables, "
+            f"budget={'unbudgeted' if budget is None else budget}, "
+            f"postings loaded from store: {stats['loaded_from_store']}"
+        )
+
+    def close(self) -> None:
+        """Nothing to release (the sharded index owns pools and leases)."""
 
     def build(self) -> "LakeIndex":
         """Fit every discoverer (idempotent); returns self."""
@@ -152,7 +183,6 @@ class LakeIndex:
         cls,
         store,
         discoverers: Sequence[Discoverer] | None = None,
-        lake: Mapping[str, Table] | None = None,
     ) -> "LakeIndex":
         """A ready-to-search index hydrated from a :class:`~repro.store.LakeStore`.
 
@@ -169,19 +199,15 @@ class LakeIndex:
         postings artifact when one exists, so a warm start performs zero
         posting-index rebuild; otherwise a fresh engine builds lazily
         from the hydrated stats snapshots (still zero raw-cell scans).
-
-        *lake* lets a caller thread its own (already opened) stored lake
-        through, so the index and the caller share table objects and one
-        scan ledger; by default the store's lazy lake view is used.
         """
         from ..store.lakestore import LakeStore, StoreError
 
         if not isinstance(store, LakeStore):
             store = LakeStore.open(store)
-        if lake is None:
-            lake = store.lake()
-        with trace.span("index.hydrate"):
+        lake = store.lake()
+        with trace.span("index.hydrate") as hydrate_span:
             persisted = store.load_indexes()
+            hydrate_span.add(indexes=len(persisted))
         if discoverers is None:
             if not persisted:
                 raise StoreError(
@@ -206,6 +232,7 @@ class LakeIndex:
                 discoverer.fit(lake, engine=engine)
                 seconds = time.perf_counter() - start
                 index._build_seconds[discoverer.name] = seconds
+                index._fitted[discoverer.name] = seconds
                 trace.record(f"index.fit.{discoverer.name}", wall_s=seconds)
         index._built = True
         return index

@@ -51,22 +51,23 @@ class LakeStats:
         self._lake = lake
 
     def table(self, name: str) -> TableStats:
-        """Stats of one lake table."""
+        """Stats of one lake table (the one read a stored lake's view
+        overrides: everything below goes through it)."""
         return self._lake[name].stats
 
     def column(self, table_name: str, column: str) -> ColumnStats:
         """Stats of one column of one lake table."""
-        return self._lake[table_name].stats.column(column)
+        return self.table(table_name).column(column)
 
     def __iter__(self) -> Iterator[tuple[str, TableStats]]:
-        for name, table in self._lake.items():
-            yield name, table.stats
+        for name in self._lake:
+            yield name, self.table(name)
 
     def warm(self) -> "LakeStats":
         """Run every column's base scan now (one pass per column) so that
         index building and profiling start from a fully shared cache."""
-        for table in self._lake.values():
-            table.stats.warm()
+        for _, stats in self:
+            stats.warm()
         return self
 
     def scan_counts(self) -> dict[tuple[str, str], int]:
@@ -78,8 +79,8 @@ class LakeStats:
         pin it.
         """
         counts: dict[tuple[str, str], int] = {}
-        for name, table in self._lake.items():
-            for column, count in table.stats.scan_counts.items():
+        for name, stats in self:
+            for column, count in stats.scan_counts.items():
                 counts[(name, column)] = count
         return counts
 

@@ -56,8 +56,6 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from ..core.pipeline import Dialite
-from ..datalake.indexer import LakeIndex
-from ..shard.store import ShardedLakeStore, open_any_store
 from ..obs import export as obs_export
 from ..obs import metrics as obs_metrics
 from ..obs import recorder as obs_recorder
@@ -244,7 +242,7 @@ class _Generation:
     requests keep the generation they started with."""
 
     pipeline: Dialite
-    store: LakeStore | ShardedLakeStore | None
+    store: "LakeStore | None"  # the pipeline's backing store, either layout
     version: int
 
 
@@ -344,9 +342,11 @@ class LakeService:
         if pipeline is None:
             if store is None:
                 raise ServiceError("LakeService needs a store or a pipeline")
-            if not isinstance(store, (LakeStore, ShardedLakeStore)):
+            if isinstance(store, (str, Path)):
                 # Sharded layouts (lake.json) auto-detect; discovery then
                 # runs scatter-gather with byte-identical results.
+                from ..shard.store import open_any_store
+
                 store = open_any_store(
                     store, stats_cache_capacity=stats_cache_capacity
                 )
@@ -458,15 +458,8 @@ class LakeService:
         snapshot["cache_evictions"] = self.cache.evictions
         snapshot["cache_expirations"] = self.cache.expirations
         snapshot["workers"] = self.workers
-        store = self._gen.store
-        if store is not None:
-            # The on-disk segment layout this generation serves from; a
-            # `store migrate` takes effect on the next reload/ingest.
-            snapshot["segment_format"] = store.default_segment_format
-            snapshot["segment_format_counts"] = store.segment_format_counts()
-            if isinstance(store, ShardedLakeStore):
-                snapshot["num_shards"] = store.num_shards
-                snapshot["shard_versions"] = store.shard_versions()
+        if self._gen.store is not None:
+            snapshot.update(self._gen.store.layout())
         return snapshot
 
     def health_snapshot(self) -> dict[str, Any]:
@@ -480,29 +473,23 @@ class LakeService:
         or an SLO objective burning at page rate) > ``warn`` (an
         objective burning at warn rate) > ``ok``.
         """
-        index = getattr(self._gen.pipeline, "_index", None)
-        degraded = tuple(getattr(index, "last_degraded_shards", ()) or ())
+        index_health = self._gen.pipeline.index.health()
         slo = self.slo.evaluate()
         if self._closed:
             status = "closed"
-        elif degraded or slo["status"] == "degraded":
+        elif index_health["degraded_shards"] or slo["status"] == "degraded":
             status = "degraded"
         else:
             status = slo["status"]  # "warn" or "ok"
-        document: dict[str, Any] = {
+        return {
             "status": status,
             "lake_version": self.version,
             "lake_epoch": self._epoch,
             "inflight": self._inflight,
             "workers": self.workers,
-            "degraded_shards": list(degraded),
-            "worker_respawns": int(getattr(index, "worker_respawns", 0) or 0),
+            **index_health,
             "slo": slo,
         }
-        shard_health = getattr(index, "shard_health", None)
-        if shard_health is not None:
-            document["shards"] = shard_health()
-        return document
 
     def metrics_snapshot(self) -> dict[str, Any]:
         """The full instrument view: this service's private registry
@@ -519,11 +506,9 @@ class LakeService:
         # Sharded lakes in process mode keep per-shard registries inside
         # the worker processes; fold them in so engine retrieval counts
         # stay visible behind one wire op.
-        worker_metrics = getattr(self._gen.pipeline._index, "worker_metrics", None)
-        if worker_metrics is not None:
-            extra = worker_metrics()
-            if extra:
-                snapshot = obs_metrics.merge_snapshots(snapshot, extra)
+        extra = self._gen.pipeline.index.worker_metrics()
+        if extra:
+            snapshot = obs_metrics.merge_snapshots(snapshot, extra)
         return snapshot
 
     def _write_trace(self, document: dict[str, Any]) -> None:
@@ -861,25 +846,13 @@ class LakeService:
             self._reload_lock.release()
 
     def _build_generation(self, previous: _Generation) -> _Generation:
-        """A fresh warm generation from the store's current on-disk state.
-
-        If the version move dropped the persisted discoverer indexes /
-        postings artifact (every content-changing ingest does), a builder
-        roster refits them against the hydrated lake -- warm, via the
-        stats snapshots -- and persists them, so the *serving* pipeline
-        always hydrates with ``engine.build_count == 0``.
-        """
+        """A fresh warm generation from the store's current on-disk state:
+        reopen the store, fit ``clone_unfitted()`` twins of the serving
+        roster (the fit hydrates what is still persisted, fits and
+        persists the rest, and serves what it fitted)."""
         assert previous.store is not None
         store = previous.store.reopen()
         roster = previous.pipeline.discoverers.components()
-        sharded = isinstance(store, ShardedLakeStore)
-        if not sharded:
-            persisted = store.load_indexes()
-            if any(d.name not in persisted for d in roster):
-                builder = LakeIndex(
-                    store.lake(), [d.clone_unfitted() for d in roster]
-                ).build()
-                builder.save_to_store(store)
         pipeline = Dialite(
             store=store,
             discoverers=[d.clone_unfitted() for d in roster],
@@ -893,16 +866,10 @@ class LakeService:
         pipeline.default_integrator = previous.pipeline.default_integrator
         pipeline.apps = previous.pipeline.apps
         pipeline.aligner = previous.pipeline.aligner
-        if sharded:
-            # The previous generation's sharded index donates per-shard
-            # state (hydrated indexes or warm worker pools) for every
-            # shard whose version did not move -- a one-table ingest
-            # reload refits exactly one shard; a stale shard is refitted
-            # and re-persisted where its index lives (in process mode its
-            # new worker; this process only waits for it to report ready).
-            pipeline.fit(previous_index=previous.pipeline._index)
-        else:
-            pipeline.fit()
+        # The serving index donates what did not move (on a sharded lake:
+        # hydrated indexes or warm worker pools of every unchanged shard,
+        # so a one-table ingest refits exactly one shard, where it lives).
+        pipeline.fit(previous_index=previous.pipeline.index)
         return _Generation(pipeline=pipeline, store=store, version=store.lake_version)
 
     # ------------------------------------------------------------------
@@ -1262,14 +1229,12 @@ class LakeService:
                 self._exporter.close()
             except Exception:  # noqa: BLE001 - shutdown must not raise
                 pass
-        # Sharded indexes own executor resources (thread pools / worker
+        # The index may own executor resources (thread pools / worker
         # process leases); release them once nothing can dispatch.
-        index_close = getattr(self._gen.pipeline._index, "close", None)
-        if index_close is not None:
-            try:
-                index_close()
-            except Exception:  # noqa: BLE001 - shutdown must not raise
-                pass
+        try:
+            self._gen.pipeline.index.close()
+        except Exception:  # noqa: BLE001 - shutdown must not raise
+            pass
         # Anything still queued (raced the sentinel) is refused loudly.
         while True:
             try:

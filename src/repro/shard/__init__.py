@@ -17,12 +17,11 @@ answers with the deterministic total order the single-store pipeline uses
 tables (pinned by ``tests/property/test_shard_equivalence.py``).
 """
 
-from .store import ShardedDataLake, ShardedLakeStore, open_any_store, recover_any_store
+from .store import ShardedLakeStore, open_any_store, recover_any_store
 from .index import ShardedLakeIndex
 
 __all__ = [
     "ShardedLakeStore",
-    "ShardedDataLake",
     "ShardedLakeIndex",
     "open_any_store",
     "recover_any_store",

@@ -165,9 +165,10 @@ class _PoolLease:
 
 
 class ShardedLakeIndex:
-    """Per-shard engines + rosters behind the :class:`LakeIndex` search
-    surface (``search`` / ``search_merged`` / ``retrieval_reports`` /
-    ``set_candidate_budget`` / ``build_seconds``)."""
+    """Per-shard engines + rosters behind the :class:`LakeIndex` surface
+    (``search`` / ``search_merged`` / ``retrieval_reports`` /
+    ``set_candidate_budget`` / ``build_seconds`` / ``fitted`` /
+    ``health`` / ``close``)."""
 
     def __init__(
         self,
@@ -194,6 +195,7 @@ class ShardedLakeIndex:
             [d.name for d in self._prototypes] if self._prototypes is not None else []
         )
         self._build_seconds: dict[str, float] = {}
+        self._fitted: dict[str, float] = {}
         self._shard_versions: list[int] = []
         self._last_reports: dict[str, dict[str, Any]] = {}
         self._built = False
@@ -208,7 +210,7 @@ class ShardedLakeIndex:
         self._respawns = 0
         # Monotonic timestamp of each shard's most recent supervised
         # respawn (None = never respawned); surfaced as an *age* through
-        # shard_health() so pollers can spot flapping workers.
+        # health() so pollers can spot flapping workers.
         self._last_respawn_at: list[float | None] = [None] * store.num_shards
         # Serializes lazy executor construction: the serving layer's
         # worker threads may race the first search.
@@ -218,22 +220,26 @@ class ShardedLakeIndex:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def store(self) -> ShardedLakeStore:
-        return self._store
-
-    @property
     def executor(self) -> str:
         return self._executor
 
     @property
-    def discoverer_names(self) -> list[str]:
-        return list(self._roster_names)
+    def discoverers(self) -> list[Discoverer]:
+        """The prototypes (the fitted clones live per shard, in this
+        process or in the workers); empty when hydrated without any."""
+        return list(self._prototypes or ())
 
     @property
     def build_seconds(self) -> dict[str, float]:
         """Per-discoverer fit wall time, summed across shards (the
         sequential cost of the build)."""
         return dict(self._build_seconds)
+
+    @property
+    def fitted(self) -> dict[str, float]:
+        """Fit seconds of everything this index's shards had to fit,
+        summed per discoverer (empty when every shard only hydrated)."""
+        return dict(self._fitted)
 
     @property
     def is_built(self) -> bool:
@@ -265,16 +271,17 @@ class ShardedLakeIndex:
         """Shard pools respawned by supervision over this index's life."""
         return self._respawns
 
-    def shard_health(self) -> list[dict[str, Any]]:
-        """Per-shard liveness (the service ``health`` op's shard view).
-        A lease that was never spawned reports alive -- it will be on
-        first use; a broken one reports dead until supervision respawns
-        it on the next scatter.  ``last_respawn_age_s`` is the seconds
-        since supervision last replaced the shard's pool (None = never):
-        a small, repeatedly-resetting age marks a flapping worker without
-        any metrics plumbing."""
+    def health(self) -> dict[str, Any]:
+        """The index's part of the service ``health`` document: the shards
+        the last search served without, the respawn count, and per-shard
+        liveness.  A lease that was never spawned reports alive -- it
+        will be on first use; a broken one reports dead until supervision
+        respawns it on the next scatter.  ``last_respawn_age_s`` is the
+        seconds since supervision last replaced the shard's pool (None =
+        never): a small, repeatedly-resetting age marks a flapping worker
+        without any metrics plumbing."""
         now = time.monotonic()
-        health: list[dict[str, Any]] = []
+        shards: list[dict[str, Any]] = []
         for i, name in enumerate(self._store.shard_names):
             respawned_at = self._last_respawn_at[i]
             entry: dict[str, Any] = {
@@ -293,8 +300,20 @@ class ShardedLakeIndex:
                 entry["alive"] = True if lease is None else lease.alive()
             else:
                 entry["alive"] = True
-            health.append(entry)
-        return health
+            shards.append(entry)
+        return {
+            "degraded_shards": list(self._last_degraded),
+            "worker_respawns": self._respawns,
+            "shards": shards,
+        }
+
+    def engine_summary(self) -> str:
+        """The engine line of ``discover --explain`` (one engine per
+        shard, summarized by the reducer)."""
+        return (
+            f"sharded engine: {len(self._store)} tables across "
+            f"{self._store.num_shards} shards ({self._executor})"
+        )
 
     # ------------------------------------------------------------------
     # Lake-global fit state (see the module docstring)
@@ -381,7 +400,7 @@ class ShardedLakeIndex:
 
     def _reusable(self, previous: "ShardedLakeIndex | None") -> bool:
         return (
-            previous is not None
+            isinstance(previous, ShardedLakeIndex)
             and previous is not self
             and previous._built
             and not previous._closed
@@ -470,15 +489,16 @@ class ShardedLakeIndex:
             else:
                 state = store.load_fit_state() if self._prototypes else None
                 for i in pending:
-                    self._shard_indexes[i], fitted = shard_worker.open_shard_index(
+                    self._shard_indexes[i] = index = shard_worker.open_shard_index(
                         store.shards[i], self._prototypes, state
                     )
-                    self._add_build_seconds(fitted)
+                    self._add_build_seconds(index.fitted)
         self._built = True
 
     def _add_build_seconds(self, fitted: dict[str, float]) -> None:
         for name, seconds in fitted.items():
             self._build_seconds[name] = self._build_seconds.get(name, 0.0) + seconds
+            self._fitted[name] = self._fitted.get(name, 0.0) + seconds
 
     def _fit_in_workers(self, shards: list[int]) -> None:
         """Process mode: start the workers of stale *shards* at once (each

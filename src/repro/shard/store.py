@@ -31,15 +31,15 @@ import os
 import pickle
 import shutil
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping, Sequence
 
-from ..datalake.catalog import DataLake
-from ..datalake.stats import LakeStats
+from ..discovery.base import Discoverer
 from ..faults import inject
 from ..store import journal
 from ..store.lakestore import (
     IngestReport,
     LakeStore,
+    StoredDataLake,
     StoreError,
     StoreNotFound,
 )
@@ -48,8 +48,6 @@ from ..table.table import Table
 
 __all__ = [
     "ShardedLakeStore",
-    "ShardedDataLake",
-    "ShardedLakeStats",
     "load_fit_state",
     "open_any_store",
     "recover_any_store",
@@ -133,9 +131,9 @@ class ShardedLakeStore:
 
     Duck-types the surface the pipeline, serving layer and CLI consume
     (``lake_version`` / ``current_version`` / ``reopen`` / ``ingest`` /
-    ``remove`` / ``lake()`` / ``info()`` / segment-format accessors), so
-    callers holding "a store" need no sharding awareness beyond the
-    ``isinstance`` branches that pick the sharded index builder.
+    ``remove`` / ``lake()`` / ``open_index()`` / ``info()`` / the routed
+    read surface), so callers holding "a store" never ask which layout
+    it is.
     """
 
     def __init__(
@@ -162,7 +160,8 @@ class ShardedLakeStore:
         exist_ok: bool = False,
         **shard_options: Any,
     ) -> "ShardedLakeStore":
-        """Initialize an empty sharded lake at *path*.
+        """Initialize an empty sharded lake at *path* (or open the existing
+        one when ``exist_ok`` and it has *num_shards* shards).
 
         *shard_options* (``sketch_config``, ``segment_format``) forward to
         every shard's :meth:`LakeStore.create`.
@@ -173,7 +172,14 @@ class ShardedLakeStore:
                 raise StoreError(
                     f"a sharded lake already exists at {path}; open() it instead"
                 )
-            return cls.open(path)
+            store = cls.open(path)
+            if store.num_shards != num_shards:
+                raise StoreError(
+                    f"{path} is already sharded into {store.num_shards}; "
+                    f"rebalance (`repro store shard rebalance --shards "
+                    f"{num_shards}`) to change the layout"
+                )
+            return store
         if (path / "manifest.json").exists():
             raise StoreError(
                 f"{path} already holds an unsharded lake store; "
@@ -389,6 +395,18 @@ class ShardedLakeStore:
     def __len__(self) -> int:
         return sum(len(shard) for shard in self._shards)
 
+    def total_rows(self) -> int:
+        return sum(shard.total_rows() for shard in self._shards)
+
+    def layout(self) -> dict[str, Any]:
+        """:meth:`LakeStore.layout` plus the shard roster's versions."""
+        return {
+            "segment_format": self.default_segment_format,
+            "segment_format_counts": self.segment_format_counts(),
+            "num_shards": self.num_shards,
+            "shard_versions": self.shard_versions(),
+        }
+
     def __repr__(self) -> str:
         return (
             f"ShardedLakeStore({str(self._path)!r}, {self.num_shards} shards, "
@@ -508,9 +526,22 @@ class ShardedLakeStore:
     def table_stats(self, name: str) -> TableStats:
         return self.shard_for(name).table_stats(name)
 
-    def lake(self) -> "ShardedDataLake":
-        """The combined contents as a lazy, read-only :class:`DataLake`."""
-        return ShardedDataLake(self)
+    def lake(self) -> StoredDataLake:
+        """The combined contents as a lazy, read-only :class:`DataLake`
+        (iterated sorted by name: independent of shard count and order)."""
+        return StoredDataLake(self)
+
+    def open_index(
+        self,
+        discoverers: Sequence[Discoverer] | None = None,
+        previous: Any = None,
+    ):
+        """This lake's ready-to-search scatter-gather index: every shard
+        runs :meth:`LakeStore.open_index` where its index lives; *previous*
+        (a still-serving one) donates each shard whose version did not move."""
+        from .index import ShardedLakeIndex
+
+        return ShardedLakeIndex.from_store(self, discoverers, previous=previous)
 
     def index_build_seconds(self) -> dict[str, float]:
         """Recorded per-discoverer build time, summed across shards (the
@@ -634,95 +665,3 @@ class ShardedLakeStore:
         journal.fsync_file(temp)
         temp.replace(file)
         journal.fsync_dir(self._path)
-
-
-class ShardedDataLake(DataLake):
-    """The combined, read-only view over every shard's stored lake.
-
-    Routes table access to the owning shard's lazy
-    :class:`~repro.store.lakestore.StoredDataLake`, so materialized
-    tables and hydrated stats snapshots are shared with any other
-    consumer of the same shard handles (one scan ledger per shard).
-    Iteration order is sorted by name: a pure function of the contents,
-    independent of shard count or roster order.
-    """
-
-    def __init__(self, store: ShardedLakeStore):
-        super().__init__(())
-        self._store = store
-        self._shard_views = [shard.lake() for shard in store.shards]
-
-    @property
-    def store(self) -> ShardedLakeStore:
-        return self._store
-
-    @property
-    def loaded_names(self) -> list[str]:
-        """Tables whose cell data has actually been materialized so far."""
-        return [name for view in self._shard_views for name in view.loaded_names]
-
-    def add(self, table: Table) -> None:
-        raise TypeError(
-            "ShardedDataLake is read-only; ingest tables into the "
-            "ShardedLakeStore instead"
-        )
-
-    def __getitem__(self, name: str) -> Table:
-        return self._shard_views[self._store.shard_of(name)][name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._store.table_names)
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    @property
-    def names(self) -> list[str]:
-        return self._store.table_names
-
-    def tables(self) -> list[Table]:
-        return [self[name] for name in self._store.table_names]
-
-    def total_rows(self) -> int:
-        return sum(view.total_rows() for view in self._shard_views)
-
-    @property
-    def stats(self) -> "ShardedLakeStats":
-        return ShardedLakeStats(self)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedDataLake({len(self)} tables, "
-            f"{self._store.num_shards} shards, epoch {self._store.lake_version})"
-        )
-
-
-class ShardedLakeStats(LakeStats):
-    """Lake-wide stats over a sharded lake, served from each shard's
-    hydrated snapshots (never materializes cell data)."""
-
-    def __init__(self, lake: ShardedDataLake):
-        super().__init__(lake)
-        self._store = lake.store
-
-    def table(self, name: str) -> TableStats:
-        return self._store.table_stats(name)
-
-    def column(self, table_name: str, column: str):
-        return self._store.table_stats(table_name).column(column)
-
-    def __iter__(self) -> Iterator[tuple[str, TableStats]]:
-        for name in self._store.table_names:
-            yield name, self._store.table_stats(name)
-
-    def warm(self) -> "ShardedLakeStats":
-        for _, stats in self:
-            stats.warm()
-        return self
-
-    def scan_counts(self) -> dict[tuple[str, str], int]:
-        counts: dict[tuple[str, str], int] = {}
-        for name, stats in self:
-            for column, count in stats.scan_counts.items():
-                counts[(name, column)] = count
-        return counts

@@ -32,10 +32,11 @@ Why this preserves byte-identity with the single-store pipeline:
 
 **Fit where the index lives.**  :func:`open_shard_index` is the one
 place a shard's index comes to life -- first build, warm start, the
-refit after an ingest, a supervised respawn: hydrate what the shard
-persists at its version, fit what it does not, persist what was fitted
-(the journaled saves take the shard's writer lock).  In process mode it
-runs in the shard's own worker, never in the driver.
+refit after an ingest, a supervised respawn -- and it is the shard
+store's own :meth:`~repro.store.lakestore.LakeStore.open_index`
+(hydrate, fit the rest, persist what was fitted) under this module's
+span and fault point.  In process mode it runs in the shard's own
+worker, never in the driver.
 
 The module-level functions double as process-pool entry points: a pool
 worker opens its shard's index once (initializer), then answers searches
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..candidates.spec import CandidateSet
@@ -99,32 +100,26 @@ def open_shard_index(
     store: "LakeStore",
     prototypes: Sequence["Discoverer"] | None = None,
     state: dict[str, Any] | None = None,
-) -> tuple["LakeIndex", dict[str, float]]:
-    """Shard *store*'s ready-to-search index, plus the fit seconds of
-    every discoverer that had to be fitted to make it (none on a pure
-    hydration).  ``LakeIndex.from_store`` hydrates the persisted roster
-    and fits the rest (``prototypes=None``: the persisted roster,
-    verbatim); what it fitted -- or a posting artifact it had to rebuild
-    -- is persisted before returning, pinned to the shard's version.
+) -> "LakeIndex":
+    """Shard *store*'s ready-to-search index (``index.fitted``: what had
+    to be fitted to make it): :meth:`LakeStore.open_index` over the
+    adapted roster (``prototypes=None``: the persisted roster, verbatim)
+    under this worker's span, with the fault point between fit and
+    persist and the engine's floor/budget policy deferred to the reducer.
     """
-    from ..datalake.indexer import LakeIndex
-
     roster = adapted_roster(prototypes, state) if prototypes is not None else None
+
+    @contextmanager
+    def persisting():
+        inject.fire("shard.worker.fit", shard=store.path.name)
+        with trace.span("shard.worker.persist"):
+            yield
+
     with trace.span("shard.worker.fit", shard=store.path.name) as span:
-        index = LakeIndex.from_store(store, discoverers=roster)
-        clones = {id(d) for d in roster or ()}
-        fitted = {
-            d.name: index.build_seconds[d.name]
-            for d in index.discoverers
-            if id(d) in clones
-        }
-        span.add(fitted=len(fitted))
-        if fitted or not index.engine.loaded_from_store:
-            inject.fire("shard.worker.fit", shard=store.path.name)
-            with trace.span("shard.worker.persist"):
-                index.save_to_store(store)
+        index = store.open_index(roster, persisting=persisting)
+        span.add(fitted=len(index.fitted))
     index.engine.defer_policy = True
-    return index, fitted
+    return index
 
 
 def _chosen(index: "LakeIndex", names: Sequence[str] | None) -> list["Discoverer"]:
@@ -286,7 +281,7 @@ def process_worker_init(
             load_fit_state(store.path.parent) if prototypes is not None else None
         )
         with tracer.activate() if traced else nullcontext():
-            index, fitted = open_shard_index(store, prototypes, state)
+            index = open_shard_index(store, prototypes, state)
     except StoreError:
         # Mid-ingest artifact state, or a commit refused because the shard
         # moved on during the fit: same transition as the version race.
@@ -296,7 +291,7 @@ def process_worker_init(
     _WORKER["index"] = index
     _WORKER["shard_path"] = shard_path
     _WORKER["ready"] = {
-        "build_seconds": fitted,
+        "build_seconds": index.fitted,
         "wall_s": time.perf_counter() - start,
         "trace": tracer.to_dict(),
     }

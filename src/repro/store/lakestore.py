@@ -77,9 +77,10 @@ import hashlib
 import json
 import pickle
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..datalake.catalog import DataLake
 from ..datalake.stats import LakeStats
@@ -458,6 +459,17 @@ class LakeStore:
     def __len__(self) -> int:
         return len(self._manifest["tables"])
 
+    def total_rows(self) -> int:
+        """Row count of the whole lake, from the manifest (no cell reads)."""
+        return sum(e["num_rows"] for e in self._manifest["tables"].values())
+
+    def layout(self) -> dict[str, Any]:
+        """The on-disk layout a serving generation reports (``stats`` op)."""
+        return {
+            "segment_format": self.default_segment_format,
+            "segment_format_counts": self.segment_format_counts(),
+        }
+
     def __repr__(self) -> str:
         return f"LakeStore({str(self._path)!r}, v{self.lake_version}, {len(self)} tables)"
 
@@ -482,7 +494,7 @@ class LakeStore:
             "lake_version": self.lake_version,
             "sketch": self._sketch.to_json(),
             "num_tables": len(tables),
-            "total_rows": sum(t["rows"] for t in tables.values()),
+            "total_rows": self.total_rows(),
             "tables": tables,
             "indexes": sorted(discoverers),
             "indexes_lake_version": indexes.get("lake_version"),
@@ -900,6 +912,32 @@ class LakeStore:
     # ------------------------------------------------------------------
     # Persisted discoverer indexes
     # ------------------------------------------------------------------
+    def open_index(
+        self,
+        discoverers: Sequence[Discoverer] | None = None,
+        previous: Any = None,
+        persisting: Callable[[], Any] = nullcontext,
+    ):
+        """This store's ready-to-search :class:`LakeIndex`, by the one
+        lifecycle every caller runs (``Dialite.fit``, a service reload,
+        ``repro index build``, each shard of a sharded lake): hydrate what
+        is persisted at this version, fit the rest of *discoverers*
+        (``None``: the persisted roster), persist what had to be fitted
+        (``index.fitted``) or a posting artifact that had to be rebuilt,
+        serve what was fitted.  The saves take the writer lock and raise
+        :class:`StoreError` if the store moved on meanwhile.  *previous*
+        matters to a sharded store only (a moved version leaves nothing
+        to keep here); *persisting* brackets the persist step with a
+        shard worker's span and fault point.
+        """
+        from ..datalake.indexer import LakeIndex
+
+        index = LakeIndex.from_store(self, discoverers)
+        if index.fitted or not index.engine.loaded_from_store:
+            with persisting():
+                index.save_to_store(self)
+        return index
+
     def save_indexes(
         self,
         discoverers: Sequence[Discoverer],
@@ -1116,7 +1154,8 @@ class LakeStore:
 
 
 class StoredDataLake(DataLake):
-    """A read-only :class:`DataLake` served from a :class:`LakeStore`.
+    """A read-only :class:`DataLake` served from a :class:`LakeStore` (or
+    a sharded store: the same read surface, routed to each table's shard).
 
     Opening the lake reads only the manifest; a table's cells materialize
     from its segment on first ``lake[name]`` access (and are then cached),
@@ -1170,9 +1209,7 @@ class StoredDataLake(DataLake):
 
     def total_rows(self) -> int:
         # Served from the manifest: counting rows must not page in cells.
-        return sum(
-            entry["num_rows"] for entry in self._store._manifest["tables"].values()
-        )
+        return self._store.total_rows()
 
     @property
     def stats(self) -> "StoredLakeStats":
@@ -1189,34 +1226,11 @@ class StoredLakeStats(LakeStats):
     """Lake-wide stats over a stored lake, served from hydrated snapshots.
 
     Unlike the base view, reading statistics here never materializes cell
-    data: every method goes through :meth:`LakeStore.table_stats`, which
+    data: every method goes through the store's ``table_stats``, which
     returns the same objects materialized tables adopt -- one coherent
-    scan ledger either way.
+    scan ledger either way.  (Hydrated snapshots are already warm, so
+    ``warm()`` ensures without scanning.)
     """
 
-    def __init__(self, lake: StoredDataLake):
-        super().__init__(lake)
-        self._store = lake.store
-
     def table(self, name: str) -> TableStats:
-        return self._store.table_stats(name)
-
-    def column(self, table_name: str, column: str):
-        return self._store.table_stats(table_name).column(column)
-
-    def __iter__(self) -> Iterator[tuple[str, TableStats]]:
-        for name in self._store.table_names:
-            yield name, self._store.table_stats(name)
-
-    def warm(self) -> "StoredLakeStats":
-        # Hydrated snapshots are already warm; ensure without scanning.
-        for _, stats in self:
-            stats.warm()
-        return self
-
-    def scan_counts(self) -> dict[tuple[str, str], int]:
-        counts: dict[tuple[str, str], int] = {}
-        for name, stats in self:
-            for column, count in stats.scan_counts.items():
-                counts[(name, column)] = count
-        return counts
+        return self._lake.store.table_stats(name)

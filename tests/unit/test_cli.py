@@ -276,11 +276,52 @@ class TestIndexCommands:
         out = capsys.readouterr().out
         assert "+1" in out and "=2" in out and "fitted indexes" in out
 
-    def test_update_requires_existing_store(self, lake_dir, tmp_path):
-        from repro.store import StoreNotFound
+    def test_update_requires_existing_store(self, lake_dir, tmp_path, capsys):
+        code = main(
+            ["index", "update", "--lake", str(lake_dir), "--store", str(tmp_path / "none")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: no lake store manifest")
+        assert not (tmp_path / "none").exists()
 
-        with pytest.raises(StoreNotFound):
-            main(["index", "update", "--lake", str(lake_dir), "--store", str(tmp_path / "none")])
+    @pytest.mark.parametrize("layout", [[], ["--shards", "2"]])
+    def test_second_build_says_nothing_to_fit(self, lake_dir, tmp_path, capsys, layout):
+        build = ["index", "build", "--lake", str(lake_dir), "--store", str(tmp_path / "s")]
+        assert main(build + layout) == 0
+        first = capsys.readouterr().out
+        assert "+2" in first and "fitted indexes (josie: " in first
+        assert main(build) == 0  # the layout that lives there keeps being built
+        second = capsys.readouterr().out.splitlines()
+        assert second[0].endswith("+0 ~0 -0 =2")
+        assert second[1:] == ["nothing to fit: lake unchanged, persisted indexes are current"]
+
+    def test_store_errors_are_messages_not_tracebacks(self, lake_dir, tmp_path, capsys):
+        plain = tmp_path / "plain"
+        assert main(["index", "build", "--lake", str(lake_dir), "--store", str(plain)]) == 0
+        capsys.readouterr()
+        for argv, message in (
+            (
+                ["index", "build", "--lake", str(lake_dir), "--store", str(plain),
+                 "--shards", "2"],
+                "already holds an unsharded lake store",
+            ),
+            (["store", "shard", "info", "--store", str(plain)],
+             "no sharded lake manifest"),
+            (["index", "info", "--store", str(tmp_path / "none")],
+             "no lake store manifest"),
+            (["discover", "--store", str(tmp_path / "none"), "--query", "q.csv"],
+             "no lake store manifest"),
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and message in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
+        sharded = tmp_path / "sharded"
+        build = ["index", "build", "--lake", str(lake_dir), "--store", str(sharded)]
+        assert main(build + ["--shards", "2"]) == 0
+        capsys.readouterr()
+        assert main(build + ["--shards", "3"]) == 2
+        assert "already sharded into 2" in capsys.readouterr().err
 
     def test_integrate_from_store(self, lake_dir, query_csv, tmp_path, capsys):
         store_dir = tmp_path / "lake.store"
@@ -363,6 +404,27 @@ class TestCandidateEngineCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "postings loaded from store: True" in out
+
+
+    @pytest.mark.parametrize(
+        "layout, line",
+        [
+            ([], "engine: 2 tables, budget=unbudgeted, postings loaded from store: True"),
+            (["--shards", "2"], "sharded engine: 2 tables across 2 shards (threads)"),
+        ],
+    )
+    def test_explain_engine_line_comes_from_the_index(
+        self, lake_dir, query_csv, tmp_path, capsys, layout, line
+    ):
+        store_dir = tmp_path / "lake.store"
+        build = ["index", "build", "--lake", str(lake_dir), "--store", str(store_dir)]
+        assert main(build + layout) == 0
+        capsys.readouterr()
+        assert main(
+            ["discover", "--store", str(store_dir), "--query", str(query_csv),
+             "--column", "City", "--explain"]
+        ) == 0
+        assert line in capsys.readouterr().out.splitlines()
 
 
 class TestServe:

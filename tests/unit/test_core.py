@@ -168,6 +168,56 @@ class TestDialiteExtensibility:
         assert outcome.per_discoverer["inner_join_sim"]
         assert outcome.per_discoverer["inner_join_sim"][0].table_name == "T3"
 
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_add_discoverer_on_a_stored_lake_closes_the_old_index(
+        self, tmp_path, shards, covid_unionable, covid_joinable, covid_query
+    ):
+        """One rule for both layouts: the index fitted for the old roster
+        is closed (a 4-shard lake's worker processes exit, not linger
+        until GC), the next discover fits the newcomer where the index
+        lives, and a fresh process hydrates it."""
+        import multiprocessing
+        import time
+
+        from repro.shard import ShardedLakeStore
+
+        path = tmp_path / "lake"
+        if shards is None:
+            store = LakeStore.create(path)
+        else:
+            store = ShardedLakeStore.create(path, num_shards=shards)
+        store.ingest(DataLake([covid_unionable, covid_joinable]))
+        before = {p.pid for p in multiprocessing.active_children()}
+        pipeline = Dialite.open(path)
+        assert pipeline.discover(covid_query, k=3, query_column="City").discovered_names
+        old = pipeline.index
+        workers = {p.pid for p in multiprocessing.active_children()} - before
+        assert len(workers) == (shards or 0)
+
+        pipeline.add_discoverer(inner_join_similarity, name="inner_join_sim")
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and workers & {
+            p.pid for p in multiprocessing.active_children()
+        }:
+            time.sleep(0.02)
+        assert not workers & {p.pid for p in multiprocessing.active_children()}
+        if shards:
+            assert old._closed
+        try:
+            assert pipeline.index is not old
+            outcome = pipeline.discover(
+                covid_query, k=3, discoverer_names=["inner_join_sim"]
+            )
+            assert outcome.per_discoverer["inner_join_sim"][0].table_name == "T3"
+        finally:
+            pipeline.index.close()
+        fresh = Dialite.open(path)
+        fresh.add_discoverer(inner_join_similarity, name="inner_join_sim")
+        try:
+            assert fresh.index.fitted == {}  # what the first pipeline fitted, persisted
+        finally:
+            fresh.index.close()
+
     def test_add_custom_integrator_fig6(self, pipeline, covid_tables):
         class FirstTableOnly(Integrator):
             name = "first_only"

@@ -139,7 +139,7 @@ def build_store(tmp_path):
     store = LakeStore.create(tmp_path / "lake.store")
     store.ingest(lake)
     roster = Dialite(DataLake()).discoverers.components()
-    LakeIndex.from_store(store, roster, lake=store.lake()).save_to_store(store)
+    LakeIndex.from_store(store, roster).save_to_store(store)
     return tmp_path / "lake.store"
 
 

@@ -37,10 +37,13 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as tracing
 from repro.service import (
     DeadlineExceeded,
+    LakeServer,
     LakeService,
+    ServiceClient,
     ServiceClosed,
     ServiceError,
     ServiceOverloaded,
+    ServiceStats,
     oracle_discover_payload,
 )
 from repro.service.service import _table_payload
@@ -58,7 +61,7 @@ def build_store(tmp_path, extra=()):
     store = LakeStore.create(tmp_path / "lake.store")
     store.ingest(lake)
     roster = Dialite(DataLake()).discoverers.components()
-    LakeIndex.from_store(store, roster, lake=store.lake()).save_to_store(store)
+    LakeIndex.from_store(store, roster).save_to_store(store)
     return tmp_path / "lake.store"
 
 
@@ -177,7 +180,7 @@ class TestBasics:
 
 
 class TestVersioning:
-    def test_in_process_ingest_swaps_warm_generation(self, service):
+    def test_in_process_ingest_swaps_warm_generation(self, store_path, service):
         query = covid_query_table()
         before = service.discover(query, k=5, query_column="City")
         report = service.ingest(
@@ -191,8 +194,31 @@ class TestVersioning:
         assert "mayors" in [r["table"] for r in after.payload["results"]]
         assert before.lake_version == 1  # old response keeps its stamp
 
-        engine = service.pipeline.index.engine
+        # The contract behind the ack: everything the reload fitted is on
+        # disk at the served version, so the next process only hydrates.
+        info = LakeStore.open(store_path).info()
+        assert info["indexes_lake_version"] == info["lake_version"] == 2
+        assert info["postings"]["lake_version"] == 2
+        engine = Dialite.open(store_path).index.engine
         assert engine.build_count == 0 and engine.loaded_from_store
+
+    def test_traced_ingest_fits_each_discoverer_once(self, service):
+        """The plain reload is one ``open_index``: every roster member is
+        fitted exactly once under ``service.reload`` and nothing that was
+        just written is read back (the one hydrate finds no index at the
+        new version)."""
+        tracer = tracing.Tracer()
+        with tracing.activate(tracer), tracer.span("test.ingest"):
+            service.ingest([Table(["City"], [("Oslo",)], name="cities")])
+        reload_span = tracer.root.child("service.reload")
+        names = [child.name for child in reload_span.children]
+        roster = service.pipeline.index.build_seconds
+        assert set(roster) == {"santos", "lsh_ensemble", "josie"}
+        for discoverer in roster:
+            assert names.count(f"index.fit.{discoverer}") == 1
+        assert names.count("index.hydrate") == 1
+        assert reload_span.child("index.hydrate").counters["indexes"] == 0
+        assert service.pipeline.index.fitted.keys() == roster.keys()
 
     def test_foreign_ingest_detected_by_version_poll(self, store_path, service):
         query = covid_query_table()
@@ -232,6 +258,54 @@ class TestVersioning:
         service.ingest([Table(["City"], [("Oslo",)], name="cities")])
         assert not service.discover(query, k=5, query_column="City").cached
         assert service.discover(query, k=5, query_column="City").cached
+
+
+class TestWireRepliesAreLayoutBlind:
+    """``health`` / ``stats`` keep their keys whichever layout the store
+    has: the service asks the store and the index, never which kind."""
+
+    HEALTH = {
+        "status", "lake_version", "lake_epoch", "inflight", "workers",
+        "degraded_shards", "worker_respawns", "slo",
+    }
+    STATS = {
+        *ServiceStats.COUNTER_NAMES,
+        "queue_depth", "latency", "lake_version", "cache_entries",
+        "cache_evictions", "cache_expirations", "workers",
+        "segment_format", "segment_format_counts",
+    }
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_keys(self, tmp_path, shards):
+        path = tmp_path / "lake"
+        if shards is None:
+            store = LakeStore.create(path)
+        else:
+            store = ShardedLakeStore.create(path, num_shards=shards)
+        store.ingest(DataLake([covid_unionable_table(), covid_joinable_table()]))
+        server = LakeServer(LakeService(store=path, workers=1, batch_window=0.0))
+        server.start()
+        try:
+            client = ServiceClient(server.address)
+            assert client.discover(covid_query_table(), k=3)["payload"]["results"]
+            health, stats = client.health(), client.stats()
+        finally:
+            server.close()
+        sharded = shards is not None
+        assert health.keys() == self.HEALTH | ({"shards"} if sharded else set())
+        assert stats.keys() == self.STATS | (
+            {"num_shards", "shard_versions"} if sharded else set()
+        )
+        if sharded:
+            assert stats["num_shards"] == shards == len(health["shards"])
+            assert stats["shard_versions"] == [
+                entry["version"] for entry in health["shards"]
+            ]
+        assert health["degraded_shards"] == [] and health["worker_respawns"] == 0
+        # What the service fitted to start is what the next process hydrates.
+        hydrated = open_any_store(path).open_index()
+        hydrated.close()
+        assert hydrated.fitted == {}
 
 
 class TestOverloadAndDeadlines:

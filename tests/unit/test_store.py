@@ -204,7 +204,7 @@ class TestPersistedIndexes:
 
         warm_store = LakeStore.open(store.path)
         warm_lake = warm_store.lake()
-        index = LakeIndex.from_store(warm_store, lake=warm_lake)
+        index = LakeIndex.from_store(warm_store)
         assert index.is_built
         results = index.search_merged(covid_query_table(), k=3, query_column="City")
         assert {r.table_name for r in results} == {"T2", "T3"}
@@ -267,6 +267,20 @@ class TestDialiteWarmStart:
         assert lake["T2"].stats.column("City").scan_count == 0
 
 
+    def test_datalake_open_adopts_a_sharded_root(self, tmp_path, lake):
+        from repro.shard import ShardedLakeStore
+
+        ShardedLakeStore.create(tmp_path / "sharded", num_shards=2).ingest(lake)
+        opened = DataLake.open(tmp_path / "sharded")
+        assert opened.names == Dialite.open(tmp_path / "sharded").lake.names
+        assert sorted(opened) == sorted(lake) and len(opened) == len(lake)
+        assert opened.total_rows() == lake.total_rows()
+        assert opened.stats.column("T3", "City").scan_count == 0
+        assert opened.loaded_names == []  # lazy: names, rows and stats read no cell
+        assert opened["T2"].rows == lake["T2"].rows
+        assert opened.loaded_names == ["T2"]
+
+
 class TestCrashSafety:
     """Updates are content-addressed: new files first, manifest commit
     second, stale-file cleanup last -- a crash never strands a manifest
@@ -303,8 +317,7 @@ class TestCocoaRebind:
             raw = _pickle.load(handle)
         assert raw._lake == {}  # no second copy of the lake's cells on disk
 
-        warm_lake = LakeStore.open(store.path).lake()
-        index = LakeIndex.from_store(store.path, lake=warm_lake)
+        index = LakeIndex.from_store(store.path)
         query = Table(
             ["City", "Rate"],
             [(c, float(i)) for i, c in enumerate(lake["T3"].column_values("City"))],
@@ -539,7 +552,7 @@ class TestSegmentFormats:
         # keep serving without a single raw-cell scan.
         warm_store = LakeStore.open(store_dir)
         warm_lake = warm_store.lake()
-        index = LakeIndex.from_store(warm_store, lake=warm_lake)
+        index = LakeIndex.from_store(warm_store)
         assert index.is_built
         results = index.search_merged(
             covid_query_table(), k=3, query_column="City"

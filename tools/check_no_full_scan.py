@@ -27,8 +27,8 @@ round functions) must never walk a lake mapping -- each shard retrieves
 through its own engine and the reducer merges.  Its exemptions are the
 write-side lifecycle where routing or profiling a full lake is the
 point; ``build`` / ``_hydrate`` are no longer among them -- a shard's
-index is fitted where it lives (``open_shard_index``, through
-``LakeIndex.from_store``), and the driver only routes.
+index is fitted where it lives (``open_shard_index``, through the shard
+store's ``open_index``), and the driver only routes.
 """
 
 from __future__ import annotations
