@@ -34,7 +34,9 @@
 #   make bench-e2e    the end-to-end yardstick (benchmarks/e2e): all four seeded
 #                     workloads through a real `repro serve` over TCP -- timed
 #                     window, then the traced per-layer run; JSON under
-#                     benchmarks/e2e/out/
+#                     .benchmarks/full/, then one record appended to
+#                     BENCH_E2E.json against E2E_PARENT (the same run.py
+#                     --out taken at the parent commit)
 #   make e2e-smoke    same harness at toy scale: every BENCHMARK.json metric comes
 #                     out finite, no wrong answer, no server left behind (runs in CI)
 #   make ci           what CI runs: tier-1 tests + smoke benchmarks + lint; leaves
@@ -170,7 +172,15 @@ bench-chaos:
 e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
 
+# The history needs both sides: E2E_PARENT is the same command's --out
+# from a checkout of the parent commit.  PR defaults to ISSUE.md's number.
+E2E_OUT ?= .benchmarks/full/bench_e2e.json
+E2E_PARENT ?= .benchmarks/full/bench_e2e-parent.json
+PR ?= $(shell sed -n 's/^# ISSUE \([0-9][0-9]*\).*/\1/p' ISSUE.md)
+
 bench-e2e:
-	$(PYTHON) benchmarks/e2e/run.py
+	@test -f $(E2E_PARENT) || { echo "bench-e2e: $(E2E_PARENT) not found: at the parent commit, run benchmarks/e2e/run.py --out $(abspath $(E2E_PARENT))"; exit 2; }
+	$(PYTHON) benchmarks/e2e/run.py --out $(E2E_OUT)
+	$(PYTHON) tools/record_e2e.py $(E2E_PARENT) $(E2E_OUT) --pr $(PR)
 
 ci: test bench-smoke store-smoke candidates-smoke fd-smoke serve-smoke segments-smoke obs-smoke obs-export-smoke shard-smoke chaos-smoke e2e-smoke lint

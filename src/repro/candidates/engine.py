@@ -90,13 +90,10 @@ class CandidateEngine:
     ):
         # Deferred import: repro.datalake imports the indexer, which
         # imports the discovery base, which imports this package.
-        from ..datalake.stats import LakeStats
+        from ..datalake.stats import lake_stats
 
         self._lake = lake
-        if stats is None:
-            own = getattr(lake, "stats", None)
-            stats = own if isinstance(own, LakeStats) else LakeStats(lake)
-        self._stats = stats
+        self._stats = stats if stats is not None else lake_stats(lake)
         self._registry: ColumnRegistry | None = None
         self._token_postings: PostingIndex | None = None
         self._value_postings: PostingIndex | None = None

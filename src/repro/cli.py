@@ -956,7 +956,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     polls = 0
     try:
         while True:
-            print(_render_top(client.health()))
+            print(_render_top(client.health(), client.metrics()["gauges"]))
             polls += 1
             if args.iterations is not None and polls >= args.iterations:
                 return 0
@@ -965,14 +965,19 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return 0
 
 
-def _render_top(health: dict) -> str:
-    """One `repro obs top` frame from a ``health`` wire payload."""
+def _render_top(health: dict, gauges: dict) -> str:
+    """One `repro obs top` frame from a ``health`` wire payload and the
+    ``metrics`` payload's gauges."""
     lines = [
         f"status: {health['status']}  "
         f"lake v{health['lake_version']} epoch {health.get('lake_epoch', '?')}  "
         f"inflight {health['inflight']}/{health['workers']} workers  "
         f"respawns {health.get('worker_respawns', 0)}"
     ]
+    lines.append(
+        f"  result cache: {int(gauges['service.cache.entries'])} entries, "
+        f"{int(gauges['service.cache.bytes'])} bytes"
+    )
     degraded = health.get("degraded_shards") or []
     if degraded:
         lines.append(f"degraded shards (last discover): {degraded}")

@@ -36,7 +36,7 @@ from typing import Iterator, Mapping
 from ..table.stats import ColumnStats, TableStats
 from ..table.table import Table
 
-__all__ = ["LakeStats"]
+__all__ = ["LakeStats", "lake_stats"]
 
 
 class LakeStats:
@@ -90,3 +90,11 @@ class LakeStats:
 
     def __repr__(self) -> str:
         return f"LakeStats({len(self._lake)} tables)"
+
+
+def lake_stats(lake: Mapping[str, Table]) -> LakeStats:
+    """The stats view of any table mapping: the lake's own when it has
+    one (a stored lake's serves hydrated snapshots and decodes nothing),
+    else a read-through view over the tables' memoized stats."""
+    own = getattr(lake, "stats", None)
+    return own if isinstance(own, LakeStats) else LakeStats(lake)

@@ -188,12 +188,20 @@ class KnowledgeBase:
         # sharded build relies on this: one global KB synthesized over the
         # combined lake must be reproducible regardless of how the shard
         # views are stitched together.
+        #
+        # Domains come from the column stats (``text_values()`` is exactly
+        # the normalized string-value set), so over a stored lake the
+        # hydrated snapshots answer and no segment is decoded.
+        from ..datalake.stats import lake_stats  # deferred: import cycle
+
+        stats = lake_stats(tables)
+        schema: dict[str, tuple[str, ...]] = {}
         columns: list[tuple[str, str, frozenset[str]]] = []
-        for table_name, table in sorted(tables.items()):
-            for column in table.columns:
-                domain = frozenset(
-                    normalize_token(v) for v in table.column_values(column) if isinstance(v, str)
-                )
+        for table_name in sorted(tables):
+            table_stats = stats.table(table_name)
+            schema[table_name] = table_stats.columns
+            for column in table_stats.columns:
+                domain = table_stats.column(column).text_values()
                 if domain:
                     columns.append((table_name, column, domain))
         parent = list(range(len(columns)))
@@ -244,10 +252,10 @@ class KnowledgeBase:
                 self.add_entity(value, type_name)
 
         # Synthetic relations: types whose columns co-occur in some table.
-        for table_name, table in sorted(tables.items()):
+        for table_name, table_columns in schema.items():
             typed = [
                 type_of_column.get((table_name, column))
-                for column in table.columns
+                for column in table_columns
             ]
             present = [t for t in typed if t is not None]
             for i in range(len(present)):

@@ -12,6 +12,13 @@ so the paper's two null kinds survive the round trip.  Failures come back
 as ``{"ok": false, "kind": "ServiceOverloaded", "error": "..."}`` and
 :class:`ServiceClient` re-raises them under their service exception type.
 
+The server never re-encodes a payload: the service hands back the
+payload's canonical JSON bytes (encoded once when it was computed, and
+what the result cache holds), and the reply line is those bytes spliced
+between an envelope prefix and suffix.  Every encode the server does
+runs inside the handler's ``try``, so a document that is not
+JSON-serialisable comes back as a typed error line too.
+
 :class:`LakeServer` wraps a :class:`~repro.service.service.LakeService`
 in a ``ThreadingTCPServer`` (connection threads feed the service's own
 admission queue and worker pool -- the socket layer adds no second
@@ -38,12 +45,14 @@ from ..obs import export as obs_export
 from ..obs import trace as tracing
 from ..store.codec import decode_table, encode_table
 from ..table.table import Table
+from .cache import encode_payload
 from .service import (
     DeadlineExceeded,
     LakeService,
     ServiceClosed,
     ServiceError,
     ServiceOverloaded,
+    ServiceResponse,
     ServiceUnavailable,
 )
 
@@ -88,6 +97,32 @@ def read_beacon(store_path: str | Path) -> dict[str, Any] | None:
         return None
 
 
+def _service_line(response: ServiceResponse) -> bytes:
+    """The reply line of a served discover / align / integrate: the
+    envelope spliced around the payload bytes the service already holds
+    (a cache hit costs no encoder); only a traced reply encodes its
+    extra fields."""
+    tail = b"}\n"
+    if response.trace is not None or response.trace_batching_bypassed:
+        extras: dict[str, Any] = {}
+        if response.trace is not None:
+            extras["trace"] = response.trace
+        if response.trace_batching_bypassed:
+            extras["trace_batching_bypassed"] = True
+        tail = b"," + encode_payload(extras)[1:] + b"\n"
+    # The three served op names need no JSON escaping.
+    head = b'{"ok":true,"op":"%s","lake_version":%d,"cached":%s,"payload":' % (
+        response.op.encode("ascii"),
+        response.lake_version,
+        b"true" if response.cached else b"false",
+    )
+    return b"".join((head, response.wire, tail))
+
+
+def _line(document: dict[str, Any]) -> bytes:
+    return encode_payload(document) + b"\n"
+
+
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: serve requests line by line until EOF."""
 
@@ -98,27 +133,25 @@ class _Handler(socketserver.StreamRequestHandler):
             line = raw.strip()
             if not line:
                 continue
+            shutdown = False
             try:
                 inject.fire("server.handle")
                 request = json.loads(line)
-                response = self.server.dispatch(request)
+                reply = self.server.dispatch(request)
+                shutdown = request.get("op") == "shutdown"
             except Exception as error:  # noqa: BLE001 - becomes the response
-                response = {
+                document = {
                     "ok": False,
                     "kind": type(error).__name__,
                     "error": str(error),
                 }
                 retry_after = getattr(error, "retry_after", None)
                 if retry_after is not None:
-                    response["retry_after"] = retry_after
-            self.wfile.write(
-                json.dumps(response, ensure_ascii=False, separators=(",", ":")).encode(
-                    "utf-8"
-                )
-                + b"\n"
-            )
+                    document["retry_after"] = retry_after
+                reply = _line(document)
+            self.wfile.write(reply)
             self.wfile.flush()
-            if response.get("shutdown"):
+            if shutdown:
                 # Shutdown must come from another thread: serve_forever
                 # only exits between polls, and this handler runs inside
                 # one of its connection threads.  close() is idempotent,
@@ -152,9 +185,15 @@ class LakeServer(socketserver.ThreadingTCPServer):
     # ------------------------------------------------------------------
     # Request dispatch (the op -> service mapping)
     # ------------------------------------------------------------------
-    def dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
+    def dispatch(self, request: dict[str, Any]) -> bytes:
+        """One request document in, its reply line (newline included)
+        out; raises for anything that must become an error line."""
         op = request.get("op")
-        deadline = request.get("deadline")
+        if op in ("discover", "align", "integrate"):
+            return _service_line(self._serve(op, request))
+        return _line(self._admin(op, request))
+
+    def _admin(self, op: Any, request: dict[str, Any]) -> dict[str, Any]:
         if op == "ping":
             return {"ok": True, "op": "ping", "payload": {"pong": True}}
         if op == "version":
@@ -211,13 +250,17 @@ class LakeServer(socketserver.ThreadingTCPServer):
                 "lake_version": self.service.version,
                 "payload": report,
             }
+        raise ServiceError(f"unknown wire op {op!r}")
+
+    def _serve(self, op: str, request: dict[str, Any]) -> ServiceResponse:
+        deadline = request.get("deadline")
         trace = bool(request.get("trace", False))
         # Adopt the client's distributed trace id: the service's
         # ``service.<op>`` tree is stamped with it, so the client can
         # graft the returned tree under its own root span.
         trace_id = request.get("trace_id")
         if op == "discover":
-            response = self.service.discover(
+            return self.service.discover(
                 decode_table(request["query"]),
                 k=request.get("k", 10),
                 query_column=request.get("column"),
@@ -226,31 +269,26 @@ class LakeServer(socketserver.ThreadingTCPServer):
                 trace=trace,
                 trace_id=trace_id,
             )
-            return response.to_json()
         if op == "align":
-            response = self.service.align(
+            return self.service.align(
                 [decode_table(doc) for doc in request["tables"]],
                 deadline=deadline,
                 trace=trace,
                 trace_id=trace_id,
             )
-            return response.to_json()
-        if op == "integrate":
-            tables = request.get("tables")
-            query = request.get("query")
-            response = self.service.integrate(
-                tables=[decode_table(doc) for doc in tables] if tables else None,
-                query=decode_table(query) if query else None,
-                k=request.get("k", 10),
-                query_column=request.get("column"),
-                integrator=request.get("integrator"),
-                align=request.get("align", True),
-                deadline=deadline,
-                trace=trace,
-                trace_id=trace_id,
-            )
-            return response.to_json()
-        raise ServiceError(f"unknown wire op {op!r}")
+        tables = request.get("tables")
+        query = request.get("query")
+        return self.service.integrate(
+            tables=[decode_table(doc) for doc in tables] if tables else None,
+            query=decode_table(query) if query else None,
+            k=request.get("k", 10),
+            query_column=request.get("column"),
+            integrator=request.get("integrator"),
+            align=request.get("align", True),
+            deadline=deadline,
+            trace=trace,
+            trace_id=trace_id,
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle + beacon

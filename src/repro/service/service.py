@@ -11,11 +11,14 @@ interner) served to concurrent callers through
   optional per-request deadlines (:class:`DeadlineExceeded` both for
   callers that give up waiting and for queued work that expires before a
   worker reaches it);
-* a **versioned result cache**: responses are memoized under
-  ``(lake_version, canonical request key)`` with LRU + TTL eviction, so
-  *any* ingest -- in-process or a foreign process detected through the
-  store's cheap :meth:`~repro.store.lakestore.LakeStore.current_version`
-  poll -- invalidates by version, never by enumeration, and a response is
+* a **versioned result cache** (:mod:`repro.service.cache`): a handler's
+  payload is encoded to canonical JSON bytes exactly once, and those
+  bytes are what is memoized under ``(lake_version, canonical request
+  key)`` with LRU + TTL eviction, fanned out to batch waiters and
+  spliced into the reply line, so *any* ingest -- in-process or a
+  foreign process detected through the store's cheap
+  :meth:`~repro.store.lakestore.LakeStore.current_version` poll --
+  invalidates by version, never by enumeration, and a response is
   stamped with the exact lake version that produced it;
 * **request micro-batching**: discover requests that arrive within
   ``batch_window`` seconds of each other and agree on ``(k, column,
@@ -64,8 +67,8 @@ from ..obs import trace as tracing
 from ..obs.metrics import MetricsRegistry
 from ..store.codec import encode_table, table_content_hash
 from ..store.lakestore import LakeStore
-from ..store.lru import LRUCache
 from ..table.table import Table
+from .cache import ResultCache, encode_payload
 
 __all__ = [
     "LakeService",
@@ -115,8 +118,12 @@ class ServiceClosed(ServiceError):
 class ServiceResponse:
     """One served result, version-stamped.
 
-    ``payload`` is a deterministic, JSON-serializable document -- the unit
-    that is cached, compared against oracles, and shipped over the wire.
+    ``wire`` is the payload as canonical JSON bytes -- the unit that is
+    cached, fanned out to batch waiters and written to the socket.
+    ``payload`` is the same deterministic document as Python objects,
+    for in-process callers: a computed response keeps the dict its
+    handler returned, a cache hit decodes ``wire`` on first access (so
+    a hit that only goes to the socket never decodes).
     ``lake_version`` is the version of the lake snapshot that produced it
     (the never-stale contract: a response stamped ``v`` is byte-identical
     to what a fresh pipeline opened at ``v`` would return).
@@ -125,7 +132,7 @@ class ServiceResponse:
     op: str
     lake_version: int
     cached: bool
-    payload: dict[str, Any]
+    wire: bytes
     latency_s: float = 0.0
     #: The request's span tree (:meth:`Tracer.to_dict` shape), attached
     #: only when the caller asked for tracing.
@@ -134,20 +141,13 @@ class ServiceResponse:
     #: was traced -- its latency is an *unbatched* latency (see README's
     #: observability trade-off note).  Annotation only; never cached.
     trace_batching_bypassed: bool = field(default=False, compare=False)
+    _payload: Any = field(default=None, repr=False, compare=False)
 
-    def to_json(self) -> dict[str, Any]:
-        document = {
-            "ok": True,
-            "op": self.op,
-            "lake_version": self.lake_version,
-            "cached": self.cached,
-            "payload": self.payload,
-        }
-        if self.trace is not None:
-            document["trace"] = self.trace
-        if self.trace_batching_bypassed:
-            document["trace_batching_bypassed"] = True
-        return document
+    @property
+    def payload(self) -> Any:
+        if self._payload is None:
+            object.__setattr__(self, "_payload", json.loads(self.wire))
+        return self._payload
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -369,7 +369,7 @@ class LakeService:
         self.reload_check_interval = max(0.0, reload_check_interval)
         self.default_deadline = default_deadline
         self.stats = ServiceStats()
-        self.cache = LRUCache(cache_capacity, ttl=cache_ttl)
+        self.cache = ResultCache(cache_capacity, cache_ttl, self.stats.registry)
         #: JSONL trace sink: when set, *every* request is traced and its
         #: span tree appended as one JSON line (offline analysis),
         #: size-rotated at ``trace_path_max_bytes`` keeping
@@ -499,6 +499,7 @@ class LakeService:
         ``metrics`` wire op serves exactly this document; two of them
         from different processes fold with
         :func:`repro.obs.metrics.merge_snapshots`."""
+        self.cache.publish()
         snapshot = obs_metrics.merge_snapshots(
             obs_metrics.global_registry().snapshot(),
             self.stats.registry.snapshot(),
@@ -622,7 +623,14 @@ class LakeService:
         try:
             latency_ms = (time.monotonic() - started) * 1000.0
             degraded: list = []
-            if response is not None and isinstance(response.payload, dict):
+            # Degraded payloads are never cached, so only a computed
+            # response (which still holds its dict) can carry the field;
+            # a hit is not decoded just to look.
+            if (
+                response is not None
+                and not response.cached
+                and isinstance(response.payload, dict)
+            ):
                 degraded = list(response.payload.get("degraded_shards") or ())
             summary = {
                 "op": op,
@@ -668,16 +676,16 @@ class LakeService:
         gen = self._gen
         if key is not None:
             with tracing.span("service.cache") as cache_span:
-                payload = self.cache.get((gen.version, key))
-                cache_span.add(hit=int(payload is not None))
-            if payload is not None:
+                wire = self.cache.get(gen.version, key)
+                cache_span.add(hit=int(wire is not None))
+            if wire is not None:
                 self.stats.count("hits")
                 self.stats.observe(op, time.monotonic() - started)
                 return ServiceResponse(
                     op=op,
                     lake_version=gen.version,
                     cached=True,
-                    payload=payload,
+                    wire=wire,
                     latency_s=time.monotonic() - started,
                 )
         self.stats.count("misses")
@@ -1010,34 +1018,42 @@ class LakeService:
         except Exception as error:  # noqa: BLE001 - error becomes the response
             self._fulfil_error(request, error)
 
-    def _compute_response(self, request: _Request, gen: _Generation) -> ServiceResponse:
-        """Worker-side cache re-check + handler execution (no fulfil)."""
-        if request.key is not None:
-            payload = self.cache.get((gen.version, request.key))
-            if payload is not None:
-                return ServiceResponse(
-                    op=request.op,
-                    lake_version=gen.version,
-                    cached=True,
-                    payload=payload,
-                )
-        handler = self._handlers[request.op]
-        payload = handler(gen, request.params)
-        # Degraded payloads (shards lost past the supervised retry) are
-        # served -- annotated -- but never cached: a later request must
-        # get a complete answer once the shard recovers, and the cache is
-        # keyed by version only, which a shard death does not move.
+    def _hit_response(
+        self, op: str, key: tuple, gen: _Generation
+    ) -> ServiceResponse | None:
+        wire = self.cache.get(gen.version, key)
+        if wire is None:
+            return None
+        return ServiceResponse(op=op, lake_version=gen.version, cached=True, wire=wire)
+
+    def _miss_response(
+        self, op: str, key: tuple | None, gen: _Generation, payload: Any
+    ) -> ServiceResponse:
+        """Encode a handler's payload -- once: these bytes are what the
+        cache keeps and what every waiter's reply line carries -- and
+        cache it under *key*.  Degraded payloads (shards lost past the
+        supervised retry) are served -- annotated -- but never cached: a
+        later request must get a complete answer once the shard
+        recovers, and the cache is keyed by version only, which a shard
+        death does not move."""
         degraded = isinstance(payload, dict) and payload.get("degraded_shards")
         if degraded:
             self.stats.count("degraded")
-        if request.key is not None and not degraded:
-            self.cache.put((gen.version, request.key), payload)
+        wire = encode_payload(payload)
+        if key is not None and not degraded:
+            self.cache.put(gen.version, key, wire)
         return ServiceResponse(
-            op=request.op,
-            lake_version=gen.version,
-            cached=False,
-            payload=payload,
+            op=op, lake_version=gen.version, cached=False, wire=wire, _payload=payload
         )
+
+    def _compute_response(self, request: _Request, gen: _Generation) -> ServiceResponse:
+        """Worker-side cache re-check + handler execution (no fulfil)."""
+        if request.key is not None:
+            response = self._hit_response(request.op, request.key, gen)
+            if response is not None:
+                return response
+        payload = self._handlers[request.op](gen, request.params)
+        return self._miss_response(request.op, request.key, gen, payload)
 
     def _execute_discover_batch(self, batch: list[_Request]) -> None:
         live = [r for r in batch if not self._expired(r)]
@@ -1050,17 +1066,9 @@ class LakeService:
             # execution fans out to every waiter.
             pending: dict[tuple, list[_Request]] = {}
             for request in live:
-                payload = self.cache.get((gen.version, request.key))
-                if payload is not None:
-                    self._fulfil(
-                        request,
-                        ServiceResponse(
-                            op=request.op,
-                            lake_version=gen.version,
-                            cached=True,
-                            payload=payload,
-                        ),
-                    )
+                response = self._hit_response(request.op, request.key, gen)
+                if response is not None:
+                    self._fulfil(request, response)
                     continue
                 pending.setdefault(request.key, []).append(request)
             if not pending:
@@ -1089,21 +1097,9 @@ class LakeService:
                     for r, outcome in zip(unique, outcomes)
                 }
             for key, payload in keyed.items():
-                # Same degraded-never-cached rule as _compute_response.
-                if payload.get("degraded_shards"):
-                    self.stats.count("degraded")
-                else:
-                    self.cache.put((gen.version, key), payload)
+                response = self._miss_response("discover", key, gen, payload)
                 for request in pending[key]:
-                    self._fulfil(
-                        request,
-                        ServiceResponse(
-                            op=request.op,
-                            lake_version=gen.version,
-                            cached=False,
-                            payload=payload,
-                        ),
-                    )
+                    self._fulfil(request, response)
         except Exception as error:  # noqa: BLE001 - error becomes the response
             for request in live:
                 if not request.done.is_set():

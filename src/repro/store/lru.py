@@ -92,6 +92,11 @@ class LRUCache:
         with self._lock:
             return list(self._entries)
 
+    def values(self) -> list[Any]:
+        """Current values, least recently used first (a snapshot)."""
+        with self._lock:
+            return [value for _, value in self._entries.values()]
+
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self.keys())
 

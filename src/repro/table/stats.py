@@ -265,7 +265,10 @@ class ColumnStats:
 
     @property
     def non_null_count(self) -> int:
-        return len(self._ensure().values)
+        # From the counts, not ``len(values)``: a hydrated column would
+        # page its cells in just to be measured.
+        stats = self._ensure()
+        return stats.row_count - stats.null_count
 
     @property
     def tokens(self) -> frozenset[str]:
@@ -283,13 +286,13 @@ class ColumnStats:
     def text_values(self, limit: int | None = None) -> frozenset[str]:
         """Normalized string values (TUS / alignment evidence), optionally
         computed over only the first *limit* non-null values."""
-        values = self._ensure().values
-        if limit is not None and limit >= len(values):
+        if limit is not None and limit >= self.non_null_count:
             limit = None
         cached = self._text_values.get(limit)
         if cached is None:
             from ..text.tokenize import normalize_token
 
+            values = self._ensure().values
             sample = values if limit is None else values[:limit]
             cached = frozenset(
                 normalize_token(str(v)) for v in sample if isinstance(v, str)

@@ -588,6 +588,8 @@ class TestObs:
         assert "slo availability (target 0.999)" in out
         assert "slo degraded_rate" in out
         assert "burn 60s=0x  600s=0x" in out
+        # The one discover the fixture served is held, as its wire bytes.
+        assert "result cache: 1 entries, " in out and " bytes" in out
 
 
 class TestStoreMigrate:

@@ -98,3 +98,67 @@ class TestSynthesis:
         type_x = next(iter(kb.types_of("x1")))
         type_y = next(iter(kb.types_of("y1")))
         assert kb.relations_between(type_x, type_y)
+
+
+class TestSynthesisReadsStats:
+    """Domains come from ``ColumnStats.text_values()``; the synthesized
+    KB must be the one the cell-based construction built."""
+
+    @staticmethod
+    def lake_tables() -> dict[str, Table]:
+        from repro.table import MISSING
+
+        cities = ["Berlin", " berlin ", "OSLO", "Oslo", "Toronto", "Bern", MISSING]
+        lake = {}
+        for i in range(6):
+            rows = [
+                (cities[(i + j) % len(cities)], f"country{(i + j) % 4}", j * i)
+                for j in range(6)
+            ]
+            lake[f"t{i}"] = Table(["City", "Country", "N"], rows, name=f"t{i}")
+        lake["solo"] = Table(["Word"], [("unrelated",), ("tokens",)], name="solo")
+        return lake
+
+    @staticmethod
+    def synthesized(tables) -> dict:
+        kb = KnowledgeBase()
+        created = kb.synthesize_from_tables(tables, min_jaccard=0.3)
+        assert created >= 2
+        # dict order carries the syn:<n> numbering
+        return {"types": list(kb._types.items()), **vars(kb)}
+
+    def test_equal_to_the_cell_based_construction(self, tmp_path, monkeypatch):
+        from repro.datalake import stats as lake_stats_module
+        from repro.obs import metrics
+        from repro.store import LakeStore
+        from repro.text.tokenize import normalize_token
+
+        tables = self.lake_tables()
+        LakeStore.create(tmp_path / "lake.store").ingest(tables)
+        decodes = metrics.counter("store.decode.v2").value
+        stored = self.synthesized(LakeStore.open(tmp_path / "lake.store").lake())
+        assert metrics.counter("store.decode.v2").value == decodes
+        assert stored == self.synthesized(tables)
+
+        class CellDomains:
+            """What the KB read before: each column's decoded cells."""
+
+            def __init__(self, lake, name=None, column=None):
+                self.lake, self.name, self.column_name = lake, name, column
+
+            def table(self, name):
+                return CellDomains(self.lake, name)
+
+            @property
+            def columns(self):
+                return self.lake[self.name].columns
+
+            def column(self, column):
+                return CellDomains(self.lake, self.name, column)
+
+            def text_values(self):
+                cells = self.lake[self.name].column_values(self.column_name)
+                return frozenset(normalize_token(v) for v in cells if isinstance(v, str))
+
+        monkeypatch.setattr(lake_stats_module, "lake_stats", CellDomains)
+        assert stored == self.synthesized(tables)

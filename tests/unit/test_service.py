@@ -44,8 +44,10 @@ from repro.service import (
     ServiceError,
     ServiceOverloaded,
     ServiceStats,
+    encode_table,
     oracle_discover_payload,
 )
+from repro.service.protocol import _service_line
 from repro.service.service import _table_payload
 from repro.shard import ShardedLakeStore, open_any_store
 from repro.store import LakeStore
@@ -258,6 +260,130 @@ class TestVersioning:
         service.ingest([Table(["City"], [("Oslo",)], name="cities")])
         assert not service.discover(query, k=5, query_column="City").cached
         assert service.discover(query, k=5, query_column="City").cached
+
+
+def _wide_tables(tag: int) -> list[Table]:
+    """Two joinable 60-row tables whose *cells* are the same for every
+    tag (so nothing value-keyed accretes between calls) under names that
+    differ (so every tag is its own cache entry)."""
+    left = [(f"key{j}", f"city {j}", f"region {j % 7}") for j in range(60)]
+    right = [(f"key{j}", f"vaccine {j % 5}", j * 3) for j in range(60)]
+    return [
+        Table(["Key", "City", "Region"], left, name=f"left{tag}"),
+        Table(["Key", "Vaccine", "Doses"], right, name=f"right{tag}"),
+    ]
+
+
+class _CountingJson:
+    """Stands in for the ``json`` module inside the ``repro.service``
+    modules and counts what goes through it."""
+
+    def __init__(self):
+        self.dumps_calls = 0
+        self.loads_calls = 0
+
+    def dumps(self, *args, **kwargs):
+        self.dumps_calls += 1
+        return json.dumps(*args, **kwargs)
+
+    def loads(self, *args, **kwargs):
+        self.loads_calls += 1
+        return json.loads(*args, **kwargs)
+
+
+class TestEncodeOnce:
+    """The cached, fanned-out and written unit is the payload's canonical
+    JSON bytes: encoded once per computed payload, never on a hit."""
+
+    def test_a_wire_hit_neither_encodes_nor_decodes(self, service, monkeypatch):
+        from repro.service import cache, protocol
+        from repro.service import service as service_module
+
+        server = LakeServer(service)
+        document = {
+            "op": "integrate",
+            "query": encode_table(covid_query_table()),
+            "k": 5,
+            "column": "City",
+        }
+        counting = _CountingJson()
+        for module in (cache, protocol, service_module):
+            monkeypatch.setattr(module, "json", counting)
+        miss = server.dispatch(document)
+        assert (counting.dumps_calls, counting.loads_calls) == (1, 0)
+        hit = server.dispatch(document)
+        assert (counting.dumps_calls, counting.loads_calls) == (1, 0)
+        assert hit == miss.replace(b'"cached":false', b'"cached":true', 1)
+        # In process, a hit decodes on first access only, a miss never.
+        response = service.integrate(query=covid_query_table(), k=5, query_column="City")
+        assert response.cached and counting.loads_calls == 0
+        assert response.payload is response.payload
+        assert (counting.dumps_calls, counting.loads_calls) == (1, 1)
+
+    def test_cache_memory_is_the_replies_own_bytes(self, service):
+        import gc
+        import tracemalloc
+
+        def integrate(tag: int) -> int:
+            return len(service.integrate(tables=_wide_tables(tag), align=True).wire)
+
+        tracemalloc.start()
+        try:
+            # What the last few requests leave referenced (their tables'
+            # stats, the flight-recorder ring) is the same before and after.
+            warm = [integrate(tag) for tag in range(8)]
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            sizes = [integrate(tag) for tag in range(8, 32)]
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        gauges = service.metrics_snapshot()["gauges"]
+        assert gauges["service.cache.entries"] == 32
+        assert gauges["service.cache.bytes"] == sum(warm) + sum(sizes)
+        assert min(sizes) > 4000  # replies big enough for the bound to mean something
+        # As an object graph an entry cost ~6x its wire size.
+        assert grown <= 2 * sum(sizes), (grown, sum(sizes))
+
+    def test_unserialisable_payload_is_a_typed_error_line(self, store_path):
+        import socket
+
+        svc = LakeService(store=store_path, workers=1, batch_window=0.0)
+        svc.add_handler("align", lambda gen, params: {"ids": {1, 2}}, replace=True)
+        server = LakeServer(svc)
+        server.start()
+        try:
+            align = {"op": "align", "tables": [encode_table(covid_query_table())]}
+            with socket.create_connection(server.address, timeout=10) as conn:
+                reader = conn.makefile("rb")
+                conn.sendall(json.dumps(align).encode("utf-8") + b"\n")
+                failed = json.loads(reader.readline())
+                # ... and the connection is still there for the next request.
+                conn.sendall(b'{"op":"ping"}\n')
+                pong = json.loads(reader.readline())
+            assert failed["ok"] is False and failed["kind"] == "TypeError"
+            assert "set" in failed["error"]
+            assert pong == {"ok": True, "op": "ping", "payload": {"pong": True}}
+            # The client sees one typed failure, not retries on a dead socket.
+            with pytest.raises(ServiceError, match="not JSON serializable"):
+                ServiceClient(server.address).align([covid_query_table()])
+            assert svc.stats_snapshot()["errors"] == 2
+        finally:
+            server.close()
+
+    def test_cache_gauges_reach_the_metrics_ops(self, service):
+        from repro.obs.export import parse_prometheus_text
+
+        server = LakeServer(service)
+        first = service.discover(covid_query_table(), k=3)
+        second = service.align([covid_query_table(), covid_joinable_table()])
+        held = len(first.wire) + len(second.wire)
+        metrics = json.loads(server.dispatch({"op": "metrics"}))["payload"]
+        assert metrics["gauges"]["service.cache.entries"] == 2
+        assert metrics["gauges"]["service.cache.bytes"] == held
+        text = json.loads(server.dispatch({"op": "metrics_text"}))["payload"]["text"]
+        assert parse_prometheus_text(text)["repro_service_cache_bytes"] == held
 
 
 class TestWireRepliesAreLayoutBlind:
@@ -840,12 +966,12 @@ class TestTelemetry:
         try:
             traced = svc.discover(covid_query_table(), k=2, trace=True)
             assert traced.trace_batching_bypassed
-            assert traced.to_json()["trace_batching_bypassed"] is True
+            assert json.loads(_service_line(traced))["trace_batching_bypassed"] is True
             # The untraced twin batches normally and its wire document
             # stays byte-compatible (no new key when nothing bypassed).
             untraced = svc.discover(covid_query_table(), k=2)
             assert not untraced.trace_batching_bypassed
-            assert "trace_batching_bypassed" not in untraced.to_json()
+            assert "trace_batching_bypassed" not in json.loads(_service_line(untraced))
             # A traced cache hit never reached the batcher: not annotated.
             hit = svc.discover(covid_query_table(), k=2, trace=True)
             assert hit.cached and not hit.trace_batching_bypassed
@@ -1046,6 +1172,31 @@ class TestShardedRouter:
             assert served == canonical(oracle_discover_payload(fresh, probe, k=5))
         finally:
             fresh.index.close()
+
+    def test_index_build_decodes_nothing_in_the_driver(self, tmp_path):
+        """`repro index build --shards N`: the driver ingests, computes the
+        lake-global fit state from hydrated stats (the synthesized KB's
+        domains are ``text_values()``), and the workers fit their shards."""
+        from repro.cli import main
+
+        DataLake(
+            [_keyed_table(f"t{i:02d}", i) for i in range(12)]
+        ).save_to(tmp_path / "csv")
+        reads_before = _driver_store_reads()
+        assert main([
+            "index", "build", "--lake", str(tmp_path / "csv"),
+            "--store", str(tmp_path / "lake"), "--shards", "4",
+        ]) == 0
+        moved = {
+            name: count - reads_before.get(name, 0)
+            for name, count in _driver_store_reads().items()
+            if count != reads_before.get(name, 0)
+        }
+        assert moved == {"store.stats_cache.rehydrates": 12}
+        built = open_any_store(tmp_path / "lake")
+        assert built.has_fit_state()
+        for shard in built.shards:
+            assert shard.info()["indexes_lake_version"] == shard.lake_version
 
     def test_traced_ingest_shows_where_the_refit_went(self, sharded_path):
         fits_before = obs_metrics.histogram("shard.worker.fit_seconds").count
