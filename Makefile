@@ -10,7 +10,7 @@
 #   make candidates-smoke  same suite @300 tables, relaxed gate (runs in CI)
 #   make bench-fd     interned FD kernel vs legacy object kernel @8x500 incl. the >= 3x check
 #   make fd-smoke     same suite, small scale: identity asserts + JSON, no speed gate (runs in CI)
-#   make bench-service  serving layer @400 tables: warm cached+batched >= 3x sequential cold calls
+#   make bench-service  serving layer @400 tables: warm cached+shared >= 3x sequential cold calls
 #   make serve-smoke  service smoke: TCP client session (discover/cache/ingest/stats) +
 #                     byte-identity + zero-staleness asserts, no speed gate (runs in CI)
 #   make bench-segments  segment v2 binary decode @1k tables incl. the >= 2x-over-v1 check

@@ -310,7 +310,6 @@ def run_suite(
             store=store_path,
             workers=clients,
             queue_depth=max(64, clients * 4),
-            batch_window=0.005,
             reload_check_interval=0.05,
             postmortem_path=postmortem_path,
         )

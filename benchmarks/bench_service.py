@@ -1,9 +1,9 @@
-"""Serving-layer benchmark: cached + batched concurrency vs cold calls.
+"""Serving-layer benchmark: cached + shared concurrency vs cold calls.
 
 The claims under test (ISSUE 5 acceptance):
 
 1. **Throughput.**  A warm :class:`repro.service.LakeService` (result
-   cache + discover micro-batching, closed-loop concurrent clients)
+   cache + single-flight, closed-loop concurrent clients)
    serves a mixed **80/20 repeated/unique** discover workload at
    **>= 3x** the throughput of the pre-service shape: sequential calls
    that each open a cold ``Dialite`` from the store.
@@ -154,7 +154,6 @@ def run_service(store_path: Path, requests, clients: int = 8, ingest_at: int | N
         workers=clients,
         queue_depth=max(64, clients * 4),
         cache_capacity=4096,
-        batch_window=0.005,
         reload_check_interval=0.05,
     )
     try:
@@ -289,8 +288,7 @@ def phase_consistency(store_path: Path, hot, unique, plant, total: int, clients:
 
 def socket_smoke(store_path: Path, hot, plant) -> dict:
     """End-to-end over TCP: the `make serve-smoke` client session."""
-    service = LakeService(store=store_path, workers=2, batch_window=0.005,
-                          reload_check_interval=0.05)
+    service = LakeService(store=store_path, workers=2, reload_check_interval=0.05)
     server = LakeServer(service, port=0)
     server.start()
     try:
@@ -426,7 +424,7 @@ def main(argv=None) -> int:
         print("ACCEPTANCE FAILED: " + "; ".join(failures))
         return 1
     if args.check and not args.smoke:
-        print("acceptance ok: warm cached+batched serving >= 3x sequential cold "
+        print("acceptance ok: warm cached+shared serving >= 3x sequential cold "
               "calls, byte-identical version-stamped results, zero stale "
               "responses across a concurrent ingest")
     return 0

@@ -5,11 +5,13 @@ serving layer (`repro.service`), and drives it end to end over TCP:
 
 1. two identical discover calls -- the second is served from the
    versioned result cache;
-2. a burst of concurrent clients -- coalesced by discover micro-batching;
+2. a burst of concurrent clients asking the same never-seen question --
+   single-flight executes it once and every caller gets those bytes;
 3. a live ingest through the service -- the lake version bumps, the
    service hot-swaps to a warm new generation, and the same query now
    returns the new table (never a stale cached answer);
-4. the service stats surface: hits/misses, batches, reloads, latency.
+4. the service stats surface: hits/misses, shared executions, reloads,
+   latency.
 
 Run:  python examples/serve_demo.py
 """
@@ -49,7 +51,7 @@ store.open_index(roster)  # hydrate -> fit -> persist
 print(f"store built at {store_dir} (lake v{store.lake_version})")
 
 # --- the serving session, behind a TCP front end -------------------------
-service = LakeService(store=store_dir, workers=4, batch_window=0.01)
+service = LakeService(store=store_dir, workers=4)
 server = LakeServer(service, port=0)  # 0 = pick a free port
 server.start()
 host, port = server.address
@@ -68,24 +70,34 @@ again = client.discover(query, k=5, column="City")
 print("discovered:", [r["table"] for r in first["payload"]["results"]])
 print(f"first cached={first['cached']}, second cached={again['cached']}\n")
 
-# 2. concurrent burst: compatible requests coalesce into one batch
-# (distinct content -- identical content would just hit the cache)
+# 2. concurrent burst: five callers, one never-seen content (the name is
+# not part of the key) -- one execution; a caller either joins it in
+# flight or, arriving after it landed, hits the cache
 burst = [
     Table(
         query.columns,
-        list(query.rows) + [("France", "Paris", f"{70 + i}%")],
+        list(query.rows) + [("France", "Paris", "71%")],
         name=f"caller_{i}",
     )
     for i in range(5)
 ]
+replies = []
 threads = [
-    threading.Thread(target=client.discover, args=(q,), kwargs={"k": 5, "column": "City"})
+    threading.Thread(
+        target=lambda q: replies.append(client.discover(q, k=5, column="City")), args=(q,)
+    )
     for q in burst
 ]
 for thread in threads:
     thread.start()
 for thread in threads:
     thread.join()
+assert len({str(reply["payload"]) for reply in replies}) == 1
+print(
+    f"burst of {len(replies)} identical requests: one answer, "
+    f"{sum(reply['cached'] for reply in replies)} served from the cache, "
+    f"the rest from one shared execution\n"
+)
 
 # 3. live ingest: version bumps, the service reloads, answers change
 report = client.ingest(
@@ -105,7 +117,7 @@ assert fresh["lake_version"] > first["lake_version"]
 stats = client.stats()
 print(
     f"stats: {stats['requests']} requests, {stats['hits']} cache hits, "
-    f"{stats['batches']} batches ({stats['batched_requests']} batched requests), "
+    f"{stats['batches']} shared executions ({stats['batched_requests']} callers served), "
     f"{stats['reloads']} reloads"
 )
 discover_latency = stats["latency"].get("discover", {})

@@ -25,7 +25,7 @@ Subpackages (each usable standalone):
 - :mod:`repro.store` -- persistent lake store (versioned columnar segments
   + stats/sketch snapshots, incremental ingest, warm-start discovery)
 - :mod:`repro.service` -- the concurrent query-serving layer (worker
-  pool, versioned result cache, micro-batching, live store reload)
+  pool, versioned result cache, single-flight, live store reload)
 - :mod:`repro.genquery` -- prompt-to-table generation
 - :mod:`repro.core` -- the pipeline itself
 """

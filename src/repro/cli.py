@@ -235,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result-cache entries (LRU)")
     serve.add_argument("--cache-ttl", type=float, default=None,
                        help="result-cache TTL seconds (default: version-bound only)")
-    serve.add_argument("--batch-window", type=float, default=0.02,
-                       help="discover micro-batching window in seconds (0 disables)")
     serve.add_argument("--deadline", type=float, default=None,
                        help="default per-request deadline in seconds")
     serve.add_argument("--stats-cache-capacity", type=int, default=None,
@@ -895,7 +893,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         cache_capacity=args.cache_capacity,
         cache_ttl=args.cache_ttl,
-        batch_window=args.batch_window,
         default_deadline=args.deadline,
         stats_cache_capacity=args.stats_cache_capacity,
         candidate_budget=args.candidate_budget,

@@ -168,10 +168,11 @@ class Dialite:
         """This pipeline as a concurrent serving session
         (:class:`repro.service.LakeService`): a worker pool with bounded
         admission and deadlines, a lake-version-keyed result cache,
-        discover micro-batching, and -- for store-backed pipelines -- a
-        hot-swap reload path that follows on-disk ingests.  Keyword
-        options are forwarded to ``LakeService`` (``workers``,
-        ``queue_depth``, ``cache_capacity``, ``batch_window``, ...).
+        single-flight execution of identical concurrent requests, and --
+        for store-backed pipelines -- a hot-swap reload path that follows
+        on-disk ingests.  Keyword options are forwarded to
+        ``LakeService`` (``workers``, ``queue_depth``,
+        ``cache_capacity``, ...).
         """
         from ..service import LakeService
 

@@ -5,8 +5,8 @@ a *session* fast and shared: :class:`LakeService` holds one warm
 pipeline over a versioned lake store and serves concurrent
 discover/align/integrate requests through a worker pool, a versioned
 result cache (invalidated by lake version, never by enumeration),
-request micro-batching, and a hot-swap reload path that follows on-disk
-ingests without dropping in-flight work.  :class:`LakeServer` /
+single-flight execution of identical concurrent requests, and a hot-swap
+reload path that follows on-disk ingests without dropping in-flight work.  :class:`LakeServer` /
 :class:`ServiceClient` put the same session behind a stdlib TCP line
 protocol (the CLI's ``repro serve`` / ``--service``).
 

@@ -21,7 +21,7 @@ JSON-serialisable comes back as a typed error line too.
 
 :class:`LakeServer` wraps a :class:`~repro.service.service.LakeService`
 in a ``ThreadingTCPServer`` (connection threads feed the service's own
-admission queue and worker pool -- the socket layer adds no second
+admission and worker pool -- the socket layer adds no second
 concurrency policy) and, for store-backed services, writes a
 ``service.json`` **beacon** into the store directory while it is up:
 ``repro index info`` pings it to report whether a live service currently
@@ -101,15 +101,10 @@ def _service_line(response: ServiceResponse) -> bytes:
     """The reply line of a served discover / align / integrate: the
     envelope spliced around the payload bytes the service already holds
     (a cache hit costs no encoder); only a traced reply encodes its
-    extra fields."""
+    span tree."""
     tail = b"}\n"
-    if response.trace is not None or response.trace_batching_bypassed:
-        extras: dict[str, Any] = {}
-        if response.trace is not None:
-            extras["trace"] = response.trace
-        if response.trace_batching_bypassed:
-            extras["trace_batching_bypassed"] = True
-        tail = b"," + encode_payload(extras)[1:] + b"\n"
+    if response.trace is not None:
+        tail = b"," + encode_payload({"trace": response.trace})[1:] + b"\n"
     # The three served op names need no JSON escaping.
     head = b'{"ok":true,"op":"%s","lake_version":%d,"cached":%s,"payload":' % (
         response.op.encode("ascii"),

@@ -8,24 +8,23 @@ interner) served to concurrent callers through
 * a **worker pool** with bounded admission -- at most ``queue_depth``
   requests in flight; the next one is rejected with
   :class:`ServiceOverloaded` instead of queueing without bound -- and
-  optional per-request deadlines (:class:`DeadlineExceeded` both for
-  callers that give up waiting and for queued work that expires before a
-  worker reaches it);
+  optional per-request deadlines (:class:`DeadlineExceeded` for a
+  caller that gives up waiting; queued work nobody is waiting for any
+  more is skipped when a worker reaches it);
 * a **versioned result cache** (:mod:`repro.service.cache`): a handler's
   payload is encoded to canonical JSON bytes exactly once, and those
   bytes are what is memoized under ``(lake_version, canonical request
-  key)`` with LRU + TTL eviction, fanned out to batch waiters and
+  key)`` with LRU + TTL eviction, fanned out to every waiter and
   spliced into the reply line, so *any* ingest -- in-process or a
   foreign process detected through the store's cheap
   :meth:`~repro.store.lakestore.LakeStore.current_version` poll --
   invalidates by version, never by enumeration, and a response is
   stamped with the exact lake version that produced it;
-* **request micro-batching**: discover requests that arrive within
-  ``batch_window`` seconds of each other and agree on ``(k, column,
-  discoverers)`` are coalesced through
-  :meth:`~repro.core.pipeline.Dialite.discover_many`, sharing the lake
-  index and per-query profiling across callers (identical queries in one
-  batch execute once and fan out);
+* **single-flight**: a request that misses the cache joins the
+  in-flight execution of the same ``(lake_version, request key)`` or
+  leads a new one, submitted straight to the pool -- identical
+  concurrent requests of any cacheable op execute once and fan out,
+  distinct ones run side by side, and nobody waits on a window;
 * a **hot-swap reload** path: when the on-disk version moves, a new
   *generation* (fresh store handle, fresh warm pipeline) is built and
   swapped in atomically; in-flight requests keep their generation and
@@ -49,12 +48,10 @@ cache cannot already serve.
 from __future__ import annotations
 
 import json
-import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from math import ceil
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -68,7 +65,7 @@ from ..obs.metrics import MetricsRegistry
 from ..store.codec import encode_table, table_content_hash
 from ..store.lakestore import LakeStore
 from ..table.table import Table
-from .cache import ResultCache, encode_payload
+from .cache import Flight, ResultCache, encode_payload
 
 __all__ = [
     "LakeService",
@@ -119,7 +116,7 @@ class ServiceResponse:
     """One served result, version-stamped.
 
     ``wire`` is the payload as canonical JSON bytes -- the unit that is
-    cached, fanned out to batch waiters and written to the socket.
+    cached, fanned out to a flight's waiters and written to the socket.
     ``payload`` is the same deterministic document as Python objects,
     for in-process callers: a computed response keeps the dict its
     handler returned, a cache hit decodes ``wire`` on first access (so
@@ -137,10 +134,6 @@ class ServiceResponse:
     #: The request's span tree (:meth:`Tracer.to_dict` shape), attached
     #: only when the caller asked for tracing.
     trace: dict[str, Any] | None = field(default=None, compare=False)
-    #: True when this request skipped discover micro-batching because it
-    #: was traced -- its latency is an *unbatched* latency (see README's
-    #: observability trade-off note).  Annotation only; never cached.
-    trace_batching_bypassed: bool = field(default=False, compare=False)
     _payload: Any = field(default=None, repr=False, compare=False)
 
     @property
@@ -150,22 +143,12 @@ class ServiceResponse:
         return self._payload
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile: the smallest value with at least
-    ``ceil(q * n)`` values at or below it.  (The previous
-    ``round(q * (n - 1))`` indexing used banker's rounding, so p50 of an
-    even-length list rounded *down* past the upper median -- pinned by
-    ``test_percentile_nearest_rank``.)"""
-    if not sorted_values:
-        return 0.0
-    n = len(sorted_values)
-    rank = min(n, max(1, ceil(q * n)))
-    return sorted_values[rank - 1]
-
-
 class ServiceStats:
-    """Thread-safe serving metrics: hit/miss, rejections, batching,
-    reloads, and per-op latency quantiles.
+    """Thread-safe serving metrics: hit/miss, rejections, shared
+    executions, reloads, and per-op latency quantiles.  ``batches``
+    counts executions that served more than one caller (single-flight)
+    and ``batched_requests`` the callers they served; the names are the
+    ``stats`` op's historical shape.
 
     Since the ``repro.obs`` refactor this is a thin view over a private
     :class:`~repro.obs.metrics.MetricsRegistry` -- counters are shared
@@ -246,58 +229,6 @@ class _Generation:
     version: int
 
 
-class _Request:
-    """One queued unit of work and its completion latch."""
-
-    __slots__ = (
-        "op", "params", "key", "deadline_at", "enqueued_at", "tracer",
-        "done", "response", "error", "_expired", "_finished", "_lock",
-    )
-
-    def __init__(
-        self,
-        op: str,
-        params: dict[str, Any],
-        key: tuple | None,
-        deadline_at: float | None,
-        tracer: "tracing.Tracer | None" = None,
-    ):
-        self.op = op
-        self.params = params
-        self.key = key
-        self.deadline_at = deadline_at
-        self.tracer = tracer
-        self.enqueued_at = time.monotonic()
-        self.done = threading.Event()
-        self.response: ServiceResponse | None = None
-        self.error: BaseException | None = None
-        self._expired = False
-        self._finished = False
-        self._lock = threading.Lock()
-
-    def expire_once(self) -> bool:
-        """Mark the deadline lapse; True for exactly one caller (so the
-        rejected-deadline counter never double-counts)."""
-        with self._lock:
-            if self._expired:
-                return False
-            self._expired = True
-            return True
-
-    def finish_once(self) -> bool:
-        """True for exactly one fulfiller -- the close()/dispatch race can
-        try to settle a request from two sides; only one may release the
-        admission slot and record stats."""
-        with self._lock:
-            if self._finished:
-                return False
-            self._finished = True
-            return True
-
-
-_SHUTDOWN = object()
-
-
 class LakeService:
     """A shared, concurrent serving session over one warm lake.
 
@@ -321,8 +252,6 @@ class LakeService:
         queue_depth: int = 64,
         cache_capacity: int | None = 1024,
         cache_ttl: float | None = None,
-        batch_window: float = 0.02,
-        batch_max: int = 16,
         reload_check_interval: float = 0.25,
         default_deadline: float | None = None,
         stats_cache_capacity: int | None = None,
@@ -364,8 +293,6 @@ class LakeService:
         )
         self.workers = max(1, workers)
         self.queue_depth = max(1, queue_depth)
-        self.batch_window = max(0.0, batch_window)
-        self.batch_max = max(1, batch_max)
         self.reload_check_interval = max(0.0, reload_check_interval)
         self.default_deadline = default_deadline
         self.stats = ServiceStats()
@@ -419,14 +346,9 @@ class LakeService:
         # notably the amortized FD interner); discovery never takes it.
         self._work_lock = threading.Lock()
         self._last_version_check = time.monotonic()
-        self._queue: "queue.Queue[Any]" = queue.Queue()
         self._executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-service"
         )
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-service-dispatch", daemon=True
-        )
-        self._dispatcher.start()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -557,9 +479,9 @@ class LakeService:
 
         *trace* records the request as one span tree (admission ->
         cache -> queue wait -> execution, with every pipeline stage
-        nested under it) and attaches it to the response.  A traced
-        request bypasses discover micro-batching so its attribution is
-        exact (the response is stamped ``trace_batching_bypassed``).
+        nested under it) and attaches it to the response; a request that
+        joined another caller's execution shows its wait as
+        ``service.flight_wait`` instead.
         *trace_id* adopts a distributed id minted upstream (the wire
         server passes the client's envelope id here) so client, server
         and shard-worker trees correlate.  When the service has a
@@ -585,16 +507,6 @@ class LakeService:
                 with tracing.activate(tracer):
                     with tracer.span(f"service.{op}"):
                         response = self._request_inner(op, params, deadline, tracer)
-                if (
-                    op == "discover"
-                    and not response.cached
-                    and self.batch_window > 0.0
-                    and self.batch_max > 1
-                ):
-                    # This discover executed solo (see _dispatch_loop's
-                    # tracer check); stamp the response so operators do
-                    # not read its latency as a batched latency.
-                    response = replace(response, trace_batching_bypassed=True)
                 if trace:
                     response = replace(response, trace=tracer.to_dict())
             return response
@@ -692,28 +604,33 @@ class LakeService:
 
         if deadline is None:
             deadline = self.default_deadline
-        deadline_at = None if deadline is None else started + deadline
-        request = _Request(op, params, key, deadline_at, tracer=tracer)
         self._admit()
-        self._queue.put(request)
-        if self._closed:
-            # close() may have drained the queue between our admission and
-            # the put; settle the request ourselves rather than hang (the
-            # dispatcher-side fulfil is idempotent, so a benign race with
-            # a still-running dispatcher settles it exactly once).
-            self._fulfil_error(request, ServiceClosed("service closed"))
-
-        timeout = None if deadline_at is None else max(0.0, deadline_at - time.monotonic())
-        if not request.done.wait(timeout):
-            if request.expire_once():
-                self.stats.count("rejected_deadline")
+        flight, leads = self.cache.join_or_lead(gen.version, key)
+        timeout = (
+            None if deadline is None
+            else max(0.0, started + deadline - time.monotonic())
+        )
+        if leads:
+            self._launch(flight, op, params, gen, tracer)
+            landed = flight.done.wait(timeout)
+        else:
+            # A leader's tree carries the execution itself; a follower's
+            # shows only that it waited on someone else's.
+            with tracing.span("service.flight_wait"):
+                landed = flight.done.wait(timeout)
+        if not landed:
+            # This caller gives up; the flight goes on for the others.
+            self.cache.leave(flight)
+            self.stats.count("rejected_deadline")
             raise DeadlineExceeded(
                 f"{op} deadline of {deadline:.3f}s lapsed before completion"
             )
-        if request.error is not None:
-            raise request.error
-        assert request.response is not None
-        return request.response
+        if flight.error is not None:
+            if not isinstance(flight.error, (DeadlineExceeded, ServiceClosed)):
+                self.stats.count("errors")
+            raise flight.error
+        self.stats.observe(op, time.monotonic() - started)
+        return flight.outcome
 
     # Typed conveniences ------------------------------------------------
     def discover(
@@ -881,7 +798,7 @@ class LakeService:
         return _Generation(pipeline=pipeline, store=store, version=store.lake_version)
 
     # ------------------------------------------------------------------
-    # Admission + dispatch + execution
+    # Admission + single-flight execution
     # ------------------------------------------------------------------
     def _admit(self) -> None:
         with self._admission_lock:
@@ -896,214 +813,115 @@ class LakeService:
                 )
             self._inflight += 1
 
-    def _release(self) -> None:
-        with self._admission_lock:
-            self._inflight -= 1
+    def _launch(
+        self,
+        flight: Flight,
+        op: str,
+        params: dict[str, Any],
+        gen: _Generation,
+        tracer: "tracing.Tracer | None",
+    ) -> None:
+        """Hand a led flight to the pool, pinned to the generation its
+        leader saw.  :meth:`close` cancels what is still queued, and a
+        submit can lose the race with it outright; either way the flight
+        lands as :class:`ServiceClosed` rather than leave a waiter hung."""
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                break
-            if (
-                self.batch_window > 0.0
-                and item.op == "discover"
-                and self.batch_max > 1
-                # Traced requests execute alone: coalescing would blur a
-                # batch's shared pipeline time across its members' trees.
-                and item.tracer is None
-                # Only open a batch window when another request is in
-                # flight (queued, mid-submit, or executing) -- a lone
-                # request on an idle service must not pay the window as
-                # pure latency, while near-simultaneous callers still
-                # coalesce even if they have not reached the queue yet.
-                and (self._inflight > 1 or not self._queue.empty())
-            ):
-                batch = self._collect_batch(item)
-                if batch is None:  # shutdown arrived mid-window
-                    break
-                self._executor.submit(self._execute_discover_batch, batch)
-            else:
-                self._executor.submit(self._execute_single, item)
+        def refuse_if_cancelled(future: Any) -> None:
+            if future.cancelled():
+                self._land(flight, error=ServiceClosed("service closed"))
 
-    def _collect_batch(self, first: _Request) -> list[_Request] | None:
-        """Drain compatible discover requests arriving within the window;
-        incompatible ones dispatch immediately (they are never delayed
-        by someone else's batch)."""
-        signature = self._batch_signature(first)
-        batch = [first]
-        horizon = time.monotonic() + self.batch_window
-        while len(batch) < self.batch_max:
-            remaining = horizon - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                item = self._queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if item is _SHUTDOWN:
-                self._executor.submit(self._execute_discover_batch, batch)
-                return None
-            if (
-                item.op == "discover"
-                and item.tracer is None
-                and self._batch_signature(item) == signature
-            ):
-                batch.append(item)
-            else:
-                self._executor.submit(self._execute_single, item)
-        return batch
-
-    @staticmethod
-    def _batch_signature(request: _Request) -> tuple:
-        # Defaults mirror _request_key, so "k omitted" and "k=10" batch
-        # (and cache) together; discoverers normalized like the key.
-        params = request.params
-        names = params.get("discoverers")
-        return (
-            params.get("k", 10),
-            params.get("column"),
-            tuple(names) if names else None,
-        )
-
-    def _expired(self, request: _Request) -> bool:
-        if request.deadline_at is not None and time.monotonic() > request.deadline_at:
-            if request.expire_once():
-                self.stats.count("rejected_deadline")
-            self._fulfil_error(
-                request, DeadlineExceeded("deadline lapsed while queued")
-            )
-            return True
-        return False
-
-    def _fulfil(self, request: _Request, response: ServiceResponse) -> None:
-        if not request.finish_once():
-            return
-        request.response = response
-        self.stats.observe(request.op, time.monotonic() - request.enqueued_at)
-        request.done.set()
-        self._release()
-
-    def _fulfil_error(self, request: _Request, error: BaseException) -> None:
-        if not request.finish_once():
-            return
-        request.error = error
-        if not isinstance(error, (DeadlineExceeded, ServiceClosed)):
-            self.stats.count("errors")
-        request.done.set()
-        self._release()
-
-    def _execute_single(self, request: _Request) -> None:
-        if self._expired(request):
-            return
-        gen = self._gen
         try:
-            if request.tracer is None:
-                response = self._compute_response(request, gen)
+            future = self._executor.submit(
+                self._run_flight, flight, op, params, gen, tracer, time.monotonic()
+            )
+        except RuntimeError:  # the pool shut down after this request was admitted
+            self._land(flight, error=ServiceClosed("service closed"))
+        else:
+            future.add_done_callback(refuse_if_cancelled)
+
+    def _land(
+        self,
+        flight: Flight,
+        response: ServiceResponse | None = None,
+        error: BaseException | None = None,
+        wire: bytes | None = None,
+    ) -> int:
+        """Settle a flight for every caller it carried (caching *wire*)
+        and give their admission slots back -- also those of callers who
+        stopped waiting: a slot is held until the work it queued is
+        dealt with.  Each flight lands exactly once."""
+        carried = self.cache.land(flight, response, error, wire)
+        with self._admission_lock:
+            self._inflight -= carried
+        return carried
+
+    def _run_flight(
+        self,
+        flight: Flight,
+        op: str,
+        params: dict[str, Any],
+        gen: _Generation,
+        tracer: "tracing.Tracer | None",
+        enqueued_at: float,
+    ) -> None:
+        if self.cache.abandoned(flight):
+            # Every caller's deadline lapsed while this was queued.
+            self._land(flight, error=DeadlineExceeded("deadline lapsed while queued"))
+            return
+        response = error = wire = None
+        try:
+            if tracer is None:
+                response, wire = self._execute(flight, op, params, gen)
             else:
-                # Re-join the caller's trace: thread-local ambience does
+                # Re-join the leader's trace: thread-local ambience does
                 # not cross the pool, so the worker re-activates the
                 # request's tracer anchored at its root.  The execute
-                # span must close *before* _fulfil wakes the caller --
+                # span must close *before* landing wakes the caller --
                 # the caller serializes the tree as soon as wait()
                 # returns.
-                with tracing.activate(request.tracer, parent=request.tracer.root):
-                    request.tracer.record(
-                        "service.queue_wait",
-                        wall_s=time.monotonic() - request.enqueued_at,
+                with tracing.activate(tracer, parent=tracer.root):
+                    tracer.record(
+                        "service.queue_wait", wall_s=time.monotonic() - enqueued_at
                     )
-                    with request.tracer.span("service.execute"):
-                        response = self._compute_response(request, gen)
-            self._fulfil(request, response)
-        except Exception as error:  # noqa: BLE001 - error becomes the response
-            self._fulfil_error(request, error)
+                    with tracer.span("service.execute"):
+                        response, wire = self._execute(flight, op, params, gen)
+        except Exception as exc:  # noqa: BLE001 - error becomes every waiter's response
+            error = exc
+        carried = self._land(flight, response, error, wire)
+        if carried > 1:
+            self.stats.count("batches")
+            self.stats.count("batched_requests", carried)
 
-    def _hit_response(
-        self, op: str, key: tuple, gen: _Generation
-    ) -> ServiceResponse | None:
-        wire = self.cache.get(gen.version, key)
-        if wire is None:
-            return None
-        return ServiceResponse(op=op, lake_version=gen.version, cached=True, wire=wire)
-
-    def _miss_response(
-        self, op: str, key: tuple | None, gen: _Generation, payload: Any
-    ) -> ServiceResponse:
-        """Encode a handler's payload -- once: these bytes are what the
-        cache keeps and what every waiter's reply line carries -- and
-        cache it under *key*.  Degraded payloads (shards lost past the
-        supervised retry) are served -- annotated -- but never cached: a
-        later request must get a complete answer once the shard
-        recovers, and the cache is keyed by version only, which a shard
-        death does not move."""
+    def _execute(
+        self, flight: Flight, op: str, params: dict[str, Any], gen: _Generation
+    ) -> tuple[ServiceResponse, bytes | None]:
+        """Run the handler and encode its payload -- once: these bytes
+        are what the cache keeps and what every waiter's reply line
+        carries.  Returns the response and the bytes to cache: None for
+        a degraded payload (shards lost past the supervised retry), which
+        is served -- annotated -- but a later request must get a complete
+        answer once the shard recovers, and the cache is keyed by version
+        only, which a shard death does not move."""
+        if flight.slot is not None:
+            # A twin flight may have landed between the leader's lookup
+            # and its claim on the in-flight table.
+            wire = self.cache.get(*flight.slot)
+            if wire is not None:
+                return (
+                    ServiceResponse(
+                        op=op, lake_version=gen.version, cached=True, wire=wire
+                    ),
+                    None,
+                )
+        payload = self._handlers[op](gen, params)
         degraded = isinstance(payload, dict) and payload.get("degraded_shards")
         if degraded:
             self.stats.count("degraded")
         wire = encode_payload(payload)
-        if key is not None and not degraded:
-            self.cache.put(gen.version, key, wire)
-        return ServiceResponse(
+        response = ServiceResponse(
             op=op, lake_version=gen.version, cached=False, wire=wire, _payload=payload
         )
-
-    def _compute_response(self, request: _Request, gen: _Generation) -> ServiceResponse:
-        """Worker-side cache re-check + handler execution (no fulfil)."""
-        if request.key is not None:
-            response = self._hit_response(request.op, request.key, gen)
-            if response is not None:
-                return response
-        payload = self._handlers[request.op](gen, request.params)
-        return self._miss_response(request.op, request.key, gen, payload)
-
-    def _execute_discover_batch(self, batch: list[_Request]) -> None:
-        live = [r for r in batch if not self._expired(r)]
-        if not live:
-            return
-        gen = self._gen
-        try:
-            # Re-check the cache at this generation (the version may have
-            # moved since submit), then dedupe identical requests: one
-            # execution fans out to every waiter.
-            pending: dict[tuple, list[_Request]] = {}
-            for request in live:
-                response = self._hit_response(request.op, request.key, gen)
-                if response is not None:
-                    self._fulfil(request, response)
-                    continue
-                pending.setdefault(request.key, []).append(request)
-            if not pending:
-                return
-            unique = [waiters[0] for waiters in pending.values()]
-            if len(batch) > 1:
-                self.stats.count("batches")
-                self.stats.count("batched_requests", len(live))
-            if len(unique) == 1:
-                keyed = {unique[0].key: self._handle_discover(gen, unique[0].params)}
-            else:
-                queries = [
-                    self._service_query(r.params["query"]) for r in unique
-                ]
-                # Same defaults as _request_key/_handle_discover: the
-                # generic request() path may omit optional params.
-                first = unique[0].params
-                outcomes = gen.pipeline.discover_many(
-                    queries,
-                    k=first.get("k", 10),
-                    query_column=first.get("column"),
-                    discoverer_names=first.get("discoverers"),
-                )
-                keyed = {
-                    r.key: _discover_payload(outcome)
-                    for r, outcome in zip(unique, outcomes)
-                }
-            for key, payload in keyed.items():
-                response = self._miss_response("discover", key, gen, payload)
-                for request in pending[key]:
-                    self._fulfil(request, response)
-        except Exception as error:  # noqa: BLE001 - error becomes the response
-            for request in live:
-                if not request.done.is_set():
-                    self._fulfil_error(request, error)
+        return response, (None if degraded else wire)
 
     # ------------------------------------------------------------------
     # Canonical keys + built-in handlers
@@ -1156,7 +974,7 @@ class LakeService:
     def _service_query(query: Table) -> Table:
         """The query under its canonical service name (hash-derived, so
         identical content gets an identical -- and lake-collision-free --
-        name, and batch members stay unique)."""
+        name)."""
         return query.with_name(f"q-{table_content_hash(query)[:16]}")
 
     def _handle_discover(self, gen: _Generation, params: dict[str, Any]) -> dict:
@@ -1215,9 +1033,8 @@ class LakeService:
             if self._closed:
                 return
             self._closed = True
-        self._queue.put(_SHUTDOWN)
-        self._dispatcher.join(timeout=10)
-        self._executor.shutdown(wait=True)
+        # Running flights finish; queued ones land as ServiceClosed.
+        self._executor.shutdown(wait=True, cancel_futures=True)
         # Stop the exporter *after* the pool drains so its final flush
         # sees the last requests' metrics and queued traces.
         if self._exporter is not None:
@@ -1231,14 +1048,6 @@ class LakeService:
             self._gen.pipeline.index.close()
         except Exception:  # noqa: BLE001 - shutdown must not raise
             pass
-        # Anything still queued (raced the sentinel) is refused loudly.
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is not _SHUTDOWN:
-                self._fulfil_error(item, ServiceClosed("service closed"))
 
     def __enter__(self) -> "LakeService":
         return self
@@ -1263,7 +1072,7 @@ def oracle_discover_payload(
 ) -> dict[str, Any]:
     """What a service over *pipeline* would serve for this request --
     the byte-identical sequential baseline the service benchmark and the
-    concurrency stress tests compare cached/batched responses against.
+    concurrency stress tests compare cached/shared responses against.
     Applies the same canonicalization (hash-derived query name, name-free
     payload) as the serving path."""
     outcome = pipeline.discover(

@@ -164,6 +164,18 @@ class _PoolLease:
         return pool is not None and not getattr(pool, "_broken", False)
 
 
+class _LastSearch(threading.local):
+    """What the calling thread's previous :meth:`ShardedLakeIndex.search`
+    reported.  Searches run concurrently on the serving layer's pool, so
+    a search's outcome is kept per thread: the caller that ran it reads
+    its own, never a neighbour's."""
+
+    def __init__(self) -> None:
+        self.reports: dict[str, dict[str, Any]] = {}
+        self.degraded: tuple[int, ...] = ()
+        self.critical_cpu_s = 0.0
+
+
 class ShardedLakeIndex:
     """Per-shard engines + rosters behind the :class:`LakeIndex` surface
     (``search`` / ``search_merged`` / ``retrieval_reports`` /
@@ -197,16 +209,16 @@ class ShardedLakeIndex:
         self._build_seconds: dict[str, float] = {}
         self._fitted: dict[str, float] = {}
         self._shard_versions: list[int] = []
-        self._last_reports: dict[str, dict[str, Any]] = {}
+        self._last = _LastSearch()
         self._built = False
         self._budget: int | None = None
         self._closed = False
-        self._last_critical_cpu_s = 0.0
         # Per-scatter deadline (process mode): a worker that neither
         # answers nor dies within this window counts as hung and its pool
         # is respawned.  None disables the deadline.
         self._scatter_timeout = scatter_timeout
-        self._last_degraded: tuple[int, ...] = ()
+        # The most recent search's lost shards, whoever ran it (health()).
+        self._health_degraded: tuple[int, ...] = ()
         self._respawns = 0
         # Monotonic timestamp of each shard's most recent supervised
         # respawn (None = never respawned); surfaced as an *age* through
@@ -253,18 +265,18 @@ class ShardedLakeIndex:
         return self
 
     def retrieval_reports(self) -> dict[str, dict[str, Any]]:
-        """Per-discoverer last-retrieval summaries, synthesized from the
-        per-shard reports into the global accounting the unsharded engine
+        """The calling thread's last-retrieval summaries, synthesized from
+        the per-shard reports into the global accounting the unsharded engine
         would have recorded (``discover --explain``)."""
-        return {name: dict(doc) for name, doc in self._last_reports.items()}
+        return {name: dict(doc) for name, doc in self._last.reports.items()}
 
     @property
     def last_degraded_shards(self) -> tuple[int, ...]:
-        """Shard indexes the previous :meth:`search` could not recover
-        (dead even after a respawn + retry) -- empty on a healthy query.
-        The pipeline threads this into the response's degraded-result
-        annotation."""
-        return self._last_degraded
+        """Shard indexes the calling thread's previous :meth:`search`
+        could not recover (dead even after a respawn + retry) -- empty
+        on a healthy query.  The pipeline threads this into the
+        response's degraded-result annotation."""
+        return self._last.degraded
 
     @property
     def worker_respawns(self) -> int:
@@ -302,7 +314,7 @@ class ShardedLakeIndex:
                 entry["alive"] = True
             shards.append(entry)
         return {
-            "degraded_shards": list(self._last_degraded),
+            "degraded_shards": list(self._health_degraded),
             "worker_respawns": self._respawns,
             "shards": shards,
         }
@@ -667,23 +679,23 @@ class ShardedLakeIndex:
                     ]
                     rows.sort(key=lambda r: (-r.score, r.table_name))
                     merged[name] = rows[:k]
-        self._last_critical_cpu_s = critical_cpu
-        self._last_degraded = tuple(sorted(degraded_all))
+        self._last.critical_cpu_s = critical_cpu
+        self._last.degraded = self._health_degraded = tuple(sorted(degraded_all))
         if degraded_all:
             metrics.counter("shard.scatter.degraded").inc()
         return {name: merged[name] for name in ordered}
 
     @property
     def last_critical_cpu_seconds(self) -> float:
-        """The previous :meth:`search`'s critical path: per scatter round,
-        the *maximum* over shards of each shard's own CPU seconds, summed
+        """The critical path of the calling thread's previous
+        :meth:`search`: per scatter round, the *maximum* over shards of each shard's own CPU seconds, summed
         across rounds.  This is the per-query latency a deployment with
         one core per shard would observe -- wall clock measures the same
         thing on an unloaded host with >= num_shards cores, but on a
         starved host it also counts time shards spend descheduled while
         their siblings run (``bench_shard`` gates whichever is honest for
         the machine it runs on)."""
-        return self._last_critical_cpu_s
+        return self._last.critical_cpu_s
 
     def search_merged(
         self,
@@ -883,7 +895,7 @@ class ShardedLakeIndex:
             if retrieved < floor:
                 # The same predicate _finalize evaluates, on the global
                 # count; round two scores the whole lake per shard.
-                self._last_reports[name] = {
+                self._last.reports[name] = {
                     "discoverer": name,
                     "channels": channels,
                     "probes": probes,
@@ -907,7 +919,7 @@ class ShardedLakeIndex:
                         sorted(union, key=lambda t: (-union[t], t))[:budget]
                     )
                     results = [r for r in results if r.table_name in kept]
-            self._last_reports[name] = {
+            self._last.reports[name] = {
                 "discoverer": name,
                 "channels": channels,
                 "probes": probes,
@@ -919,7 +931,7 @@ class ShardedLakeIndex:
                 "exhaustive": False,
             }
         elif any(p["mode"] == "exhaustive" for p in payloads):
-            self._last_reports[name] = {
+            self._last.reports[name] = {
                 "discoverer": name,
                 "channels": ["exhaustive"],
                 "probes": 0,
@@ -931,7 +943,7 @@ class ShardedLakeIndex:
                 "exhaustive": True,
             }
         else:  # every shard said "empty": unprobeable query, never falls back
-            self._last_reports[name] = {
+            self._last.reports[name] = {
                 "discoverer": name,
                 "channels": channels,
                 "probes": probes,

@@ -118,7 +118,7 @@ def check_document(server: LakeServer, store_path: Path, document: dict) -> None
     hit = server.dispatch(document)
     version = server.service.version
 
-    with LakeService(store=store_path, workers=1, batch_window=0.0) as fresh:
+    with LakeService(store=store_path, workers=1) as fresh:
         assert fresh.version == version
         payload = in_process(fresh, document).payload
     assert hit == old_envelope_line(document["op"], version, True, payload)
@@ -137,7 +137,7 @@ def test_reply_lines_are_a_function_of_request_and_version(scenario):
         store_path = Path(scratch) / "lake.store"
         LakeStore.create(store_path).ingest({t.name: t for t in lake})
         service = LakeService(
-            store=store_path, workers=3, batch_window=0.01, reload_check_interval=0.0
+            store=store_path, workers=3, reload_check_interval=0.0
         )
         server = LakeServer(service)  # dispatch only: the socket adds nothing here
         try:

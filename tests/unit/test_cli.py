@@ -445,7 +445,6 @@ class TestServe:
                 [
                     "serve", "--store", str(store_dir),
                     "--port", "0", "--workers", "2",
-                    "--batch-window", "0.002",
                     "--port-file", str(port_file),
                 ],
             ),
@@ -552,7 +551,7 @@ class TestObs:
         store_dir = tmp_path / "lake.store"
         assert main(["index", "build", "--lake", str(lake_dir), "--store", str(store_dir)]) == 0
         capsys.readouterr()
-        service = LakeService(store=store_dir, workers=1, batch_window=0.0)
+        service = LakeService(store=store_dir, workers=1)
         server = LakeServer(service, port=0)
         server.start()
         service.discover(covid_query_table(), k=2)  # something to report

@@ -110,7 +110,7 @@ class TestLazyIntegrationSet:
         assert stored.lake.loaded_names == ["T3"]
 
     def test_service_discover_never_touches_it(self, stored, covid_query):
-        with LakeService(pipeline=stored, batch_window=0.0) as service:
+        with LakeService(pipeline=stored) as service:
             payload = service.discover(covid_query, k=3, query_column="City").payload
         assert set(payload["integration_set"]) == {"T2", "T3"}
         assert stored.lake.loaded_names == []

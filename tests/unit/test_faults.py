@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 
 import pytest
 
@@ -148,7 +149,6 @@ def server(tmp_path):
     service = LakeService(
         store=build_store(tmp_path),
         workers=2,
-        batch_window=0.0,
         reload_check_interval=0.0,
     )
     server = LakeServer(service)
@@ -252,7 +252,7 @@ def tiny_sharded_store(tmp_path, num_shards=3):
 def sharded_service(tmp_path_factory):
     path = tiny_sharded_store(tmp_path_factory.mktemp("chaos"))
     service = LakeService(
-        store=path, workers=2, batch_window=0.0, reload_check_interval=0.0
+        store=path, workers=2, reload_check_interval=0.0
     )
     yield service
     service.close()
@@ -316,6 +316,66 @@ class TestSupervision:
         assert sharded_service.discover(query, k=5).cached
 
 
+class TestConcurrentSearchOutcomes:
+    """A search's outcome reaches the caller that ran it: the pool runs
+    discovers side by side, and one losing a shard must not have its
+    annotation taken -- or a healthy neighbour's answer stamped -- by
+    whichever search finished last."""
+
+    def test_only_the_degraded_one_of_two_concurrent_discovers_says_so(
+        self, tmp_path, monkeypatch
+    ):
+        path = tiny_sharded_store(tmp_path)
+        with LakeService(store=path, workers=2, reload_check_interval=0.0) as service:
+            service.discover(fresh_query(1), k=5)  # every worker is up
+            index = service.pipeline.index
+            real_search = index.search
+            turn = threading.Lock()
+            both_searched = threading.Barrier(2)
+
+            def staged_search(*args, **kwargs):
+                # One search at a time, so the first takes both armed kills
+                # (its submit and its retry) and the second runs healthy;
+                # neither caller reads its outcome before both have searched.
+                with turn:
+                    results = real_search(*args, **kwargs)
+                both_searched.wait(timeout=30)
+                return results
+
+            monkeypatch.setattr(index, "search", staged_search)
+            inject.kill_worker(1, times=2)
+            queries = [fresh_query(6), fresh_query(7)]
+            responses: list = [None, None]
+
+            def ask(i):
+                responses[i] = service.discover(queries[i], k=5)
+
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            monkeypatch.undo()
+            inject.reset()
+
+            annotated = [r.payload.get("degraded_shards") for r in responses]
+            assert sorted(annotated, key=bool) == [None, [1]]
+            assert service.stats.degraded == 1
+            for query, lost in zip(queries, annotated):
+                again = service.discover(query, k=5)
+                # "Degraded is never cached": only the whole answer was kept.
+                assert again.cached == (lost is None)
+                assert "degraded_shards" not in again.payload
+                fresh = Dialite.open(path).fit()
+                try:
+                    assert json.dumps(again.payload, sort_keys=True) == json.dumps(
+                        oracle_discover_payload(fresh, query, k=5), sort_keys=True
+                    )
+                finally:
+                    fresh.index.close()
+
+
 # ----------------------------------------------------------------------
 # A shard's refit lives in its worker: deaths mid-fit and mid-persist
 # ----------------------------------------------------------------------
@@ -346,7 +406,7 @@ class TestWorkerFitSupervision:
     def service(self, tmp_path):
         path = tiny_sharded_store(tmp_path)
         service = LakeService(
-            store=path, workers=2, batch_window=0.0, reload_check_interval=0.0
+            store=path, workers=2, reload_check_interval=0.0
         )
         yield service
         service.close()

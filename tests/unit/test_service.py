@@ -9,8 +9,8 @@ The load-bearing guarantees pinned here:
 * admission control -- overload is an explicit :class:`ServiceOverloaded`
   rejection, deadlines surface :class:`DeadlineExceeded` for both the
   waiting caller and queued work a worker reaches too late;
-* micro-batching -- concurrent compatible discover requests coalesce
-  through ``discover_many`` without changing any payload;
+* single-flight -- identical concurrent requests of any cacheable op
+  execute exactly once and fan out; distinct ones run side by side;
 * hot-swap reload -- in-process and foreign ingests move the serving
   version, the swapped-in generation hydrates warm
   (``engine.build_count == 0``), and in-flight work is never dropped.
@@ -75,7 +75,7 @@ def store_path(tmp_path):
 @pytest.fixture
 def service(store_path):
     svc = LakeService(
-        store=store_path, workers=2, batch_window=0.0, reload_check_interval=0.0
+        store=store_path, workers=2, reload_check_interval=0.0
     )
     yield svc
     svc.close()
@@ -136,7 +136,7 @@ class TestBasics:
 
     def test_dialite_serve_wraps_pipeline(self):
         lake = DataLake([covid_unionable_table(), covid_joinable_table()])
-        with Dialite(lake).fit().serve(workers=1, batch_window=0.0) as svc:
+        with Dialite(lake).fit().serve(workers=1) as svc:
             response = svc.discover(covid_query_table(), k=3, query_column="City")
             assert response.lake_version == 0  # storeless sessions serve v0
             assert not svc.reload_if_stale()
@@ -349,7 +349,7 @@ class TestEncodeOnce:
     def test_unserialisable_payload_is_a_typed_error_line(self, store_path):
         import socket
 
-        svc = LakeService(store=store_path, workers=1, batch_window=0.0)
+        svc = LakeService(store=store_path, workers=1)
         svc.add_handler("align", lambda gen, params: {"ids": {1, 2}}, replace=True)
         server = LakeServer(svc)
         server.start()
@@ -409,7 +409,7 @@ class TestWireRepliesAreLayoutBlind:
         else:
             store = ShardedLakeStore.create(path, num_shards=shards)
         store.ingest(DataLake([covid_unionable_table(), covid_joinable_table()]))
-        server = LakeServer(LakeService(store=path, workers=1, batch_window=0.0))
+        server = LakeServer(LakeService(store=path, workers=1))
         server.start()
         try:
             client = ServiceClient(server.address)
@@ -439,7 +439,7 @@ class TestOverloadAndDeadlines:
     def blocked_service(self, store_path):
         svc = LakeService(
             store=store_path, workers=1, queue_depth=2,
-            batch_window=0.0, reload_check_interval=0.0,
+            reload_check_interval=0.0,
         )
         gate = threading.Event()
         svc.add_handler("block", lambda gen, params: {"ok": gate.wait(10)})
@@ -486,134 +486,284 @@ class TestOverloadAndDeadlines:
         occupier.join(timeout=5)
 
 
-class TestBatching:
-    def test_identical_concurrent_requests_share_one_execution(self, store_path):
-        """Six callers, one content: whether the sharing happens through
-        the batch dedupe or the result cache, at most the leader (and one
-        batch) actually executes -- everyone gets the oracle payload."""
-        svc = LakeService(
-            store=store_path, workers=2, batch_window=0.15, batch_max=16,
-            reload_check_interval=0.0,
-        )
+class _Gated:
+    """Stands in for a service's *op* handler: counts executions, names
+    the pool threads they ran on, and holds each one at a gate (open it
+    with ``gate.set()``) before handing over to *inner* (default: the
+    handler it replaced)."""
+
+    def __init__(self, svc, op, inner=None):
+        self.inner = inner if inner is not None else svc._handlers[op]
+        self.threads: list[str] = []
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self._lock = threading.Lock()
+        svc.add_handler(op, self, replace=True)
+
+    @property
+    def calls(self) -> int:
+        return len(self.threads)
+
+    def __call__(self, gen, params):
+        with self._lock:
+            self.threads.append(threading.current_thread().name)
+        self.entered.set()
+        assert self.gate.wait(10), "gate never opened"
+        return self.inner(gen, params)
+
+
+class _Call(threading.Thread):
+    """One caller on its own thread; ``outcome`` is what it returned or
+    the exception it raised."""
+
+    def __init__(self, fn, *args, **kwargs):
+        super().__init__()
+        self.fn, self.args, self.kwargs = fn, args, kwargs
+        self.outcome = None
+        self.start()
+
+    def run(self):
         try:
-            query = covid_query_table()
-            oracle = canonical(oracle_discover_payload(
+            self.outcome = self.fn(*self.args, **self.kwargs)
+        except Exception as error:  # noqa: BLE001 - the test inspects it
+            self.outcome = error
+
+    def result(self):
+        self.join(timeout=10)
+        assert not self.is_alive(), "caller hung"
+        return self.outcome
+
+
+def _wait_until(predicate, what):
+    deadline = time.monotonic() + 5
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.005)
+
+
+def _numbered_query(i: int) -> Table:
+    return Table(["City", "Round"], [("Berlin", i), ("Boston", i)], name=f"query_{i}")
+
+
+def _span_names(node) -> list[str]:
+    return [node["name"]] + [
+        name for child in node.get("children", []) for name in _span_names(child)
+    ]
+
+
+class TestSingleFlight:
+    """A request that misses the cache joins the in-flight execution of
+    its ``(lake_version, key)`` or leads a new one on the pool."""
+
+    def followers(self, service, gated, lead, join, n):
+        """*lead* on one thread, held mid-execution at the gate, then *n*
+        callers of *join* queued up behind it as admitted requests."""
+        leader = _Call(lead)
+        assert gated.entered.wait(5)
+        joined = [_Call(join) for _ in range(n)]
+        _wait_until(lambda: service.inflight == 1 + n, "followers to be admitted")
+        return leader, joined
+
+    def test_constructing_a_service_starts_no_thread(self, store_path):
+        before = set(threading.enumerate())
+        svc = LakeService(store=store_path, workers=3)
+        try:
+            assert set(threading.enumerate()) == before
+            for i in range(6):
+                svc.discover(_numbered_query(i), k=2)
+            started = {t.name for t in set(threading.enumerate()) - before}
+            assert started and len(started) <= 3
+            assert all(name.startswith("repro-service_") for name in started)
+        finally:
+            svc.close()
+
+    @pytest.mark.parametrize("op", ["discover", "integrate"])
+    def test_identical_concurrent_requests_run_exactly_one_execution(
+        self, store_path, service, op
+    ):
+        query = covid_query_table()
+        if op == "discover":
+            ask = lambda: service.discover(query, k=5, query_column="City")  # noqa: E731
+            oracle = oracle_discover_payload(
                 Dialite.open(store_path).fit(), query, k=5, query_column="City"
-            ))
-            responses = []
-            lock = threading.Lock()
-
-            def run():
-                response = svc.discover(query, k=5, query_column="City")
-                with lock:
-                    responses.append(response)
-
-            threads = [threading.Thread(target=run) for _ in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-            assert len(responses) == 6
-            assert all(canonical(r.payload) == oracle for r in responses)
-            # The engine's per-discoverer query counters are the ground
-            # truth for executions (batch members fan out one execution's
-            # payload; cache hits run none): at most the dispatch leader
-            # plus one batch may actually have searched.
-            executions = svc.pipeline.index.engine.stats()["queries"]
-            assert executions and max(executions.values()) <= 2, (
-                f"identical concurrent requests must share work via the "
-                f"batch dedupe or the cache, not execute per caller: "
-                f"{executions}"
             )
-        finally:
-            svc.close()
+        else:
+            ask = lambda: service.integrate(query=query, k=5, query_column="City")  # noqa: E731
+            oracle = oracle_integrate_payload(store_path, query, k=5, column="City")
+        gated = _Gated(service, op)
+        leader, joined = self.followers(service, gated, ask, ask, 5)
+        gated.gate.set()
+        responses = [call.result() for call in (leader, *joined)]
+        assert all(canonical(r.payload) == canonical(oracle) for r in responses)
+        assert len({r.wire for r in responses}) == 1 and not any(r.cached for r in responses)
+        assert gated.calls == 1
+        # The engine's per-discoverer query counters are the ground truth.
+        assert set(service.pipeline.index.engine.stats()["queries"].values()) == {1}
+        snapshot = service.stats_snapshot()
+        assert (snapshot["batches"], snapshot["batched_requests"]) == (1, 6)
+        assert (snapshot["misses"], snapshot["hits"]) == (6, 0)
+        assert snapshot["latency"][op]["count"] == 6 and service.inflight == 0
+        assert ask().cached and gated.calls == 1
 
-    def test_batched_generic_requests_may_omit_optional_params(self, store_path):
-        """The generic request() path may send only {"query": ...}; a
-        batch of such requests must apply the same defaults as the
-        single-execution path instead of KeyError-ing the whole batch."""
-        svc = LakeService(
-            store=store_path, workers=1, batch_window=0.25, batch_max=16,
-            reload_check_interval=0.0,
-        )
+    def test_unsynchronised_identical_requests_never_execute_twice(self, service):
+        """No gate: whether a caller joins the flight or arrives after it
+        landed and hits the cache, nobody recomputes."""
+        gated = _Gated(service, "discover")
+        gated.gate.set()
+        calls = [
+            _Call(service.discover, covid_query_table(), k=5, query_column="City")
+            for _ in range(8)
+        ]
+        assert len({call.result().wire for call in calls}) == 1
+        assert gated.calls == 1
+
+    def test_distinct_queries_run_side_by_side_with_defaults(self, store_path):
+        """Bare ``{"query": ...}`` requests get the typed path's defaults,
+        and four distinct ones are on four pool threads at once: each
+        handler waits at the barrier for the other three."""
+        svc = LakeService(store=store_path, workers=4, reload_check_interval=0.0)
         try:
-            queries = [
-                Table(["City", "Round"], [("Berlin", i), ("Boston", i)],
-                      name=f"bare_{i}")
-                for i in range(4)
-            ]
-            responses, errors = {}, []
-            lock = threading.Lock()
+            barrier = threading.Barrier(4)
+            inner = svc._handlers["discover"]
 
-            def run(q):
-                try:
-                    response = svc.request("discover", {"query": q})
-                    with lock:
-                        responses[q.name] = response
-                except Exception as error:  # noqa: BLE001
-                    with lock:
-                        errors.append(error)
+            def meet_then_discover(gen, params):
+                barrier.wait(timeout=5)
+                return inner(gen, params)
 
-            threads = [threading.Thread(target=run, args=(q,)) for q in queries]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-            assert not errors
+            gated = _Gated(svc, "discover", inner=meet_then_discover)
+            gated.gate.set()
+            queries = [_numbered_query(i) for i in range(4)]
+            calls = [_Call(svc.request, "discover", {"query": q}) for q in queries]
             oracle_pipeline = Dialite.open(store_path).fit()
-            for q in queries:
-                assert canonical(responses[q.name].payload) == canonical(
-                    oracle_discover_payload(oracle_pipeline, q)
+            for query, call in zip(queries, calls):
+                assert canonical(call.result().payload) == canonical(
+                    oracle_discover_payload(oracle_pipeline, query)
                 )
-        finally:
-            svc.close()
-
-    def test_distinct_queries_coalesce_through_discover_many(self, store_path):
-        """Distinct-content requests queued behind one busy worker must
-        coalesce into a micro-batch (counted in ServiceStats) and still
-        serve byte-identical oracle payloads."""
-        svc = LakeService(
-            store=store_path, workers=1, batch_window=0.25, batch_max=16,
-            reload_check_interval=0.0,
-        )
-        try:
-            queries = [
-                covid_query_table(),
-                Table(["City", "Death Rate"], [("Berlin", 147), ("Boston", 335)],
-                      name="numeric_q"),
-            ] + [
-                Table(["Country", "City", "Round"],
-                      [("Germany", "Berlin", i), ("Spain", "Barcelona", i)],
-                      name=f"distinct_{i}")
-                for i in range(4)
-            ]
-            oracle_pipeline = Dialite.open(store_path).fit()
-            oracles = {
-                q.name: canonical(oracle_discover_payload(
-                    oracle_pipeline, q, k=4, query_column="City"
-                ))
-                for q in queries
-            }
-            responses = {}
-            lock = threading.Lock()
-
-            def run(q):
-                response = svc.discover(q, k=4, query_column="City")
-                with lock:
-                    responses[q.name] = response
-
-            threads = [threading.Thread(target=run, args=(q,)) for q in queries]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-            for q in queries:
-                assert canonical(responses[q.name].payload) == oracles[q.name]
+            assert len(set(gated.threads)) == 4
             snapshot = svc.stats_snapshot()
-            assert snapshot["batches"] >= 1
-            assert snapshot["batched_requests"] >= 2
+            assert (snapshot["batches"], snapshot["batched_requests"]) == (0, 0)
         finally:
             svc.close()
+
+    def test_a_followers_deadline_lapses_without_cancelling_the_flight(self, service):
+        query = covid_query_table()
+        gated = _Gated(service, "discover")
+        leader, [follower] = self.followers(
+            service, gated,
+            lambda: service.discover(query, k=3),
+            lambda: service.discover(query, k=3, deadline=0.05),
+            1,
+        )
+        assert isinstance(follower.result(), DeadlineExceeded)
+        assert service.stats_snapshot()["rejected_deadline"] == 1
+        assert service.inflight == 2  # its slot is held until the work is dealt with
+        gated.gate.set()
+        assert leader.result().payload["results"]
+        assert service.inflight == 0 and gated.calls == 1
+        assert service.discover(query, k=3).cached
+
+    def test_a_flight_nobody_waits_for_is_skipped(self, store_path):
+        svc = LakeService(store=store_path, workers=1, reload_check_interval=0.0)
+        try:
+            blocker = _Gated(svc, "align")
+            discovers = _Gated(svc, "discover")
+            discovers.gate.set()
+            occupier = _Call(svc.align, [covid_query_table(), covid_joinable_table()])
+            assert blocker.entered.wait(5)
+            with pytest.raises(DeadlineExceeded):
+                svc.discover(covid_query_table(), k=3, deadline=0.05)
+            blocker.gate.set()
+            assert occupier.result().payload["num_ids"] >= 1
+            _wait_until(lambda: svc.inflight == 0, "the abandoned flight to land")
+            assert discovers.calls == 0
+            assert svc.stats_snapshot()["rejected_deadline"] == 1
+            # Off the table: the next identical request leads a new flight.
+            assert not svc.discover(covid_query_table(), k=3).cached
+            assert discovers.calls == 1
+        finally:
+            svc.close()
+
+    def test_a_leaders_error_reaches_every_follower(self, service):
+        def boom(gen, params):
+            raise ValueError("no such column")
+
+        gated = _Gated(service, "discover", inner=boom)
+        ask = lambda: service.discover(covid_query_table(), k=3)  # noqa: E731
+        leader, joined = self.followers(service, gated, ask, ask, 3)
+        gated.gate.set()
+        errors = [call.result() for call in (leader, *joined)]
+        assert all(type(e) is ValueError and str(e) == "no such column" for e in errors)
+        assert gated.calls == 1 and len(service.cache) == 0
+        snapshot = service.stats_snapshot()
+        assert snapshot["errors"] == 4 and service.inflight == 0
+        # The failed flight left the table: the next caller leads afresh.
+        assert isinstance(_Call(ask).result(), ValueError) and gated.calls == 2
+
+    def test_followers_of_a_degraded_flight_get_the_annotation_uncached(self, service):
+        inner = service._handlers["discover"]
+        gated = _Gated(
+            service, "discover",
+            inner=lambda gen, params: {**inner(gen, params), "degraded_shards": [1]},
+        )
+        ask = lambda: service.discover(covid_query_table(), k=3)  # noqa: E731
+        leader, joined = self.followers(service, gated, ask, ask, 2)
+        gated.gate.set()
+        for call in (leader, *joined):
+            assert call.result().payload["degraded_shards"] == [1]
+        assert gated.calls == 1 and service.stats.degraded == 1
+        assert len(service.cache) == 0
+        assert not ask().cached and gated.calls == 2
+
+    def test_a_request_after_a_reload_never_joins_the_older_flight(self, service):
+        query = covid_query_table()
+        gated = _Gated(service, "discover")
+        old = _Call(service.discover, query, k=5, query_column="City")
+        assert gated.entered.wait(5)
+        service.ingest(
+            [Table(["City", "Mayor"], [("Berlin", "A"), ("Boston", "B")], name="mayors")]
+        )
+        new = _Call(service.discover, query, k=5, query_column="City")
+        _wait_until(lambda: gated.calls == 2, "the v2 request to lead its own flight")
+        gated.gate.set()
+        old, new = old.result(), new.result()
+        assert (old.lake_version, new.lake_version) == (1, 2)
+        assert "mayors" in [r["table"] for r in new.payload["results"]]
+        assert "mayors" not in [r["table"] for r in old.payload["results"]]
+        assert service.stats_snapshot()["batches"] == 0
+
+    def test_close_refuses_queued_flights_and_does_not_hang(self, store_path):
+        svc = LakeService(store=store_path, workers=1, reload_check_interval=0.0)
+        gated = _Gated(svc, "discover")
+        running = _Call(svc.discover, _numbered_query(0), k=2)
+        assert gated.entered.wait(5)
+        queued = [_Call(svc.discover, _numbered_query(1), k=2) for _ in range(2)]
+        queued.append(_Call(svc.discover, _numbered_query(2), k=2))
+        _wait_until(lambda: svc.inflight == 4, "flights to queue behind the worker")
+        closer = _Call(svc.close)
+        # Leader and follower alike are refused while the pool is still busy.
+        assert all(isinstance(call.result(), ServiceClosed) for call in queued)
+        assert closer.is_alive() and gated.calls == 1
+        gated.gate.set()
+        assert running.result().payload["results"]  # what was running finishes
+        assert closer.result() is None
+        assert svc.inflight == 0
+        with pytest.raises(ServiceClosed):
+            svc.discover(_numbered_query(3), k=2)
+
+    def test_a_traced_follower_shows_its_wait_a_traced_leader_is_unchanged(self, service):
+        gated = _Gated(service, "discover")
+        ask = lambda: service.discover(covid_query_table(), k=2, trace=True)  # noqa: E731
+        leader, [follower] = self.followers(service, gated, ask, ask, 1)
+        gated.gate.set()
+        led, followed = _span_names(leader.result().trace), _span_names(follower.result().trace)
+        assert led[:4] == [
+            "service.discover", "service.cache", "service.queue_wait", "service.execute",
+        ]
+        assert "service.flight_wait" not in led
+        assert followed == ["service.discover", "service.cache", "service.flight_wait"]
+        wait = follower.result().trace["children"][1]
+        assert wait["wall_ms"] > 0
+        assert leader.result().wire == follower.result().wire
 
 
 class TestConcurrencyStress:
@@ -634,7 +784,7 @@ class TestConcurrencyStress:
             name="stress_plant",
         )
         svc = LakeService(
-            store=store_path, workers=4, batch_window=0.002,
+            store=store_path, workers=4,
             reload_check_interval=0.01,
         )
         try:
@@ -742,7 +892,7 @@ class TestServerLifecycle:
     def test_close_without_serving_does_not_hang(self, store_path):
         from repro.service import LakeServer
 
-        svc = LakeService(store=store_path, workers=1, batch_window=0.0)
+        svc = LakeService(store=store_path, workers=1)
         server = LakeServer(svc, port=0)
         closer = threading.Thread(target=server.close)
         closer.start()
@@ -755,7 +905,7 @@ class TestServerLifecycle:
         reach close(); neither may raise, whoever unlinks the beacon."""
         from repro.service import LakeServer
 
-        svc = LakeService(store=store_path, workers=1, batch_window=0.0)
+        svc = LakeService(store=store_path, workers=1)
         server = LakeServer(svc, port=0)
         server.start()
         assert (store_path / "service.json").exists()
@@ -782,7 +932,7 @@ class TestServerLifecycle:
     def test_close_after_the_beacon_was_removed_externally(self, store_path, monkeypatch):
         from repro.service import LakeServer
 
-        svc = LakeService(store=store_path, workers=1, batch_window=0.0)
+        svc = LakeService(store=store_path, workers=1)
         server = LakeServer(svc, port=0)
         server.start()
         beacon = store_path / "service.json"
@@ -799,23 +949,6 @@ class TestServerLifecycle:
 
 class TestObservability:
     """ISSUE 7: tracing + metrics threaded through the serving layer."""
-
-    def test_percentile_nearest_rank(self):
-        from repro.service.service import _percentile
-
-        # Nearest-rank, explicitly: rank = ceil(q * n), 1-indexed.  The
-        # old int(round(...)) used banker's rounding, so e.g. p50 of a
-        # 2-element list picked index round(0.5*2)-1 = 0 on some sizes
-        # and 1 on others; these pins make the rule unambiguous.
-        assert _percentile([1.0, 2.0], 0.5) == 1.0       # ceil(1.0) = rank 1
-        assert _percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
-        assert _percentile([1.0, 2.0, 3.0], 0.5) == 2.0  # ceil(1.5) = rank 2
-        assert _percentile([1.0, 2.0, 3.0, 4.0], 0.95) == 4.0
-        assert _percentile([5.0], 0.99) == 5.0
-        assert _percentile([], 0.5) == 0.0
-        values = [float(v) for v in range(1, 101)]
-        assert _percentile(values, 0.5) == 50.0
-        assert _percentile(values, 0.95) == 95.0
 
     def test_stats_snapshot_shape_unchanged(self, service):
         service.discover(covid_query_table(), k=2)
@@ -854,10 +987,13 @@ class TestObservability:
             "discover.score",
         ):
             assert expected in flat, (expected, flat)
-        # Traced requests are excluded from micro-batching, and the
-        # untraced twin is unaffected (and serveable from cache).
+        # The span tree is the only thing a traced reply line adds.
+        envelope = {"ok", "op", "lake_version", "cached", "payload"}
+        assert set(json.loads(_service_line(response))) == envelope | {"trace"}
+        # The untraced twin is unaffected (and serveable from cache).
         untraced = service.discover(covid_query_table(), k=2)
         assert untraced.trace is None
+        assert set(json.loads(_service_line(untraced))) == envelope
 
     def test_traced_response_not_cached_with_trace(self, service):
         first = service.discover(covid_query_table(), k=2, trace=True)
@@ -868,7 +1004,7 @@ class TestObservability:
     def test_trace_sink_writes_jsonl(self, store_path, tmp_path):
         sink = tmp_path / "traces.jsonl"
         svc = LakeService(
-            store=store_path, workers=1, batch_window=0.0, trace_path=sink
+            store=store_path, workers=1, trace_path=sink
         )
         try:
             svc.discover(covid_query_table(), k=2)
@@ -893,7 +1029,7 @@ class TestObservability:
     def test_metrics_wire_op(self, store_path):
         from repro.service import LakeServer, ServiceClient
 
-        svc = LakeService(store=store_path, workers=1, batch_window=0.0)
+        svc = LakeService(store=store_path, workers=1)
         server = LakeServer(svc, port=0)
         server.start()
         try:
@@ -927,7 +1063,7 @@ class TestTelemetry:
         sink_dir.mkdir()
         sink = sink_dir / "traces.jsonl"
         svc = LakeService(
-            store=store_path, workers=1, batch_window=0.0,
+            store=store_path, workers=1,
             trace_path=sink, trace_path_max_bytes=1, trace_path_keep=2,
         )
         try:
@@ -948,7 +1084,7 @@ class TestTelemetry:
         sink_dir.mkdir()
         sink = sink_dir / "traces.jsonl"
         svc = LakeService(
-            store=store_path, workers=1, batch_window=0.0, trace_path=sink
+            store=store_path, workers=1, trace_path=sink
         )
         try:
             for _ in range(3):
@@ -957,26 +1093,6 @@ class TestTelemetry:
             svc.close()
         assert sorted(p.name for p in sink_dir.iterdir()) == ["traces.jsonl"]
         assert len(sink.read_text(encoding="utf-8").splitlines()) == 3
-
-    def test_traced_requests_bypass_batching_and_say_so(self, store_path):
-        svc = LakeService(
-            store=store_path, workers=1, batch_window=0.05, batch_max=8,
-            reload_check_interval=0.0,
-        )
-        try:
-            traced = svc.discover(covid_query_table(), k=2, trace=True)
-            assert traced.trace_batching_bypassed
-            assert json.loads(_service_line(traced))["trace_batching_bypassed"] is True
-            # The untraced twin batches normally and its wire document
-            # stays byte-compatible (no new key when nothing bypassed).
-            untraced = svc.discover(covid_query_table(), k=2)
-            assert not untraced.trace_batching_bypassed
-            assert "trace_batching_bypassed" not in json.loads(_service_line(untraced))
-            # A traced cache hit never reached the batcher: not annotated.
-            hit = svc.discover(covid_query_table(), k=2, trace=True)
-            assert hit.cached and not hit.trace_batching_bypassed
-        finally:
-            svc.close()
 
     def test_health_snapshot_epoch_and_slo(self, service):
         before = service.health_snapshot()
@@ -994,7 +1110,7 @@ class TestTelemetry:
 
     def test_slo_degrades_health_on_error_burn(self, store_path):
         svc = LakeService(
-            store=store_path, workers=1, batch_window=0.0,
+            store=store_path, workers=1,
             reload_check_interval=0.0,
         )
         try:
@@ -1012,7 +1128,7 @@ class TestTelemetry:
     def test_postmortem_on_error(self, store_path, tmp_path):
         sink = tmp_path / "postmortem.jsonl"
         svc = LakeService(
-            store=store_path, workers=1, batch_window=0.0,
+            store=store_path, workers=1,
             reload_check_interval=0.0, postmortem_path=sink,
         )
         try:
@@ -1034,7 +1150,7 @@ class TestTelemetry:
     def test_postmortem_on_deadline(self, store_path, tmp_path):
         sink = tmp_path / "postmortem.jsonl"
         svc = LakeService(
-            store=store_path, workers=1, queue_depth=4, batch_window=0.0,
+            store=store_path, workers=1, queue_depth=4,
             reload_check_interval=0.0, postmortem_path=sink,
         )
         gate = threading.Event()
@@ -1058,7 +1174,7 @@ class TestTelemetry:
     def test_latency_threshold_trips_recorder(self, store_path, tmp_path):
         sink = tmp_path / "postmortem.jsonl"
         svc = LakeService(
-            store=store_path, workers=1, batch_window=0.0,
+            store=store_path, workers=1,
             reload_check_interval=0.0, postmortem_path=sink,
             latency_threshold_ms=0.0,  # everything is "slow": always trips
         )
@@ -1073,7 +1189,7 @@ class TestTelemetry:
     def test_exporter_flushes_on_close(self, store_path, tmp_path):
         sink = tmp_path / "telemetry.jsonl"
         svc = LakeService(
-            store=store_path, workers=1, batch_window=0.0,
+            store=store_path, workers=1,
             reload_check_interval=0.0,
             export_path=sink, export_interval_s=3600.0,  # only the close flush
         )
@@ -1095,7 +1211,7 @@ class TestTelemetry:
         from repro.obs.export import parse_prometheus_text
         from repro.service import LakeServer, ServiceClient
 
-        svc = LakeService(store=store_path, workers=1, batch_window=0.0)
+        svc = LakeService(store=store_path, workers=1)
         server = LakeServer(svc, port=0)
         server.start()
         try:
@@ -1146,7 +1262,7 @@ class TestShardedRouter:
         probe = Table(["City"], [(f"city3_{j}",) for j in range(6)], name="probe")
         reads_before = _driver_store_reads()
         with LakeService(
-            store=sharded_path, workers=2, batch_window=0.0, reload_check_interval=0.0
+            store=sharded_path, workers=2, reload_check_interval=0.0
         ) as service:
             assert service.pipeline.index.executor == "processes"
             for tag in range(5):
@@ -1202,7 +1318,7 @@ class TestShardedRouter:
         fits_before = obs_metrics.histogram("shard.worker.fit_seconds").count
         tracer = tracing.Tracer()
         with LakeService(
-            store=sharded_path, workers=2, batch_window=0.0, reload_check_interval=0.0
+            store=sharded_path, workers=2, reload_check_interval=0.0
         ) as service:
             with tracing.activate(tracer), tracer.span("test.ingest"):
                 service.ingest([_keyed_table("newcomer", 3)])
