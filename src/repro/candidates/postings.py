@@ -14,22 +14,11 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
-from .. import accel
+import numpy as np
+
 from ..obs import metrics
 
 __all__ = ["ColumnRegistry", "PostingIndex"]
-
-
-def _observe_probe(entries: int, vectorized: bool) -> None:
-    """Per-*probe* accounting (one histogram observation and one counter
-    bump per probe call -- never per posting entry): how many posting
-    entries the probe touched, and which twin answered it."""
-    metrics.counter(
-        "postings.probe.vectorized" if vectorized else "postings.probe.pure"
-    ).inc()
-    metrics.histogram(
-        "postings.probe_entries", metrics.DEFAULT_SIZE_BUCKETS
-    ).observe(entries)
 
 
 class ColumnRegistry:
@@ -95,9 +84,9 @@ class PostingIndex:
         #: count for the token channel, normalized-value count for the
         #: value channel) -- distinct from the registry's token sizes.
         self.sizes = sizes
-        # Lazy per-probed-token contiguous int arrays for the vectorized
-        # probe; ``postings`` itself stays plain lists (the persisted
-        # JSONL shape and the public contract tests compare against).
+        # Lazy per-probed-token contiguous int arrays for ``probe``;
+        # ``postings`` itself stays plain lists (the persisted JSONL
+        # shape and the public contract tests compare against).
         self._arrays: dict[str, Any] = {}
 
     @classmethod
@@ -134,23 +123,16 @@ class PostingIndex:
         The per-key counts are *exact* overlap sizes with the probe set,
         so a scorer ranking by overlap (JOSIE, COCOA's key index)
         consumes them directly -- retrieval and exact scoring are the
-        same pass.  With numpy the matched posting lists merge as one
+        same pass.  The matched posting lists merge as one
         ``concatenate`` + ``bincount`` over contiguous int arrays (cached
-        per probed token); otherwise one posting-list walk per token.
-        Key order in the result may differ between the two paths; every
-        consumer aggregates or re-sorts with explicit tie-breaks, and the
-        counts themselves are identical (pinned by the equivalence suite).
+        per probed token); a single list or a handful of entries is
+        counted directly, because ``bincount`` is O(columns of the lake)
+        whatever the probe matched.  Keys come back in first-match order
+        on the direct paths and ascending after ``bincount``; consumers
+        aggregate or re-sort with explicit tie-breaks.  One histogram
+        observation per probe (never per posting entry) records how many
+        entries it touched.
         """
-        if accel.np is None:
-            hits = self._probe_py(probe_tokens)
-            _observe_probe(sum(hits.values()), vectorized=False)
-            return hits
-        hits = self._probe_np(probe_tokens)
-        _observe_probe(sum(hits.values()), vectorized=True)
-        return hits
-
-    def _probe_np(self, probe_tokens: Iterable[Hashable]) -> dict[int, int]:
-        np = accel.np
         postings = self.postings
         arrays = getattr(self, "_arrays", None)
         if arrays is None:  # instance from a pre-cache pickle
@@ -167,6 +149,9 @@ class PostingIndex:
                 array = arrays[text] = np.asarray(keys, dtype=np.int64)
             matched.append(array)
             total += len(array)
+        metrics.histogram(
+            "postings.probe_entries", metrics.DEFAULT_SIZE_BUCKETS
+        ).observe(total)
         if not matched:
             return {}
         if len(matched) == 1:
@@ -181,18 +166,6 @@ class PostingIndex:
         counts = np.bincount(np.concatenate(matched), minlength=len(self.sizes))
         nonzero = np.nonzero(counts)[0]
         return dict(zip(nonzero.tolist(), counts[nonzero].tolist()))
-
-    def _probe_py(self, probe_tokens: Iterable[Hashable]) -> dict[int, int]:
-        """The pure posting-list walk (also the vectorized path's oracle)."""
-        hits: dict[int, int] = {}
-        postings = self.postings
-        for token in probe_tokens:
-            keys = postings.get(str(token))
-            if not keys:
-                continue
-            for key in keys:
-                hits[key] = hits.get(key, 0) + 1
-        return hits
 
     # ------------------------------------------------------------------
     def to_records(self, kind: str) -> Iterator[dict[str, Any]]:

@@ -48,6 +48,13 @@ occurrence renders as the input's first spelling, where the legacy
 kernel preserves each unmerged row's own spelling.  The property suite
 therefore compares cells by ``==`` *and* by normalized key, which is
 exactly the equivalence the relational semantics define.
+
+**One kernel.**  :func:`interned_closure` and
+:func:`interned_remove_subsumed` are plain Python loops over ints, and
+they are the only implementation: partitioning leaves components of a
+handful of tuples (largest 9 on the end-to-end integrate workload, at
+most 70 in ``bench_fd_kernel``), where the per-pair dict / set
+bookkeeping is the whole cost and array setup does not pay for itself.
 """
 
 from __future__ import annotations
@@ -56,7 +63,6 @@ from collections import deque
 from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
-from .. import accel
 from ..obs import metrics, trace
 from ..table.values import MISSING, PRODUCED, Cell, is_null
 from .tuples import WorkTuple, cell_key
@@ -73,9 +79,7 @@ __all__ = [
     "int_merge",
     "int_dedupe",
     "interned_closure",
-    "interned_closure_py",
     "interned_remove_subsumed",
-    "interned_remove_subsumed_py",
     "int_connected_components",
     "solve_interned",
     "fd_stats_from_span",
@@ -321,59 +325,7 @@ def int_dedupe(tuples: Iterable[IntTuple]) -> list[IntTuple]:
 # ----------------------------------------------------------------------
 # Complementation closure on the interned domain
 # ----------------------------------------------------------------------
-#: Domains whose codes fit an int32 matrix row; larger ones (or a numpy-
-#: less process) run the pure kernels.  The packed posting values and
-#: rank scalars are Python ints either way -- only *codes* enter arrays.
-_INT32_DOMAIN_LIMIT = 2**31 - 1
-
-#: Components below this size always run the pure kernels: the per-pair
-#: store bookkeeping (dedupe lookups, provenance folds) is the shared
-#: floor of both backends, and numpy's per-pop array setup only amortizes
-#: once partner sets are large enough for its C-level conflict pruning to
-#: decide whole batches.  Measured on the FD kernel benchmark's 656
-#: small components (4-70 tuples), array setup *loses* ~40%; on single
-#: dense components it breaks even around the mid-hundreds and wins past
-#: that.
-_VECTOR_MIN_TUPLES = 512
-
-
-def _use_vectorized(num_tuples: int, domain: int) -> bool:
-    return (
-        num_tuples >= _VECTOR_MIN_TUPLES
-        and accel.np is not None
-        and domain <= _INT32_DOMAIN_LIMIT
-    )
-
-
-#: Vectorized-vs-pure dispatch tallies.  Plain ints bumped under the GIL:
-#: the dispatchers run once per component, and :func:`solve_interned`
-#: snapshots the deltas into its span / the global registry once per
-#: solve, so the per-component cost is a dict increment, not a lock.
-_DISPATCH = {
-    "closure_vectorized": 0,
-    "closure_pure": 0,
-    "subsume_vectorized": 0,
-    "subsume_pure": 0,
-}
-
-
 def interned_closure(
-    tuples: Sequence[IntTuple], domain: int, ranks: Sequence[int]
-) -> list[IntTuple]:
-    """Close *tuples* under pairwise complementation (dispatching twin:
-    batched numpy partner scans for large components, else the pure
-    kernel -- identical results either way, pinned by the equivalence
-    suite)."""
-    if _use_vectorized(len(tuples), domain):
-        from .vectorized import interned_closure_np
-
-        _DISPATCH["closure_vectorized"] += 1
-        return interned_closure_np(tuples, domain, ranks)
-    _DISPATCH["closure_pure"] += 1
-    return interned_closure_py(tuples, domain, ranks)
-
-
-def interned_closure_py(
     tuples: Sequence[IntTuple], domain: int, ranks: Sequence[int]
 ) -> list[IntTuple]:
     """Close *tuples* (already deduped) under pairwise complementation.
@@ -503,19 +455,7 @@ def interned_closure_py(
 # ----------------------------------------------------------------------
 # Subsumption removal on the interned domain
 # ----------------------------------------------------------------------
-def interned_remove_subsumed(tuples: Sequence[IntTuple], domain: int) -> list[IntTuple]:
-    """Keep only tuples no other (distinct) tuple subsumes (dispatching
-    twin of the closure above: batched for large working sets)."""
-    if _use_vectorized(len(tuples), domain):
-        from .vectorized import interned_remove_subsumed_np
-
-        _DISPATCH["subsume_vectorized"] += 1
-        return interned_remove_subsumed_np(tuples, domain)
-    _DISPATCH["subsume_pure"] += 1
-    return interned_remove_subsumed_py(tuples, domain)
-
-
-def interned_remove_subsumed_py(
+def interned_remove_subsumed(
     tuples: Sequence[IntTuple], domain: int
 ) -> list[IntTuple]:
     """Keep only tuples no other (distinct) tuple subsumes.
@@ -654,7 +594,6 @@ def solve_interned(
     if tracer is None:
         tracer = trace.Tracer()
 
-    dispatch_before = dict(_DISPATCH)
     with tracer.span("integrate.fd") as fd_span:
         with tracer.span("integrate.intern"):
             ints, cells_by_code = intern_call_input(work, interner)
@@ -698,11 +637,6 @@ def solve_interned(
             all_null_tuples=len(all_null),
             domain=domain,
         )
-        for key, before in dispatch_before.items():
-            delta = _DISPATCH[key] - before
-            if delta:
-                fd_span.add(**{key: delta})
-                metrics.counter(f"fd.dispatch.{key}").inc(delta)
         size_histogram = metrics.histogram(
             "fd.component_size", metrics.DEFAULT_SIZE_BUCKETS
         )

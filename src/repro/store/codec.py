@@ -13,6 +13,13 @@ hash equal iff they hold the same cells (null kinds included) under the
 same column names in the same order -- the table's *name* is deliberately
 excluded, because the manifest already keys entries by name and a rename
 should read as remove+add, not as a content change.
+
+The second half of the module is the *binary* cell codec behind the v2
+segment dictionary (format notes above its tag table).  It has one
+encoder and two decoders -- a per-cell loop and a batched numpy decoder
+-- and :func:`decode_cells_binary` picks by cell count alone; the
+crossover figures sit beside ``_VECTOR_MIN_CELLS``.  Both raise
+:class:`BinaryCodecError` on the same malformed inputs.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ import hashlib
 import json
 import struct
 from typing import Any
+
+import numpy as np
 
 from ..table.table import Table
 from ..table.values import MISSING, PRODUCED, Cell, Null, is_null
@@ -142,15 +151,25 @@ _FIXED_LENGTH = {
 _U32 = struct.Struct("<I")
 _F64 = struct.Struct("<d")
 
-#: Below this many cells the plain loop beats numpy's per-call overhead
-#: (measured crossover on small value dictionaries).
+#: From this many cells up :func:`decode_cells_binary` runs the batched
+#: numpy decoder, below it the per-cell loop.  Both stay because each wins
+#: on its own side (numpy decode speed as a multiple of the loop's):
+#:
+#:     cells     str     int     float   mixed
+#:       100     0.88x   0.73x   1.04x   0.62x
+#:       512     1.46x   1.08x   3.14x   1.41x
+#:     2,000     1.61x   1.19x   4.54x   1.88x
+#:    20,000     1.62x   1.26x   4.91x   1.93x
+#:
+#: (ISSUE 17's reading; a second corpus on the same host moved single
+#: cells by up to 20% but not the picture.  Ints are the marginal column:
+#: their payloads are converted one by one in either decoder.)
 _VECTOR_MIN_CELLS = 512
 
 #: Per-tag expected payload length for the batched validator: -2 marks an
 #: unknown tag, -1 a variable-length one (int/str), >= 0 a fixed length.
-_EXPECTED_LENGTH = [-2] * 256
-for _tag in (_TAG_INT, _TAG_STR):
-    _EXPECTED_LENGTH[_tag] = -1
+_EXPECTED_LENGTH = np.full(256, -2, dtype=np.int64)
+_EXPECTED_LENGTH[[_TAG_INT, _TAG_STR]] = -1
 for _tag, _fixed in _FIXED_LENGTH.items():
     _EXPECTED_LENGTH[_tag] = _fixed
 del _tag, _fixed
@@ -212,14 +231,16 @@ def decode_cells_binary(buffer: bytes, count: int) -> list[Cell]:
     unknown tag or a tag/length mismatch -- a corrupted dictionary must
     fail loudly, never decode into plausible-looking garbage cells.
     """
+    if count >= _VECTOR_MIN_CELLS:
+        return _decode_cells_np(buffer, count)
+    return _decode_cells_py(buffer, count)
+
+
+def _decode_cells_py(buffer: bytes, count: int) -> list[Cell]:
+    """Per-cell decode loop: one validation pass, one dispatch pass."""
     base = count * 5
     if len(buffer) < base:
         raise BinaryCodecError("binary cell payload truncated")
-    from .. import accel
-
-    if accel.np is not None and count >= _VECTOR_MIN_CELLS:
-        return _decode_cells_np(accel.np, buffer, count, base)
-
     tags = buffer[:count]
     lengths = [length for (length,) in _U32.iter_unpack(buffer[count:base])]
     str_total = 0
@@ -282,23 +303,23 @@ def decode_cells_binary(buffer: bytes, count: int) -> list[Cell]:
     return cells
 
 
-def _decode_cells_np(np, buffer: bytes, count: int, base: int) -> list[Cell]:
+def _decode_cells_np(buffer: bytes, count: int) -> list[Cell]:
     """Batched decode: per-tag groups instead of a per-cell dispatch loop."""
-    lut = getattr(_decode_cells_np, "lut", None)
-    if lut is None:
-        lut = _decode_cells_np.lut = np.asarray(_EXPECTED_LENGTH, dtype=np.int64)
+    base = count * 5
+    if len(buffer) < base:
+        raise BinaryCodecError("binary cell payload truncated")
     tags = np.frombuffer(buffer, dtype=np.uint8, count=count)
     lengths = np.frombuffer(buffer, dtype="<u4", count=count, offset=count).astype(
         np.int64
     )
-    expected = lut[tags]
+    expected = _EXPECTED_LENGTH[tags]
     invalid = np.nonzero(
         (expected == -2) | ((expected >= 0) & (expected != lengths))
     )[0]
     if invalid.size:
         first = int(invalid[0])
         tag = int(tags[first])
-        if _EXPECTED_LENGTH[tag] == -2:
+        if expected[first] == -2:
             raise BinaryCodecError(f"unknown binary cell tag 0x{tag:02x}")
         raise BinaryCodecError(
             f"binary cell tag 0x{tag:02x} declares payload length "
@@ -315,17 +336,18 @@ def _decode_cells_np(np, buffer: bytes, count: int, base: int) -> list[Cell]:
         if cursor + str_total > len(buffer):
             raise BinaryCodecError("binary cell payload truncated")
         region = buffer[cursor : cursor + str_total]
+        ends = np.cumsum(str_lengths)
+        pairs = zip((ends - str_lengths).tolist(), ends.tolist())
         try:
             blob = region.decode("utf-8")
+            if len(blob) == str_total:  # pure ASCII: byte offsets == char offsets
+                decoded = [blob[start:end] for start, end in pairs]
+            else:
+                # A region that is valid UTF-8 as a whole can still have a
+                # declared boundary inside a multi-byte character.
+                decoded = [region[start:end].decode("utf-8") for start, end in pairs]
         except UnicodeDecodeError as exc:
             raise BinaryCodecError("binary cell payload holds invalid UTF-8") from exc
-        ends = np.cumsum(str_lengths)
-        if len(blob) == str_total:  # pure ASCII: byte offsets == char offsets
-            pairs = zip((ends - str_lengths).tolist(), ends.tolist())
-            decoded = [blob[start:end] for start, end in pairs]
-        else:
-            pairs = zip((ends - str_lengths).tolist(), ends.tolist())
-            decoded = [region[start:end].decode("utf-8") for start, end in pairs]
         out[str_index] = np.asarray(decoded, dtype=object)
     cursor += str_total
 

@@ -21,12 +21,16 @@ of a file scan.
 Codes reuse the PR-4 interner's assignment idea: ``0`` is the MISSING
 null, ``1`` the PRODUCED null, and code ``c >= 2`` names dictionary entry
 ``c - 2``.  Decoding a column is therefore one contiguous array read plus
-a table lookup -- no JSON parsing, no per-cell branching -- and the null
-bitmap hands bitmask kernels their non-null masks without a scan.  Reads
-go through ``mmap`` + numpy when available, with a pure-stdlib
-``array``-module fallback.  Any structural damage (bad magic, impossible
-code width, size mismatch, out-of-range code, undecodable dictionary)
-raises :class:`SegmentCorrupted` rather than yielding garbage cells.
+a table lookup -- no JSON parsing, no per-cell branching: a numpy
+``frombuffer`` view of the column's codes over the file's bytes
+(``mmap``-backed from 1 MiB up, a plain ``read()`` below) and one
+object-LUT gather.  The dtypes are explicit little-endian, so nothing
+depends on the host's byte order.  The null bitmap is written but has no
+reader in the library: the typed-column path that would hand it to
+bitmask kernels is parked (ROADMAP).  Any structural damage (bad magic,
+impossible code width, size mismatch, out-of-range code, undecodable
+dictionary) raises :class:`SegmentCorrupted` rather than yielding garbage
+cells.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ from __future__ import annotations
 import mmap
 import os
 import struct
-import sys
 from pathlib import Path
 
-from .. import accel
+import numpy as np
+
 from ..obs import metrics
 from . import journal
 from ..table.table import Table
@@ -57,7 +61,6 @@ __all__ = [
     "write_segment_v2",
     "read_column_v2",
     "read_columns_v2",
-    "read_segment_v2_codes",
     "SegmentCorrupted",
 ]
 
@@ -118,13 +121,6 @@ _V2_HEADER = struct.Struct("<4sBIIIQ")
 #: Null sentinels occupy the first two codes; real cells start at 2.
 _NULL_CODES = 2
 
-#: stdlib ``array`` typecodes by unsigned item size (platform-resolved:
-#: the C type behind a typecode varies, the byte width is what matters).
-_TYPECODE_BY_WIDTH = {
-    size: code
-    for code in ("B", "H", "I", "L", "Q")
-    for size in (struct.calcsize(code),)
-}
 _NUMPY_DTYPE_BY_WIDTH = {1: "<u1", 2: "<u2", 4: "<u4"}
 
 
@@ -137,30 +133,7 @@ def _width_for(code_count: int) -> int:
 
 
 def _pack_codes(codes: list[int], width: int) -> bytes:
-    np = accel.np
-    if np is not None:
-        return np.asarray(codes, dtype=_NUMPY_DTYPE_BY_WIDTH[width]).tobytes()
-    packed = _stdarray_of(width, codes)
-    if sys.byteorder == "big":
-        packed.byteswap()
-    return packed.tobytes()
-
-
-def _stdarray_of(width: int, init):
-    from array import array
-
-    return array(_TYPECODE_BY_WIDTH[width], init)
-
-
-def _unpack_codes(buffer, width: int) -> list[int]:
-    np = accel.np
-    if np is not None:
-        return np.frombuffer(buffer, dtype=_NUMPY_DTYPE_BY_WIDTH[width]).tolist()
-    unpacked = _stdarray_of(width, b"")
-    unpacked.frombytes(bytes(buffer))
-    if sys.byteorder == "big":
-        unpacked.byteswap()
-    return unpacked.tolist()
+    return np.asarray(codes, dtype=_NUMPY_DTYPE_BY_WIDTH[width]).tobytes()
 
 
 def write_segment_v2(path: Path, table: Table) -> list[int]:
@@ -223,9 +196,7 @@ def write_segment_v2(path: Path, table: Table) -> list[int]:
 class _SegmentV2:
     """Parsed v2 header + dictionary over one contiguous buffer."""
 
-    __slots__ = (
-        "buffer", "width", "rows", "cols", "lut", "body_start", "path", "_obj_lut"
-    )
+    __slots__ = ("buffer", "width", "rows", "cols", "lut", "body_start", "path")
 
     def __init__(self, path: Path, buffer) -> None:
         self.path = path
@@ -256,49 +227,15 @@ class _SegmentV2:
         self.width = width
         self.rows = rows
         self.cols = cols
-        self.lut = [MISSING, PRODUCED, *dictionary]
+        self.lut = np.asarray([MISSING, PRODUCED, *dictionary], dtype=object)
         self.body_start = body_start
-        self._obj_lut = None  # lazily-built numpy object LUT for decode
-
-    def codes_at(self, offset: int) -> list[int]:
-        """The code array of the column block starting at *offset*."""
-        span = self.rows * self.width
-        if (
-            offset < self.body_start
-            or offset + span + (self.rows + 7) // 8 > len(self.buffer)
-        ):
-            raise SegmentCorrupted(
-                f"segment {self.path} column offset {offset} is out of bounds"
-            )
-        return _unpack_codes(self.buffer[offset : offset + span], self.width)
 
     def column_offset(self, index: int) -> int:
         return self.body_start + index * (self.rows * self.width + (self.rows + 7) // 8)
 
-    def bitmap_at(self, offset: int) -> int:
-        start = offset + self.rows * self.width
-        return int.from_bytes(
-            bytes(self.buffer[start : start + (self.rows + 7) // 8]), "little"
-        )
-
-    def decode(self, codes: list[int]) -> tuple[Cell, ...]:
-        lut = self.lut
-        try:
-            return tuple(map(lut.__getitem__, codes))
-        except IndexError:
-            bad = max(codes)
-            raise SegmentCorrupted(
-                f"segment {self.path} holds code {bad}, dictionary ends at "
-                f"{len(lut) - 1}"
-            ) from None
-
     def cells_at(self, offset: int) -> tuple[Cell, ...]:
         """The cell array of the column block at *offset*: one contiguous
-        code read plus one LUT gather (numpy object fancy-indexing when
-        available, the plain map otherwise)."""
-        np = accel.np
-        if np is None:
-            return self.decode(self.codes_at(offset))
+        code view plus one object-LUT gather."""
         span = self.rows * self.width
         if (
             offset < self.body_start
@@ -311,14 +248,16 @@ class _SegmentV2:
             self.buffer, dtype=_NUMPY_DTYPE_BY_WIDTH[self.width],
             count=self.rows, offset=offset,
         )
-        obj_lut = self._obj_lut
-        if obj_lut is None:
-            obj_lut = self._obj_lut = np.asarray(self.lut, dtype=object)
         try:
-            return tuple(obj_lut[codes].tolist())
+            return tuple(self.lut[codes].tolist())
         except IndexError:
+            bad = int(codes.max())
+            # The raised exception's traceback keeps this frame's locals
+            # alive, and a map with an exported view cannot be closed
+            # (``BufferError``), so the view goes before the raise.
+            del codes
             raise SegmentCorrupted(
-                f"segment {self.path} holds code {int(codes.max())}, "
+                f"segment {self.path} holds code {bad}, "
                 f"dictionary ends at {len(self.lut) - 1}"
             ) from None
 
@@ -378,31 +317,5 @@ def read_column_v2(path: Path, offset: int) -> tuple[Cell, ...]:
     segment = _open_v2(path)
     try:
         return segment.cells_at(offset)
-    finally:
-        _close_v2(segment)
-
-
-def read_segment_v2_codes(
-    path: Path,
-) -> tuple[list[Cell], list[list[int]], list[int]]:
-    """Code-native view of a v2 segment, for consumers that want to stay in
-    integer space: ``(lut, per-column code arrays, per-column non-null
-    bitmaps as Python ints)`` where ``lut[0]`` is MISSING, ``lut[1]`` is
-    PRODUCED and ``lut[c]`` decodes code ``c``."""
-    segment = _open_v2(path)
-    try:
-        columns: list[list[int]] = []
-        bitmaps: list[int] = []
-        for index in range(segment.cols):
-            offset = segment.column_offset(index)
-            codes = segment.codes_at(offset)
-            if codes and max(codes) >= len(segment.lut):
-                raise SegmentCorrupted(
-                    f"segment {path} holds code {max(codes)}, dictionary ends "
-                    f"at {len(segment.lut) - 1}"
-                )
-            columns.append(codes)
-            bitmaps.append(segment.bitmap_at(offset))
-        return list(segment.lut), columns, bitmaps
     finally:
         _close_v2(segment)

@@ -2,19 +2,23 @@
 
 Kept out of ``src/`` on purpose: these are the previous encoders and the
 previous dict-of-bytes band index, with no reader or caller in the
-library.  They pin two contracts:
+library.  They pin three contracts:
 
 * payloads written by earlier releases (uint64 MinHash minima, dense
   HyperLogLog registers) still decode;
 * the array-backed :class:`repro.sketch.BandedLSHIndex` /
   :class:`repro.sketch.LSHEnsemble` return exactly what one hash bucket
-  per band key returned.
+  per band key returned;
+* :meth:`repro.candidates.postings.PostingIndex.probe` counts exactly
+  what one walk over the plain posting lists counts (this was
+  ``PostingIndex._probe_py`` while the probe had a second path in
+  ``src/``).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -123,3 +127,14 @@ class DictLSHEnsemble:
                     matches.append(EnsembleMatch(key=key, containment=estimate))
         matches.sort(key=lambda m: (-m.containment, str(m.key)))
         return matches
+
+
+def reference_probe(
+    postings: Mapping[str, list[int]], probe_tokens: Iterable[Hashable]
+) -> dict[int, int]:
+    """Column key -> number of probe tokens whose posting list holds it."""
+    hits: dict[int, int] = {}
+    for token in probe_tokens:
+        for key in postings.get(str(token), ()):
+            hits[key] = hits.get(key, 0) + 1
+    return hits

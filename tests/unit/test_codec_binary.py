@@ -1,13 +1,16 @@
 """Binary cell codec fidelity audit (ISSUE 6 satellite).
 
 The v2 segment dictionary rides on :func:`encode_cells_binary` /
-:func:`decode_cells_binary`, which has two decode paths -- a plain loop
-below ``_VECTOR_MIN_CELLS`` cells and a numpy group-decode above it.
-Both must reproduce every cell **bit-for-bit**: NaN keeps its payload,
-``-0.0`` keeps its sign, ints beyond 2**53 don't round through a
-double, ``True`` never collapses into ``1``, and the two null kinds
-come back as the same singletons.  Corruption must raise
-:class:`BinaryCodecError`, never decode into plausible garbage.
+:func:`decode_cells_binary`, which selects between two decoders -- a
+plain loop below ``_VECTOR_MIN_CELLS`` cells and a numpy group-decode
+from there up.  Every test takes each decoder *function* in turn, on
+small and on padded inputs alike, so neither is only ever seen on its
+own side of the threshold.  Both must reproduce every cell
+**bit-for-bit**: NaN keeps its payload, ``-0.0`` keeps its sign, ints
+beyond 2**53 don't round through a double, ``True`` never collapses
+into ``1``, and the two null kinds come back as the same singletons.
+Corruption must raise :class:`BinaryCodecError`, never decode into
+plausible garbage and never leak another exception type.
 """
 
 from __future__ import annotations
@@ -17,34 +20,36 @@ import struct
 
 import pytest
 
-from repro import accel
+from repro.store import codec, segment
 from repro.store.codec import (
     _VECTOR_MIN_CELLS,
     BinaryCodecError,
+    _decode_cells_np,
+    _decode_cells_py,
     decode_cells_binary,
     encode_cells_binary,
 )
-from repro.table import MISSING, PRODUCED
+from repro.store.segment import SegmentCorrupted, read_columns_v2, write_segment_v2
+from repro.table import MISSING, PRODUCED, Table
+
+DECODERS = {"loop": _decode_cells_py, "numpy": _decode_cells_np}
 
 
-@pytest.fixture(params=["loop", "numpy"])
+@pytest.fixture(params=list(DECODERS))
 def backend(request):
-    """Force each decode backend in turn; restore the ambient one."""
-    if request.param == "numpy" and not accel.HAVE_NUMPY:
-        pytest.skip("numpy not installed")
-    previous = accel.set_numpy_enabled(request.param == "numpy")
-    yield request.param
-    accel.set_numpy_enabled(previous)
+    """Each decoder function in turn, whatever the input size."""
+    return DECODERS[request.param]
 
 
 def pad_to_vector_width(cells):
-    """Enough filler that the numpy path (>= _VECTOR_MIN_CELLS) engages."""
+    """Enough filler to reach the size ``decode_cells_binary`` hands to
+    the numpy decoder (>= _VECTOR_MIN_CELLS)."""
     filler = ["pad"] * max(0, _VECTOR_MIN_CELLS - len(cells))
     return list(cells) + filler
 
 
-def roundtrip(cells):
-    return decode_cells_binary(encode_cells_binary(cells), len(cells))
+def roundtrip(decode, cells):
+    return decode(encode_cells_binary(cells), len(cells))
 
 
 def bits(cell):
@@ -88,66 +93,93 @@ EVERYTHING = (
 class TestFidelity:
     def test_floats_bit_identical(self, backend):
         for padded in (FLOATS, pad_to_vector_width(FLOATS)):
-            decoded = roundtrip(padded)
+            decoded = roundtrip(backend, padded)
             for cell, back in zip(padded, decoded):
                 assert bits(back) == bits(cell)
 
     def test_nan_payload_and_negative_zero(self, backend):
-        decoded = roundtrip(pad_to_vector_width([float("nan"), -0.0]))
+        decoded = roundtrip(backend, pad_to_vector_width([float("nan"), -0.0]))
         assert math.isnan(decoded[0])
         assert struct.pack("<d", decoded[1]) == struct.pack("<d", -0.0)
         assert math.copysign(1.0, decoded[1]) == -1.0
 
     def test_large_ints_exact(self, backend):
         for padded in (INTS, pad_to_vector_width(INTS)):
-            decoded = roundtrip(padded)
+            decoded = roundtrip(backend, padded)
             for cell, back in zip(INTS, decoded):
                 assert type(back) is int and back == cell
 
     def test_bools_stay_bools(self, backend):
-        decoded = roundtrip(pad_to_vector_width([True, False, 1, 0]))
+        decoded = roundtrip(backend, pad_to_vector_width([True, False, 1, 0]))
         assert decoded[0] is True
         assert decoded[1] is False
         assert type(decoded[2]) is int and decoded[2] == 1
         assert type(decoded[3]) is int and decoded[3] == 0
 
     def test_null_singletons(self, backend):
-        decoded = roundtrip(pad_to_vector_width([MISSING, PRODUCED]))
+        decoded = roundtrip(backend, pad_to_vector_width([MISSING, PRODUCED]))
         assert decoded[0] is MISSING
         assert decoded[1] is PRODUCED
 
     def test_strings_including_non_ascii(self, backend):
         for padded in (STRINGS, pad_to_vector_width(STRINGS)):
-            assert roundtrip(padded)[: len(STRINGS)] == STRINGS
+            assert roundtrip(backend, padded)[: len(STRINGS)] == STRINGS
 
     def test_everything_mixed(self, backend):
         for cells in (EVERYTHING, pad_to_vector_width(EVERYTHING)):
-            decoded = roundtrip(cells)
+            decoded = roundtrip(backend, cells)
             assert [bits(c) for c in decoded] == [bits(c) for c in cells]
 
     def test_empty(self, backend):
-        assert roundtrip([]) == []
+        assert roundtrip(backend, []) == []
 
     def test_backends_agree(self):
-        if not accel.HAVE_NUMPY:
-            pytest.skip("numpy not installed")
-        cells = pad_to_vector_width(EVERYTHING)
-        buffer = encode_cells_binary(cells)
-        previous = accel.set_numpy_enabled(True)
-        try:
-            vectorized = decode_cells_binary(buffer, len(cells))
-            accel.set_numpy_enabled(False)
-            looped = decode_cells_binary(buffer, len(cells))
-        finally:
-            accel.set_numpy_enabled(previous)
-        assert [bits(c) for c in vectorized] == [bits(c) for c in looped]
+        for cells in (EVERYTHING, pad_to_vector_width(EVERYTHING)):
+            buffer = encode_cells_binary(cells)
+            batched = _decode_cells_np(buffer, len(cells))
+            looped = _decode_cells_py(buffer, len(cells))
+            assert [bits(c) for c in batched] == [bits(c) for c in looped]
+
+    def test_entry_point_picks_each_side_of_the_threshold(self, monkeypatch):
+        picked = []
+
+        def spy(name):
+            decode = DECODERS[name]
+            return lambda buffer, count: picked.append(name) or decode(buffer, count)
+
+        monkeypatch.setattr(codec, "_decode_cells_py", spy("loop"))
+        monkeypatch.setattr(codec, "_decode_cells_np", spy("numpy"))
+        for count in (0, _VECTOR_MIN_CELLS - 1, _VECTOR_MIN_CELLS):
+            cells = ["pad"] * count
+            assert decode_cells_binary(encode_cells_binary(cells), count) == cells
+        assert picked == ["loop", "loop", "numpy"]
+
+
+#: Two strings whose payloads are 2 and 1 bytes: swapping their declared
+#: lengths keeps the total but splits the two-byte character.
+NON_ASCII = ["é", "a", 7, 1.5, True, MISSING]
+
+
+def swap_first_two_lengths(buffer, count):
+    damaged = bytearray(buffer)
+    lengths = slice(count, count + 8)
+    assert bytes(damaged[lengths]) == struct.pack("<II", 2, 1)
+    damaged[lengths] = struct.pack("<II", 1, 2)
+    return bytes(damaged)
 
 
 class TestCorruption:
     def corpus(self):
-        """Small (loop path) and padded (numpy path) encodings."""
-        small = ["abcd", 7, 1.5, True, MISSING]
-        return [small, pad_to_vector_width(small)]
+        """ASCII and non-ASCII, on both sides of the threshold (the numpy
+        decoder slices an ASCII string region in one piece and decodes a
+        non-ASCII one entry by entry)."""
+        ascii_only = ["abcd", 7, 1.5, True, MISSING]
+        return [
+            ascii_only,
+            pad_to_vector_width(ascii_only),
+            NON_ASCII,
+            pad_to_vector_width(NON_ASCII),
+        ]
 
     def test_truncated(self, backend):
         for cells in self.corpus():
@@ -156,20 +188,20 @@ class TestCorruption:
                 if cut < 0 or cut >= len(buffer):
                     continue
                 with pytest.raises(BinaryCodecError):
-                    decode_cells_binary(buffer[:cut], len(cells))
+                    backend(buffer[:cut], len(cells))
 
     def test_trailing_garbage(self, backend):
         for cells in self.corpus():
             buffer = encode_cells_binary(cells)
             with pytest.raises(BinaryCodecError, match="trailing"):
-                decode_cells_binary(buffer + b"\x00", len(cells))
+                backend(buffer + b"\x00", len(cells))
 
     def test_unknown_tag(self, backend):
         for cells in self.corpus():
             buffer = bytearray(encode_cells_binary(cells))
             buffer[0] = 0x7F
             with pytest.raises(BinaryCodecError, match="unknown binary cell tag"):
-                decode_cells_binary(bytes(buffer), len(cells))
+                backend(bytes(buffer), len(cells))
 
     def test_fixed_tag_length_mismatch(self, backend):
         for cells in self.corpus():
@@ -179,7 +211,7 @@ class TestCorruption:
             offset = len(cells) + 4 * position
             buffer[offset : offset + 4] = struct.pack("<I", 7)
             with pytest.raises(BinaryCodecError, match="declares payload length"):
-                decode_cells_binary(bytes(buffer), len(cells))
+                backend(bytes(buffer), len(cells))
 
     def test_invalid_utf8(self, backend):
         for cells in self.corpus():
@@ -187,4 +219,27 @@ class TestCorruption:
             # String payloads start right after the tag + length blocks.
             buffer[len(cells) * 5] = 0xFF
             with pytest.raises(BinaryCodecError, match="UTF-8"):
-                decode_cells_binary(bytes(buffer), len(cells))
+                backend(bytes(buffer), len(cells))
+
+    def test_length_boundary_inside_a_character(self, backend):
+        """The region as a whole is still valid UTF-8 and the total is
+        unchanged; only the per-entry slices are not."""
+        for cells in (NON_ASCII, pad_to_vector_width(NON_ASCII)):
+            damaged = swap_first_two_lengths(encode_cells_binary(cells), len(cells))
+            with pytest.raises(BinaryCodecError, match="UTF-8"):
+                backend(damaged, len(cells))
+
+    def test_split_character_in_a_v2_dictionary_is_segment_corrupted(self, tmp_path):
+        """Through a segment whose dictionary is on the numpy side."""
+        values = ["é", "a"] + [f"ü{i}" for i in range(_VECTOR_MIN_CELLS)]
+        path = tmp_path / "t.seg.bin"
+        write_segment_v2(path, Table(["c"], [(value,) for value in values], name="t"))
+        assert read_columns_v2(path, 1) == [tuple(values)]
+        pristine = path.read_bytes()
+        header = segment._V2_HEADER.size
+        path.write_bytes(
+            pristine[:header]
+            + swap_first_two_lengths(pristine[header:], len(values))
+        )
+        with pytest.raises(SegmentCorrupted, match="UTF-8"):
+            read_columns_v2(path, 1)

@@ -32,7 +32,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: observing telemetry is exactly the recursion the discipline forbids.
 HOT_MODULES = (
     "integration/intern.py",
-    "integration/vectorized.py",
     "candidates/postings.py",
     "store/codec.py",
     "obs/export.py",
