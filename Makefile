@@ -22,10 +22,11 @@
 #                     prometheus text -> parse -> values match; exporter JSONL
 #                     flush + keep-N rotation semantics (runs in CI)
 #   make bench-shard  sharded scatter-gather @20k tables x 4 shards: discover p95
-#                     >= 2.5x vs the 1-shard pipeline (wall p95 with >= 4 cores,
-#                     critical-path CPU p95 on starved hosts), identical top-k
+#                     >= 2.5x vs 1 shard (the whole lake behind one worker; wall
+#                     p95 with >= 4 cores, critical-path CPU p95 on starved
+#                     hosts), identical top-k
 #   make shard-smoke  same suite, small scale: identity + one-shard-rewrite asserts
-#                     through the process executor, no speed gate (runs in CI)
+#                     through the shard workers, no speed gate (runs in CI)
 #   make bench-chaos  fault-tolerance chaos suite: concurrent discover/ingest
 #                     under injected worker kills + connection drops; zero
 #                     errors, zero wrong/stale answers vs a per-version
@@ -143,8 +144,8 @@ obs-smoke:
 obs-export-smoke:
 	$(PYTHON) tools/check_obs_export.py
 
-# Sharded-lake smoke: 4-shard process-executor scatter-gather answers are
-# asserted identical to the 1-shard pipeline, and a single-table ingest
+# Sharded-lake smoke: 4-shard scatter-gather answers are asserted
+# identical to the 1-shard lake's (one worker), and a single-table ingest
 # must bump exactly one shard version; the >= 2.5x p95 gate only runs at
 # full scale (bench-shard), where per-query work dwarfs the fan-out IPC.
 shard-smoke:

@@ -18,7 +18,7 @@ Two entry points:
   jitter) -- this is what ``make ci`` exercises via ``make fd-smoke``.
 
 The same identity assertions are pinned distribution-free (randomized
-inputs, incremental prefixes, process-pool dispatch) by
+inputs, incremental prefixes) by
 ``tests/property/test_fd_kernel_equivalence.py``.
 """
 
@@ -33,7 +33,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.datalake.synth import build_integration_set  # noqa: E402
-from repro.integration import AliteFD, LegacyAliteFD, ParallelFD, normalized_key  # noqa: E402
+from repro.integration import AliteFD, LegacyAliteFD, normalized_key  # noqa: E402
 from repro.table.values import is_missing, is_null  # noqa: E402
 
 #: The acceptance gate: interned partition-first kernel over object kernel.
@@ -100,12 +100,8 @@ def run(smoke: bool, check: bool, repeats: int, json_path: str | None) -> int:
 
     interned_seconds, interned = timed(fresh_interned, tables, repeats)
     stats = interned_instances[-1].last_stats or {}
-    parallel_seconds, parallel = timed(
-        lambda: ParallelFD(max_workers=2, min_parallel_components=4), tables, repeats
-    )
 
     assert_identical(legacy, interned, "interned AliteFD vs legacy")
-    assert_identical(legacy, parallel, "ParallelFD vs legacy")
     print(
         f"  output identical across kernels: {interned.num_rows} facts, "
         f"{stats.get('components', '?')} components, "
@@ -115,10 +111,6 @@ def run(smoke: bool, check: bool, repeats: int, json_path: str | None) -> int:
     speedup = legacy_seconds / max(interned_seconds, 1e-9)
     print(f"  legacy object kernel : {legacy_seconds:9.3f}s")
     print(f"  interned AliteFD     : {interned_seconds:9.3f}s  ({speedup:.2f}x)")
-    print(
-        f"  ParallelFD(workers=2): {parallel_seconds:9.3f}s  "
-        f"({legacy_seconds / max(parallel_seconds, 1e-9):.2f}x)"
-    )
 
     document = {
         "benchmark": "fd_kernel",
@@ -129,7 +121,6 @@ def run(smoke: bool, check: bool, repeats: int, json_path: str | None) -> int:
         "kernel_stats": stats,
         "legacy_seconds": round(legacy_seconds, 6),
         "interned_seconds": round(interned_seconds, 6),
-        "parallel2_seconds": round(parallel_seconds, 6),
         "speedup": round(speedup, 3),
         "gate": SPEEDUP_GATE if not smoke else None,
         "identical_output": True,  # the asserts above would have raised

@@ -16,7 +16,7 @@ equivalent headless surface::
     python -m repro integrate  --lake lake/ --query query.csv --column City \
                                --integrator alite_fd --out integrated.csv
     python -m repro integrate  --tables a.csv b.csv c.csv --out integrated.csv
-    python -m repro integrate  --tables a.csv b.csv c.csv --workers 4 --explain
+    python -m repro integrate  --tables a.csv b.csv c.csv --explain
     python -m repro serve      --store lake.store --port 8765 --workers 8
     python -m repro obs export 127.0.0.1:8765 --format prometheus
     python -m repro obs top    127.0.0.1:8765 --interval 2
@@ -195,11 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     integrate.add_argument("--no-align", action="store_true", help="inputs are pre-aligned")
     integrate.add_argument("--out", default=None, help="write the integrated table as CSV")
     integrate.add_argument(
-        "--workers", type=int, default=1,
-        help="FD worker processes: >1 integrates with the component-parallel "
-        "kernel (identical results; pays off on many-component inputs)",
-    )
-    integrate.add_argument(
         "--explain", action="store_true",
         help="print kernel accounting: connected components, interned "
         "domain size, intern/partition/closure/subsume timings",
@@ -240,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--stats-cache-capacity", type=int, default=None,
                        help="bound the store's hydrated-stats LRU (long-running services)")
     serve.add_argument("--candidate-budget", type=int, default=None)
-    serve.add_argument("--fd-workers", type=int, default=1)
     serve.add_argument("--port-file", default=None,
                        help="write 'host port lake_version' here once bound (for scripts)")
     serve.add_argument("--trace-path", default=None,
@@ -344,14 +338,9 @@ def _load_pipeline(args: argparse.Namespace) -> Dialite:
     """The discovery pipeline behind discover/integrate/report: a warm
     start from ``--store`` when given, else a cold fit over ``--lake``."""
     budget = getattr(args, "candidate_budget", None)
-    workers = getattr(args, "workers", 1)
     if getattr(args, "store", None):
-        return Dialite.open(
-            args.store, candidate_budget=budget, fd_workers=workers
-        ).fit()
-    return Dialite(
-        DataLake.from_dir(args.lake), candidate_budget=budget, fd_workers=workers
-    ).fit()
+        return Dialite.open(args.store, candidate_budget=budget).fit()
+    return Dialite(DataLake.from_dir(args.lake), candidate_budget=budget).fit()
 
 
 def _resolve_roster(args: argparse.Namespace, lake) -> list:
@@ -809,7 +798,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     tracer, tracing_ctx = _maybe_trace(args.trace, "cli.integrate")
     if args.tables:
         tables = [read_csv(path) for path in args.tables]
-        pipeline = Dialite(DataLake(), fd_workers=args.workers)
+        pipeline = Dialite(DataLake())
         with tracing_ctx:
             result = pipeline.integrate(
                 tables, integrator=args.integrator, align=not args.no_align
@@ -864,8 +853,6 @@ def _print_kernel_stats(stats: dict | None) -> None:
         )
         if key in stats
     ]
-    if "workers" in stats:
-        timings.append(f"workers {stats['workers']} ({stats['stripes']} stripes)")
     print("  " + " | ".join(timings) + "\n")
 
 
@@ -896,7 +883,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_deadline=args.deadline,
         stats_cache_capacity=args.stats_cache_capacity,
         candidate_budget=args.candidate_budget,
-        fd_workers=args.fd_workers,
         trace_path=args.trace_path,
         trace_path_max_bytes=args.trace_path_max_bytes,
         postmortem_path=args.postmortem_path,

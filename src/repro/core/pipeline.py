@@ -9,9 +9,8 @@ registries:
   search (+ JOSIE available by name); add your own with
   :meth:`add_discoverer`, including bare similarity functions (Fig. 4);
 * ``integrators`` -- default ALITE Full Disjunction on the interned
-  partition-first kernel (``Dialite(fd_workers=N)`` switches the default
-  to the pool-backed ``parallel_fd``, identical results); outer/inner
-  join and union pre-registered for comparison (Fig. 6);
+  partition-first kernel; outer/inner join and union pre-registered for
+  comparison (Fig. 6);
 * ``apps`` -- describe / aggregation / correlation / entity resolution.
 
 Typical use::
@@ -56,7 +55,6 @@ from ..integration.outerjoin import (
     OuterJoinIntegrator,
     UnionIntegrator,
 )
-from ..integration.parallel import ParallelFD
 from ..integration.tuples import IntegratedTable
 from ..obs import trace
 from ..table.table import Table
@@ -80,7 +78,6 @@ class Dialite:
         default_integrator: str | None = None,
         store: "str | Path | LakeStore | None" = None,
         candidate_budget: int | None = None,
-        fd_workers: int = 1,
     ):
         if store is not None:
             if isinstance(store, (str, Path)):
@@ -111,26 +108,16 @@ class Dialite:
         ):
             self.discoverers.register(discoverer.name, discoverer)
 
-        #: Worker-process count for the component-parallel FD integrator.
-        #: ``fd_workers > 1`` registers a pool-backed ``parallel_fd`` and
-        #: makes it the default integrator (unless one was named
-        #: explicitly); ``1`` keeps the sequential partition-first
-        #: ``alite_fd``.  Both run the interned integer kernel and produce
-        #: identical results.
-        self.fd_workers = max(1, fd_workers)
         self.integrators: Registry[Integrator] = Registry("integrator")
         for integrator in (
             AliteFD(),
-            ParallelFD(max_workers=self.fd_workers),
             OuterJoinIntegrator(),
             InnerJoinIntegrator(),
             UnionIntegrator(),
         ):
             self.integrators.register(integrator.name, integrator)
-        if default_integrator is None:
-            default_integrator = "parallel_fd" if self.fd_workers > 1 else "alite_fd"
-        self.default_integrator = default_integrator
-        self.integrators.get(default_integrator)  # validate eagerly
+        self.default_integrator = default_integrator or "alite_fd"
+        self.integrators.get(self.default_integrator)  # validate eagerly
 
         self.apps: Registry[AnalysisApp] = Registry("analysis app")
         for app in (

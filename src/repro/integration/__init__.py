@@ -19,8 +19,12 @@ from .outerjoin import (
     UnionIntegrator,
     order_sensitivity,
 )
-from .parallel import ParallelFD, connected_components
-from .subsume import dedupe_tuples, interned_remove_subsumed, remove_subsumed
+from .subsume import (
+    connected_components,
+    dedupe_tuples,
+    interned_remove_subsumed,
+    remove_subsumed,
+)
 from .tuples import (
     IntegratedTable,
     WorkTuple,
@@ -36,7 +40,6 @@ __all__ = [
     "AliteFD",
     "LegacyAliteFD",
     "NestedLoopFD",
-    "ParallelFD",
     "OracleFD",
     "ValueInterner",
     "IntTuple",

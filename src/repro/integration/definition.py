@@ -6,9 +6,9 @@ Rajaraman & Ullman 1996, phrased over the outer-unioned integration set).
 
 This module computes that definition literally, by breadth-first expansion
 over subsets.  It is exponential and exists for two purposes only: as the
-ground-truth oracle in property-based tests (AliteFD / NestedLoopFD /
-ParallelFD must all equal it on every random small input), and as executable
-documentation of the semantics.  Never use it on more than ~15 tuples.
+ground-truth oracle in property-based tests (AliteFD / LegacyAliteFD /
+NestedLoopFD must all equal it on every random small input), and as
+executable documentation of the semantics.  Never use it on more than ~15 tuples.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..obs import metrics, trace
 from ..table.values import MISSING, PRODUCED, Cell, is_null
@@ -167,8 +167,7 @@ class IntTuple:
     """One FD working tuple in the interned domain.
 
     ``codes[i] == 0`` means null at position *i*; ``mask`` has bit *i* set
-    iff position *i* is non-null.  Pickles compactly (ints + tid strings),
-    which is what makes shipping components to a process pool cheap.
+    iff position *i* is non-null.  Pickles compactly (ints + tid strings).
     """
 
     __slots__ = ("codes", "mask", "tids")
@@ -552,18 +551,10 @@ def int_connected_components(
 # ----------------------------------------------------------------------
 # The partition-first solver every interned FD algorithm shares
 # ----------------------------------------------------------------------
-#: ``(components, domain, ranks) -> solved tuples`` -- how a caller may
-#: replace the sequential per-component loop of :func:`solve_interned`.
-ComponentSolver = Callable[
-    [list, int, Sequence[int]], Sequence[IntTuple]
-]
-
-
 def solve_interned(
     work: Sequence[WorkTuple],
     interner: ValueInterner,
     stats: dict | None = None,
-    component_solver: "ComponentSolver | None" = None,
 ) -> list[WorkTuple]:
     """Full FD pipeline on the interned domain: intern, dedupe, partition,
     then close + subsume each component independently.
@@ -572,15 +563,6 @@ def solve_interned(
     kinds are recomputed from provenance by the caller's
     ``canonicalize_null_kinds`` pass).  *stats*, when given, receives
     component counts and per-phase timings -- the ``--explain`` payload.
-
-    *component_solver*, when given, replaces the sequential per-component
-    loop: it receives ``(components, domain, ranks)`` and returns the
-    concatenated solved tuples -- the hook :class:`ParallelFD` uses to
-    dispatch components to its process pool while sharing every other
-    stage (interning, dedupe, partitioning, the degenerate all-null rule,
-    un-interning) with the sequential integrator.  A solver that times its
-    phases internally may record them by mutating *stats* through a
-    closure; the sequential default records the closure/subsume split.
 
     The phase structure is emitted as an ``integrate.fd`` span tree
     (nesting under the ambient tracer when one is active); *stats* is
@@ -605,24 +587,18 @@ def solve_interned(
                 int_dedupe(ints), domain
             )
 
-        if component_solver is not None:
-            # Combined closure+subsume inside the solver (e.g. a process
-            # pool); the split is not observable from here.
-            with tracer.span("integrate.closure"):
-                solved = list(component_solver(components, domain, ranks))
-        else:
-            closure_seconds = 0.0
-            subsume_seconds = 0.0
-            solved = []
-            for component in components:
-                closure_started = perf_counter()
-                closed = interned_closure(component, domain, ranks)
-                closure_seconds += perf_counter() - closure_started
-                subsume_started = perf_counter()
-                solved.extend(interned_remove_subsumed(closed, domain))
-                subsume_seconds += perf_counter() - subsume_started
-            tracer.record("integrate.closure", wall_s=closure_seconds)
-            tracer.record("integrate.subsume", wall_s=subsume_seconds)
+        closure_seconds = 0.0
+        subsume_seconds = 0.0
+        solved = []
+        for component in components:
+            closure_started = perf_counter()
+            closed = interned_closure(component, domain, ranks)
+            closure_seconds += perf_counter() - closure_started
+            subsume_started = perf_counter()
+            solved.extend(interned_remove_subsumed(closed, domain))
+            subsume_seconds += perf_counter() - subsume_started
+        tracer.record("integrate.closure", wall_s=closure_seconds)
+        tracer.record("integrate.subsume", wall_s=subsume_seconds)
         if not solved and all_null:
             # Degenerate input: only all-null tuples exist; keep one
             # (already provenance-folded by the dedupe above).
@@ -653,8 +629,7 @@ def fd_stats_from_span(fd_span: "trace.Span") -> dict:
     """The ``--explain`` kernel-stats payload, read off a closed
     ``integrate.fd`` span: phase children become ``*_seconds``, span
     counters carry the sizes.  Keys match the historical hand-rolled
-    dict exactly (``subsume_seconds`` is present only when a separate
-    subsume child exists -- i.e. the sequential per-component path)."""
+    dict exactly (a phase the span has no child for is simply absent)."""
     counters = fd_span.counters
     stats = {
         key: counters[key]

@@ -4,7 +4,7 @@ The paper's reference [2] (Cohen et al., VLDB 2006) computes FD with
 *polynomial-delay iterators* -- results stream out without materializing the
 whole output.  The practical reproduction of that interface: the input
 decomposes into connected components of the value-sharing graph (see
-:mod:`repro.integration.parallel`), and each component's facts can be
+:func:`repro.integration.intern.int_connected_components`), and each component's facts can be
 emitted as soon as that component is solved.  Peak memory is bounded by the
 largest component rather than the whole output, and consumers can stop
 early (top-n preview, first-match probes) without paying for the rest.

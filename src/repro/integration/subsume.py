@@ -15,6 +15,14 @@ baseline; the default integrators run the interned twin,
 :func:`~repro.integration.intern.interned_remove_subsumed` (re-exported
 here), whose candidate check is one non-null-bitmask ``AND`` before any
 cell loop.
+
+:func:`connected_components` is the object-level form of the other
+structural fact the kernel rests on (Paganelli et al., BDR 2019): tuples
+only ever merge with, or subsume, tuples they share a value with, so the
+input decomposes into independent components of the value-sharing graph.
+:class:`~repro.integration.alite.AliteFD` partitions first with the
+interned twin, :func:`~repro.integration.intern.int_connected_components`,
+which ``tests/unit/test_intern.py`` pins to this one.
 """
 
 from __future__ import annotations
@@ -25,7 +33,12 @@ from ..table.values import is_null
 from .intern import interned_remove_subsumed
 from .tuples import WorkTuple, cell_key, combine_duplicate, normalized_key, subsumes
 
-__all__ = ["dedupe_tuples", "remove_subsumed", "interned_remove_subsumed"]
+__all__ = [
+    "dedupe_tuples",
+    "remove_subsumed",
+    "interned_remove_subsumed",
+    "connected_components",
+]
 
 
 def dedupe_tuples(tuples: Iterable[WorkTuple]) -> list[WorkTuple]:
@@ -82,3 +95,47 @@ def remove_subsumed(tuples: Sequence[WorkTuple]) -> list[WorkTuple]:
         if not dominated:
             kept.append(work)
     return kept
+
+
+def connected_components(
+    tuples: list[WorkTuple],
+) -> tuple[list[list[WorkTuple]], list[WorkTuple]]:
+    """Split object-level tuples into connected components of the
+    shared-value graph.  Returns ``(components, all_null_tuples)``:
+    all-null tuples (which a degenerate input may contain) share no value,
+    so they belong to no component.
+
+    Values key directly by :func:`cell_key` -- never the tuple-of-one
+    round trip through ``normalized_key`` that
+    :mod:`repro.integration.tuples` forbids on hot paths -- and all-null
+    membership is a set probe, not a list scan.
+    """
+    parent = list(range(len(tuples)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    by_value: dict[tuple, int] = {}
+    all_null: set[int] = set()
+    for i, work in enumerate(tuples):
+        any_value = False
+        for position, cell in enumerate(work.cells):
+            if is_null(cell):
+                continue
+            any_value = True
+            key = (position, cell_key(cell))
+            owner = by_value.setdefault(key, i)
+            if owner != i:
+                parent[find(i)] = find(owner)
+        if not any_value:
+            all_null.add(i)
+
+    groups: dict[int, list[WorkTuple]] = {}
+    for i, work in enumerate(tuples):
+        if i in all_null:
+            continue
+        groups.setdefault(find(i), []).append(work)
+    return list(groups.values()), [tuples[i] for i in sorted(all_null)]

@@ -256,7 +256,6 @@ class LakeService:
         default_deadline: float | None = None,
         stats_cache_capacity: int | None = None,
         candidate_budget: int | None = None,
-        fd_workers: int = 1,
         trace_path: "str | Path | None" = None,
         trace_path_max_bytes: int | None = None,
         trace_path_keep: int = 3,
@@ -279,11 +278,7 @@ class LakeService:
                 store = open_any_store(
                     store, stats_cache_capacity=stats_cache_capacity
                 )
-            pipeline = Dialite(
-                store=store,
-                candidate_budget=candidate_budget,
-                fd_workers=fd_workers,
-            )
+            pipeline = Dialite(store=store, candidate_budget=candidate_budget)
         pipeline.index  # fit lazily: a no-op for an already-fitted pipeline
         backing = pipeline._store
         self._gen = _Generation(
@@ -426,8 +421,8 @@ class LakeService:
             obs_metrics.global_registry().snapshot(),
             self.stats.registry.snapshot(),
         )
-        # Sharded lakes in process mode keep per-shard registries inside
-        # the worker processes; fold them in so engine retrieval counts
+        # Sharded lakes keep per-shard registries inside the worker
+        # processes; fold them in so engine retrieval counts
         # stay visible behind one wire op.
         extra = self._gen.pipeline.index.worker_metrics()
         if extra:
@@ -782,7 +777,6 @@ class LakeService:
             store=store,
             discoverers=[d.clone_unfitted() for d in roster],
             candidate_budget=previous.pipeline.candidate_budget,
-            fd_workers=previous.pipeline.fd_workers,
         )
         # Carry forward the (lake-independent) registries and aligner so
         # custom integrators/apps survive a reload; align/integrate are
@@ -1042,8 +1036,8 @@ class LakeService:
                 self._exporter.close()
             except Exception:  # noqa: BLE001 - shutdown must not raise
                 pass
-        # The index may own executor resources (thread pools / worker
-        # process leases); release them once nothing can dispatch.
+        # The index may own worker process leases; release them once
+        # nothing can dispatch.
         try:
             self._gen.pipeline.index.close()
         except Exception:  # noqa: BLE001 - shutdown must not raise

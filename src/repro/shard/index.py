@@ -36,29 +36,32 @@ runs the evidence-retained exhaustive round on every shard, mirroring
 the unsharded fallback.  See :mod:`repro.shard.worker` for the
 per-shard half and the full byte-identity argument.
 
-Executors: ``"threads"`` runs shards on a thread pool in-process (the
-default for <= 2 shards, where GIL contention is cheaper than process
-hops); ``"processes"`` gives each shard a single-worker process pool
-whose initializer opens the shard index once (warm across requests).
-Either way the index comes from
-:func:`repro.shard.worker.open_shard_index` (hydrate, fit the rest,
-persist what was fitted), and in process mode that runs *in the worker*:
-the driver is a router that never decodes a segment, hydrates a stats
-snapshot or fits an index.  It makes sure the lake-global fit state
-exists, starts the workers of stale shards (at once: they fit in
-parallel) and waits for each to report ready.  Pools are wrapped in
+**One executor.**  Every shard, at every shard count, is served by its
+own single-worker process pool whose initializer runs
+:func:`repro.shard.worker.open_shard_index` once (hydrate, fit the rest,
+persist what was fitted) and keeps the result warm across requests.  The
+driver is a router: it never decodes a segment or fits an index, and
+hydrates stats snapshots only to compute a missing lake-global fit
+state.  Otherwise it starts the workers of stale shards (at once: they
+fit in parallel) and waits for each to report ready.  Pools are wrapped in
 refcounted leases so a service reload keeps the warm worker of every
-shard whose version did not move.
+shard whose version did not move.  (A lake that wants no worker
+processes is the plain store: one process, one
+:class:`~repro.datalake.indexer.LakeIndex`.)
 
-**Supervision** (process mode): a scatter that loses a worker -- the
-process died (``BrokenProcessPool``) or blew the per-scatter deadline
-(``scatter_timeout``) -- respawns that shard's pool and retries the
-failed shards once.  A shard that fails its retry too is dropped from
-the merge and reported in :attr:`last_degraded_shards`: the query
-returns the surviving shards' answer, explicitly *degraded* rather than
-failed (the serving layer annotates the payload and skips its result
-cache).  Only when every shard fails does the search raise.  Respawns
-and degraded scatters are counted in ``repro.obs`` metrics
+**Supervision** covers what can happen *to* a worker, never what a
+worker's task raises: a scatter that loses a worker -- the process died
+(``BrokenProcessPool``), blew the per-scatter deadline
+(``scatter_timeout``) or its pool refused the submit -- respawns that
+shard's pool and retries the failed shards once.  A shard that fails its
+retry too is dropped from the merge and reported in
+:attr:`last_degraded_shards`: the query returns the surviving shards'
+answer, explicitly *degraded* rather than failed (the serving layer
+annotates the payload and skips its result cache).  Only when every
+shard fails does the search raise.  An exception raised *by* a task (an
+unknown query column, say) reaches the caller unchanged, as it would
+from a plain :class:`~repro.datalake.indexer.LakeIndex`.  Respawns and
+degraded scatters are counted in ``repro.obs`` metrics
 (``shard.worker.respawns``, ``shard.scatter.degraded``).  The wait for a
 fitting worker is supervised the same way (see ``_fit_in_workers``).
 """
@@ -68,12 +71,11 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Sequence
 
-from ..datalake.indexer import LakeIndex
 from ..discovery.base import Discoverer, DiscoveryResult, merge_result_sets
 from ..faults import inject
 from ..obs import metrics, trace
@@ -84,9 +86,6 @@ from . import worker as shard_worker
 from .store import ShardedLakeStore
 
 __all__ = ["ShardedLakeIndex"]
-
-#: Shard-count threshold under which "auto" picks threads over processes.
-_THREAD_SHARD_LIMIT = 2
 
 #: Buckets for the scatter skew ratio (slowest shard / mean shard wall).
 _SKEW_BOUNDS = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0)
@@ -114,7 +113,11 @@ class _PoolLease:
     whose version did not move transfer their lease to the new index
     (:meth:`acquire`) instead of respawning -- the warm worker (hydrated
     stats snapshots, unpickled discoverer indexes) survives the
-    generation swap.  The last :meth:`release` shuts the pool down.
+    generation swap.  The last :meth:`release` shuts the pool down and
+    waits for its idle worker to exit (an interpreter exit racing a
+    still-running executor manager thread prints ``Bad file descriptor``
+    noise on stderr) -- unless supervision released the lease as
+    *failed*: a dead or hung worker is never waited on.
     The worker process starts on the first :meth:`submit`.
     """
 
@@ -122,6 +125,7 @@ class _PoolLease:
         self.path = str(shard_path)
         self.version = version
         self._refs = 1
+        self._failed = False
         self._lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
             max_workers=1,
@@ -142,14 +146,15 @@ class _PoolLease:
             self._refs += 1
         return self
 
-    def release(self) -> None:
+    def release(self, failed: bool = False) -> None:
         with self._lock:
+            self._failed = self._failed or failed
             self._refs -= 1
             if self._refs > 0:
                 return
             pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=not self._failed, cancel_futures=True)
 
     def submit(self, fn, *args):
         pool = self._pool
@@ -186,23 +191,11 @@ class ShardedLakeIndex:
         self,
         store: ShardedLakeStore,
         discoverers: Sequence[Discoverer] | None = None,
-        executor: str = "auto",
         scatter_timeout: float | None = 60.0,
     ):
-        if executor not in ("auto", "threads", "processes"):
-            raise ValueError(
-                f"executor must be auto|threads|processes, got {executor!r}"
-            )
-        if executor == "auto":
-            executor = (
-                "threads" if store.num_shards <= _THREAD_SHARD_LIMIT else "processes"
-            )
         self._store = store
         self._prototypes = list(discoverers) if discoverers is not None else None
-        self._executor = executor
-        self._shard_indexes: list[LakeIndex | None] = [None] * store.num_shards
         self._leases: list[_PoolLease | None] = [None] * store.num_shards
-        self._thread_pool: ThreadPoolExecutor | None = None
         self._roster_names: list[str] = (
             [d.name for d in self._prototypes] if self._prototypes is not None else []
         )
@@ -213,9 +206,9 @@ class ShardedLakeIndex:
         self._built = False
         self._budget: int | None = None
         self._closed = False
-        # Per-scatter deadline (process mode): a worker that neither
-        # answers nor dies within this window counts as hung and its pool
-        # is respawned.  None disables the deadline.
+        # Per-scatter deadline: a worker that neither answers nor dies
+        # within this window counts as hung and its pool is respawned.
+        # None disables the deadline.
         self._scatter_timeout = scatter_timeout
         # The most recent search's lost shards, whoever ran it (health()).
         self._health_degraded: tuple[int, ...] = ()
@@ -224,21 +217,17 @@ class ShardedLakeIndex:
         # respawn (None = never respawned); surfaced as an *age* through
         # health() so pollers can spot flapping workers.
         self._last_respawn_at: list[float | None] = [None] * store.num_shards
-        # Serializes lazy executor construction: the serving layer's
-        # worker threads may race the first search.
+        # Serializes lazy lease construction: the serving layer's worker
+        # threads may race the first search.
         self._exec_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def executor(self) -> str:
-        return self._executor
-
-    @property
     def discoverers(self) -> list[Discoverer]:
-        """The prototypes (the fitted clones live per shard, in this
-        process or in the workers); empty when hydrated without any."""
+        """The prototypes (the fitted clones live per shard, in the
+        workers); empty when hydrated without any."""
         return list(self._prototypes or ())
 
     @property
@@ -296,6 +285,7 @@ class ShardedLakeIndex:
         shards: list[dict[str, Any]] = []
         for i, name in enumerate(self._store.shard_names):
             respawned_at = self._last_respawn_at[i]
+            lease = self._leases[i]
             entry: dict[str, Any] = {
                 "shard": name,
                 "version": (
@@ -306,12 +296,8 @@ class ShardedLakeIndex:
                 "last_respawn_age_s": (
                     round(now - respawned_at, 3) if respawned_at is not None else None
                 ),
+                "alive": lease is None or lease.alive(),
             }
-            if self._executor == "processes":
-                lease = self._leases[i]
-                entry["alive"] = True if lease is None else lease.alive()
-            else:
-                entry["alive"] = True
             shards.append(entry)
         return {
             "degraded_shards": list(self._health_degraded),
@@ -324,7 +310,7 @@ class ShardedLakeIndex:
         shard, summarized by the reducer)."""
         return (
             f"sharded engine: {len(self._store)} tables across "
-            f"{self._store.num_shards} shards ({self._executor})"
+            f"{self._store.num_shards} shards"
         )
 
     # ------------------------------------------------------------------
@@ -391,22 +377,19 @@ class ShardedLakeIndex:
         store: ShardedLakeStore,
         discoverers: Sequence[Discoverer] | None = None,
         previous: "ShardedLakeIndex | None" = None,
-        executor: str = "auto",
     ) -> "ShardedLakeIndex":
         """A ready-to-search sharded index hydrated from persisted
         per-shard artifacts.
 
         *previous* (a still-serving :class:`ShardedLakeIndex` over the
-        same lake) donates per-shard state for every shard whose version
-        did not move: the hydrated in-process index in thread mode, the
-        warm worker-pool lease in process mode -- so a single-table
-        ingest reload rebuilds exactly one shard.  Shards with missing
-        or stale persisted indexes are refitted (with the pinned global
-        fit state) and re-persisted where their index lives -- here in
-        thread mode, in the shard's worker in process mode; with
-        ``discoverers=None`` that situation raises instead.
+        same lake) donates the warm worker-pool lease of every shard
+        whose version did not move, so a single-table ingest reload
+        rebuilds exactly one shard.  Shards with missing or stale
+        persisted indexes are refitted (with the pinned global fit
+        state) and re-persisted where their index lives, in the shard's
+        worker; with ``discoverers=None`` that situation raises instead.
         """
-        index = cls(store, discoverers=discoverers, executor=executor)
+        index = cls(store, discoverers=discoverers)
         index._hydrate(previous)
         return index
 
@@ -416,7 +399,6 @@ class ShardedLakeIndex:
             and previous is not self
             and previous._built
             and not previous._closed
-            and previous._executor == self._executor
             and previous._store.num_shards == self._store.num_shards
             and str(previous._store.path) == str(self._store.path)
             and (
@@ -456,9 +438,9 @@ class ShardedLakeIndex:
                     "index build or pass explicit discoverers"
                 )
             self._roster_names = list(roster_names)
-        # Shards to open now: in thread mode all that nobody donated, in
-        # process mode the stale ones (a current shard's worker starts --
-        # and hydrates -- on the first scatter, see _ensure_leases).
+        # Shards to open now: the stale ones (a current shard's worker
+        # starts -- and hydrates -- on the first scatter, see
+        # _ensure_leases).
         pending: list[int] = []
         for i, shard in enumerate(store.shards):
             version = self._shard_versions[i]
@@ -468,19 +450,13 @@ class ShardedLakeIndex:
                 and i < len(previous._shard_versions)
                 and previous._shard_versions[i] == version
             ):
-                if self._executor == "threads":
-                    donated = previous._shard_indexes[i]
-                    if donated is not None:
-                        self._shard_indexes[i] = donated
-                        continue
-                else:
-                    lease = previous._leases[i]
-                    if lease is not None and lease.version == version:
-                        self._leases[i] = lease.acquire()
-                        # The donated pool carries its respawn history:
-                        # a flapping worker stays visible across reloads.
-                        self._last_respawn_at[i] = previous._last_respawn_at[i]
-                        continue
+                lease = previous._leases[i]
+                if lease is not None and lease.version == version:
+                    self._leases[i] = lease.acquire()
+                    # The donated pool carries its respawn history: a
+                    # flapping worker stays visible across reloads.
+                    self._last_respawn_at[i] = previous._last_respawn_at[i]
+                    continue
             info = shard.info()
             current = info.get("indexes_lake_version") == version and set(
                 roster_names
@@ -491,20 +467,12 @@ class ShardedLakeIndex:
                     f"indexes for version {version}; run an index build or "
                     f"pass explicit discoverers"
                 )
-            if self._executor == "threads" or not current:
+            if not current:
                 pending.append(i)
         if pending:
-            if self._prototypes is not None:
-                self._ensure_fit_state()
-            if self._executor == "processes":
-                self._fit_in_workers(pending)
-            else:
-                state = store.load_fit_state() if self._prototypes else None
-                for i in pending:
-                    self._shard_indexes[i] = index = shard_worker.open_shard_index(
-                        store.shards[i], self._prototypes, state
-                    )
-                    self._add_build_seconds(index.fitted)
+            # Stale shards exist only with prototypes (checked above).
+            self._ensure_fit_state()
+            self._fit_in_workers(pending)
         self._built = True
 
     def _add_build_seconds(self, fitted: dict[str, float]) -> None:
@@ -513,8 +481,8 @@ class ShardedLakeIndex:
             self._fitted[name] = self._fitted.get(name, 0.0) + seconds
 
     def _fit_in_workers(self, shards: list[int]) -> None:
-        """Process mode: start the workers of stale *shards* at once (each
-        initializer fits and persists) and wait until all report ready.
+        """Start the workers of stale *shards* at once (each initializer
+        fits and persists) and wait until all report ready.
         Supervised like a scatter: a worker that dies or blows the
         deadline is respawned and awaited once more; after a second
         failure the shard keeps a fresh lease, to be fitted by the first
@@ -553,17 +521,8 @@ class ShardedLakeIndex:
             self._respawn_lease(i)
 
     # ------------------------------------------------------------------
-    # Executors
+    # Worker pool leases
     # ------------------------------------------------------------------
-    def _ensure_thread_pool(self) -> ThreadPoolExecutor:
-        with self._exec_lock:
-            if self._thread_pool is None:
-                self._thread_pool = ThreadPoolExecutor(
-                    max_workers=self._store.num_shards,
-                    thread_name_prefix="repro-shard",
-                )
-            return self._thread_pool
-
     def _new_lease(self, i: int, fault_kill: bool = False) -> _PoolLease:
         return _PoolLease(
             str(self._store.shards[i].path),
@@ -585,14 +544,14 @@ class ShardedLakeIndex:
 
     def _respawn_lease(self, i: int, fault_kill: bool = False) -> None:
         """Replace shard *i*'s pool with a fresh one (its worker died or
-        hung); the old lease is released, not waited on -- a hung task
-        cannot block the respawn."""
+        hung); the old lease is released as failed, never waited on -- a
+        hung task cannot block the respawn."""
         with self._exec_lock:
             old = self._leases[i]
             self._leases[i] = self._new_lease(i, fault_kill)
         if old is not None:
             try:
-                old.release()
+                old.release(failed=True)
             except Exception:  # noqa: BLE001 - a broken pool may refuse
                 pass
         self._respawns += 1
@@ -721,47 +680,9 @@ class ShardedLakeIndex:
         """Run one round on every shard; returns (per-shard answers,
         per-shard wall seconds, per-shard own-CPU seconds, degraded shard
         indexes), answers in shard roster order with degraded shards
-        omitted.  Thread mode has no supervision (a thread cannot die
-        under the driver) so its degraded set is always empty."""
+        omitted.  What a worker's task *raises* propagates; only the
+        loss of a worker is supervised (module docstring)."""
         num = self._store.num_shards
-        if self._executor == "threads":
-            pool = self._ensure_thread_pool()
-            query.stats.warm()  # profile once; every shard thread reuses it
-
-            def run(i: int) -> tuple[dict[str, Any], float, float]:
-                index = self._shard_indexes[i]
-                assert index is not None
-                index.engine.default_budget = self._budget
-                start = time.perf_counter()
-                start_cpu = time.thread_time()
-                if tracer is not None:
-                    with trace.activate(tracer, parent=scatter_span):
-                        with trace.span(
-                            f"shard[{i}]", tables=len(self._store.shards[i])
-                        ):
-                            answer = self._run_local(
-                                index, query, k, query_column, names, round_
-                            )
-                else:
-                    answer = self._run_local(
-                        index, query, k, query_column, names, round_
-                    )
-                return (
-                    answer,
-                    time.perf_counter() - start,
-                    time.thread_time() - start_cpu,
-                )
-
-            futures = [pool.submit(run, i) for i in range(num)]
-            outcomes = [future.result() for future in futures]
-            return (
-                [o[0] for o in outcomes],
-                [o[1] for o in outcomes],
-                [o[2] for o in outcomes],
-                (),
-            )
-
-        leases = self._ensure_leases()
         document = encode_table(query)
 
         def payload_for(i: int) -> dict[str, Any]:
@@ -787,21 +708,33 @@ class ShardedLakeIndex:
                 doc["_fault_kill"] = True
             return doc
 
-        results: dict[int, dict[str, Any]] = {}
-        failed: list[int] = []
-        futures_by_shard: dict[int, Any] = {}
-        for i in range(num):
-            try:
-                futures_by_shard[i] = leases[i].submit(
-                    shard_worker.process_worker_run, payload_for(i)
-                )
-            except Exception:  # noqa: BLE001 - broken/closed pool at submit
-                failed.append(i)
-        for i, future in futures_by_shard.items():
-            try:
-                results[i] = future.result(timeout=self._scatter_timeout)
-            except Exception:  # noqa: BLE001 - BrokenProcessPool / deadline
-                failed.append(i)
+        def attempt(shards: Sequence[int]) -> dict[int, dict[str, Any]]:
+            """This round's outcome on each of *shards* whose worker
+            survived it.  A shard goes missing when its pool refuses the
+            task (broken by a dead worker, or shut down), the worker dies
+            under it, the deadline passes, or a concurrent search's
+            respawn cancels it; whatever the task itself raises is the
+            caller's."""
+            leases = self._ensure_leases()
+            futures: dict[int, Any] = {}
+            for i in shards:
+                payload = payload_for(i)
+                try:
+                    futures[i] = leases[i].submit(
+                        shard_worker.process_worker_run, payload
+                    )
+                except RuntimeError:  # BrokenProcessPool is one
+                    pass
+            outcomes: dict[int, dict[str, Any]] = {}
+            for i, future in futures.items():
+                try:
+                    outcomes[i] = future.result(timeout=self._scatter_timeout)
+                except (BrokenProcessPool, FutureTimeout, CancelledError):
+                    pass
+            return outcomes
+
+        results = attempt(range(num))
+        failed = [i for i in range(num) if i not in results]
         degraded: list[int] = []
         if failed:
             # Supervision: respawn each failed shard's pool, retry the
@@ -809,30 +742,12 @@ class ShardedLakeIndex:
             # retry too is dropped from this answer (degraded result) and
             # left with a fresh pool for the next query.
             metrics.counter("shard.scatter.failures").inc(len(failed))
-            for i in sorted(failed):
+            for i in failed:
                 self._respawn_lease(i)
-            leases = self._ensure_leases()
-            retries: dict[int, Any] = {}
-            for i in sorted(failed):
-                try:
-                    retries[i] = leases[i].submit(
-                        shard_worker.process_worker_run, payload_for(i)
-                    )
-                except Exception:  # noqa: BLE001
-                    retries[i] = None
-            for i in sorted(failed):
-                outcome = None
-                future = retries.get(i)
-                if future is not None:
-                    try:
-                        outcome = future.result(timeout=self._scatter_timeout)
-                    except Exception:  # noqa: BLE001
-                        outcome = None
-                if outcome is None:
-                    degraded.append(i)
-                    self._respawn_lease(i)
-                else:
-                    results[i] = outcome
+            results.update(attempt(failed))
+            degraded = [i for i in failed if i not in results]
+            for i in degraded:
+                self._respawn_lease(i)
         answers: list[dict[str, Any]] = []
         walls: list[float] = []
         cpus: list[float] = []
@@ -846,20 +761,6 @@ class ShardedLakeIndex:
             if tracer is not None:
                 tracer.attach_tree(outcome["trace"], parent=scatter_span)
         return answers, walls, cpus, tuple(degraded)
-
-    @staticmethod
-    def _run_local(
-        index: LakeIndex,
-        query: Table,
-        k: int,
-        query_column: str | None,
-        names: Sequence[str] | None,
-        round_: str,
-    ) -> dict[str, Any]:
-        if round_ == "fallback":
-            assert names is not None
-            return shard_worker.fallback_search(index, query, k, query_column, names)
-        return shard_worker.deferred_search(index, query, k, query_column, names)
 
     def _observe_skew(self, walls: list[float], scatter_span) -> None:
         if not walls:
@@ -958,13 +859,11 @@ class ShardedLakeIndex:
         return results[:k]
 
     # ------------------------------------------------------------------
-    # Worker metrics (process mode)
+    # Worker metrics
     # ------------------------------------------------------------------
     def worker_metrics(self) -> dict[str, Any] | None:
         """The shard workers' metrics registries folded into one snapshot
-        (None in thread mode, where workers share the process registry)."""
-        if self._executor != "processes":
-            return None
+        (None while no worker has been started)."""
         merged: dict[str, Any] | None = None
         for lease in self._leases:
             if lease is None:
@@ -984,15 +883,12 @@ class ShardedLakeIndex:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release this index's executor resources (pool leases are
-        refcounted: a successor generation holding an acquired lease
-        keeps its worker alive)."""
+        """Release this index's worker pools (leases are refcounted: a
+        successor generation holding an acquired lease keeps its worker
+        alive)."""
         if self._closed:
             return
         self._closed = True
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=False)
-            self._thread_pool = None
         leases, self._leases = self._leases, [None] * self._store.num_shards
         for lease in leases:
             if lease is not None:
@@ -1007,5 +903,5 @@ class ShardedLakeIndex:
     def __repr__(self) -> str:
         return (
             f"ShardedLakeIndex({self._store.num_shards} shards, "
-            f"executor={self._executor!r}, built={self._built})"
+            f"built={self._built})"
         )

@@ -35,12 +35,12 @@ place a shard's index comes to life -- first build, warm start, the
 refit after an ingest, a supervised respawn -- and it is the shard
 store's own :meth:`~repro.store.lakestore.LakeStore.open_index`
 (hydrate, fit the rest, persist what was fitted) under this module's
-span and fault point.  In process mode it runs in the shard's own
-worker, never in the driver.
+span and fault point.  It runs in the shard's own worker, never in the
+driver.
 
-The module-level functions double as process-pool entry points: a pool
-worker opens its shard's index once (initializer), then answers searches
-from warm state.  Queries cross the process boundary as codec documents
+The ``process_worker_*`` functions are the pool entry points: a worker
+opens its shard's index once (initializer), then answers searches from
+warm state.  Queries cross the process boundary as codec documents
 (stored tables carry unpicklable column loaders), and span trees come
 back as dicts for the driver to graft
 (:meth:`Tracer.attach_tree <repro.obs.trace.Tracer.attach_tree>`).
@@ -316,11 +316,9 @@ def process_worker_run(payload: dict[str, Any]) -> dict[str, Any]:
     index = _WORKER["index"]
     index.engine.default_budget = payload.get("budget")
     query = decode_table(payload["query"])
-    # Warm the query profile before the clocks start: the thread executor
-    # warms once in the driver outside its measured region, so leaving it
-    # inside here would charge every process worker for the same constant
-    # profiling cost and skew the wall/cpu accounting between executors.
-    # What the clocks measure on both paths is retrieval + scoring.
+    # Warm the query profile before the clocks start: it is the same
+    # constant on every shard, and what wall_s / cpu_s report (scatter
+    # skew, bench_shard's critical path) is retrieval + scoring.
     query.stats.warm()
     # Adopt the driver's distributed trace id so this worker's tree
     # grafts into the request's single tree; stamp the root span with it

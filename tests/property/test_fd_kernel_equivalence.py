@@ -5,9 +5,8 @@ legacy object kernel.
 verbatim; the interned kernel (integer-coded tuples, masked predicates,
 packed postings, partition-first solving) must reproduce it **exactly** on
 arbitrary inputs: identical cells, identical null kinds (``±`` vs ``⊥``),
-identical provenance sets, identical row order -- for batch ``AliteFD``,
-for ``ParallelFD`` (sequential and process-pool), and for
-``integrate_incremental`` at every prefix.
+identical provenance sets, identical row order -- for batch ``AliteFD``
+and for ``integrate_incremental`` at every prefix.
 
 The value alphabet deliberately mixes strings, ints, an equal float
 (``1 == 1.0`` -- one interned code), a bool (``True != 1`` in data
@@ -24,7 +23,6 @@ from repro.integration import (
     AliteFD,
     LegacyAliteFD,
     OracleFD,
-    ParallelFD,
     normalized_key,
 )
 from repro.table import MISSING, Table
@@ -86,24 +84,6 @@ class TestInternedEqualsLegacy:
     def test_alite_interned_equals_legacy(self, tables):
         assert_same_result(
             LegacyAliteFD().integrate(tables), AliteFD().integrate(tables)
-        )
-
-    @settings(max_examples=50, deadline=None)
-    @given(tables_strategy())
-    def test_parallel_sequential_equals_legacy(self, tables):
-        assert_same_result(
-            LegacyAliteFD().integrate(tables),
-            ParallelFD(max_workers=1).integrate(tables),
-        )
-
-    @settings(max_examples=10, deadline=None)
-    @given(tables_strategy())
-    def test_parallel_pool_equals_legacy(self, tables):
-        # The process-pool path: interned components cross a pickle
-        # boundary and come back bit-identical.
-        assert_same_result(
-            LegacyAliteFD().integrate(tables),
-            ParallelFD(max_workers=2, min_parallel_components=1).integrate(tables),
         )
 
     @settings(max_examples=40, deadline=None)

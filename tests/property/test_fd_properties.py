@@ -1,7 +1,7 @@
 """Property-based tests for Full Disjunction (the reproduction's core).
 
 The oracle test is the strongest guarantee in the suite: on arbitrary small
-integration sets, AliteFD, NestedLoopFD and ParallelFD must produce exactly
+integration sets, AliteFD and NestedLoopFD must produce exactly
 the value set of the brute-force definitional FD (:class:`OracleFD`).
 """
 
@@ -14,7 +14,6 @@ from repro.integration import (
     AliteFD,
     NestedLoopFD,
     OracleFD,
-    ParallelFD,
     UnionIntegrator,
     joinable,
     merge_tuples,
@@ -73,13 +72,6 @@ class TestAgainstOracle:
         oracle = OracleFD().integrate(tables)
         nested = NestedLoopFD().integrate(tables)
         assert value_multiset(nested) == value_multiset(oracle)
-
-    @settings(max_examples=40, deadline=None)
-    @given(tables_strategy())
-    def test_parallel_equals_oracle(self, tables):
-        oracle = OracleFD().integrate(tables)
-        parallel = ParallelFD().integrate(tables)
-        assert value_multiset(parallel) == value_multiset(oracle)
 
 
 class TestFDInvariants:

@@ -1,7 +1,7 @@
 """``store.open_index`` is one lifecycle for every store layout.
 
-A plain :class:`LakeStore`, and a sharded one at 1, 2 (thread executor)
-and 4 shards (process executor), answer the same call the same way:
+A plain :class:`LakeStore`, and a sharded one at 1, 2 and 4 shards (one
+worker process per shard), answer the same call the same way:
 hydrate what is persisted at this version, fit the rest, persist what
 was fitted, serve it.  Two properties pin that:
 

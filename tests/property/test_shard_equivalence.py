@@ -6,20 +6,16 @@ reducer) returns **byte-identical top-k** to the unsharded pipeline,
 for every discoverer and for every retrieval mode the reducer can
 take (assemble, budget truncation, below-floor exhaustive fallback).
 
-Two preconditions make the comparison valid and are part of what the
-test pins:
+One precondition makes the comparison valid and is part of what the
+test pins: both sides are *fresh builds* over the same lake.
+Lake-global fit state (SANTOS synthesized KB, TUS corpus IDF) is
+computed from the combined lake and pinned at build time; comparing a
+pinned sharded index against a *re-fit* unsharded one after ingest would
+measure fit-state drift, not reducer correctness.
 
-* Both sides are *fresh builds* over the same lake.  Lake-global fit
-  state (SANTOS synthesized KB, TUS corpus IDF) is computed from the
-  combined lake and pinned at build time; comparing a pinned sharded
-  index against a *re-fit* unsharded one after ingest would measure
-  fit-state drift, not reducer correctness.
-* Thread executor -- shard counts above the thread limit would pick
-  process pools under ``executor="auto"``, which is equivalence-tested
-  elsewhere and too slow for a property sweep.
-
-Process mode fits each shard in that shard's worker; the artifact test
-pins that what a worker persists is what an in-process build persists.
+Every shard count runs through the one executor there is: each shard is
+fitted and served by its own worker process.  The artifact test pins
+that what a worker persists is what an in-process build persists.
 
 The incremental-ingest test pins the perf contract the routing rule
 buys: one table's ingest rewrites exactly one shard (version bump +
@@ -119,7 +115,7 @@ def unsharded_answer(lake, query, k, budget=None):
 def sharded_answer(root, lake, query, k, num_shards, budget=None):
     store = ShardedLakeStore.create(root / f"lake-{num_shards}", num_shards=num_shards)
     store.ingest(lake)
-    index = ShardedLakeIndex(store, roster(), executor="threads")
+    index = ShardedLakeIndex(store, roster())
     index.set_candidate_budget(budget)
     try:
         index.build()
@@ -202,7 +198,7 @@ def test_single_table_ingest_rewrites_exactly_one_shard(tmp_path):
     lake = make_lake(seed=7)
     store = ShardedLakeStore.create(tmp_path / "lake", num_shards=4)
     store.ingest(lake)
-    index = ShardedLakeIndex(store, roster(), executor="threads")
+    index = ShardedLakeIndex(store, roster())
     try:
         index.build()  # persists per-shard indexes + the lake-global fit state
     finally:
@@ -245,13 +241,13 @@ def _artifact_bytes(shard_path: Path) -> dict[str, bytes]:
 
 
 def test_worker_persisted_artifacts_equal_an_in_process_build(tmp_path):
-    """Process mode fits and persists each shard in that shard's worker;
-    what lands in ``indexes/`` and ``postings/`` is byte for byte what
+    """Each shard is fitted and persisted in that shard's worker; what
+    lands in ``indexes/`` and ``postings/`` is byte for byte what
     ``LakeIndex.build().save_to_store()`` writes for the same shard in
     this process (the forked workers share its string-hash seed)."""
     store = ShardedLakeStore.create(tmp_path / "lake", num_shards=4)
     store.ingest(make_lake(seed=11))
-    ShardedLakeIndex(store, roster(), executor="processes").build().close()
+    ShardedLakeIndex(store, roster()).build().close()
     state = store.load_fit_state()
     for shard in store.shards:
         assert shard.info()["indexes_lake_version"] == shard.lake_version

@@ -410,7 +410,7 @@ class TestCandidateEngineCli:
         "layout, line",
         [
             ([], "engine: 2 tables, budget=unbudgeted, postings loaded from store: True"),
-            (["--shards", "2"], "sharded engine: 2 tables across 2 shards (threads)"),
+            (["--shards", "2"], "sharded engine: 2 tables across 2 shards"),
         ],
     )
     def test_explain_engine_line_comes_from_the_index(

@@ -10,7 +10,6 @@ from repro.integration import (
     NestedLoopFD,
     OracleFD,
     OuterJoinIntegrator,
-    ParallelFD,
     UnionIntegrator,
     connected_components,
     dedupe_tuples,
@@ -129,7 +128,7 @@ class TestPrepareInput:
 
 
 class TestFDAlgorithms:
-    @pytest.fixture(params=[AliteFD, NestedLoopFD, ParallelFD, OracleFD])
+    @pytest.fixture(params=[AliteFD, NestedLoopFD, OracleFD])
     def algorithm(self, request):
         return request.param()
 
@@ -179,7 +178,7 @@ class TestFDAlgorithms:
         assert result.num_rows == 2
 
 
-class TestParallelFD:
+class TestConnectedComponents:
     def test_connected_components_split(self):
         tuples = [wt("a", PRODUCED), wt("a", "b"), wt(PRODUCED, "z")]
         components, all_null = connected_components(tuples)
@@ -192,16 +191,10 @@ class TestParallelFD:
         assert len(components) == 1
         assert len(all_null) == 1
 
-    def test_multiprocess_matches_sequential(self, small_integration_set):
-        sequential = ParallelFD(max_workers=1).integrate(small_integration_set)
-        parallel = ParallelFD(max_workers=2, min_parallel_components=1).integrate(
-            small_integration_set
-        )
-        assert parallel.equals(sequential, ignore_row_order=True)
-
     def test_degenerate_all_null_input(self):
+        # No component at all: the partition-first solver keeps one tuple.
         t = Table(["a"], [(MISSING,), (MISSING,)], name="t")
-        result = ParallelFD().integrate([t])
+        result = AliteFD().integrate([t])
         assert result.num_rows == 1
 
 

@@ -20,7 +20,7 @@ from repro.integration.intern import (
     solve_interned,
     unintern_tuple,
 )
-from repro.integration.parallel import connected_components
+from repro.integration.subsume import connected_components
 from repro.integration.tuples import WorkTuple, cell_key
 from repro.table import MISSING, PRODUCED
 
@@ -226,17 +226,3 @@ class TestPerCallRepresentatives:
         [work], cells_by_code = intern_call_input([wt(1, "z")], interner)
         restored = unintern_tuple(work, interner, cells_by_code)
         assert isinstance(restored.cells[0], int)
-
-    def test_parallel_results_carry_input_tuples_for_explain(self):
-        from repro.integration import ParallelFD
-        from repro.integration.explain import fact_lineage
-        from repro.table import Table
-
-        tables = [
-            Table(["k", "a"], [("k1", "x")], name="A"),
-            Table(["k", "b"], [("k1", "y")], name="B"),
-        ]
-        result = ParallelFD(max_workers=1).integrate(tables)
-        assert result.input_tuples
-        lineage = fact_lineage(result, "f1")
-        assert [entry["attribute"] for entry in lineage] == ["k", "a", "b"]

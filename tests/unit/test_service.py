@@ -1231,7 +1231,7 @@ class TestTelemetry:
 
 
 # ----------------------------------------------------------------------
-# Sharded lake, process mode: the serving process is a router
+# Sharded lake: the serving process is a router
 # ----------------------------------------------------------------------
 def _keyed_table(name: str, tag: int) -> Table:
     rows = [(f"city{tag}_{j}", f"state{j % 3}", tag * j) for j in range(6)]
@@ -1251,8 +1251,10 @@ def _driver_store_reads() -> dict[str, int]:
 
 class TestShardedRouter:
     @pytest.fixture
-    def sharded_path(self, tmp_path):
-        store = ShardedLakeStore.create(tmp_path / "lake", num_shards=4)
+    def sharded_path(self, tmp_path, request):
+        # Four shards, unless a test asks (indirectly) for another count.
+        num_shards = getattr(request, "param", 4)
+        store = ShardedLakeStore.create(tmp_path / "lake", num_shards=num_shards)
         store.ingest({f"t{i:02d}": _keyed_table(f"t{i:02d}", i) for i in range(12)})
         Dialite(store=store).index.close()  # fit + persist every shard
         return tmp_path / "lake"
@@ -1264,7 +1266,6 @@ class TestShardedRouter:
         with LakeService(
             store=sharded_path, workers=2, reload_check_interval=0.0
         ) as service:
-            assert service.pipeline.index.executor == "processes"
             for tag in range(5):
                 query = Table(["City"], [(f"city{tag}_2",), (f"city{tag}_4",)], name="q")
                 assert service.discover(query, k=5).payload["results"]
@@ -1289,7 +1290,13 @@ class TestShardedRouter:
         finally:
             fresh.index.close()
 
-    def test_index_build_decodes_nothing_in_the_driver(self, tmp_path):
+    @pytest.mark.parametrize("sharded_path", [1, 2], indirect=True)
+    def test_driver_is_a_router_at_every_shard_count(self, sharded_path):
+        """One executor: a 1- or 2-shard lake is served by workers too, so
+        its driver decodes and hydrates nothing either."""
+        self.test_driver_decodes_hydrates_and_fits_nothing(sharded_path)
+
+    def test_index_build_decodes_nothing_in_the_driver(self, tmp_path, shards="4"):
         """`repro index build --shards N`: the driver ingests, computes the
         lake-global fit state from hydrated stats (the synthesized KB's
         domains are ``text_values()``), and the workers fit their shards."""
@@ -1301,7 +1308,7 @@ class TestShardedRouter:
         reads_before = _driver_store_reads()
         assert main([
             "index", "build", "--lake", str(tmp_path / "csv"),
-            "--store", str(tmp_path / "lake"), "--shards", "4",
+            "--store", str(tmp_path / "lake"), "--shards", shards,
         ]) == 0
         moved = {
             name: count - reads_before.get(name, 0)
@@ -1313,6 +1320,10 @@ class TestShardedRouter:
         assert built.has_fit_state()
         for shard in built.shards:
             assert shard.info()["indexes_lake_version"] == shard.lake_version
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_index_build_decodes_nothing_at_every_shard_count(self, tmp_path, shards):
+        self.test_index_build_decodes_nothing_in_the_driver(tmp_path, shards)
 
     def test_traced_ingest_shows_where_the_refit_went(self, sharded_path):
         fits_before = obs_metrics.histogram("shard.worker.fit_seconds").count

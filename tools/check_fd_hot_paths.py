@@ -42,7 +42,6 @@ HOT_MODULES = (
     "intern.py",
     "iterator.py",
     "outerjoin.py",
-    "parallel.py",
     "subsume.py",
 )
 
