@@ -34,6 +34,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.datalake.synth import build_integration_set  # noqa: E402
 from repro.integration import AliteFD, LegacyAliteFD, normalized_key  # noqa: E402
+from repro.integration.intern import fd_stats_from_span  # noqa: E402
+from repro.obs.trace import Tracer, activate  # noqa: E402
 from repro.table.values import is_missing, is_null  # noqa: E402
 
 #: The acceptance gate: interned partition-first kernel over object kernel.
@@ -68,13 +70,13 @@ def assert_identical(reference, candidate, label: str) -> None:
     assert candidate.provenance == reference.provenance, f"{label}: provenance differs"
 
 
-def timed(make_integrator, tables, repeats: int):
-    """Best-of-*repeats* wall time; a fresh integrator per run so no run
-    warms the next one's interner."""
+def timed(integrator, tables, repeats: int):
+    """Best-of-*repeats* wall time.  No run can warm the next: neither
+    integrator keeps anything between calls (an ``AliteFD`` call interns
+    into its own interner)."""
     best = float("inf")
     result = None
     for _ in range(repeats):
-        integrator = make_integrator()
         start = time.perf_counter()
         result = integrator.integrate(tables)
         best = min(best, time.perf_counter() - start)
@@ -91,21 +93,20 @@ def run(smoke: bool, check: bool, repeats: int, json_path: str | None) -> int:
         f"({total_rows} input tuples)"
     )
 
-    legacy_seconds, legacy = timed(LegacyAliteFD, tables, repeats)
-    interned_instances: list[AliteFD] = []
-
-    def fresh_interned() -> AliteFD:
-        interned_instances.append(AliteFD())
-        return interned_instances[-1]
-
-    interned_seconds, interned = timed(fresh_interned, tables, repeats)
-    stats = interned_instances[-1].last_stats or {}
+    legacy_seconds, legacy = timed(LegacyAliteFD(), tables, repeats)
+    interned_seconds, interned = timed(AliteFD(), tables, repeats)
+    # The kernel accounting is the call's ``integrate.fd`` span: one extra
+    # run under a local tracer (outside the timed ones) fills it in.
+    tracer = Tracer()
+    with activate(tracer):
+        AliteFD().integrate(tables)
+    stats = fd_stats_from_span(tracer.root)
 
     assert_identical(legacy, interned, "interned AliteFD vs legacy")
     print(
         f"  output identical across kernels: {interned.num_rows} facts, "
-        f"{stats.get('components', '?')} components, "
-        f"domain {stats.get('domain', '?')} values"
+        f"{stats['components']} components, "
+        f"domain {stats['domain']} values"
     )
 
     speedup = legacy_seconds / max(interned_seconds, 1e-9)

@@ -762,7 +762,9 @@ def _print_retrieval(retrieval: dict) -> None:
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
+    want_tree = args.trace or args.explain
     if args.service:
+        from .obs.trace import Tracer
         from .service import decode_table
 
         client = _service_client(args)
@@ -771,7 +773,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
                 tables=[read_csv(path) for path in args.tables],
                 integrator=args.integrator,
                 align=not args.no_align,
-                trace=args.trace,
+                trace=want_tree,
             )
         else:
             if args.query is None:
@@ -782,7 +784,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
                 column=args.column,
                 integrator=args.integrator,
                 align=not args.no_align,
-                trace=args.trace,
+                trace=want_tree,
             )
         print(
             "integration set: "
@@ -791,11 +793,13 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
             + (", served from cache)" if response.get("cached") else ")")
             + "\n"
         )
+        if args.explain:
+            _print_kernel_stats(Tracer().attach_tree(response.get("trace")))
         _emit(decode_table(response["payload"]["table"]), args.out)
         if args.trace:
             _print_trace(response.get("trace"))
         return 0
-    tracer, tracing_ctx = _maybe_trace(args.trace, "cli.integrate")
+    tracer, tracing_ctx = _maybe_trace(want_tree, "cli.integrate")
     if args.tables:
         tables = [read_csv(path) for path in args.tables]
         pipeline = Dialite(DataLake())
@@ -820,22 +824,30 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
             )
         print("integration set: " + ", ".join([query.name, *outcome.discovered_names]) + "\n")
     if args.explain:
-        chosen = pipeline.integrators.get(
-            args.integrator or pipeline.default_integrator
-        )
-        _print_kernel_stats(getattr(chosen, "last_stats", None))
+        _print_kernel_stats(tracer.root)
     display = result.to_display_table() if isinstance(result, IntegratedTable) else result
     _emit(display, args.out)
-    if tracer is not None:
+    if args.trace:
         _print_trace(tracer.to_dict())
     return 0
 
 
-def _print_kernel_stats(stats: dict | None) -> None:
-    """The FD kernel accounting of one integrate call (``--explain``)."""
-    if not stats:
-        print("kernel accounting: not available for this integrator\n")
+def _print_kernel_stats(root) -> None:
+    """The FD kernel accounting of one integrate call (``--explain``), read
+    off the ``integrate.fd`` span of the call's trace tree -- the local
+    tracer's root or the rebuilt tree of a service reply."""
+    from .integration.intern import fd_stats_from_span
+
+    pending = [root] if root is not None else []
+    while pending:
+        fd_span = pending.pop()
+        if fd_span.name == "integrate.fd":
+            break
+        pending.extend(fd_span.children)
+    else:
+        print("kernel accounting: no FD kernel ran for this reply\n")
         return
+    stats = fd_stats_from_span(fd_span)
     print(
         f"FD kernel: {stats['input_tuples']} input tuples -> "
         f"{stats['output_tuples']} facts in {stats['components']} components "

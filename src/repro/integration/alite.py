@@ -16,9 +16,10 @@ The algorithm (Khatiwada et al., VLDB 2023, adapted to in-memory scale):
 
 Since PR 4 the default :class:`AliteFD` runs steps 2-4 on the **interned
 integer kernel** (:mod:`repro.integration.intern`): cells become small int
-codes, joinability/subsumption become masked int-vector loops, and postings
-become packed ints.  :class:`LegacyAliteFD` keeps the original object-level
-kernel (same algorithm and data layout as pre-PR-4; it shares the
+codes in an interner the call builds and drops, joinability/subsumption
+become masked int-vector loops, and postings become packed ints.
+:class:`LegacyAliteFD` keeps the original object-level kernel (same
+algorithm and data layout as pre-PR-4; it shares the
 ``joinable``/``subsumes`` predicates, which gained the bool-vs-int
 discipline of ``values_equal`` in the same PR, so both kernels see one
 semantics) as the benchmark baseline (``benchmarks/bench_fd_kernel.py``
@@ -40,7 +41,7 @@ from collections import deque
 from ..table.table import Table
 from ..table.values import MISSING, PRODUCED, is_null
 from .base import Integrator
-from .intern import ValueInterner, solve_interned
+from .intern import solve_interned
 from .subsume import dedupe_tuples, remove_subsumed
 from .tuples import (
     IntegratedTable,
@@ -196,49 +197,22 @@ class AliteFD(Integrator):
     """The default DIALITE integrator: ALITE's Full Disjunction on the
     interned, partition-first kernel.
 
-    Each instance owns one append-only :class:`ValueInterner`, reused
-    across every ``integrate`` / ``integrate_incremental`` call -- share an
-    instance (or pass ``interner=``) to amortize interning over a lake;
-    results never depend on how the domain accreted (the kernel orders by
-    value rank, not code).  ``last_stats`` holds the most recent kernel
-    accounting (component counts, domain size, per-phase timings) -- the
-    payload behind ``repro integrate --explain``.
-
-    *domain_capacity* bounds per-process interner growth for long-running
-    services: when a fresh ``integrate`` call finds the accreted domain
-    above the capacity, the instance starts over with an empty interner
-    (legal precisely because results never depend on accretion history;
-    output spellings come from the per-call representative map either
-    way).  The reset only ever happens **between** batch calls -- never
-    inside :meth:`integrate_incremental`, whose contract is continuity
-    with the stored domain.  None (the default) keeps the unbounded
-    batch behavior.
+    An instance holds **no state**: every ``integrate`` /
+    ``integrate_incremental`` call interns into its own
+    :class:`~repro.integration.intern.ValueInterner`, so one registered
+    instance serves any number of callers and lake generations while
+    accreting nothing, and a call's cost never depends on what the process
+    integrated before.  The kernel accounting (component counts, domain
+    size, per-phase timings -- the payload behind ``repro integrate
+    --explain``) is the call's ``integrate.fd`` span under the ambient
+    tracer (:func:`~repro.integration.intern.fd_stats_from_span`).
     """
 
     name = "alite_fd"
 
-    def __init__(
-        self,
-        interner: ValueInterner | None = None,
-        domain_capacity: int | None = None,
-    ):
-        self.interner = interner if interner is not None else ValueInterner()
-        self.domain_capacity = domain_capacity
-        self.last_stats: dict | None = None
-
     def _integrate(self, tables: list[Table], name: str) -> IntegratedTable:
-        if (
-            self.domain_capacity is not None
-            and self.interner.domain > self.domain_capacity
-        ):
-            self.interner = ValueInterner()
         header, work, tid_sources = prepare_integration_input(tables)
-        base = base_cells_map(work)
-        stats: dict = {}
-        final = canonicalize_null_kinds(
-            solve_interned(work, self.interner, stats), base
-        )
-        self.last_stats = stats
+        final = canonicalize_null_kinds(solve_interned(work), base_cells_map(work))
         return IntegratedTable.from_work_tuples(
             header, final, tid_sources, name=name, algorithm=self.name,
             input_tuples=work,
@@ -250,20 +224,15 @@ class AliteFD(Integrator):
         """Fold one more table into an existing FD result.
 
         Produces exactly ``FD(original tables + table)`` (asserted by tests
-        at every prefix).  New rows are re-interned against this instance's
-        stored domain, so values already seen in earlier increments resolve
-        to their existing codes without touching the intern dictionary's
-        growth path.
+        at every prefix): the seeds and the new rows are solved as one
+        working set, interned afresh like any other call.
         """
         header, seeds, new_inputs, all_inputs, tid_sources = _prepare_incremental(
             existing, table
         )
-        stats: dict = {}
         final = canonicalize_null_kinds(
-            solve_interned(seeds + new_inputs, self.interner, stats),
-            base_cells_map(all_inputs),
+            solve_interned(seeds + new_inputs), base_cells_map(all_inputs)
         )
-        self.last_stats = stats
         return IntegratedTable.from_work_tuples(
             header, final, tid_sources, name=name, algorithm=self.name,
             input_tuples=all_inputs,

@@ -29,18 +29,15 @@ are assigned in arrival order, which is *not* value order -- so every
 closure run uses a **rank permutation** (:meth:`ValueInterner.sort_ranks`):
 code ``c`` maps to the rank of its tagged key in the sorted domain.  Rank
 vectors are order-isomorphic to the legacy tagged-key store keys, so
-sorting by them reproduces the legacy iteration exactly -- regardless of
-how the interner's domain accreted (fresh per integration, or reused
-across a lake / an incremental session).
+sorting by them reproduces the legacy iteration exactly.
 
-Interning contract: an interner is **append-only** (codes are never
-reassigned or dropped), so one interner may be shared across many
-integrations -- :class:`~repro.integration.alite.AliteFD` holds one per
-instance precisely for incremental integration, which re-interns new rows
-against the stored domain.  **Cell spelling:** a code is rendered back
-with a *per-call* representative -- the first spelling seen in *this
-integration's* input (never a spelling left over from an earlier call on
-a shared interner, so results are independent of domain history).  The
+Interning contract: an interner lives exactly as long as **the call that
+filled it** -- :func:`solve_interned` (behind
+:class:`~repro.integration.alite.AliteFD`, batch and incremental) and
+:func:`~repro.integration.iterator.iter_fd` each build their own, so a
+result can depend on nothing an earlier call interned and an integrator
+instance holds no state.  **Cell spelling:** a code is rendered back as
+the first spelling *this input* carries (:meth:`ValueInterner.cell`).  The
 one visible normalization this implies: when an integration mixes
 ``==``-equal numeric spellings of one value (``1`` and ``1.0`` -- the
 only cells :func:`~repro.integration.tuples.cell_key` collapses), every
@@ -72,7 +69,6 @@ __all__ = [
     "IntTuple",
     "NULL_CODE",
     "intern_tuples",
-    "intern_call_input",
     "unintern_tuple",
     "int_joinable",
     "int_subsumes",
@@ -100,13 +96,12 @@ class ValueInterner:
     the object level.
     """
 
-    __slots__ = ("_code_of", "_cells", "_keys", "_ranks_cache")
+    __slots__ = ("_code_of", "_cells", "_keys")
 
     def __init__(self) -> None:
         self._code_of: dict[tuple, int] = {}
         self._cells: list[Cell] = [PRODUCED]
         self._keys: list[tuple] = [_NULL_KEY]
-        self._ranks_cache: tuple[int, tuple[int, ...]] | None = None
 
     def __len__(self) -> int:
         return len(self._cells) - 1  # distinct non-null values
@@ -149,25 +144,20 @@ class ValueInterner:
         Rank vectors compare exactly like the legacy kernel's tagged-key
         store keys, which is what keeps the interned closure's iteration
         order -- and therefore its provenance folding -- identical to the
-        object kernel's.  Cached until the domain grows.
+        object kernel's.
         """
-        cached = self._ranks_cache
-        if cached is not None and cached[0] == len(self._keys):
-            return cached[1]
         order = sorted(range(len(self._keys)), key=self._keys.__getitem__)
         ranks = [0] * len(order)
         for rank, code in enumerate(order):
             ranks[code] = rank
-        frozen = tuple(ranks)
-        self._ranks_cache = (len(self._keys), frozen)
-        return frozen
+        return tuple(ranks)
 
 
 class IntTuple:
     """One FD working tuple in the interned domain.
 
     ``codes[i] == 0`` means null at position *i*; ``mask`` has bit *i* set
-    iff position *i* is non-null.  Pickles compactly (ints + tid strings).
+    iff position *i* is non-null.
     """
 
     __slots__ = ("codes", "mask", "tids")
@@ -176,9 +166,6 @@ class IntTuple:
         self.codes = codes
         self.mask = mask
         self.tids = tids
-
-    def __reduce__(self):
-        return (IntTuple, (self.codes, self.mask, self.tids))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IntTuple({self.codes!r}, tids={sorted(self.tids)})"
@@ -196,23 +183,8 @@ def mask_of(codes: Sequence[int]) -> int:
 def intern_tuples(
     tuples: Iterable[WorkTuple], interner: ValueInterner
 ) -> list[IntTuple]:
-    """Object working set -> interned working set (null kinds collapse).
-
-    Convenience form of :func:`intern_call_input` for callers that do not
-    need the per-call spelling map (tests, ad-hoc kernel use)."""
-    return intern_call_input(tuples, interner)[0]
-
-
-def intern_call_input(
-    tuples: Iterable[WorkTuple], interner: ValueInterner
-) -> tuple[list[IntTuple], dict[int, Cell]]:
-    """Intern one integration's input and capture its **per-call
-    representative cells**: for each code, the first spelling this input
-    carries.  Rendering outputs through this map (not the interner's
-    global first-seen cells) keeps results independent of what a shared
-    interner saw in earlier calls."""
+    """Object working set -> interned working set (null kinds collapse)."""
     code_of = interner.code
-    cells_by_code: dict[int, Cell] = {}
     out = []
     for work in tuples:
         codes = []
@@ -222,39 +194,19 @@ def intern_call_input(
             codes.append(code)
             if code:
                 mask |= 1 << position
-                if code not in cells_by_code:
-                    cells_by_code[code] = cell
         out.append(IntTuple(tuple(codes), mask, work.tids))
-    return out, cells_by_code
+    return out
 
 
-def unintern_tuple(
-    work: IntTuple,
-    interner: ValueInterner,
-    cells_by_code: dict[int, Cell] | None = None,
-) -> WorkTuple:
-    """Interned tuple -> object tuple.  Nulls come back as ``PRODUCED``
-    placeholders; callers must follow with
+def unintern_tuple(work: IntTuple, interner: ValueInterner) -> WorkTuple:
+    """Interned tuple -> object tuple, each code rendered as the first
+    spelling *interner* saw for it.  Nulls come back as ``PRODUCED``
+    placeholders (the null code's own cell); callers must follow with
     :func:`~repro.integration.tuples.canonicalize_null_kinds` (which every
     FD algorithm does anyway -- null kind is a pure function of provenance).
-
-    *cells_by_code* is the per-call spelling map of
-    :func:`intern_call_input`; without it, the interner's global
-    representatives are used (fine for single-use interners)."""
-    if cells_by_code is None:
-        cell = interner.cell
-        return WorkTuple(
-            cells=tuple(cell(code) if code else PRODUCED for code in work.codes),
-            tids=work.tids,
-        )
-    get = cells_by_code.get
+    """
     cell = interner.cell
-    return WorkTuple(
-        cells=tuple(
-            get(code, cell(code)) if code else PRODUCED for code in work.codes
-        ),
-        tids=work.tids,
-    )
+    return WorkTuple(cells=tuple([cell(code) for code in work.codes]), tids=work.tids)
 
 
 # ----------------------------------------------------------------------
@@ -551,38 +503,30 @@ def int_connected_components(
 # ----------------------------------------------------------------------
 # The partition-first solver every interned FD algorithm shares
 # ----------------------------------------------------------------------
-def solve_interned(
-    work: Sequence[WorkTuple],
-    interner: ValueInterner,
-    stats: dict | None = None,
-) -> list[WorkTuple]:
+def solve_interned(work: Sequence[WorkTuple]) -> list[WorkTuple]:
     """Full FD pipeline on the interned domain: intern, dedupe, partition,
     then close + subsume each component independently.
 
-    Returns object-level tuples with ``PRODUCED`` null placeholders (null
-    kinds are recomputed from provenance by the caller's
-    ``canonicalize_null_kinds`` pass).  *stats*, when given, receives
-    component counts and per-phase timings -- the ``--explain`` payload.
+    The call builds its own :class:`ValueInterner` (see the module
+    docstring's interning contract).  Returns object-level tuples with
+    ``PRODUCED`` null placeholders (null kinds are recomputed from
+    provenance by the caller's ``canonicalize_null_kinds`` pass).
 
-    The phase structure is emitted as an ``integrate.fd`` span tree
-    (nesting under the ambient tracer when one is active); *stats* is
-    **derived from that tree** by :func:`fd_stats_from_span` -- one
-    instrumentation source, same payload keys as ever.  The interleaved
-    per-component closure/subsume loop keeps local ``perf_counter``
-    accumulation (a span per component would allocate inside the hot
-    loop) and enters the tree as two pre-measured children.
+    The phase structure is emitted as an ``integrate.fd`` span tree under
+    the ambient tracer -- or not at all when tracing is disabled;
+    :func:`fd_stats_from_span` reads the ``--explain`` payload off that
+    span.  The interleaved per-component closure/subsume loop keeps local
+    ``perf_counter`` accumulation (a span per component would allocate
+    inside the hot loop) and enters the tree as two pre-measured children.
     """
-    tracer = trace.current_tracer()
-    if tracer is None:
-        tracer = trace.Tracer()
-
-    with tracer.span("integrate.fd") as fd_span:
-        with tracer.span("integrate.intern"):
-            ints, cells_by_code = intern_call_input(work, interner)
+    with trace.span("integrate.fd") as fd_span:
+        with trace.span("integrate.intern"):
+            interner = ValueInterner()
+            ints = intern_tuples(work, interner)
             domain = interner.domain
             ranks = interner.sort_ranks()
 
-        with tracer.span("integrate.partition"):
+        with trace.span("integrate.partition"):
             components, all_null = int_connected_components(
                 int_dedupe(ints), domain
             )
@@ -597,14 +541,14 @@ def solve_interned(
             subsume_started = perf_counter()
             solved.extend(interned_remove_subsumed(closed, domain))
             subsume_seconds += perf_counter() - subsume_started
-        tracer.record("integrate.closure", wall_s=closure_seconds)
-        tracer.record("integrate.subsume", wall_s=subsume_seconds)
+        trace.record("integrate.closure", wall_s=closure_seconds)
+        trace.record("integrate.subsume", wall_s=subsume_seconds)
         if not solved and all_null:
             # Degenerate input: only all-null tuples exist; keep one
             # (already provenance-folded by the dedupe above).
             solved = all_null[:1]
 
-        final = [unintern_tuple(t, interner, cells_by_code) for t in solved]
+        final = [unintern_tuple(t, interner) for t in solved]
         fd_span.add(
             input_tuples=len(ints),
             output_tuples=len(final),
@@ -619,9 +563,6 @@ def solve_interned(
         for component in components:
             size_histogram.observe(len(component))
         metrics.counter("fd.solves").inc()
-
-    if stats is not None:
-        stats.update(fd_stats_from_span(fd_span))
     return final
 
 

@@ -22,7 +22,7 @@ from .intern import (
     ValueInterner,
     int_connected_components,
     int_dedupe,
-    intern_call_input,
+    intern_tuples,
     interned_closure,
     interned_remove_subsumed,
     unintern_tuple,
@@ -47,9 +47,10 @@ def iter_fd(
     (asserted by tests); within a component, facts appear in deterministic
     (smallest-TID, value) order.  ``largest_first=False`` (default) solves
     small components first, so the first results arrive as early as
-    possible.  Each component is solved on the interned integer kernel,
-    so the stream pays interning once up front and int-vector work per
-    component.
+    possible.  Each component is solved on the interned integer kernel
+    against the stream's own interner (built here, dropped with the
+    generator), so the stream pays interning once up front and int-vector
+    work per component.
     """
     header, work, _ = prepare_integration_input(tables)
     base = base_cells_map(work)
@@ -57,8 +58,7 @@ def iter_fd(
     # the per-component cost stays proportional to the component.
     missing_of = missing_positions_map(base)
     interner = ValueInterner()
-    interned, cells_by_code = intern_call_input(work, interner)
-    ints = int_dedupe(interned)
+    ints = int_dedupe(intern_tuples(work, interner))
     domain = interner.domain
     ranks = interner.sort_ranks()
     components, all_null = int_connected_components(ints, domain)
@@ -69,7 +69,7 @@ def iter_fd(
             interned_closure(component, domain, ranks), domain
         )
         solved = canonicalize_null_kinds(
-            [unintern_tuple(t, interner, cells_by_code) for t in solved_int],
+            [unintern_tuple(t, interner) for t in solved_int],
             base,
             missing_of,
         )
@@ -81,7 +81,7 @@ def iter_fd(
             yield tuple(header), fact
     if emitted == 0 and all_null:
         yield tuple(header), canonicalize_null_kinds(
-            [unintern_tuple(all_null[0], interner, cells_by_code)], base, missing_of
+            [unintern_tuple(all_null[0], interner)], base, missing_of
         )[0]
 
 

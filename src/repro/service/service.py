@@ -2,8 +2,8 @@
 
 :class:`LakeService` owns what every previous PR made fast but nothing
 shared: a warm :class:`~repro.core.pipeline.Dialite` (hydrated store,
-persisted discoverer indexes, zero-rebuild candidate engine, amortized FD
-interner) served to concurrent callers through
+persisted discoverer indexes, zero-rebuild candidate engine) served to
+concurrent callers through
 
 * a **worker pool** with bounded admission -- at most ``queue_depth``
   requests in flight; the next one is rejected with
@@ -40,9 +40,11 @@ share one cache entry and byte-identical payloads.
 Thread-safety ground rules (see the audit in
 :mod:`repro.candidates.engine`): discovery fans out concurrently on the
 shared engine; align/integrate serialize on one internal lock because
-the aligner and the integrators (notably the FD interner) are shared
-mutable state -- correctness first, and discovery is the hot path a
-cache cannot already serve.
+the aligner is shared mutable state and an integrator a user registered
+through ``add_integrator`` cannot be assumed thread-safe (no built-in
+integrator holds state: a Full Disjunction call owns its interner) --
+correctness first, and discovery is the hot path a cache cannot already
+serve.
 """
 
 from __future__ import annotations
@@ -337,8 +339,9 @@ class LakeService:
         self._inflight = 0
         self._admission_lock = threading.Lock()
         self._reload_lock = threading.Lock()
-        # Serializes align/integrate (shared aligner + integrator state,
-        # notably the amortized FD interner); discovery never takes it.
+        # Serializes align/integrate: the aligner is shared mutable state
+        # and a user-registered integrator may be (the built-in ones hold
+        # none); discovery never takes it.
         self._work_lock = threading.Lock()
         self._last_version_check = time.monotonic()
         self._executor = ThreadPoolExecutor(
@@ -780,7 +783,9 @@ class LakeService:
         )
         # Carry forward the (lake-independent) registries and aligner so
         # custom integrators/apps survive a reload; align/integrate are
-        # serialized by the work lock, so sharing the instances is safe.
+        # serialized by the work lock, so sharing the instances is safe
+        # (and the built-in integrators keep nothing between calls, so a
+        # generation inherits no state from the one before it).
         pipeline.integrators = previous.pipeline.integrators
         pipeline.default_integrator = previous.pipeline.default_integrator
         pipeline.apps = previous.pipeline.apps

@@ -100,7 +100,9 @@ class TestIncrementalEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(tables_strategy(max_tables=3, max_rows=2))
     def test_incremental_equals_batch_and_legacy_at_every_prefix(self, tables):
-        interned_fd = AliteFD()  # one instance: the domain accretes across prefixes
+        # One instance across every prefix: it keeps nothing between
+        # calls, so this guards a regression to state shared across them.
+        interned_fd = AliteFD()
         legacy_fd = LegacyAliteFD()
         rolling = interned_fd.integrate([tables[0]])
         legacy_rolling = legacy_fd.integrate([tables[0]])
@@ -117,8 +119,9 @@ class TestInternerReuse:
     @given(tables_strategy(), tables_strategy())
     def test_shared_interner_never_changes_results(self, first, second):
         # One long-lived AliteFD (e.g. the pipeline-registered instance)
-        # interning two unrelated integrations must equal fresh instances:
-        # the kernel orders by value rank, not by code-assignment history.
+        # running two unrelated integrations must equal fresh instances.
+        # Holds by construction -- each call owns its interner -- and stays
+        # as the guard against a regression to state shared between calls.
         shared = AliteFD()
         renamed = [t.with_name(f"S{i}") for i, t in enumerate(second)]
         result_first = shared.integrate(first)

@@ -27,6 +27,16 @@ def query_csv(tmp_path):
     return path
 
 
+NO_KERNEL = "kernel accounting: no FD kernel ran for this reply"
+
+
+def kernel_line(out: str) -> str:
+    """The one ``FD kernel:`` line of an ``integrate --explain`` run (its
+    sizes: input tuples / facts / components / domain; timings follow)."""
+    [line] = [text for text in out.splitlines() if text.startswith("FD kernel:")]
+    return line
+
+
 class TestLakeInfo:
     def test_lists_tables(self, lake_dir, capsys):
         assert main(["lake-info", "--lake", str(lake_dir)]) == 0
@@ -126,6 +136,47 @@ class TestIntegrate:
         assert code == 0
         out = capsys.readouterr().out
         assert "J&J" in out and "FDA" in out
+
+    def test_explain_reads_the_calls_fd_span(self, tmp_path, capsys):
+        from repro.datalake.fixtures import vaccine_integration_set
+
+        paths = []
+        for table in vaccine_integration_set():
+            path = tmp_path / f"{table.name}.csv"
+            write_csv(table, path)
+            paths.append(str(path))
+        assert main(["integrate", "--tables", *paths, "--explain"]) == 0
+        out = capsys.readouterr().out
+        assert kernel_line(out).startswith("FD kernel: 6 input tuples -> ")
+        for phase in ("intern ", "partition ", "closure ", "subsume "):
+            assert phase in out
+        assert "trace:" not in out  # the tree itself is --trace's
+        assert main(["integrate", "--tables", *paths, "--explain", "--trace"]) == 0
+        traced = capsys.readouterr().out
+        assert kernel_line(traced) == kernel_line(out)
+        assert "trace:" in traced and "integrate.fd" in traced
+
+    def test_explain_is_the_same_from_lake_and_store(
+        self, lake_dir, query_csv, tmp_path, capsys
+    ):
+        store_dir = tmp_path / "lake.store"
+        assert main(["index", "build", "--lake", str(lake_dir), "--store", str(store_dir)]) == 0
+        capsys.readouterr()
+        query = ["--query", str(query_csv), "--column", "City", "--explain"]
+        assert main(["integrate", "--lake", str(lake_dir), *query]) == 0
+        from_lake = capsys.readouterr().out
+        assert main(["integrate", "--store", str(store_dir), *query]) == 0
+        from_store = capsys.readouterr().out
+        assert kernel_line(from_store) == kernel_line(from_lake)
+        assert "10 input tuples -> 7 facts" in kernel_line(from_lake)  # Figure 3
+
+    def test_explain_says_when_no_fd_kernel_ran(self, lake_dir, query_csv, capsys):
+        assert main(
+            ["integrate", "--lake", str(lake_dir), "--query", str(query_csv),
+             "--column", "City", "--integrator", "outer_join", "--explain"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert NO_KERNEL in out and "FD kernel:" not in out
 
     def test_unknown_integrator_fails(self, tmp_path, lake_dir, query_csv):
         with pytest.raises(KeyError):
@@ -493,6 +544,24 @@ class TestServe:
         assert "integration set: " in out and out_file.exists()
         restored = read_csv(out_file)
         assert "OID" in restored.columns and restored.num_rows >= 7
+
+    def test_integrate_explain_through_service(self, served, query_csv, capsys):
+        """``--service ... --explain`` asks for the reply's tree and prints
+        the same kernel line a local run does; a cached reply ran no kernel."""
+        store_dir, address, _ = served
+        query = ["--query", str(query_csv), "--column", "City", "--explain"]
+        capsys.readouterr()
+        assert main(["integrate", "--store", str(store_dir), *query]) == 0
+        local = capsys.readouterr().out
+        assert main(["integrate", "--service", address, *query]) == 0
+        miss = capsys.readouterr().out
+        assert "served from cache" not in miss
+        assert kernel_line(miss) == kernel_line(local)
+        assert "trace:" not in miss
+        assert main(["integrate", "--service", address, *query]) == 0
+        hit = capsys.readouterr().out
+        assert "served from cache" in hit
+        assert NO_KERNEL in hit and "FD kernel:" not in hit
 
     def test_index_info_reports_live_service(self, served, capsys):
         store_dir, address, _ = served

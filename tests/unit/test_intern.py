@@ -2,27 +2,32 @@
 
 from __future__ import annotations
 
+import inspect
 import pickle
 
-from repro.integration import joinable, merge_tuples, subsumes
+import pytest
+
+from repro.integration import AliteFD, joinable, merge_tuples, subsumes
 from repro.integration.intern import (
     NULL_CODE,
-    IntTuple,
     ValueInterner,
+    fd_stats_from_span,
     int_connected_components,
     int_dedupe,
     int_joinable,
     int_merge,
     int_subsumes,
-    intern_call_input,
     intern_tuples,
     mask_of,
     solve_interned,
     unintern_tuple,
 )
+from repro.integration.iterator import iter_fd
 from repro.integration.subsume import connected_components
 from repro.integration.tuples import WorkTuple, cell_key
-from repro.table import MISSING, PRODUCED
+from repro.obs import trace
+from repro.obs.trace import Tracer, activate
+from repro.table import MISSING, PRODUCED, Table
 
 
 def wt(*cells, tids=("t1",)):
@@ -32,6 +37,15 @@ def wt(*cells, tids=("t1",)):
 def interned(*cells, tids=("t1",), interner=None):
     interner = interner if interner is not None else ValueInterner()
     return intern_tuples([wt(*cells, tids=tids)], interner)[0], interner
+
+
+def solve_traced(tuples):
+    """``solve_interned`` under a local tracer -> (facts, the kernel stats
+    read off its ``integrate.fd`` span, the first span the tracer opens)."""
+    tracer = Tracer()
+    with activate(tracer):
+        final = solve_interned(tuples)
+    return final, fd_stats_from_span(tracer.root)
 
 
 class TestValueInterner:
@@ -69,14 +83,6 @@ class TestValueInterner:
                 assert (ranks[code_i] < ranks[code_j]) == (
                     cell_key(cells[i]) < cell_key(cells[j])
                 )
-
-    def test_sort_ranks_cache_tracks_domain_growth(self):
-        interner = ValueInterner()
-        interner.code("a")
-        first = interner.sort_ranks()
-        assert interner.sort_ranks() is first  # cached
-        interner.code("b")
-        assert len(interner.sort_ranks()) == interner.domain
 
 
 class TestIntTuple:
@@ -185,8 +191,7 @@ class TestComponentsAndSolve:
             wt("k1", PRODUCED, "y", tids=("t2",)),
             wt("k2", "z", PRODUCED, tids=("t3",)),
         ]
-        stats: dict = {}
-        final = solve_interned(tuples, ValueInterner(), stats)
+        final, stats = solve_traced(tuples)
         assert {tuple(w.cells) for w in final} == {
             ("k1", "x", "y"),
             ("k2", "z", PRODUCED),
@@ -194,23 +199,28 @@ class TestComponentsAndSolve:
         assert stats["components"] == 2
         assert stats["input_tuples"] == 3
         assert stats["output_tuples"] == 2
-        assert stats["domain"] >= 6
+        assert stats["domain"] == 6  # k1 x y k2 z + the null code
         for key in ("intern_seconds", "partition_seconds", "closure_seconds",
                     "subsume_seconds"):
             assert stats[key] >= 0.0
 
     def test_solve_interned_degenerate_all_null(self):
         tuples = [wt(MISSING, MISSING, tids=("t1",)), wt(MISSING, MISSING, tids=("t2",))]
-        final = solve_interned(tuples, ValueInterner())
+        final, stats = solve_traced(tuples)
         assert len(final) == 1
         assert final[0].tids == frozenset({"t1"})
+        assert stats["components"] == 0
+        assert stats["all_null_tuples"] == 1  # the two fold in the dedupe
+        assert stats["domain"] == 1
 
 
 class TestPerCallRepresentatives:
     def test_shared_interner_spellings_do_not_leak_across_calls(self):
         # One long-lived AliteFD integrates a table spelling a value 1.0,
         # then an unrelated table spelling it 1: the second result must
-        # render the *second call's* spelling, not the domain's first.
+        # render the *second call's* spelling, not the first call's.  Holds
+        # by construction since each call owns its interner; kept as the
+        # guard against a regression to state shared between calls.
         from repro.integration import AliteFD
         from repro.table import Table
 
@@ -220,9 +230,41 @@ class TestPerCallRepresentatives:
         cell = result.rows[0][result.column_index("x")]
         assert cell == 1 and isinstance(cell, int) and not isinstance(cell, bool)
 
-    def test_unintern_prefers_per_call_spelling(self):
-        interner = ValueInterner()
-        interner.code(1.0)  # domain-first spelling from an earlier call
-        [work], cells_by_code = intern_call_input([wt(1, "z")], interner)
-        restored = unintern_tuple(work, interner, cells_by_code)
-        assert isinstance(restored.cells[0], int)
+
+class TestCallOwnedInterner:
+    """The interner's scope is one call: nothing to pass in, nothing kept."""
+
+    def test_integrator_keeps_nothing_between_calls(self):
+        fd = AliteFD()
+        first = fd.integrate([Table(["x", "y"], [("a", "p"), ("b", "q")], name="A")])
+        fd.integrate_incremental(first, Table(["x", "z"], [("a", "r")], name="B"))
+        assert "__init__" not in vars(AliteFD)
+        assert vars(fd) == {}
+
+    def test_removed_parameters_fail_like_any_unknown_argument(self):
+        with pytest.raises(TypeError):
+            AliteFD(interner=ValueInterner())
+        with pytest.raises(TypeError):
+            AliteFD(8)
+        assert list(inspect.signature(solve_interned).parameters) == ["work"]
+        assert list(inspect.signature(unintern_tuple).parameters) == [
+            "work", "interner",
+        ]
+
+    def test_no_tracer_is_built_when_tracing_is_disabled(self, monkeypatch):
+        """Untraced FD calls go through ``trace.span`` / ``trace.record``
+        (shared no-op span, zero allocation) and never construct a
+        tracer of their own."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an untraced FD call built a Tracer")
+
+        monkeypatch.setattr(trace, "Tracer", forbidden)
+        assert trace.current_tracer() is None
+        tables = [
+            Table(["City", "Pop"], [("Oslo", "1"), ("Paris", "2")], name="a"),
+            Table(["City", "Area"], [("Oslo", "10"), ("Rome", "30")], name="b"),
+        ]
+        fd = AliteFD()
+        first = fd.integrate(tables[:1])
+        assert fd.integrate_incremental(first, tables[1]).num_rows == 3
+        assert len(list(iter_fd(tables))) == fd.integrate(tables).num_rows == 3

@@ -378,18 +378,20 @@ class TestSnapshots:
 
 class TestSpanDerivedKernelStats:
     def test_explain_stats_keys_unchanged(self):
-        """The interned FD kernel's --explain payload, now derived from
-        the span tree, keeps its historical keys exactly."""
+        """The interned FD kernel's --explain payload, read off the
+        call's ``integrate.fd`` span, keeps its historical keys exactly."""
         from repro.integration.alite import AliteFD
+        from repro.integration.intern import fd_stats_from_span
         from repro.table.table import Table
 
         tables = [
             Table(["City", "Pop"], [("Oslo", "1"), ("Paris", "2")], name="a"),
             Table(["City", "Area"], [("Oslo", "10"), ("Rome", "30")], name="b"),
         ]
-        integrator = AliteFD()
-        integrator.integrate(tables)
-        stats = integrator.last_stats
+        tracer = Tracer()
+        with activate(tracer):
+            AliteFD().integrate(tables)
+        stats = fd_stats_from_span(tracer.root)
         assert sorted(stats) == [
             "all_null_tuples",
             "closure_seconds",

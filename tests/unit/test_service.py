@@ -861,31 +861,56 @@ class TestConcurrencyStress:
             svc.close()
 
 
-class TestServiceModeBounds:
-    def test_fd_interner_domain_capacity_resets_between_calls(self):
-        fd = AliteFD(domain_capacity=8)
-        tables = [
-            Table(["A", "B"], [(f"a{i}", f"b{i}") for i in range(6)], name="t1"),
-            Table(["B", "C"], [(f"b{i}", f"c{i}") for i in range(6)], name="t2"),
-        ]
-        first = fd.integrate(tables, name="one")
-        grown = fd.interner.domain
-        assert grown > 8
-        second = fd.integrate(tables, name="two")
-        # The reset started a fresh domain of exactly this call's values,
-        # and results are unchanged (they never depend on accretion).
-        assert fd.interner.domain == grown
-        assert first.rows == second.rows
+def find_span(node: dict, name: str) -> dict | None:
+    """The first node called *name* in a reply's span-tree dict."""
+    if node["name"] == name:
+        return node
+    for child in node.get("children", []):
+        hit = find_span(child, name)
+        if hit is not None:
+            return hit
+    return None
 
-    def test_unbounded_by_default(self):
-        fd = AliteFD()
-        tables = [Table(["A"], [("x",), ("y",)], name="t")]
-        fd.integrate(tables, name="one")
-        domain = fd.interner.domain
-        fd.integrate(
-            [Table(["A"], [("z",), ("w",)], name="t")], name="two"
+
+class TestServiceModeBounds:
+    def test_fd_integrator_accretes_nothing(self, store_path, service):
+        """A Full Disjunction call owns its interner: the ``domain`` on a
+        traced reply's ``integrate.fd`` span is what a fresh ``AliteFD``
+        reports for the same aligned set under a local tracer, however
+        many *different* fragments the service integrated before it, and
+        a reload changes nothing -- the one registered integrator carries
+        no state across requests or generations."""
+        cities = ("Berlin", "Barcelona", "Boston", "Toronto")
+
+        def fragment(i: int) -> Table:
+            rows = [(city, f"note-{i}-{j}") for j, city in enumerate(cities)]
+            return Table(["City", f"Note{i}"], rows, name=f"fragment{i}")
+
+        def assert_domains_are_per_call(indices) -> None:
+            oracle = Dialite.open(store_path).fit()
+            for i in indices:
+                reply = service.integrate(
+                    query=fragment(i), k=5, query_column="City", trace=True
+                )
+                assert not reply.cached
+                outcome = oracle.discover(
+                    LakeService._service_query(fragment(i)), k=5, query_column="City"
+                )
+                tables = outcome.integration_set
+                aligned = oracle.aligner.align(tables).apply(tables)
+                tracer = tracing.Tracer()
+                with tracing.activate(tracer):
+                    AliteFD().integrate(aligned)
+                served = find_span(reply.trace, "integrate.fd")["counters"]
+                assert served == tracer.root.counters, (i, served)
+            assert vars(service.pipeline.integrators.get("alite_fd")) == {}
+
+        assert_domains_are_per_call(range(12))
+        service.ingest(
+            [Table(["City", "Mayor"], [("Berlin", "A"), ("Boston", "B")], name="mayors")]
         )
-        assert fd.interner.domain > domain  # accretes, never resets
+        assert service.version == 2
+        assert_domains_are_per_call(range(12, 24))
 
 
 class TestServerLifecycle:

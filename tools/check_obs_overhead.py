@@ -66,10 +66,7 @@ from repro.table.table import Table  # noqa: E402
 # The stubbed baseline: repro.obs entry points as bare no-ops
 # ----------------------------------------------------------------------
 class _StubSpan:
-    """Accepts the whole Span surface and does nothing."""
-
-    counters: dict = {}
-    wall_s = 0.0
+    """What ``trace.span`` hands instrumented code, doing nothing."""
 
     def __enter__(self):
         return self
@@ -80,28 +77,8 @@ class _StubSpan:
     def add(self, **counters):
         pass
 
-    def child(self, name):
-        return None
-
 
 _STUB_SPAN = _StubSpan()
-
-
-class _StubTracer:
-    root = None
-    current = None
-
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def span(self, name, **counters):
-        return _STUB_SPAN
-
-    def record(self, name, wall_s=0.0, cpu_s=None, **counters):
-        pass
-
-    def to_dict(self):
-        return {}
 
 
 class _StubInstrument:
@@ -130,7 +107,6 @@ _TRACE_PATCH = {
     "span": lambda name, **counters: _STUB_SPAN,
     "record": lambda name, wall_s=0.0, cpu_s=None, **counters: None,
     "current_tracer": lambda: None,
-    "Tracer": _StubTracer,
 }
 _METRICS_PATCH = {
     "counter": lambda name: _STUB_INSTRUMENT,
