@@ -17,7 +17,7 @@ from ..embeddings.column import ColumnEmbedder
 from ..obs import trace
 from ..table.table import Table
 from .cluster import cluster_columns
-from .features import AlignedColumn, ColumnRef, featurize_tables
+from .features import ColumnRef, featurize_tables
 from .matcher import MatcherWeights
 
 __all__ = ["Alignment", "HolisticAligner"]

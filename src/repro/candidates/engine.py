@@ -607,9 +607,6 @@ class CandidateEngine:
         reference: the publisher may keep mutating during its fit)."""
         self._labels[namespace] = table_sets
 
-    def labels(self, namespace: str) -> Mapping[str, Iterable[str]]:
-        return self._labels.get(namespace, {})
-
     @property
     def label_namespaces(self) -> list[str]:
         return sorted(self._labels)
@@ -643,11 +640,6 @@ class CandidateEngine:
                 scored=report.scored,
                 fallback=int(report.fallback),
             )
-
-    @property
-    def reports(self) -> dict[str, RetrievalReport]:
-        """Most recent retrieval report per discoverer."""
-        return dict(self._reports)
 
     def explain(self) -> dict[str, dict[str, Any]]:
         """JSON-friendly last-retrieval summary (``discover --explain``)."""

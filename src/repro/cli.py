@@ -9,7 +9,7 @@ equivalent headless surface::
     python -m repro index build  --lake lake/ --store lake.store
     python -m repro index update --lake lake/ --store lake.store
     python -m repro index info   --store lake.store
-    python -m repro store migrate --store lake.store --format v2
+    python -m repro store migrate --store lake.store
     python -m repro discover   --store lake.store --query query.csv --column City
     python -m repro discover   --lake lake/ --query query.csv --column City -k 5
     python -m repro discover   --lake lake/ --queries q1.csv q2.csv --column City
@@ -112,14 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     store_commands = store_cmd.add_subparsers(dest="store_command", required=True)
     store_migrate = store_commands.add_parser(
         "migrate",
-        help="rewrite every table segment to a format (v1 JSONL <-> v2 binary); "
-        "stats, sketches, lake version and persisted indexes are untouched",
+        help="upgrade a store written before the binary segment format: rewrite "
+        "every v1 (JSONL) table segment as v2; stats, sketches, lake version "
+        "and persisted indexes are untouched",
     )
     store_migrate.add_argument("--store", required=True, help="lake store directory")
-    store_migrate.add_argument(
-        "--format", dest="segment_format", default="v2", choices=("v1", "v2"),
-        help="target segment format (default: v2, the binary columnar format)",
-    )
     store_recover = store_commands.add_parser(
         "recover",
         help="settle a crashed writer's intent journal (roll an interrupted "
@@ -431,15 +428,12 @@ def _cmd_index(args: argparse.Namespace) -> int:
             print(_bytes_line(store.artifact_bytes()))
             _print_live_service(args.store, info["lake_version"])
             return 0
-        counts = info.get("segment_format_counts") or {}
-        mix = ", ".join(f"{fmt}: {n}" for fmt, n in sorted(counts.items()) if n)
         print(
             f"lake store: {info['path']}\n"
             f"format v{info['format_version']}, lake version {info['lake_version']}\n"
             f"{info['num_tables']} tables, {info['total_rows']} rows total\n"
-            f"segment format: {info.get('segment_format', 'v1')}"
-            + (f" ({mix})" if mix else "")
-            + f"\nsketch config: {info['sketch']}"
+            f"segment formats: {_segment_mix(info['segment_format_counts'])}\n"
+            f"sketch config: {info['sketch']}"
         )
         print(_bytes_line(store.artifact_bytes()))
         if info["indexes"]:
@@ -489,7 +483,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
                     name,
                     entry["rows"],
                     entry["columns"],
-                    entry.get("segment_format", "v1"),
+                    entry["segment_format"],
                     entry["content_hash"],
                 )
                 for name, entry in sorted(info["tables"].items())
@@ -539,18 +533,21 @@ def _bytes_line(sizes: dict[str, int]) -> str:
     return f"bytes on disk: {shown} (total {show(sum(sizes.values()))})"
 
 
+def _segment_mix(counts: dict[str, int]) -> str:
+    """How many table segments sit in each format, e.g. ``v1: 3, v2: 40``."""
+    mix = ", ".join(f"{fmt}: {n}" for fmt, n in sorted(counts.items()) if n)
+    return mix or "empty store"
+
+
 def _print_sharded_info(info: dict) -> None:
     """The `index info` / `store shard info` summary of a sharded lake."""
-    counts = info.get("segment_format_counts") or {}
-    mix = ", ".join(f"{fmt}: {n}" for fmt, n in sorted(counts.items()) if n)
     print(
         f"sharded lake store: {info['path']}\n"
         f"format v{info['format_version']}, lake epoch {info['lake_version']}, "
         f"{info['num_shards']} shards (routing seed {info['routing_seed']})\n"
         f"{info['num_tables']} tables, {info['total_rows']} rows total\n"
-        f"segment format: {info.get('segment_format', 'v1')}"
-        + (f" ({mix})" if mix else "")
-        + f"\nsketch config: {info['sketch']}"
+        f"segment formats: {_segment_mix(info['segment_format_counts'])}\n"
+        f"sketch config: {info['sketch']}"
     )
     if info.get("indexes"):
         print(f"persisted indexes (union across shards): {', '.join(info['indexes'])}")
@@ -618,13 +615,10 @@ def _cmd_store(args: argparse.Namespace) -> int:
         return 0
 
     store = open_any_store(args.store, check_sketch=False)
-    before = dict(store.segment_format_counts())
-    rewritten = store.migrate(segment_format=args.segment_format)
-    after = store.segment_format_counts()
-    mix = ", ".join(f"{fmt}: {n}" for fmt, n in sorted(after.items()))
+    rewritten = store.migrate()
     print(
-        f"migrated {len(rewritten)} of {sum(before.values())} table segments "
-        f"to {args.segment_format} (now {mix or 'empty store'}); "
+        f"migrated {len(rewritten)} of {len(store)} table segments to v2 "
+        f"(now {_segment_mix(store.segment_format_counts())}); "
         f"lake version {store.lake_version} unchanged"
     )
     return 0

@@ -63,14 +63,6 @@ class KnowledgeBase:
             info.parent = parent
             self._types[parent].children.add(name)
 
-    def has_type(self, name: str) -> bool:
-        """Whether *name* is a registered type."""
-        return name in self._types
-
-    @property
-    def types(self) -> tuple[str, ...]:
-        return tuple(self._types)
-
     def ancestors(self, type_name: str) -> tuple[str, ...]:
         """Proper ancestors of a type, nearest first."""
         chain = []

@@ -28,7 +28,6 @@ import numpy as np
 
 from ..candidates.spec import CandidateSet, CandidateSpec
 from ..embeddings.column import ColumnEmbedder
-from ..embeddings.hashing import HashedVectorSpace
 from ..table.table import Table
 from .base import Discoverer, DiscoveryResult
 

@@ -75,10 +75,6 @@ class PairFeatures:
         """Only the attributes where both records had a value."""
         return {name: value for name, value in self.similarities if value is not None}
 
-    def total(self) -> float:
-        """Sum of comparable similarities (the rule matcher's evidence mass)."""
-        return sum(self.comparable().values())
-
     def mean(self) -> float:
         """Mean comparable similarity (0.0 when nothing is comparable)."""
         comparable = self.comparable()

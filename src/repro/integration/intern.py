@@ -133,10 +133,6 @@ class ValueInterner:
         callers re-kind nulls from provenance)."""
         return self._cells[code]
 
-    def key(self, code: int) -> tuple:
-        """The tagged ``cell_key`` a code stands for."""
-        return self._keys[code]
-
     def sort_ranks(self) -> tuple[int, ...]:
         """``ranks[code]`` = position of the code's tagged key in the sorted
         domain (null key included).

@@ -163,8 +163,8 @@ class ShardedLakeStore:
         """Initialize an empty sharded lake at *path* (or open the existing
         one when ``exist_ok`` and it has *num_shards* shards).
 
-        *shard_options* (``sketch_config``, ``segment_format``) forward to
-        every shard's :meth:`LakeStore.create`.
+        *shard_options* (``sketch_config``) forward to every shard's
+        :meth:`LakeStore.create`.
         """
         path = Path(path)
         if (path / "lake.json").exists():
@@ -369,10 +369,6 @@ class ShardedLakeStore:
             self._path, stats_cache_capacity=self._stats_cache_capacity
         )
 
-    @property
-    def default_segment_format(self) -> str:
-        return self._shards[0].default_segment_format
-
     def segment_format_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for shard in self._shards:
@@ -401,7 +397,6 @@ class ShardedLakeStore:
     def layout(self) -> dict[str, Any]:
         """:meth:`LakeStore.layout` plus the shard roster's versions."""
         return {
-            "segment_format": self.default_segment_format,
             "segment_format_counts": self.segment_format_counts(),
             "num_shards": self.num_shards,
             "shard_versions": self.shard_versions(),
@@ -424,7 +419,6 @@ class ShardedLakeStore:
             "num_shards": self.num_shards,
             "routing_seed": self.routing_seed,
             "lake_version": self.lake_version,
-            "segment_format": self.default_segment_format,
             "segment_format_counts": self.segment_format_counts(),
             "num_tables": len(self),
             "total_rows": sum(i["total_rows"] for i in shard_infos),
@@ -464,7 +458,6 @@ class ShardedLakeStore:
         lake: Mapping[str, Table],
         prune: bool = True,
         adopt_stats: bool = True,
-        segment_format: str | None = None,
     ) -> IngestReport:
         """Route *lake* through the shards; merge the per-shard reports.
 
@@ -484,12 +477,7 @@ class ShardedLakeStore:
         for shard, group in zip(self._shards, groups):
             if not group and not prune:
                 continue
-            report = shard.ingest(
-                group,
-                prune=prune,
-                adopt_stats=adopt_stats,
-                segment_format=segment_format,
-            )
+            report = shard.ingest(group, prune=prune, adopt_stats=adopt_stats)
             added.extend(report.added)
             updated.extend(report.updated)
             unchanged.extend(report.unchanged)
@@ -507,21 +495,15 @@ class ShardedLakeStore:
         moves and only its artifacts invalidate)."""
         self.shard_for(name).remove(name)
 
-    def migrate(self, segment_format: str = "v2") -> list[str]:
-        """Rewrite every shard's segments into *segment_format*."""
-        rewritten: list[str] = []
-        for shard in self._shards:
-            rewritten.extend(shard.migrate(segment_format))
-        return sorted(rewritten)
+    def migrate(self) -> list[str]:
+        """:meth:`LakeStore.migrate` on every shard; the names, sorted."""
+        return sorted(name for shard in self._shards for name in shard.migrate())
 
     # ------------------------------------------------------------------
     # Reads (routed)
     # ------------------------------------------------------------------
     def load_table(self, name: str) -> Table:
         return self.shard_for(name).load_table(name)
-
-    def load_column(self, name: str, column: str):
-        return self.shard_for(name).load_column(name, column)
 
     def table_stats(self, name: str) -> TableStats:
         return self.shard_for(name).table_stats(name)

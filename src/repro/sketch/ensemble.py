@@ -159,10 +159,6 @@ class LSHEnsemble:
         ``(num_perm, seed)`` so one signature serves every consumer."""
         return self._hasher
 
-    def signature_of(self, tokens: Iterable[Hashable]) -> MinHashSignature:
-        """Expose the hasher so callers can cache query signatures."""
-        return self._hasher.signature(tokens)
-
     def signature_table(self) -> tuple[list[Hashable], np.ndarray, np.ndarray]:
         """Everything indexed so far, in insertion order: the keys, their
         set sizes (int64) and the ``(n, num_perm)`` uint32 signature

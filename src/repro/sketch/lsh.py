@@ -8,8 +8,6 @@ provides the bucket structure and the false-positive/negative optimizer.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = ["collision_probability", "optimal_param", "BandedLSHIndex"]
@@ -118,8 +116,3 @@ class BandedLSHIndex:
         return np.unique(
             np.concatenate([self._rows[starts[band] : stops[band]] for band in found])
         )
-
-
-def minhash_accuracy_stderr(num_perm: int) -> float:
-    """Standard error of the Jaccard estimate: 1 / sqrt(num_perm)."""
-    return 1.0 / math.sqrt(num_perm)

@@ -6,7 +6,7 @@ per *lake version*, not once per process.  This package is that durable
 layer:
 
 * :mod:`repro.store.codec` / :mod:`repro.store.segment` -- cell codec and
-  per-column segment files mirroring ``Table.column_arrays``;
+  per-table columnar segment files mirroring ``Table.column_arrays``;
 * :mod:`repro.store.snapshot` -- serialized
   :class:`~repro.table.stats.ColumnStats` payloads (dtype, null counts,
   distinct/token sets, normalized text, MinHash + HLL sketches) under a

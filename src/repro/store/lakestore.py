@@ -3,15 +3,17 @@
 Layout of a store directory::
 
     manifest.json            versioned catalog: per-table content hashes,
-                             segment/stats file names, column byte offsets,
-                             sketch configuration, persisted-index roster
-    segments/<t>.seg.jsonl   one table's cell data, v1: one JSON column
-                             per line
-    segments/<t>.seg.bin     same data, v2: binary columnar -- fixed-width
-                             dictionary codes + per-table value dictionary
-                             + null bitmaps (per-entry ``segment_format``
-                             manifest tags let both coexist; see
-                             :meth:`LakeStore.migrate`)
+                             segment/stats file names, sketch
+                             configuration, persisted-index roster
+    segments/<t>.seg.bin     one table's cell data, binary columnar (v2):
+                             fixed-width dictionary codes + per-table
+                             value dictionary + null bitmaps -- the one
+                             format written, always read whole
+    segments/<t>.seg.jsonl   v1, read-only: one JSON column per line, in
+                             stores written before v2 existed (entries
+                             without a ``segment_format`` tag); such a
+                             store opens and serves as it is, and
+                             :meth:`LakeStore.migrate` upgrades it
     stats/<t>.stats.json     the table's ColumnStats snapshot payloads
                              (sketches inside as base64: MinHash minima
                              as uint32, HyperLogLog registers as a sparse
@@ -93,14 +95,7 @@ from ..table.values import Cell
 from . import journal
 from .codec import table_content_hash
 from .lru import LRUCache
-from .segment import (
-    read_column,
-    read_column_v2,
-    read_columns,
-    read_columns_v2,
-    write_segment,
-    write_segment_v2,
-)
+from .segment import read_columns, read_columns_v2, write_segment_v2
 from .snapshot import (
     SketchArtifactError,
     SketchConfig,
@@ -122,26 +117,6 @@ __all__ = [
 
 _FORMAT = "repro-lake-store"
 _FORMAT_VERSION = 1
-
-#: Segment formats this library writes and reads.  ``v1`` is JSON lines
-#: (``.seg.jsonl``), ``v2`` the binary dictionary-coded format
-#: (``.seg.bin``).  Per-entry tags let the two coexist in one store; the
-#: store-level ``segment_format`` manifest key is only the *default* for
-#: new writes.  Content hashes are computed over the canonical JSON codec
-#: regardless of segment format, so migrating never changes hashes,
-#: ``lake_version``, or the validity of persisted indexes/postings.
-_SEGMENT_FORMATS = ("v1", "v2")
-_DEFAULT_SEGMENT_FORMAT = "v2"
-
-
-def _check_segment_format(segment_format: str) -> str:
-    if segment_format not in _SEGMENT_FORMATS:
-        raise StoreError(
-            f"unknown segment format {segment_format!r}; "
-            f"expected one of {_SEGMENT_FORMATS}"
-        )
-    return segment_format
-
 
 class StoreError(RuntimeError):
     """Any structural problem with a lake store on disk."""
@@ -209,16 +184,9 @@ class LakeStore:
         path: str | Path,
         sketch_config: SketchConfig | None = None,
         exist_ok: bool = False,
-        segment_format: str = _DEFAULT_SEGMENT_FORMAT,
     ) -> "LakeStore":
         """Initialize an empty store at *path* (or open the existing one
-        when ``exist_ok`` and the sketch configuration is compatible).
-
-        *segment_format* becomes the store's default for new writes (the
-        manifest ``segment_format`` key); stores created before the key
-        existed default to ``v1``, so legacy stores stay pure-v1 unless
-        migrated or ingested into with an explicit format.
-        """
+        when ``exist_ok`` and the sketch configuration is compatible)."""
         path = Path(path)
         if (path / "manifest.json").exists():
             if not exist_ok:
@@ -230,7 +198,6 @@ class LakeStore:
         manifest = {
             "format": _FORMAT,
             "format_version": _FORMAT_VERSION,
-            "segment_format": _check_segment_format(segment_format),
             "lake_version": 0,
             "sketch": (sketch_config or SketchConfig()).to_json(),
             "tables": {},
@@ -389,16 +356,10 @@ class LakeStore:
     def lake_version(self) -> int:
         return self._manifest["lake_version"]
 
-    @property
-    def default_segment_format(self) -> str:
-        """The format new segment writes use when :meth:`ingest` is not
-        told otherwise.  Manifests from before the tag existed read as
-        ``v1`` -- their segments are JSON lines and stay that way."""
-        return self._manifest.get("segment_format", "v1")
-
     def segment_format_counts(self) -> dict[str, int]:
-        """How many table entries sit in each segment format."""
-        counts = dict.fromkeys(_SEGMENT_FORMATS, 0)
+        """How many table entries sit in each segment format (an entry
+        without the tag is v1: it predates v2)."""
+        counts = {"v1": 0, "v2": 0}
         for entry in self._manifest["tables"].values():
             counts[entry.get("segment_format", "v1")] += 1
         return counts
@@ -465,10 +426,7 @@ class LakeStore:
 
     def layout(self) -> dict[str, Any]:
         """The on-disk layout a serving generation reports (``stats`` op)."""
-        return {
-            "segment_format": self.default_segment_format,
-            "segment_format_counts": self.segment_format_counts(),
-        }
+        return {"segment_format_counts": self.segment_format_counts()}
 
     def __repr__(self) -> str:
         return f"LakeStore({str(self._path)!r}, v{self.lake_version}, {len(self)} tables)"
@@ -489,7 +447,6 @@ class LakeStore:
         return {
             "path": str(self._path),
             "format_version": self._manifest["format_version"],
-            "segment_format": self.default_segment_format,
             "segment_format_counts": self.segment_format_counts(),
             "lake_version": self.lake_version,
             "sketch": self._sketch.to_json(),
@@ -526,7 +483,6 @@ class LakeStore:
         lake: Mapping[str, Table],
         prune: bool = True,
         adopt_stats: bool = True,
-        segment_format: str | None = None,
     ) -> IngestReport:
         """Bring the store up to date with *lake*, rewriting only deltas.
 
@@ -536,15 +492,9 @@ class LakeStore:
         new/changed -> write that table's segment + stats snapshot.  With
         ``prune``, tables absent from *lake* are dropped.  Any change bumps
         ``lake_version`` and invalidates persisted discoverer indexes.
-
-        *segment_format* chooses the on-disk encoding for the segments
-        this call writes (the store's default when ``None``); unchanged
-        tables keep whatever format they already have -- use
-        :meth:`migrate` to rewrite those.
+        Unchanged tables keep the segment they have, v1 ones included --
+        :meth:`migrate` rewrites those.
         """
-        segment_format = _check_segment_format(
-            segment_format or self.default_segment_format
-        )
         tables = self._manifest["tables"]
         added: list[str] = []
         updated: list[str] = []
@@ -588,7 +538,7 @@ class LakeStore:
             if entry is not None:
                 stale.extend(entry[key] for key in ("segment", "stats"))
             stem = self._file_stem(name, digest)
-            pending.append(self._segment_rel(stem, segment_format))
+            pending.append(self._segment_rel(stem))
             pending.append(f"stats/{stem}.stats.json")
         for name in removed:
             stale.extend(tables[name][key] for key in ("segment", "stats"))
@@ -597,7 +547,7 @@ class LakeStore:
         txn = self._begin("ingest", pending, stale)
         try:
             for name, table, digest in writes:
-                tables[name] = self._write_table(name, table, digest, segment_format)
+                tables[name] = self._write_table(name, table, digest)
                 self._stats_cache.pop(name, None)
             for name in removed:
                 tables.pop(name)
@@ -634,30 +584,23 @@ class LakeStore:
             self._end()
 
     @staticmethod
-    def _segment_rel(stem: str, segment_format: str) -> str:
-        suffix = ".seg.bin" if segment_format == "v2" else ".seg.jsonl"
-        return f"segments/{stem}{suffix}"
+    def _segment_rel(stem: str) -> str:
+        return f"segments/{stem}.seg.bin"
 
-    def _write_segment_file(
-        self, stem: str, table: Table, segment_format: str
-    ) -> tuple[str, list[int]]:
-        """One segment under the chosen format: ``(relative path, offsets)``.
+    def _write_segment_file(self, name: str, segment_rel: str, table: Table) -> None:
+        """Write *name*'s segment to the store-relative *segment_rel*.
 
-        The segment writers fsync the data before their tmp->replace
+        The segment writer fsyncs the data before its tmp->replace
         rename; the directory fsync here makes the *entry* durable too,
         so the manifest commit can never reference unsynced bytes."""
-        segment_rel = self._segment_rel(stem, segment_format)
-        writer = write_segment_v2 if segment_format == "v2" else write_segment
-        offsets = writer(self._path / segment_rel, table)
+        write_segment_v2(self._path / segment_rel, table)
         journal.fsync_dir((self._path / segment_rel).parent)
-        return segment_rel, offsets
-
-    def _write_table(
-        self, name: str, table: Table, digest: str, segment_format: str
-    ) -> dict[str, Any]:
-        stem = self._file_stem(name, digest)
-        segment_rel, offsets = self._write_segment_file(stem, table, segment_format)
         inject.fire("store.write_segment", table=name)
+
+    def _write_table(self, name: str, table: Table, digest: str) -> dict[str, Any]:
+        stem = self._file_stem(name, digest)
+        segment_rel = self._segment_rel(stem)
+        self._write_segment_file(name, segment_rel, table)
         stats_rel = f"stats/{stem}.stats.json"
         payload = {
             "columns": {
@@ -670,67 +613,45 @@ class LakeStore:
         return {
             "content_hash": digest,
             "segment": segment_rel,
-            "segment_format": segment_format,
+            "segment_format": "v2",
             "stats": stats_rel,
             "columns": list(table.columns),
             "num_rows": table.num_rows,
-            "column_offsets": offsets,
         }
 
-    def migrate(self, segment_format: str = _DEFAULT_SEGMENT_FORMAT) -> list[str]:
-        """Rewrite every segment not already in *segment_format*; returns
-        the migrated table names (possibly empty).
+    def migrate(self) -> list[str]:
+        """Rewrite every segment that is not v2 (the one-way upgrade of a
+        store written before v2 existed); returns the migrated table
+        names (possibly empty).
 
         Only segment files move: stats snapshots, content hashes and
         ``lake_version`` are untouched -- hashes are computed over the
         canonical JSON codec, not the on-disk encoding, so persisted
         discoverer indexes and posting artifacts remain valid across a
         migration.  The manifest commit is the atomic switch point; old
-        segment files are unlinked only after it lands.  The store's
-        default format for future writes is updated to match.
+        segment files are unlinked only after it lands.
         """
-        _check_segment_format(segment_format)
-        plan: list[tuple[str, dict[str, Any]]] = []
-        stale: list[str] = []
-        pending: list[str] = []
-        for name, entry in self._manifest["tables"].items():
-            if entry.get("segment_format", "v1") == segment_format:
-                continue
-            plan.append((name, entry))
-            stale.append(entry["segment"])
-            pending.append(
-                self._segment_rel(
-                    self._file_stem(name, entry["content_hash"]), segment_format
-                )
-            )
+        tables = self._manifest["tables"]
+        plan = {  # table -> the v2 segment it gets
+            name: self._segment_rel(self._file_stem(name, entry["content_hash"]))
+            for name, entry in tables.items()
+            if entry.get("segment_format", "v1") != "v2"
+        }
         if not plan:
-            changed = self.default_segment_format != segment_format
-            self._manifest["segment_format"] = segment_format
-            if changed:
-                self._write_manifest()
             return []
-        migrated: list[str] = []
-        txn = self._begin("migrate", pending, stale)
+        stale = [tables[name]["segment"] for name in plan]
+        txn = self._begin("migrate", list(plan.values()), stale)
         try:
-            for name, entry in plan:
-                table = self.load_table(name)
-                stem = self._file_stem(name, entry["content_hash"])
-                segment_rel, offsets = self._write_segment_file(
-                    stem, table, segment_format
-                )
-                inject.fire("store.write_segment", table=name)
-                self._manifest["tables"][name] = dict(
-                    entry,
-                    segment=segment_rel,
-                    segment_format=segment_format,
-                    column_offsets=offsets,
-                )
-                migrated.append(name)
-            self._manifest["segment_format"] = segment_format
+            for name, segment_rel in plan.items():
+                self._write_segment_file(name, segment_rel, self.load_table(name))
+                entry = dict(tables[name], segment=segment_rel, segment_format="v2")
+                # The byte offsets a v1 writer recorded describe the old file.
+                entry.pop("column_offsets", None)
+                tables[name] = entry
             self._commit(txn, stale)
         finally:
             self._end()
-        return migrated
+        return list(plan)
 
     def _unlink_all(self, relative_paths: Sequence[str]) -> None:
         for rel in relative_paths:
@@ -850,20 +771,6 @@ class LakeStore:
             table = Table.from_columns(entry["columns"], arrays, name=name)
             return table.adopt_stats(self.table_stats(name))
 
-    def load_column(self, name: str, column: str) -> tuple[Cell, ...]:
-        """One column's cells, read by byte offset (no full-table load)."""
-        entry = self._entry(name)
-        try:
-            position = entry["columns"].index(column)
-        except ValueError:
-            raise KeyError(
-                f"table {name!r} has no column {column!r}; columns: {entry['columns']}"
-            ) from None
-        segment_format = entry.get("segment_format", "v1")
-        reader = read_column_v2 if segment_format == "v2" else read_column
-        metrics.counter(f"store.decode_column.{segment_format}").inc()
-        return reader(self._path / entry["segment"], entry["column_offsets"][position])
-
     def table_stats(self, name: str) -> TableStats:
         """The hydrated stats snapshot of one table (cached per name; the
         same object a materialized table adopts, keeping one scan ledger)."""
@@ -896,7 +803,7 @@ class LakeStore:
 
     def _column_loader(self, name: str, column: str):
         def load() -> tuple[Cell, ...]:
-            return self.load_column(name, column)
+            return self.load_table(name).column_array(column)
 
         return load
 

@@ -1,14 +1,7 @@
-"""Columnar segment files in two on-disk formats.
+"""Columnar segment files: one written format, one older format read.
 
-**v1** (``.seg.jsonl``) mirrors
-:attr:`repro.table.table.Table.column_arrays` as line-oriented JSON: line
-*i* is column *i*'s cell array under the codec in
-:mod:`repro.store.codec`.  The writer records each line's starting byte
-offset, which the manifest keeps alongside the table entry -- that is what
-makes **per-column lazy loading** a single ``seek`` + ``readline`` instead
-of a file scan.
-
-**v2** (``.seg.bin``) is the binary dictionary-coded columnar format::
+**v2** (``.seg.bin``) is the format every segment is written in, the
+binary dictionary-coded columnar layout::
 
     header   <4sBIIIQ>  magic b"RSG2", code width (1|2|4), rows, cols,
                         dictionary entry count, dictionary byte length
@@ -30,7 +23,13 @@ reader in the library: the typed-column path that would hand it to
 bitmask kernels is parked (ROADMAP).  Any structural damage (bad magic,
 impossible code width, size mismatch, out-of-range code, undecodable
 dictionary) raises :class:`SegmentCorrupted` rather than yielding garbage
-cells.
+cells.  A segment is always read whole: a column's cells cannot be
+decoded without the table's dictionary anyway.
+
+**v1** (``.seg.jsonl``) is read-only: line *i* is column *i*'s cell array
+under the JSON codec in :mod:`repro.store.codec`.  Stores written before
+v2 existed hold it; :func:`read_columns` keeps them readable until
+``LakeStore.migrate`` rewrites them.  Nothing in the library writes it.
 """
 
 from __future__ import annotations
@@ -51,15 +50,11 @@ from .codec import (
     decode_cells_binary,
     decode_column,
     encode_cells_binary,
-    encode_column,
 )
 
 __all__ = [
-    "write_segment",
-    "read_column",
     "read_columns",
     "write_segment_v2",
-    "read_column_v2",
     "read_columns_v2",
     "SegmentCorrupted",
 ]
@@ -70,37 +65,8 @@ class SegmentCorrupted(RuntimeError):
     out-of-range dictionary codes, undecodable dictionary block)."""
 
 
-def write_segment(path: Path, table: Table) -> list[int]:
-    """Write *table*'s columns to *path*; returns per-column byte offsets.
-
-    The write is atomic (temp file + rename), so a crash mid-write never
-    leaves a half-segment behind a manifest that references it.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(path.name + ".tmp")
-    offsets: list[int] = []
-    with temp.open("wb") as handle:
-        for array in table.column_arrays:
-            offsets.append(handle.tell())
-            handle.write(encode_column(array).encode("utf-8"))
-            handle.write(b"\n")
-        handle.flush()
-        if journal.fsync_enabled():
-            os.fsync(handle.fileno())
-    temp.replace(path)
-    return offsets
-
-
-def read_column(path: Path, offset: int) -> tuple[Cell, ...]:
-    """One column array, read by its recorded byte offset."""
-    with path.open("rb") as handle:
-        handle.seek(offset)
-        line = handle.readline()
-    return decode_column(line.decode("utf-8"))
-
-
 def read_columns(path: Path, num_columns: int) -> list[tuple[Cell, ...]]:
-    """All column arrays of a segment, in header order (one sequential read)."""
+    """All column arrays of a v1 segment, in header order (one sequential read)."""
     arrays: list[tuple[Cell, ...]] = []
     with path.open("rb") as handle:
         for line in handle:
@@ -136,13 +102,14 @@ def _pack_codes(codes: list[int], width: int) -> bytes:
     return np.asarray(codes, dtype=_NUMPY_DTYPE_BY_WIDTH[width]).tobytes()
 
 
-def write_segment_v2(path: Path, table: Table) -> list[int]:
-    """Write *table* in binary v2; returns per-column block byte offsets.
+def write_segment_v2(path: Path, table: Table) -> None:
+    """Write *table* to *path* in binary v2.
 
-    Atomic like the v1 writer (temp file + rename).  The dictionary keys
-    cells by ``(type, value)`` so numerically-equal cells of different
-    types (``True`` / ``1`` / ``1.0``) keep distinct codes and decode back
-    to their exact original type.
+    The write is atomic (temp file + rename), so a crash mid-write never
+    leaves a half-segment behind a manifest that references it.  The
+    dictionary keys cells by ``(type, value)`` so numerically-equal cells
+    of different types (``True`` / ``1`` / ``1.0``) keep distinct codes
+    and decode back to their exact original type.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     arrays = table.column_arrays
@@ -170,7 +137,6 @@ def write_segment_v2(path: Path, table: Table) -> list[int]:
     bitmap_bytes = (rows + 7) // 8
 
     temp = path.with_name(path.name + ".tmp")
-    offsets: list[int] = []
     with temp.open("wb") as handle:
         handle.write(
             _V2_HEADER.pack(
@@ -179,7 +145,6 @@ def write_segment_v2(path: Path, table: Table) -> list[int]:
         )
         handle.write(dict_block)
         for codes in column_codes:
-            offsets.append(handle.tell())
             handle.write(_pack_codes(codes, width))
             nonnull = 0
             for row, code in enumerate(codes):
@@ -190,7 +155,6 @@ def write_segment_v2(path: Path, table: Table) -> list[int]:
         if journal.fsync_enabled():
             os.fsync(handle.fileno())
     temp.replace(path)
-    return offsets
 
 
 class _SegmentV2:
@@ -230,20 +194,13 @@ class _SegmentV2:
         self.lut = np.asarray([MISSING, PRODUCED, *dictionary], dtype=object)
         self.body_start = body_start
 
-    def column_offset(self, index: int) -> int:
-        return self.body_start + index * (self.rows * self.width + (self.rows + 7) // 8)
-
-    def cells_at(self, offset: int) -> tuple[Cell, ...]:
-        """The cell array of the column block at *offset*: one contiguous
-        code view plus one object-LUT gather."""
-        span = self.rows * self.width
-        if (
-            offset < self.body_start
-            or offset + span + (self.rows + 7) // 8 > len(self.buffer)
-        ):
-            raise SegmentCorrupted(
-                f"segment {self.path} column offset {offset} is out of bounds"
-            )
+    def cells_at(self, index: int) -> tuple[Cell, ...]:
+        """The cell array of column *index* (below ``cols``, so its block
+        lies inside the length ``__init__`` checked): one contiguous code
+        view plus one object-LUT gather."""
+        offset = self.body_start + index * (
+            self.rows * self.width + (self.rows + 7) // 8
+        )
         codes = np.frombuffer(
             self.buffer, dtype=_NUMPY_DTYPE_BY_WIDTH[self.width],
             count=self.rows, offset=offset,
@@ -304,18 +261,6 @@ def read_columns_v2(path: Path, num_columns: int) -> list[tuple[Cell, ...]]:
                 f"segment {path} holds {segment.cols} columns, manifest says "
                 f"{num_columns}"
             )
-        return [
-            segment.cells_at(segment.column_offset(index))
-            for index in range(segment.cols)
-        ]
-    finally:
-        _close_v2(segment)
-
-
-def read_column_v2(path: Path, offset: int) -> tuple[Cell, ...]:
-    """One column array of a v2 segment, read by its recorded block offset."""
-    segment = _open_v2(path)
-    try:
-        return segment.cells_at(offset)
+        return [segment.cells_at(index) for index in range(segment.cols)]
     finally:
         _close_v2(segment)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .infer import DEFAULT_MISSING_TOKENS, parse_cell
 from .table import Table
-from .values import MISSING, PRODUCED, Cell, is_null, is_produced
+from .values import MISSING, Cell, is_null, is_produced
 
 __all__ = ["read_csv", "write_csv", "read_lake_dir"]
 

@@ -52,18 +52,9 @@ class Schema:
             )
             raise ValueError(f"duplicate column names in schema: {dupes}")
 
-    @classmethod
-    def from_names(cls, names: Iterable[str]) -> "Schema":
-        """Build an untyped (``any``) schema from column names."""
-        return cls(ColumnSpec(name) for name in names)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(spec.name for spec in self._specs)
-
-    @property
-    def dtypes(self) -> tuple[str, ...]:
-        return tuple(spec.dtype for spec in self._specs)
 
     def index_of(self, name: str) -> int:
         """Position of *name*, raising ``KeyError`` with context if absent."""

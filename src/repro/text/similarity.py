@@ -7,7 +7,7 @@ bounds and lets JOSIE-style exact search share one implementation.
 
 from __future__ import annotations
 
-from typing import Collection, Hashable, Set
+from typing import Hashable, Set
 
 __all__ = [
     "jaccard",

@@ -30,18 +30,10 @@ class TfIdfWeights:
         for token in set(tokens):
             self._doc_freq[token] = self._doc_freq.get(token, 0) + 1
 
-    @property
-    def num_documents(self) -> int:
-        return self._num_docs
-
     def idf(self, token: Hashable) -> float:
         """Smooth inverse document frequency of *token*."""
         df = self._doc_freq.get(token, 0)
         return math.log(1.0 + self._num_docs / (1.0 + df)) if self._num_docs else 1.0
-
-    def weight_map(self, tokens: Iterable[Hashable]) -> dict[Hashable, float]:
-        """IDF weights for a token set, suitable for weighted Jaccard."""
-        return {token: self.idf(token) for token in set(tokens)}
 
     def weighted_containment(
         self, query: Iterable[Hashable], candidate: Mapping[Hashable, float] | set

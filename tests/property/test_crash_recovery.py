@@ -21,7 +21,8 @@ After recovery:
   post-state.
 
 Covered operations: ``LakeStore.ingest`` (adds + an update, so both
-``pending`` and ``stale`` paths run), ``LakeStore.remove``, the two
+``pending`` and ``stale`` paths run), ``LakeStore.remove``,
+``LakeStore.migrate`` (a v1 store upgraded in place), the two
 artifact saves ``LakeStore.save_indexes`` / ``save_engine`` (index
 pickles, posting JSONL, sketch artifact), and the journaled
 ``ShardedLakeStore.rebalance`` (whose crash windows include
@@ -41,6 +42,8 @@ from repro.shard.store import ShardedLakeStore
 from repro.store import journal
 from repro.store.lakestore import LakeStore
 from repro.table.table import Table
+
+from old_store import downgrade_to_v1
 
 
 @pytest.fixture(autouse=True)
@@ -182,6 +185,24 @@ def test_remove_crash_at_every_write_point(plain_store, tmp_path):
     assert rollbacks and rollforwards
 
 
+def test_migrate_crash_at_every_write_point(plain_store, tmp_path):
+    """A v1 store killed anywhere inside its upgrade is still all v1 or
+    already all v2, never a manifest naming a segment that is not there."""
+    downgrade_to_v1(plain_store)
+
+    def operation(path):
+        LakeStore.open(path).migrate()
+
+    cases, rollbacks, rollforwards = crash_matrix(
+        plain_store, operation, LakeStore.open, tmp_path
+    )
+    assert cases >= 6  # journal, 2 segments, manifest, version, 2 unlinks, ...
+    assert rollbacks and rollforwards
+    upgraded = LakeStore.open(tmp_path / "clean")
+    assert upgraded.segment_format_counts() == {"v1": 0, "v2": 2}
+    assert upgraded.load_table("beta").rows == table("beta", 2).rows
+
+
 def test_artifact_saves_crash_at_every_write_point(plain_store, tmp_path):
     """Index pickles, the posting JSONL and the sketch artifact are
     journaled like table data: a crash between any two of their writes
@@ -312,3 +333,43 @@ def test_interrupted_rebalance_never_leaves_a_table_in_two_shards(
         doubled = {t: s for t, s in placements.items() if len(s) > 1}
         assert not doubled, f"tables in two shards after recovery: {doubled}"
         assert sorted(placements) == [f"t{i:02d}" for i in range(6)]
+
+
+def test_cli_recover_settles_what_a_crashed_writer_left(sharded_store, tmp_path, capsys):
+    """``repro store recover`` is the recovery an ``open()`` would run,
+    reported: the root's rebalance journal first, then every shard's."""
+    from repro.cli import main
+
+    def recover(path):
+        assert main(["store", "recover", "--store", str(path)]) == 0
+        return capsys.readouterr().out
+
+    for point, action, shards in (
+        ("shard.rebalance.move", "rolled back", 2),
+        ("shard.rebalance.commit", "rolled forward", 3),
+    ):
+        work = tmp_path / point
+        shutil.copytree(sharded_store, work)
+        inject.crash_after(point, nth=1)
+        with pytest.raises(FaultInjected):
+            ShardedLakeStore.open(work, check_sketch=False).rebalance(3)
+        inject.reset()
+        assert recover(work) == f"rebalance: {action}\n"
+        assert_no_orphans(work)
+        assert not (tmp_path / (work.name + ".rebalance")).exists()
+        assert recover(work) == "clean: no interrupted operation found\n"
+        settled = ShardedLakeStore.open(work, check_sketch=False)
+        assert settled.num_shards == shards and len(settled) == 6
+
+    # A writer killed inside one shard's ingest: that shard's journal.
+    store = ShardedLakeStore.open(sharded_store)
+    inject.crash_after("store.write_stats", nth=1)
+    with pytest.raises(FaultInjected):
+        store.ingest({"new": table("new", 9)}, prune=False)
+    inject.reset()
+    home = store.shard_names[store.shard_of("new")]
+    assert recover(sharded_store) == (
+        f"ingest (shard {home}): rolled back, 2 orphan file(s) removed\n"
+    )
+    assert_no_orphans(sharded_store)
+    assert "new" not in ShardedLakeStore.open(sharded_store)

@@ -16,6 +16,8 @@ from repro.datalake import DataLake
 from repro.store import LakeStore, SketchConfig
 from repro.table import MISSING, PRODUCED, Table
 
+from old_store import downgrade_to_v1
+
 # ----------------------------------------------------------------------
 # Strategies: heterogeneous cells with both null kinds and unicode text
 # ----------------------------------------------------------------------
@@ -102,26 +104,27 @@ def test_reingest_is_a_fixed_point(tmp_path_factory, lake):
 
 
 @settings(max_examples=10, deadline=None)
-@given(lakes(), st.sampled_from([("v1", "v2"), ("v2", "v1")]))
+@given(lakes(), st.booleans())
 def test_cross_format_migration_preserves_everything(
-    tmp_path_factory, lake, direction
+    tmp_path_factory, lake, migrate
 ):
-    """ISSUE 6 acceptance property: ``migrate`` between segment formats
-    (both directions) is invisible to every consumer -- cells and null
-    kinds identical, stats products equal, sketches byte-identical, lake
-    version untouched -- and the migrated store still serves with zero
-    raw-cell scans."""
-    source_fmt, target_fmt = direction
+    """ISSUE 6 acceptance property: the segment format is invisible to
+    every consumer.  A store the v1 writer left, as it is or upgraded by
+    ``migrate``, serves cells and null kinds identical to the lake, equal
+    stats products and byte-identical sketches at an untouched lake
+    version, with zero raw-cell scans."""
     store_dir = tmp_path_factory.mktemp("store") / "lake.store"
-    store = LakeStore.create(store_dir, segment_format=source_fmt)
+    store = LakeStore.create(store_dir)
     store.ingest(lake)
     version_before = store.lake_version
+    downgrade_to_v1(store_dir)
 
-    migrator = LakeStore.open(store_dir)
-    migrated = migrator.migrate(segment_format=target_fmt)
-    assert sorted(migrated) == sorted(lake)
-    assert migrator.lake_version == version_before
-    assert migrator.default_segment_format == target_fmt
+    old = LakeStore.open(store_dir)
+    assert old.segment_format_counts() == {"v1": len(lake), "v2": 0}
+    if migrate:
+        assert sorted(old.migrate()) == sorted(lake)
+        assert old.segment_format_counts() == {"v1": 0, "v2": len(lake)}
+    assert old.lake_version == version_before
 
     warm = LakeStore.open(store_dir).lake()
     hasher = SketchConfig().hasher
@@ -154,7 +157,7 @@ def test_corrupted_v2_segment_raises_typed_error(tmp_path):
     from repro.store import SegmentCorrupted
 
     store_dir = tmp_path / "lake.store"
-    store = LakeStore.create(store_dir, segment_format="v2")
+    store = LakeStore.create(store_dir)
     store.ingest(
         DataLake(
             [

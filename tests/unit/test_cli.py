@@ -13,6 +13,8 @@ from repro.datalake.fixtures import (
 )
 from repro.table import read_csv, write_csv
 
+from old_store import downgrade_to_v1
+
 
 @pytest.fixture
 def lake_dir(tmp_path):
@@ -103,6 +105,19 @@ class TestDiscover:
     def test_missing_lake_rejected(self, query_csv):
         with pytest.raises(SystemExit):
             main(["discover", "--query", str(query_csv)])
+
+    def test_trace_verb_is_the_command_with_the_span_tree(self, lake_dir, query_csv, capsys):
+        command = ["discover", "--lake", str(lake_dir), "--query", str(query_csv), "-k", "3"]
+        assert main(command) == 0
+        plain = capsys.readouterr().out
+        assert "trace:" not in plain
+        assert main(["trace", "--", *command]) == 0
+        traced = capsys.readouterr().out
+        assert traced.startswith(plain.rstrip("\n"))
+        tree = traced[len(plain.rstrip("\n")):]
+        assert "trace:" in tree and "cli.discover" in tree and "discover.score" in tree
+        with pytest.raises(SystemExit, match="trace wraps discover or integrate"):
+            main(["trace", "lake-info", "--lake", str(lake_dir)])
 
 
 class TestIntegrate:
@@ -373,6 +388,23 @@ class TestIndexCommands:
         capsys.readouterr()
         assert main(build + ["--shards", "3"]) == 2
         assert "already sharded into 2" in capsys.readouterr().err
+
+    def test_info_on_a_sharded_store(self, lake_dir, tmp_path, capsys):
+        store = str(tmp_path / "sharded")
+        assert main(["index", "build", "--lake", str(lake_dir), "--store", store,
+                     "--shards", "2"]) == 0
+        capsys.readouterr()
+        assert main(["store", "shard", "info", "--store", store]) == 0
+        summary = capsys.readouterr().out
+        assert summary.startswith(f"sharded lake store: {store}\n")
+        assert "lake epoch 1, 2 shards (routing seed 0)" in summary
+        assert "2 tables, " in summary and "segment formats: v2: 2\n" in summary
+        assert "persisted indexes (union across shards): josie, lsh_ensemble, santos" in summary
+        assert "shard-000" in summary and "shard-001" in summary
+        # `index info` prints the same summary, then what is on disk.
+        assert main(["index", "info", "--store", store]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(summary) and "bytes on disk: segments " in out
 
     def test_integrate_from_store(self, lake_dir, query_csv, tmp_path, capsys):
         store_dir = tmp_path / "lake.store"
@@ -661,8 +693,8 @@ class TestObs:
 
 
 class TestStoreMigrate:
-    """store migrate flips segment formats in place; index info reports
-    the store's format mix before and after."""
+    """store migrate upgrades a v1 store in place; index info reports the
+    store's format mix before and after."""
 
     def test_migrate_round_trip_via_cli(self, lake_dir, query_csv, tmp_path, capsys):
         store_dir = tmp_path / "lake.store"
@@ -670,19 +702,24 @@ class TestStoreMigrate:
         capsys.readouterr()
 
         assert main(["index", "info", "--store", str(store_dir)]) == 0
-        assert "segment format: v2" in capsys.readouterr().out
+        assert "segment formats: v2: 2\n" in capsys.readouterr().out
 
-        assert main(["store", "migrate", "--store", str(store_dir), "--format", "v1"]) == 0
+        downgrade_to_v1(store_dir)
+        assert main(["index", "info", "--store", str(store_dir)]) == 0
         out = capsys.readouterr().out
-        assert "migrated 2 of 2 table segments to v1" in out
+        assert "segment formats: v1: 2\n" in out
+        assert "persisted indexes (current)" in out
+
+        assert main(["store", "migrate", "--store", str(store_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "migrated 2 of 2 table segments to v2 (now v2: 2)" in out
         assert "lake version 1 unchanged" in out
 
-        assert main(["index", "info", "--store", str(store_dir)]) == 0
-        assert "segment format: v1" in capsys.readouterr().out
-
-        # Migrating to the format already in place rewrites nothing.
-        assert main(["store", "migrate", "--store", str(store_dir), "--format", "v1"]) == 0
+        # Migrating a store that is already v2 rewrites nothing.
+        assert main(["store", "migrate", "--store", str(store_dir)]) == 0
         assert "migrated 0 of 2" in capsys.readouterr().out
+        assert main(["index", "info", "--store", str(store_dir)]) == 0
+        assert "persisted indexes (current)" in capsys.readouterr().out
 
         # The migrated store still serves a warm discover.
         code = main(

@@ -14,7 +14,6 @@ from repro.obs import metrics
 from repro.store import segment
 from repro.store.segment import (
     SegmentCorrupted,
-    read_column_v2,
     read_columns_v2,
     write_segment_v2,
 )
@@ -33,8 +32,8 @@ def mapped(tmp_path, monkeypatch):
     """A written segment that every read in the test will ``mmap``."""
     monkeypatch.setattr(segment, "_MMAP_MIN_BYTES", 1)
     path = tmp_path / "t.seg.bin"
-    offsets = write_segment_v2(path, Table(["a", "b", "c"], ROWS, name="t"))
-    return path, offsets
+    write_segment_v2(path, Table(["a", "b", "c"], ROWS, name="t"))
+    return path
 
 
 def mmap_opens():
@@ -42,30 +41,29 @@ def mmap_opens():
 
 
 def test_round_trip_through_mmap(mapped):
-    path, offsets = mapped
     before = mmap_opens()
-    columns = read_columns_v2(path, 3)
+    columns = read_columns_v2(mapped, 3)
     assert [repr(column) for column in columns] == [
         repr(column) for column in zip(*ROWS)
     ]
     assert columns[0][2] is PRODUCED and columns[2][1] is MISSING
-    assert read_column_v2(path, offsets[1]) == columns[1]
-    assert mmap_opens() == before + 2
+    assert mmap_opens() == before + 1
 
 
 def test_out_of_range_code_through_mmap_is_segment_corrupted(mapped):
     """The failing read must still be able to close its map: a view of it
     kept alive by the in-flight exception would turn the typed error into
     ``BufferError: cannot close exported pointers exist``."""
-    path, offsets = mapped
-    damaged = bytearray(path.read_bytes())
-    damaged[offsets[0]] = 0xFF  # dictionary has 9 entries, width is 1
-    path.write_bytes(bytes(damaged))
+    pristine = mapped.read_bytes()
+    damaged = bytearray(pristine)
+    # Width is 1 (the dictionary has 9 entries), so each of the three
+    # column blocks is len(ROWS) codes and one bitmap byte.
+    damaged[len(pristine) - 3 * (len(ROWS) + 1)] = 0xFF
+    mapped.write_bytes(bytes(damaged))
     before = mmap_opens()
     with pytest.raises(SegmentCorrupted, match="holds code 255"):
-        read_column_v2(path, offsets[0])
-    with pytest.raises(SegmentCorrupted, match="holds code 255"):
-        read_columns_v2(path, 3)
-    assert mmap_opens() == before + 2
-    # The other columns of the same file are intact and still readable.
-    assert read_column_v2(path, offsets[1]) == tuple(row[1] for row in ROWS)
+        read_columns_v2(mapped, 3)
+    assert mmap_opens() == before + 1
+    # The failed read left nothing behind that stops the next one.
+    mapped.write_bytes(pristine)
+    assert read_columns_v2(mapped, 3)[1] == tuple(row[1] for row in ROWS)

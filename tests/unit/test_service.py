@@ -398,7 +398,7 @@ class TestWireRepliesAreLayoutBlind:
         *ServiceStats.COUNTER_NAMES,
         "queue_depth", "latency", "lake_version", "cache_entries",
         "cache_evictions", "cache_expirations", "workers",
-        "segment_format", "segment_format_counts",
+        "segment_format_counts",
     }
 
     @pytest.mark.parametrize("shards", [None, 2])
@@ -1275,6 +1275,9 @@ def _driver_store_reads() -> dict[str, int]:
 
 
 class TestShardedRouter:
+    #: Matches t03's cities, and a ``_keyed_table(..., 3)`` newcomer's.
+    PROBE = Table(["City"], [(f"city3_{j}",) for j in range(6)], name="probe")
+
     @pytest.fixture
     def sharded_path(self, tmp_path, request):
         # Four shards, unless a test asks (indirectly) for another count.
@@ -1286,7 +1289,6 @@ class TestShardedRouter:
 
     def test_driver_decodes_hydrates_and_fits_nothing(self, sharded_path):
         newcomer = _keyed_table("newcomer", 3)
-        probe = Table(["City"], [(f"city3_{j}",) for j in range(6)], name="probe")
         reads_before = _driver_store_reads()
         with LakeService(
             store=sharded_path, workers=2, reload_check_interval=0.0
@@ -1302,7 +1304,7 @@ class TestShardedRouter:
             assert on_disk.lake_version == report["lake_version"]
             for shard in on_disk.shards:
                 assert shard.info()["indexes_lake_version"] == shard.lake_version
-            answer = service.discover(probe, k=5)
+            answer = service.discover(self.PROBE, k=5)
             assert answer.lake_version == report["lake_version"]
             assert "newcomer" in answer.payload["integration_set"]
             assert service.pipeline.lake.loaded_names == []
@@ -1311,7 +1313,7 @@ class TestShardedRouter:
         assert _driver_store_reads() == reads_before
         fresh = Dialite.open(sharded_path).fit()
         try:
-            assert served == canonical(oracle_discover_payload(fresh, probe, k=5))
+            assert served == canonical(oracle_discover_payload(fresh, self.PROBE, k=5))
         finally:
             fresh.index.close()
 
@@ -1349,6 +1351,45 @@ class TestShardedRouter:
     @pytest.mark.parametrize("shards", ["1", "2"])
     def test_index_build_decodes_nothing_at_every_shard_count(self, tmp_path, shards):
         self.test_index_build_decodes_nothing_in_the_driver(tmp_path, shards)
+
+    def test_a_removed_table_leaves_the_next_epochs_answers(self, sharded_path):
+        with LakeService(
+            store=sharded_path, workers=2, reload_check_interval=0.0
+        ) as service:
+            before = service.discover(self.PROBE, k=5)
+            assert "t03" in before.payload["integration_set"]
+            foreign = open_any_store(sharded_path)
+            versions = foreign.shard_versions()
+            foreign.remove("t03")
+            # Exactly the table's home shard moved, by one.
+            moved = [b - a for a, b in zip(versions, foreign.shard_versions())]
+            assert sum(moved) == 1 and moved[foreign.shard_of("t03")] == 1
+            assert "t03" not in foreign and len(foreign) == 11
+            after = service.discover(self.PROBE, k=5)
+            assert after.lake_version == before.lake_version + 1
+            assert "t03" not in after.payload["integration_set"]
+        with pytest.raises(KeyError, match="no table 't03'"):
+            open_any_store(sharded_path).remove("t03")
+
+    def test_metrics_op_folds_in_the_workers_registries(self, sharded_path):
+        """Retrieval runs in the shard workers, so its counters live in
+        their registries; the ``metrics`` op reports driver + workers."""
+
+        def driver_retrievals():
+            counters = obs_metrics.global_registry().snapshot()["counters"]
+            return counters.get("engine.retrievals", 0)
+
+        with LakeService(store=sharded_path, workers=2) as service:
+            before = driver_retrievals()
+            assert service.discover(self.PROBE, k=5).payload["results"]
+            workers = service.pipeline.index.worker_metrics()
+            wire = json.loads(LakeServer(service).dispatch({"op": "metrics"}))["payload"]
+        assert driver_retrievals() == before
+        assert workers["counters"]["engine.retrievals"] >= 4  # one a shard, at least
+        assert (
+            wire["counters"]["engine.retrievals"]
+            == before + workers["counters"]["engine.retrievals"]
+        )
 
     def test_traced_ingest_shows_where_the_refit_went(self, sharded_path):
         fits_before = obs_metrics.histogram("shard.worker.fit_seconds").count

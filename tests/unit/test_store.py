@@ -32,6 +32,8 @@ from repro.store import (
 from repro.store.codec import decode_column, encode_column
 from repro.table import MISSING, PRODUCED, Table
 
+from old_store import downgrade_to_v1
+
 
 @pytest.fixture
 def lake():
@@ -175,14 +177,6 @@ class TestWarmReadPath:
                 assert ours.null_count == theirs.null_count
                 assert ours.numeric_fraction == theirs.numeric_fraction
 
-    def test_lazy_single_column_load(self, store, lake):
-        opened = LakeStore.open(store.path)
-        assert opened.load_column("T3", "City") == lake["T3"].column_array("City")
-        with pytest.raises(KeyError, match="no column"):
-            opened.load_column("T3", "nope")
-        with pytest.raises(KeyError, match="no table"):
-            opened.load_column("nope", "City")
-
     def test_stored_lake_is_read_only(self, store):
         warm = store.lake()
         with pytest.raises(TypeError, match="read-only"):
@@ -192,8 +186,9 @@ class TestWarmReadPath:
         from repro.table import is_null
 
         stats = store.table_stats("T3").column("Death Rate")
-        values = stats.values  # pages the column in, filters nulls
-        expected = [v for v in store.load_column("T3", "Death Rate") if not is_null(v)]
+        values = stats.values  # pages the table's segment in, filters nulls
+        cells = store.load_table("T3").column_array("Death Rate")
+        expected = [v for v in cells if not is_null(v)]
         assert values == expected
         assert stats.scan_count == 0
 
@@ -486,76 +481,90 @@ class TestStatsCacheBound:
 
 
 class TestSegmentFormats:
-    """v1 (JSONL) and v2 (binary columnar) segments coexist; ``migrate``
-    rewrites between them without touching stats, hashes or versions."""
+    """Every segment is written v2 (binary columnar); a store the v1
+    (JSONL) writer left still opens and serves, and ``migrate`` upgrades
+    it without touching stats, hashes or versions."""
+
+    @pytest.fixture
+    def old_store(self, store):
+        downgrade_to_v1(store.path)
+        return LakeStore.open(store.path)
 
     def test_ingest_default_is_v2(self, store):
-        assert store.default_segment_format == "v2"
-        counts = store.segment_format_counts()
-        assert counts.get("v2") == 2 and not counts.get("v1")
+        assert store.segment_format_counts() == {"v1": 0, "v2": 2}
+        manifest = json.loads((store.path / "manifest.json").read_text("utf-8"))
+        assert "segment_format" not in manifest
+        for entry in manifest["tables"].values():
+            assert entry["segment_format"] == "v2" and "column_offsets" not in entry
 
-    def test_explicit_v1_store_still_writes_jsonl(self, tmp_path, lake):
-        store = LakeStore.create(tmp_path / "s", segment_format="v1")
-        store.ingest(lake)
-        assert list((tmp_path / "s" / "segments").glob("*.seg.jsonl"))
-        assert not list((tmp_path / "s" / "segments").glob("*.seg.bin"))
-        assert LakeStore.open(tmp_path / "s").load_table("T2").num_rows
+    def test_old_store_serves_and_takes_v2_writes(self, old_store, lake):
+        assert old_store.segment_format_counts() == {"v1": 2, "v2": 0}
+        for name, original in lake.items():
+            assert old_store.load_table(name).column_arrays == original.column_arrays
+        stats = old_store.table_stats("T3").column("City")
+        assert stats.values == list(lake["T3"].column_array("City"))
+        # An ingest writes only v2; the untouched table keeps its v1 segment.
+        changed = Table(["c"], [(1,)], name="T2")
+        old_store.ingest({"T2": changed, "T3": lake["T3"]})
+        assert old_store.segment_format_counts() == {"v1": 1, "v2": 1}
+        reopened = LakeStore.open(old_store.path)
+        assert reopened.load_table("T2").rows == changed.rows
+        assert reopened.load_table("T3").rows == lake["T3"].rows
 
-    @pytest.mark.parametrize("target", ["v1", "v2"])
-    def test_migrate_round_trip_preserves_content(self, tmp_path, lake, target):
-        source = "v2" if target == "v1" else "v1"
-        store = LakeStore.create(tmp_path / "s", segment_format=source)
-        store.ingest(lake)
-        version = store.lake_version
-        before = {name: store.load_table(name) for name in store.table_names}
+    def test_migrate_round_trip_preserves_content(self, old_store, lake):
+        # A store created as v1 after per-entry tags existed said so at
+        # the top level too; the key is tolerated and ignored.
+        old_store._manifest["segment_format"] = "v1"
+        old_store._write_manifest()
+        version = old_store.lake_version
+        before = {name: old_store.load_table(name) for name in old_store.table_names}
         hashes = {
-            name: store.info()["tables"][name]["content_hash"]
-            for name in store.table_names
+            name: entry["content_hash"]
+            for name, entry in old_store.info()["tables"].items()
         }
 
-        migrated = store.migrate(segment_format=target)
-        assert sorted(migrated) == sorted(lake)
-        assert store.lake_version == version  # content did not change
-        assert store.default_segment_format == target
-        counts = store.segment_format_counts()
-        assert counts.get(target) == 2 and not counts.get(source)
+        assert sorted(old_store.migrate()) == sorted(lake)
+        assert old_store.lake_version == version  # content did not change
+        assert old_store.segment_format_counts() == {"v1": 0, "v2": 2}
 
-        reopened = LakeStore.open(tmp_path / "s")
+        reopened = LakeStore.open(old_store.path)
         for name, table in before.items():
             after = reopened.load_table(name)
             assert after.rows == table.rows
             assert after.columns == table.columns
-            assert (
-                reopened.info()["tables"][name]["content_hash"] == hashes[name]
-            )
-        # The old-format segment files are gone; only the target remains.
-        extension = "jsonl" if target == "v1" else "bin"
-        other = "bin" if target == "v1" else "jsonl"
-        segments = tmp_path / "s" / "segments"
-        assert list(segments.glob(f"*.seg.{extension}"))
-        assert not list(segments.glob(f"*.seg.{other}"))
+            assert reopened.info()["tables"][name]["content_hash"] == hashes[name]
+        manifest = json.loads((old_store.path / "manifest.json").read_text("utf-8"))
+        assert not any("column_offsets" in e for e in manifest["tables"].values())
+        # The v1 segment files are gone; only v2 remains.
+        segments = old_store.path / "segments"
+        assert len(list(segments.glob("*.seg.bin"))) == 2
+        assert not list(segments.glob("*.seg.jsonl"))
 
-    def test_migrate_is_idempotent(self, store):
-        assert store.migrate(segment_format="v2") == []
-        assert store.default_segment_format == "v2"
+    def test_migrate_is_idempotent(self, old_store):
+        assert len(old_store.migrate()) == 2
+        manifest = (old_store.path / "manifest.json").read_bytes()
+        assert old_store.migrate() == []
+        assert LakeStore.open(old_store.path).migrate() == []
+        assert (old_store.path / "manifest.json").read_bytes() == manifest
 
-    def test_persisted_indexes_survive_migration(self, tmp_path, lake):
-        store_dir = tmp_path / "s"
-        store = LakeStore.create(store_dir, segment_format="v1")
-        store.ingest(lake)
+    def test_persisted_indexes_survive_migration(self, store, lake):
         roster = Dialite(DataLake()).discoverers.components()
         LakeIndex(store.lake(), roster).build().save_to_store(store)
 
-        LakeStore.open(store_dir).migrate(segment_format="v2")
+        def top_k():
+            warm_store = LakeStore.open(store.path)
+            warm_lake = warm_store.lake()
+            index = LakeIndex.from_store(warm_store)
+            # Served from the saved indexes, without a single raw-cell scan.
+            assert index.is_built and not index.fitted
+            results = index.search_merged(covid_query_table(), k=3, query_column="City")
+            assert all(n == 0 for n in warm_lake.stats.scan_counts().values())
+            return results
 
-        # The saved indexes were not invalidated (content is unchanged) and
-        # keep serving without a single raw-cell scan.
-        warm_store = LakeStore.open(store_dir)
-        warm_lake = warm_store.lake()
-        index = LakeIndex.from_store(warm_store)
-        assert index.is_built
-        results = index.search_merged(
-            covid_query_table(), k=3, query_column="City"
-        )
-        assert {r.table_name for r in results} == {"T2", "T3"}
-        assert all(n == 0 for n in warm_lake.stats.scan_counts().values())
+        as_written = top_k()
+        assert {r.table_name for r in as_written} == {"T2", "T3"}
+        downgrade_to_v1(store.path)
+        assert top_k() == as_written
+        # The saved indexes are not invalidated: content is unchanged.
+        assert len(LakeStore.open(store.path).migrate()) == 2
+        assert top_k() == as_written
