@@ -1,7 +1,8 @@
 # Developer/CI entry points for the DIALITE reproduction.
 #
 #   make test         tier-1 test suite (the driver's gate)
-#   make lint         static checks (pyflakes if installed, else compileall)
+#   make lint         static checks (pyflakes if installed, else compileall + the
+#                     unused-import pass of tools/census.py)
 #                     + the no-full-lake-scan guard over discoverer query paths
 #   make bench-smoke  table-engine micro-benchmark, smoke mode (fast, JSON out)
 #   make bench        full table-engine benchmark incl. the >= 2x acceptance check
@@ -63,7 +64,8 @@ lint:
 	@if $(PYTHON) -c "import pyflakes" 2>/dev/null; then \
 		$(PYTHON) -m pyflakes src/repro benchmarks tests tools; \
 	else \
-		$(PYTHON) -m compileall -q src/repro benchmarks tests tools; \
+		$(PYTHON) -m compileall -q src/repro benchmarks tests tools && \
+		$(PYTHON) tools/census.py --imports; \
 	fi
 	$(PYTHON) tools/check_no_full_scan.py
 	$(PYTHON) tools/check_fd_hot_paths.py

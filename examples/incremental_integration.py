@@ -5,9 +5,10 @@ Two deployment patterns the demo implies but never spells out:
 1. a user keeps discovering tables and folding them into the running
    integration result (``AliteFD.integrate_incremental`` -- provably equal
    to re-integrating from scratch, warm-started by the previous result);
-2. discovery indexes are built offline once and reloaded per session
-   (``LakeIndex.save`` / ``load``), which is how Sec. 3.1's "indexes are
-   already available for the user" works operationally.
+2. discovery indexes are built offline once into a lake store and
+   reopened per session (``LakeStore`` / ``Dialite.open``), which is how
+   Sec. 3.1's "indexes are already available for the user" works
+   operationally.
 
 Run:  python examples/incremental_integration.py
 """
@@ -15,27 +16,26 @@ Run:  python examples/incremental_integration.py
 import tempfile
 from pathlib import Path
 
+from repro import Dialite
 from repro.analysis import fact_coverage
-from repro.datalake import DataLake, LakeIndex, SyntheticLakeBuilder
-from repro.discovery import JosieJoinSearch, LSHEnsembleJoinSearch, SantosUnionSearch
+from repro.datalake import SyntheticLakeBuilder
 from repro.integration import AliteFD, normalized_key
+from repro.store import LakeStore
 
 # --- a lake, indexed offline and persisted ----------------------------------
 synth = SyntheticLakeBuilder(seed=13).build(num_unionable=3, num_joinable=3, num_distractors=5)
-index = LakeIndex(
-    synth.lake, [SantosUnionSearch(), LSHEnsembleJoinSearch(), JosieJoinSearch()]
-).build()
+store_path = Path(tempfile.mkdtemp(prefix="dialite_")) / "lake.store"
+store = LakeStore.create(store_path)
+store.ingest(synth.lake)
+Dialite.open(store).fit()  # what a fit had to fit, it persists
+index_kib = store.artifact_bytes()["indexes"] / 1024
+print(f"Offline indexes saved to {store_path} ({index_kib:.0f} KiB)")
 
-index_path = Path(tempfile.mkdtemp(prefix="dialite_")) / "lake.idx"
-index.save(index_path)
-print(f"Offline index saved to {index_path} "
-      f"({index_path.stat().st_size / 1024:.0f} KiB)")
-
-# --- a later session: reload, no rebuild -------------------------------------
-session_index = LakeIndex.load(index_path)
+# --- a later session: reopen, no rebuild -------------------------------------
+session = Dialite.open(store_path)
 query = synth.query.with_name("Q")
-ranked = session_index.search_merged(query, k=4, query_column="City")
-print(f"\nReloaded index answers immediately: "
+ranked = session.discover(query, k=4, query_column="City").merged
+print(f"\nReopened store answers immediately: "
       f"{[r.table_name for r in ranked[:6]]}")
 
 # --- fold discovered tables in one at a time ---------------------------------

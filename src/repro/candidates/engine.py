@@ -125,7 +125,7 @@ class CandidateEngine:
         self._query_counts: dict[str, int] = {}
         # Serializes lazy channel construction under concurrent queries
         # (see the module docstring's audit); reads of built structures
-        # never take it.  Recreated on unpickle (locks don't pickle).
+        # never take it.
         self._build_lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -204,7 +204,9 @@ class CandidateEngine:
     ) -> LSHEnsemble:
         """The banded sketch index under one parameter set (memoized, so
         every discoverer with matching config shares the structure and
-        the column signatures behind it)."""
+        the column signatures behind it).  *num_partitions* is part of
+        the key -- the header of the persisted sketch artifact -- and
+        sizes nothing: an ensemble's partitions are size buckets."""
         params = (num_perm, num_partitions, seed, min_size)
         ensemble = self._ensembles.get(params)
         if ensemble is None:
@@ -218,7 +220,7 @@ class CandidateEngine:
                 # replaces.  Built fully before publication, so concurrent
                 # readers only ever see a complete ensemble.
                 metrics.counter("engine.build.ensemble").inc()
-                ensemble = self._new_ensemble(num_perm, num_partitions, seed)
+                ensemble = LSHEnsemble(num_perm=num_perm, seed=seed)
                 hasher = ensemble.hasher
                 registry = self.registry
                 ensemble.index_signatures(
@@ -228,21 +230,6 @@ class CandidateEngine:
                 )
                 self._ensembles[params] = ensemble
         return ensemble
-
-    @staticmethod
-    def _new_ensemble(num_perm: int, num_partitions: int, seed: int) -> LSHEnsemble:
-        # size-buckets: a column's partition (and hence its band
-        # parameters) is a function of its own cardinality, not of the
-        # lake distribution -- an engine over any subset of the lake
-        # retrieves exactly the global band hits restricted to that
-        # subset.  Required for sharded scatter-gather to be
-        # byte-identical with the single-store pipeline.
-        return LSHEnsemble(
-            num_perm=num_perm,
-            num_partitions=num_partitions,
-            seed=seed,
-            partitioning="size-buckets",
-        )
 
     def materialized_ensembles(
         self,
@@ -265,8 +252,8 @@ class CandidateEngine:
         """Install persisted signature tables (store hydration); matching
         parameter sets will never rebuild from stats."""
         for params, (keys, sizes, matrix) in tables.items():
-            num_perm, num_partitions, seed, _min_size = params
-            ensemble = self._new_ensemble(num_perm, num_partitions, seed)
+            num_perm, _num_partitions, seed, _min_size = params
+            ensemble = LSHEnsemble(num_perm=num_perm, seed=seed)
             ensemble.index_table(keys, sizes, matrix)
             self._ensembles[tuple(params)] = ensemble
 
@@ -762,17 +749,6 @@ class CandidateEngine:
             )
         engine.loaded_from_store = True
         return engine
-
-    def __getstate__(self) -> dict[str, Any]:
-        # Locks don't pickle (LakeIndex.save pickles the whole index,
-        # engine included); a fresh lock is recreated on load.
-        state = dict(self.__dict__)
-        state.pop("_build_lock", None)
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._build_lock = threading.RLock()
 
     def __repr__(self) -> str:
         built = []

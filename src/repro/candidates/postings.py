@@ -114,9 +114,6 @@ class PostingIndex:
         """Total posting-list entries (the index's footprint metric)."""
         return sum(len(keys) for keys in self.postings.values())
 
-    def document_frequency(self, token: Hashable) -> int:
-        return len(self.postings.get(str(token), ()))
-
     def probe(self, probe_tokens: Iterable[Hashable]) -> dict[int, int]:
         """Column key -> number of probe tokens it contains.
 
@@ -134,9 +131,7 @@ class PostingIndex:
         entries it touched.
         """
         postings = self.postings
-        arrays = getattr(self, "_arrays", None)
-        if arrays is None:  # instance from a pre-cache pickle
-            arrays = self._arrays = {}
+        arrays = self._arrays
         matched = []
         total = 0
         for token in probe_tokens:

@@ -109,18 +109,6 @@ class RetrievalReport:
             "exhaustive": self.exhaustive,
         }
 
-    def summary(self) -> str:
-        shape = "exhaustive" if self.exhaustive else "+".join(self.channels)
-        extra = ""
-        if self.fallback:
-            extra = ", exhaustive fallback"
-        elif self.truncated:
-            extra = ", budget-truncated"
-        return (
-            f"{shape}: scored {self.scored}/{self.lake_size} tables "
-            f"({self.retrieved} retrieved, {self.probes} probes{extra})"
-        )
-
 
 @dataclass
 class CandidateSet:

@@ -692,49 +692,50 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         raise SystemExit("pass either --query or --queries, not both")
     names = args.discoverers.split(",") if args.discoverers else None
     if args.service:
+        _reject_local_only_flags(args, explain=_RUN_LOCALLY, candidate_budget=_OR_ON_SERVE)
         client = _service_client(args)
+    else:
+        pipeline = _load_pipeline(args)
+    tracer, tracing_ctx = _maybe_trace(args.trace and not args.service, "cli.discover")
+    with tracing_ctx:
         for path in args.queries or [args.query]:
             query = read_csv(path)
-            response = client.discover(
-                query, k=args.k, column=args.column, discoverers=names,
-                trace=args.trace,
-            )
             print(f"query: {query.name}")
-            _print_service_discovery(response)
-            if args.trace:
-                _print_trace(response.get("trace"))
+            if args.service:
+                response = client.discover(
+                    query, k=args.k, column=args.column, discoverers=names,
+                    trace=args.trace,
+                )
+                _print_service_discovery(response)
+                if args.trace:
+                    _print_trace(response.get("trace"))
+            else:
+                outcome = pipeline.discover(
+                    query, k=args.k, query_column=args.column, discoverer_names=names
+                )
+                print(outcome.summary().to_pretty(50))
+                if args.explain:
+                    _print_retrieval(outcome.retrieval)
             print()
-        return 0
-    pipeline = _load_pipeline(args)
-    if args.queries:
-        queries = [read_csv(path) for path in args.queries]
-        tracer, tracing_ctx = _maybe_trace(args.trace, "cli.discover")
-        with tracing_ctx:
-            outcomes = pipeline.discover_many(
-                queries, k=args.k, query_column=args.column, discoverer_names=names
-            )
-        for outcome in outcomes:
-            print(f"query: {outcome.query.name}")
-            print(outcome.summary().to_pretty(50))
-            if args.explain:
-                _print_retrieval(outcome.retrieval)
-            print()
-        if tracer is not None:
-            _print_trace(tracer.to_dict())
-        return 0
-    query = read_csv(args.query)
-    tracer, tracing_ctx = _maybe_trace(args.trace, "cli.discover")
-    with tracing_ctx:
-        outcome = pipeline.discover(
-            query, k=args.k, query_column=args.column, discoverer_names=names
-        )
-    print(outcome.summary().to_pretty(50))
     if args.explain:
-        _print_retrieval(outcome.retrieval)
-        print("\n" + pipeline.index.engine_summary())
+        print(pipeline.index.engine_summary())
     if tracer is not None:
         _print_trace(tracer.to_dict())
     return 0
+
+
+_RUN_LOCALLY = "run the command locally (--lake / --store) to use it"
+_OR_ON_SERVE = _RUN_LOCALLY + ", or set it on `repro serve`"
+
+
+def _reject_local_only_flags(args: argparse.Namespace, **advice: str) -> None:
+    """``--service`` sends a request to a server that has its own engine:
+    a local-only flag would be dropped on the way, so it is refused by name."""
+    for flag, what_to_do in advice.items():
+        if getattr(args, flag):
+            raise SystemExit(
+                f"--{flag.replace('_', '-')} has no effect with --service: {what_to_do}"
+            )
 
 
 def _print_retrieval(retrieval: dict) -> None:
@@ -761,6 +762,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         from .obs.trace import Tracer
         from .service import decode_table
 
+        _reject_local_only_flags(args, discoverers=_RUN_LOCALLY, candidate_budget=_OR_ON_SERVE)
         client = _service_client(args)
         if args.tables:
             response = client.integrate(

@@ -307,34 +307,6 @@ class Dialite:
             degraded_shards=self.index.last_degraded_shards,
         )
 
-    def discover_many(
-        self,
-        queries: Sequence[Table],
-        k: int = 10,
-        query_column: str | None = None,
-        discoverer_names: Sequence[str] | None = None,
-    ) -> list[DiscoveryOutcome]:
-        """Batched discovery: one outcome per query, in input order.
-
-        The lake index is built once, and each query table's column stats
-        (token sets, MinHash signatures, distinct sets) are computed once
-        and shared by *every* discoverer probing it -- so a batch of Q
-        queries over D discoverers performs Q column-stat passes instead of
-        Q x D.  Queries must have unique names that don't collide with lake
-        tables (the same rule as :meth:`discover`).
-        """
-        names = [q.name for q in queries]
-        if len(set(names)) != len(names):
-            raise ValueError(f"discover_many queries must have unique names: {names}")
-        self.index  # build once, outside the per-query loop
-        return [
-            self.discover(
-                query, k=k, query_column=query_column,
-                discoverer_names=discoverer_names,
-            )
-            for query in queries
-        ]
-
     # ------------------------------------------------------------------
     # Stage 2: align & integrate
     # ------------------------------------------------------------------

@@ -100,10 +100,6 @@ class DataLake(Mapping[str, Table]):
 
         return LakeStats(self)
 
-    @property
-    def names(self) -> list[str]:
-        return list(self._tables)
-
     def tables(self) -> list[Table]:
         """All tables, in registration order."""
         return list(self._tables.values())

@@ -18,9 +18,7 @@ pass and D candidate retrievals instead of D full-lake scans.
 
 from __future__ import annotations
 
-import pickle
 import time
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from ..candidates.engine import CandidateEngine
@@ -246,36 +244,6 @@ class LakeIndex:
             self.build()
         store.save_indexes(self._discoverers, self._build_seconds)
         store.save_engine(self.engine, channels=self._roster_channels())
-
-    # ------------------------------------------------------------------
-    # Persistence: the demo's "indexes are built offline" workflow
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Pickle the fitted index (lake snapshot included) to *path*.
-
-        Standard discoverers pickle cleanly; a
-        :class:`~repro.discovery.custom.FunctionDiscoverer` wrapping a
-        lambda will not -- register such discoverers after loading instead.
-        """
-        if not self._built:
-            self.build()
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("wb") as handle:
-            pickle.dump(self, handle)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "LakeIndex":
-        """Load a previously saved index; it is ready to search."""
-        with Path(path).open("rb") as handle:
-            index = pickle.load(handle)
-        if not isinstance(index, cls):
-            raise TypeError(f"{path} does not contain a LakeIndex (got {type(index).__name__})")
-        engine = index.engine
-        for discoverer in index._discoverers:
-            _rebind_lake(discoverer, index._lake)
-            discoverer.bind_engine(engine)
-        return index
 
 
 def _rebind_lake(discoverer: Discoverer, lake: Mapping[str, Table]) -> None:

@@ -23,7 +23,6 @@ __all__ = [
     "CUISINES",
     "SCHOOL_SUBJECTS",
     "ALIAS_GROUPS",
-    "entity_vocabularies",
 ]
 
 #: country -> aliases (the first form is canonical).
@@ -218,20 +217,3 @@ def _alias_groups() -> list[tuple[str, ...]]:
 #: Alias groups: each tuple lists surface forms of one real-world entity,
 #: canonical form first.  This is the ER gazetteer.
 ALIAS_GROUPS: list[tuple[str, ...]] = _alias_groups()
-
-
-def entity_vocabularies() -> dict[str, list[str]]:
-    """``{semantic type: [canonical surface forms]}`` for the seed KB."""
-    return {
-        "country": list(COUNTRIES),
-        "city": list(CITIES),
-        "vaccine": list(VACCINES),
-        "agency": list(AGENCIES),
-        "company": list(COMPANIES),
-        "first_name": list(FIRST_NAMES),
-        "last_name": list(LAST_NAMES),
-        "us_state": list(US_STATES),
-        "sport": list(SPORTS),
-        "cuisine": list(CUISINES),
-        "school_subject": list(SCHOOL_SUBJECTS),
-    }

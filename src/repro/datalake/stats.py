@@ -84,10 +84,6 @@ class LakeStats:
                 counts[(name, column)] = count
         return counts
 
-    def total_scans(self) -> int:
-        """Total raw column passes performed across the lake so far."""
-        return sum(self.scan_counts().values())
-
     def __repr__(self) -> str:
         return f"LakeStats({len(self._lake)} tables)"
 

@@ -16,7 +16,7 @@ from .evaluation import (
     recall_at_k,
 )
 from .custom import FunctionDiscoverer, inner_join_similarity, value_overlap_similarity
-from .josie import JosieConfig, JosieJoinSearch, exact_topk_overlap
+from .josie import JosieConfig, JosieJoinSearch
 from .kb import KnowledgeBase, Relation, seed_knowledge_base
 from .lshensemble import LSHEnsembleConfig, LSHEnsembleJoinSearch
 from .santos import SantosConfig, SantosUnionSearch, TableAnnotation
@@ -37,7 +37,6 @@ __all__ = [
     "LSHEnsembleConfig",
     "JosieJoinSearch",
     "JosieConfig",
-    "exact_topk_overlap",
     "StarmieUnionSearch",
     "StarmieConfig",
     "TusUnionSearch",

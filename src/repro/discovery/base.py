@@ -23,9 +23,8 @@ need from the shared column-stats cache.
 The engine is *shared state*: ``LakeIndex.build`` threads one engine
 through every fit; a standalone ``fit(lake)`` creates a private one.
 Pickles drop the engine (it would duplicate the lake-wide structures per
-discoverer); loaders (:meth:`LakeIndex.load
-<repro.datalake.indexer.LakeIndex.load>` / ``from_store``) re-attach it
-with :meth:`Discoverer.bind_engine`.
+discoverer); the loader (``LakeIndex.from_store``) re-attaches it with
+:meth:`Discoverer.bind_engine`.
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ class Discoverer(abc.ABC):
         return clone
 
     def bind_engine(self, engine: "CandidateEngine") -> None:
-        """Attach a (new) shared engine -- what loaders call after
+        """Attach a (new) shared engine -- what the loader calls after
         unpickling, since pickles deliberately drop the engine."""
         self._engine = engine
         self._engine_bound()
@@ -146,7 +145,7 @@ class Discoverer(abc.ABC):
             raise RuntimeError(
                 f"discoverer {self.name!r} has no candidate engine (it was "
                 f"unpickled standalone); call bind_engine(engine) or load it "
-                f"through LakeIndex.load / LakeIndex.from_store"
+                f"through LakeIndex.from_store"
             )
         return self._engine
 

@@ -78,7 +78,7 @@ class CocoaJoinSearch(Discoverer):
     # retains the lake mapping -- but serializing it would duplicate every
     # cell of the lake into this index's pickle (and again into memory on
     # load).  The lake is dropped from the pickle and re-attached by the
-    # loader (LakeIndex.load / LakeIndex.from_store call rebind_lake).
+    # loader (LakeIndex.from_store calls rebind_lake).
     def __getstate__(self) -> dict:
         state = super().__getstate__()
         state["_lake"] = {}

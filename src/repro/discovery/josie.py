@@ -18,20 +18,19 @@ so engine-backed search returns *identical* top-k to the exhaustive scan
 
 Cost-model-driven switching between index probes and candidate reads (the
 full JOSIE optimizer) is out of scope at in-memory scale; exactness is
-preserved.  :func:`exact_topk_overlap` remains as the standalone
-early-terminating algorithm for users composing their own search.
+preserved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Mapping
 
 from ..candidates.spec import CandidateSet, CandidateSpec
 from ..table.table import Table
 from .base import Discoverer, DiscoveryResult
 
-__all__ = ["JosieConfig", "JosieJoinSearch", "exact_topk_overlap"]
+__all__ = ["JosieConfig", "JosieJoinSearch"]
 
 
 @dataclass(frozen=True)
@@ -40,52 +39,6 @@ class JosieConfig:
 
     min_domain_size: int = 2
     min_overlap: int = 1
-
-
-def exact_topk_overlap(
-    query_tokens: set[Hashable],
-    index: Mapping[Hashable, list[str]],
-    set_sizes: Mapping[str, int],
-    k: int,
-    min_overlap: int = 1,
-) -> list[tuple[str, int]]:
-    """Exact top-k sets by overlap with *query_tokens*, with early stopping.
-
-    *index* maps token -> keys of sets containing it; *set_sizes* gives each
-    set's cardinality (used only for deterministic tie-breaking).  Returns
-    ``[(key, overlap)]`` sorted by overlap desc.
-    """
-    if k <= 0:
-        raise ValueError("k must be positive")
-    ordered = sorted(
-        (token for token in query_tokens if token in index),
-        key=lambda token: (len(index[token]), str(token)),
-    )
-    counts: dict[str, int] = {}
-    remaining = len(ordered)
-    for position, token in enumerate(ordered):
-        for key in index[token]:
-            counts[key] = counts.get(key, 0) + 1
-        remaining = len(ordered) - (position + 1)
-        if len(counts) >= k and remaining > 0:
-            # kth best current overlap; an unseen candidate can reach at
-            # most `remaining`, a seen one at most counts[key] + remaining.
-            top = sorted(counts.values(), reverse=True)
-            kth = top[k - 1] if len(top) >= k else 0
-            best_possible_new = remaining
-            if kth >= best_possible_new and kth >= min_overlap:
-                # Unseen candidates can no longer enter the top-k, but seen
-                # ones can still reorder; finish their exact counts cheaply.
-                for later_token in ordered[position + 1 :]:
-                    for key in index[later_token]:
-                        if key in counts:
-                            counts[key] += 1
-                break
-    scored = [
-        (key, overlap) for key, overlap in counts.items() if overlap >= min_overlap
-    ]
-    scored.sort(key=lambda pair: (-pair[1], set_sizes.get(pair[0], 0), pair[0]))
-    return scored[:k]
 
 
 class JosieJoinSearch(Discoverer):
@@ -164,17 +117,3 @@ class JosieJoinSearch(Discoverer):
                 )
             )
         return results
-
-
-def build_token_postings(
-    columns: Iterable[tuple[str, set[Hashable]]],
-) -> tuple[dict[Hashable, list[str]], dict[str, int]]:
-    """Standalone helper to build (inverted index, sizes) from labeled sets;
-    exposed for tests and for users composing their own exact search."""
-    index: dict[Hashable, list[str]] = {}
-    sizes: dict[str, int] = {}
-    for key, tokens in columns:
-        sizes[key] = len(tokens)
-        for token in tokens:
-            index.setdefault(token, []).append(key)
-    return index, sizes

@@ -27,10 +27,6 @@ class Record:
     def from_mapping(cls, record_id: str, values: Mapping[str, Cell]) -> "Record":
         return cls(record_id=record_id, values=tuple(values.items()))
 
-    def as_dict(self) -> dict[str, Cell]:
-        """Attribute -> value view of the record."""
-        return dict(self.values)
-
     def get(self, attribute: str) -> Cell | None:
         """Value of *attribute*, or None when the record lacks it."""
         for name, value in self.values:

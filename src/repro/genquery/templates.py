@@ -33,15 +33,6 @@ class ColumnTemplate:
     generate: ValueGen
 
 
-def _choice_column(name: str, pool: Sequence[str]) -> ColumnTemplate:
-    def generate(rng: random.Random, row: int) -> object:
-        # Sample without replacement per table: rotate through a shuffled
-        # copy seeded once per table (the RNG is per-table already).
-        return pool[(row * 7 + rng.randrange(len(pool))) % len(pool)]
-
-    return ColumnTemplate(name, generate)
-
-
 def _keyed_column(name: str, pool: Sequence[str]) -> ColumnTemplate:
     """Duplicate-free column: row i takes the i-th item of a shuffled pool."""
 

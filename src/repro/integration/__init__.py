@@ -11,7 +11,6 @@ from .base import Integrator
 from .definition import OracleFD, enumerate_merges
 from .explain import explain_fact, fact_lineage
 from .intern import IntTuple, ValueInterner, solve_interned
-from .iterator import fd_preview, iter_fd
 from .nested_loop import NestedLoopFD
 from .outerjoin import (
     InnerJoinIntegrator,
@@ -63,6 +62,4 @@ __all__ = [
     "order_sensitivity",
     "explain_fact",
     "fact_lineage",
-    "iter_fd",
-    "fd_preview",
 ]

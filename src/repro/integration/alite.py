@@ -23,13 +23,13 @@ algorithm and data layout as pre-PR-4; it shares the
 ``joinable``/``subsumes`` predicates, which gained the bool-vs-int
 discipline of ``values_equal`` in the same PR, so both kernels see one
 semantics) as the benchmark baseline (``benchmarks/bench_fd_kernel.py``
-gates the interned kernel >= 3x over it) and as the equivalence oracle for
+gates the interned kernel >= 4.5x over it) and as the equivalence oracle for
 ``tests/property/test_fd_kernel_equivalence.py``: both kernels must produce
 identical cells, null kinds, provenance and row order.
 
 The result is exactly the set of maximal merges of connected,
 join-consistent subsets of the input tuples (see
-``tests/property/test_fd_oracle.py``, which checks this against a
+``tests/property/test_fd_properties.py``, which checks this against a
 brute-force oracle), which is the integration semantics of the paper's
 Figures 3 and 8(b).
 """

@@ -33,10 +33,9 @@ sorting by them reproduces the legacy iteration exactly.
 
 Interning contract: an interner lives exactly as long as **the call that
 filled it** -- :func:`solve_interned` (behind
-:class:`~repro.integration.alite.AliteFD`, batch and incremental) and
-:func:`~repro.integration.iterator.iter_fd` each build their own, so a
-result can depend on nothing an earlier call interned and an integrator
-instance holds no state.  **Cell spelling:** a code is rendered back as
+:class:`~repro.integration.alite.AliteFD`, batch and incremental) builds
+its own, so a result can depend on nothing an earlier call interned and
+an integrator instance holds no state.  **Cell spelling:** a code is rendered back as
 the first spelling *this input* carries (:meth:`ValueInterner.cell`).  The
 one visible normalization this implies: when an integration mixes
 ``==``-equal numeric spellings of one value (``1`` and ``1.0`` -- the
@@ -70,9 +69,7 @@ __all__ = [
     "NULL_CODE",
     "intern_tuples",
     "unintern_tuple",
-    "int_joinable",
     "int_subsumes",
-    "int_merge",
     "int_dedupe",
     "interned_closure",
     "interned_remove_subsumed",
@@ -124,10 +121,6 @@ class ValueInterner:
             self._keys.append(key)
         return code
 
-    def codes(self, cells: Sequence[Cell]) -> tuple[int, ...]:
-        """Intern a whole cell vector."""
-        return tuple(self.code(cell) for cell in cells)
-
     def cell(self, code: int) -> Cell:
         """The representative cell of a code (``PRODUCED`` for the null code;
         callers re-kind nulls from provenance)."""
@@ -167,15 +160,6 @@ class IntTuple:
         return f"IntTuple({self.codes!r}, tids={sorted(self.tids)})"
 
 
-def mask_of(codes: Sequence[int]) -> int:
-    """The non-null bitmask of a code vector."""
-    mask = 0
-    for position, code in enumerate(codes):
-        if code:
-            mask |= 1 << position
-    return mask
-
-
 def intern_tuples(
     tuples: Iterable[WorkTuple], interner: ValueInterner
 ) -> list[IntTuple]:
@@ -206,27 +190,9 @@ def unintern_tuple(work: IntTuple, interner: ValueInterner) -> WorkTuple:
 
 
 # ----------------------------------------------------------------------
-# Kernel predicates: tight int loops behind one-mask prefilters
+# Kernel predicates: tight int loops behind one-mask prefilters (the
+# closure inlines its joinability check; subsumption is the one it calls)
 # ----------------------------------------------------------------------
-def int_joinable(a: IntTuple, b: IntTuple) -> bool:
-    """ALITE's complementation condition on interned tuples.
-
-    One ``AND`` decides the overlap requirement; conflicts can only occur
-    at shared non-null positions, so the loop walks the set bits of the
-    common mask only.
-    """
-    common = a.mask & b.mask
-    if not common:
-        return False
-    a_codes, b_codes = a.codes, b.codes
-    while common:
-        position = (common & -common).bit_length() - 1
-        if a_codes[position] != b_codes[position]:
-            return False
-        common &= common - 1
-    return True
-
-
 def int_subsumes(a: IntTuple, b: IntTuple) -> bool:
     """Whether *a* subsumes *b*: one mask check (*b* must add no
     positions), then code equality over *b*'s non-null positions."""
@@ -240,13 +206,6 @@ def int_subsumes(a: IntTuple, b: IntTuple) -> bool:
             return False
         remaining &= remaining - 1
     return True
-
-
-def int_merge(a: IntTuple, b: IntTuple) -> IntTuple:
-    """Merge two joinable interned tuples (non-null wins, provenance
-    unions).  Caller must have checked :func:`int_joinable`."""
-    codes = tuple(x if x else y for x, y in zip(a.codes, b.codes))
-    return IntTuple(codes, a.mask | b.mask, a.tids | b.tids)
 
 
 def _min_witness(a: IntTuple, b: IntTuple) -> IntTuple:

@@ -50,14 +50,6 @@ class WorkTuple:
     cells: tuple[Cell, ...]
     tids: frozenset[str]
 
-    def non_null_positions(self) -> tuple[int, ...]:
-        """Indices of the cells carrying values."""
-        return tuple(i for i, cell in enumerate(self.cells) if not is_null(cell))
-
-    def non_null_count(self) -> int:
-        """How many cells carry values (the tuple's information mass)."""
-        return sum(1 for cell in self.cells if not is_null(cell))
-
 
 def joinable(a: Sequence[Cell], b: Sequence[Cell]) -> bool:
     """ALITE's complementation condition (see module docstring).
@@ -197,9 +189,7 @@ def missing_positions_map(
     base: dict[str, tuple[Cell, ...]]
 ) -> dict[str, frozenset[int]]:
     """tid -> positions where that input tuple carries an explicit missing
-    null.  The precomputation behind :func:`canonicalize_null_kinds`;
-    callers canonicalizing many tuple batches over one input set (e.g. the
-    component-at-a-time iterator) build it once and pass it through."""
+    null.  The precomputation behind :func:`canonicalize_null_kinds`."""
     missing_of: dict[str, frozenset[int]] = {}
     for tid, source in base.items():
         positions = frozenset(
@@ -213,7 +203,6 @@ def missing_positions_map(
 def canonicalize_null_kinds(
     tuples: Sequence[WorkTuple],
     base: dict[str, tuple[Cell, ...]],
-    missing_of: dict[str, frozenset[int]] | None = None,
 ) -> list[WorkTuple]:
     """Make output null kinds a pure function of provenance.
 
@@ -224,14 +213,11 @@ def canonicalize_null_kinds(
     makes every FD algorithm's output deterministic regardless of the order
     in which merges were discovered.
 
-    *missing_of* is the per-TID missing-position index of
-    :func:`missing_positions_map`; it is derived from *base* when not
-    supplied, so the inner question per output null is a set-membership
-    test instead of a rescan of the supporting input tuple's cell vector.
+    The per-TID missing-position index (:func:`missing_positions_map`)
+    makes the inner question per output null a set-membership test
+    instead of a rescan of the supporting input tuple's cell vector.
     """
-    if missing_of is None:
-        missing_of = missing_positions_map(base)
-
+    missing_of = missing_positions_map(base)
     canonical = []
     for work in tuples:
         cells = list(work.cells)

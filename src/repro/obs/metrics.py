@@ -81,7 +81,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (set/add; last write wins on snapshot)."""
+    """A point-in-time value (last write wins on snapshot)."""
 
     __slots__ = ("_lock", "_value")
 
@@ -92,10 +92,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = value
-
-    def add(self, amount: float) -> None:
-        with self._lock:
-            self._value += amount
 
     @property
     def value(self) -> float:

@@ -262,10 +262,7 @@ class LakeService:
         trace_path_max_bytes: int | None = None,
         trace_path_keep: int = 3,
         postmortem_path: "str | Path | None" = None,
-        recorder: "obs_recorder.FlightRecorder | None" = None,
-        recorder_capacity: int = 256,
         latency_threshold_ms: float | None = None,
-        slo_monitor: "obs_slo.SLOMonitor | None" = None,
         export_path: "str | Path | None" = None,
         export_interval_s: float = 30.0,
     ):
@@ -305,18 +302,12 @@ class LakeService:
         #: Flight recorder: always-on request ring; with a
         #: ``postmortem_path`` it dumps tree + ring on every tripped
         #: request (error / deadline / latency threshold / degraded).
-        self.recorder = (
-            recorder
-            if recorder is not None
-            else obs_recorder.FlightRecorder(
-                recorder_capacity,
-                postmortem_path=postmortem_path,
-                latency_threshold_ms=latency_threshold_ms,
-            )
+        self.recorder = obs_recorder.FlightRecorder(
+            postmortem_path=postmortem_path, latency_threshold_ms=latency_threshold_ms
         )
         #: SLO monitor: every finished request feeds it; burn rates
         #: surface through :meth:`health_snapshot`.
-        self.slo = slo_monitor if slo_monitor is not None else obs_slo.SLOMonitor()
+        self.slo = obs_slo.SLOMonitor()
         #: The serving epoch: 1 at construction, +1 per hot-swap reload.
         self._epoch = 1
         #: Background exporter (optional): periodic metrics snapshots and

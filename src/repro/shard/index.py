@@ -242,10 +242,6 @@ class ShardedLakeIndex:
         summed per discoverer (empty when every shard only hydrated)."""
         return dict(self._fitted)
 
-    @property
-    def is_built(self) -> bool:
-        return self._built
-
     def set_candidate_budget(self, budget: int | None) -> "ShardedLakeIndex":
         """Engine-wide candidate budget, applied per shard *and* re-judged
         globally by the reducer (see the module docstring); None restores

@@ -338,10 +338,6 @@ class ShardedLakeStore:
     def sketch_config(self):
         return self._shards[0].sketch_config
 
-    @property
-    def stats_cache_capacity(self) -> int | None:
-        return self._stats_cache_capacity
-
     def shard_of(self, name: str) -> int:
         """The shard index owning table *name* (routing rule)."""
         return shard_route(name, self.routing_seed, self.num_shards)

@@ -5,7 +5,7 @@ The problem with plain MinHash LSH for joinability is that *containment*
 conversion depends on the candidate's size.  LSH Ensemble's fix, reproduced
 here, is to
 
-1. partition the indexed domains by cardinality (equi-depth),
+1. partition the indexed domains by cardinality,
 2. within each partition use the partition's *upper* size bound to convert
    the containment threshold into a per-partition Jaccard threshold, and
 3. tune the LSH ``(b, r)`` parameters per partition, per query, choosing
@@ -13,6 +13,16 @@ here, is to
 
 Candidates from all partitions are verified against their signatures and
 ranked by estimated containment.
+
+Partitions are deterministic geometric **size buckets**, not the paper's
+equal-depth chunks: a set of cardinality ``s`` lands in bucket
+``floor(log2(s))`` with the fixed upper bound ``2^(bucket+1) - 1``.
+Bucket and bound are functions of the set's own cardinality alone, so the
+band-hit decision for any key is independent of what else is indexed --
+an ensemble over any subset of the entries returns exactly the global
+matches restricted to that subset.  That is what makes sharded retrieval
+byte-identical with the single-store pipeline, at a small tuning cost
+(bounds are powers of two rather than observed maxima).
 """
 
 from __future__ import annotations
@@ -39,26 +49,18 @@ class EnsembleMatch:
 
 
 class _Partition:
-    """One cardinality range: rows of the ensemble's signature matrix, and
-    one banded index per ``r`` built the first time a query picks that
-    ``r`` (a query's ``r`` follows from its size and threshold, so most
-    of the allowed widths are never probed).
-
-    With ``fixed_upper`` the partition's upper size bound is pinned at
-    construction (size-bucket mode) instead of tracking the max observed
-    cardinality -- the bound is then a function of the bucket alone, not
-    of which keys happen to be indexed.
+    """One size bucket: its fixed *upper* cardinality bound, rows of the
+    ensemble's signature matrix, and one banded index per ``r`` built the
+    first time a query picks that ``r`` (a query's ``r`` follows from its
+    size and threshold, so most of the allowed widths are never probed).
     """
 
-    def __init__(self, fixed_upper: int | None = None):
-        self.upper = fixed_upper if fixed_upper is not None else 0
-        self._fixed = fixed_upper is not None
+    def __init__(self, upper: int):
+        self.upper = upper
         self.rows = np.empty(0, dtype=np.intp)
         self._indexes: dict[int, BandedLSHIndex] = {}
 
-    def add(self, rows: np.ndarray, largest: int) -> None:
-        if not self._fixed:
-            self.upper = max(self.upper, largest)
+    def add(self, rows: np.ndarray) -> None:
         self.rows = np.concatenate([self.rows, rows])
         self._indexes = {}
 
@@ -77,55 +79,24 @@ class LSHEnsemble:
 
     Usage::
 
-        ensemble = LSHEnsemble(num_perm=128, num_partitions=8)
+        ensemble = LSHEnsemble(num_perm=128)
         ensemble.index([("lake.T3.City", city_tokens), ...])
         for match in ensemble.query(query_tokens, threshold=0.5, k=10):
             ...
 
-    ``index`` may be called once with all entries (it sorts by cardinality to
-    form equi-depth partitions); incremental ``insert`` routes to the best
-    existing partition, trading a little tuning accuracy for convenience.
-
-    Two partitioning modes:
-
-    ``equi-depth`` (default)
-        The paper's scheme: sort by cardinality, cut into
-        ``num_partitions`` equal chunks, upper bound = max observed size
-        per chunk.  Best tuning accuracy for a one-shot bulk index, but
-        the partition a key lands in -- and hence the ``(b, r)`` choice
-        that decides its band hits -- depends on the *whole* indexed
-        distribution.
-
-    ``size-buckets``
-        Deterministic geometric buckets: a key with cardinality ``s``
-        lands in bucket ``floor(log2(s))`` with a fixed upper bound
-        ``2^(bucket+1) - 1``.  Bucket and bound are functions of the key's
-        own cardinality alone, so the band-hit decision for any key is
-        independent of what else is indexed -- an ensemble over any
-        subset of the entries returns exactly the global matches
-        restricted to that subset.  This is what makes sharded retrieval
-        decomposable, at a small tuning cost (bounds are powers of two
-        rather than observed maxima).
+    ``index`` (token sets), ``index_signatures`` and ``index_table``
+    (precomputed sketches) may each be called any number of times; every
+    entry lands in the size bucket of its own cardinality (see the module
+    docstring), whatever else is or will be indexed.
     """
 
     def __init__(
         self,
         num_perm: int = 128,
-        num_partitions: int = 8,
         seed: int = 1,
         allowed_r: Sequence[int] | None = None,
-        partitioning: str = "equi-depth",
     ):
-        if num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
-        if partitioning not in ("equi-depth", "size-buckets"):
-            raise ValueError(
-                f"unknown partitioning {partitioning!r} "
-                "(expected 'equi-depth' or 'size-buckets')"
-            )
         self.num_perm = num_perm
-        self.num_partitions = num_partitions
-        self.partitioning = partitioning
         self._hasher = MinHasher(num_perm=num_perm, seed=seed)
         self._allowed_r = tuple(
             r for r in (allowed_r or _DEFAULT_ALLOWED_R) if r <= num_perm
@@ -137,8 +108,7 @@ class LSHEnsemble:
         self._keys: list[Hashable] = []
         self._sizes = np.empty(0, dtype=np.int64)
         self._matrix = np.empty((0, num_perm), dtype=np.uint32)
-        self._partitions: list[_Partition] = []
-        # size-buckets mode: bucket index -> partition, created on demand.
+        # Bucket index -> partition, created on demand.
         self._buckets: dict[int, _Partition] = {}
 
     # ------------------------------------------------------------------
@@ -149,8 +119,7 @@ class LSHEnsemble:
     def num_bands(self) -> int:
         """How many bands a query can choose among: every partition
         offers ``num_perm // r`` of them per allowed ``r``."""
-        partitions = len(self._partitions) + len(self._buckets)
-        return partitions * sum(self.num_perm // r for r in self._allowed_r)
+        return len(self._buckets) * sum(self.num_perm // r for r in self._allowed_r)
 
     @property
     def hasher(self) -> MinHasher:
@@ -167,7 +136,7 @@ class LSHEnsemble:
         return self._keys, self._sizes, self._matrix
 
     def index(self, entries: Iterable[tuple[Hashable, Iterable[Hashable]]]) -> None:
-        """Bulk-index ``(key, token set)`` pairs with equi-depth partitioning."""
+        """Bulk-index ``(key, token set)`` pairs."""
         self.index_signatures(
             (key, self._hasher.signature(tokens)) for key, tokens in entries
         )
@@ -194,21 +163,10 @@ class LSHEnsemble:
             return
         sizes = np.asarray(sizes, dtype=np.int64)
         rows = self._append(keys, sizes, np.asarray(matrix, dtype=np.uint32))
-        if self.partitioning == "size-buckets":
-            # frexp's exponent of a positive integer is its bit length.
-            buckets = np.frexp(sizes.astype(np.float64))[1] - 1
-            for bucket in np.unique(buckets):
-                members = buckets == bucket
-                self._bucket_for(int(bucket)).add(rows[members], 0)
-            return
-        order = np.argsort(sizes, kind="stable")
-        chunks = max(1, min(self.num_partitions, len(order)))
-        per_chunk = -(-len(order) // chunks)  # ceil division: equi-depth
-        for start in range(0, len(order), per_chunk):
-            chunk = order[start : start + per_chunk]
-            partition = _Partition()
-            partition.add(rows[chunk], int(sizes[chunk[-1]]))
-            self._partitions.append(partition)
+        # frexp's exponent of a positive integer is its bit length.
+        buckets = np.frexp(sizes.astype(np.float64))[1] - 1
+        for bucket in np.unique(buckets):
+            self._bucket_for(int(bucket)).add(rows[buckets == bucket])
 
     def _append(
         self, keys: Sequence[Hashable], sizes: np.ndarray, matrix: np.ndarray
@@ -221,31 +179,14 @@ class LSHEnsemble:
         return rows
 
     def _bucket_for(self, bucket: int) -> _Partition:
-        """The geometric bucket *bucket* (size-buckets mode), created on
-        first use: it covers sizes in ``[2^bucket, 2^(bucket+1) - 1]``
-        with that fixed upper bound."""
+        """The geometric bucket *bucket*, created on first use: it covers
+        sizes in ``[2^bucket, 2^(bucket+1) - 1]`` with that fixed upper
+        bound."""
         partition = self._buckets.get(bucket)
         if partition is None:
-            partition = _Partition(fixed_upper=(1 << (bucket + 1)) - 1)
+            partition = _Partition(upper=(1 << (bucket + 1)) - 1)
             self._buckets[bucket] = partition
         return partition
-
-    def insert(self, key: Hashable, tokens: Iterable[Hashable]) -> None:
-        """Incrementally index one set (routed by cardinality)."""
-        signature = self._hasher.signature(tokens)
-        if signature.size == 0:
-            return
-        if self.partitioning == "size-buckets" or not self._partitions:
-            self.index_signatures([(key, signature)])
-            return
-        target = min(
-            self._partitions,
-            key=lambda p: abs(p.upper - signature.size),
-        )
-        rows = self._append(
-            [key], np.array([signature.size], dtype=np.int64), signature.values[None, :]
-        )
-        target.add(rows, signature.size)
 
     # ------------------------------------------------------------------
     def query(
@@ -270,11 +211,8 @@ class LSHEnsemble:
         if query_sig.size == 0:
             return []
         keys, sizes, matrix = self.signature_table()
-        partitions: Iterable[_Partition] = self._partitions
-        if self.partitioning == "size-buckets":
-            partitions = (self._buckets[b] for b in sorted(self._buckets))
         matches = []
-        for partition in partitions:
+        for _, partition in sorted(self._buckets.items()):
             jaccard_threshold = self._containment_to_jaccard(
                 threshold, query_sig.size, partition.upper
             )

@@ -1106,10 +1106,6 @@ class StoredDataLake(DataLake):
     def __len__(self) -> int:
         return len(self._store)
 
-    @property
-    def names(self) -> list[str]:
-        return self._store.table_names
-
     def tables(self) -> list[Table]:
         """All tables, materializing any that were not loaded yet."""
         return [self[name] for name in self._store.table_names]

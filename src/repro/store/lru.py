@@ -76,10 +76,6 @@ class LRUCache:
             entry = self._entries.pop(key, None)
             return default if entry is None else entry[1]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __contains__(self, key: Hashable) -> bool:
         return self.get(key, _SENTINEL) is not _SENTINEL
 
@@ -87,18 +83,15 @@ class LRUCache:
         with self._lock:
             return len(self._entries)
 
-    def keys(self) -> list[Hashable]:
-        """Current keys, least recently used first (a snapshot)."""
-        with self._lock:
-            return list(self._entries)
-
     def values(self) -> list[Any]:
         """Current values, least recently used first (a snapshot)."""
         with self._lock:
             return [value for _, value in self._entries.values()]
 
     def __iter__(self) -> Iterator[Hashable]:
-        return iter(self.keys())
+        """Current keys, least recently used first (a snapshot)."""
+        with self._lock:
+            return iter(list(self._entries))
 
     def __repr__(self) -> str:
         cap = "unbounded" if self.capacity is None else self.capacity

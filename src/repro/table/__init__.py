@@ -44,7 +44,7 @@ stale cached statistics.
 """
 
 from . import ops
-from .infer import infer_dtype, infer_schema, parse_cell
+from .infer import infer_dtype, parse_cell
 from .io import read_csv, read_lake_dir, write_csv
 from .schema import ColumnSpec, Schema
 from .stats import ColumnStats, TableStats
@@ -78,7 +78,6 @@ __all__ = [
     "coalesce",
     "parse_cell",
     "infer_dtype",
-    "infer_schema",
     "read_csv",
     "write_csv",
     "read_lake_dir",

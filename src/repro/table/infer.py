@@ -12,16 +12,14 @@ when an analysis explicitly asks for numbers.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .schema import ColumnSpec, Schema
 from .values import MISSING, Cell, is_null
 
 __all__ = [
     "DEFAULT_MISSING_TOKENS",
     "parse_cell",
     "infer_dtype",
-    "infer_schema",
 ]
 
 #: Raw strings (case-insensitive, after stripping) read as a *missing* null.
@@ -93,12 +91,3 @@ def infer_dtype(values: Iterable[Cell]) -> str:
     if saw_float:
         return "float"
     return "int"
-
-
-def infer_schema(names: Sequence[str], rows: Sequence[Sequence[Cell]]) -> Schema:
-    """Infer a full :class:`Schema` for *rows* laid out under *names*."""
-    specs = []
-    for position, name in enumerate(names):
-        column = (row[position] for row in rows)
-        specs.append(ColumnSpec(name, infer_dtype(column)))
-    return Schema(specs)

@@ -429,9 +429,5 @@ class TableStats:
         """Per-column count of raw base-scan passes performed so far."""
         return {name: s.scan_count for name, s in self._by_name.items()}
 
-    @property
-    def total_scans(self) -> int:
-        return sum(s.scan_count for s in self._by_name.values())
-
     def __repr__(self) -> str:
         return f"TableStats({self._table_name!r}, {len(self._by_name)} columns)"

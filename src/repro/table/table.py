@@ -409,10 +409,6 @@ class Table:
             column: list(self._coldata[i]) for i, column in enumerate(self._columns)
         }
 
-    def to_records(self) -> list[dict[str, Cell]]:
-        """Row-major view: a list of ``{column: value}`` dictionaries."""
-        return [dict(zip(self._columns, row)) for row in self.rows]
-
     # ------------------------------------------------------------------
     # Comparison and display
     # ------------------------------------------------------------------

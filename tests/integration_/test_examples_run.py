@@ -11,8 +11,6 @@ from __future__ import annotations
 import runpy
 from pathlib import Path
 
-import pytest
-
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 
 

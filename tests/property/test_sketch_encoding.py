@@ -227,14 +227,15 @@ def test_band_index_matches_the_dict_oracle_on_every_prefix(num_perm, r):
     assert collided  # the comparison was not vacuous
 
 
-@pytest.mark.parametrize("partitioning", ["equi-depth", "size-buckets"])
-@pytest.mark.parametrize("num_perm", [128, 48])
-def test_ensemble_matches_the_dict_oracle(partitioning, num_perm):
+@pytest.mark.parametrize(
+    "num_perm", [pytest.param(128, id="128-size-buckets"), pytest.param(48, id="48-size-buckets")]
+)
+def test_ensemble_matches_the_dict_oracle(num_perm):
     signatures = random_signatures(num_perm, 150, seed=num_perm)
     entries = [(f"col{i:03d}", s) for i, s in enumerate(signatures)]
-    ensemble = LSHEnsemble(num_perm=num_perm, num_partitions=5, partitioning=partitioning)
+    ensemble = LSHEnsemble(num_perm=num_perm)
     ensemble.index_signatures(entries)
-    oracle = DictLSHEnsemble(num_perm=num_perm, num_partitions=5, partitioning=partitioning)
+    oracle = DictLSHEnsemble(num_perm=num_perm)
     oracle.index_signatures(entries)
     matched = 0
     for probe in signatures[:15] + random_signatures(num_perm, 15, seed=11):
@@ -249,13 +250,17 @@ def test_ensemble_matches_the_dict_oracle(partitioning, num_perm):
 
 def test_ensemble_rebuilt_from_its_signature_table_answers_identically():
     signatures = random_signatures(128, 60, seed=5)
-    first = LSHEnsemble(partitioning="size-buckets")
+    first = LSHEnsemble()
     first.index_signatures(enumerate(signatures))
-    second = LSHEnsemble(partitioning="size-buckets")
+    second = LSHEnsemble()
     second.index_table(*first.signature_table())
     for probe in signatures[:10]:
         assert second.query(probe, threshold=0.3) == first.query(probe, threshold=0.3)
-    # Incremental inserts land in the same table and invalidate nothing
-    # they should not: the new key is found, the old answers stand.
-    first.insert("late", {"tok1", "tok2", "tok3"})
+    # A later ``index`` call lands in the same table and invalidates
+    # nothing it should not: the new key is found, the old answers stand.
+    first.index([("late", {"tok1", "tok2", "tok3"})])
     assert any(m.key == "late" for m in first.query({"tok1", "tok2", "tok3"}, threshold=0.9))
+    for probe in signatures[:10]:
+        assert [m for m in first.query(probe, threshold=0.3) if m.key != "late"] == (
+            second.query(probe, threshold=0.3)
+        )

@@ -60,7 +60,7 @@ class DictBandedLSHIndex:
 
 
 class _DictPartition:
-    def __init__(self, num_perm: int, allowed_r: tuple[int, ...], upper: int = 0):
+    def __init__(self, num_perm: int, allowed_r: tuple[int, ...], upper: int):
         self.upper = upper
         self.signatures: dict[Hashable, MinHashSignature] = {}
         self.indexes = {r: DictBandedLSHIndex(num_perm, r) for r in allowed_r}
@@ -77,40 +77,24 @@ class DictLSHEnsemble:
     def __init__(
         self,
         num_perm: int = 128,
-        num_partitions: int = 8,
         allowed_r: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
-        partitioning: str = "equi-depth",
     ):
         self.num_perm = num_perm
-        self.num_partitions = num_partitions
-        self.partitioning = partitioning
         self._allowed_r = tuple(r for r in allowed_r if r <= num_perm)
         self._partitions: list[_DictPartition] = []
 
     def index_signatures(self, entries: Iterable[tuple[Hashable, MinHashSignature]]) -> None:
-        signed = [(key, sig) for key, sig in entries if sig.size > 0]
-        if self.partitioning == "size-buckets":
-            buckets: dict[int, _DictPartition] = {}
-            for key, signature in signed:
-                bucket = signature.size.bit_length() - 1
-                if bucket not in buckets:
-                    buckets[bucket] = _DictPartition(
-                        self.num_perm, self._allowed_r, upper=(1 << (bucket + 1)) - 1
-                    )
-                buckets[bucket].insert(key, signature)
-            self._partitions = [buckets[b] for b in sorted(buckets)]
-            return
-        if not signed:
-            return
-        signed.sort(key=lambda pair: pair[1].size)
-        chunks = max(1, min(self.num_partitions, len(signed)))
-        per_chunk = -(-len(signed) // chunks)
-        for start in range(0, len(signed), per_chunk):
-            partition = _DictPartition(self.num_perm, self._allowed_r)
-            for key, signature in signed[start : start + per_chunk]:
-                partition.upper = max(partition.upper, signature.size)
-                partition.insert(key, signature)
-            self._partitions.append(partition)
+        buckets: dict[int, _DictPartition] = {}
+        for key, signature in entries:
+            if signature.size == 0:
+                continue
+            bucket = signature.size.bit_length() - 1
+            if bucket not in buckets:
+                buckets[bucket] = _DictPartition(
+                    self.num_perm, self._allowed_r, upper=(1 << (bucket + 1)) - 1
+                )
+            buckets[bucket].insert(key, signature)
+        self._partitions = [buckets[b] for b in sorted(buckets)]
 
     def query(self, query_sig: MinHashSignature, threshold: float) -> list[EnsembleMatch]:
         if query_sig.size == 0:

@@ -65,7 +65,7 @@ class TestPostingIndex:
         index = PostingIndex.build([(0, {"a", "b"}), (1, {"b", "c"}), (2, {"x"})])
         hits = index.probe({"a", "b", "c"})
         assert hits == {0: 2, 1: 2}
-        assert index.document_frequency("b") == 2
+        assert index.postings["b"] == [0, 1]
         assert index.num_tokens == 4 and index.num_entries == 5
 
     def test_build_requires_dense_keys(self):

@@ -639,6 +639,22 @@ class TestServe:
         with pytest.raises(SystemExit, match="--lake, --store or --service"):
             main(["discover", "--query", str(query_csv)])
 
+    @pytest.mark.parametrize(
+        "verb, flag, advice",
+        [
+            ("discover", ["--explain"], "run the command locally"),
+            ("integrate", ["--discoverers", "josie"], "run the command locally"),
+            ("discover", ["--candidate-budget", "5"], "set it on `repro serve`"),
+            ("integrate", ["--candidate-budget", "5"], "set it on `repro serve`"),
+        ],
+    )
+    def test_service_rejects_the_flags_it_would_drop(self, query_csv, verb, flag, advice):
+        """Refused by name before any connection is made (port 1 is closed)."""
+        command = [verb, "--service", "127.0.0.1:1", "--query", str(query_csv), *flag]
+        with pytest.raises(SystemExit, match=f"{flag[0]} has no effect with --service") as exit_:
+            main(command)
+        assert advice in str(exit_.value)
+
 
 class TestObs:
     """ISSUE 10 surface: `repro obs export` (Prometheus/JSON pull) and

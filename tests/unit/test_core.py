@@ -2,15 +2,30 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro
 from repro import Dialite, DataLake
 from repro.core.registry import DuplicateComponentError, Registry
 from repro.discovery import inner_join_similarity
 from repro.integration import Integrator
 from repro.service import LakeService
 from repro.store import LakeStore
-from repro.table import Table
+
+
+@pytest.mark.parametrize(
+    "package",
+    ["repro", *(m.name for m in pkgutil.iter_modules(repro.__path__, "repro.") if m.ispkg)],
+)
+def test_every_exported_name_resolves_once(package):
+    """A stale ``__all__`` entry is invisible until someone star-imports."""
+    module = importlib.import_module(package)
+    exported = module.__all__
+    assert sorted(set(exported)) == sorted(exported)
+    assert [name for name in exported if not hasattr(module, name)] == []
 
 
 class TestRegistry:

@@ -12,7 +12,7 @@ from repro.datalake import (
     perturb_string,
 )
 from repro.discovery import JosieJoinSearch, SantosUnionSearch
-from repro.table import MISSING, Table
+from repro.table import MISSING
 
 
 class TestDataLake:

@@ -8,16 +8,15 @@ import pytest
 from repro.discovery import (
     DiscoveryResult,
     FunctionDiscoverer,
+    JosieConfig,
     JosieJoinSearch,
     LSHEnsembleJoinSearch,
     SantosUnionSearch,
-    exact_topk_overlap,
     inner_join_similarity,
     merge_result_sets,
     value_overlap_similarity,
 )
-from repro.discovery.josie import build_token_postings
-from repro.table import MISSING, Table
+from repro.table import Table
 
 
 @pytest.fixture
@@ -101,33 +100,33 @@ class TestJosie:
         # Scores are exact intersection sizes (integers).
         assert all(float(r.score).is_integer() for r in results)
 
-    def test_exact_topk_overlap_function(self):
-        index, sizes = build_token_postings(
-            [("a", {"x", "y", "z"}), ("b", {"x"}), ("c", {"q"})]
+    @staticmethod
+    def top(sets, query, k, **config):
+        """``[(table, overlap)]`` of JOSIE over one single-column table per set."""
+        lake = {name: Table(["c"], [(t,) for t in sorted(tokens)], name=name) for name, tokens in sets}
+        results = JosieJoinSearch(JosieConfig(min_domain_size=1, **config)).fit(lake).search(
+            Table(["c"], [(t,) for t in sorted(query)], name="query"), k=k
         )
-        top = exact_topk_overlap({"x", "y"}, index, sizes, k=2)
-        assert top[0] == ("a", 2)
-        assert top[1] == ("b", 1)
+        return [(r.table_name, int(r.score)) for r in results]
+
+    def test_exact_topk_overlap_function(self):
+        sets = [("a", {"x", "y", "z"}), ("b", {"x"}), ("c", {"q"})]
+        assert self.top(sets, {"x", "y"}, k=2) == [("a", 2), ("b", 1)]
 
     def test_exact_topk_respects_min_overlap(self):
-        index, sizes = build_token_postings([("a", {"x"}), ("b", {"y"})])
-        top = exact_topk_overlap({"x", "y"}, index, sizes, k=5, min_overlap=2)
-        assert top == []
+        assert self.top([("a", {"x"}), ("b", {"y"})], {"x", "y"}, k=5, min_overlap=2) == []
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            exact_topk_overlap({"x"}, {}, {}, k=0)
+            self.top([("a", {"x"})], {"x"}, k=0)
 
     def test_early_termination_matches_naive(self):
-        # Adversarial: many small sets, one big winner; early termination
+        # Adversarial: many small sets, one big winner; the posting probe
         # must still produce the exact ranking.
         sets = [(f"s{i}", {f"tok{i}"}) for i in range(50)]
         sets.append(("win", {f"q{i}" for i in range(20)}))
-        index, sizes = build_token_postings(sets)
         query = {f"q{i}" for i in range(20)} | {"tok0"}
-        top = exact_topk_overlap(query, index, sizes, k=2)
-        assert top[0] == ("win", 20)
-        assert top[1] == ("s0", 1)
+        assert self.top(sets, query, k=2) == [("win", 20), ("s0", 1)]
 
 
 class TestUserDefined:

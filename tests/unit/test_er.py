@@ -19,7 +19,7 @@ from repro.er import (
     default_gazetteer,
     records_from_table,
 )
-from repro.table import MISSING, PRODUCED, Table
+from repro.table import MISSING, PRODUCED
 
 
 @pytest.fixture

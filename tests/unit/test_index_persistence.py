@@ -1,6 +1,10 @@
-"""Unit tests for offline index persistence (LakeIndex.save / load)."""
+"""Unit tests for offline index persistence: fitted discoverer indexes
+live in a :class:`~repro.store.LakeStore` (``save_to_store`` /
+``from_store``, the halves of ``open_index``)."""
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 
@@ -10,47 +14,47 @@ from repro.discovery import (
     LSHEnsembleJoinSearch,
     SantosUnionSearch,
 )
+from repro.store import LakeStore, StoreError
 
 
 @pytest.fixture
-def lake(covid_unionable, covid_joinable):
-    return DataLake([covid_unionable, covid_joinable])
+def store(covid_unionable, covid_joinable, tmp_path):
+    store = LakeStore.create(tmp_path / "indexes" / "lake.store")
+    store.ingest(DataLake([covid_unionable, covid_joinable]))
+    return store
 
 
 class TestPersistence:
-    def test_round_trip_preserves_results(self, lake, covid_query, tmp_path):
+    def test_round_trip_preserves_results(self, store, covid_query):
         index = LakeIndex(
-            lake, [SantosUnionSearch(), LSHEnsembleJoinSearch(), JosieJoinSearch()]
+            store.lake(), [SantosUnionSearch(), LSHEnsembleJoinSearch(), JosieJoinSearch()]
         ).build()
         before = index.search_merged(covid_query, k=3, query_column="City")
 
-        path = tmp_path / "indexes" / "lake.idx"
-        index.save(path)
-        loaded = LakeIndex.load(path)
+        index.save_to_store(store)
+        loaded = LakeIndex.from_store(store.path)
 
-        assert loaded.is_built
+        assert loaded.is_built and not loaded.fitted
         after = loaded.search_merged(covid_query, k=3, query_column="City")
         assert [(r.table_name, r.score) for r in after] == [
             (r.table_name, r.score) for r in before
         ]
 
-    def test_save_builds_if_needed(self, lake, tmp_path):
-        index = LakeIndex(lake, [JosieJoinSearch()])
+    def test_save_builds_if_needed(self, store):
+        index = LakeIndex(store.lake(), [JosieJoinSearch()])
         assert not index.is_built
-        index.save(tmp_path / "auto.idx")
+        index.save_to_store(store)
         assert index.is_built
 
-    def test_load_rejects_foreign_pickle(self, tmp_path):
-        import pickle
+    def test_load_rejects_foreign_pickle(self, store):
+        LakeIndex(store.lake(), [JosieJoinSearch()]).save_to_store(store)
+        [persisted] = (store.path / "indexes").iterdir()
+        persisted.write_bytes(pickle.dumps({"not": "an index"}))
+        with pytest.raises(StoreError, match="does not contain a Discoverer"):
+            LakeIndex.from_store(store.path)
 
-        path = tmp_path / "junk.idx"
-        with path.open("wb") as handle:
-            pickle.dump({"not": "an index"}, handle)
-        with pytest.raises(TypeError, match="LakeIndex"):
-            LakeIndex.load(path)
-
-    def test_loaded_index_timings_preserved(self, lake, tmp_path):
-        index = LakeIndex(lake, [JosieJoinSearch()]).build()
-        index.save(tmp_path / "t.idx")
-        loaded = LakeIndex.load(tmp_path / "t.idx")
-        assert set(loaded.build_seconds) == {"josie"}
+    def test_loaded_index_timings_preserved(self, store):
+        index = LakeIndex(store.lake(), [JosieJoinSearch()]).build()
+        index.save_to_store(store)
+        loaded = LakeIndex.from_store(store.path)
+        assert loaded.build_seconds == index.build_seconds and set(loaded.build_seconds) == {"josie"}

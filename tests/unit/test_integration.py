@@ -243,39 +243,3 @@ class TestIntegratedTable:
     def test_find_fact_missing_returns_none(self, vaccine_tables):
         result = AliteFD().integrate(vaccine_tables)
         assert result.find_fact(Vaccine="Sputnik V") is None
-
-
-class TestLazyIterator:
-    def test_stream_equals_batch(self, small_integration_set):
-        from repro.integration import iter_fd
-
-        batch = AliteFD().integrate(small_integration_set)
-        streamed = [fact for _, fact in iter_fd(small_integration_set)]
-        assert sorted(normalized_key(w.cells) for w in streamed) == sorted(
-            normalized_key(row) for row in batch.rows
-        )
-
-    def test_header_constant_across_yields(self, vaccine_tables):
-        from repro.integration import iter_fd
-
-        headers = {header for header, _ in iter_fd(vaccine_tables)}
-        assert len(headers) == 1
-
-    def test_preview_truncates(self, small_integration_set):
-        from repro.integration import fd_preview
-
-        preview = fd_preview(small_integration_set, n=5)
-        assert preview.num_rows == 5
-
-    def test_preview_on_tiny_input_yields_all(self, vaccine_tables):
-        from repro.integration import fd_preview
-
-        preview = fd_preview(vaccine_tables, n=100)
-        assert preview.num_rows == 3  # Figure 8(b)
-
-    def test_all_null_degenerate(self):
-        from repro.integration import iter_fd
-
-        t = Table(["a"], [(MISSING,), (MISSING,)], name="t")
-        facts = list(iter_fd([t]))
-        assert len(facts) == 1

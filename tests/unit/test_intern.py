@@ -14,15 +14,12 @@ from repro.integration.intern import (
     fd_stats_from_span,
     int_connected_components,
     int_dedupe,
-    int_joinable,
-    int_merge,
     int_subsumes,
     intern_tuples,
-    mask_of,
+    interned_closure,
     solve_interned,
     unintern_tuple,
 )
-from repro.integration.iterator import iter_fd
 from repro.integration.subsume import connected_components
 from repro.integration.tuples import WorkTuple, cell_key
 from repro.obs import trace
@@ -89,7 +86,6 @@ class TestIntTuple:
     def test_mask_marks_non_null_positions(self):
         work, _ = interned("a", MISSING, "b", PRODUCED)
         assert work.mask == 0b101
-        assert mask_of(work.codes) == work.mask
 
     def test_pickle_round_trip(self):
         work, _ = interned("a", MISSING, tids=("t3", "t7"))
@@ -107,7 +103,9 @@ class TestIntTuple:
 
 
 class TestPredicateParity:
-    """int_* predicates agree with the object-level predicates."""
+    """The interned predicates agree with the object-level predicates:
+    ``int_subsumes`` called directly, joinability and merge (which the
+    closure inlines) through ``interned_closure`` over the pair."""
 
     CASES = [
         (("a", "b", PRODUCED), ("a", PRODUCED, "c")),
@@ -120,13 +118,23 @@ class TestPredicateParity:
         (("a", "b", "c"), ("a", "b", MISSING)),
     ]
 
+    @staticmethod
+    def close_pair(cells_a, cells_b):
+        """``(code vector of a cell vector, the pair, the pair's closure)``."""
+        interner = ValueInterner()
+        pair = intern_tuples(
+            [wt(*cells_a, tids=("t1",)), wt(*cells_b, tids=("t2",))], interner
+        )
+        closed = interned_closure(int_dedupe(pair), interner.domain, interner.sort_ranks())
+        return (lambda cells: tuple(map(interner.code, cells))), pair, closed
+
     def test_joinable_parity(self):
         for cells_a, cells_b in self.CASES:
-            interner = ValueInterner()
-            a, b = intern_tuples(
-                [wt(*cells_a, tids=("t1",)), wt(*cells_b, tids=("t2",))], interner
-            )
-            assert int_joinable(a, b) == joinable(cells_a, cells_b), (cells_a, cells_b)
+            codes, (a, b), closed = self.close_pair(cells_a, cells_b)
+            expected = {a.codes, b.codes}
+            if joinable(cells_a, cells_b):
+                expected.add(codes(merge_tuples(wt(*cells_a), wt(*cells_b)).cells))
+            assert {t.codes for t in closed} == expected, (cells_a, cells_b)
 
     def test_subsumes_parity(self):
         for cells_a, cells_b in self.CASES:
@@ -137,15 +145,13 @@ class TestPredicateParity:
             assert int_subsumes(a, b) == subsumes(cells_a, cells_b), (cells_a, cells_b)
 
     def test_merge_parity(self):
-        interner = ValueInterner()
-        a, b = intern_tuples(
-            [wt("a", PRODUCED, tids=("t1",)), wt("a", "b", tids=("t2",))], interner
-        )
-        merged = int_merge(a, b)
-        object_merged = merge_tuples(wt("a", PRODUCED), wt("a", "b", tids=("t2",)))
-        assert merged.codes == interner.codes(object_merged.cells)
-        assert merged.tids == frozenset({"t1", "t2"})
-        assert merged.mask == 0b11
+        cells_a, cells_b = ("a", PRODUCED, "c"), ("a", "b", PRODUCED)
+        codes, pair, closed = self.close_pair(cells_a, cells_b)
+        [merged] = [t for t in closed if t not in pair]
+        object_merged = merge_tuples(wt(*cells_a), wt(*cells_b, tids=("t2",)))
+        assert merged.codes == codes(object_merged.cells)
+        assert merged.tids == object_merged.tids == frozenset({"t1", "t2"})
+        assert merged.mask == 0b111
 
     def test_bool_no_longer_joins_equal_int(self):
         # The object predicates now agree with values_equal/cell_key:
@@ -267,4 +273,4 @@ class TestCallOwnedInterner:
         fd = AliteFD()
         first = fd.integrate(tables[:1])
         assert fd.integrate_incremental(first, tables[1]).num_rows == 3
-        assert len(list(iter_fd(tables))) == fd.integrate(tables).num_rows == 3
+        assert fd.integrate(tables).num_rows == 3

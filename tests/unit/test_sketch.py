@@ -106,7 +106,7 @@ class TestBandedLSH:
 
 class TestLSHEnsemble:
     def test_containment_search_finds_superset(self):
-        ensemble = LSHEnsemble(num_perm=128, num_partitions=4)
+        ensemble = LSHEnsemble(num_perm=128)
         query = {f"q{i}" for i in range(40)}
         entries = [("super", query | {f"s{i}" for i in range(100)})]
         entries += [
@@ -119,12 +119,12 @@ class TestLSHEnsemble:
         assert all(m.key != "noise0" for m in matches)
 
     def test_partition_count_respected(self):
-        ensemble = LSHEnsemble(num_perm=64, num_partitions=3)
+        ensemble = LSHEnsemble(num_perm=64)
         ensemble.index([(f"k{i}", {f"t{i}_{j}" for j in range(i + 2)}) for i in range(9)])
         assert len(ensemble) == 9
 
     def test_results_sorted_and_truncated(self):
-        ensemble = LSHEnsemble(num_perm=128, num_partitions=2)
+        ensemble = LSHEnsemble(num_perm=128)
         query = {f"q{i}" for i in range(30)}
         ensemble.index(
             [
@@ -146,8 +146,9 @@ class TestLSHEnsemble:
             LSHEnsemble().query({"a"}, threshold=1.5)
 
     def test_incremental_insert(self):
-        ensemble = LSHEnsemble(num_perm=64, num_partitions=2)
-        ensemble.insert("solo", {"a", "b", "c"})
+        ensemble = LSHEnsemble(num_perm=64)
+        ensemble.index([("first", {"x", "y", "z"})])
+        ensemble.index([("solo", {"a", "b", "c"})])
         matches = ensemble.query({"a", "b", "c"}, threshold=0.9)
         assert [m.key for m in matches] == ["solo"]
 

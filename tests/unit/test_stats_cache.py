@@ -98,7 +98,7 @@ class TestLakeStats:
         stats = lake.stats
         stats.warm()
         stats.warm()
-        assert stats.total_scans() == sum(
+        assert sum(stats.scan_counts().values()) == sum(
             t.num_columns for t in lake.values()
         )
 
@@ -145,17 +145,11 @@ class TestFullRunScansOnce:
             covid_query_table().with_name("q1"),
             covid_query_table().with_name("q2"),
         ]
-        outcomes = pipeline.discover_many(queries, k=3, query_column="City")
+        outcomes = [pipeline.discover(q, k=3, query_column="City") for q in queries]
         assert [o.query.name for o in outcomes] == ["q1", "q2"]
         for query in queries:
             assert all(n == 1 for n in query.stats.scan_counts.values())
         assert all(n == 1 for n in pipeline.lake.stats.scan_counts().values())
-
-    def test_discover_many_rejects_duplicate_names(self, lake):
-        pipeline = Dialite(lake).fit()
-        query = covid_query_table()
-        with pytest.raises(ValueError, match="unique names"):
-            pipeline.discover_many([query, query])
 
     def test_fanout_search_profiles_query_once(self, lake):
         """ISSUE 3 satellite pin: a direct ``LakeIndex.search`` fan-out over

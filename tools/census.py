@@ -1,12 +1,13 @@
 #!/usr/bin/env python
 """Which functions of ``src/repro`` does anything reach (ROADMAP item 7)?
 
-    python tools/census.py [--imports]    # --imports: only the unused-import pass
+    python tools/census.py [--imports]    # --imports: only the unused-import pass (exit 1 on a finding)
 
 Runs the e2e workloads, then the production-shaped runs (``make ci`` smokes, examples, paper
 benches), then tier-1 and the lint tools, each under a ``sys.setprofile`` hook a generated
 ``sitecustomize`` installs in every process, forked or spawned; a function is filed under the
-first stage that called it.  Takes minutes; no gate: ``make ci`` / ``make lint`` never run it.
+first stage that called it.  Takes minutes; no gate: ``make ci`` never runs it, and ``make lint``
+runs only the ``--imports`` pass (where pyflakes is not installed).
 """
 import ast
 import os
@@ -64,9 +65,10 @@ def unused_imports():
 
 
 def main() -> int:
-    print("\n".join(unused_imports()) or "no unused imports")
+    findings = list(unused_imports())
+    print("\n".join(findings) or "no unused imports")
     if "--imports" in sys.argv[1:]:
-        return 0
+        return 1 if findings else 0
     inventory, reached = {}, {}
     for file in sorted((ROOT / "src" / "repro").rglob("*.py")):
         inventory.update(functions(ast.parse(file.read_text(encoding="utf-8")), file))

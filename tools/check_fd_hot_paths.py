@@ -40,7 +40,6 @@ INTEGRATION_DIR = (
 HOT_MODULES = (
     "alite.py",
     "intern.py",
-    "iterator.py",
     "outerjoin.py",
     "subsume.py",
 )
