@@ -24,7 +24,8 @@
 #                     p95 with >= 4 cores, critical-path CPU p95 on starved
 #                     hosts), identical top-k
 #   make shard-smoke  same suite, small scale: identity + one-shard-rewrite asserts
-#                     through the shard workers, no speed gate (runs in CI)
+#                     through the shard workers, a service ingest keeps every
+#                     worker process (no respawn), no speed gate (runs in CI)
 #   make bench-chaos  fault-tolerance chaos suite: concurrent discover/ingest
 #                     under injected worker kills + connection drops; zero
 #                     errors, zero wrong/stale answers vs a per-version
@@ -134,7 +135,8 @@ obs-export-smoke:
 
 # Sharded-lake smoke: 4-shard scatter-gather answers are asserted
 # identical to the 1-shard lake's (one worker), and a single-table ingest
-# must bump exactly one shard version; the >= 2.5x p95 gate only runs at
+# must bump exactly one shard version, through a live service without
+# replacing a worker process; the >= 2.5x p95 gate only runs at
 # full scale (bench-shard), where per-query work dwarfs the fan-out IPC.
 shard-smoke:
 	$(PYTHON) benchmarks/bench_shard.py --smoke --json .benchmarks/smoke/shard.json

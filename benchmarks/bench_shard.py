@@ -30,6 +30,11 @@ The claims under test (ISSUE 8 acceptance):
    (``store.decode.*`` and ``store.stats_cache.rehydrates`` do not
    move): each shard is fitted, persisted and served by its own worker.
    Asserted at every scale.
+5. **A worker outlives its versions.**  An ingest through a live
+   :class:`repro.service.LakeService` re-opens the moved shard inside
+   its running worker: the set of worker processes is the same before
+   and after, and ``shard.worker.respawns`` does not move.  Asserted at
+   every scale.
 
 Two entry points:
 
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import random
 import shutil
@@ -55,6 +61,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core.pipeline import Dialite  # noqa: E402
 from repro.datalake import DataLake, seeds  # noqa: E402
 from repro.obs import metrics as obs_metrics  # noqa: E402
 from repro.obs.export import metrics_document, snapshot_identity  # noqa: E402
@@ -64,6 +71,7 @@ from repro.discovery import (  # noqa: E402
     SantosUnionSearch,
 )
 from repro.discovery.santos import SantosConfig  # noqa: E402
+from repro.service import LakeService  # noqa: E402
 from repro.shard import ShardedLakeIndex, ShardedLakeStore  # noqa: E402
 from repro.table import MISSING, Table  # noqa: E402
 
@@ -218,6 +226,17 @@ def run_suite(
         after = store_n.shard_versions()
         bumped = [i for i in range(shards) if after[i] != before[i]]
 
+        # A worker outlives its versions: a service ingest forks nothing.
+        respawns = obs_metrics.counter("shard.worker.respawns")
+        respawns_before = respawns.value
+        serving = Dialite(store=ShardedLakeStore.open(base / "many"), discoverers=roster())
+        with LakeService(pipeline=serving, workers=2) as service:
+            service.discover(queries[0], k=K, query_column=COLUMN)  # every worker is up
+            workers = sorted(p.pid for p in multiprocessing.active_children())
+            service.ingest([newcomer.with_name(f"{newcomer.name}_served")])
+            service.discover(queries[0], k=K, query_column=COLUMN)
+            workers_after = sorted(p.pid for p in multiprocessing.active_children())
+
         p95_1 = percentile(lat_1, 0.95)
         p95_n = percentile(lat_n, 0.95)
         cp95_1 = percentile(crit_1, 0.95)
@@ -248,6 +267,9 @@ def run_suite(
             "ingest_bumped_shards": bumped,
             "ingest_home_shard": home,
             "one_shard_rewrite": bumped == [home],
+            "service_ingest_kept_workers": len(workers) == shards
+            and workers_after == workers,
+            "service_ingest_respawns": respawns.value - respawns_before,
         }
     finally:
         shutil.rmtree(base, ignore_errors=True)
@@ -314,6 +336,12 @@ def main(argv=None) -> int:
         failures.append(
             f"single-table ingest touched shards {results['ingest_bumped_shards']} "
             f"(home: {results['ingest_home_shard']})"
+        )
+    if not results["service_ingest_kept_workers"] or results["service_ingest_respawns"]:
+        failures.append(
+            f"a service ingest replaced a shard worker "
+            f"({results['service_ingest_respawns']} respawns): the moved "
+            f"shard re-opens in its live worker"
         )
     if args.check and not args.smoke:
         # Hardware-aware gate: end-to-end wall p95 when the host can

@@ -30,6 +30,7 @@ A module-level default registry carries the library-wide instruments
 
 from __future__ import annotations
 
+import os
 import threading
 from bisect import bisect_left
 from math import ceil, inf
@@ -298,6 +299,13 @@ def _merge_histogram(a: dict, b: dict) -> dict:
 # The process-wide default registry (store / engine / kernel instruments)
 # ----------------------------------------------------------------------
 _GLOBAL = MetricsRegistry()
+
+if hasattr(os, "register_at_fork"):
+    # A forked shard worker counts its own work from zero: inherited
+    # values would be reported once per worker by the merged view.  The
+    # locks are re-created with the instruments (forked while a server
+    # thread holds one, a worker would hang on its first counter).
+    os.register_at_fork(after_in_child=_GLOBAL.__init__)
 
 
 def global_registry() -> MetricsRegistry:

@@ -37,17 +37,22 @@ the unsharded fallback.  See :mod:`repro.shard.worker` for the
 per-shard half and the full byte-identity argument.
 
 **One executor.**  Every shard, at every shard count, is served by its
-own single-worker process pool whose initializer runs
+own single-worker process pool -- one process for the life of the
+service, not for the life of one lake version.  Its initializer runs
 :func:`repro.shard.worker.open_shard_index` once (hydrate, fit the rest,
-persist what was fitted) and keeps the result warm across requests.  The
-driver is a router: it never decodes a segment or fits an index, and
-hydrates stats snapshots only to compute a missing lake-global fit
-state.  Otherwise it starts the workers of stale shards (at once: they
-fit in parallel) and waits for each to report ready.  Pools are wrapped in
-refcounted leases so a service reload keeps the warm worker of every
-shard whose version did not move.  (A lake that wants no worker
-processes is the plain store: one process, one
-:class:`~repro.datalake.indexer.LakeIndex`.)
+persist what was fitted); after an ingest the worker of the shard that
+moved runs it again, in place, for the new version (hydrating only what
+moved) and keeps one warm index per version a generation still serves.
+Every scatter task names the version of the generation that sent it and
+is answered from exactly that index, never the newest.  The driver is a
+router: it never decodes a segment or fits an index, and hydrates stats
+snapshots only to compute a missing lake-global fit state.  Otherwise it
+has the workers of stale or moved shards open its version (at once: they
+fit in parallel) and waits for each to report ready.  Pools are wrapped
+in leases refcounted per version, so a service reload takes over every
+shard's warm worker and the last generation to leave a version has the
+worker drop it.  (A lake that wants no worker processes is the plain
+store: one process, one :class:`~repro.datalake.indexer.LakeIndex`.)
 
 **Supervision** covers what can happen *to* a worker, never what a
 worker's task raises: a scatter that loses a worker -- the process died
@@ -69,8 +74,10 @@ fitting worker is supervised the same way (see ``_fit_in_workers``).
 from __future__ import annotations
 
 import copy
+import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -106,25 +113,29 @@ def _mp_context():
 
 
 class _PoolLease:
-    """A refcounted single-worker process pool pinned to one shard at one
-    version.
+    """A shard's single-worker process pool, for the life of the service:
+    refcounted per lake version by the generations that serve from it.
 
-    A service reload builds a new :class:`ShardedLakeIndex`, but shards
-    whose version did not move transfer their lease to the new index
-    (:meth:`acquire`) instead of respawning -- the warm worker (hydrated
-    stats snapshots, unpickled discoverer indexes) survives the
-    generation swap.  The last :meth:`release` shuts the pool down and
-    waits for its idle worker to exit (an interpreter exit racing a
+    A service reload builds a new :class:`ShardedLakeIndex` that takes
+    over every shard's lease (:meth:`acquire`) instead of respawning --
+    the warm worker (hydrated stats snapshots, unpickled discoverer
+    indexes) survives the generation swap, and a shard whose version
+    moved is re-opened inside it.  The last :meth:`release` of a version
+    has the worker drop that version's index (told ahead of the next
+    task); the last release of the lease shuts the pool down and waits
+    for its idle worker to exit (an interpreter exit racing a
     still-running executor manager thread prints ``Bad file descriptor``
     noise on stderr) -- unless supervision released the lease as
-    *failed*: a dead or hung worker is never waited on.
-    The worker process starts on the first :meth:`submit`.
+    *failed*: a dead or hung worker is never waited on.  The worker
+    process starts on the first :meth:`submit`.
     """
 
     def __init__(self, shard_path: str, version: int, *worker_args: Any):
         self.path = str(shard_path)
-        self.version = version
-        self._refs = 1
+        self._owner = os.getpid()
+        self._refs = {version: 1}
+        # Versions the worker may let go, told on the next submit.
+        self._dropped: deque[int] = deque()
         self._failed = False
         self._lock = threading.Lock()
         self._pool: ProcessPoolExecutor | None = ProcessPoolExecutor(
@@ -136,21 +147,38 @@ class _PoolLease:
             # has already moved past this lease's generation exits
             # cleanly instead of opening -- and answering from -- a
             # version its driver is not serving.
-            initargs=(self.path, self.version, *worker_args),
+            initargs=(self.path, version, *worker_args),
         )
 
-    def acquire(self) -> "_PoolLease":
+    def acquire(self, version: int) -> bool:
+        """Take a reference on *version*; False when no generation held
+        it, so the caller has to have the worker open it."""
         with self._lock:
             if self._pool is None:
                 raise RuntimeError(f"pool lease for {self.path} already shut down")
-            self._refs += 1
-        return self
+            held = self._refs.get(version, 0)
+            self._refs[version] = held + 1
+        return held > 0
 
-    def release(self, failed: bool = False) -> None:
+    def release(self, version: int, failed: bool = False) -> None:
+        if os.getpid() != self._owner:
+            # A worker forked while a retired generation was garbage
+            # finalizes its inherited copy: the pool is not its to touch
+            # (and the pool's lock was held across the fork).
+            return
         with self._lock:
             self._failed = self._failed or failed
-            self._refs -= 1
-            if self._refs > 0:
+            self._refs[version] -= 1
+            if self._refs[version] > 0:
+                return
+            del self._refs[version]
+            if self._refs:
+                # Only noted here: a retired generation is released from
+                # ``__del__``, which the collector may run inside this very
+                # pool's ``submit``, under its lock.  Noted under this
+                # lock, so a generation that acquires the version next
+                # re-opens it after the drop, never before.
+                self._dropped.append(version)
                 return
             pool, self._pool = self._pool, None
         if pool is not None:
@@ -160,6 +188,11 @@ class _PoolLease:
         pool = self._pool
         if pool is None:
             raise RuntimeError(f"pool lease for {self.path} already shut down")
+        try:
+            while True:
+                pool.submit(shard_worker.process_worker_drop, self._dropped.popleft())
+        except IndexError:  # nothing (more) to drop
+            pass
         return pool.submit(fn, *args)
 
     def alive(self) -> bool:
@@ -378,9 +411,10 @@ class ShardedLakeIndex:
         per-shard artifacts.
 
         *previous* (a still-serving :class:`ShardedLakeIndex` over the
-        same lake) donates the warm worker-pool lease of every shard
-        whose version did not move, so a single-table ingest reload
-        rebuilds exactly one shard.  Shards with missing or stale
+        same lake) donates the warm worker-pool lease of every shard; a
+        shard whose version moved is re-opened inside its worker, so a
+        single-table ingest reload refits exactly one shard and forks
+        nothing.  Shards with missing or stale
         persisted indexes are refitted (with the pinned global fit
         state) and re-persisted where their index lives, in the shard's
         worker; with ``discoverers=None`` that situation raises instead.
@@ -405,7 +439,7 @@ class ShardedLakeIndex:
 
     def _hydrate(self, previous: "ShardedLakeIndex | None" = None) -> None:
         store = self._store
-        reuse = self._reusable(previous)
+        donor = previous if self._reusable(previous) else None
         self._build_seconds = dict(store.index_build_seconds())
         self._shard_versions = store.shard_versions()
         roster_names: list[str] = list(self._roster_names)
@@ -415,8 +449,8 @@ class ShardedLakeIndex:
             # with a subset refits only the shards that moved), so the
             # servable roster is the cross-shard intersection, in the
             # first shard's persisted order.
-            if reuse and previous is not None:
-                roster_names = list(previous._roster_names)
+            if donor is not None:
+                roster_names = list(donor._roster_names)
             else:
                 common: set[str] | None = None
                 first_order: list[str] = []
@@ -436,22 +470,17 @@ class ShardedLakeIndex:
             self._roster_names = list(roster_names)
         # Shards to open now: the stale ones (a current shard's worker
         # starts -- and hydrates -- on the first scatter, see
-        # _ensure_leases).
+        # _ensure_leases) and the moved ones whose worker is up.
         pending: list[int] = []
         for i, shard in enumerate(store.shards):
             version = self._shard_versions[i]
-            if (
-                reuse
-                and previous is not None
-                and i < len(previous._shard_versions)
-                and previous._shard_versions[i] == version
-            ):
-                lease = previous._leases[i]
-                if lease is not None and lease.version == version:
-                    self._leases[i] = lease.acquire()
-                    # The donated pool carries its respawn history: a
-                    # flapping worker stays visible across reloads.
-                    self._last_respawn_at[i] = previous._last_respawn_at[i]
+            lease = donor._leases[i] if donor is not None else None
+            if lease is not None:
+                # The donated pool carries its respawn history: a
+                # flapping worker stays visible across reloads.
+                self._leases[i] = lease
+                self._last_respawn_at[i] = donor._last_respawn_at[i]
+                if lease.acquire(version):
                     continue
             info = shard.info()
             current = info.get("indexes_lake_version") == version and set(
@@ -463,10 +492,10 @@ class ShardedLakeIndex:
                     f"indexes for version {version}; run an index build or "
                     f"pass explicit discoverers"
                 )
-            if not current:
+            if lease is not None or not current:
                 pending.append(i)
         if pending:
-            # Stale shards exist only with prototypes (checked above).
+            # Anything to fit exists only with prototypes (checked above).
             self._ensure_fit_state()
             self._fit_in_workers(pending)
         self._built = True
@@ -477,32 +506,55 @@ class ShardedLakeIndex:
             self._fitted[name] = self._fitted.get(name, 0.0) + seconds
 
     def _fit_in_workers(self, shards: list[int]) -> None:
-        """Start the workers of stale *shards* at once (each initializer
-        fits and persists) and wait until all report ready.
+        """Have the workers of *shards* open this index's version at once
+        (each fits and persists what its shard lacks) and wait until all
+        report ready: a live worker donated by the previous generation
+        re-opens in place, a shard without one starts its worker.
         Supervised like a scatter: a worker that dies or blows the
         deadline is respawned and awaited once more; after a second
         failure the shard keeps a fresh lease, to be fitted by the first
         scatter that reaches it (degraded, never cached, if that fails
-        too).  An armed worker kill is consumed by a worker that will fit
-        (fault point ``shard.worker.fit``)."""
+        too).  A re-open the worker refuses -- the shard is already past
+        this version -- ends the same way, but the worker is not a
+        failed one: it is handed back to the generations it still serves.
+        An armed worker kill is consumed by a worker that will fit (fault
+        point ``shard.worker.fit``)."""
         timeout = self._scatter_timeout and self._scatter_timeout * _FIT_DEADLINES
         tracer = trace.current_tracer()
         for attempt in range(2):
+            futures: dict[int, Any] = {}
             for i in shards:
+                kill = inject.take_worker_kill(i)
+                lease = self._leases[i]
                 if attempt:
-                    self._respawn_lease(i, inject.take_worker_kill(i))
+                    self._respawn_lease(i, kill)
+                elif lease is None:
+                    self._leases[i] = self._new_lease(i, kill)
                 else:
-                    self._leases[i] = self._new_lease(i, inject.take_worker_kill(i))
-            futures = {
-                i: self._leases[i].submit(shard_worker.process_worker_ready, None)
-                for i in shards
-            }
-            shards = []
+                    try:
+                        futures[i] = lease.submit(
+                            shard_worker.process_worker_open,
+                            self._shard_versions[i],
+                            self._prototypes,
+                            tracer is not None,
+                            kill,
+                        )
+                    except RuntimeError:  # its pool broke since the last scatter
+                        pass
+                    continue
+                futures[i] = self._leases[i].submit(
+                    shard_worker.process_worker_ready, None
+                )
+            failed = [i for i in shards if i not in futures]
             for i, future in futures.items():
                 try:
                     ready = future.result(timeout=timeout)
                 except (BrokenProcessPool, FutureTimeout):
-                    shards.append(i)
+                    failed.append(i)
+                    continue
+                except StoreError:
+                    self._leases[i].release(self._shard_versions[i])
+                    self._leases[i] = None
                     continue
                 # The worker committed through its own handle; this one
                 # must know the files it now owns.
@@ -513,6 +565,7 @@ class ShardedLakeIndex:
                 )
                 if tracer is not None:
                     tracer.attach_tree(ready["trace"])
+            shards = failed
         for i in shards:
             self._respawn_lease(i)
 
@@ -547,7 +600,7 @@ class ShardedLakeIndex:
             self._leases[i] = self._new_lease(i, fault_kill)
         if old is not None:
             try:
-                old.release(failed=True)
+                old.release(self._shard_versions[i], failed=True)
             except Exception:  # noqa: BLE001 - a broken pool may refuse
                 pass
         self._respawns += 1
@@ -690,6 +743,9 @@ class ShardedLakeIndex:
                 "budget": self._budget,
                 "label": f"shard[{i}]",
                 "round": round_,
+                # Answered from exactly this version's index: the worker
+                # may hold a newer one for the next generation already.
+                "version": self._shard_versions[i],
                 # Distributed trace propagation: the worker adopts this
                 # request's id so its shipped-back tree grafts into the
                 # same tree the client started.
@@ -886,9 +942,9 @@ class ShardedLakeIndex:
             return
         self._closed = True
         leases, self._leases = self._leases, [None] * self._store.num_shards
-        for lease in leases:
+        for lease, version in zip(leases, self._shard_versions):
             if lease is not None:
-                lease.release()
+                lease.release(version)
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         try:

@@ -38,11 +38,17 @@ store's own :meth:`~repro.store.lakestore.LakeStore.open_index`
 span and fault point.  It runs in the shard's own worker, never in the
 driver.
 
-The ``process_worker_*`` functions are the pool entry points: a worker
-opens its shard's index once (initializer), then answers searches from
-warm state.  Queries cross the process boundary as codec documents
-(stored tables carry unpicklable column loaders), and span trees come
-back as dicts for the driver to graft
+The ``process_worker_*`` functions are the pool entry points.  A worker
+lives as long as the service: its initializer opens the shard at the
+pinned version (first start, or a supervised respawn);
+:func:`process_worker_open` opens a later version beside it after an
+ingest, on a :meth:`~repro.store.lakestore.LakeStore.reopen` of the
+handle it already holds, so only what moved is hydrated; a search is
+answered from the index of the version its payload names; and
+:func:`process_worker_drop` lets a version go when the last generation
+serving it has closed.  Queries cross the process boundary as codec
+documents (stored tables carry unpicklable column loaders), and span
+trees come back as dicts for the driver to graft
 (:meth:`Tracer.attach_tree <repro.obs.trace.Tracer.attach_tree>`).
 """
 
@@ -71,6 +77,8 @@ __all__ = [
     "fallback_search",
     "process_worker_init",
     "process_worker_ready",
+    "process_worker_open",
+    "process_worker_drop",
     "process_worker_run",
     "process_worker_metrics",
 ]
@@ -229,9 +237,12 @@ def fallback_search(
 
 
 # ----------------------------------------------------------------------
-# Process-pool entry points (one single-worker pool per shard: the
-# initializer hydrates once, every later task reuses the warm index)
+# Process-pool entry points (one single-worker pool per shard, for the
+# life of the service: the worker keeps one warm index per lake version
+# a serving generation still holds)
 # ----------------------------------------------------------------------
+#: ``indexes`` ({version: index}), ``store`` (the newest handle; the next
+#: open carries its hydrated snapshots), ``ready``, ``shard_path``.
 _WORKER: dict[str, Any] = {}
 
 
@@ -242,9 +253,9 @@ def process_worker_init(
     traced: bool = False,
     fault_kill: bool = False,
 ) -> None:
-    """Pool initializer: :func:`open_shard_index` on this worker's own
-    handle of the shard, once; the worker serves what it hydrated or
-    fitted.  The lake-global fit products are read from the lake root.
+    """Pool initializer -- first start and supervised respawn:
+    :func:`process_worker_open` on this worker's own handle of the shard;
+    the worker serves what it hydrated or fitted.
 
     ``expected_version`` pins the worker to the lease's generation.  A
     *respawned* worker (supervision replacing a dead one) can race a
@@ -257,44 +268,18 @@ def process_worker_init(
     ``raise`` so the driver sees the same broken-pool signal as a crash,
     without an initializer traceback polluting stderr on an expected
     transition.
-
-    ``traced`` records the open as a span tree for
-    :func:`process_worker_ready` to ship.  ``fault_kill`` is the
-    driver-consumed half of an armed worker kill: it arms this process's
-    own fault plane so the worker dies for real between fitting and
-    persisting; a fault inherited through the fork (``store.write_index``,
-    ...) ends the same way -- a death, not an exception.
     """
-    from ..faults import FaultInjected
-    from ..store.lakestore import LakeStore, StoreError
-    from .store import load_fit_state
+    from ..store.lakestore import StoreError
 
-    if fault_kill:
-        inject.crash_after("shard.worker.fit")
-    tracer = trace.Tracer()
-    start = time.perf_counter()
-    try:
-        store = LakeStore.open(shard_path)
-        if expected_version is not None and store.lake_version != expected_version:
-            os._exit(3)
-        state = (
-            load_fit_state(store.path.parent) if prototypes is not None else None
-        )
-        with tracer.activate() if traced else nullcontext():
-            index = open_shard_index(store, prototypes, state)
-    except StoreError:
-        # Mid-ingest artifact state, or a commit refused because the shard
-        # moved on during the fit: same transition as the version race.
-        os._exit(3)
-    except FaultInjected:
-        os._exit(17)
-    _WORKER["index"] = index
     _WORKER["shard_path"] = shard_path
-    _WORKER["ready"] = {
-        "build_seconds": index.fitted,
-        "wall_s": time.perf_counter() - start,
-        "trace": tracer.to_dict(),
-    }
+    try:
+        _WORKER["ready"] = process_worker_open(
+            expected_version, prototypes, traced, fault_kill
+        )
+    except StoreError:
+        # The pin race, mid-ingest artifact state, or a commit refused
+        # because the shard moved on during the fit: the same transition.
+        os._exit(3)
 
 
 def process_worker_ready(_: Any = None) -> dict[str, Any]:
@@ -304,16 +289,83 @@ def process_worker_ready(_: Any = None) -> dict[str, Any]:
     return _WORKER["ready"]
 
 
+def process_worker_open(
+    version: int | None,
+    prototypes: Sequence["Discoverer"] | None = None,
+    traced: bool = False,
+    fault_kill: bool = False,
+) -> dict[str, Any]:
+    """:func:`open_shard_index` at the shard's on-disk version, beside
+    the versions this worker already serves; returns the ready reply.
+    Called by the initializer, and by the driver for the refit after an
+    ingest: the live worker then opens a
+    :meth:`~repro.store.lakestore.LakeStore.reopen` of the handle it
+    holds, so only what moved is hydrated.  The lake-global fit products
+    are read from the lake root.
+
+    The on-disk version must be *version*: a shard already past it
+    refuses with ``StoreError`` (as does a commit refused because the
+    shard moved on during the fit) and the worker lives on, still
+    serving what it held.
+
+    ``traced`` records the open as a span tree in the reply.
+    ``fault_kill`` is the driver-consumed half of an armed worker kill:
+    it arms this process's own fault plane so the worker dies for real
+    between fitting and persisting; a fault inherited through the fork
+    (``store.write_index``, ...) ends the same way -- a death, not an
+    exception.
+    """
+    from ..faults import FaultInjected
+    from ..store.lakestore import LakeStore, StoreError
+    from .store import load_fit_state
+
+    tracer = trace.Tracer()
+    start = time.perf_counter()
+    held = _WORKER.get("store")
+    store = held.reopen() if held is not None else LakeStore.open(_WORKER["shard_path"])
+    if version is not None and store.lake_version != version:
+        raise StoreError(
+            f"shard at {store.path} is at v{store.lake_version}, not the "
+            f"v{version} this worker was asked to open"
+        )
+    state = load_fit_state(store.path.parent) if prototypes is not None else None
+    if fault_kill:
+        inject.crash_after("shard.worker.fit")
+    try:
+        with tracer.activate() if traced else nullcontext():
+            index = open_shard_index(store, prototypes, state)
+    except FaultInjected:
+        os._exit(17)
+    _WORKER["store"] = store
+    indexes = _WORKER.setdefault("indexes", {})
+    indexes[store.lake_version] = index
+    metrics.gauge("shard.worker.open_versions").set(len(indexes))
+    return {
+        "build_seconds": index.fitted,
+        "wall_s": time.perf_counter() - start,
+        "trace": tracer.to_dict(),
+    }
+
+
+def process_worker_drop(version: int) -> None:
+    """The last generation serving *version* closed: let its index (and,
+    unless it is the newest, its store handle) go."""
+    indexes = _WORKER["indexes"]
+    indexes.pop(version, None)
+    metrics.gauge("shard.worker.open_versions").set(len(indexes))
+
+
 def process_worker_run(payload: dict[str, Any]) -> dict[str, Any]:
     """One scatter task: decode the query, run the requested round on the
-    warm shard index under a local tracer, ship results + span tree back."""
+    warm index of the version the sending generation serves (not the
+    newest one held) under a local tracer, ship results + span tree back."""
     if payload.get("_fault_kill"):
         # Injected worker death (repro.faults fault point
         # ``shard.worker.exit``): die for real, before answering, so the
         # driver observes a genuine BrokenProcessPool -- not an exception
         # a result pickle could soften.
         os._exit(17)
-    index = _WORKER["index"]
+    index = _WORKER["indexes"][payload["version"]]
     index.engine.default_budget = payload.get("budget")
     query = decode_table(payload["query"])
     # Warm the query profile before the clocks start: it is the same

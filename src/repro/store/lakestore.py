@@ -81,6 +81,7 @@ import pickle
 import re
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -117,6 +118,34 @@ __all__ = [
 
 _FORMAT = "repro-lake-store"
 _FORMAT_VERSION = 1
+
+
+def _read_segment(
+    path: Path, segment_format: str, num_columns: int
+) -> list[tuple[Cell, ...]]:
+    reader = read_columns_v2 if segment_format == "v2" else read_columns
+    metrics.counter(f"store.decode.{segment_format}").inc()
+    return reader(path, num_columns)
+
+
+def _column_loaders(
+    segment: Path, segment_format: str, num_columns: int
+) -> list[Callable[[], tuple[Cell, ...]]]:
+    """One lazy array loader per column of a hydrated snapshot.  They
+    close over the content-addressed segment file, never over the store
+    that hydrated them: a snapshot outlives its handle
+    (:meth:`LakeStore.reopen` carries it into the next one) and a retired
+    handle dies by refcount.  The first call reads the segment once for
+    all of them."""
+    arrays: list[tuple[Cell, ...]] = []
+
+    def load(position: int) -> tuple[Cell, ...]:
+        if not arrays:
+            arrays.extend(_read_segment(segment, segment_format, num_columns))
+        return arrays[position]
+
+    return [partial(load, position) for position in range(num_columns)]
+
 
 class StoreError(RuntimeError):
     """Any structural problem with a lake store on disk."""
@@ -393,12 +422,24 @@ class LakeStore:
         """A fresh handle on this store's current on-disk state (the
         hot-reload path: the old handle keeps serving its snapshot; the new
         one sees the new manifest), preserving the sketch expectation and
-        stats-cache bound of this handle."""
-        return type(self).open(
+        stats-cache bound of this handle.
+
+        The new handle hydrates only what moved: it is handed every
+        snapshot this one has cached whose manifest entry is equal in the
+        new manifest.  File names are content-addressed, so an equal entry
+        names the same stats bytes and the segment the snapshot's loaders
+        read; a replaced, removed or migrated table carries nothing."""
+        fresh = type(self).open(
             self._path,
             sketch_config=self._sketch,
             stats_cache_capacity=self._stats_cache.capacity,
         )
+        old, new = self._manifest["tables"], fresh._manifest["tables"]
+        for name in self._stats_cache:
+            stats = self._stats_cache.get(name)
+            if stats is not None and old.get(name) == new.get(name):
+                fresh._stats_cache.put(name, stats)
+        return fresh
 
     def refresh(self) -> None:
         """Adopt the on-disk manifest if it still describes this handle's
@@ -648,6 +689,8 @@ class LakeStore:
                 # The byte offsets a v1 writer recorded describe the old file.
                 entry.pop("column_offsets", None)
                 tables[name] = entry
+                # Its loaders read the segment about to be unlinked.
+                self._stats_cache.pop(name, None)
             self._commit(txn, stale)
         finally:
             self._end()
@@ -764,10 +807,10 @@ class LakeStore:
         snapshot attached (so its columns never need a raw re-scan)."""
         entry = self._entry(name)
         segment_format = entry.get("segment_format", "v1")
-        reader = read_columns_v2 if segment_format == "v2" else read_columns
-        metrics.counter(f"store.decode.{segment_format}").inc()
         with trace.span("store.load_table", table=name, format=segment_format):
-            arrays = reader(self._path / entry["segment"], len(entry["columns"]))
+            arrays = _read_segment(
+                self._path / entry["segment"], segment_format, len(entry["columns"])
+            )
             table = Table.from_columns(entry["columns"], arrays, name=name)
             return table.adopt_stats(self.table_stats(name))
 
@@ -784,15 +827,16 @@ class LakeStore:
             payloads = json.loads(
                 (self._path / entry["stats"]).read_text(encoding="utf-8")
             )["columns"]
+            loaders = _column_loaders(
+                self._path / entry["segment"],
+                entry.get("segment_format", "v1"),
+                len(entry["columns"]),
+            )
             by_name = {
                 column: hydrate_column_stats(
-                    name,
-                    column,
-                    payloads[column],
-                    self._sketch,
-                    self._column_loader(name, column),
+                    name, column, payloads[column], self._sketch, loader
                 )
-                for column in entry["columns"]
+                for column, loader in zip(entry["columns"], loaders)
             }
             cached = TableStats.hydrated(name, entry["columns"], by_name)
             self._stats_cache.put(name, cached)
@@ -800,12 +844,6 @@ class LakeStore:
                 self._stats_cache.evictions
             )
         return cached
-
-    def _column_loader(self, name: str, column: str):
-        def load() -> tuple[Cell, ...]:
-            return self.load_table(name).column_array(column)
-
-        return load
 
     def _entry(self, name: str) -> dict[str, Any]:
         try:

@@ -311,3 +311,71 @@ def test_migrate_upgrades_only_the_old_format_shard(tmp_path):
     assert (after[0], after[2]) == (digests[0], digests[2]) and after[1] != digests[1]
     assert store.migrate() == []
     assert answer() == ({}, as_written)
+
+
+# ----------------------------------------------------------------------
+# In place == cold, at every version
+# ----------------------------------------------------------------------
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["add", "replace", "remove"]), st.integers(0, 10_000)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), edits=_EDITS)
+def test_in_place_reopen_equals_cold_workers_at_every_version(seed, edits):
+    """Any sequence of single-table adds, replaces and removes served by
+    one live service: after each, the reply equals what cold workers over
+    the same store answer (both sides score with the pinned lake-global
+    fit state, so the comparison is exact), and every shard -- the moved
+    one included -- is still served by the worker it started with."""
+    import os
+
+    from repro.core.pipeline import Dialite
+    from repro.service import LakeService, oracle_discover_payload
+
+    lake, query = make_lake(seed), make_query(seed)
+    for num_shards in (1, 2, 4):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp) / "lake"
+            ShardedLakeStore.create(root, num_shards=num_shards).ingest(lake)
+
+            def pids(service):
+                return [
+                    lease.submit(os.getpid).result(timeout=30)
+                    for lease in service.pipeline.index._leases
+                ]
+
+            serving = Dialite(store=ShardedLakeStore.open(root), discoverers=roster())
+            with LakeService(
+                pipeline=serving, workers=2, reload_check_interval=0.0
+            ) as service:
+                service.discover(query, k=5, query_column="Key")
+                workers = pids(service)
+                for step, (kind, pick) in enumerate(edits):
+                    names = ShardedLakeStore.open(root).table_names
+                    donor = make_lake(seed + step + 1)
+                    content = donor[sorted(donor)[pick % len(donor)]]
+                    if kind == "add" or len(names) < 2:
+                        service.ingest([content.with_name(f"added{step}")])
+                    elif kind == "replace":
+                        service.ingest([content.with_name(names[pick % len(names)])])
+                    else:
+                        ShardedLakeStore.open(root).remove(names[pick % len(names)])
+                    served = service.discover(query, k=5, query_column="Key")
+                    store = ShardedLakeStore.open(root)
+                    assert served.lake_version == store.lake_version
+                    cold = Dialite(store=store, discoverers=roster()).fit()
+                    try:
+                        expected = oracle_discover_payload(
+                            cold, query, k=5, query_column="Key"
+                        )
+                    finally:
+                        cold.index.close()
+                    assert served.payload == expected, (
+                        f"seed={seed} shards={num_shards} step={step} {kind}"
+                    )
+                    assert pids(service) == workers
+                    assert service.pipeline.index.worker_respawns == 0

@@ -16,14 +16,17 @@ What is pinned here:
   kill that also takes the retry degrades the answer -- annotated with
   ``degraded_shards``, reported by ``health``, and **never cached**;
 * the same supervision around a worker that *fits*: a death between fit
-  and persist (``shard.worker.fit``) or mid-persist
-  (``store.write_index``, inherited through the fork) ends in a correct
-  answer, or a degraded one that is never cached, and a settled store.
+  and persist (``shard.worker.fit``, in a live worker re-opening in
+  place or in a replacement) or mid-persist (``store.write_index``,
+  inherited through the fork) ends in a correct answer, or a degraded
+  one that is never cached, and a settled store.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
 import socket
 import threading
 
@@ -437,6 +440,33 @@ class TestWorkerFitSupervision:
             service, fresh_query(3)
         )
 
+    def test_a_kill_consumed_by_an_in_place_reopen_is_a_real_death(self, service):
+        """The moved shard's worker is alive and re-opens in place; the
+        armed kill dies with it -- a process death, not an exception --
+        and supervision respawns that one shard at the new version."""
+        index = service.pipeline.index
+        pids = [lease.submit(os.getpid).result(timeout=30) for lease in index._leases]
+        home = service._gen.store.shard_of("newcomer")
+        inject.kill_worker(home, times=1)
+        report = service.ingest([self.newcomer()])
+        index = service.pipeline.index
+        assert index.worker_respawns == 1
+        after = [lease.submit(os.getpid).result(timeout=30) for lease in index._leases]
+        assert [a == b for a, b in zip(after, pids)] == [
+            i != home for i in range(len(pids))
+        ]
+        assert index.health()["shards"][home]["version"] == (
+            open_any_store(service.store_path).shards[home].lake_version
+        )
+        answer = service.discover(fresh_query(3), k=5)
+        assert answer.lake_version == report["lake_version"]
+        assert "degraded_shards" not in answer.payload
+        assert json.dumps(answer.payload, sort_keys=True) == self.oracle(
+            service, fresh_query(3)
+        )
+        assert all(_indexes_current(service.store_path))
+        _assert_shards_settled(service.store_path)
+
     def test_two_deaths_leave_the_fit_to_the_first_scatter(self, service):
         home = service._gen.store.shard_of("newcomer")
         inject.kill_worker(home, times=2)  # the fitting worker AND its retry
@@ -451,8 +481,13 @@ class TestWorkerFitSupervision:
 
     def test_death_mid_persist_degrades_then_recovers(self, service):
         home = service._gen.store.shard_of("newcomer")
-        # The driver never writes an index pickle; every worker forked
-        # while this is armed dies right after writing its first one.
+        # A live worker re-opens in place and inherits nothing armed after
+        # its fork, so the home shard's is killed first: its refit then
+        # runs in replacements.  The driver never writes an index pickle;
+        # every worker forked while this is armed dies right after
+        # writing its first one.
+        lease = service.pipeline.index._leases[home]
+        os.kill(lease.submit(os.getpid).result(timeout=30), signal.SIGKILL)
         inject.crash_after("store.write_index")
         service.ingest([self.newcomer()])
         assert service.pipeline.index.worker_respawns == 2  # retry, then lazy lease
@@ -476,9 +511,10 @@ class TestWorkerFitSupervision:
         from repro.shard.index import _PoolLease
 
         shard = service._gen.store.shards[0]
-        lease = _PoolLease(str(shard.path), shard.lake_version + 1)
+        pinned = shard.lake_version + 1
+        lease = _PoolLease(str(shard.path), pinned)
         try:
             with pytest.raises(BrokenProcessPool):
                 lease.submit(shard_worker.process_worker_ready, None).result(timeout=60)
         finally:
-            lease.release()
+            lease.release(pinned)

@@ -375,6 +375,37 @@ class TestSnapshots:
         metrics.reset_global_registry()
         assert "x" not in metrics.global_registry().snapshot()["counters"]
 
+    def test_a_forked_child_starts_empty_with_fresh_locks(self):
+        """What the parent counted is the parent's; and a lock some other
+        thread of the parent held across the fork is not inherited held."""
+        import multiprocessing
+
+        def child(pipe):
+            registry = metrics.global_registry()
+            inherited = registry.snapshot()["counters"]
+            metrics.counter("forked.parent_count").inc()  # hangs on a held lock
+            pipe.send((inherited, registry.snapshot()["counters"]))
+
+        bumped = metrics.counter("forked.parent_count")
+        bumped.inc(80)
+        registry = metrics.global_registry()
+        receiver, sender = multiprocessing.get_context("fork").Pipe(duplex=False)
+        with registry._lock, bumped._lock:
+            process = multiprocessing.get_context("fork").Process(
+                target=child, args=(sender,)
+            )
+            process.start()
+        try:
+            assert receiver.poll(30), "the child hung on an inherited lock"
+            inherited, after = receiver.recv()
+        finally:
+            process.join(timeout=30)
+            if process.is_alive():
+                process.kill()
+        assert inherited == {} and after == {"forked.parent_count": 1}
+        assert registry is metrics.global_registry()
+        assert bumped.value == 80
+
 
 class TestSpanDerivedKernelStats:
     def test_explain_stats_keys_unchanged(self):

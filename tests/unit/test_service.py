@@ -19,6 +19,7 @@ The load-bearing guarantees pinned here:
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 
@@ -1370,6 +1371,48 @@ class TestShardedRouter:
             assert "t03" not in after.payload["integration_set"]
         with pytest.raises(KeyError, match="no table 't03'"):
             open_any_store(sharded_path).remove("t03")
+
+    @pytest.mark.parametrize("sharded_path", [1, 2, 4], indirect=True)
+    def test_in_place_is_cold_at_every_version(self, sharded_path):
+        """Add, replace, remove, add through one live service: every shard
+        -- the moved one included -- is served by the worker it started
+        with, which re-opens the new version in place; each reply is what
+        cold workers over the same store answer at that version."""
+        fits = obs_metrics.histogram("shard.worker.fit_seconds")
+
+        def pids(service):
+            return [
+                lease.submit(os.getpid).result(timeout=30)
+                for lease in service.pipeline.index._leases
+            ]
+
+        with LakeService(
+            store=sharded_path, workers=2, reload_check_interval=0.0
+        ) as service:
+            assert service.discover(self.PROBE, k=5).payload["results"]
+            workers = pids(service)
+            steps = [
+                lambda: service.ingest([_keyed_table("newcomer", 3)]),
+                lambda: service.ingest([_keyed_table("t03", 5)]),
+                lambda: open_any_store(sharded_path).remove("t07"),
+                lambda: service.ingest([_keyed_table("t07", 3)]),
+            ]
+            for step in steps:
+                fits_before = fits.count
+                step()
+                served = service.discover(self.PROBE, k=5)
+                assert served.lake_version == open_any_store(sharded_path).lake_version
+                assert fits.count == fits_before + 1
+                assert pids(service) == workers
+                assert service.pipeline.index.worker_respawns == 0
+                fresh = Dialite.open(sharded_path).fit()
+                try:
+                    assert canonical(served.payload) == canonical(
+                        oracle_discover_payload(fresh, self.PROBE, k=5)
+                    )
+                finally:
+                    fresh.index.close()
+                assert fits.count == fits_before + 1  # the cold side hydrated
 
     def test_metrics_op_folds_in_the_workers_registries(self, sharded_path):
         """Retrieval runs in the shard workers, so its counters live in

@@ -187,3 +187,76 @@ class TestFullRunScansOnce:
         assert all(
             n == 1 for n in small_synth_lake.query.stats.scan_counts.values()
         )
+
+
+class TestReopenCarriesWhatDidNotMove:
+    """``LakeStore.reopen`` hands the new handle the hydrated snapshot of
+    every table whose manifest entry is equal in the new manifest: a
+    re-open rehydrates what moved and nothing else."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        from repro.store import LakeStore
+
+        tables = {
+            f"t{i}": Table(["City", "n"], [(f"city{i}_{j}", j) for j in range(4)], name=f"t{i}")
+            for i in range(5)
+        }
+        store = LakeStore.create(tmp_path / "store")
+        store.ingest(tables)
+        return LakeStore.open(tmp_path / "store")
+
+    @staticmethod
+    def rehydrates() -> int:
+        from repro.obs import metrics
+
+        return metrics.counter("store.stats_cache.rehydrates").value
+
+    def test_rehydrates_rise_by_the_changed_tables(self, store):
+        held = {name: store.table_stats(name) for name in store.table_names}
+        writer = store.reopen()
+        writer.ingest(
+            {
+                "t1": Table(["City", "n"], [("elsewhere", 1)], name="t1"),
+                "t9": Table(["City"], [("new",)], name="t9"),
+            },
+            prune=False,
+        )
+        writer.remove("t4")
+        fresh = store.reopen()
+        before = self.rehydrates()
+        for name in fresh.table_names:
+            stats = fresh.table_stats(name)
+            if name in ("t0", "t2", "t3"):
+                # The identical object: a table that adopted it under the
+                # old handle and one that adopts it under the new share
+                # one scan ledger (the uid-keyed contract).
+                assert stats is held[name]
+        assert self.rehydrates() - before == 2  # t1 (replaced) and t9 (new)
+        assert fresh.table_stats("t1") is not held["t1"]
+        assert fresh.table_stats("t1").column("City").distinct == {"elsewhere"}
+        with pytest.raises(KeyError):
+            fresh.table_stats("t4")
+        # A carried snapshot pages cells in from the segment, not from
+        # the handle that hydrated it.
+        del store, writer
+        assert fresh.table_stats("t2").column("City").array == tuple(
+            f"city2_{j}" for j in range(4)
+        )
+
+    def test_a_migrated_table_carries_nothing(self, store):
+        from old_store import downgrade_to_v1
+        from repro.store import LakeStore
+
+        downgrade_to_v1(store.path)
+        old = LakeStore.open(store.path)
+        held = {name: old.table_stats(name) for name in old.table_names}
+        assert old.reopen().migrate() == sorted(held)
+        fresh = old.reopen()
+        before = self.rehydrates()
+        for name, stats in held.items():
+            # Same content hash, same stats file -- but the segment the
+            # old snapshot's loaders read is gone.
+            assert fresh.table_stats(name) is not stats
+            assert fresh.table_stats(name).column("City").array[0].startswith("city")
+        assert self.rehydrates() - before == len(held)
