@@ -2,8 +2,8 @@
 #
 #   make test         tier-1 test suite (the driver's gate)
 #   make lint         static checks (pyflakes if installed, else compileall + the
-#                     unused-import pass of tools/census.py)
-#                     + the no-full-lake-scan guard over discoverer query paths
+#                     unused-import pass of tools/census.py) + the obs
+#                     span-placement guard
 #   make bench-smoke  table-engine micro-benchmark, smoke mode (fast, JSON out)
 #   make bench        full table-engine benchmark incl. the >= 2x acceptance check
 #   make bench-store  store warm-start benchmark @1k tables incl. the >= 5x check
@@ -53,14 +53,12 @@ test:
 
 # Prefer pyflakes when it is installed; the fallback is chosen by
 # availability, not by exit status, so real pyflakes findings fail the run.
-# The full-scan guard fails the build if any discoverer's query path
-# iterates the raw lake mapping instead of retrieving through the engine;
-# the FD hot-path guard fails it if integration hot paths regress to
-# per-cell normalized_key round trips instead of cell_key / interned codes;
-# the obs span-placement guard fails it if span/record allocation creeps
-# into per-row/per-cell loops of the hot modules;
-# the fault-site guard fails it if a registered fault point loses its live
-# call site or an inject.fire() call appears that the registry doesn't know.
+# The obs span-placement guard fails the build if span/record allocation
+# creeps into per-row/per-cell loops of the hot modules.  What three
+# retired guards policed is now structure, pinned by tier-1 tests: a
+# scorer reads cells only through CandidateSet.table, a fault point is
+# declared with inject.point() at import, and normalized_key takes a
+# WorkTuple (single cells are keyed by cell_key).
 lint:
 	@if $(PYTHON) -c "import pyflakes" 2>/dev/null; then \
 		$(PYTHON) -m pyflakes src/repro benchmarks tests tools; \
@@ -68,10 +66,7 @@ lint:
 		$(PYTHON) -m compileall -q src/repro benchmarks tests tools && \
 		$(PYTHON) tools/census.py --imports; \
 	fi
-	$(PYTHON) tools/check_no_full_scan.py
-	$(PYTHON) tools/check_fd_hot_paths.py
 	$(PYTHON) tools/check_obs_spans.py
-	$(PYTHON) tools/check_fault_sites.py
 
 bench-smoke:
 	$(PYTHON) benchmarks/bench_table_engine.py --smoke --json .benchmarks/smoke/table_engine_smoke.json

@@ -33,8 +33,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.datalake.synth import build_integration_set  # noqa: E402
-from repro.integration import AliteFD, LegacyAliteFD, normalized_key  # noqa: E402
+from repro.integration import AliteFD, LegacyAliteFD  # noqa: E402
 from repro.integration.intern import fd_stats_from_span  # noqa: E402
+from repro.integration.tuples import cell_key  # noqa: E402
 from repro.obs.trace import Tracer, activate  # noqa: E402
 from repro.table.values import is_missing, is_null  # noqa: E402
 
@@ -63,8 +64,8 @@ def assert_identical(reference, candidate, label: str) -> None:
     an ``==``-only gate."""
     assert tuple(candidate.columns) == tuple(reference.columns), f"{label}: header differs"
     assert list(candidate.rows) == list(reference.rows), f"{label}: cells/row order differ"
-    assert [normalized_key(r) for r in candidate.rows] == [
-        normalized_key(r) for r in reference.rows
+    assert [tuple(map(cell_key, r)) for r in candidate.rows] == [
+        tuple(map(cell_key, r)) for r in reference.rows
     ], f"{label}: cell keys differ (bool/int or num/str confusion)"
     assert null_kind_grid(candidate) == null_kind_grid(reference), f"{label}: null kinds differ"
     assert candidate.provenance == reference.provenance, f"{label}: provenance differs"

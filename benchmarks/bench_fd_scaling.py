@@ -15,13 +15,14 @@ import time
 import pytest
 
 from repro.datalake.synth import build_integration_set
-from repro.integration import AliteFD, NestedLoopFD, normalized_key
+from repro.integration import AliteFD, NestedLoopFD
+from repro.integration.tuples import cell_key
 
 from conftest import print_header
 
 
 def _values(result):
-    return sorted(normalized_key(row) for row in result.rows)
+    return sorted(tuple(map(cell_key, row)) for row in result.rows)
 
 
 def _sweep_point(num_tables: int, rows: int):

@@ -9,13 +9,14 @@ warm-started by the previous result.
 from __future__ import annotations
 
 from repro.datalake.synth import build_integration_set
-from repro.integration import AliteFD, normalized_key
+from repro.integration import AliteFD
+from repro.integration.tuples import cell_key
 
 from conftest import print_header
 
 
 def _values(result):
-    return sorted(normalized_key(row) for row in result.rows)
+    return sorted(tuple(map(cell_key, row)) for row in result.rows)
 
 
 def _tables():

@@ -19,7 +19,8 @@ from pathlib import Path
 from repro import Dialite
 from repro.analysis import fact_coverage
 from repro.datalake import SyntheticLakeBuilder
-from repro.integration import AliteFD, normalized_key
+from repro.integration import AliteFD
+from repro.integration.tuples import cell_key
 from repro.store import LakeStore
 
 # --- a lake, indexed offline and persisted ----------------------------------
@@ -53,7 +54,7 @@ for discovery in ranked[:4]:
 
 # --- sanity: equal to batch integration --------------------------------------
 batch = fd.integrate([query] + [synth.lake[r.table_name] for r in ranked[:4]])
-same = sorted(normalized_key(r) for r in result.rows) == sorted(
-    normalized_key(r) for r in batch.rows
+same = sorted(tuple(map(cell_key, r)) for r in result.rows) == sorted(
+    tuple(map(cell_key, r)) for r in batch.rows
 )
 print(f"\nIncremental result equals batch FD: {same}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..integration.tuples import IntegratedTable, normalized_key, subsumes
+from ..integration.tuples import IntegratedTable, cell_key, subsumes
 from ..table.table import Table
 from .stats import fact_coverage, null_profile
 
@@ -117,7 +117,7 @@ def order_variability(results: Sequence[IntegratedTable]) -> dict[str, object]:
         ordered_columns = tuple(sorted(result.columns))
         positions = [result.column_index(c) for c in ordered_columns]
         signature = frozenset(
-            normalized_key(tuple(row[p] for p in positions)) for row in result.rows
+            tuple(cell_key(row[p]) for p in positions) for row in result.rows
         )
         signatures.add((ordered_columns, signature))
         counts.append(result.num_rows)

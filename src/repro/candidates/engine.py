@@ -421,39 +421,11 @@ class CandidateEngine:
         ordered = sorted(totals, key=lambda table: (-totals[table], table))
         retrieved = len(ordered)
         budget = spec.budget if spec.budget is not None else self.default_budget
-        if self.defer_policy:
-            # Shard mode: never fall back locally (the reducer judges the
-            # floor against the global retrieved count and orchestrates a
-            # second, evidence-retained exhaustive round when needed); the
-            # budget cap is safe per shard -- see the attribute docstring.
-            truncated = budget is not None and retrieved > budget
-            if truncated:
-                ordered = ordered[:budget]
-            report = RetrievalReport(
-                discoverer=discoverer,
-                channels=spec.channels,
-                probes=probes,
-                retrieved=retrieved,
-                scored=len(ordered),
-                lake_size=len(self._lake),
-                fallback=False,
-                truncated=truncated,
-            )
-            self._record(report)
-            candidates = CandidateSet(
-                tables=tuple(ordered),
-                evidence=evidence,
-                fallback=False,
-                truncated=truncated,
-                report=report,
-            )
-            candidates.context["deferred"] = {
-                "retrieved": retrieved,
-                "floor": spec.floor(k),
-                "totals": dict(totals),
-            }
-            return candidates
-        fallback = retrieved < spec.floor(k)
+        # Shard mode never falls back locally: the reducer judges the floor
+        # against the global retrieved count and orchestrates a second,
+        # evidence-retained exhaustive round when needed.  The budget cap
+        # is safe per shard -- see the ``defer_policy`` docstring.
+        fallback = not self.defer_policy and retrieved < spec.floor(k)
         truncated = False
         if fallback:
             ordered = list(self.tables())
@@ -472,13 +444,21 @@ class CandidateEngine:
             truncated=truncated,
         )
         self._record(report)
-        return CandidateSet(
+        candidates = CandidateSet(
             tables=tuple(ordered),
             evidence=evidence,
+            _lake=self._lake,
             fallback=fallback,
             truncated=truncated,
             report=report,
         )
+        if self.defer_policy:
+            candidates.context["deferred"] = {
+                "retrieved": retrieved,
+                "floor": spec.floor(k),
+                "totals": dict(totals),
+            }
+        return candidates
 
     def sketch_probe(
         self,
@@ -510,7 +490,7 @@ class CandidateEngine:
             exhaustive=True,
         )
         self._record(report)
-        return CandidateSet(tables=tables, evidence=None, report=report)
+        return CandidateSet(tables=tables, evidence=None, _lake=self._lake, report=report)
 
     def empty_candidates(self, discoverer: str, spec: CandidateSpec) -> CandidateSet:
         """No candidates (the query can't be probed at all -- e.g. COCOA
@@ -524,7 +504,7 @@ class CandidateEngine:
             lake_size=len(self._lake),
         )
         self._record(report)
-        return CandidateSet(tables=(), evidence={}, report=report)
+        return CandidateSet(tables=(), evidence={}, _lake=self._lake, report=report)
 
     # ------------------------------------------------------------------
     # Exhaustive scoring helpers (the fallback / full-scan compute paths)

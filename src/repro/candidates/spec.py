@@ -31,7 +31,10 @@ a full-lake scan (budget and fallback never combine).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..table.table import Table
 
 __all__ = ["CandidateSpec", "CandidateSet", "RetrievalReport", "CHANNELS"]
 
@@ -123,10 +126,15 @@ class CandidateSet:
     against.  ``context`` carries retrieval-phase scratch (a query
     annotation, a join-key map) to the scoring phase so nothing is
     derived twice per query.
+
+    :meth:`table` is a scorer's only way to a table's cells: it serves
+    the names in ``tables`` from the engine's lake (``_lake``) and
+    refuses every other name, so a scorer cannot reach past retrieval.
     """
 
     tables: tuple[str, ...]
     evidence: dict[str, dict[int, float]] | None
+    _lake: Mapping[str, "Table"] = field(repr=False, compare=False)
     fallback: bool = False
     truncated: bool = False
     report: RetrievalReport | None = None
@@ -147,6 +155,13 @@ class CandidateSet:
     @property
     def table_set(self) -> frozenset[str]:
         return self._table_set
+
+    def table(self, name: str) -> "Table":
+        """The retrieved table *name*; ``KeyError`` for any name retrieval
+        did not return."""
+        if name not in self._table_set:
+            raise KeyError(f"table {name!r} is not in this candidate set")
+        return self._lake[name]
 
     def evidence_for(self, label: str) -> dict[int, float]:
         """Evidence of one probe (empty when the probe found nothing)."""

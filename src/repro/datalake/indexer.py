@@ -38,7 +38,7 @@ class LakeIndex:
         names = [d.name for d in discoverers]
         if len(set(names)) != len(names):
             raise ValueError(f"discoverer names must be unique: {names}")
-        self._lake = lake
+        self._tables = lake
         self._discoverers = list(discoverers)
         self._build_seconds: dict[str, float] = {}
         self._fitted: dict[str, float] = {}
@@ -56,16 +56,16 @@ class LakeIndex:
         A lake that carries its own stats view (``DataLake.stats`` -- in
         particular a stored lake's hydrated, non-materializing view) is
         deferred to; a plain mapping gets the generic live view."""
-        own = getattr(self._lake, "stats", None)
+        own = getattr(self._tables, "stats", None)
         if isinstance(own, LakeStats):
             return own
-        return LakeStats(self._lake)
+        return LakeStats(self._tables)
 
     @property
     def engine(self) -> CandidateEngine:
         """The shared candidate engine (created by :meth:`build`)."""
         if self._engine is None:
-            self._engine = CandidateEngine(self._lake, stats=self.stats)
+            self._engine = CandidateEngine(self._tables, stats=self.stats)
         return self._engine
 
     def set_candidate_budget(self, budget: int | None) -> "LakeIndex":
@@ -123,7 +123,7 @@ class LakeIndex:
         engine.warm(self._roster_channels())  # postings built once, offline
         for discoverer in self._discoverers:
             start = time.perf_counter()
-            discoverer.fit(self._lake, engine=engine)
+            discoverer.fit(self._tables, engine=engine)
             self._build_seconds[discoverer.name] = time.perf_counter() - start
         self._built = True
         return self
@@ -222,7 +222,6 @@ class LakeIndex:
         recorded = store.index_build_seconds()
         for discoverer in roster:
             if discoverer.is_fitted:
-                _rebind_lake(discoverer, lake)
                 discoverer.bind_engine(engine)
                 index._build_seconds[discoverer.name] = recorded.get(discoverer.name, 0.0)
             else:
@@ -245,10 +244,3 @@ class LakeIndex:
         store.save_indexes(self._discoverers, self._build_seconds)
         store.save_engine(self.engine, channels=self._roster_channels())
 
-
-def _rebind_lake(discoverer: Discoverer, lake: Mapping[str, Table]) -> None:
-    """Re-attach a lake to an unpickled discoverer that dropped it from its
-    pickle to avoid duplicating cell data (e.g. COCOA's ``rebind_lake``)."""
-    rebind = getattr(discoverer, "rebind_lake", None)
-    if rebind is not None:
-        rebind(lake)

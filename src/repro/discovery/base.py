@@ -13,12 +13,15 @@ Two-phase search contract
 discoverer's declared :class:`~repro.candidates.CandidateSpec` (inverted
 token/value postings, the sketch prefilter, published labels -- or an
 honest ``exhaustive`` for scorers with no sound sublinear signal).
-**Scoring** (``_search``) ranks *only the retrieved candidates*; it must
-never iterate the raw lake mapping (``make lint`` enforces this with an
-AST guard).  When the engine is forced exhaustive -- the equivalence
-tests' and benchmarks' full-scan baseline -- the candidate set is the
-whole lake with no retrieval evidence, and scorers recompute what they
-need from the shared column-stats cache.
+**Scoring** (``_search``) ranks *only the retrieved candidates*.  That is
+structure, not convention: :meth:`fit` is the only method handed the
+lake and a discoverer keeps none of it, so a scorer reaches cells only
+through :meth:`CandidateSet.table <repro.candidates.CandidateSet.table>`,
+which raises ``KeyError`` for any table retrieval did not return.  When
+the engine is forced exhaustive -- the equivalence tests' and
+benchmarks' full-scan baseline -- the candidate set is the whole lake
+with no retrieval evidence, and scorers recompute what they need from
+the shared column-stats cache.
 
 The engine is *shared state*: ``LakeIndex.build`` threads one engine
 through every fit; a standalone ``fit(lake)`` creates a private one.
@@ -151,7 +154,8 @@ class Discoverer(abc.ABC):
 
     @abc.abstractmethod
     def _build_index(self, lake: Mapping[str, Table]) -> None:
-        """Index construction hook (lake is a private copy)."""
+        """Index construction hook (lake is a private copy; keep derived
+        products, never the tables)."""
 
     def search(
         self, query: Table, k: int = 10, query_column: str | None = None

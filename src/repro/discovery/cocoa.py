@@ -10,12 +10,15 @@ posting index probed with the query's join keys (exact overlap, as
 COCOA's inverted index does -- the per-column hit counts *are* the key
 overlaps), then each candidate's numeric columns are scored by |Spearman
 correlation| against the query's target column over the actually-joined
-rows, weighted by join coverage.  COCOA's contribution of computing rank
-correlations *index-only* (without materializing the join) is replaced
-by an explicit merge-on-key -- same ranking, simpler machinery, fine at
-in-memory scale (the substitution is recorded in DESIGN.md).  Retrieval
-is sound: a scorable candidate needs key overlap >= min_key_overlap >= 1,
-so the value probe is a superset of everything the scorer can rank.
+rows, weighted by join coverage; a candidate's cells are read through
+``candidates.table``, so the index keeps no lake after ``fit``.
+
+Substitution: COCOA computes rank correlations *index-only*, without
+materializing the join; here each candidate is merged with the query on
+the key explicitly.  The ranking is the same and the machinery simpler,
+which is fine at in-memory scale.  Retrieval is sound: a scorable
+candidate needs key overlap >= min_key_overlap >= 1, so the value probe
+is a superset of everything the scorer can rank.
 """
 
 from __future__ import annotations
@@ -61,48 +64,12 @@ class CocoaJoinSearch(Discoverer):
         super().__init__()
         self.target_column = target_column
         self.config = config or CocoaConfig()
-        self._lake: dict[str, Table] = {}
 
     # ------------------------------------------------------------------
     def _build_index(self, lake: Mapping[str, Table]) -> None:
-        self._lake = dict(lake)
-        # Fitting binds a lake, so a clone born through __getstate__
-        # (copy.copy consults it too) stops needing a rebind here.
-        self._needs_rebind = False
         # The join-key inverted index is the engine's normalized-value
         # posting channel, shared with TUS's pruning; build it offline.
         self._require_engine().warm(("values",))
-
-    # ------------------------------------------------------------------
-    # Pickling: COCOA scores correlations against raw lake cells, so it
-    # retains the lake mapping -- but serializing it would duplicate every
-    # cell of the lake into this index's pickle (and again into memory on
-    # load).  The lake is dropped from the pickle and re-attached by the
-    # loader (LakeIndex.from_store calls rebind_lake).
-    def __getstate__(self) -> dict:
-        state = super().__getstate__()
-        state["_lake"] = {}
-        # Explicit marker: an *empty* lake mapping is legitimate (a fitted
-        # index over an empty shard), so "needs rebinding" cannot be
-        # inferred from emptiness alone.
-        state["_needs_rebind"] = True
-        return state
-
-    def rebind_lake(self, lake: Mapping[str, Table]) -> None:
-        """Re-attach the (unpickled) index to its lake's tables.
-
-        Any mapping works and is held by reference without copying, so a
-        lazily materializing :class:`~repro.store.StoredDataLake` stays
-        lazy: search touches only candidate tables' cells.  When no
-        shared engine was bound yet, a private one over *lake* is created
-        (its value postings rebuild lazily on first search).
-        """
-        self._lake = lake
-        self._needs_rebind = False
-        if self._engine is None:
-            from ..candidates.engine import CandidateEngine
-
-            self._engine = CandidateEngine(lake)
 
     # ------------------------------------------------------------------
     def _pick_target(self, query: Table, join_column: str) -> str | None:
@@ -122,11 +89,6 @@ class CocoaJoinSearch(Discoverer):
     ) -> CandidateSet:
         """Build the query's key -> target-value map once, probe the value
         postings with its keys, and stash the map for the scoring phase."""
-        if self._fitted and getattr(self, "_needs_rebind", False):
-            raise RuntimeError(
-                "cocoa index was unpickled without its lake; call "
-                "rebind_lake(lake) before searching"
-            )
         engine = self._require_engine()
         spec = self.candidate_spec()
         join_column = query_column if query_column in query.columns else query.columns[0]
@@ -191,7 +153,7 @@ class CocoaJoinSearch(Discoverer):
             table_name, key_col = engine.column_owner(key)
             if table_name not in allowed:
                 continue
-            table = self._lake[table_name]
+            table = candidates.table(table_name)
             best = self._best_correlated_column(table, key_col, query_map)
             if best is None:
                 continue

@@ -45,10 +45,10 @@ class FunctionDiscoverer(Discoverer):
         super().__init__()
         self.name = name
         self._similarity = similarity
-        self._lake: dict[str, Table] = {}
 
     def _build_index(self, lake: Mapping[str, Table]) -> None:
-        self._lake = dict(lake)
+        """Nothing to build: ``_search`` reads each candidate through its
+        candidate set."""
 
     def _search(
         self,
@@ -59,10 +59,7 @@ class FunctionDiscoverer(Discoverer):
     ) -> list[DiscoveryResult]:
         results = []
         for table_name in candidates:
-            table = self._lake.get(table_name)
-            if table is None:
-                continue
-            score = float(self._similarity(query, table))
+            score = float(self._similarity(query, candidates.table(table_name)))
             if score > 0.0:
                 results.append(
                     DiscoveryResult(

@@ -14,9 +14,11 @@ embeddings:
   greedy one-to-one cosine match -- the bipartite column-matching objective
   Starmie optimizes.
 
-The pretrained-contrastive-encoder part is the substitution (see
-DESIGN.md): hashed embeddings preserve "similar value distributions embed
-nearby", which is what the matching objective consumes.
+Substitution: Starmie embeds columns with a pretrained encoder trained
+contrastively; here the embeddings are hashed value+header vectors, which
+need no model download or training.  They preserve "similar value
+distributions embed nearby", which is what the matching objective
+consumes.
 """
 
 from __future__ import annotations

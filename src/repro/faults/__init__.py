@@ -3,20 +3,21 @@
 Two halves:
 
 * :mod:`repro.faults.inject` -- a test-only fault plane.  Production
-  code threads named *fault points* through its write and I/O paths
-  (``inject.fire("store.write_segment")``); tests and the chaos harness
-  arm crashes, worker kills and connection drops against those points.
-  When nothing is armed the plane is a single predicate check per call
-  site.
+  code declares named *fault points* on its write and I/O paths
+  (``_WRITE_SEGMENT = inject.point("store.write_segment")``) and fires
+  through them; tests and the chaos harness arm crashes, worker kills
+  and connection drops against those names.  When nothing is armed the
+  plane is a single predicate check per call site.
 * :mod:`repro.faults.retry` -- the bounded exponential-backoff policy
   used by :class:`~repro.service.protocol.ServiceClient` to absorb
   transient connection failures and overload pushback.
 
 Call sites import the module, never the functions, mirroring the
-``repro.obs`` convention so tests can stub or record the whole plane::
+``repro.obs`` convention::
 
     from ..faults import inject
-    inject.fire("store.write_manifest")
+
+    _WRITE_MANIFEST = inject.point("store.write_manifest")
 """
 
 from . import inject

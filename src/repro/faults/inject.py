@@ -1,14 +1,24 @@
 """Test-only fault plane: named injection points in production code.
 
-Production call sites declare where a fault *could* happen by firing a
-registered point name::
+A production module declares each point where a fault *could* happen as
+a module constant, and fires through it::
 
     from ..faults import inject
-    inject.fire("store.write_segment", table=name)
+
+    _WRITE_SEGMENT = inject.point("store.write_segment")
+    ...
+    _WRITE_SEGMENT.fire()
+
+:func:`point` runs at import time and refuses a name that is not in
+:data:`FAULT_POINTS` or that another module already declared, so a
+fired name is always a registered one and every registered name has
+exactly one declaring module (``tests/unit/test_faults.py`` imports all
+of ``repro`` and checks the declared set equals the registry).
 
 Nothing is armed by default and ``fire`` short-circuits on a single
 module-level flag, so the shipped cost is one attribute load and one
-truthiness check per call site.  Tests and the chaos harness arm faults:
+truthiness check per call site.  Tests and the chaos harness arm faults
+by name:
 
 * :func:`crash_after` -- raise :class:`FaultInjected` at the *nth* fire
   of a point (simulates a crash immediately after that write completes);
@@ -22,12 +32,6 @@ truthiness check per call site.  Tests and the chaos harness arm faults:
 * :func:`record` -- count every fire, used by the crash-recovery
   property suite to enumerate the write points of an operation before
   crashing at each one in turn.
-
-``FAULT_POINTS`` is the registry of every legal point, mapping each name
-to the source file expected to host its call site (and, for points that
-cannot use a literal ``fire`` call, the token that marks the site).
-``tools/check_fault_sites.py`` lints the registry against the tree so a
-refactor cannot silently strand a point with no caller.
 """
 
 from __future__ import annotations
@@ -35,50 +39,40 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 __all__ = [
     "FAULT_POINTS",
     "FaultInjected",
+    "FaultPoint",
     "active",
     "crash_after",
     "drop_connection",
     "fail_at",
-    "fire",
     "kill_worker",
+    "point",
     "record",
     "reset",
-    "take_worker_kill",
 ]
 
-# point name -> (file under src/repro hosting the call site, marker token).
-# A ``None`` token means the default marker ``inject.fire("<name>"`` --
-# the two exceptions are the worker-kill pair, which crosses a process
-# boundary: the driver consumes the kill at submit time and the worker
-# honors a poison payload flag instead of calling back into this module.
-# A worker process inherits what is armed here through the fork; a fault
-# raised in its fit (``shard.worker.fit``, between fit and persist, or any
-# store write point under it) ends in ``os._exit``: a real death.
-FAULT_POINTS: dict[str, tuple[str, str | None]] = {
-    "store.write_journal": ("store/journal.py", None),
-    "store.clear_journal": ("store/journal.py", None),
-    "store.write_segment": ("store/lakestore.py", None),
-    "store.write_stats": ("store/lakestore.py", None),
-    "store.write_index": ("store/lakestore.py", None),
-    "store.write_postings": ("store/lakestore.py", None),
-    "store.write_manifest": ("store/lakestore.py", None),
-    "store.write_version": ("store/lakestore.py", None),
-    "store.unlink_stale": ("store/lakestore.py", None),
-    "shard.rebalance.stage": ("shard/store.py", None),
-    "shard.rebalance.backup": ("shard/store.py", None),
-    "shard.rebalance.move": ("shard/store.py", None),
-    "shard.rebalance.commit": ("shard/store.py", None),
-    "shard.scatter.kill": ("shard/index.py", "inject.take_worker_kill("),
-    "shard.worker.exit": ("shard/worker.py", "_fault_kill"),
-    "shard.worker.fit": ("shard/worker.py", None),
-    "client.connect": ("service/protocol.py", None),
-    "server.handle": ("service/protocol.py", None),
-}
+#: Every legal point name, grouped by the module that declares it.  The
+#: worker-kill pair crosses a process boundary: the scatter driver
+#: consumes an armed kill at submit time (``shard.scatter.kill``) and
+#: ships a poison flag its worker honors (``shard.worker.exit``).  A worker
+#: process inherits what is armed here through the fork; a fault raised
+#: in its fit (``shard.worker.fit``, between fit and persist, or any store
+#: write point under it) ends in ``os._exit``: a real death.
+FAULT_POINTS = frozenset({
+    "store.write_journal", "store.clear_journal",
+    "store.write_segment", "store.write_stats", "store.write_index",
+    "store.write_postings", "store.write_manifest", "store.write_version",
+    "store.unlink_stale",
+    "shard.rebalance.stage", "shard.rebalance.backup",
+    "shard.rebalance.move", "shard.rebalance.commit",
+    "shard.scatter.kill",
+    "shard.worker.exit", "shard.worker.fit",
+    "client.connect", "server.handle",
+})
 
 
 class FaultInjected(RuntimeError):
@@ -147,6 +141,64 @@ def _check_point(point: str) -> None:
         )
 
 
+class FaultPoint:
+    """A declared fault point: the handle its call site fires through."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def fire(self) -> None:
+        """Hit the point.  No-op unless something is armed; raises the
+        armed error when this fire matches an armed fault's trigger."""
+        if not _enabled:
+            return
+        to_raise: BaseException | None = None
+        with _lock:
+            if _counts is not None:
+                _counts[self.name] = _counts.get(self.name, 0) + 1
+            armed = _faults.get(self.name)
+            if armed:
+                for fault in armed:
+                    error = fault.step()
+                    if error is not None and to_raise is None:
+                        to_raise = error
+                if all(f.spent for f in armed):
+                    del _faults[self.name]
+                    _recompute_enabled()
+        if to_raise is not None:
+            raise to_raise
+
+    def take_worker_kill(self, shard: int) -> bool:
+        """Hit the point, then consume one kill armed for ``shard`` -- the
+        scatter driver's call at submit time."""
+        self.fire()
+        if not _enabled:
+            return False
+        with _lock:
+            pending = _worker_kills.pop(shard, 0)
+            if pending > 1:
+                _worker_kills[shard] = pending - 1
+            _recompute_enabled()
+        return pending > 0
+
+
+#: name -> its one declared :class:`FaultPoint`.
+_declared: dict[str, FaultPoint] = {}
+
+
+def point(name: str) -> FaultPoint:
+    """Declare fault point *name* -- once, as a constant of the module
+    that fires it.  Raises ``ValueError`` (at that module's import) for a
+    name not in :data:`FAULT_POINTS` or one already declared."""
+    _check_point(name)
+    if name in _declared:
+        raise ValueError(f"fault point {name!r} is already declared")
+    _declared[name] = FaultPoint(name)
+    return _declared[name]
+
+
 def fail_at(
     point: str,
     error: Callable[[], BaseException] | BaseException,
@@ -190,48 +242,6 @@ def kill_worker(shard: int, times: int = 1) -> None:
     with _lock:
         _worker_kills[shard] = _worker_kills.get(shard, 0) + times
         _recompute_enabled()
-
-
-def take_worker_kill(shard: int) -> bool:
-    """Consume one armed kill for ``shard`` (called by the scatter
-    driver at submit time).  Fault point ``shard.scatter.kill``."""
-    if not _enabled:
-        return False
-    with _lock:
-        if _counts is not None:
-            _counts["shard.scatter.kill"] = _counts.get("shard.scatter.kill", 0) + 1
-        pending = _worker_kills.get(shard, 0)
-        if not pending:
-            return False
-        if pending == 1:
-            del _worker_kills[shard]
-        else:
-            _worker_kills[shard] = pending - 1
-        _recompute_enabled()
-        return True
-
-
-def fire(point: str, **context: Any) -> None:
-    """Hit a fault point.  No-op unless something is armed; raises the
-    armed error when this fire matches an armed fault's trigger."""
-    if not _enabled:
-        return
-    to_raise: BaseException | None = None
-    with _lock:
-        _check_point(point)
-        if _counts is not None:
-            _counts[point] = _counts.get(point, 0) + 1
-        armed = _faults.get(point)
-        if armed:
-            for fault in armed:
-                error = fault.step()
-                if error is not None and to_raise is None:
-                    to_raise = error
-            if all(f.spent for f in armed):
-                del _faults[point]
-                _recompute_enabled()
-    if to_raise is not None:
-        raise to_raise
 
 
 @contextmanager

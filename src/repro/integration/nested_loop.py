@@ -14,9 +14,8 @@ Deliberately *not* ported to the interned integer kernel: this class
 demonstrates the algorithmic gap (indexed, partition-first closure vs
 quadratic passes), while ``LegacyAliteFD`` isolates the representation gap
 (object cells vs interned int vectors) -- the two baselines of
-``benchmarks/bench_fd_kernel.py``.  Its per-tuple ``normalized_key`` calls
-are whole-vector keys, not the per-cell round trips the FD hot-path lint
-guard (``tools/check_fd_hot_paths.py``) forbids.
+``benchmarks/bench_fd_kernel.py``.  It keys whole working tuples with
+``normalized_key``, once per tuple.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ class NestedLoopFD(Integrator):
     def _integrate(self, tables: list[Table], name: str) -> IntegratedTable:
         header, work, tid_sources = prepare_integration_input(tables)
         current = dedupe_tuples(work)
-        seen = {normalized_key(w.cells) for w in current}
+        seen = {normalized_key(w) for w in current}
 
         changed = True
         while changed:
@@ -60,7 +59,7 @@ class NestedLoopFD(Integrator):
                     if not joinable(left.cells, right.cells):
                         continue
                     merged = merge_tuples(left, right)
-                    key = normalized_key(merged.cells)
+                    key = normalized_key(merged)
                     if key not in seen:
                         seen.add(key)
                         current.append(merged)

@@ -46,7 +46,7 @@ def dedupe_tuples(tuples: Iterable[WorkTuple]) -> list[WorkTuple]:
     provenance and upgrading null kinds (missing beats produced)."""
     store: dict[tuple, WorkTuple] = {}
     for work in tuples:
-        key = normalized_key(work.cells)
+        key = normalized_key(work)
         existing = store.get(key)
         store[key] = work if existing is None else combine_duplicate(existing, work)
     return list(store.values())
@@ -105,10 +105,8 @@ def connected_components(
     all-null tuples (which a degenerate input may contain) share no value,
     so they belong to no component.
 
-    Values key directly by :func:`cell_key` -- never the tuple-of-one
-    round trip through ``normalized_key`` that
-    :mod:`repro.integration.tuples` forbids on hot paths -- and all-null
-    membership is a set probe, not a list scan.
+    Values key directly by :func:`cell_key`, and all-null membership is a
+    set probe, not a list scan.
     """
     parent = list(range(len(tuples)))
 

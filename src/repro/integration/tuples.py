@@ -100,12 +100,9 @@ _NULL_KEY = ("null",)
 
 
 def cell_key(cell: Cell) -> tuple:
-    """The per-cell component of :func:`normalized_key` (null kind ignored).
-
-    Exposed separately because the FD hot paths (complementation closure,
-    subsumption) key their inverted indexes by single cells and must not pay
-    a per-cell tuple-of-one round trip through :func:`normalized_key`.
-    """
+    """The key of one cell, null kind ignored: the per-cell component of
+    :func:`normalized_key`, and what the FD hot paths (complementation
+    closure, subsumption) key their inverted indexes by."""
     if is_null(cell):
         return _NULL_KEY
     if isinstance(cell, bool):
@@ -115,11 +112,13 @@ def cell_key(cell: Cell) -> tuple:
     return ("str", str(cell))
 
 
-def normalized_key(cells: Sequence[Cell]) -> tuple:
-    """A dict key for cells that ignores null *kind* (± and ⊥ collapse) but
-    keeps everything else exact -- two derivations of the same fact must
-    land on one output tuple."""
-    return tuple(cell_key(cell) for cell in cells)
+def normalized_key(work: WorkTuple) -> tuple:
+    """A dict key for a working tuple's cells that ignores null *kind* (±
+    and ⊥ collapse) but keeps everything else exact -- two derivations of
+    the same fact must land on one output tuple.  It takes the tuple, not
+    a cell sequence, so a single cell is keyed by :func:`cell_key` and
+    never by a one-cell round trip through here."""
+    return tuple(map(cell_key, work.cells))
 
 
 def combine_duplicate(existing: WorkTuple, new: WorkTuple) -> WorkTuple:
@@ -290,7 +289,7 @@ class IntegratedTable(Table):
 
         def sort_key(work: WorkTuple):
             smallest = min((tid_number(t) for t in work.tids), default=1 << 30)
-            return (smallest, normalized_key(work.cells))
+            return (smallest, normalized_key(work))
 
         ordered = sorted(tuples, key=sort_key)
         return cls(

@@ -65,6 +65,9 @@ __all__ = [
     "read_beacon",
 ]
 
+_HANDLE = inject.point("server.handle")
+_CONNECT = inject.point("client.connect")
+
 BEACON_FILE = "service.json"
 
 _ERROR_TYPES = {
@@ -130,7 +133,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 continue
             shutdown = False
             try:
-                inject.fire("server.handle")
+                _HANDLE.fire()
                 request = json.loads(line)
                 reply = self.server.dispatch(request)
                 shutdown = request.get("op") == "shutdown"
@@ -430,7 +433,7 @@ class ServiceClient:
     def _call_once(self, request: dict[str, Any]) -> dict[str, Any]:
         """One connection, one request, one response line."""
         try:
-            inject.fire("client.connect")
+            _CONNECT.fire()
             with tracing.span("client.connect"):
                 conn = socket.create_connection(
                     (self.host, self.port), timeout=self.connect_timeout

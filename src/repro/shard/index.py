@@ -94,6 +94,10 @@ from .store import ShardedLakeStore
 
 __all__ = ["ShardedLakeIndex"]
 
+#: The fault plane is process-local, so an armed worker kill is consumed
+#: here, at submit time, and honored by the worker it is shipped to.
+_SCATTER_KILL = inject.point("shard.scatter.kill")
+
 #: Buckets for the scatter skew ratio (slowest shard / mean shard wall).
 _SKEW_BOUNDS = (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0)
 
@@ -524,7 +528,7 @@ class ShardedLakeIndex:
         for attempt in range(2):
             futures: dict[int, Any] = {}
             for i in shards:
-                kill = inject.take_worker_kill(i)
+                kill = _SCATTER_KILL.take_worker_kill(i)
                 lease = self._leases[i]
                 if attempt:
                     self._respawn_lease(i, kill)
@@ -756,8 +760,8 @@ class ShardedLakeIndex:
             # flag the worker honors with os._exit -- a *real* process
             # death, exercising the same BrokenProcessPool path an OOM
             # kill or segfault would.
-            if inject.take_worker_kill(i):
-                doc["_fault_kill"] = True
+            if _SCATTER_KILL.take_worker_kill(i):
+                doc[shard_worker.WORKER_EXIT.name] = True
             return doc
 
         def attempt(shards: Sequence[int]) -> dict[int, dict[str, Any]]:

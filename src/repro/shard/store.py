@@ -53,6 +53,11 @@ __all__ = [
     "recover_any_store",
 ]
 
+_REBALANCE_STAGE = inject.point("shard.rebalance.stage")
+_REBALANCE_BACKUP = inject.point("shard.rebalance.backup")
+_REBALANCE_MOVE = inject.point("shard.rebalance.move")
+_REBALANCE_COMMIT = inject.point("shard.rebalance.commit")
+
 _FORMAT = "repro-sharded-lake"
 _FORMAT_VERSION = 1
 _FIT_STATE_FILE = "global_fit.pkl"
@@ -607,19 +612,19 @@ class ShardedLakeStore:
             )
             for name in self.table_names:
                 fresh.ingest({name: self.load_table(name)}, prune=False)
-            inject.fire("shard.rebalance.stage")
+            _REBALANCE_STAGE.fire()
             # Swap: rename old shard dirs aside (revertible), move staged in.
             for name, backup in backups.items():
                 os.replace(self._path / name, self._path / backup)
-                inject.fire("shard.rebalance.backup", shard=name)
+                _REBALANCE_BACKUP.fire()
             for name in new_names:
                 os.replace(staging / name, self._path / name)
-                inject.fire("shard.rebalance.move", shard=name)
+                _REBALANCE_MOVE.fire()
             manifest = dict(fresh._manifest)
             manifest["txn"] = txn
             self._manifest = manifest
             self._write_manifest()
-            inject.fire("shard.rebalance.commit")
+            _REBALANCE_COMMIT.fire()
             # Committed: the cleanup below is exactly what roll-forward
             # recovery would finish after a crash from here on.
             (self._path / _FIT_STATE_FILE).unlink(missing_ok=True)

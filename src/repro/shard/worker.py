@@ -57,9 +57,9 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ..candidates.spec import CandidateSet
 from ..faults import inject
 from ..obs import metrics, trace
 from ..store.codec import decode_table
@@ -82,6 +82,11 @@ __all__ = [
     "process_worker_run",
     "process_worker_metrics",
 ]
+
+_FIT = inject.point("shard.worker.fit")
+#: A scatter payload that carries this point's name as a flag is an armed
+#: worker kill the driver consumed: the worker dies before answering.
+WORKER_EXIT = inject.point("shard.worker.exit")
 
 
 def adapted_roster(
@@ -119,7 +124,7 @@ def open_shard_index(
 
     @contextmanager
     def persisting():
-        inject.fire("shard.worker.fit", shard=store.path.name)
+        _FIT.fire()
         with trace.span("shard.worker.persist"):
             yield
 
@@ -219,15 +224,15 @@ def fallback_search(
     for discoverer in _chosen(index, names):
         with trace.span(f"discover.{discoverer.name}", k=k, fallback=1):
             candidates = discoverer._candidates(query, k, query_column)
-            expanded = CandidateSet(
-                tables=tuple(engine.tables()),
-                evidence=candidates.evidence,
+            context = dict(candidates.context)
+            context.pop("deferred", None)
+            expanded = replace(
+                candidates,
+                tables=engine.tables(),
                 fallback=True,
                 truncated=False,
-                report=candidates.report,
+                context=context,
             )
-            expanded.context.update(candidates.context)
-            expanded.context.pop("deferred", None)
             with trace.span("discover.score") as score_span:
                 results = discoverer._search(query, k, query_column, expanded)
                 score_span.add(results=len(results))
@@ -330,7 +335,7 @@ def process_worker_open(
         )
     state = load_fit_state(store.path.parent) if prototypes is not None else None
     if fault_kill:
-        inject.crash_after("shard.worker.fit")
+        inject.crash_after(_FIT.name)
     try:
         with tracer.activate() if traced else nullcontext():
             index = open_shard_index(store, prototypes, state)
@@ -359,9 +364,8 @@ def process_worker_run(payload: dict[str, Any]) -> dict[str, Any]:
     """One scatter task: decode the query, run the requested round on the
     warm index of the version the sending generation serves (not the
     newest one held) under a local tracer, ship results + span tree back."""
-    if payload.get("_fault_kill"):
-        # Injected worker death (repro.faults fault point
-        # ``shard.worker.exit``): die for real, before answering, so the
+    if payload.get(WORKER_EXIT.name):
+        # Injected worker death: die for real, before answering, so the
         # driver observes a genuine BrokenProcessPool -- not an exception
         # a result pickle could soften.
         os._exit(17)

@@ -75,6 +75,9 @@ __all__ = [
     "write_json_atomic",
 ]
 
+_WRITE_JOURNAL = inject.point("store.write_journal")
+_CLEAR_JOURNAL = inject.point("store.clear_journal")
+
 JOURNAL_NAME = "journal.json"
 LOCK_NAME = ".writer.lock"
 
@@ -203,7 +206,7 @@ def journal_path(root: Path) -> Path:
 def write_journal(root: Path, doc: dict[str, Any]) -> None:
     """Record intent durably before the first data write."""
     write_json_atomic(journal_path(root), doc)
-    inject.fire("store.write_journal", op=doc.get("op"))
+    _WRITE_JOURNAL.fire()
 
 
 def read_journal(root: Path) -> dict[str, Any] | None:
@@ -218,4 +221,4 @@ def clear_journal(root: Path) -> None:
     """Drop the journal once the operation is fully settled."""
     journal_path(root).unlink(missing_ok=True)
     fsync_dir(root)
-    inject.fire("store.clear_journal")
+    _CLEAR_JOURNAL.fire()

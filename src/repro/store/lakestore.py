@@ -116,6 +116,14 @@ __all__ = [
     "SketchConfigMismatch",
 ]
 
+_WRITE_SEGMENT = inject.point("store.write_segment")
+_WRITE_STATS = inject.point("store.write_stats")
+_WRITE_INDEX = inject.point("store.write_index")
+_WRITE_POSTINGS = inject.point("store.write_postings")
+_WRITE_MANIFEST = inject.point("store.write_manifest")
+_WRITE_VERSION = inject.point("store.write_version")
+_UNLINK_STALE = inject.point("store.unlink_stale")
+
 _FORMAT = "repro-lake-store"
 _FORMAT_VERSION = 1
 
@@ -636,7 +644,7 @@ class LakeStore:
         so the manifest commit can never reference unsynced bytes."""
         write_segment_v2(self._path / segment_rel, table)
         journal.fsync_dir((self._path / segment_rel).parent)
-        inject.fire("store.write_segment", table=name)
+        _WRITE_SEGMENT.fire()
 
     def _write_table(self, name: str, table: Table, digest: str) -> dict[str, Any]:
         stem = self._file_stem(name, digest)
@@ -650,7 +658,7 @@ class LakeStore:
             }
         }
         self._write_json(self._path / stats_rel, payload)
-        inject.fire("store.write_stats", table=name)
+        _WRITE_STATS.fire()
         return {
             "content_hash": digest,
             "segment": segment_rel,
@@ -701,7 +709,7 @@ class LakeStore:
             file = self._path / rel
             if file.exists():
                 file.unlink()
-                inject.fire("store.unlink_stale", file=rel)
+                _UNLINK_STALE.fire()
 
     # ------------------------------------------------------------------
     # Crash-consistent commit protocol (see repro.store.journal)
@@ -916,7 +924,7 @@ class LakeStore:
         try:
             for rel, data in pickles.items():
                 self._write_bytes(self._path / rel, data)
-                inject.fire("store.write_index", file=rel)
+                _WRITE_INDEX.fire()
             self._manifest["indexes"] = {
                 "lake_version": self.lake_version,
                 "discoverers": entries,
@@ -1000,7 +1008,7 @@ class LakeStore:
         try:
             for rel, data in files.items():
                 self._write_bytes(self._path / rel, data)
-                inject.fire("store.write_postings", file=rel)
+                _WRITE_POSTINGS.fire()
             self._manifest["postings"] = {
                 "file": posting_rel,
                 "sketches": sketches_rel,
@@ -1085,7 +1093,7 @@ class LakeStore:
 
     def _write_manifest(self) -> None:
         self._write_json(self._path / "manifest.json", self._manifest)
-        inject.fire("store.write_manifest")
+        _WRITE_MANIFEST.fire()
         # The cheap version beacon `current_version()` polls.  Written
         # *after* the manifest commit: a poller that races the two writes
         # sees an old version and simply reloads one poll later -- it can
@@ -1095,7 +1103,7 @@ class LakeStore:
             self._path / "version.json",
             {"lake_version": self._manifest["lake_version"]},
         )
-        inject.fire("store.write_version")
+        _WRITE_VERSION.fire()
 
 
 class StoredDataLake(DataLake):

@@ -19,12 +19,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.integration import (
-    AliteFD,
-    LegacyAliteFD,
-    OracleFD,
-    normalized_key,
-)
+from repro.integration import AliteFD, LegacyAliteFD, OracleFD
+from repro.integration.tuples import cell_key
 from repro.table import MISSING, Table
 from repro.table.values import is_missing, is_null
 
@@ -71,8 +67,8 @@ def assert_same_result(reference, candidate):
     provenance, and row order must all match."""
     assert tuple(candidate.columns) == tuple(reference.columns)
     assert list(candidate.rows) == list(reference.rows)
-    assert [normalized_key(r) for r in candidate.rows] == [
-        normalized_key(r) for r in reference.rows
+    assert [tuple(map(cell_key, r)) for r in candidate.rows] == [
+        tuple(map(cell_key, r)) for r in reference.rows
     ]
     assert null_kind_grid(candidate) == null_kind_grid(reference)
     assert candidate.provenance == reference.provenance
@@ -91,8 +87,8 @@ class TestInternedEqualsLegacy:
     def test_interned_equals_oracle_values(self, tables):
         oracle = OracleFD().integrate(tables)
         interned = AliteFD().integrate(tables)
-        assert sorted(normalized_key(r) for r in interned.rows) == sorted(
-            normalized_key(r) for r in oracle.rows
+        assert sorted(tuple(map(cell_key, r)) for r in interned.rows) == sorted(
+            tuple(map(cell_key, r)) for r in oracle.rows
         )
 
 

@@ -21,7 +21,7 @@ from repro.integration import (
     remove_subsumed,
     subsumes,
 )
-from repro.integration.tuples import WorkTuple
+from repro.integration.tuples import WorkTuple, cell_key
 from repro.table import MISSING, Table
 
 # Small value alphabet forces collisions -> merges actually happen.
@@ -54,8 +54,12 @@ def tables_strategy(max_tables: int = 3, max_rows: int = 3):
     return build()
 
 
+def row_key(row):
+    return tuple(map(cell_key, row))
+
+
 def value_multiset(result):
-    return sorted(normalized_key(row) for row in result.rows)
+    return sorted(row_key(row) for row in result.rows)
 
 
 class TestAgainstOracle:
@@ -85,7 +89,7 @@ class TestFDInvariants:
                 if i != j:
                     assert not (
                         subsumes(other, row)
-                        and normalized_key(other) != normalized_key(row)
+                        and row_key(other) != row_key(row)
                     )
 
     @settings(max_examples=50, deadline=None)
@@ -110,7 +114,7 @@ class TestFDInvariants:
             columns = sorted(result.columns)
             positions = [result.column_index(c) for c in columns]
             return sorted(
-                normalized_key(tuple(row[p] for p in positions)) for row in result.rows
+                tuple(cell_key(row[p]) for p in positions) for row in result.rows
             )
 
         assert canonical(forward) == canonical(backward)
@@ -147,7 +151,7 @@ class TestFDInvariants:
                         rest.remove(candidate)
                         progress = True
             assert not rest
-            assert normalized_key(merged.cells) == normalized_key(row)
+            assert normalized_key(merged) == row_key(row)
 
 
 class TestTupleKernels:
@@ -186,8 +190,8 @@ class TestTupleKernels:
             for j, b in enumerate(kept):
                 if i != j:
                     assert not subsumes(a.cells, b.cells) or normalized_key(
-                        a.cells
-                    ) == normalized_key(b.cells)
+                        a
+                    ) == normalized_key(b)
         # Coverage: every input subsumed by something kept.
         for work in tuples:
             assert any(subsumes(k.cells, work.cells) for k in kept)

@@ -207,7 +207,7 @@ class TestAccounting:
 
 class TestCandidateSet:
     def test_container_protocol(self):
-        cs = CandidateSet(tables=("a", "b"), evidence={})
+        cs = CandidateSet(tables=("a", "b"), evidence={}, _lake={})
         assert "a" in cs and "c" not in cs
         assert list(cs) == ["a", "b"] and len(cs) == 2
 

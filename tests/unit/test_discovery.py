@@ -3,15 +3,22 @@ JOSIE, user-defined)."""
 
 from __future__ import annotations
 
+import types
+
 import pytest
 
+from repro.candidates import CandidateEngine, CandidateSpec
 from repro.discovery import (
+    CocoaJoinSearch,
+    Discoverer,
     DiscoveryResult,
     FunctionDiscoverer,
     JosieConfig,
     JosieJoinSearch,
     LSHEnsembleJoinSearch,
     SantosUnionSearch,
+    StarmieUnionSearch,
+    TusUnionSearch,
     inner_join_similarity,
     merge_result_sets,
     value_overlap_similarity,
@@ -29,7 +36,70 @@ def tiny_lake(covid_unionable, covid_joinable):
     return {"T2": covid_unionable, "T3": covid_joinable, "people": people}
 
 
+def tables_reachable(root) -> list[Table]:
+    """Every Table in *root*'s attribute graph, the candidate engine
+    (shared lake-wide state, not the discoverer's own) excluded."""
+    seen: set[int] = set()
+    found: list[Table] = []
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (CandidateEngine, type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Table):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            slots = getattr(type(obj), "__slots__", ())
+            for slot in (slots,) if isinstance(slots, str) else slots:
+                stack.append(getattr(obj, slot, None))
+    return found
+
+
 class TestDiscovererContract:
+    def test_scorer_cannot_read_a_table_retrieval_did_not_return(
+        self, covid_query, tiny_lake
+    ):
+        class Peeking(Discoverer):
+            name = "peeking"
+            spec = CandidateSpec(channels=("tokens",))
+
+            def _build_index(self, lake):
+                pass
+
+            def _search(self, query, k, query_column, candidates):
+                assert "T3" in candidates and "people" not in candidates
+                assert all(candidates.table(n).name == n for n in candidates)
+                candidates.table("people")  # shares no token with the query
+                return []
+
+        with pytest.raises(KeyError, match="people"):
+            Peeking().fit(tiny_lake).search(covid_query, k=3)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            SantosUnionSearch,
+            JosieJoinSearch,
+            LSHEnsembleJoinSearch,
+            TusUnionSearch,
+            StarmieUnionSearch,
+            CocoaJoinSearch,
+            lambda: FunctionDiscoverer(value_overlap_similarity),
+        ],
+        ids=["santos", "josie", "lshe", "tus", "starmie", "cocoa", "user_defined"],
+    )
+    def test_fitted_discoverer_holds_no_table(self, make, tiny_lake):
+        discoverer = make().fit(tiny_lake)
+        assert discoverer.engine is not None
+        assert tables_reachable(discoverer) == []
+
     def test_search_before_fit_raises(self, covid_query):
         with pytest.raises(RuntimeError, match="before fit"):
             SantosUnionSearch().search(covid_query)

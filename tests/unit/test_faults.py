@@ -49,8 +49,10 @@ from repro.service import (
     ServiceUnavailable,
     oracle_discover_payload,
 )
+from repro.service import protocol
 from repro.shard import ShardedLakeStore, open_any_store
-from repro.store import LakeStore
+from repro.shard import index as shard_index
+from repro.store import LakeStore, lakestore
 from repro.table.table import Table
 
 
@@ -66,51 +68,67 @@ def _clean_faults():
 # ----------------------------------------------------------------------
 class TestInject:
     def test_unarmed_fire_is_free(self):
-        inject.fire("store.write_manifest")  # no error, no bookkeeping
+        lakestore._WRITE_MANIFEST.fire()  # no error, no bookkeeping
 
     def test_unknown_point_is_loud(self):
         with pytest.raises(ValueError):
             inject.crash_after("store.no_such_point")
-        with inject.record():
-            # fire() validates names whenever the plane is enabled, so a
-            # typo'd call site cannot hide behind the fast path forever.
-            with pytest.raises(ValueError):
-                inject.fire("store.no_such_point")
+
+    def test_point_refuses_unknown_and_duplicate_names(self):
+        # Declaring is what makes a name fireable, so a typo'd or second
+        # declaration fails the importing module, not a chaos run later.
+        with pytest.raises(ValueError, match="unknown fault point"):
+            inject.point("store.no_such_point")
+        with pytest.raises(ValueError, match="already declared"):
+            inject.point("store.write_manifest")
+
+    def test_declared_points_equal_the_registry(self):
+        import importlib
+        import pkgutil
+
+        import repro
+
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not module.name.endswith("__main__"):
+                importlib.import_module(module.name)
+        assert set(inject._declared) == inject.FAULT_POINTS
 
     def test_crash_after_nth_and_times(self):
         inject.crash_after("store.write_segment", nth=2)
-        inject.fire("store.write_segment")  # first fire passes
+        lakestore._WRITE_SEGMENT.fire()  # first fire passes
         with pytest.raises(FaultInjected) as err:
-            inject.fire("store.write_segment")
+            lakestore._WRITE_SEGMENT.fire()
         assert err.value.point == "store.write_segment"
-        inject.fire("store.write_segment")  # spent: armed once only
+        lakestore._WRITE_SEGMENT.fire()  # spent: armed once only
 
     def test_fail_at_custom_error_and_times(self):
         inject.fail_at("client.connect", ConnectionError("boom"), times=2)
         for _ in range(2):
             with pytest.raises(ConnectionError):
-                inject.fire("client.connect")
-        inject.fire("client.connect")  # window exhausted
+                protocol._CONNECT.fire()
+        protocol._CONNECT.fire()  # window exhausted
 
     def test_record_counts_fires(self):
         with inject.record() as counts:
-            inject.fire("store.write_manifest")
-            inject.fire("store.write_manifest")
-            inject.fire("store.write_version")
+            lakestore._WRITE_MANIFEST.fire()
+            lakestore._WRITE_MANIFEST.fire()
+            lakestore._WRITE_VERSION.fire()
         assert counts["store.write_manifest"] == 2
         assert counts["store.write_version"] == 1
 
     def test_reset_disarms(self):
         inject.crash_after("store.write_manifest")
         inject.reset()
-        inject.fire("store.write_manifest")
+        lakestore._WRITE_MANIFEST.fire()
         assert not inject.active()
 
     def test_worker_kill_consumed_once_per_shard(self):
         inject.kill_worker(1, times=1)
-        assert not inject.take_worker_kill(0)
-        assert inject.take_worker_kill(1)
-        assert not inject.take_worker_kill(1)  # consumed
+        with inject.record() as counts:
+            assert not shard_index._SCATTER_KILL.take_worker_kill(0)
+            assert shard_index._SCATTER_KILL.take_worker_kill(1)
+            assert not shard_index._SCATTER_KILL.take_worker_kill(1)  # consumed
+        assert counts["shard.scatter.kill"] == 3
 
 
 class TestRetryPolicy:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.integration import AliteFD, OuterJoinIntegrator, normalized_key
+from repro.integration import AliteFD, OuterJoinIntegrator
+from repro.integration.tuples import cell_key
 from repro.table import MISSING, Table
 
 
 def values(result):
-    return sorted(normalized_key(row) for row in result.rows)
+    return sorted(tuple(map(cell_key, row)) for row in result.rows)
 
 
 class TestIncrementalFD:

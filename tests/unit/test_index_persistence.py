@@ -10,11 +10,14 @@ import pytest
 
 from repro.datalake import DataLake, LakeIndex
 from repro.discovery import (
+    FunctionDiscoverer,
     JosieJoinSearch,
     LSHEnsembleJoinSearch,
     SantosUnionSearch,
+    value_overlap_similarity,
 )
 from repro.store import LakeStore, StoreError
+from repro.table import Table
 
 
 @pytest.fixture
@@ -58,3 +61,42 @@ class TestPersistence:
         index.save_to_store(store)
         loaded = LakeIndex.from_store(store.path)
         assert loaded.build_seconds == index.build_seconds and set(loaded.build_seconds) == {"josie"}
+
+
+def city_lake(num_tables: int) -> DataLake:
+    return DataLake(
+        Table(
+            ["City", "Count"],
+            [(f"city{(i + j) % 50}", j) for j in range(20)],
+            name=f"t{i}",
+        )
+        for i in range(num_tables)
+    )
+
+
+class TestUserDefinedIndex:
+    """A user-defined discoverer keeps no lake after ``fit``: its pickle is
+    the same few bytes at any lake size, and a loaded index answers from
+    the loader's lake."""
+
+    def test_pickle_size_independent_of_lake_size(self):
+        small, large = (
+            len(pickle.dumps(FunctionDiscoverer(value_overlap_similarity).fit(lake)))
+            for lake in (city_lake(10), city_lake(1000))
+        )
+        assert small == large
+
+    def test_round_trip_answers_identically(self, store, covid_query):
+        index = LakeIndex(
+            store.lake(), [FunctionDiscoverer(value_overlap_similarity)]
+        ).build()
+        before = index.search(covid_query, k=3)["user_defined"]
+        assert before
+
+        index.save_to_store(store)
+        [persisted] = (store.path / "indexes").iterdir()
+        assert b"repro.table" not in persisted.read_bytes()
+        loaded = LakeIndex.from_store(store.path)
+
+        assert loaded.is_built and not loaded.fitted
+        assert loaded.search(covid_query, k=3)["user_defined"] == before

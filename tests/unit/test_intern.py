@@ -21,7 +21,7 @@ from repro.integration.intern import (
     unintern_tuple,
 )
 from repro.integration.subsume import connected_components
-from repro.integration.tuples import WorkTuple, cell_key
+from repro.integration.tuples import WorkTuple, cell_key, normalized_key
 from repro.obs import trace
 from repro.obs.trace import Tracer, activate
 from repro.table import MISSING, PRODUCED, Table
@@ -100,6 +100,18 @@ class TestIntTuple:
         restored = unintern_tuple(work, interner)
         assert restored.cells == ("a", PRODUCED, 1)  # kinds re-derived later
         assert restored.tids == work.tids
+
+
+class TestNormalizedKey:
+    def test_keys_a_work_tuple_cell_by_cell(self):
+        work = wt("a", MISSING, 1, 1.0, True, PRODUCED, "1")
+        assert normalized_key(work) == tuple(cell_key(c) for c in work.cells)
+
+    def test_takes_a_work_tuple_not_a_cell_sequence(self):
+        # A lone cell is keyed by cell_key: there is no tuple-of-one round
+        # trip, because a bare cell sequence is not a WorkTuple.
+        with pytest.raises(AttributeError):
+            normalized_key(("a",))
 
 
 class TestPredicateParity:

@@ -299,8 +299,9 @@ class TestCrashSafety:
 
 
 class TestCocoaRebind:
-    """COCOA's pickle drops the lake (it would duplicate every cell);
-    LakeIndex.load / from_store re-attach it."""
+    """COCOA keeps no lake: it reads a candidate's cells through its
+    candidate set, so its pickle carries no cell and a loaded index needs
+    only its engine back (LakeIndex.from_store binds it)."""
 
     def test_pickle_excludes_cell_data_and_from_store_rebinds(self, store, lake):
         from repro.discovery.cocoa import CocoaJoinSearch
@@ -308,9 +309,10 @@ class TestCocoaRebind:
         LakeIndex(store.lake(), [CocoaJoinSearch()]).build().save_to_store(store)
         import pickle as _pickle
 
-        with next(store.path.glob("indexes/cocoa-*.pkl")).open("rb") as handle:
-            raw = _pickle.load(handle)
-        assert raw._lake == {}  # no second copy of the lake's cells on disk
+        data = next(store.path.glob("indexes/cocoa-*.pkl")).read_bytes()
+        raw = _pickle.loads(data)
+        assert "_lake" not in vars(raw)
+        assert b"repro.table.table" not in data  # no Table in the pickle
 
         index = LakeIndex.from_store(store.path)
         query = Table(
@@ -324,14 +326,15 @@ class TestCocoaRebind:
     def test_unrebound_cocoa_fails_loudly(self, lake):
         import pickle
 
+        from repro.candidates import CandidateEngine
         from repro.discovery.cocoa import CocoaJoinSearch
 
         fitted = CocoaJoinSearch().fit(lake)
         clone = pickle.loads(pickle.dumps(fitted))
         query = Table(["City", "x"], [("Berlin", 1.0)], name="q")
-        with pytest.raises(RuntimeError, match="rebind_lake"):
+        with pytest.raises(RuntimeError, match="bind_engine"):
             clone.search(query, k=3, query_column="City")
-        clone.rebind_lake(lake)
+        clone.bind_engine(CandidateEngine(lake))
         assert clone.search(query, k=3, query_column="City") is not None
 
 
