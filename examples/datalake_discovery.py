@@ -31,7 +31,7 @@ print(f"  ground truth: {len(synth.truth.unionable)} unionable, "
 lake = DataLake.from_dir(lake_dir)
 pipeline = Dialite(lake).fit()
 print("\nOffline index build times:")
-for name, seconds in pipeline.index.build_seconds.items():
+for name, seconds in pipeline.index.fitted.items():
     print(f"  {name:<14} {seconds * 1000:7.1f} ms")
 
 # --- query and evaluate -------------------------------------------------------

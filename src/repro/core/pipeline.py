@@ -262,8 +262,7 @@ class Dialite:
         """The discovery index: a :class:`LakeIndex`, or a
         :class:`~repro.shard.ShardedLakeIndex` over a sharded store (both
         expose ``search`` / ``search_merged`` / ``retrieval_reports`` /
-        ``set_candidate_budget`` / ``build_seconds`` / ``fitted`` /
-        ``health`` / ``close``)."""
+        ``set_candidate_budget`` / ``fitted`` / ``health`` / ``close``)."""
         if self._index is None:
             self.fit()
         assert self._index is not None

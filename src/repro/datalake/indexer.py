@@ -2,8 +2,8 @@
 
 The demo pre-builds the SANTOS and LSH Ensemble indexes so users query a
 ready lake; :class:`LakeIndex` is that offline step: it fits every
-configured discoverer against the lake, records per-discoverer build times,
-and then serves fan-out searches.
+configured discoverer against the lake, records per-discoverer fit times
+(``fitted``), and then serves fan-out searches.
 
 The index owns two shared substrates.  The lake-wide
 :class:`~repro.datalake.stats.LakeStats` cache gives every fit the same
@@ -40,7 +40,6 @@ class LakeIndex:
             raise ValueError(f"discoverer names must be unique: {names}")
         self._tables = lake
         self._discoverers = list(discoverers)
-        self._build_seconds: dict[str, float] = {}
         self._fitted: dict[str, float] = {}
         self._built = False
         self._engine: CandidateEngine | None = None
@@ -78,13 +77,8 @@ class LakeIndex:
         return {c for d in self._discoverers for c in d.candidate_spec().channels}
 
     @property
-    def build_seconds(self) -> dict[str, float]:
-        """Per-discoverer offline index-build wall time."""
-        return dict(self._build_seconds)
-
-    @property
     def fitted(self) -> dict[str, float]:
-        """Fit seconds of every discoverer :meth:`from_store` had to fit
+        """Fit wall seconds of every discoverer this index had to fit
         (empty on a pure hydration) -- what ``open_index`` persists."""
         return dict(self._fitted)
 
@@ -122,11 +116,17 @@ class LakeIndex:
         engine = self.engine
         engine.warm(self._roster_channels())  # postings built once, offline
         for discoverer in self._discoverers:
-            start = time.perf_counter()
-            discoverer.fit(self._tables, engine=engine)
-            self._build_seconds[discoverer.name] = time.perf_counter() - start
+            self._fit(discoverer, self._tables, engine)
         self._built = True
         return self
+
+    def _fit(
+        self, discoverer: Discoverer, lake: Mapping[str, Table], engine: CandidateEngine
+    ) -> None:
+        start = time.perf_counter()
+        discoverer.fit(lake, engine=engine)
+        self._fitted[discoverer.name] = seconds = time.perf_counter() - start
+        trace.record(f"index.fit.{discoverer.name}", wall_s=seconds)
 
     def search(
         self,
@@ -219,18 +219,11 @@ class LakeIndex:
         index = cls(lake, roster)
         index._engine = store.load_engine(lake=lake, stats=index.stats)
         engine = index.engine  # builds a cold engine when no artifact exists
-        recorded = store.index_build_seconds()
         for discoverer in roster:
             if discoverer.is_fitted:
                 discoverer.bind_engine(engine)
-                index._build_seconds[discoverer.name] = recorded.get(discoverer.name, 0.0)
             else:
-                start = time.perf_counter()
-                discoverer.fit(lake, engine=engine)
-                seconds = time.perf_counter() - start
-                index._build_seconds[discoverer.name] = seconds
-                index._fitted[discoverer.name] = seconds
-                trace.record(f"index.fit.{discoverer.name}", wall_s=seconds)
+                index._fit(discoverer, lake, engine)
         index._built = True
         return index
 
@@ -241,6 +234,6 @@ class LakeIndex:
         staleness detection."""
         if not self._built:
             self.build()
-        store.save_indexes(self._discoverers, self._build_seconds)
+        store.save_indexes(self._discoverers)
         store.save_engine(self.engine, channels=self._roster_channels())
 

@@ -28,6 +28,21 @@ through every fit; a standalone ``fit(lake)`` creates a private one.
 Pickles drop the engine (it would duplicate the lake-wide structures per
 discoverer); the loader (``LakeIndex.from_store``) re-attaches it with
 :meth:`Discoverer.bind_engine`.
+
+Lake-global fit state
+---------------------
+A scorer that needs statistics of the *whole* lake -- SANTOS's KB
+synthesized from every column domain, TUS's corpus IDF -- declares them
+as its **lake product**, the plug-in extension point for such state:
+:meth:`Discoverer.lake_product` computes it from the lake's
+:class:`~repro.datalake.stats.LakeStats` (never from cells), and
+:meth:`Discoverer.fit` installs a freshly computed one unless
+:meth:`Discoverer.adopt` pinned one computed elsewhere.  That is how a
+sharded lake gives every shard's fit the product of the combined lake
+(:mod:`repro.shard.index`) without knowing which discoverers have one.
+A product is a new object per fit, never a mutation of what the
+constructor was given, so an unfitted clone always refits from the
+constructor's configuration.  The default has none (``None``).
 """
 
 from __future__ import annotations
@@ -42,6 +57,7 @@ from ..table.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..candidates.engine import CandidateEngine
+    from ..datalake.stats import LakeStats
 
 __all__ = ["DiscoveryResult", "Discoverer", "merge_result_sets"]
 
@@ -76,6 +92,10 @@ class Discoverer(abc.ABC):
     #: channels.  See :class:`~repro.candidates.CandidateSpec`.
     spec: CandidateSpec = CandidateSpec(channels=("exhaustive",))
 
+    #: Whether :meth:`adopt` pinned this instance's lake product.  Never
+    #: pickled: a persisted index is fitted, and only a fit reads it.
+    _product_pinned = False
+
     def __init__(self) -> None:
         self._fitted = False
         self._engine: "CandidateEngine | None" = None
@@ -109,28 +129,45 @@ class Discoverer(abc.ABC):
 
             engine = CandidateEngine(dict(lake))
         self._engine = engine
+        if not self._product_pinned:
+            from ..datalake.stats import lake_stats  # deferred: import cycle
+
+            self._use_product(self.lake_product(lake_stats(lake)))
         self._build_index(dict(lake))
         self._fitted = True
         return self
 
+    def lake_product(self, stats: "LakeStats") -> Any:
+        """This discoverer's lake-global fit state, computed from *stats*
+        alone (see the module docstring); ``None``: it has none.  Must be
+        a new object, deterministic in the lake's contents."""
+        return None
+
+    def adopt(self, product: Any) -> None:
+        """Pin a :meth:`lake_product` computed elsewhere (a sharded
+        build's, over the combined lake): :meth:`fit` uses it instead of
+        computing one over the lake it is handed."""
+        self._use_product(product)
+        self._product_pinned = True
+
+    def _use_product(self, product: Any) -> None:
+        """Keep *product* where scoring reads it (a discoverer without
+        one has nothing to keep)."""
+
     def clone_unfitted(self) -> "Discoverer":
         """An unfitted twin that keeps constructor configuration -- what
         the serving layer refits against a new lake version while this
-        instance keeps serving the old one.
-
-        The default -- a shallow copy with the fitted flag and engine
-        cleared -- is correct whenever :meth:`_build_index` *assigns*
-        fresh containers (every built-in does).  A discoverer whose fit
-        **mutates** constructor-owned state in place (e.g. SANTOS's
-        knowledge-base synthesis) must override this and copy that state,
-        so a rebuild can never touch structures a still-serving twin is
-        reading concurrently.
+        instance keeps serving the old one: a shallow copy with the
+        fitted flag, the engine and any :meth:`adopt` pin cleared.  Every
+        fit *assigns* fresh containers and a fresh lake product, so a
+        refit never touches what a still-serving twin reads.
         """
         import copy
 
         clone = copy.copy(self)
         clone._fitted = False
         clone._engine = None
+        clone.__dict__.pop("_product_pinned", None)
         return clone
 
     def bind_engine(self, engine: "CandidateEngine") -> None:
@@ -212,6 +249,7 @@ class Discoverer(abc.ABC):
     def __getstate__(self) -> dict[str, Any]:
         state = self.__dict__.copy()
         state["_engine"] = None
+        state.pop("_product_pinned", None)
         return state
 
 

@@ -7,7 +7,7 @@ both channels:
 
 * a **seed KB** built from :mod:`repro.datalake.seeds` -- a small curated
   ontology (places, vaccines, agencies, people, ...) with alias handling;
-* a **synthesized KB** (:meth:`KnowledgeBase.synthesize_from_tables`) that
+* a **synthesized KB** (:meth:`KnowledgeBase.synthesize_from_stats`) that
   clusters lake columns by domain overlap and mints one synthetic type per
   cluster, exactly the role SANTOS's data-driven KB plays when curated
   coverage runs out.
@@ -18,11 +18,13 @@ Lookups are case-insensitive on normalized surface forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
-from ..table.table import Table
 from ..text.similarity import jaccard
 from ..text.tokenize import normalize_token
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..datalake.stats import LakeStats
 
 __all__ = ["Relation", "KnowledgeBase", "seed_knowledge_base"]
 
@@ -159,9 +161,9 @@ class KnowledgeBase:
     # ------------------------------------------------------------------
     # Data-driven synthesis (SANTOS's synthesized KB)
     # ------------------------------------------------------------------
-    def synthesize_from_tables(
+    def synthesize_from_stats(
         self,
-        tables: Mapping[str, Table],
+        stats: "LakeStats",
         min_jaccard: float = 0.35,
         min_cluster: int = 2,
         max_values_per_type: int = 2000,
@@ -176,21 +178,17 @@ class KnowledgeBase:
         """
         # Sorted iteration makes the synthesized KB -- cluster membership,
         # syn:<n> numbering, relation labels -- a pure function of the
-        # mapping's *contents*, independent of its iteration order.  The
+        # lake's *contents*, independent of its iteration order.  The
         # sharded build relies on this: one global KB synthesized over the
         # combined lake must be reproducible regardless of how the shard
         # views are stitched together.
         #
-        # Domains come from the column stats (``text_values()`` is exactly
-        # the normalized string-value set), so over a stored lake the
-        # hydrated snapshots answer and no segment is decoded.
-        from ..datalake.stats import lake_stats  # deferred: import cycle
-
-        stats = lake_stats(tables)
+        # Domains are the column stats' ``text_values()`` (exactly the
+        # normalized string-value set), so over a stored lake the hydrated
+        # snapshots answer and no segment is decoded.
         schema: dict[str, tuple[str, ...]] = {}
         columns: list[tuple[str, str, frozenset[str]]] = []
-        for table_name in sorted(tables):
-            table_stats = stats.table(table_name)
+        for table_name, table_stats in sorted(stats, key=lambda item: item[0]):
             schema[table_name] = table_stats.columns
             for column in table_stats.columns:
                 domain = table_stats.column(column).text_values()

@@ -17,17 +17,29 @@ Reproduces the architecture of SANTOS (Khatiwada et al., SIGMOD 2023):
 The KB channels are where the offline substitution lives (see
 :mod:`repro.discovery.kb`); the annotation and scoring machinery follows the
 original design.
+
+The KB annotation reads is SANTOS's **lake product**
+(:meth:`~repro.discovery.base.Discoverer.lake_product`): a copy of the
+constructor's KB (the built-in seed when none was given) plus the types
+synthesized from the lake's column domains.  It is built fresh for every
+fit -- the constructor's KB is never mutated -- so a refit, or an
+unfitted clone's fit, starts from the seed, and a sharded build can pin
+the combined lake's product into every shard's fit.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ..candidates.spec import CandidateSet, CandidateSpec
 from ..table.table import Table
 from .base import Discoverer, DiscoveryResult
 from .kb import KnowledgeBase, seed_knowledge_base
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..datalake.stats import LakeStats
 
 __all__ = ["SantosConfig", "TableAnnotation", "SantosUnionSearch"]
 
@@ -70,49 +82,44 @@ class SantosUnionSearch(Discoverer):
         "label, and all labels are published to the engine at fit time",
     )
 
+    #: The constructor's KB, never mutated (None: the built-in seed).  A
+    #: class default, so index pickles written before it existed hydrate.
+    _seed_kb: KnowledgeBase | None = None
+
     def __init__(self, kb: KnowledgeBase | None = None, config: SantosConfig | None = None):
         super().__init__()
         self.config = config or SantosConfig()
-        self._kb = kb if kb is not None else seed_knowledge_base()
+        self._seed_kb = kb
+        #: The KB annotation reads: the installed lake product.
+        self._kb: KnowledgeBase | None = None
         self._annotations: dict[str, TableAnnotation] = {}
         self._tables_by_type: dict[str, set[str]] = {}
         self._tables_by_relationship: dict[str, set[str]] = {}
 
     @property
     def kb(self) -> KnowledgeBase:
-        return self._kb
-
-    def clone_unfitted(self) -> "SantosUnionSearch":
-        """Unfitted twin with its **own** knowledge base: fit-time KB
-        synthesis (``config.synthesize_kb``) mutates the KB in place, so
-        a serving-layer rebuild must grow a copy -- never the object a
-        still-serving twin queries concurrently."""
-        import copy
-
-        clone = super().clone_unfitted()
-        clone._kb = copy.deepcopy(self._kb)
-        return clone
-
-    def adopt_kb(self, kb: KnowledgeBase) -> None:
-        """Install an externally synthesized knowledge base and disable
-        fit-time synthesis (the sharded build path: one KB synthesized
-        over the *combined* lake, shared by every shard's fit, so each
-        shard's annotations are exactly the global annotations restricted
-        to its tables)."""
-        self._kb = kb
-        if self.config.synthesize_kb:
-            from dataclasses import replace
-
-            self.config = replace(self.config, synthesize_kb=False)
+        """The KB annotation reads: once fitted, the lake product; before,
+        the constructor's."""
+        if self._kb is not None:
+            return self._kb
+        return self._seed_kb if self._seed_kb is not None else seed_knowledge_base()
 
     # ------------------------------------------------------------------
     # Index construction
     # ------------------------------------------------------------------
-    def _build_index(self, lake: Mapping[str, Table]) -> None:
+    def lake_product(self, stats: "LakeStats") -> KnowledgeBase:
+        """A copy of the constructor's KB (the seed, rebuilt) plus, under
+        ``config.synthesize_kb``, the types synthesized from *stats*."""
+        seed = self._seed_kb
+        kb = seed_knowledge_base() if seed is None else copy.deepcopy(seed)
         if self.config.synthesize_kb:
-            self._kb.synthesize_from_tables(
-                lake, min_jaccard=self.config.synth_min_jaccard
-            )
+            kb.synthesize_from_stats(stats, min_jaccard=self.config.synth_min_jaccard)
+        return kb
+
+    def _use_product(self, kb: KnowledgeBase) -> None:
+        self._kb = kb
+
+    def _build_index(self, lake: Mapping[str, Table]) -> None:
         self._annotations = {}
         self._tables_by_type = {}
         self._tables_by_relationship = {}

@@ -12,12 +12,19 @@ two-level structure:
   measure), gated on numeric/text compatibility;
 * table unionability = greedy one-to-one alignment score averaged over the
   query's columns.
+
+The corpus IDF is TUS's **lake product**
+(:meth:`~repro.discovery.base.Discoverer.lake_product`): one document per
+lake column, the same bounded normalized-value sets the column summaries
+hold, read from the column stats.  Document frequencies are order-free
+counts, so a sharded build's product over the combined lake, pinned into
+every shard's fit, weighs exactly as the unsharded fit does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ..candidates.spec import CandidateSet, CandidateSpec
 from ..discovery.kb import KnowledgeBase, seed_knowledge_base
@@ -26,6 +33,9 @@ from ..text.normalize import numeric_fraction
 from ..text.similarity import jaccard, weighted_jaccard
 from ..text.tfidf import TfIdfWeights
 from .base import Discoverer, DiscoveryResult
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..datalake.stats import LakeStats
 
 __all__ = ["TusConfig", "TusUnionSearch"]
 
@@ -99,28 +109,23 @@ class TusUnionSearch(Discoverer):
             )
         return summaries
 
-    def adopt_corpus_idf(self, idf: TfIdfWeights) -> None:
-        """Pin the corpus IDF to an externally accumulated one (the
-        sharded build path: document frequencies accumulated over the
-        *combined* lake, shared by every shard's fit, so a shard scores
-        with the same ubiquity damping as the single-store pipeline).
-        ``_build_index`` keeps a pinned IDF instead of re-accumulating
-        shard-local frequencies."""
+    def lake_product(self, stats: "LakeStats") -> TfIdfWeights:
+        """The corpus IDF: one document per column of the lake."""
+        idf = TfIdfWeights()
+        for _, table_stats in stats:
+            for column in table_stats.columns:
+                idf.add_document(
+                    table_stats.column(column).text_values(self.config.max_values)
+                )
+        return idf
+
+    def _use_product(self, idf: TfIdfWeights) -> None:
         self._idf = idf
-        self._idf_pinned = True
 
     def _build_index(self, lake: Mapping[str, Table]) -> None:
-        self._tables = {}
-        pinned = getattr(self, "_idf_pinned", False)
-        if not pinned:
-            self._idf = TfIdfWeights()
-        for table_name, table in lake.items():
-            summaries = self._summarize(table)
-            self._tables[table_name] = summaries
-            if pinned:
-                continue
-            for summary in summaries:
-                self._idf.add_document(summary.values)
+        self._tables = {
+            table_name: self._summarize(table) for table_name, table in lake.items()
+        }
         # Candidate pruning by shared values runs on the engine's
         # normalized-value postings; make sure they exist offline.
         self._require_engine().warm(("values",))

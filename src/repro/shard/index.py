@@ -11,18 +11,20 @@ would produce -- byte-identical top-k, pinned by
 
 Two ingredients make the reduction exact rather than approximate:
 
-**Lake-global fit state.**  Two discoverers derive corpus-wide products
-at fit time -- SANTOS synthesizes a knowledge base from the lake and TUS
-accumulates corpus IDF -- so a naive per-shard fit would score with
-shard-local statistics.  :meth:`build` computes those products once over
-the *combined* lake (deterministically: KB synthesis iterates tables in
-sorted order, IDF document frequencies are order-free counts) and
-injects them into every shard's fit via ``adopt_kb`` /
-``adopt_corpus_idf``; the products persist at the lake root
-(``global_fit.pkl``) stamped with the epoch they were computed at.  A
-partial refit after a single-shard ingest deliberately *reuses* the
-pinned state so all shards stay mutually consistent (the documented
-drift caveat: rebuild to refresh corpus statistics).
+**Lake-global fit state.**  A discoverer may declare a product of the
+whole lake (:meth:`Discoverer.lake_product
+<repro.discovery.base.Discoverer.lake_product>`: SANTOS's synthesized
+KB, TUS's corpus IDF), so a naive per-shard fit would score with
+shard-local statistics.  :meth:`build` asks every roster member for its
+product once, over the *combined* lake's stats, and persists the ones
+that exist at the lake root (``global_fit.pkl``, stamped with the epoch
+they were computed at); each shard's fit is handed them through
+:meth:`Discoverer.adopt <repro.discovery.base.Discoverer.adopt>` (see
+:func:`repro.shard.worker.adapted_roster`).  No discoverer is known
+here by name.  A partial refit after a single-shard ingest
+deliberately *reuses* the pinned products so all shards stay mutually
+consistent (the documented drift caveat: rebuild to refresh corpus
+statistics).
 
 **Deferred retrieval policy.**  Shard engines run with
 ``defer_policy = True``: retrieval reports its evidence (counts,
@@ -73,7 +75,6 @@ fitting worker is supervised the same way (see ``_fit_in_workers``).
 
 from __future__ import annotations
 
-import copy
 import os
 import threading
 import time
@@ -221,8 +222,7 @@ class _LastSearch(threading.local):
 class ShardedLakeIndex:
     """Per-shard engines + rosters behind the :class:`LakeIndex` surface
     (``search`` / ``search_merged`` / ``retrieval_reports`` /
-    ``set_candidate_budget`` / ``build_seconds`` / ``fitted`` /
-    ``health`` / ``close``)."""
+    ``set_candidate_budget`` / ``fitted`` / ``health`` / ``close``)."""
 
     def __init__(
         self,
@@ -236,7 +236,6 @@ class ShardedLakeIndex:
         self._roster_names: list[str] = (
             [d.name for d in self._prototypes] if self._prototypes is not None else []
         )
-        self._build_seconds: dict[str, float] = {}
         self._fitted: dict[str, float] = {}
         self._shard_versions: list[int] = []
         self._last = _LastSearch()
@@ -268,15 +267,10 @@ class ShardedLakeIndex:
         return list(self._prototypes or ())
 
     @property
-    def build_seconds(self) -> dict[str, float]:
-        """Per-discoverer fit wall time, summed across shards (the
-        sequential cost of the build)."""
-        return dict(self._build_seconds)
-
-    @property
     def fitted(self) -> dict[str, float]:
         """Fit seconds of everything this index's shards had to fit,
-        summed per discoverer (empty when every shard only hydrated)."""
+        summed per discoverer (the sequential cost; empty when every
+        shard only hydrated)."""
         return dict(self._fitted)
 
     def set_candidate_budget(self, budget: int | None) -> "ShardedLakeIndex":
@@ -349,42 +343,20 @@ class ShardedLakeIndex:
     # ------------------------------------------------------------------
     # Lake-global fit state (see the module docstring)
     # ------------------------------------------------------------------
-    def _compute_fit_state(self) -> dict[str, Any]:
-        assert self._prototypes is not None
-        lake = self._store.lake()
-        state: dict[str, Any] = {"kb": {}, "idf": {}}
-        for proto in self._prototypes:
-            if hasattr(proto, "adopt_kb") and getattr(
-                proto.config, "synthesize_kb", False
-            ):
-                kb = copy.deepcopy(proto.kb)
-                kb.synthesize_from_tables(
-                    lake, min_jaccard=proto.config.synth_min_jaccard
-                )
-                state["kb"][proto.name] = kb
-            if hasattr(proto, "adopt_corpus_idf"):
-                from ..text.tfidf import TfIdfWeights
-
-                idf = TfIdfWeights()
-                max_values = proto.config.max_values
-                stats = lake.stats
-                # One document per column, exactly the token sets the
-                # discoverer's summaries consume; document-frequency
-                # counts are order-free, so any iteration order yields
-                # the same weights as the unsharded accumulation.
-                for table_name in self._store.table_names:
-                    table_stats = stats.table(table_name)
-                    for column in table_stats.columns:
-                        idf.add_document(
-                            table_stats.column(column).text_values(max_values)
-                        )
-                state["idf"][proto.name] = idf
-        return state
-
     def _ensure_fit_state(self) -> None:
-        # A worker about to fit reads it from the lake root.
-        if not self._store.has_fit_state():
-            self._store.save_fit_state(self._compute_fit_state())
+        """Persist every roster member's lake product over the combined
+        lake, unless persisted already; a worker about to fit reads them
+        from the lake root.  Reads hydrated stats only, never cells."""
+        assert self._prototypes is not None
+        if self._store.has_fit_state():
+            return
+        stats = self._store.lake().stats
+        products: dict[str, Any] = {}
+        for proto in self._prototypes:
+            product = proto.lake_product(stats)
+            if product is not None:
+                products[proto.name] = product
+        self._store.save_fit_state(products)
 
     # ------------------------------------------------------------------
     # Build / hydrate
@@ -444,7 +416,6 @@ class ShardedLakeIndex:
     def _hydrate(self, previous: "ShardedLakeIndex | None" = None) -> None:
         store = self._store
         donor = previous if self._reusable(previous) else None
-        self._build_seconds = dict(store.index_build_seconds())
         self._shard_versions = store.shard_versions()
         roster_names: list[str] = list(self._roster_names)
         if not roster_names:
@@ -504,11 +475,6 @@ class ShardedLakeIndex:
             self._fit_in_workers(pending)
         self._built = True
 
-    def _add_build_seconds(self, fitted: dict[str, float]) -> None:
-        for name, seconds in fitted.items():
-            self._build_seconds[name] = self._build_seconds.get(name, 0.0) + seconds
-            self._fitted[name] = self._fitted.get(name, 0.0) + seconds
-
     def _fit_in_workers(self, shards: list[int]) -> None:
         """Have the workers of *shards* open this index's version at once
         (each fits and persists what its shard lacks) and wait until all
@@ -563,7 +529,8 @@ class ShardedLakeIndex:
                 # The worker committed through its own handle; this one
                 # must know the files it now owns.
                 self._store.shards[i].refresh()
-                self._add_build_seconds(ready["build_seconds"])
+                for name, seconds in ready["fitted"].items():
+                    self._fitted[name] = self._fitted.get(name, 0.0) + seconds
                 metrics.histogram("shard.worker.fit_seconds").observe_seconds(
                     ready["wall_s"]
                 )

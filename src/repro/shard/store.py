@@ -77,13 +77,22 @@ def shard_route(name: str, seed: int, num_shards: int) -> int:
 
 def load_fit_state(root: str | Path) -> dict[str, Any] | None:
     """:meth:`ShardedLakeStore.load_fit_state` by path (a shard worker
-    holds only its own shard, not the sharded store)."""
+    holds only its own shard, not the sharded store).  A payload written
+    before lake products existed (``{"kb": {...}, "idf": {...}}``: SANTOS
+    KBs and TUS IDFs by discoverer name) reads as the products it held."""
     file = Path(root) / _FIT_STATE_FILE
     if not file.exists():
         return None
     with file.open("rb") as handle:
         payload = pickle.load(handle)
-    return payload if isinstance(payload, dict) else None
+    if not isinstance(payload, dict):
+        return None
+    if "products" not in payload:
+        payload = {
+            "epoch": payload.get("epoch"),
+            "products": {**payload.get("kb", {}), **payload.get("idf", {})},
+        }
+    return payload
 
 
 def open_any_store(path: str | Path, **open_options: Any):
@@ -526,25 +535,16 @@ class ShardedLakeStore:
 
         return ShardedLakeIndex.from_store(self, discoverers, previous=previous)
 
-    def index_build_seconds(self) -> dict[str, float]:
-        """Recorded per-discoverer build time, summed across shards (the
-        sequential cost; a parallel build's wall time is lower)."""
-        merged: dict[str, float] = {}
-        for shard in self._shards:
-            for name, seconds in shard.index_build_seconds().items():
-                merged[name] = merged.get(name, 0.0) + seconds
-        return merged
-
     # ------------------------------------------------------------------
     # Global fit state (lake-wide discoverer products, shared by shards)
     # ------------------------------------------------------------------
-    def save_fit_state(self, payload: dict[str, Any]) -> None:
-        """Persist lake-global fit products (synthesized KB, corpus IDF)
-        pinned to the epoch they were computed at.  Shard fits inject
-        these so every shard scores with lake-wide statistics -- the
-        byte-identity requirement (see :mod:`repro.shard.index`)."""
-        payload = dict(payload)
-        payload["epoch"] = self.lake_version
+    def save_fit_state(self, products: Mapping[str, Any]) -> None:
+        """Persist lake products by discoverer name (SANTOS's synthesized
+        KB, TUS's corpus IDF, any plug-in's), pinned to the epoch they
+        were computed at.  Every shard's fit adopts these, so each scores
+        with lake-wide statistics -- the byte-identity requirement (see
+        :mod:`repro.shard.index`)."""
+        payload = {"epoch": self.lake_version, "products": dict(products)}
         journal.write_bytes_atomic(
             self._path / _FIT_STATE_FILE,
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),

@@ -36,7 +36,12 @@ refit after an ingest, a supervised respawn -- and it is the shard
 store's own :meth:`~repro.store.lakestore.LakeStore.open_index`
 (hydrate, fit the rest, persist what was fitted) under this module's
 span and fault point.  It runs in the shard's own worker, never in the
-driver.
+serving process.  What it fits is :func:`adapted_roster`: unfitted
+clones of the roster's prototypes, each one with a lake product in
+``global_fit.pkl`` (computed once over the combined lake) pinned to it with
+:meth:`Discoverer.adopt <repro.discovery.base.Discoverer.adopt>`, so
+every shard fits with lake-wide statistics; the worker never asks which
+discoverer it holds.
 
 The ``process_worker_*`` functions are the pool entry points.  A worker
 lives as long as the service: its initializer opens the shard at the
@@ -92,19 +97,16 @@ WORKER_EXIT = inject.point("shard.worker.exit")
 def adapted_roster(
     prototypes: Sequence["Discoverer"], state: dict[str, Any] | None
 ) -> list["Discoverer"]:
-    """Unfitted clones of *prototypes* with the lake-global fit products
-    of *state* injected -- what a shard fits (and substitutes persisted
-    indexes into); the prototypes themselves are never fitted."""
-    state = state or {}
+    """Unfitted clones of *prototypes*, each pinned to its lake product in
+    *state* (the :func:`~repro.shard.store.load_fit_state` payload) when
+    it has one -- what a shard fits (and substitutes persisted indexes
+    into); the prototypes themselves are never fitted."""
+    products = (state or {}).get("products", {})
     roster: list["Discoverer"] = []
     for proto in prototypes:
         clone = proto.clone_unfitted()
-        kb = state.get("kb", {}).get(proto.name)
-        if kb is not None and hasattr(clone, "adopt_kb"):
-            clone.adopt_kb(kb)
-        idf = state.get("idf", {}).get(proto.name)
-        if idf is not None and hasattr(clone, "adopt_corpus_idf"):
-            clone.adopt_corpus_idf(idf)
+        if proto.name in products:
+            clone.adopt(products[proto.name])
         roster.append(clone)
     return roster
 
@@ -346,7 +348,7 @@ def process_worker_open(
     indexes[store.lake_version] = index
     metrics.gauge("shard.worker.open_versions").set(len(indexes))
     return {
-        "build_seconds": index.fitted,
+        "fitted": index.fitted,
         "wall_s": time.perf_counter() - start,
         "trace": tracer.to_dict(),
     }

@@ -891,13 +891,11 @@ class LakeStore:
                 index.save_to_store(self)
         return index
 
-    def save_indexes(
-        self,
-        discoverers: Sequence[Discoverer],
-        build_seconds: Mapping[str, float] | None = None,
-    ) -> None:
+    def save_indexes(self, discoverers: Sequence[Discoverer]) -> None:
         """Persist fitted discoverer indexes, pinned to the current
-        ``lake_version`` (a later ingest that changes content drops them)."""
+        ``lake_version`` (a later ingest that changes content drops them).
+        The manifest records what was fitted, never how long it took, so
+        two builds of one lake write the same bytes."""
         entries: dict[str, Any] = {}
         pickles: dict[str, bytes] = {}
         for discoverer in discoverers:
@@ -910,7 +908,6 @@ class LakeStore:
             spec = discoverer.candidate_spec()
             entries[discoverer.name] = {
                 "file": rel,
-                "build_seconds": float((build_seconds or {}).get(discoverer.name, 0.0)),
                 "spec": {
                     "channels": list(spec.channels),
                     "budget": spec.budget,
@@ -955,14 +952,6 @@ class LakeStore:
                 )
             loaded[name] = discoverer
         return loaded
-
-    def index_build_seconds(self) -> dict[str, float]:
-        """Recorded offline build time per persisted discoverer."""
-        info = self._manifest.get("indexes") or {}
-        return {
-            name: entry.get("build_seconds", 0.0)
-            for name, entry in (info.get("discoverers") or {}).items()
-        }
 
     def _invalidate_indexes(self) -> list[str]:
         """Mark persisted indexes stale in the manifest; returns their file

@@ -11,7 +11,10 @@ was fitted, serve it.  Two properties pin that:
   through the same handle or a fresh one;
 * **one artifact** -- what a plain ``open_index`` persists is byte for
   byte what ``LakeIndex(...).build().save_to_store()`` writes (the check
-  ``test_shard_equivalence`` makes for the shard workers).
+  ``test_shard_equivalence`` makes for the shard workers);
+* **a store is a function of its content** -- two builds of the same
+  tables in two directories leave byte-identical trees (nothing
+  wall-clock, such as a fit time, is persisted).
 """
 
 from __future__ import annotations
@@ -21,19 +24,20 @@ from pathlib import Path
 import pytest
 from test_shard_equivalence import _artifact_bytes, make_lake, roster
 
-from repro.datalake import LakeIndex
+from repro.core.pipeline import Dialite
+from repro.datalake import DataLake, LakeIndex
 from repro.shard import ShardedLakeStore, open_any_store
 from repro.store import LakeStore
 
 LAYOUTS = (None, 1, 2, 4)  # None: the plain store
 
 
-def build_store(path: Path, shards: int | None):
+def build_store(path: Path, shards: int | None, lake: DataLake | None = None):
     if shards is None:
         store = LakeStore.create(path)
     else:
         store = ShardedLakeStore.create(path, num_shards=shards)
-    store.ingest(make_lake(seed=23))
+    store.ingest(lake if lake is not None else make_lake(seed=23))
     return store
 
 
@@ -57,7 +61,6 @@ def test_second_open_fits_nothing_and_writes_nothing(tmp_path, shards):
         again = handle.open_index(roster())
         again.close()
         assert again.fitted == {}
-        assert set(again.build_seconds) == set(first.fitted)
         assert tree(store.path) == settled
 
 
@@ -67,6 +70,22 @@ def test_a_new_roster_member_is_the_only_thing_fitted(tmp_path):
     index = store.open_index(roster()[:3])
     assert list(index.fitted) == [roster()[2].name]
     assert store.info()["indexes"] == sorted(d.name for d in roster()[:3])
+
+
+@pytest.mark.parametrize("shards", (None, 3))
+def test_two_builds_of_one_lake_are_byte_identical(tmp_path, shards):
+    tables = [
+        table.with_name(f"s{seed}_{table.name}")
+        for seed in (41, 43, 47)
+        for table in make_lake(seed).values()
+    ][:12]
+    assert len(tables) == 12
+    trees = []
+    for name in ("a", "b"):
+        store = build_store(tmp_path / name, shards, DataLake(tables))
+        Dialite.open(store.path).fit().index.close()
+        trees.append({rel: data for rel, (data, _) in tree(store.path).items()})
+    assert trees[0] == trees[1]
 
 
 def test_plain_artifacts_equal_a_build_and_save(tmp_path):

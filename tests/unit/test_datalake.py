@@ -55,8 +55,8 @@ class TestLakeIndex:
     def test_build_records_timings(self, covid_unionable, covid_joinable):
         lake = DataLake([covid_unionable, covid_joinable])
         index = LakeIndex(lake, [SantosUnionSearch(), JosieJoinSearch()]).build()
-        assert set(index.build_seconds) == {"santos", "josie"}
-        assert all(t >= 0 for t in index.build_seconds.values())
+        assert set(index.fitted) == {"santos", "josie"}
+        assert all(t >= 0 for t in index.fitted.values())
 
     def test_duplicate_discoverer_names_rejected(self, covid_unionable):
         lake = DataLake([covid_unionable])

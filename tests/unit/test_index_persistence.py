@@ -4,6 +4,7 @@ live in a :class:`~repro.store.LakeStore` (``save_to_store`` /
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -56,11 +57,16 @@ class TestPersistence:
         with pytest.raises(StoreError, match="does not contain a Discoverer"):
             LakeIndex.from_store(store.path)
 
-    def test_loaded_index_timings_preserved(self, store):
+    def test_fit_times_are_not_persisted(self, store):
+        """A fit time belongs to the fit (``fitted``, the ``index.fit.*``
+        span), not to the store: the manifest names what was fitted, and
+        an index that only hydrated fitted nothing."""
         index = LakeIndex(store.lake(), [JosieJoinSearch()]).build()
         index.save_to_store(store)
-        loaded = LakeIndex.from_store(store.path)
-        assert loaded.build_seconds == index.build_seconds and set(loaded.build_seconds) == {"josie"}
+        assert set(index.fitted) == {"josie"}
+        manifest = json.loads((store.path / "manifest.json").read_text())
+        assert set(manifest["indexes"]["discoverers"]["josie"]) == {"file", "spec"}
+        assert LakeIndex.from_store(store.path).fitted == {}
 
 
 def city_lake(num_tables: int) -> DataLake:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datalake.stats import lake_stats
 from repro.discovery.kb import KnowledgeBase, seed_knowledge_base
 from repro.table import Table
 
@@ -84,7 +85,9 @@ class TestSynthesis:
         t1 = Table(["c"], [("alpha",), ("beta",), ("gamma",)], name="t1")
         t2 = Table(["k"], [("alpha",), ("beta",), ("delta",)], name="t2")
         t3 = Table(["z"], [("unrelated",), ("tokens",)], name="t3")
-        created = kb.synthesize_from_tables({"t1": t1, "t2": t2, "t3": t3}, min_jaccard=0.4)
+        created = kb.synthesize_from_stats(
+            lake_stats({"t1": t1, "t2": t2, "t3": t3}), min_jaccard=0.4
+        )
         assert created == 1
         types_alpha = kb.types_of("alpha")
         assert any(t.startswith("syn:") for t in types_alpha)
@@ -94,7 +97,7 @@ class TestSynthesis:
         kb = KnowledgeBase()
         t1 = Table(["a", "b"], [("x1", "y1"), ("x2", "y2")], name="t1")
         t2 = Table(["a2", "b2"], [("x1", "y1"), ("x2", "y2")], name="t2")
-        kb.synthesize_from_tables({"t1": t1, "t2": t2}, min_jaccard=0.5)
+        kb.synthesize_from_stats(lake_stats({"t1": t1, "t2": t2}), min_jaccard=0.5)
         type_x = next(iter(kb.types_of("x1")))
         type_y = next(iter(kb.types_of("y1")))
         assert kb.relations_between(type_x, type_y)
@@ -121,8 +124,12 @@ class TestSynthesisReadsStats:
 
     @staticmethod
     def synthesized(tables) -> dict:
+        from repro.datalake import stats as lake_stats_module
+
         kb = KnowledgeBase()
-        created = kb.synthesize_from_tables(tables, min_jaccard=0.3)
+        created = kb.synthesize_from_stats(
+            lake_stats_module.lake_stats(tables), min_jaccard=0.3
+        )
         assert created >= 2
         # dict order carries the syn:<n> numbering
         return {"types": list(kb._types.items()), **vars(kb)}
@@ -148,6 +155,9 @@ class TestSynthesisReadsStats:
 
             def table(self, name):
                 return CellDomains(self.lake, name)
+
+            def __iter__(self):
+                return ((name, self.table(name)) for name in self.lake)
 
             @property
             def columns(self):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import threading
 import time
 
@@ -215,13 +216,12 @@ class TestVersioning:
             service.ingest([Table(["City"], [("Oslo",)], name="cities")])
         reload_span = tracer.root.child("service.reload")
         names = [child.name for child in reload_span.children]
-        roster = service.pipeline.index.build_seconds
+        roster = service.pipeline.index.fitted
         assert set(roster) == {"santos", "lsh_ensemble", "josie"}
         for discoverer in roster:
             assert names.count(f"index.fit.{discoverer}") == 1
         assert names.count("index.hydrate") == 1
         assert reload_span.child("index.hydrate").counters["indexes"] == 0
-        assert service.pipeline.index.fitted.keys() == roster.keys()
 
     def test_foreign_ingest_detected_by_version_poll(self, store_path, service):
         query = covid_query_table()
@@ -261,6 +261,83 @@ class TestVersioning:
         service.ingest([Table(["City"], [("Oslo",)], name="cities")])
         assert not service.discover(query, k=5, query_column="City").cached
         assert service.discover(query, k=5, query_column="City").cached
+
+
+_KB_VOCAB = [
+    "Berlin", "Boston", "Paris", "Tokyo", "Lima",
+    "Pfizer", "Moderna", "Sinovac", "Covaxin", "Sputnik V",
+    "Germany", "Japan", "Peru", "France", "China",
+]
+
+
+def _kb_lake(seed: int) -> list[Table]:
+    """Eight small tables over one city / vaccine / country vocabulary, so
+    SANTOS's synthesized types cluster differently as tables arrive."""
+    rng = random.Random(seed)
+    tables = []
+    for t in range(8):
+        columns = ["Key"] + [f"c{i}" for i in range(rng.randint(1, 3))]
+        rows = [
+            tuple(rng.choice(_KB_VOCAB) for _ in columns)
+            for _ in range(rng.randint(3, 8))
+        ]
+        tables.append(Table(columns, rows, name=f"t{t}"))
+    return tables
+
+
+def _kb_query(seed: int) -> Table:
+    rng = random.Random(seed + 100)
+    rows = [(rng.choice(_KB_VOCAB), rng.choice(_KB_VOCAB)) for _ in range(5)]
+    return Table(["Key", "Other"], rows, name="q")
+
+
+class TestReloadRefitsFromTheSeed:
+    """A reload refits clones of the serving roster.  SANTOS's KB is a
+    product of the lake it is fitted to, so a clone of a fitted SANTOS
+    must synthesize from the seed KB, not on top of the previous
+    version's synthesized types (seeds 5 and 6 of this lake served a
+    different top-5 when it did)."""
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_served_answers_equal_a_fresh_store(self, tmp_path, seed):
+        tables, query = _kb_lake(seed), _kb_query(seed)
+        store = LakeStore.create(tmp_path / "served")
+        store.ingest({t.name: t for t in tables[:6]})
+        options = {"k": 5, "discoverers": ("santos",)}
+        with LakeService(
+            store=tmp_path / "served", workers=1, reload_check_interval=0.0
+        ) as service:
+            service.discover(query, **options)
+            service.ingest([tables[6]])
+            service.ingest([tables[7]])
+            served = service.discover(query, **options)
+        assert served.lake_version == 3
+        fresh = LakeStore.create(tmp_path / "fresh")
+        fresh.ingest({t.name: t for t in tables})
+        oracle = oracle_discover_payload(Dialite.open(fresh.path).fit(), query, **options)
+        assert canonical(served.payload) == canonical(oracle)
+        # What the reload persisted is what the next process serves.
+        reopened = Dialite.open(tmp_path / "served").fit()
+        assert reopened.index.fitted == {}
+        assert canonical(oracle_discover_payload(reopened, query, **options)) == canonical(
+            oracle
+        )
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_an_unfitted_clone_refits_like_a_fresh_instance(self, seed):
+        import pickle
+
+        from repro.discovery import SantosUnionSearch
+
+        tables = _kb_lake(seed)
+        before = {t.name: t for t in tables[:6]}
+        after = {t.name: t for t in tables}
+        serving = SantosUnionSearch().fit(before)
+        refit = serving.clone_unfitted().fit(after)
+        fresh = SantosUnionSearch().fit(after)
+        assert pickle.dumps(refit.kb) == pickle.dumps(fresh.kb)
+        assert refit._annotations == fresh._annotations
+        assert pickle.dumps(refit) == pickle.dumps(fresh)
 
 
 def _wide_tables(tag: int) -> list[Table]:
@@ -1442,13 +1519,13 @@ class TestShardedRouter:
         ) as service:
             with tracing.activate(tracer), tracer.span("test.ingest"):
                 service.ingest([_keyed_table("newcomer", 3)])
-            build_seconds = service.pipeline.index.build_seconds
+            fitted = service.pipeline.index.fitted
         reload_span = tracer.root.child("service.reload")
         fit = reload_span.child("shard.worker.fit")
-        assert fit is not None and fit.counters["fitted"] == len(build_seconds)
+        assert fit is not None and fit.counters["fitted"] == len(fitted)
         names = [child.name for child in fit.children]
         assert "index.hydrate" in names and "shard.worker.persist" in names
-        for discoverer, seconds in build_seconds.items():
+        for discoverer, seconds in fitted.items():
             assert f"index.fit.{discoverer}" in names and seconds > 0.0
         # One worker fitted (the moved shard's); the other three leases
         # were donated by the previous generation.
