@@ -29,6 +29,11 @@ scores the entire lake through its fallback path.  That is the
 pre-refactor full-scan baseline the equivalence property tests and
 ``benchmarks/bench_candidates.py`` compare against.
 
+What a discoverer's fallback floor and budget make of a retrieval is not
+the engine's call: it hands this lake's ranking to
+:func:`~repro.candidates.spec.judge` -- the function a sharded lake's
+reducer calls over the union of its shards -- and records the report.
+
 Concurrent reads (the serving layer's contract)
 -----------------------------------------------
 One engine is shared by every worker thread of a :mod:`repro.service`
@@ -66,7 +71,7 @@ from ..obs import metrics, trace
 from ..sketch.ensemble import LSHEnsemble
 from ..sketch.minhash import MinHasher, MinHashSignature
 from .postings import ColumnRegistry, PostingIndex
-from .spec import CandidateSet, CandidateSpec, RetrievalReport
+from .spec import CandidateSet, CandidateSpec, RetrievalReport, judge, rank
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..datalake.stats import LakeStats
@@ -106,14 +111,6 @@ class CandidateEngine:
         #: Engine-wide kill switch: answer every retrieval with the whole
         #: lake (the full-scan baseline for benchmarks / equivalence tests).
         self.force_exhaustive = False
-        #: Scatter-gather mode (repro.shard): report retrieval evidence
-        #: without applying the fallback floor -- a shard cannot judge the
-        #: floor against its local retrieved count; the reducer owns that
-        #: decision with the global count.  The per-shard budget cap still
-        #: applies (the global top-budget's members within a shard are a
-        #: prefix of the shard's own strength ranking, so a per-shard cap
-        #: at the same budget never drops a globally-kept table).
-        self.defer_policy = False
         #: True when the posting structures were hydrated from a store
         #: artifact instead of built from stats.
         self.loaded_from_store = False
@@ -392,9 +389,9 @@ class CandidateEngine:
         matched: dict[str, float] = {}
         probes = 0
         for namespace, labels in label_queries.items():
-            published = self._labels.get(namespace)
-            if not published:
-                continue
+            # Probes count the query's labels, published or not: a
+            # shard's count is then the whole lake's.
+            published = self._labels.get(namespace, {})
             for label in labels:
                 probes += 1
                 for table in published.get(label, ()):
@@ -410,55 +407,21 @@ class CandidateEngine:
         k: int,
         probes: int,
     ) -> CandidateSet:
-        """The one place budget / fallback-floor / reporting semantics
-        live: every evidence-producing channel funnels through here.
-
-        The floor is judged on the *pre-truncation* retrieved count: the
-        exhaustive fallback exists for sparse retrieval (recall-critical
-        discoverers must still see type-only matches), not to undo an
-        explicit budget -- a budget below the floor caps scoring at the
-        budget, it never inflates back to the whole lake."""
-        ordered = sorted(totals, key=lambda table: (-totals[table], table))
-        retrieved = len(ordered)
-        budget = spec.budget if spec.budget is not None else self.default_budget
-        # Shard mode never falls back locally: the reducer judges the floor
-        # against the global retrieved count and orchestrates a second,
-        # evidence-retained exhaustive round when needed.  The budget cap
-        # is safe per shard -- see the ``defer_policy`` docstring.
-        fallback = not self.defer_policy and retrieved < spec.floor(k)
-        truncated = False
-        if fallback:
-            ordered = list(self.tables())
-        else:
-            truncated = budget is not None and retrieved > budget
-            if truncated:
-                ordered = ordered[:budget]
-        report = RetrievalReport(
-            discoverer=discoverer,
-            channels=spec.channels,
-            probes=probes,
-            retrieved=retrieved,
-            scored=len(ordered),
-            lake_size=len(self._lake),
-            fallback=fallback,
-            truncated=truncated,
+        """Every evidence-producing channel funnels through here: the
+        spec's floor / budget judgement (:func:`~repro.candidates.spec.judge`)
+        over this lake's ranking, recorded."""
+        ranking = rank(totals)
+        tables, report = judge(
+            discoverer, spec, k, self.default_budget, ranking, self._lake, probes
         )
         self._record(report)
-        candidates = CandidateSet(
-            tables=tuple(ordered),
+        return CandidateSet(
+            tables=tables,
             evidence=evidence,
             _lake=self._lake,
-            fallback=fallback,
-            truncated=truncated,
             report=report,
+            ranking=ranking,
         )
-        if self.defer_policy:
-            candidates.context["deferred"] = {
-                "retrieved": retrieved,
-                "floor": spec.floor(k),
-                "totals": dict(totals),
-            }
-        return candidates
 
     def sketch_probe(
         self,

@@ -9,8 +9,15 @@ The engine answers with a :class:`CandidateSet`: the tables the scoring
 phase is allowed to touch, plus per-column evidence the scorer may reuse
 so retrieval work is never repeated.
 
-Budget semantics
-----------------
+The judgement
+-------------
+What a spec's floor and budget make of a retrieval is decided in one
+place, :func:`judge`, a pure function of the spec, ``k``, the budget,
+the retrieved tables ranked by :func:`rank` and the lake's tables.  The
+engine calls it over one lake's evidence; the sharded reducer
+(:mod:`repro.shard.index`) calls it over the union of its shards'
+evidence, so a sharded lake cannot judge differently from a plain one.
+
 ``budget`` caps how many candidate *tables* reach the scoring phase
 (ranked by retrieval evidence, name-tiebroken); ``None`` means unbudgeted
 -- every retrieved candidate is scored, which is what keeps the
@@ -26,17 +33,31 @@ retained).  ``min_candidates_is_k`` ties the floor to the query's ``k``
 is judged on what retrieval *surfaced*, before any budget: a budget
 below the floor caps scoring at the budget rather than snapping back to
 a full-lake scan (budget and fallback never combine).
+
+Two facts make the judgement splittable across disjoint parts of a lake
+(pinned by ``tests/property/test_judgement.py``): the retrieved counts
+of the parts add up to the whole's, and the whole's top-``budget``
+tables inside one part are a prefix of that part's own ranking -- so a
+part that scores its own top-``budget`` never drops a table the whole
+keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Collection, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..table.table import Table
 
-__all__ = ["CandidateSpec", "CandidateSet", "RetrievalReport", "CHANNELS"]
+__all__ = [
+    "CandidateSpec",
+    "CandidateSet",
+    "RetrievalReport",
+    "CHANNELS",
+    "judge",
+    "rank",
+]
 
 #: The retrieval channels the engine understands.  ``labels`` and
 #: ``sketch`` need query-side state only the discoverer can produce
@@ -84,6 +105,11 @@ class CandidateSpec:
         """The effective exhaustive-fallback floor for a top-*k* query."""
         return k if self.min_candidates_is_k else self.min_candidates
 
+    def effective_budget(self, default: int | None) -> int | None:
+        """The budget a retrieval under this spec is judged with: its
+        own, else *default* (the engine-wide ``--candidate-budget``)."""
+        return self.budget if self.budget is not None else default
+
 
 @dataclass(frozen=True)
 class RetrievalReport:
@@ -113,6 +139,52 @@ class RetrievalReport:
         }
 
 
+def rank(totals: Mapping[str, float]) -> dict[str, float]:
+    """*totals* (retrieved table -> evidence strength) in the order every
+    judgement ranks by: ``(-strength, name)``."""
+    return {t: totals[t] for t in sorted(totals, key=lambda t: (-totals[t], t))}
+
+
+def judge(
+    discoverer: str,
+    spec: CandidateSpec,
+    k: int,
+    default_budget: int | None,
+    ranking: Iterable[str],
+    lake: Collection[str],
+    probes: int,
+    retrieved: int | None = None,
+) -> tuple[tuple[str, ...], RetrievalReport]:
+    """The retrieval policy: the tables a top-*k* scorer gets out of
+    *ranking* (the retrieved tables, :func:`rank` order) over *lake* (every
+    table name), and the report of that decision.
+
+    Fewer retrieved tables than ``spec.floor(k)`` and the scorer gets the
+    whole lake (``fallback``); otherwise the budget keeps the top of the
+    ranking (``truncated`` when it drops any).  *probes* counts what the
+    query side probed.  *retrieved* stands in for ``len(ranking)`` when
+    only the count is known -- a sharded lake without a budget ships no
+    rankings -- and the kept tables are then the lake on a fallback and
+    empty otherwise.
+    """
+    ranked = tuple(ranking)
+    count = len(ranked) if retrieved is None else retrieved
+    budget = spec.effective_budget(default_budget)
+    fallback = count < spec.floor(k)
+    truncated = not fallback and budget is not None and count > budget
+    report = RetrievalReport(
+        discoverer=discoverer,
+        channels=spec.channels,
+        probes=probes,
+        retrieved=count,
+        scored=len(lake) if fallback else budget if truncated else count,
+        lake_size=len(lake),
+        fallback=fallback,
+        truncated=truncated,
+    )
+    return (tuple(lake) if fallback else ranked[:budget]), report
+
+
 @dataclass
 class CandidateSet:
     """The retrieval phase's answer: tables to score, evidence to reuse.
@@ -125,7 +197,10 @@ class CandidateSet:
     full-scan baseline the equivalence tests and benchmarks compare
     against.  ``context`` carries retrieval-phase scratch (a query
     annotation, a join-key map) to the scoring phase so nothing is
-    derived twice per query.
+    derived twice per query.  ``ranking`` is what :func:`judge` was
+    handed: every retrieved table with its strength, in :func:`rank`
+    order (``None`` when no judgement ran: an exhaustive scan, an
+    unprobeable query).
 
     :meth:`table` is a scorer's only way to a table's cells: it serves
     the names in ``tables`` from the engine's lake (``_lake``) and
@@ -135,13 +210,30 @@ class CandidateSet:
     tables: tuple[str, ...]
     evidence: dict[str, dict[int, float]] | None
     _lake: Mapping[str, "Table"] = field(repr=False, compare=False)
-    fallback: bool = False
-    truncated: bool = False
     report: RetrievalReport | None = None
     context: dict[str, Any] = field(default_factory=dict)
+    ranking: dict[str, float] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self._table_set = frozenset(self.tables)
+
+    @property
+    def fallback(self) -> bool:
+        return self.report is not None and self.report.fallback
+
+    @property
+    def truncated(self) -> bool:
+        return self.report is not None and self.report.truncated
+
+    def unfloored(self, budget: int | None) -> "CandidateSet":
+        """The top-*budget* of the ranking, evidence kept, where the
+        fallback floor widened this set to the whole lake -- what a shard
+        scores in round one, since only the whole lake's count may trip
+        the floor.  Otherwise (no fallback, or no judgement) this set;
+        the report stays the record of the engine's own judgement."""
+        if self.ranking is None or not self.fallback:
+            return self
+        return replace(self, tables=tuple(self.ranking)[:budget])
 
     def __contains__(self, table: object) -> bool:
         return table in self._table_set

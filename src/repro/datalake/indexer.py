@@ -143,18 +143,23 @@ class LakeIndex:
         """
         if not self._built:
             self.build()
-        chosen = self._discoverers
-        if discoverer_names is not None:
-            by_name = {d.name: d for d in self._discoverers}
-            missing = sorted(set(discoverer_names) - set(by_name))
-            if missing:
-                raise KeyError(f"unknown discoverers: {missing}; have {sorted(by_name)}")
-            chosen = [by_name[name] for name in discoverer_names]
+        chosen = self.select(discoverer_names)
         query.stats.warm()  # one scoped profiling pass, shared by the fan-out
         return {
             discoverer.name: discoverer.search(query, k=k, query_column=query_column)
             for discoverer in chosen
         }
+
+    def select(self, names: Sequence[str] | None = None) -> list[Discoverer]:
+        """The discoverers *names* asks for, in that order (all when
+        None); ``KeyError`` for a name this index does not hold."""
+        if names is None:
+            return list(self._discoverers)
+        by_name = {d.name: d for d in self._discoverers}
+        missing = sorted(set(names) - set(by_name))
+        if missing:
+            raise KeyError(f"unknown discoverers: {missing}; have {sorted(by_name)}")
+        return [by_name[name] for name in names]
 
     def search_merged(
         self,

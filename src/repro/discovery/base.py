@@ -203,6 +203,22 @@ class Discoverer(abc.ABC):
         uses one (SANTOS's intent column, LSH Ensemble / JOSIE's query
         column); algorithms that don't need it may ignore it.
         """
+        return self.ranked(query, k, query_column)[0][:k]
+
+    def ranked(
+        self,
+        query: Table,
+        k: int,
+        query_column: str | None = None,
+        *,
+        floored: bool = True,
+    ) -> tuple[list[DiscoveryResult], CandidateSet]:
+        """Both phases of :meth:`search`, under its spans: every scored
+        result in ``(-score, table_name)`` order, untruncated, and the
+        candidate set they were scored from.  ``floored=False`` scores
+        :meth:`CandidateSet.unfloored <repro.candidates.CandidateSet.unfloored>`
+        instead: a shard's round one, whose floor only the whole lake's
+        count may trip (:mod:`repro.shard.worker`)."""
         if not self._fitted:
             raise RuntimeError(f"discoverer {self.name!r} used before fit()")
         if k <= 0:
@@ -210,12 +226,18 @@ class Discoverer(abc.ABC):
         with trace.span(f"discover.{self.name}", k=k):
             with trace.span("discover.candidates") as candidates_span:
                 candidates = self._candidates(query, k, query_column)
+                if not floored:
+                    candidates = candidates.unfloored(
+                        self.candidate_spec().effective_budget(
+                            self._require_engine().default_budget
+                        )
+                    )
                 candidates_span.add(candidates=len(candidates.tables))
             with trace.span("discover.score") as score_span:
                 results = self._search(query, k, query_column, candidates)
                 score_span.add(results=len(results))
             results.sort(key=lambda r: (-r.score, r.table_name))
-            return results[:k]
+        return results, candidates
 
     def _candidates(
         self, query: Table, k: int, query_column: str | None

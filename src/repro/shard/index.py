@@ -26,17 +26,17 @@ deliberately *reuses* the pinned products so all shards stay mutually
 consistent (the documented drift caveat: rebuild to refresh corpus
 statistics).
 
-**Deferred retrieval policy.**  Shard engines run with
-``defer_policy = True``: retrieval reports its evidence (counts,
-strength totals) without applying the exhaustive-fallback floor, whose
-predicate needs the *lake-wide* retrieved count.  The reducer sums the
-per-shard counts (shards are disjoint), applies the identical floor
-test, and -- when a budget is active -- re-derives the global kept set
-from the union of per-shard strength totals using the engine's own
-``(-strength, name)`` order.  When the floor trips, a second scatter
-runs the evidence-retained exhaustive round on every shard, mirroring
-the unsharded fallback.  See :mod:`repro.shard.worker` for the
-per-shard half and the full byte-identity argument.
+**One retrieval judgement.**  Whether a discoverer's retrieval falls
+back to the whole lake or is cut to its budget is decided by
+:func:`~repro.candidates.spec.judge`, the function every shard's own
+engine calls; the reducer calls it once more over the whole lake -- the
+shards' summed retrieved counts (shards are disjoint) and, under a
+budget, the union of their rankings -- so its report is the one the
+unsharded engine records.  A shard scores its candidates before any
+floor (round one); when the whole lake's count is under the floor, a
+second scatter runs each shard's plain search, which falls back on the
+shard too.  See :mod:`repro.shard.worker` for the per-shard half and
+the full byte-identity argument.
 
 **One executor.**  Every shard, at every shard count, is served by its
 own single-worker process pool -- one process for the life of the
@@ -82,8 +82,10 @@ from collections import deque
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from typing import Any, Sequence
 
+from ..candidates.spec import RetrievalReport, judge, rank
 from ..discovery.base import Discoverer, DiscoveryResult, merge_result_sets
 from ..faults import inject
 from ..obs import metrics, trace
@@ -214,7 +216,7 @@ class _LastSearch(threading.local):
     its own, never a neighbour's."""
 
     def __init__(self) -> None:
-        self.reports: dict[str, dict[str, Any]] = {}
+        self.reports: dict[str, RetrievalReport] = {}
         self.degraded: tuple[int, ...] = ()
         self.critical_cpu_s = 0.0
 
@@ -281,10 +283,10 @@ class ShardedLakeIndex:
         return self
 
     def retrieval_reports(self) -> dict[str, dict[str, Any]]:
-        """The calling thread's last-retrieval summaries, synthesized from
-        the per-shard reports into the global accounting the unsharded engine
-        would have recorded (``discover --explain``)."""
-        return {name: dict(doc) for name, doc in self._last.reports.items()}
+        """The calling thread's last-retrieval summaries: the reducer's
+        judgement over the whole lake, which is what the unsharded engine
+        records (``discover --explain``)."""
+        return {name: report.to_json() for name, report in self._last.reports.items()}
 
     @property
     def last_degraded_shards(self) -> tuple[int, ...]:
@@ -594,28 +596,23 @@ class ShardedLakeIndex:
             self.build()
         if k <= 0:
             raise ValueError("k must be positive")
-        if discoverer_names is not None:
-            names = list(discoverer_names)
-            if self._roster_names:
-                missing = sorted(set(names) - set(self._roster_names))
-                if missing:
-                    raise KeyError(
-                        f"unknown discoverers: {missing}; "
-                        f"have {sorted(self._roster_names)}"
-                    )
-        else:
-            # Ship the roster explicitly: a shard's *persisted* roster may
-            # be wider than this index's (e.g. a pipeline opened with a
-            # subset of the discoverers the store was built with), and the
-            # workers must not widen the answer.
-            names = list(self._roster_names) or None
+        # Ship the roster explicitly: a shard's *persisted* roster may be
+        # wider than this index's (e.g. a pipeline opened with a subset of
+        # the discoverers the store was built with), and the workers must
+        # not widen the answer.  An unknown name is the KeyError of the
+        # workers' LakeIndex.select.
+        names = (
+            list(discoverer_names)
+            if discoverer_names is not None
+            else list(self._roster_names) or None
+        )
         tracer = trace.current_tracer()
         critical_cpu = 0.0
         degraded_all: set[int] = set()
         with trace.span("discover.scatter", shards=self._store.num_shards) as scatter:
             scatter_span = scatter if tracer is not None else None
             answers, walls, cpus, degraded = self._scatter(
-                query, k, query_column, names, "deferred", tracer, scatter_span
+                query, k, query_column, names, 1, tracer, scatter_span
             )
             degraded_all.update(degraded)
             if not answers:
@@ -638,7 +635,7 @@ class ShardedLakeIndex:
             if needs_fallback:
                 fallback_answers, fallback_walls, fallback_cpus, degraded = (
                     self._scatter(
-                        query, k, query_column, needs_fallback, "fallback",
+                        query, k, query_column, needs_fallback, 2,
                         tracer, scatter_span,
                     )
                 )
@@ -693,7 +690,7 @@ class ShardedLakeIndex:
         k: int,
         query_column: str | None,
         names: Sequence[str] | None,
-        round_: str,
+        round_: int,
         tracer,
         scatter_span,
     ) -> tuple[list[dict[str, Any]], list[float], list[float], tuple[int, ...]]:
@@ -796,88 +793,49 @@ class ShardedLakeIndex:
     def _reduce(
         self, name: str, payloads: list[dict[str, Any]], k: int
     ) -> list[DiscoveryResult] | None:
-        """Merge one discoverer's per-shard answers; None means the
-        global retrieved count is under the fallback floor and a second
-        (exhaustive, evidence-retained) scatter must run.
+        """Merge one discoverer's round-one answers; None means the whole
+        lake's retrieved count is under the fallback floor and round two
+        must run.
 
-        Mirrors the unsharded ``CandidateEngine._finalize`` exactly: the
-        floor is judged on the summed pre-cap retrieved count; an active
-        budget keeps the top-budget tables of the *union* strength
-        totals under the engine's ``(-strength, name)`` order (shards
-        are disjoint, so the union is collision-free and equals the
-        global totals); the final ranking is the scorers' shared
-        ``(-score, table_name)`` total order.
+        A retrieval a judgement ran on is judged again by
+        :func:`~repro.candidates.spec.judge` over the whole lake: the
+        summed retrieved count, the union of the shards' rankings (shipped
+        under a budget; shards are disjoint, so it is the lake's) and the
+        query-side probe count any shard reports.  One no judgement ran
+        on (an exhaustive scan, an unprobeable query) sums its shards'
+        counts.  The final ranking is the scorers' shared ``(-score,
+        table_name)`` total order.
         """
         results = [result for payload in payloads for result in payload["results"]]
-        reports = [p["report"] for p in payloads if p.get("report")]
-        lake_size = len(self._store)
-        probes = sum(int(r.get("probes", 0)) for r in reports)
-        channels = list(reports[0]["channels"]) if reports else []
-        if any(p["mode"] == "assemble" for p in payloads):
-            retrieved = sum(int(p["retrieved"]) for p in payloads)
-            floor = max(int(p["floor"]) for p in payloads)
-            if retrieved < floor:
-                # The same predicate _finalize evaluates, on the global
-                # count; round two scores the whole lake per shard.
-                self._last.reports[name] = {
-                    "discoverer": name,
-                    "channels": channels,
-                    "probes": probes,
-                    "retrieved": retrieved,
-                    "scored": lake_size,
-                    "lake_size": lake_size,
-                    "fallback": True,
-                    "truncated": False,
-                    "exhaustive": False,
-                }
-                return None
-            budget = payloads[0]["budget"]
-            truncated = False
-            if budget is not None:
-                union: dict[str, float] = {}
-                for payload in payloads:
-                    union.update(payload.get("totals") or {})
-                if len(union) > budget:
-                    truncated = True
-                    kept = set(
-                        sorted(union, key=lambda t: (-union[t], t))[:budget]
-                    )
-                    results = [r for r in results if r.table_name in kept]
-            self._last.reports[name] = {
-                "discoverer": name,
-                "channels": channels,
-                "probes": probes,
-                "retrieved": retrieved,
-                "scored": budget if truncated else retrieved,
-                "lake_size": lake_size,
-                "fallback": False,
-                "truncated": truncated,
-                "exhaustive": False,
-            }
-        elif any(p["mode"] == "exhaustive" for p in payloads):
-            self._last.reports[name] = {
-                "discoverer": name,
-                "channels": ["exhaustive"],
-                "probes": 0,
-                "retrieved": lake_size,
-                "scored": lake_size,
-                "lake_size": lake_size,
-                "fallback": False,
-                "truncated": False,
-                "exhaustive": True,
-            }
-        else:  # every shard said "empty": unprobeable query, never falls back
-            self._last.reports[name] = {
-                "discoverer": name,
-                "channels": channels,
-                "probes": probes,
-                "retrieved": 0,
-                "scored": 0,
-                "lake_size": lake_size,
-                "fallback": False,
-                "truncated": False,
-                "exhaustive": False,
-            }
+        first = payloads[0]
+        retrieved = sum(payload["report"].retrieved for payload in payloads)
+        if first["spec"] is None:
+            report = replace(
+                first["report"],
+                retrieved=retrieved,
+                scored=retrieved,
+                lake_size=len(self._store),
+            )
+        else:
+            union: dict[str, float] = {}
+            for payload in payloads:
+                union.update(payload["ranking"] or {})
+            kept, report = judge(
+                name,
+                first["spec"],
+                k,
+                self._budget,
+                rank(union),
+                self._store.lake(),
+                first["report"].probes,
+                retrieved,
+            )
+            if report.truncated:
+                keep = set(kept)
+                results = [r for r in results if r.table_name in keep]
+        self._last.reports[name] = report
+        if report.fallback:
+            return None
         results.sort(key=lambda r: (-r.score, r.table_name))
         return results[:k]
 

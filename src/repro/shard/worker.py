@@ -1,13 +1,26 @@
 """Per-shard search execution for scatter-gather discovery.
 
-One shard answers a query by running the normal two-phase search --
-retrieval through its own candidate engine, scoring of retrieved
-candidates only -- but with the engine in ``defer_policy`` mode: the
-shard reports *what it retrieved* (counts, strengths) and scores it,
-while the fallback-floor and budget decisions that depend on lake-wide
-counts move to the reducer (:class:`~repro.shard.index.ShardedLakeIndex`).
+A shard answers a query with its own
+:class:`~repro.datalake.indexer.LakeIndex` -- the plain two-phase search,
+retrieval through the shard's candidate engine and scoring of retrieved
+candidates only -- in at most two rounds.  Judging a retrieval against
+the spec's floor and budget over the *whole* lake is the reducer's
+(:class:`~repro.shard.index.ShardedLakeIndex`): it calls the one
+:func:`~repro.candidates.spec.judge` the shard engines call, over the
+union of the shards' evidence.
 
-Why this preserves byte-identity with the single-store pipeline:
+* **Round one** (:func:`first_round`) scores each discoverer's
+  :meth:`~repro.candidates.CandidateSet.unfloored` candidates -- the
+  top-budget of the shard's ranking, whatever the shard's own floor said
+  -- and ships the results, the shard engine's report and, under a
+  budget, the ranking with its strengths.
+* **Round two** runs only for a discoverer whose whole-lake count is
+  under its floor, and it is the shard's plain :meth:`LakeIndex.search
+  <repro.datalake.indexer.LakeIndex.search>`: a shard's count is at most
+  the lake's, so the shard's own judgement falls back too, to the whole
+  shard with its evidence kept -- the image of the unsharded fallback.
+
+Why the merge is byte-identical to the single-store pipeline:
 
 * every scorer ranks candidates by per-candidate-pure functions of the
   query and the candidate's own column stats, then sorts by the total
@@ -17,18 +30,20 @@ Why this preserves byte-identity with the single-store pipeline:
 * retrieval evidence (posting probes, banded sketch hits with
   size-bucket partitioning, label matches) is per-candidate pure, so a
   shard's evidence is exactly the global evidence restricted to its
-  tables;
-* with a budget, the global kept set is the top-B of the union of
-  per-shard strength totals; its members inside one shard are a prefix
-  of that shard's own strength ranking, so the per-shard cap at the same
-  B (applied by ``defer_policy`` finalize) never drops a kept table --
-  the reducer re-derives the exact global kept set from the reported
-  totals;
-* the exhaustive fallback (TUS's floor) triggers *iff* the summed
-  retrieved count is under the floor -- the same predicate the unsharded
-  ``_finalize`` evaluates -- and round two scores every shard table with
-  retrieval evidence retained, mirroring the unsharded fallback's
-  evidence-retention semantics.
+  tables, and its probe count -- counted on the query side -- is the
+  lake's;
+* the shards are disjoint, so their retrieved counts add up to the
+  lake's and the union of their rankings is the lake's; the lake's
+  top-budget tables inside one shard are a prefix of that shard's own
+  ranking, so round one's cap at the same budget never drops a table
+  the reducer keeps (both pinned by ``tests/property/test_judgement.py``).
+
+A shard's registry counts what its own engine did: ``engine.retrievals``
+every retrieval (round two's too), ``engine.fallbacks`` /
+``engine.truncations`` the shard's own judgement -- a shard under the
+floor counts a fallback in round one, although it scored its unfloored
+candidates.  The lake-wide judgement is the reducer's report
+(``retrieval_reports``), not a counter.
 
 **Fit where the index lives.**  :func:`open_shard_index` is the one
 place a shard's index comes to life -- first build, warm start, the
@@ -48,8 +63,8 @@ lives as long as the service: its initializer opens the shard at the
 pinned version (first start, or a supervised respawn);
 :func:`process_worker_open` opens a later version beside it after an
 ingest, on a :meth:`~repro.store.lakestore.LakeStore.reopen` of the
-handle it already holds, so only what moved is hydrated; a search is
-answered from the index of the version its payload names; and
+handle it already holds, so only what moved is hydrated; each round of
+a search is answered from the index of the version its payload names; and
 :func:`process_worker_drop` lets a version go when the last generation
 serving it has closed.  Queries cross the process boundary as codec
 documents (stored tables carry unpicklable column loaders), and span
@@ -62,7 +77,6 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..faults import inject
@@ -78,8 +92,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "adapted_roster",
     "open_shard_index",
-    "deferred_search",
-    "fallback_search",
+    "first_round",
     "process_worker_init",
     "process_worker_ready",
     "process_worker_open",
@@ -120,7 +133,7 @@ def open_shard_index(
     to be fitted to make it): :meth:`LakeStore.open_index` over the
     adapted roster (``prototypes=None``: the persisted roster, verbatim)
     under this worker's span, with the fault point between fit and
-    persist and the engine's floor/budget policy deferred to the reducer.
+    persist.
     """
     roster = adapted_roster(prototypes, state) if prototypes is not None else None
 
@@ -133,113 +146,34 @@ def open_shard_index(
     with trace.span("shard.worker.fit", shard=store.path.name) as span:
         index = store.open_index(roster, persisting=persisting)
         span.add(fitted=len(index.fitted))
-    index.engine.defer_policy = True
     return index
 
 
-def _chosen(index: "LakeIndex", names: Sequence[str] | None) -> list["Discoverer"]:
-    by_name = {d.name: d for d in index.discoverers}
-    if names is None:
-        return index.discoverers
-    missing = sorted(set(names) - set(by_name))
-    if missing:
-        raise KeyError(f"unknown discoverers: {missing}; have {sorted(by_name)}")
-    return [by_name[name] for name in names]
-
-
-def deferred_search(
+def first_round(
     index: "LakeIndex",
     query: "Table",
     k: int,
     query_column: str | None,
     names: Sequence[str] | None,
 ) -> dict[str, dict[str, Any]]:
-    """Round one on one shard: per-discoverer local results + retrieval
-    accounting, with floor/budget policy deferred to the reducer.
-
-    Per discoverer the payload carries ``mode`` (``assemble`` for
-    evidence-backed retrieval, ``exhaustive`` for all-candidate specs,
-    ``empty`` for unprobeable queries), the local sorted results
-    (truncated to k only when no budget is in play -- under a budget the
-    reducer needs every scored row to filter against the global kept
-    set), the pre-cap ``retrieved`` count and fallback ``floor``, and the
-    full strength ``totals`` when a budget applies.
-    """
-    engine = index.engine
-    engine.defer_policy = True
-    query.stats.warm()
+    """Round one on one shard, per discoverer *names* picks: its results
+    over the unfloored candidates (all of them under a budget, for the
+    reducer to keep the lake's top-budget's; else the top *k*), the shard
+    engine's ``report`` and, when a judgement ran, the ``spec`` and --
+    under a budget -- the ``ranking`` the reducer judges the lake by."""
     out: dict[str, dict[str, Any]] = {}
-    for discoverer in _chosen(index, names):
+    for discoverer in index.select(names):
+        results, candidates = discoverer.ranked(query, k, query_column, floored=False)
         spec = discoverer.candidate_spec()
-        budget = spec.budget if spec.budget is not None else engine.default_budget
-        with trace.span(f"discover.{discoverer.name}", k=k):
-            with trace.span("discover.candidates") as candidates_span:
-                candidates = discoverer._candidates(query, k, query_column)
-                candidates_span.add(candidates=len(candidates.tables))
-            with trace.span("discover.score") as score_span:
-                results = discoverer._search(query, k, query_column, candidates)
-                score_span.add(results=len(results))
-        results.sort(key=lambda r: (-r.score, r.table_name))
-        report = candidates.report.to_json() if candidates.report else None
-        deferred = candidates.context.get("deferred")
-        if deferred is None:
-            exhaustive = candidates.report is not None and candidates.report.exhaustive
-            out[discoverer.name] = {
-                "mode": "exhaustive" if exhaustive else "empty",
-                "results": results[:k],
-                "retrieved": candidates.report.retrieved if candidates.report else 0,
-                "floor": 0,
-                "totals": None,
-                "budget": budget,
-                "report": report,
-            }
-            continue
+        judged = candidates.ranking is not None
+        budget = spec.effective_budget(index.engine.default_budget)
+        budgeted = judged and budget is not None
         out[discoverer.name] = {
-            "mode": "assemble",
-            "results": results if budget is not None else results[:k],
-            "retrieved": deferred["retrieved"],
-            "floor": deferred["floor"],
-            "totals": deferred["totals"] if budget is not None else None,
-            "budget": budget,
-            "report": report,
+            "results": results if budgeted else results[:k],
+            "report": candidates.report,
+            "spec": spec if judged else None,
+            "ranking": candidates.ranking if budgeted else None,
         }
-    return out
-
-
-def fallback_search(
-    index: "LakeIndex",
-    query: "Table",
-    k: int,
-    query_column: str | None,
-    names: Sequence[str],
-) -> dict[str, list]:
-    """Round two on one shard, run only when the reducer found the
-    *global* retrieved count under a discoverer's floor: score every
-    shard table with retrieval evidence retained -- the sharded image of
-    the unsharded ``_finalize`` fallback (which hands the scorer the
-    whole lake plus the evidence it already gathered, *not* the
-    evidence-free ``force_exhaustive`` scan)."""
-    engine = index.engine
-    engine.defer_policy = True
-    query.stats.warm()
-    out: dict[str, list] = {}
-    for discoverer in _chosen(index, names):
-        with trace.span(f"discover.{discoverer.name}", k=k, fallback=1):
-            candidates = discoverer._candidates(query, k, query_column)
-            context = dict(candidates.context)
-            context.pop("deferred", None)
-            expanded = replace(
-                candidates,
-                tables=engine.tables(),
-                fallback=True,
-                truncated=False,
-                context=context,
-            )
-            with trace.span("discover.score") as score_span:
-                results = discoverer._search(query, k, query_column, expanded)
-                score_span.add(results=len(results))
-        results.sort(key=lambda r: (-r.score, r.table_name))
-        out[discoverer.name] = results[:k]
     return out
 
 
@@ -388,14 +322,10 @@ def process_worker_run(payload: dict[str, Any]) -> dict[str, Any]:
     root_counters = {"trace_id": trace_id} if trace_id else {}
     with tracer.activate():
         with tracer.span(payload["label"], **root_counters):
-            if payload.get("round") == "fallback":
-                answer: Any = fallback_search(
-                    index, query, payload["k"], payload["column"], payload["names"]
-                )
-            else:
-                answer = deferred_search(
-                    index, query, payload["k"], payload["column"], payload["names"]
-                )
+            args = (query, payload["k"], payload["column"], payload["names"])
+            answer: Any = (
+                index.search(*args) if payload["round"] == 2 else first_round(index, *args)
+            )
     # cpu_s is this worker's own CPU seconds: unlike wall_s it excludes
     # time spent descheduled while sibling shards share a starved host,
     # so max-over-shards cpu_s is the honest critical-path latency a

@@ -30,6 +30,16 @@ class TfIdfWeights:
         for token in set(tokens):
             self._doc_freq[token] = self._doc_freq.get(token, 0) + 1
 
+    def __getstate__(self) -> dict:
+        # Tokens arrive in set-iteration order, which differs between
+        # equal sets built differently; pickle them sorted, so equal
+        # weights pickle to equal bytes.
+        state = self.__dict__.copy()
+        state["_doc_freq"] = dict(
+            sorted(self._doc_freq.items(), key=lambda item: repr(item[0]))
+        )
+        return state
+
     def idf(self, token: Hashable) -> float:
         """Smooth inverse document frequency of *token*."""
         df = self._doc_freq.get(token, 0)

@@ -1,10 +1,11 @@
 """Sharded scatter-gather vs single-store discovery equivalence.
 
 ISSUE 8 tentpole guarantee: routing a lake across N content-hash
-shards and fanning a query out (deferred retrieval policy + global
-reducer) returns **byte-identical top-k** to the unsharded pipeline,
-for every discoverer and for every retrieval mode the reducer can
-take (assemble, budget truncation, below-floor exhaustive fallback).
+shards and fanning a query out (per-shard scoring + the one retrieval
+judgement, re-run by the reducer over the whole lake) returns
+**byte-identical top-k** to the unsharded pipeline, for every
+discoverer and for every retrieval mode the reducer can take
+(assemble, budget truncation, below-floor exhaustive fallback).
 
 One precondition makes the comparison valid and is part of what the
 test pins: both sides are *fresh builds* over the same lake.
@@ -31,6 +32,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,6 +172,36 @@ def test_budget_truncation_identical(seed):
         for num_shards in (2, 4):
             got = sharded_answer(Path(tmp), lake, query, 5, num_shards, budget=2)
             assert got == expected, f"seed={seed} shards={num_shards} (budget)"
+
+
+@pytest.mark.parametrize("num_shards", [1, 2, 4])
+def test_retrieval_reports_equal_the_unsharded_engine(tmp_path, num_shards):
+    """``discover --explain`` on a sharded store reports, field for field,
+    what the plain engine records -- in the assemble (k=3), fallback
+    (k=10, above every lake's size) and budget (budget=2, k=5) modes.
+    ``probes`` counts the query side: what one engine probed, never a
+    sum over shards."""
+    modes = ((3, None), (10, None), (5, 2))
+    for seed in range(4):
+        lake, query = make_lake(seed), make_query(seed)
+        expected = {}
+        for k, budget in modes:
+            plain = LakeIndex(lake, roster()).set_candidate_budget(budget).build()
+            plain.search(query, k=k, query_column="Key")
+            expected[k, budget] = plain.retrieval_reports()
+        store = ShardedLakeStore.create(tmp_path / f"lake-{seed}", num_shards=num_shards)
+        store.ingest(lake)
+        index = ShardedLakeIndex(store, roster())
+        try:
+            index.build()
+            for k, budget in modes:
+                index.set_candidate_budget(budget)
+                index.search(query, k=k, query_column="Key")
+                assert index.retrieval_reports() == expected[k, budget], (
+                    f"seed={seed} k={k} budget={budget}"
+                )
+        finally:
+            index.close()
 
 
 def test_disjoint_query_identical():

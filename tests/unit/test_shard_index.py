@@ -99,6 +99,24 @@ def test_a_tasks_own_exception_is_the_callers_not_a_worker_death(tmp_path, num_s
         index.close()
 
 
+def test_unknown_discoverer_names_raise_what_the_plain_index_raises(tmp_path):
+    """The roster check is the workers' ``LakeIndex.select``, so a
+    sharded index raises the plain index's ``KeyError``, and no worker
+    dies of it."""
+    names = ["josie", "nope"]
+    with pytest.raises(KeyError) as expected:
+        LakeIndex(make_lake(), roster()).search(QUERY, k=3, discoverer_names=names)
+    index = sharded_index(tmp_path, 2)
+    try:
+        with pytest.raises(KeyError) as raised:
+            index.search(QUERY, k=3, discoverer_names=names)
+        assert str(raised.value) == str(expected.value)
+        assert index.worker_respawns == 0
+        assert answer(index)
+    finally:
+        index.close()
+
+
 def test_a_hung_worker_is_replaced_and_never_waited_on(tmp_path):
     """Shard 0's worker is busy for *hang* seconds; a scatter with a
     short deadline respawns it, retries and answers long before that, and

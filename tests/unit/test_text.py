@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.table.values import MISSING
@@ -176,3 +178,13 @@ class TestTfIdf:
 
     def test_empty_query(self):
         assert TfIdfWeights().weighted_containment(set(), {"a"}) == 0.0
+
+    def test_pickles_independently_of_set_iteration_order(self):
+        # 1 and 9 share a slot of a small set's table, so each set
+        # iterates in its own insertion order.
+        one, other = TfIdfWeights(), TfIdfWeights()
+        one.add_document([1, 9])
+        other.add_document([9, 1])
+        assert list(set([1, 9])) != list(set([9, 1]))
+        assert pickle.dumps(one) == pickle.dumps(other)
+        assert pickle.loads(pickle.dumps(one)).idf(9) == one.idf(9)
