@@ -16,9 +16,6 @@
 #                     byte-identity + zero-staleness asserts, no speed gate (runs in CI)
 #   make obs-smoke    observability overhead smoke: disabled tracing must cost
 #                     <= 8% vs a stubbed-no-op baseline on a warm workload (runs in CI)
-#   make obs-export-smoke  telemetry export round trip: registry snapshot ->
-#                     prometheus text -> parse -> values match; exporter JSONL
-#                     flush + keep-N rotation semantics (runs in CI)
 #   make bench-shard  sharded scatter-gather @20k tables x 4 shards: discover p95
 #                     >= 2.5x vs 1 shard (the whole lake behind one worker; wall
 #                     p95 with >= 4 cores, critical-path CPU p95 on starved
@@ -46,7 +43,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint bench bench-smoke bench-store store-smoke bench-candidates candidates-smoke bench-fd fd-smoke bench-service serve-smoke obs-smoke obs-export-smoke bench-shard shard-smoke bench-chaos chaos-smoke bench-e2e e2e-smoke ci
+.PHONY: test lint bench bench-smoke bench-store store-smoke bench-candidates candidates-smoke bench-fd fd-smoke bench-service serve-smoke obs-smoke bench-shard shard-smoke bench-chaos chaos-smoke bench-e2e e2e-smoke ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -121,13 +118,6 @@ bench-service:
 obs-smoke:
 	$(PYTHON) tools/check_obs_overhead.py
 
-# Telemetry export smoke: a populated registry rendered to Prometheus
-# text and parsed back must match value-for-value (counters, gauges,
-# histogram sums and cumulative buckets); also pins the exporter's JSONL
-# flush envelope and rotate_file's keep-N semantics.
-obs-export-smoke:
-	$(PYTHON) tools/check_obs_export.py
-
 # Sharded-lake smoke: 4-shard scatter-gather answers are asserted
 # identical to the 1-shard lake's (one worker), and a single-table ingest
 # must bump exactly one shard version, through a live service without
@@ -169,4 +159,4 @@ bench-e2e:
 	$(PYTHON) benchmarks/e2e/run.py --out $(E2E_OUT)
 	$(PYTHON) tools/record_e2e.py $(E2E_PARENT) $(E2E_OUT) --pr $(PR)
 
-ci: test bench-smoke store-smoke candidates-smoke fd-smoke serve-smoke obs-smoke obs-export-smoke shard-smoke chaos-smoke e2e-smoke lint
+ci: test bench-smoke store-smoke candidates-smoke fd-smoke serve-smoke obs-smoke shard-smoke chaos-smoke e2e-smoke lint

@@ -384,7 +384,7 @@ def run_suite(
                 canonical(healed["payload"])
                 == oracle[healed["lake_version"]][probe_query.name]
             )
-            probe["service_degraded_count"] = service.stats.degraded
+            probe["service_degraded_count"] = service.stats_snapshot()["degraded"]
             health = client.health()
             probe["health_after"] = health["status"]
             probe["shards_alive"] = all(

@@ -13,10 +13,13 @@ The claims under test (ISSUE 8 acceptance):
    starved host (e.g. a 1-core CI container, where four concurrent
    workers physically cannot beat one) the gate moves to the
    **critical-path p95** -- per query, the max over shards of each
-   worker's *own* CPU seconds (summed across scatter rounds), which is
+   worker's *own* CPU time (summed across scatter rounds), which is
    the latency a one-core-per-shard deployment observes and is immune
-   to siblings being descheduled onto the same core.  Both numbers are
-   always reported.
+   to siblings being descheduled onto the same core.  It is read off
+   each measured search's span tree: the ``cpu_ms`` of the ``shard[i]``
+   roots under ``discover.scatter``, told apart by their ``round``
+   counter.  Both arms are traced alike.  Both numbers are always
+   reported.
 2. **Byte identity.**  Every query's per-discoverer top-k from the
    4-shard scatter-gather is identical -- (table, score, discoverer),
    result for result -- to the 1-shard answer.  This is asserted at
@@ -64,6 +67,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.core.pipeline import Dialite  # noqa: E402
 from repro.datalake import DataLake, seeds  # noqa: E402
 from repro.obs import metrics as obs_metrics  # noqa: E402
+from repro.obs import trace  # noqa: E402
 from repro.obs.export import metrics_document, snapshot_identity  # noqa: E402
 from repro.discovery import (  # noqa: E402
     JosieJoinSearch,
@@ -168,16 +172,29 @@ def comparable(answer) -> dict:
     }
 
 
+def critical_path_seconds(tree: dict) -> float:
+    """A traced search's critical path: per scatter round, the slowest
+    shard's own CPU (the ``cpu_ms`` of its ``shard[i]`` root under
+    ``discover.scatter``, the tree's root), summed over rounds."""
+    assert tree["name"] == "discover.scatter", tree["name"]
+    slowest: dict[int, float] = {}
+    for shard in tree["children"]:
+        if shard["name"].startswith("shard["):
+            round_ = shard["counters"]["round"]
+            slowest[round_] = max(slowest.get(round_, 0.0), shard["cpu_ms"])
+    return sum(slowest.values()) / 1e3
+
+
 def run_queries(index: ShardedLakeIndex, queries: list[Table], repeats: int):
     """(wall latencies, critical-path latencies, last round's answers).
 
     One untimed warm-up round first: process workers hydrate their shard
     index lazily on first use, and both configurations deserve warm
-    caches -- the claim is about steady-state query latency.  Alongside
-    the end-to-end wall clock, each call's critical path (max over
-    shards of the shard worker's own CPU seconds, summed across scatter
-    rounds) is recorded -- the number that matters when the host has
-    fewer cores than shards and the workers merely timeshare.
+    caches -- the claim is about steady-state query latency.  Every
+    measured search is traced, so that alongside the end-to-end wall
+    clock its critical path (:func:`critical_path_seconds`) is read off
+    its span tree -- the number that matters when the host has fewer
+    cores than shards and the workers merely timeshare.
     """
     answers = [comparable(index.search(q, k=K, query_column=COLUMN)) for q in queries]
     latencies: list[float] = []
@@ -185,10 +202,12 @@ def run_queries(index: ShardedLakeIndex, queries: list[Table], repeats: int):
     for _ in range(repeats):
         round_answers = []
         for query in queries:
-            start = time.perf_counter()
-            answer = index.search(query, k=K, query_column=COLUMN)
-            latencies.append(time.perf_counter() - start)
-            critical.append(index.last_critical_cpu_seconds)
+            tracer = trace.Tracer()
+            with trace.activate(tracer):
+                start = time.perf_counter()
+                answer = index.search(query, k=K, query_column=COLUMN)
+                latencies.append(time.perf_counter() - start)
+            critical.append(critical_path_seconds(tracer.to_dict()))
             round_answers.append(comparable(answer))
         if round_answers != answers:
             raise AssertionError("sharded answers changed between repeats")

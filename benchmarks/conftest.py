@@ -1,10 +1,11 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one paper artifact (figure/example) or one
-claim-level experiment from DESIGN.md's index (E1-E11).  Timing comes from
-pytest-benchmark; each bench also prints the paper-style rows it reproduces
-so `pytest benchmarks/ --benchmark-only -s` reads like the evaluation
-section.  EXPERIMENTS.md records paper-vs-measured for all of them.
+claim-level experiment of the paper (abstract in PAPER.md).  Timing comes
+from pytest-benchmark; each bench also prints the paper-style rows it
+reproduces so `pytest benchmarks/ --benchmark-only -s` reads like the
+evaluation section.  A paper-vs-measured scoreboard over them is ROADMAP.md
+open item 8.
 """
 
 from __future__ import annotations

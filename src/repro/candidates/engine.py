@@ -21,8 +21,9 @@ Channels build lazily from :class:`~repro.datalake.stats.LakeStats` --
 derived products only, never raw cells -- and the whole structure
 persists through :meth:`repro.store.LakeStore.save_engine` as a
 ``postings/`` artifact pinned to the lake version, so a warm process
-serves sublinear retrieval with **zero** posting-index rebuild
-(:attr:`build_count` stays 0, the tested observable).
+serves sublinear retrieval with **zero** posting-index rebuild (the
+``engine.build.tokens`` / ``engine.build.values`` counters do not move,
+the tested observable).
 
 ``force_exhaustive`` disables retrieval engine-wide: every discoverer
 scores the entire lake through its fallback path.  That is the
@@ -32,7 +33,12 @@ pre-refactor full-scan baseline the equivalence property tests and
 What a discoverer's fallback floor and budget make of a retrieval is not
 the engine's call: it hands this lake's ranking to
 :func:`~repro.candidates.spec.judge` -- the function a sharded lake's
-reducer calls over the union of its shards -- and records the report.
+reducer calls over the union of its shards -- and returns the report on
+the candidate set.  The engine keeps no ledger of its own: what it
+builds and retrieves is counted in :mod:`repro.obs.metrics` (``engine.*``)
+and on the ambient span, and a search's reports are the ``report`` of
+the candidate sets it scored (:meth:`LakeIndex.retrieval_reports
+<repro.datalake.indexer.LakeIndex.retrieval_reports>`).
 
 Concurrent reads (the serving layer's contract)
 -----------------------------------------------
@@ -42,7 +48,7 @@ warm build.  The audit, structure by structure:
 
 * **Lazy channel construction** is the one structural race: two threads
   racing ``token_postings`` / ``value_postings`` / ``ensemble_for`` would
-  both build (double work, and ``build_count`` would over-count -- the
+  both build (double work, and ``engine.build.*`` would over-count -- the
   tested warm-start observable).  A build lock serializes construction;
   fully-built structures are published by a single attribute store, after
   which reads are lock-free.
@@ -50,11 +56,9 @@ warm build.  The audit, structure by structure:
   immutable-after-build structures -- safe.  (An ensemble sorts a
   partition's band keys on the first query that picks that band width;
   racing first queries sort equal arrays and one assignment wins.)
-* **Accounting** (``_reports`` / ``_query_counts``) is advisory,
-  last-write-wins: single dict stores under the GIL, never structurally
-  torn.  Concurrent explains may interleave reports of different queries;
-  the serving layer therefore treats retrieval accounting as diagnostics
-  and never caches or compares it.
+* **Accounting** is the registry's counters (exact under contention)
+  and each retrieval's own report, returned on its candidate set --
+  nothing shared is written per query.
 * **Shared column stats** memoize idempotently (two racing threads compute
   equal products; one assignment wins) -- duplicated effort at worst, and
   none at all on the hydrated snapshots a warm service actually runs on.
@@ -114,12 +118,6 @@ class CandidateEngine:
         #: True when the posting structures were hydrated from a store
         #: artifact instead of built from stats.
         self.loaded_from_store = False
-        #: How many channel structures were *built* from column stats in
-        #: this process -- a warm start from a persisted artifact keeps
-        #: this at 0 for the hydrated channels.
-        self.build_count = 0
-        self._reports: dict[str, RetrievalReport] = {}
-        self._query_counts: dict[str, int] = {}
         # Serializes lazy channel construction under concurrent queries
         # (see the module docstring's audit); reads of built structures
         # never take it.
@@ -151,7 +149,6 @@ class CandidateEngine:
         if self._value_postings is None:
             with self._build_lock:
                 if self._value_postings is None:
-                    self.build_count += 1
                     metrics.counter("engine.build.values").inc()
                     with trace.span("engine.build", channel="values"):
                         registry = self.registry
@@ -163,7 +160,6 @@ class CandidateEngine:
 
     def _build_token_channel(self) -> None:
         """One pass over the lake's cached token sets: registry + postings."""
-        self.build_count += 1
         metrics.counter("engine.build.tokens").inc()
         with trace.span("engine.build", channel="tokens"):
             self._build_token_channel_inner()
@@ -212,10 +208,11 @@ class CandidateEngine:
                 if ensemble is not None:
                     return ensemble
                 # Stacking (hydrated) signatures is cheap and is not
-                # counted as a posting-index rebuild: build_count tracks
-                # the registry / posting channels the store artifact
-                # replaces.  Built fully before publication, so concurrent
-                # readers only ever see a complete ensemble.
+                # counted as a posting-index rebuild: engine.build.tokens
+                # / .values track the registry / posting channels the
+                # store artifact replaces.  Built fully before
+                # publication, so concurrent readers only ever see a
+                # complete ensemble.
                 metrics.counter("engine.build.ensemble").inc()
                 ensemble = LSHEnsemble(num_perm=num_perm, seed=seed)
                 hasher = ensemble.hasher
@@ -545,10 +542,6 @@ class CandidateEngine:
     # Accounting
     # ------------------------------------------------------------------
     def _record(self, report: RetrievalReport) -> None:
-        self._reports[report.discoverer] = report
-        self._query_counts[report.discoverer] = (
-            self._query_counts.get(report.discoverer, 0) + 1
-        )
         # Every retrieval funnels through here (finalize / exhaustive /
         # empty), so this is where process-wide retrieval accounting and
         # per-request span attribution both attach -- once per retrieval,
@@ -570,10 +563,6 @@ class CandidateEngine:
                 scored=report.scored,
                 fallback=int(report.fallback),
             )
-
-    def explain(self) -> dict[str, dict[str, Any]]:
-        """JSON-friendly last-retrieval summary (``discover --explain``)."""
-        return {name: report.to_json() for name, report in self._reports.items()}
 
     def stats(self) -> dict[str, Any]:
         """Size/shape summary of every materialized structure."""
@@ -609,8 +598,6 @@ class CandidateEngine:
             "label_namespaces": self.label_namespaces,
             "default_budget": self.default_budget,
             "loaded_from_store": self.loaded_from_store,
-            "build_count": self.build_count,
-            "queries": dict(self._query_counts),
         }
 
     # ------------------------------------------------------------------
@@ -653,7 +640,7 @@ class CandidateEngine:
         stats: "LakeStats | None" = None,
     ) -> "CandidateEngine":
         """Hydrate an engine from :meth:`to_records` output; the restored
-        channels never rebuild (``build_count`` stays 0 for them)."""
+        channels never rebuild."""
         engine = cls(lake, stats=stats)
         token_records: list[Mapping[str, Any]] = []
         value_records: list[Mapping[str, Any]] = []

@@ -3,7 +3,9 @@
 Figures 2/3 (COVID cases, tables T1-T3) and Figures 7/8 (COVID vaccines,
 tables T4-T6) of the DIALITE paper, including the input missing nulls
 (``±``).  These drive the exactness tests and benchmarks E1-E4 and the
-examples; see EXPERIMENTS.md for the expected outputs.
+examples; the figures they reproduce are the paper's (abstract in
+PAPER.md), and ROADMAP.md open item 8 tracks a paper-vs-measured
+scoreboard over them.
 """
 
 from __future__ import annotations

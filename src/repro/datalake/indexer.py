@@ -18,16 +18,29 @@ pass and D candidate retrievals instead of D full-lake scans.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Any, Mapping, Sequence
 
 from ..candidates.engine import CandidateEngine
+from ..candidates.spec import RetrievalReport
 from ..discovery.base import Discoverer, DiscoveryResult, merge_result_sets
 from ..obs import trace
 from ..table.table import Table
 from .stats import LakeStats
 
 __all__ = ["LakeIndex"]
+
+
+class LastSearch(threading.local):
+    """What the calling thread's previous search reported -- for either
+    index layout.  Searches run concurrently on the serving layer's pool,
+    so a search's outcome is kept per thread: the caller that ran it
+    reads its own, never a neighbour's."""
+
+    def __init__(self) -> None:
+        self.reports: dict[str, RetrievalReport] = {}
+        self.degraded: tuple[int, ...] = ()
 
 
 class LakeIndex:
@@ -43,6 +56,7 @@ class LakeIndex:
         self._fitted: dict[str, float] = {}
         self._built = False
         self._engine: CandidateEngine | None = None
+        self._last = LastSearch()
 
     @property
     def discoverers(self) -> list[Discoverer]:
@@ -139,16 +153,24 @@ class LakeIndex:
 
         The query table is profiled exactly once per fan-out: its column
         stats warm here, and every discoverer's retrieval and scoring
-        phases read the same memoized tokens / values / signatures.
+        phases read the same memoized tokens / values / signatures.  The
+        reports of the candidate sets it scored become this thread's
+        :meth:`retrieval_reports` (a plug-in's own retrieval, with no
+        report, has none).
         """
         if not self._built:
             self.build()
         chosen = self.select(discoverer_names)
         query.stats.warm()  # one scoped profiling pass, shared by the fan-out
-        return {
-            discoverer.name: discoverer.search(query, k=k, query_column=query_column)
-            for discoverer in chosen
-        }
+        found: dict[str, list[DiscoveryResult]] = {}
+        reports: dict[str, RetrievalReport] = {}
+        for discoverer in chosen:
+            results, candidates = discoverer.ranked(query, k, query_column)
+            found[discoverer.name] = results[:k]
+            if candidates.report is not None:
+                reports[discoverer.name] = candidates.report
+        self._last.reports = reports
+        return found
 
     def select(self, names: Sequence[str] | None = None) -> list[Discoverer]:
         """The discoverers *names* asks for, in that order (all when
@@ -173,10 +195,9 @@ class LakeIndex:
         return merge_result_sets(list(per_discoverer.values()))
 
     def retrieval_reports(self) -> dict[str, dict]:
-        """Per-discoverer last-retrieval summaries (``discover --explain``)."""
-        if self._engine is None:
-            return {}
-        return self._engine.explain()
+        """The calling thread's last search, per discoverer: what its
+        retrieval did (``discover --explain``)."""
+        return {name: report.to_json() for name, report in self._last.reports.items()}
 
     # ------------------------------------------------------------------
     # Warm start from a persistent lake store (repro.store)

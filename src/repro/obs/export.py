@@ -7,7 +7,7 @@ memory; this module is the durable edge.  Three pieces:
   JSONL sink in the service tier (trace sink, postmortems, exporter).
 * :func:`prometheus_text` / :func:`parse_prometheus_text` -- render a
   :meth:`MetricsRegistry.snapshot` document in the Prometheus text
-  exposition format (and parse it back, for the CI round-trip smoke).
+  exposition format (and parse it back, for the round-trip tests).
 * :class:`TelemetryExporter` -- a background daemon thread that flushes
   periodic metrics snapshots plus completed span trees to a rotating
   JSONL file.  The hot path only ever does an O(1) deque append
@@ -149,7 +149,7 @@ def parse_prometheus_text(text: str) -> dict:
     ``{name: value}`` for plain samples and
     ``{name: {label_string: value}}`` for labelled ones.
 
-    This is the verifier half of the ``obs-export-smoke`` round trip --
+    This is the verifier half of the Prometheus round-trip tests --
     deliberately strict about the subset this module emits rather than a
     general exposition-format parser.
     """
@@ -213,7 +213,6 @@ class TelemetryExporter:
         self._io_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
-        self.flush_count = 0
 
     # -- hot-path entry ----------------------------------------------------
     def offer_trace(self, tree: dict, summary: "dict | None" = None) -> None:
@@ -293,5 +292,4 @@ class TelemetryExporter:
             rotate_file(self.path, self._max_bytes, self._keep)
             with self.path.open("a", encoding="utf-8") as handle:
                 handle.write(payload)
-        self.flush_count += 1
         return len(documents)

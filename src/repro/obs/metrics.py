@@ -24,8 +24,9 @@ Design constraints, in order:
   what a scatter-gather tier will need.
 
 A module-level default registry carries the library-wide instruments
-(store/engine/kernel); components with private lifecycles (one
-``ServiceStats`` per service) hold their own ``MetricsRegistry``.
+(store/engine/kernel); components with private lifecycles (a
+``LakeService``'s ``service.*`` counters and latency histograms) hold
+their own ``MetricsRegistry``.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from .service import (
     ServiceError,
     ServiceOverloaded,
     ServiceResponse,
-    ServiceStats,
     ServiceUnavailable,
     oracle_discover_payload,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "LakeServer",
     "ServiceClient",
     "ServiceResponse",
-    "ServiceStats",
     "ServiceError",
     "ServiceOverloaded",
     "ServiceUnavailable",

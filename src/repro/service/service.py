@@ -72,7 +72,6 @@ from .cache import Flight, ResultCache, encode_payload
 __all__ = [
     "LakeService",
     "ServiceResponse",
-    "ServiceStats",
     "ServiceError",
     "ServiceOverloaded",
     "ServiceUnavailable",
@@ -132,7 +131,6 @@ class ServiceResponse:
     lake_version: int
     cached: bool
     wire: bytes
-    latency_s: float = 0.0
     #: The request's span tree (:meth:`Tracer.to_dict` shape), attached
     #: only when the caller asked for tracing.
     trace: dict[str, Any] | None = field(default=None, compare=False)
@@ -145,79 +143,25 @@ class ServiceResponse:
         return self._payload
 
 
-class ServiceStats:
-    """Thread-safe serving metrics: hit/miss, rejections, shared
-    executions, reloads, and per-op latency quantiles.  ``batches``
-    counts executions that served more than one caller (single-flight)
-    and ``batched_requests`` the callers they served; the names are the
-    ``stats`` op's historical shape.
-
-    Since the ``repro.obs`` refactor this is a thin view over a private
-    :class:`~repro.obs.metrics.MetricsRegistry` -- counters are shared
-    :class:`Counter` instruments and latencies are fixed-bucket
-    histograms instead of the old 4096-entry reservoirs (bounded memory,
-    mergeable snapshots) -- while :meth:`snapshot` keeps its historical
-    shape exactly.  ``max_ms`` stays exact (histograms track the true
-    max); p50/p95 are bucket-resolution nearest-rank."""
-
-    COUNTER_NAMES = (
-        "requests",
-        "hits",
-        "misses",
-        "errors",
-        "rejected_overload",
-        "rejected_deadline",
-        "batches",
-        "batched_requests",
-        "reloads",
-        "ingests",
-        "degraded",
-    )
-    _LATENCY_PREFIX = "service.latency."
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        for name in self.COUNTER_NAMES:
-            self.registry.counter(f"service.{name}")
-
-    def count(self, counter: str, amount: int = 1) -> None:
-        if counter not in self.COUNTER_NAMES:
-            raise AttributeError(f"unknown service counter {counter!r}")
-        self.registry.counter(f"service.{counter}").inc(amount)
-
-    def observe(self, op: str, seconds: float) -> None:
-        self.registry.histogram(
-            f"{self._LATENCY_PREFIX}{op}"
-        ).observe_seconds(seconds)
-
-    def __getattr__(self, name: str) -> Any:
-        # The pre-registry API exposed the counters as plain attributes
-        # (``stats.requests``); keep that read surface.
-        if name in type(self).COUNTER_NAMES:
-            return self.registry.counter(f"service.{name}").value
-        raise AttributeError(name)
-
-    def snapshot(self, queue_depth: int = 0) -> dict[str, Any]:
-        """A JSON-friendly point-in-time view (the ``stats`` op / CLI)."""
-        latency = {}
-        for name, histogram in self.registry.histograms(
-            self._LATENCY_PREFIX
-        ).items():
-            op = name[len(self._LATENCY_PREFIX):]
-            hist = histogram.snapshot()
-            latency[op] = {
-                "count": hist["count"],
-                "p50_ms": round(hist["p50"], 3),
-                "p95_ms": round(hist["p95"], 3),
-                "max_ms": round(hist["max"], 3),
-            }
-        snapshot: dict[str, Any] = {
-            name: self.registry.counter(f"service.{name}").value
-            for name in self.COUNTER_NAMES
-        }
-        snapshot["queue_depth"] = queue_depth
-        snapshot["latency"] = latency
-        return snapshot
+#: The ``stats`` document's counters, each a ``service.<name>`` counter in
+#: the service's private registry.  ``batches`` counts executions that
+#: served more than one caller (single-flight) and ``batched_requests`` the
+#: callers they served; the names are the document's historical shape.
+_COUNTERS = (
+    "requests",
+    "hits",
+    "misses",
+    "errors",
+    "rejected_overload",
+    "rejected_deadline",
+    "batches",
+    "batched_requests",
+    "reloads",
+    "ingests",
+    "degraded",
+)
+#: Per-op request latency histograms (ms): ``service.latency.<op>``.
+_LATENCY = "service.latency."
 
 
 @dataclass
@@ -289,8 +233,13 @@ class LakeService:
         self.queue_depth = max(1, queue_depth)
         self.reload_check_interval = max(0.0, reload_check_interval)
         self.default_deadline = default_deadline
-        self.stats = ServiceStats()
-        self.cache = ResultCache(cache_capacity, cache_ttl, self.stats.registry)
+        #: This service's instruments: the ``stats`` counters (registered
+        #: here, so ``metrics`` shows them at zero), the per-op latency
+        #: histograms and the cache gauges.
+        self.registry = MetricsRegistry()
+        for name in _COUNTERS:
+            self.registry.counter(f"service.{name}")
+        self.cache = ResultCache(cache_capacity, cache_ttl, self.registry)
         #: JSONL trace sink: when set, *every* request is traced and its
         #: span tree appended as one JSON line (offline analysis),
         #: size-rotated at ``trace_path_max_bytes`` keeping
@@ -363,7 +312,23 @@ class LakeService:
         return self._inflight
 
     def stats_snapshot(self) -> dict[str, Any]:
-        snapshot = self.stats.snapshot(queue_depth=self._inflight)
+        """The ``stats`` document, read off :attr:`registry`: the
+        counters, ``queue_depth`` (requests in flight), per-op latency
+        (count, bucket-resolution nearest-rank p50 / p95, exact max),
+        then the cache, worker and store-layout facts."""
+        snapshot: dict[str, Any] = {
+            name: self.registry.counter(f"service.{name}").value for name in _COUNTERS
+        }
+        snapshot["queue_depth"] = self._inflight
+        snapshot["latency"] = {}
+        for name, histogram in self.registry.histograms(_LATENCY).items():
+            hist = histogram.snapshot()
+            snapshot["latency"][name[len(_LATENCY):]] = {
+                "count": hist["count"],
+                "p50_ms": round(hist["p50"], 3),
+                "p95_ms": round(hist["p95"], 3),
+                "max_ms": round(hist["max"], 3),
+            }
         snapshot["lake_version"] = self.version
         snapshot["cache_entries"] = len(self.cache)
         snapshot["cache_evictions"] = self.cache.evictions
@@ -378,7 +343,9 @@ class LakeService:
         ``health`` wire op): status, the serving lake version and epoch,
         per-shard worker liveness (with last-respawn ages) for sharded
         lakes, which shards (if any) the *last* discover had to serve
-        without, and the SLO monitor's firing objectives.
+        without, ``worker_respawns`` (the ``shard.worker.respawns``
+        counter: every respawn over the process's lifetime, across
+        reloads), and the SLO monitor's firing objectives.
 
         Status precedence: ``closed`` > ``degraded`` (live shard loss,
         or an SLO objective burning at page rate) > ``warn`` (an
@@ -413,7 +380,7 @@ class LakeService:
         self.cache.publish()
         snapshot = obs_metrics.merge_snapshots(
             obs_metrics.global_registry().snapshot(),
-            self.stats.registry.snapshot(),
+            self.registry.snapshot(),
         )
         # Sharded lakes keep per-shard registries inside the worker
         # processes; fold them in so engine retrieval counts
@@ -491,11 +458,13 @@ class LakeService:
         error: BaseException | None = None
         try:
             if tracer is None:
-                response = self._request_inner(op, params, deadline, None)
+                response = self._request_inner(op, params, deadline, None, started)
             else:
                 with tracing.activate(tracer):
                     with tracer.span(f"service.{op}"):
-                        response = self._request_inner(op, params, deadline, tracer)
+                        response = self._request_inner(
+                            op, params, deadline, tracer, started
+                        )
                 if trace:
                     response = replace(response, trace=tracer.to_dict())
             return response
@@ -503,26 +472,29 @@ class LakeService:
             error = exc
             raise
         finally:
+            latency_ms = (time.monotonic() - started) * 1000.0
             tree = tracer.to_dict() if tracer is not None else None
             if tree:
                 self._write_trace(tree)
-            self._observe_request(op, started, response, error, tracer, tree)
+            self._observe_request(op, latency_ms, response, error, tracer, tree)
 
     def _observe_request(
         self,
         op: str,
-        started: float,
+        latency_ms: float,
         response: ServiceResponse | None,
         error: BaseException | None,
         tracer: "tracing.Tracer | None",
         tree: dict[str, Any] | None,
     ) -> None:
-        """Feed the telemetry plane with one finished request: the
-        flight-recorder ring (postmortem on trip), the SLO windows, and
-        the exporter's trace queue.  Never raises -- telemetry must not
-        change a request's outcome."""
+        """Feed the telemetry plane with one finished request: the op's
+        latency histogram (successes only), the flight-recorder ring
+        (postmortem on trip), the SLO windows, and the exporter's trace
+        queue.  Never raises -- telemetry must not change a request's
+        outcome."""
         try:
-            latency_ms = (time.monotonic() - started) * 1000.0
+            if response is not None:
+                self.registry.histogram(f"{_LATENCY}{op}").observe_ms(latency_ms)
             degraded: list = []
             # Degraded payloads are never cached, so only a computed
             # response (which still holds its dict) can carry the field;
@@ -561,6 +533,7 @@ class LakeService:
         params: dict[str, Any] | None,
         deadline: float | None,
         tracer: "tracing.Tracer | None",
+        started: float,
     ) -> ServiceResponse:
         if self._closed:
             raise ServiceClosed("service is closed")
@@ -569,8 +542,7 @@ class LakeService:
                 f"unknown op {op!r}; available: {sorted(self._handlers)}"
             )
         params = dict(params or {})
-        started = time.monotonic()
-        self.stats.count("requests")
+        self.registry.counter("service.requests").inc()
         self.reload_if_stale()
 
         key = self._request_key(op, params)
@@ -580,16 +552,11 @@ class LakeService:
                 wire = self.cache.get(gen.version, key)
                 cache_span.add(hit=int(wire is not None))
             if wire is not None:
-                self.stats.count("hits")
-                self.stats.observe(op, time.monotonic() - started)
+                self.registry.counter("service.hits").inc()
                 return ServiceResponse(
-                    op=op,
-                    lake_version=gen.version,
-                    cached=True,
-                    wire=wire,
-                    latency_s=time.monotonic() - started,
+                    op=op, lake_version=gen.version, cached=True, wire=wire
                 )
-        self.stats.count("misses")
+        self.registry.counter("service.misses").inc()
 
         if deadline is None:
             deadline = self.default_deadline
@@ -610,15 +577,14 @@ class LakeService:
         if not landed:
             # This caller gives up; the flight goes on for the others.
             self.cache.leave(flight)
-            self.stats.count("rejected_deadline")
+            self.registry.counter("service.rejected_deadline").inc()
             raise DeadlineExceeded(
                 f"{op} deadline of {deadline:.3f}s lapsed before completion"
             )
         if flight.error is not None:
             if not isinstance(flight.error, (DeadlineExceeded, ServiceClosed)):
-                self.stats.count("errors")
+                self.registry.counter("service.errors").inc()
             raise flight.error
-        self.stats.observe(op, time.monotonic() - started)
         return flight.outcome
 
     # Typed conveniences ------------------------------------------------
@@ -711,7 +677,7 @@ class LakeService:
         with self._reload_lock:
             writer = self._gen.store.reopen()
             report = writer.ingest(delta, prune=False)
-        self.stats.count("ingests")
+        self.registry.counter("service.ingests").inc()
         self.reload_if_stale(force=True)
         return {
             "added": list(report.added),
@@ -754,7 +720,7 @@ class LakeService:
                 self._gen = self._build_generation(gen)
                 reload_span.add(to_version=self._gen.version)
             self._epoch += 1
-            self.stats.count("reloads")
+            self.registry.counter("service.reloads").inc()
             return True
         finally:
             self._reload_lock.release()
@@ -795,7 +761,7 @@ class LakeService:
             if self._closed:
                 raise ServiceClosed("service is closed")
             if self._inflight >= self.queue_depth:
-                self.stats.count("rejected_overload")
+                self.registry.counter("service.rejected_overload").inc()
                 raise ServiceOverloaded(
                     f"{self._inflight} requests in flight (queue depth "
                     f"{self.queue_depth}); retry later",
@@ -879,8 +845,8 @@ class LakeService:
             error = exc
         carried = self._land(flight, response, error, wire)
         if carried > 1:
-            self.stats.count("batches")
-            self.stats.count("batched_requests", carried)
+            self.registry.counter("service.batches").inc()
+            self.registry.counter("service.batched_requests").inc(carried)
 
     def _execute(
         self, flight: Flight, op: str, params: dict[str, Any], gen: _Generation
@@ -906,7 +872,7 @@ class LakeService:
         payload = self._handlers[op](gen, params)
         degraded = isinstance(payload, dict) and payload.get("degraded_shards")
         if degraded:
-            self.stats.count("degraded")
+            self.registry.counter("service.degraded").inc()
         wire = encode_payload(payload)
         response = ServiceResponse(
             op=op, lake_version=gen.version, cached=False, wire=wire, _payload=payload

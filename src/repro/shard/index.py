@@ -68,9 +68,14 @@ annotates the payload and skips its result cache).  Only when every
 shard fails does the search raise.  An exception raised *by* a task (an
 unknown query column, say) reaches the caller unchanged, as it would
 from a plain :class:`~repro.datalake.indexer.LakeIndex`.  Respawns and
-degraded scatters are counted in ``repro.obs`` metrics
-(``shard.worker.respawns``, ``shard.scatter.degraded``).  The wait for a
-fitting worker is supervised the same way (see ``_fit_in_workers``).
+degraded scatters are counted in ``repro.obs`` metrics, and only there
+(``shard.worker.respawns``, ``shard.scatter.degraded``):
+:attr:`worker_respawns` and ``health()`` read the respawn counter, so it
+counts over the process's lifetime, across reloads.  A shard's time is
+read off the root of the span tree its worker ships back with every
+answer (``wall_ms`` for the scatter skew, ``cpu_ms`` for a critical
+path).  The wait for a fitting worker is supervised the same way (see
+``_fit_in_workers``).
 """
 
 from __future__ import annotations
@@ -86,6 +91,7 @@ from dataclasses import replace
 from typing import Any, Sequence
 
 from ..candidates.spec import RetrievalReport, judge, rank
+from ..datalake.indexer import LastSearch
 from ..discovery.base import Discoverer, DiscoveryResult, merge_result_sets
 from ..faults import inject
 from ..obs import metrics, trace
@@ -209,18 +215,6 @@ class _PoolLease:
         return pool is not None and not getattr(pool, "_broken", False)
 
 
-class _LastSearch(threading.local):
-    """What the calling thread's previous :meth:`ShardedLakeIndex.search`
-    reported.  Searches run concurrently on the serving layer's pool, so
-    a search's outcome is kept per thread: the caller that ran it reads
-    its own, never a neighbour's."""
-
-    def __init__(self) -> None:
-        self.reports: dict[str, RetrievalReport] = {}
-        self.degraded: tuple[int, ...] = ()
-        self.critical_cpu_s = 0.0
-
-
 class ShardedLakeIndex:
     """Per-shard engines + rosters behind the :class:`LakeIndex` surface
     (``search`` / ``search_merged`` / ``retrieval_reports`` /
@@ -240,7 +234,7 @@ class ShardedLakeIndex:
         )
         self._fitted: dict[str, float] = {}
         self._shard_versions: list[int] = []
-        self._last = _LastSearch()
+        self._last = LastSearch()
         self._built = False
         self._budget: int | None = None
         self._closed = False
@@ -250,7 +244,6 @@ class ShardedLakeIndex:
         self._scatter_timeout = scatter_timeout
         # The most recent search's lost shards, whoever ran it (health()).
         self._health_degraded: tuple[int, ...] = ()
-        self._respawns = 0
         # Monotonic timestamp of each shard's most recent supervised
         # respawn (None = never respawned); surfaced as an *age* through
         # health() so pollers can spot flapping workers.
@@ -298,15 +291,16 @@ class ShardedLakeIndex:
 
     @property
     def worker_respawns(self) -> int:
-        """Shard pools respawned by supervision over this index's life."""
-        return self._respawns
+        """Shard pools respawned by supervision in this process (the
+        ``shard.worker.respawns`` counter: every generation, every reload)."""
+        return metrics.counter("shard.worker.respawns").value
 
     def health(self) -> dict[str, Any]:
         """The index's part of the service ``health`` document: the shards
-        the last search served without, the respawn count, and per-shard
-        liveness.  A lease that was never spawned reports alive -- it
-        will be on first use; a broken one reports dead until supervision
-        respawns it on the next scatter.  ``last_respawn_age_s`` is the
+        the last search served without, the process's respawn count, and
+        per-shard liveness.  A lease that was never spawned reports alive
+        -- it will be on first use; a broken one reports dead until
+        supervision respawns it on the next scatter.  ``last_respawn_age_s`` is the
         seconds since supervision last replaced the shard's pool (None =
         never): a small, repeatedly-resetting age marks a flapping worker
         without any metrics plumbing."""
@@ -330,7 +324,7 @@ class ShardedLakeIndex:
             shards.append(entry)
         return {
             "degraded_shards": list(self._health_degraded),
-            "worker_respawns": self._respawns,
+            "worker_respawns": self.worker_respawns,
             "shards": shards,
         }
 
@@ -508,7 +502,6 @@ class ShardedLakeIndex:
                             shard_worker.process_worker_open,
                             self._shard_versions[i],
                             self._prototypes,
-                            tracer is not None,
                             kill,
                         )
                     except RuntimeError:  # its pool broke since the last scatter
@@ -533,8 +526,8 @@ class ShardedLakeIndex:
                 self._store.shards[i].refresh()
                 for name, seconds in ready["fitted"].items():
                     self._fitted[name] = self._fitted.get(name, 0.0) + seconds
-                metrics.histogram("shard.worker.fit_seconds").observe_seconds(
-                    ready["wall_s"]
+                metrics.histogram("shard.worker.fit_seconds").observe_ms(
+                    ready["trace"]["wall_ms"]
                 )
                 if tracer is not None:
                     tracer.attach_tree(ready["trace"])
@@ -550,7 +543,6 @@ class ShardedLakeIndex:
             str(self._store.shards[i].path),
             self._shard_versions[i],
             self._prototypes,
-            trace.current_tracer() is not None,
             fault_kill,
         )
 
@@ -576,7 +568,6 @@ class ShardedLakeIndex:
                 old.release(self._shard_versions[i], failed=True)
             except Exception:  # noqa: BLE001 - a broken pool may refuse
                 pass
-        self._respawns += 1
         self._last_respawn_at[i] = time.monotonic()
         metrics.counter("shard.worker.respawns").inc()
 
@@ -607,11 +598,11 @@ class ShardedLakeIndex:
             else list(self._roster_names) or None
         )
         tracer = trace.current_tracer()
-        critical_cpu = 0.0
         degraded_all: set[int] = set()
+        reports: dict[str, RetrievalReport] = {}
         with trace.span("discover.scatter", shards=self._store.num_shards) as scatter:
             scatter_span = scatter if tracer is not None else None
-            answers, walls, cpus, degraded = self._scatter(
+            answers, walls, degraded = self._scatter(
                 query, k, query_column, names, 1, tracer, scatter_span
             )
             degraded_all.update(degraded)
@@ -621,23 +612,19 @@ class ShardedLakeIndex:
                     f"(shards {sorted(degraded_all)} dead after respawn + retry)"
                 )
             self._observe_skew(walls, scatter)
-            critical_cpu += max(cpus, default=0.0)
             ordered = names if names is not None else list(answers[0].keys())
             merged: dict[str, list[DiscoveryResult]] = {}
             needs_fallback: list[str] = []
             for name in ordered:
                 payloads = [answer[name] for answer in answers]
-                reduced = self._reduce(name, payloads, k)
+                reports[name], reduced = self._reduce(name, payloads, k)
                 if reduced is None:
                     needs_fallback.append(name)
                 else:
                     merged[name] = reduced
             if needs_fallback:
-                fallback_answers, fallback_walls, fallback_cpus, degraded = (
-                    self._scatter(
-                        query, k, query_column, needs_fallback, 2,
-                        tracer, scatter_span,
-                    )
+                fallback_answers, fallback_walls, degraded = self._scatter(
+                    query, k, query_column, needs_fallback, 2, tracer, scatter_span
                 )
                 degraded_all.update(degraded)
                 if not fallback_answers:
@@ -646,7 +633,6 @@ class ShardedLakeIndex:
                         f"(shards {sorted(degraded_all)} dead after respawn + retry)"
                     )
                 self._observe_skew(fallback_walls, scatter)
-                critical_cpu += max(fallback_cpus, default=0.0)
                 for name in needs_fallback:
                     rows = [
                         result
@@ -655,23 +641,11 @@ class ShardedLakeIndex:
                     ]
                     rows.sort(key=lambda r: (-r.score, r.table_name))
                     merged[name] = rows[:k]
-        self._last.critical_cpu_s = critical_cpu
+        self._last.reports = reports
         self._last.degraded = self._health_degraded = tuple(sorted(degraded_all))
         if degraded_all:
             metrics.counter("shard.scatter.degraded").inc()
         return {name: merged[name] for name in ordered}
-
-    @property
-    def last_critical_cpu_seconds(self) -> float:
-        """The critical path of the calling thread's previous
-        :meth:`search`: per scatter round, the *maximum* over shards of each shard's own CPU seconds, summed
-        across rounds.  This is the per-query latency a deployment with
-        one core per shard would observe -- wall clock measures the same
-        thing on an unloaded host with >= num_shards cores, but on a
-        starved host it also counts time shards spend descheduled while
-        their siblings run (``bench_shard`` gates whichever is honest for
-        the machine it runs on)."""
-        return self._last.critical_cpu_s
 
     def search_merged(
         self,
@@ -693,12 +667,13 @@ class ShardedLakeIndex:
         round_: int,
         tracer,
         scatter_span,
-    ) -> tuple[list[dict[str, Any]], list[float], list[float], tuple[int, ...]]:
+    ) -> tuple[list[dict[str, Any]], list[float], tuple[int, ...]]:
         """Run one round on every shard; returns (per-shard answers,
-        per-shard wall seconds, per-shard own-CPU seconds, degraded shard
-        indexes), answers in shard roster order with degraded shards
-        omitted.  What a worker's task *raises* propagates; only the
-        loss of a worker is supervised (module docstring)."""
+        per-shard wall milliseconds -- off the root of each shard's span
+        tree -- and degraded shard indexes), answers in shard roster order
+        with degraded shards omitted.  What a worker's task *raises*
+        propagates; only the loss of a worker is supervised (module
+        docstring)."""
         num = self._store.num_shards
         document = encode_table(query)
 
@@ -770,17 +745,15 @@ class ShardedLakeIndex:
                 self._respawn_lease(i)
         answers: list[dict[str, Any]] = []
         walls: list[float] = []
-        cpus: list[float] = []
         for i in range(num):
             outcome = results.get(i)
             if outcome is None:
                 continue
             answers.append(outcome["answer"])
-            walls.append(outcome["wall_s"])
-            cpus.append(outcome.get("cpu_s", outcome["wall_s"]))
+            walls.append(outcome["trace"]["wall_ms"])
             if tracer is not None:
                 tracer.attach_tree(outcome["trace"], parent=scatter_span)
-        return answers, walls, cpus, tuple(degraded)
+        return answers, walls, tuple(degraded)
 
     def _observe_skew(self, walls: list[float], scatter_span) -> None:
         if not walls:
@@ -792,10 +765,10 @@ class ShardedLakeIndex:
 
     def _reduce(
         self, name: str, payloads: list[dict[str, Any]], k: int
-    ) -> list[DiscoveryResult] | None:
-        """Merge one discoverer's round-one answers; None means the whole
-        lake's retrieved count is under the fallback floor and round two
-        must run.
+    ) -> tuple[RetrievalReport, list[DiscoveryResult] | None]:
+        """Judge and merge one discoverer's round-one answers: the whole
+        lake's report, and the top *k* -- None when the lake's retrieved
+        count is under the fallback floor and round two must run.
 
         A retrieval a judgement ran on is judged again by
         :func:`~repro.candidates.spec.judge` over the whole lake: the
@@ -833,11 +806,10 @@ class ShardedLakeIndex:
             if report.truncated:
                 keep = set(kept)
                 results = [r for r in results if r.table_name in keep]
-        self._last.reports[name] = report
         if report.fallback:
-            return None
+            return report, None
         results.sort(key=lambda r: (-r.score, r.table_name))
-        return results[:k]
+        return report, results[:k]
 
     # ------------------------------------------------------------------
     # Worker metrics

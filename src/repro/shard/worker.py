@@ -67,16 +67,17 @@ handle it already holds, so only what moved is hydrated; each round of
 a search is answered from the index of the version its payload names; and
 :func:`process_worker_drop` lets a version go when the last generation
 serving it has closed.  Queries cross the process boundary as codec
-documents (stored tables carry unpicklable column loaders), and span
-trees come back as dicts for the driver to graft
-(:meth:`Tracer.attach_tree <repro.obs.trace.Tracer.attach_tree>`).
+documents (stored tables carry unpicklable column loaders).  Every reply
+carries its span tree as a dict, and the tree is the reply's only clock:
+the driver reads ``wall_ms`` / ``cpu_ms`` off its root, and grafts it
+(:meth:`Tracer.attach_tree <repro.obs.trace.Tracer.attach_tree>`) only
+when the request is traced.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Sequence
 
 from ..faults import inject
@@ -191,7 +192,6 @@ def process_worker_init(
     shard_path: str,
     expected_version: int | None = None,
     prototypes: Sequence["Discoverer"] | None = None,
-    traced: bool = False,
     fault_kill: bool = False,
 ) -> None:
     """Pool initializer -- first start and supervised respawn:
@@ -214,9 +214,7 @@ def process_worker_init(
 
     _WORKER["shard_path"] = shard_path
     try:
-        _WORKER["ready"] = process_worker_open(
-            expected_version, prototypes, traced, fault_kill
-        )
+        _WORKER["ready"] = process_worker_open(expected_version, prototypes, fault_kill)
     except StoreError:
         # The pin race, mid-ingest artifact state, or a commit refused
         # because the shard moved on during the fit: the same transition.
@@ -225,15 +223,15 @@ def process_worker_init(
 
 def process_worker_ready(_: Any = None) -> dict[str, Any]:
     """What the initializer did, for a driver that waits for it: fit
-    seconds per discoverer, wall time of the open and, if traced, its span
-    tree (``shard.worker.fit``: hydrate / per-discoverer fit / persist)."""
+    seconds per discoverer (``fitted``) and the open's span tree
+    (``trace``: ``shard.worker.fit`` over hydrate / per-discoverer fit /
+    persist, whose root ``wall_ms`` is the open's time)."""
     return _WORKER["ready"]
 
 
 def process_worker_open(
     version: int | None,
     prototypes: Sequence["Discoverer"] | None = None,
-    traced: bool = False,
     fault_kill: bool = False,
 ) -> dict[str, Any]:
     """:func:`open_shard_index` at the shard's on-disk version, beside
@@ -249,7 +247,7 @@ def process_worker_open(
     shard moved on during the fit) and the worker lives on, still
     serving what it held.
 
-    ``traced`` records the open as a span tree in the reply.
+    The open is always recorded as a span tree, the reply's ``trace``.
     ``fault_kill`` is the driver-consumed half of an armed worker kill:
     it arms this process's own fault plane so the worker dies for real
     between fitting and persisting; a fault inherited through the fork
@@ -261,7 +259,6 @@ def process_worker_open(
     from .store import load_fit_state
 
     tracer = trace.Tracer()
-    start = time.perf_counter()
     held = _WORKER.get("store")
     store = held.reopen() if held is not None else LakeStore.open(_WORKER["shard_path"])
     if version is not None and store.lake_version != version:
@@ -273,7 +270,7 @@ def process_worker_open(
     if fault_kill:
         inject.crash_after(_FIT.name)
     try:
-        with tracer.activate() if traced else nullcontext():
+        with tracer.activate():
             index = open_shard_index(store, prototypes, state)
     except FaultInjected:
         os._exit(17)
@@ -281,11 +278,7 @@ def process_worker_open(
     indexes = _WORKER.setdefault("indexes", {})
     indexes[store.lake_version] = index
     metrics.gauge("shard.worker.open_versions").set(len(indexes))
-    return {
-        "fitted": index.fitted,
-        "wall_s": time.perf_counter() - start,
-        "trace": tracer.to_dict(),
-    }
+    return {"fitted": index.fitted, "trace": tracer.to_dict()}
 
 
 def process_worker_drop(version: int) -> None:
@@ -299,7 +292,12 @@ def process_worker_drop(version: int) -> None:
 def process_worker_run(payload: dict[str, Any]) -> dict[str, Any]:
     """One scatter task: decode the query, run the requested round on the
     warm index of the version the sending generation serves (not the
-    newest one held) under a local tracer, ship results + span tree back."""
+    newest one held) under a local tracer, ship results + span tree back.
+    The tree's root is ``shard[i]``, counters ``round`` (1 or 2) and the
+    adopted ``trace_id``; its ``wall_ms`` / ``cpu_ms`` (this worker
+    thread's own CPU, which excludes time descheduled while sibling
+    shards share a starved host) are the task's retrieval + scoring
+    time -- the driver's scatter skew, ``bench_shard``'s critical path."""
     if payload.get(WORKER_EXIT.name):
         # Injected worker death: die for real, before answering, so the
         # driver observes a genuine BrokenProcessPool -- not an exception
@@ -308,34 +306,24 @@ def process_worker_run(payload: dict[str, Any]) -> dict[str, Any]:
     index = _WORKER["indexes"][payload["version"]]
     index.engine.default_budget = payload.get("budget")
     query = decode_table(payload["query"])
-    # Warm the query profile before the clocks start: it is the same
-    # constant on every shard, and what wall_s / cpu_s report (scatter
-    # skew, bench_shard's critical path) is retrieval + scoring.
+    # Warm the query profile before the root span opens: it is the same
+    # constant on every shard.
     query.stats.warm()
     # Adopt the driver's distributed trace id so this worker's tree
     # grafts into the request's single tree; stamp the root span with it
     # as observable proof of propagation in the merged rendering.
     trace_id = payload.get("trace_id")
     tracer = trace.Tracer(trace_id=trace_id)
-    start = time.perf_counter()
-    start_cpu = time.thread_time()
-    root_counters = {"trace_id": trace_id} if trace_id else {}
+    root_counters = {"round": payload["round"]}
+    if trace_id:
+        root_counters["trace_id"] = trace_id
     with tracer.activate():
         with tracer.span(payload["label"], **root_counters):
             args = (query, payload["k"], payload["column"], payload["names"])
             answer: Any = (
                 index.search(*args) if payload["round"] == 2 else first_round(index, *args)
             )
-    # cpu_s is this worker's own CPU seconds: unlike wall_s it excludes
-    # time spent descheduled while sibling shards share a starved host,
-    # so max-over-shards cpu_s is the honest critical-path latency a
-    # one-core-per-shard deployment would observe.
-    return {
-        "answer": answer,
-        "trace": tracer.to_dict(),
-        "wall_s": time.perf_counter() - start,
-        "cpu_s": time.thread_time() - start_cpu,
-    }
+    return {"answer": answer, "trace": tracer.to_dict()}
 
 
 def process_worker_metrics(_: Any = None) -> dict[str, Any]:

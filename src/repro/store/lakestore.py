@@ -1019,7 +1019,7 @@ class LakeStore:
         """The persisted, *current* candidate engine, hydrated over *lake*
         (the store's lazy lake view by default); None when no artifact was
         saved or the lake has changed since it was built.  A hydrated
-        engine's posting channels never rebuild (``build_count`` stays 0).
+        engine's posting channels never rebuild (``engine.build.*`` stays put).
 
         A sketch artifact that is missing, truncated, garbled or in an
         earlier release's format is skipped: the engine restacks its

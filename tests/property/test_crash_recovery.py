@@ -43,6 +43,7 @@ from repro.store import journal
 from repro.store.lakestore import LakeStore
 from repro.table.table import Table
 
+from deltas import ENGINE_BUILDS, deltas
 from old_store import downgrade_to_v1
 
 
@@ -241,8 +242,9 @@ def test_artifact_saves_crash_at_every_write_point(plain_store, tmp_path):
     assert {f.name for f in (saved / "postings").iterdir()} == {
         "engine.post.jsonl", "engine.sketches.bin"
     }
+    built = deltas(*ENGINE_BUILDS)
     engine = LakeStore.open(saved).load_engine()
-    assert engine.build_count == 0 and len(engine.materialized_ensembles()) == 1
+    assert not any(built().values()) and len(engine.materialized_ensembles()) == 1
 
 
 def test_recovery_is_idempotent(plain_store, tmp_path):

@@ -50,6 +50,7 @@ from repro.shard.worker import adapted_roster
 from repro.store import LakeStore
 from repro.table import MISSING, Table
 
+from deltas import deltas
 from old_store import downgrade_to_v1
 
 SHARD_COUNTS = (1, 2, 4, 7)
@@ -386,6 +387,7 @@ def test_in_place_reopen_equals_cold_workers_at_every_version(seed, edits):
             ) as service:
                 service.discover(query, k=5, query_column="Key")
                 workers = pids(service)
+                respawns = deltas("shard.worker.respawns")
                 for step, (kind, pick) in enumerate(edits):
                     names = ShardedLakeStore.open(root).table_names
                     donor = make_lake(seed + step + 1)
@@ -410,4 +412,4 @@ def test_in_place_reopen_equals_cold_workers_at_every_version(seed, edits):
                         f"seed={seed} shards={num_shards} step={step} {kind}"
                     )
                     assert pids(service) == workers
-                    assert service.pipeline.index.worker_respawns == 0
+                    assert respawns() == {"shard.worker.respawns": 0}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.candidates import (
@@ -12,9 +14,13 @@ from repro.candidates import (
     EngineError,
     PostingIndex,
 )
-from repro.datalake import DataLake
+from repro.core.pipeline import Dialite
+from repro.datalake import DataLake, fixtures
+from repro.shard import ShardedLakeStore
 from repro.store import LakeStore
 from repro.table import Table
+
+from deltas import ENGINE_BUILDS, deltas
 
 
 @pytest.fixture
@@ -188,21 +194,59 @@ class TestLabelChannel:
 
 class TestAccounting:
     def test_reports_and_explain(self, engine, query):
-        engine.retrieve("d1", CandidateSpec(channels=("tokens",)), query, k=5)
-        engine.retrieve("d2", CandidateSpec(), query, k=5)
-        explain = engine.explain()
+        counted = deltas(
+            "engine.retrievals", "engine.channel.tokens", "engine.channel.exhaustive"
+        )
+        d1 = engine.retrieve("d1", CandidateSpec(channels=("tokens",)), query, k=5)
+        d2 = engine.retrieve("d2", CandidateSpec(), query, k=5)
+        explain = {cs.report.discoverer: cs.report.to_json() for cs in (d1, d2)}
         assert explain["d1"]["retrieved"] == 2 and not explain["d1"]["exhaustive"]
         assert explain["d2"]["exhaustive"] and explain["d2"]["scored"] == 3
-        assert engine.stats()["queries"] == {"d1": 1, "d2": 1}
+        assert counted() == {
+            "engine.retrievals": 2,
+            "engine.channel.tokens": 1,
+            "engine.channel.exhaustive": 1,
+        }
 
     def test_stats_reflect_materialized_channels(self, engine, query):
         stats = engine.stats()
         assert stats["token_postings"] is None  # lazy until first probe
+        built = deltas(*ENGINE_BUILDS)
         engine.retrieve("d", CandidateSpec(channels=("tokens",)), query, k=5)
         stats = engine.stats()
         assert stats["token_postings"]["tokens"] > 0
         assert stats["columns"] == 5
-        assert stats["build_count"] == 1
+        assert built() == {"engine.build.tokens": 1, "engine.build.values": 0}
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_a_threads_reports_are_its_own(self, tmp_path, shards):
+        """``retrieval_reports()`` is the calling thread's last search, on
+        either layout: a search another thread runs later does not
+        replace it."""
+        tables = fixtures.covid_integration_set() + fixtures.vaccine_integration_set()
+        if shards is None:
+            index = Dialite(tables).index
+        else:
+            store = ShardedLakeStore.create(tmp_path / "lake", num_shards=shards)
+            store.ingest(DataLake(tables))
+            index = Dialite(store=store).index
+
+        def search(query, names=None):
+            index.search(query, k=2, discoverer_names=names)
+            return index.retrieval_reports()["josie"]
+
+        a, b = ThreadPoolExecutor(max_workers=1), ThreadPoolExecutor(max_workers=1)
+        try:
+            mine = a.submit(search, fixtures.covid_query_table().with_name("qa")).result()
+            theirs = b.submit(
+                search, fixtures.vaccine_integration_set()[0].with_name("qb"), ["josie"]
+            ).result()
+            assert theirs != mine
+            assert a.submit(lambda: index.retrieval_reports()["josie"]).result() == mine
+        finally:
+            a.shutdown()
+            b.shutdown()
+            index.close()
 
 
 class TestCandidateSet:
@@ -216,8 +260,9 @@ class TestEnginePersistence:
     def test_records_round_trip(self, lake, engine, query):
         engine.warm(("tokens", "values"))
         records = [dict(r) for r in engine.to_records(("tokens", "values"))]
+        built = deltas(*ENGINE_BUILDS)
         restored = CandidateEngine.from_records(lake, records)
-        assert restored.loaded_from_store and restored.build_count == 0
+        assert restored.loaded_from_store and not any(built().values())
         assert restored.token_postings.postings == engine.token_postings.postings
         assert restored.value_postings.postings == engine.value_postings.postings
         assert restored.registry.owners == engine.registry.owners
@@ -225,7 +270,7 @@ class TestEnginePersistence:
         a = engine.retrieve("d", spec, query, k=5, query_column="City")
         b = restored.retrieve("d", spec, query, k=5, query_column="City")
         assert a.tables == b.tables and a.evidence == b.evidence
-        assert restored.build_count == 0  # probing hydrated channels rebuilds nothing
+        assert not any(built().values())  # probing hydrated channels rebuilds nothing
 
     def test_store_save_load_and_version_pinning(self, lake, engine, tmp_path):
         store = LakeStore.create(tmp_path / "lake.store")

@@ -55,6 +55,8 @@ from repro.shard import index as shard_index
 from repro.store import LakeStore, lakestore
 from repro.table.table import Table
 
+from deltas import deltas, values
+
 
 @pytest.fixture(autouse=True)
 def _clean_faults():
@@ -291,7 +293,7 @@ class TestSupervision:
     def test_single_kill_is_transparent(self, sharded_service):
         query = fresh_query(3)
         baseline = sharded_service.discover(query, k=5)
-        respawns_before = sharded_service.pipeline.index.worker_respawns
+        respawns = deltas("shard.worker.respawns")
         inject.kill_worker(1, times=1)
         # Fresh content so the cache cannot absorb the scatter.
         survived = sharded_service.discover(fresh_query(4), k=5)
@@ -300,20 +302,21 @@ class TestSupervision:
         assert json.dumps(healthy_again.payload, sort_keys=True) == json.dumps(
             baseline.payload, sort_keys=True
         )
-        assert sharded_service.pipeline.index.worker_respawns > respawns_before
+        assert respawns()["shard.worker.respawns"] > 0
 
     def test_double_kill_degrades_and_never_caches(self, sharded_service):
         query = fresh_query(5)
+        respawns = values("shard.worker.respawns")["shard.worker.respawns"]
         inject.kill_worker(1, times=2)  # original submit AND the retry
         degraded = sharded_service.discover(query, k=5)
         assert degraded.payload["degraded_shards"] == [1]
         assert not degraded.cached
-        assert sharded_service.stats.degraded >= 1
+        assert sharded_service.stats_snapshot()["degraded"] >= 1
 
         health = sharded_service.health_snapshot()
         assert health["status"] == "degraded"
         assert health["degraded_shards"] == [1]
-        assert health["worker_respawns"] >= 2
+        assert health["worker_respawns"] - respawns >= 2
         assert [s["alive"] for s in health["shards"]].count(True) == len(
             health["shards"]
         )
@@ -382,7 +385,7 @@ class TestConcurrentSearchOutcomes:
 
             annotated = [r.payload.get("degraded_shards") for r in responses]
             assert sorted(annotated, key=bool) == [None, [1]]
-            assert service.stats.degraded == 1
+            assert service.stats_snapshot()["degraded"] == 1
             for query, lost in zip(queries, annotated):
                 again = service.discover(query, k=5)
                 # "Degraded is never cached": only the whole answer was kept.
@@ -447,9 +450,10 @@ class TestWorkerFitSupervision:
     def test_one_death_between_fit_and_persist_is_retried(self, service):
         home = service._gen.store.shard_of("newcomer")
         inject.kill_worker(home, times=1)
+        respawns = deltas("shard.worker.respawns")
         service.ingest([self.newcomer()])
         # The replacement fitted and persisted before the ack.
-        assert service.pipeline.index.worker_respawns == 1
+        assert respawns() == {"shard.worker.respawns": 1}
         assert all(_indexes_current(service.store_path))
         answer = service.discover(fresh_query(3), k=5)
         assert "degraded_shards" not in answer.payload
@@ -466,9 +470,10 @@ class TestWorkerFitSupervision:
         pids = [lease.submit(os.getpid).result(timeout=30) for lease in index._leases]
         home = service._gen.store.shard_of("newcomer")
         inject.kill_worker(home, times=1)
+        respawns = deltas("shard.worker.respawns")
         report = service.ingest([self.newcomer()])
         index = service.pipeline.index
-        assert index.worker_respawns == 1
+        assert respawns() == {"shard.worker.respawns": 1}
         after = [lease.submit(os.getpid).result(timeout=30) for lease in index._leases]
         assert [a == b for a, b in zip(after, pids)] == [
             i != home for i in range(len(pids))
@@ -484,6 +489,19 @@ class TestWorkerFitSupervision:
         )
         assert all(_indexes_current(service.store_path))
         _assert_shards_settled(service.store_path)
+
+    def test_a_respawn_still_counts_after_a_reload(self, service):
+        """``worker_respawns`` is the process's ``shard.worker.respawns``
+        counter, so the generation a reload builds does not start it over
+        -- as it already did not start ``last_respawn_age_s`` over."""
+        respawns = values("shard.worker.respawns")["shard.worker.respawns"]
+        service.discover(fresh_query(1), k=5)  # every worker is up
+        inject.kill_worker(1, times=1)
+        assert "degraded_shards" not in service.discover(fresh_query(2), k=5).payload
+        service.ingest([self.newcomer()])
+        health = service.health_snapshot()
+        assert health["shards"][1]["last_respawn_age_s"] is not None
+        assert health["worker_respawns"] == respawns + 1
 
     def test_two_deaths_leave_the_fit_to_the_first_scatter(self, service):
         home = service._gen.store.shard_of("newcomer")
@@ -507,8 +525,9 @@ class TestWorkerFitSupervision:
         lease = service.pipeline.index._leases[home]
         os.kill(lease.submit(os.getpid).result(timeout=30), signal.SIGKILL)
         inject.crash_after("store.write_index")
+        respawns = deltas("shard.worker.respawns")
         service.ingest([self.newcomer()])
-        assert service.pipeline.index.worker_respawns == 2  # retry, then lazy lease
+        assert respawns() == {"shard.worker.respawns": 2}  # retry, then lazy lease
         degraded = service.discover(fresh_query(3), k=5)
         assert degraded.payload["degraded_shards"] == [home]
         assert not degraded.cached

@@ -38,7 +38,7 @@ from repro.obs.export import (
     rotate_file,
     snapshot_identity,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.obs.recorder import FlightRecorder, trip_reason
 from repro.obs.slo import (
     DEFAULT_OBJECTIVES,
@@ -93,6 +93,27 @@ class TestPrometheusRoundTrip:
         assert buckets['le="10"'] == 2
         assert buckets['le="100"'] == 3
         assert buckets['le="+Inf"'] == 4  # terminal bucket == count
+
+    def test_default_latency_buckets_survive(self):
+        """A latency histogram on the default bounds, filled in ms: every
+        cumulative bucket parses back, ``+Inf`` included."""
+        registry = MetricsRegistry()
+        latency = registry.histogram("service.latency.discover")
+        for ms in (0.4, 3.0, 12.0, 48.0, 950.0):
+            latency.observe_ms(ms)
+        snapshot = registry.snapshot()
+        hist = snapshot["histograms"]["service.latency.discover"]
+        parsed = parse_prometheus_text(prometheus_text(snapshot))
+        assert parsed["repro_service_latency_discover_count"] == 5
+        assert parsed["repro_service_latency_discover_sum"] == pytest.approx(hist["sum"])
+        buckets = parsed["repro_service_latency_discover_bucket"]
+        assert len(buckets) == len(DEFAULT_LATENCY_BUCKETS_MS) + 1
+        cumulative = 0
+        for bound, count in hist["buckets"].items():
+            cumulative += count
+            le = "+Inf" if bound == "+inf" else f"{float(bound):g}"
+            assert buckets[f'le="{le}"'] == cumulative, le
+        assert buckets['le="+Inf"'] == 5
 
     def test_names_sanitised_to_exposition_charset(self):
         registry = MetricsRegistry()

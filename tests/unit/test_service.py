@@ -12,8 +12,8 @@ The load-bearing guarantees pinned here:
 * single-flight -- identical concurrent requests of any cacheable op
   execute exactly once and fan out; distinct ones run side by side;
 * hot-swap reload -- in-process and foreign ingests move the serving
-  version, the swapped-in generation hydrates warm
-  (``engine.build_count == 0``), and in-flight work is never dropped.
+  version, the swapped-in generation hydrates warm (no
+  ``engine.build.*`` counter moves), and in-flight work is never dropped.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.service import (
     ServiceClosed,
     ServiceError,
     ServiceOverloaded,
-    ServiceStats,
     encode_table,
     oracle_discover_payload,
 )
@@ -54,6 +53,8 @@ from repro.service.service import _table_payload
 from repro.shard import ShardedLakeStore, open_any_store
 from repro.store import LakeStore
 from repro.table.table import Table
+
+from deltas import ENGINE_BUILDS, deltas, values
 
 
 def canonical(payload: dict) -> str:
@@ -203,8 +204,9 @@ class TestVersioning:
         info = LakeStore.open(store_path).info()
         assert info["indexes_lake_version"] == info["lake_version"] == 2
         assert info["postings"]["lake_version"] == 2
+        built = deltas(*ENGINE_BUILDS)
         engine = Dialite.open(store_path).index.engine
-        assert engine.build_count == 0 and engine.loaded_from_store
+        assert not any(built().values()) and engine.loaded_from_store
 
     def test_traced_ingest_fits_each_discoverer_once(self, service):
         """The plain reload is one ``open_index``: every roster member is
@@ -473,7 +475,9 @@ class TestWireRepliesAreLayoutBlind:
         "degraded_shards", "worker_respawns", "slo",
     }
     STATS = {
-        *ServiceStats.COUNTER_NAMES,
+        "requests", "hits", "misses", "errors", "rejected_overload",
+        "rejected_deadline", "batches", "batched_requests", "reloads",
+        "ingests", "degraded",
         "queue_depth", "latency", "lake_version", "cache_entries",
         "cache_evictions", "cache_expirations", "workers",
         "segment_format_counts",
@@ -481,6 +485,7 @@ class TestWireRepliesAreLayoutBlind:
 
     @pytest.mark.parametrize("shards", [None, 2])
     def test_keys(self, tmp_path, shards):
+        respawns = values("shard.worker.respawns")["shard.worker.respawns"]
         path = tmp_path / "lake"
         if shards is None:
             store = LakeStore.create(path)
@@ -505,7 +510,9 @@ class TestWireRepliesAreLayoutBlind:
             assert stats["shard_versions"] == [
                 entry["version"] for entry in health["shards"]
             ]
-        assert health["degraded_shards"] == [] and health["worker_respawns"] == 0
+        assert health["degraded_shards"] == []
+        # The process's respawn count, which this test did not move.
+        assert health["worker_respawns"] == (respawns if sharded else 0)
         # What the service fitted to start is what the next process hydrates.
         hydrated = open_any_store(path).open_index()
         hydrated.close()
@@ -669,14 +676,17 @@ class TestSingleFlight:
             ask = lambda: service.integrate(query=query, k=5, query_column="City")  # noqa: E731
             oracle = oracle_integrate_payload(store_path, query, k=5, column="City")
         gated = _Gated(service, op)
+        retrievals = deltas("engine.retrievals")
         leader, joined = self.followers(service, gated, ask, ask, 5)
         gated.gate.set()
         responses = [call.result() for call in (leader, *joined)]
         assert all(canonical(r.payload) == canonical(oracle) for r in responses)
         assert len({r.wire for r in responses}) == 1 and not any(r.cached for r in responses)
         assert gated.calls == 1
-        # The engine's per-discoverer query counters are the ground truth.
-        assert set(service.pipeline.index.engine.stats()["queries"].values()) == {1}
+        # The engine's retrieval counter is the ground truth: each
+        # discoverer of the roster retrieved once.
+        roster = service.pipeline.index.discoverers
+        assert retrievals() == {"engine.retrievals": len(roster)}
         snapshot = service.stats_snapshot()
         assert (snapshot["batches"], snapshot["batched_requests"]) == (1, 6)
         assert (snapshot["misses"], snapshot["hits"]) == (6, 0)
@@ -788,7 +798,7 @@ class TestSingleFlight:
         gated.gate.set()
         for call in (leader, *joined):
             assert call.result().payload["degraded_shards"] == [1]
-        assert gated.calls == 1 and service.stats.degraded == 1
+        assert gated.calls == 1 and service.stats_snapshot()["degraded"] == 1
         assert len(service.cache) == 0
         assert not ask().cached and gated.calls == 2
 
@@ -1368,6 +1378,7 @@ class TestShardedRouter:
     def test_driver_decodes_hydrates_and_fits_nothing(self, sharded_path):
         newcomer = _keyed_table("newcomer", 3)
         reads_before = _driver_store_reads()
+        respawns = deltas("shard.worker.respawns")
         with LakeService(
             store=sharded_path, workers=2, reload_check_interval=0.0
         ) as service:
@@ -1386,7 +1397,7 @@ class TestShardedRouter:
             assert answer.lake_version == report["lake_version"]
             assert "newcomer" in answer.payload["integration_set"]
             assert service.pipeline.lake.loaded_names == []
-            assert service.pipeline.index.worker_respawns == 0
+            assert respawns() == {"shard.worker.respawns": 0}
             served = canonical(answer.payload)
         assert _driver_store_reads() == reads_before
         fresh = Dialite.open(sharded_path).fit()
@@ -1463,6 +1474,7 @@ class TestShardedRouter:
                 for lease in service.pipeline.index._leases
             ]
 
+        respawns = deltas("shard.worker.respawns")
         with LakeService(
             store=sharded_path, workers=2, reload_check_interval=0.0
         ) as service:
@@ -1481,7 +1493,7 @@ class TestShardedRouter:
                 assert served.lake_version == open_any_store(sharded_path).lake_version
                 assert fits.count == fits_before + 1
                 assert pids(service) == workers
-                assert service.pipeline.index.worker_respawns == 0
+                assert respawns() == {"shard.worker.respawns": 0}
                 fresh = Dialite.open(sharded_path).fit()
                 try:
                     assert canonical(served.payload) == canonical(

@@ -32,6 +32,8 @@ from repro.shard import ShardedLakeIndex, ShardedLakeStore
 from repro.shard import worker as shard_worker
 from repro.table import Table
 
+from deltas import deltas
+
 
 def roster():
     return [SantosUnionSearch(), LSHEnsembleJoinSearch(), JosieJoinSearch()]
@@ -62,14 +64,6 @@ def answer(index, column: str = "City"):
     }
 
 
-def supervision_counters() -> dict[str, int]:
-    counters = obs_metrics.global_registry().snapshot()["counters"]
-    return {
-        name: counters.get(name, 0)
-        for name in ("shard.worker.respawns", "shard.scatter.failures")
-    }
-
-
 @pytest.mark.parametrize("num_shards", [2, 4])
 def test_a_tasks_own_exception_is_the_callers_not_a_worker_death(tmp_path, num_shards):
     """An unknown query column is the caller's ``KeyError``, not the
@@ -84,13 +78,12 @@ def test_a_tasks_own_exception_is_the_callers_not_a_worker_death(tmp_path, num_s
     try:
         assert answer(index) == healthy
         workers = {p.pid for p in multiprocessing.active_children()}
-        before = supervision_counters()
+        supervision = deltas("shard.worker.respawns", "shard.scatter.failures")
         with pytest.raises(KeyError) as raised:
             answer(index, "no_such_column")
         assert type(raised.value) is type(expected.value)
         assert str(raised.value) == str(expected.value)
-        assert index.worker_respawns == 0
-        assert supervision_counters() == before
+        assert not any(supervision().values())
         # ... and the workers that raised it serve the next query.
         assert answer(index) == healthy
         assert workers <= {p.pid for p in multiprocessing.active_children()}
@@ -108,10 +101,11 @@ def test_unknown_discoverer_names_raise_what_the_plain_index_raises(tmp_path):
         LakeIndex(make_lake(), roster()).search(QUERY, k=3, discoverer_names=names)
     index = sharded_index(tmp_path, 2)
     try:
+        respawns = deltas("shard.worker.respawns")
         with pytest.raises(KeyError) as raised:
             index.search(QUERY, k=3, discoverer_names=names)
         assert str(raised.value) == str(expected.value)
-        assert index.worker_respawns == 0
+        assert respawns() == {"shard.worker.respawns": 0}
         assert answer(index)
     finally:
         index.close()
@@ -134,9 +128,10 @@ def test_a_hung_worker_is_replaced_and_never_waited_on(tmp_path):
         hung_pid = lease.submit(os.getpid).result(timeout=10)
         lease.submit(time.sleep, hang)
         started = time.monotonic()
+        respawns = deltas("shard.worker.respawns")
         assert answer(second) == healthy
         assert second.last_degraded_shards == ()
-        assert second.worker_respawns == 1
+        assert respawns() == {"shard.worker.respawns": 1}
         first.close()  # drops the last reference to the hung lease
         assert time.monotonic() - started < hang / 3
     finally:
@@ -178,6 +173,7 @@ def test_never_stale_under_the_overlap(tmp_path):
     the old version is dropped when its last generation closes."""
     old = sharded_index(tmp_path, 2)
     new = None
+    respawns = deltas("shard.worker.respawns")
     try:
         before = answer(old)
         pids = worker_pids(old)
@@ -195,7 +191,8 @@ def test_never_stale_under_the_overlap(tmp_path):
         old.close()
         assert open_versions(new._leases[0]) == 1
         assert added.name in {name for name, _ in answer(new)["josie"]}
-        assert worker_pids(new) == pids and new.worker_respawns == 0
+        assert worker_pids(new) == pids
+        assert respawns() == {"shard.worker.respawns": 0}
     finally:
         old.close()
         if new is not None:
@@ -230,6 +227,7 @@ def test_a_forked_copy_of_a_generation_owns_no_pool(tmp_path):
     inherits its generations and may finalize them; that must not reach
     the driver's pools."""
     index = sharded_index(tmp_path, 2)
+    respawns = deltas("shard.worker.respawns")
     try:
         healthy = answer(index)
         context = multiprocessing.get_context("fork")
@@ -244,7 +242,8 @@ def test_a_forked_copy_of_a_generation_owns_no_pool(tmp_path):
         process.start()
         assert receiver.poll(30) and receiver.recv() == [True, True]
         process.join(timeout=30)
-        assert answer(index) == healthy and index.worker_respawns == 0
+        assert answer(index) == healthy
+        assert respawns() == {"shard.worker.respawns": 0}
     finally:
         index.close()
 
@@ -259,9 +258,10 @@ def test_a_reopen_at_a_version_the_shard_left_is_refused_and_the_worker_lives(tm
         stale_handle = ShardedLakeStore.open(tmp_path / "lake")
         added = ingest_into_shard(tmp_path / "lake", 0, "second")
         # Shard 0 is two versions on; the handle asks for the one between.
+        respawns = deltas("shard.worker.respawns")
         late = ShardedLakeIndex.from_store(stale_handle, roster(), previous=old)
         assert late._leases[0] is None and late._leases[1] is old._leases[1]
-        assert late.worker_respawns == 0
+        assert respawns() == {"shard.worker.respawns": 0}
         assert worker_pids(old) == pids and answer(old) == before
         assert open_versions(old._leases[0]) == 1
         # What a lost pin race maps to: that generation serves without
@@ -397,8 +397,9 @@ def test_eight_in_place_refits_do_not_grow_the_worker(tmp_path):
     )
     ShardedLakeIndex(store, roster()).build().close()
     env = dict(os.environ)
+    here = Path(__file__).resolve()
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(repro.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+        [str(Path(repro.__file__).resolve().parents[1]), str(here.parent), str(here.parents[1])]
     )
     done = subprocess.run(
         [sys.executable, "-c", _REFIT_LOOP, str(tmp_path / "lake")],

@@ -25,6 +25,7 @@ from repro.sketch import HyperLogLog, MinHashSignature
 from repro.store import LakeStore, SketchArtifactError
 from repro.store.snapshot import decode_signature_tables, encode_signature_tables
 from repro.table import Table
+from deltas import ENGINE_BUILDS, deltas
 from sketch_oracles import legacy_hll_bytes, legacy_minhash_bytes
 
 SKETCHES = "postings/engine.sketches.bin"
@@ -96,8 +97,10 @@ def test_artifact_holds_one_uint32_matrix_per_ensemble(built):
     assert matrix.shape == (len(keys), 128) and len(sizes) == len(keys)
     # Nothing but the matrix, 12 bytes a row and the framing.
     assert len(payload) == 9 + 28 + len(keys) * (4 + 8 + 128 * 4) + 4
+    built = deltas(*ENGINE_BUILDS)
     engine = store.load_engine()
-    assert engine.build_count == 0 and engine.materialized_ensembles().keys() == tables.keys()
+    assert not any(built().values())
+    assert engine.materialized_ensembles().keys() == tables.keys()
     assert not list(path.rglob("*.sketches.pkl"))
 
 
@@ -129,9 +132,10 @@ def test_load_engine_falls_back_and_answers_do_not_change(built, synth, damage):
         file.unlink()
     else:
         file.write_bytes(pickle.dumps({"not": "a sketch artifact"}))
+    built = deltas(*ENGINE_BUILDS)
     engine = LakeStore.open(path).load_engine()
     assert engine is not None and engine.materialized_ensembles() == {}
-    assert engine.build_count == 0  # postings still hydrate; only sketches restack
+    assert not any(built().values())  # postings still hydrate; only sketches restack
     assert answers(path, synth) == expected
 
 

@@ -31,7 +31,7 @@ sys.setprofile(_hook); threading.setprofile(_hook)
 STAGES = {  # in order; each value is the shell script that is the stage's traffic
     "e2e": "python benchmarks/e2e/run.py --smoke",
     "production-shaped runs": "make bench-smoke store-smoke candidates-smoke fd-smoke serve-smoke"
-    " obs-smoke obs-export-smoke shard-smoke chaos-smoke; for f in examples/*.py; do python $f; done;"
+    " obs-smoke shard-smoke chaos-smoke; for f in examples/*.py; do python $f; done;"
     " python -m pytest -q -p no:cacheprovider --benchmark-only benchmarks/bench_*.py",
     "tests only": "python -m pytest -q -p no:cacheprovider; for f in tools/check_*.py; do python $f; done",
 }
