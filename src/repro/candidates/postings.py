@@ -164,10 +164,12 @@ class PostingIndex:
 
     # ------------------------------------------------------------------
     def to_records(self, kind: str) -> Iterator[dict[str, Any]]:
-        """JSONL-friendly records (one per token) for the store artifact."""
+        """JSONL-friendly records (one per token) for the store artifact,
+        in sorted token order: the build's insertion order follows set
+        iteration, which moves with the hash seed."""
         yield {"kind": f"{kind}_sizes", "s": list(self.sizes)}
-        for token, keys in self.postings.items():
-            yield {"kind": kind, "t": token, "p": keys}
+        for token in sorted(self.postings):
+            yield {"kind": kind, "t": token, "p": self.postings[token]}
 
     @classmethod
     def from_records(

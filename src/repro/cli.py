@@ -229,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result-cache TTL seconds (default: version-bound only)")
     serve.add_argument("--deadline", type=float, default=None,
                        help="default per-request deadline in seconds")
-    serve.add_argument("--stats-cache-capacity", type=int, default=None,
-                       help="bound the store's hydrated-stats LRU (long-running services)")
     serve.add_argument("--candidate-budget", type=int, default=None)
     serve.add_argument("--port-file", default=None,
                        help="write 'host port lake_version' here once bound (for scripts)")
@@ -889,7 +887,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_capacity=args.cache_capacity,
         cache_ttl=args.cache_ttl,
         default_deadline=args.deadline,
-        stats_cache_capacity=args.stats_cache_capacity,
         candidate_budget=args.candidate_budget,
         trace_path=args.trace_path,
         trace_path_max_bytes=args.trace_path_max_bytes,

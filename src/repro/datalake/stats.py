@@ -23,10 +23,9 @@ every worker thread of a lake service.  Reads of already-computed
 products are safe (immutable frozensets/tuples, published by single
 attribute stores); a cold column racing two readers computes its scan
 twice with equal results -- which a warm service never does, since
-hydrated snapshots arrive fully scanned.  For long-running processes the
-*store-side* cache behind this view is the one that can grow without
-bound; bound it with ``LakeStore.open(..., stats_cache_capacity=N)``
-(see the ROADMAP cache-invalidation note).
+hydrated snapshots arrive fully scanned.  The *store-side* cache behind
+this view holds one hydrated snapshot per table the process has touched,
+unbounded.
 """
 
 from __future__ import annotations

@@ -200,7 +200,6 @@ class LakeService:
         cache_ttl: float | None = None,
         reload_check_interval: float = 0.25,
         default_deadline: float | None = None,
-        stats_cache_capacity: int | None = None,
         candidate_budget: int | None = None,
         trace_path: "str | Path | None" = None,
         trace_path_max_bytes: int | None = None,
@@ -218,9 +217,7 @@ class LakeService:
                 # runs scatter-gather with byte-identical results.
                 from ..shard.store import open_any_store
 
-                store = open_any_store(
-                    store, stats_cache_capacity=stats_cache_capacity
-                )
+                store = open_any_store(store)
             pipeline = Dialite(store=store, candidate_budget=candidate_budget)
         pipeline.index  # fit lazily: a no-op for an already-fitted pipeline
         backing = pipeline._store

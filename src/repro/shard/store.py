@@ -151,16 +151,11 @@ class ShardedLakeStore:
     """
 
     def __init__(
-        self,
-        path: Path,
-        manifest: dict[str, Any],
-        shards: list[LakeStore],
-        stats_cache_capacity: int | None = None,
+        self, path: Path, manifest: dict[str, Any], shards: list[LakeStore]
     ):
         self._path = Path(path)
         self._manifest = manifest
         self._shards = shards
-        self._stats_cache_capacity = stats_cache_capacity
 
     # ------------------------------------------------------------------
     # Construction
@@ -218,12 +213,7 @@ class ShardedLakeStore:
         return store
 
     @classmethod
-    def open(
-        cls,
-        path: str | Path,
-        stats_cache_capacity: int | None = None,
-        **shard_options: Any,
-    ) -> "ShardedLakeStore":
+    def open(cls, path: str | Path, **shard_options: Any) -> "ShardedLakeStore":
         path = Path(path)
         cls._recover(path)
         manifest_path = path / "lake.json"
@@ -239,14 +229,10 @@ class ShardedLakeStore:
                 f"{_FORMAT_VERSION}"
             )
         shards = [
-            LakeStore.open(
-                path / name,
-                stats_cache_capacity=stats_cache_capacity,
-                **shard_options,
-            )
+            LakeStore.open(path / name, **shard_options)
             for name in manifest["shards"]
         ]
-        return cls(path, manifest, shards, stats_cache_capacity=stats_cache_capacity)
+        return cls(path, manifest, shards)
 
     @classmethod
     def _recover(cls, path: Path) -> dict[str, Any] | None:
@@ -375,9 +361,7 @@ class ShardedLakeStore:
 
     def reopen(self) -> "ShardedLakeStore":
         """A fresh handle on the current on-disk state of every shard."""
-        return type(self).open(
-            self._path, stats_cache_capacity=self._stats_cache_capacity
-        )
+        return type(self).open(self._path)
 
     def segment_format_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}

@@ -15,11 +15,9 @@ excluded, because the manifest already keys entries by name and a rename
 should read as remove+add, not as a content change.
 
 The second half of the module is the *binary* cell codec behind the v2
-segment dictionary (format notes above its tag table).  It has one
-encoder and two decoders -- a per-cell loop and a batched numpy decoder
--- and :func:`decode_cells_binary` picks by cell count alone; the
-crossover figures sit beside ``_VECTOR_MIN_CELLS``.  Both raise
-:class:`BinaryCodecError` on the same malformed inputs.
+segment dictionary (format notes above its tag table): one encoder and
+one per-cell decoder, which raises :class:`BinaryCodecError` on every
+malformed input.
 """
 
 from __future__ import annotations
@@ -28,8 +26,6 @@ import hashlib
 import json
 import struct
 from typing import Any
-
-import numpy as np
 
 from ..table.table import Table
 from ..table.values import MISSING, PRODUCED, Cell, Null, is_null
@@ -115,13 +111,9 @@ def decode_table(document: dict[str, Any]) -> Table:
 #     lengths   count * u32  (0 for bool/null, 8 for float, n for int/str)
 #     payloads  all str payloads + all int payloads + all float payloads
 #
-# Grouping by field instead of by cell is what makes decoding batched:
-# tags and lengths come off the buffer as contiguous arrays, payload
-# offsets are per-group cumulative sums, and each tag's cells decode as
-# one contiguous region -- the float region is a single IEEE-754 vector
-# read, and the string region (ASCII-only, the overwhelmingly common
-# case) is one UTF-8 decode plus slicing -- instead of a per-cell tag
-# dispatch.  Unlike the JSON
+# Tags and lengths sit in two contiguous arrays ahead of every payload,
+# so the decoder checks each tag / length pair and the total payload size
+# before it reads a single cell.  Unlike the JSON
 # line codec above, every value round-trips at the *bit* level: floats
 # are raw IEEE-754 doubles (NaN payloads, ``±inf``, ``-0.0`` and the sign
 # of zero all survive), ints are arbitrary-precision two's-complement
@@ -150,29 +142,6 @@ _FIXED_LENGTH = {
 
 _U32 = struct.Struct("<I")
 _F64 = struct.Struct("<d")
-
-#: From this many cells up :func:`decode_cells_binary` runs the batched
-#: numpy decoder, below it the per-cell loop.  Both stay because each wins
-#: on its own side (numpy decode speed as a multiple of the loop's):
-#:
-#:     cells     str     int     float   mixed
-#:       100     0.88x   0.73x   1.04x   0.62x
-#:       512     1.46x   1.08x   3.14x   1.41x
-#:     2,000     1.61x   1.19x   4.54x   1.88x
-#:    20,000     1.62x   1.26x   4.91x   1.93x
-#:
-#: (ISSUE 17's reading; a second corpus on the same host moved single
-#: cells by up to 20% but not the picture.  Ints are the marginal column:
-#: their payloads are converted one by one in either decoder.)
-_VECTOR_MIN_CELLS = 512
-
-#: Per-tag expected payload length for the batched validator: -2 marks an
-#: unknown tag, -1 a variable-length one (int/str), >= 0 a fixed length.
-_EXPECTED_LENGTH = np.full(256, -2, dtype=np.int64)
-_EXPECTED_LENGTH[[_TAG_INT, _TAG_STR]] = -1
-for _tag, _fixed in _FIXED_LENGTH.items():
-    _EXPECTED_LENGTH[_tag] = _fixed
-del _tag, _fixed
 
 
 class BinaryCodecError(ValueError):
@@ -228,16 +197,11 @@ def decode_cells_binary(buffer: bytes, count: int) -> list[Cell]:
     """Inverse of :func:`encode_cells_binary`: exactly *count* cells.
 
     Raises :class:`BinaryCodecError` on truncation, trailing garbage, an
-    unknown tag or a tag/length mismatch -- a corrupted dictionary must
+    unknown tag, a tag/length mismatch or invalid UTF-8 (a declared length
+    ending inside a character included) -- a corrupted dictionary must
     fail loudly, never decode into plausible-looking garbage cells.
+    One validation pass over tags and lengths, then one dispatch pass.
     """
-    if count >= _VECTOR_MIN_CELLS:
-        return _decode_cells_np(buffer, count)
-    return _decode_cells_py(buffer, count)
-
-
-def _decode_cells_py(buffer: bytes, count: int) -> list[Cell]:
-    """Per-cell decode loop: one validation pass, one dispatch pass."""
     base = count * 5
     if len(buffer) < base:
         raise BinaryCodecError("binary cell payload truncated")
@@ -301,93 +265,6 @@ def _decode_cells_py(buffer: bytes, count: int) -> list[Cell]:
         else:
             append(PRODUCED)
     return cells
-
-
-def _decode_cells_np(buffer: bytes, count: int) -> list[Cell]:
-    """Batched decode: per-tag groups instead of a per-cell dispatch loop."""
-    base = count * 5
-    if len(buffer) < base:
-        raise BinaryCodecError("binary cell payload truncated")
-    tags = np.frombuffer(buffer, dtype=np.uint8, count=count)
-    lengths = np.frombuffer(buffer, dtype="<u4", count=count, offset=count).astype(
-        np.int64
-    )
-    expected = _EXPECTED_LENGTH[tags]
-    invalid = np.nonzero(
-        (expected == -2) | ((expected >= 0) & (expected != lengths))
-    )[0]
-    if invalid.size:
-        first = int(invalid[0])
-        tag = int(tags[first])
-        if expected[first] == -2:
-            raise BinaryCodecError(f"unknown binary cell tag 0x{tag:02x}")
-        raise BinaryCodecError(
-            f"binary cell tag 0x{tag:02x} declares payload length "
-            f"{int(lengths[first])}"
-        )
-    out = np.empty(count, dtype=object)
-    cursor = base
-
-    str_index = np.nonzero(tags == _TAG_STR)[0]
-    str_total = 0
-    if str_index.size:
-        str_lengths = lengths[str_index]
-        str_total = int(str_lengths.sum())
-        if cursor + str_total > len(buffer):
-            raise BinaryCodecError("binary cell payload truncated")
-        region = buffer[cursor : cursor + str_total]
-        ends = np.cumsum(str_lengths)
-        pairs = zip((ends - str_lengths).tolist(), ends.tolist())
-        try:
-            blob = region.decode("utf-8")
-            if len(blob) == str_total:  # pure ASCII: byte offsets == char offsets
-                decoded = [blob[start:end] for start, end in pairs]
-            else:
-                # A region that is valid UTF-8 as a whole can still have a
-                # declared boundary inside a multi-byte character.
-                decoded = [region[start:end].decode("utf-8") for start, end in pairs]
-        except UnicodeDecodeError as exc:
-            raise BinaryCodecError("binary cell payload holds invalid UTF-8") from exc
-        out[str_index] = np.asarray(decoded, dtype=object)
-    cursor += str_total
-
-    int_index = np.nonzero(tags == _TAG_INT)[0]
-    int_total = 0
-    if int_index.size:
-        int_lengths = lengths[int_index]
-        int_total = int(int_lengths.sum())
-        if cursor + int_total > len(buffer):
-            raise BinaryCodecError("binary cell payload truncated")
-        ends = np.cumsum(int_lengths) + cursor
-        pairs = zip((ends - int_lengths).tolist(), ends.tolist())
-        out[int_index] = np.asarray(
-            [
-                int.from_bytes(buffer[start:end], "big", signed=True)
-                for start, end in pairs
-            ],
-            dtype=object,
-        )
-    cursor += int_total
-
-    float_index = np.nonzero(tags == _TAG_FLOAT)[0]
-    if float_index.size:
-        float_total = int(float_index.size) * 8
-        if cursor + float_total > len(buffer):
-            raise BinaryCodecError("binary cell payload truncated")
-        floats = np.frombuffer(buffer, dtype="<f8", count=int(float_index.size),
-                               offset=cursor)
-        out[float_index] = np.asarray(floats.tolist(), dtype=object)
-        cursor += float_total
-
-    if cursor != len(buffer):
-        raise BinaryCodecError(
-            f"binary cell payload has {len(buffer) - cursor} trailing bytes"
-        )
-    out[tags == _TAG_TRUE] = True
-    out[tags == _TAG_FALSE] = False
-    out[tags == _TAG_MISSING] = MISSING
-    out[tags == _TAG_PRODUCED] = PRODUCED
-    return out.tolist()
 
 
 def table_content_hash(table: Table) -> str:

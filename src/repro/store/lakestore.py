@@ -128,31 +128,33 @@ _FORMAT = "repro-lake-store"
 _FORMAT_VERSION = 1
 
 
-def _read_segment(
-    path: Path, segment_format: str, num_columns: int
-) -> list[tuple[Cell, ...]]:
-    reader = read_columns_v2 if segment_format == "v2" else read_columns
+def _read_segment(root: Path, entry: Mapping[str, Any]) -> list[tuple[Cell, ...]]:
+    """The column arrays of one manifest *entry*'s segment under *root*."""
+    segment_format = entry.get("segment_format", "v1")
     metrics.counter(f"store.decode.{segment_format}").inc()
-    return reader(path, num_columns)
+    path, num_columns = root / entry["segment"], len(entry["columns"])
+    if segment_format == "v2":
+        return read_columns_v2(path, num_columns)
+    return read_columns(path, num_columns, entry["num_rows"])
 
 
 def _column_loaders(
-    segment: Path, segment_format: str, num_columns: int
+    root: Path, entry: Mapping[str, Any]
 ) -> list[Callable[[], tuple[Cell, ...]]]:
     """One lazy array loader per column of a hydrated snapshot.  They
-    close over the content-addressed segment file, never over the store
-    that hydrated them: a snapshot outlives its handle
-    (:meth:`LakeStore.reopen` carries it into the next one) and a retired
-    handle dies by refcount.  The first call reads the segment once for
-    all of them."""
+    close over the manifest entry, which names a content-addressed segment
+    file, never over the store that hydrated them: a snapshot outlives its
+    handle (:meth:`LakeStore.reopen` carries it into the next one) and a
+    retired handle dies by refcount.  The first call reads the segment
+    once for all of them."""
     arrays: list[tuple[Cell, ...]] = []
 
     def load(position: int) -> tuple[Cell, ...]:
         if not arrays:
-            arrays.extend(_read_segment(segment, segment_format, num_columns))
+            arrays.extend(_read_segment(root, entry))
         return arrays[position]
 
-    return [partial(load, position) for position in range(num_columns)]
+    return [partial(load, position) for position in range(len(entry["columns"]))]
 
 
 class StoreError(RuntimeError):
@@ -191,24 +193,16 @@ class IngestReport:
 class LakeStore:
     """A directory-backed, versioned snapshot of a data lake."""
 
-    def __init__(
-        self,
-        path: Path,
-        manifest: dict[str, Any],
-        stats_cache_capacity: int | None = None,
-    ):
+    def __init__(self, path: Path, manifest: dict[str, Any]):
         self._path = Path(path)
         self._manifest = manifest
         self._sketch = SketchConfig.from_json(manifest["sketch"])
         # Hydrated per-table stats, shared between :meth:`table_stats` and
         # the tables :meth:`load_table` materializes -- one object per
-        # table name, so the lake-wide scan ledger is coherent.  Unbounded
-        # by default (a batch run's working set is one process lifetime);
-        # long-running services pass a capacity so recency-evicted
-        # snapshots are re-hydrated from disk instead of accreting forever
-        # (an evicted snapshot a live table already adopted stays valid --
-        # the table keeps its reference; only the store-side pointer goes).
-        self._stats_cache: LRUCache = LRUCache(stats_cache_capacity)
+        # table name, so the lake-wide scan ledger is coherent.  Unbounded;
+        # its lock is what lets :meth:`reopen` iterate it while service
+        # threads hydrate into it.
+        self._stats_cache = LRUCache()
         # Held only for the span of a journaled mutation (see _begin).
         self._writer_lock: journal.WriterLock | None = None
 
@@ -251,7 +245,6 @@ class LakeStore:
         path: str | Path,
         sketch_config: SketchConfig | None = None,
         check_sketch: bool = True,
-        stats_cache_capacity: int | None = None,
     ) -> "LakeStore":
         """Open an existing store; validates format and sketch parameters.
 
@@ -261,9 +254,6 @@ class LakeStore:
         :class:`SketchConfigMismatch` -- hydrated sketches would silently
         be incomparable with freshly computed ones otherwise.  Pass
         ``check_sketch=False`` to adopt whatever the snapshot recorded.
-
-        *stats_cache_capacity* bounds the hydrated-stats cache by recency
-        (None = unbounded, the batch default); see :class:`.lru.LRUCache`.
         """
         path = Path(path)
         cls.recover(path)
@@ -278,7 +268,7 @@ class LakeStore:
                 f"store at {path} uses format version {manifest['format_version']}, "
                 f"this library reads up to {_FORMAT_VERSION}"
             )
-        store = cls(path, manifest, stats_cache_capacity=stats_cache_capacity)
+        store = cls(path, manifest)
         if check_sketch:
             expected = sketch_config or SketchConfig()
             if store.sketch_config != expected:
@@ -429,19 +419,15 @@ class LakeStore:
     def reopen(self) -> "LakeStore":
         """A fresh handle on this store's current on-disk state (the
         hot-reload path: the old handle keeps serving its snapshot; the new
-        one sees the new manifest), preserving the sketch expectation and
-        stats-cache bound of this handle.
+        one sees the new manifest), preserving the sketch expectation of
+        this handle.
 
         The new handle hydrates only what moved: it is handed every
         snapshot this one has cached whose manifest entry is equal in the
         new manifest.  File names are content-addressed, so an equal entry
         names the same stats bytes and the segment the snapshot's loaders
         read; a replaced, removed or migrated table carries nothing."""
-        fresh = type(self).open(
-            self._path,
-            sketch_config=self._sketch,
-            stats_cache_capacity=self._stats_cache.capacity,
-        )
+        fresh = type(self).open(self._path, sketch_config=self._sketch)
         old, new = self._manifest["tables"], fresh._manifest["tables"]
         for name in self._stats_cache:
             stats = self._stats_cache.get(name)
@@ -816,9 +802,7 @@ class LakeStore:
         entry = self._entry(name)
         segment_format = entry.get("segment_format", "v1")
         with trace.span("store.load_table", table=name, format=segment_format):
-            arrays = _read_segment(
-                self._path / entry["segment"], segment_format, len(entry["columns"])
-            )
+            arrays = _read_segment(self._path, entry)
             table = Table.from_columns(entry["columns"], arrays, name=name)
             return table.adopt_stats(self.table_stats(name))
 
@@ -835,11 +819,7 @@ class LakeStore:
             payloads = json.loads(
                 (self._path / entry["stats"]).read_text(encoding="utf-8")
             )["columns"]
-            loaders = _column_loaders(
-                self._path / entry["segment"],
-                entry.get("segment_format", "v1"),
-                len(entry["columns"]),
-            )
+            loaders = _column_loaders(self._path, entry)
             by_name = {
                 column: hydrate_column_stats(
                     name, column, payloads[column], self._sketch, loader
@@ -848,9 +828,6 @@ class LakeStore:
             }
             cached = TableStats.hydrated(name, entry["columns"], by_name)
             self._stats_cache.put(name, cached)
-            metrics.gauge("store.stats_cache.evictions").set(
-                self._stats_cache.evictions
-            )
         return cached
 
     def _entry(self, name: str) -> dict[str, Any]:

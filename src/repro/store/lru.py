@@ -1,10 +1,10 @@
 """A small thread-safe LRU map with optional TTL expiry.
 
-Two long-running-service caches are built on this one primitive:
+Two caches are built on this one primitive:
 
 * the :class:`~repro.store.lakestore.LakeStore` hydrated-stats cache
-  (``stats_cache_capacity`` -- recency-bounded so a service scanning a
-  huge lake does not accrete every table's snapshot forever), and
+  (unbounded; its lock lets ``reopen`` iterate it while service threads
+  hydrate into it), and
 * the :mod:`repro.service` versioned result cache (capacity + TTL).
 
 Semantics: ``get`` refreshes recency; ``put`` evicts the least recently

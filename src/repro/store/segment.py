@@ -14,10 +14,9 @@ binary dictionary-coded columnar layout::
 Codes reuse the PR-4 interner's assignment idea: ``0`` is the MISSING
 null, ``1`` the PRODUCED null, and code ``c >= 2`` names dictionary entry
 ``c - 2``.  Decoding a column is therefore one contiguous array read plus
-a table lookup -- no JSON parsing, no per-cell branching: a numpy
-``frombuffer`` view of the column's codes over the file's bytes
-(``mmap``-backed from 1 MiB up, a plain ``read()`` below) and one
-object-LUT gather.  The dtypes are explicit little-endian, so nothing
+a table lookup -- no JSON parsing, no per-cell branching: the file is
+read with one ``read_bytes()``, and a column is a numpy ``frombuffer``
+view of its codes plus one object-LUT gather.  The dtypes are explicit little-endian, so nothing
 depends on the host's byte order.  The null bitmap is written but has no
 reader in the library: the typed-column path that would hand it to
 bitmask kernels is parked (ROADMAP).  Any structural damage (bad magic,
@@ -30,18 +29,17 @@ decoded without the table's dictionary anyway.
 under the JSON codec in :mod:`repro.store.codec`.  Stores written before
 v2 existed hold it; :func:`read_columns` keeps them readable until
 ``LakeStore.migrate`` rewrites them.  Nothing in the library writes it.
+A damaged v1 segment raises :class:`SegmentCorrupted` too.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from ..obs import metrics
 from . import journal
 from ..table.table import Table
 from ..table.values import MISSING, PRODUCED, Cell, is_null
@@ -61,20 +59,33 @@ __all__ = [
 
 
 class SegmentCorrupted(RuntimeError):
-    """A v2 segment file is structurally damaged (truncated, bad magic,
-    out-of-range dictionary codes, undecodable dictionary block)."""
+    """A segment file is structurally damaged (truncated, bad magic,
+    out-of-range dictionary codes, undecodable cells, a column count or
+    length other than the manifest's)."""
 
 
-def read_columns(path: Path, num_columns: int) -> list[tuple[Cell, ...]]:
-    """All column arrays of a v1 segment, in header order (one sequential read)."""
-    arrays: list[tuple[Cell, ...]] = []
-    with path.open("rb") as handle:
-        for line in handle:
-            arrays.append(decode_column(line.decode("utf-8")))
+def read_columns(
+    path: Path, num_columns: int, num_rows: int
+) -> list[tuple[Cell, ...]]:
+    """All column arrays of a v1 segment, in header order (one sequential
+    read), each checked against the manifest's *num_rows*."""
+    try:
+        with path.open("rb") as handle:
+            arrays = [decode_column(line.decode("utf-8")) for line in handle]
+    except (ValueError, KeyError, TypeError) as exc:
+        # JSON and UTF-8 errors are ValueErrors; a JSON object cell without
+        # the null key is a KeyError, a non-array line a TypeError.
+        raise SegmentCorrupted(f"segment {path} is undecodable: {exc!r}") from exc
     if len(arrays) != num_columns:
-        raise ValueError(
+        raise SegmentCorrupted(
             f"segment {path} holds {len(arrays)} columns, manifest says {num_columns}"
         )
+    for index, array in enumerate(arrays):
+        if len(array) != num_rows:
+            raise SegmentCorrupted(
+                f"segment {path} column {index} holds {len(array)} cells, "
+                f"manifest says {num_rows} rows"
+            )
     return arrays
 
 
@@ -162,7 +173,7 @@ class _SegmentV2:
 
     __slots__ = ("buffer", "width", "rows", "cols", "lut", "body_start", "path")
 
-    def __init__(self, path: Path, buffer) -> None:
+    def __init__(self, path: Path, buffer: bytes) -> None:
         self.path = path
         self.buffer = buffer
         if len(buffer) < _V2_HEADER.size:
@@ -182,7 +193,7 @@ class _SegmentV2:
             )
         try:
             dictionary = decode_cells_binary(
-                bytes(buffer[_V2_HEADER.size : body_start]), dict_count
+                buffer[_V2_HEADER.size : body_start], dict_count
             )
         except BinaryCodecError as exc:
             raise SegmentCorrupted(
@@ -208,59 +219,18 @@ class _SegmentV2:
         try:
             return tuple(self.lut[codes].tolist())
         except IndexError:
-            bad = int(codes.max())
-            # The raised exception's traceback keeps this frame's locals
-            # alive, and a map with an exported view cannot be closed
-            # (``BufferError``), so the view goes before the raise.
-            del codes
             raise SegmentCorrupted(
-                f"segment {self.path} holds code {bad}, "
+                f"segment {self.path} holds code {int(codes.max())}, "
                 f"dictionary ends at {len(self.lut) - 1}"
             ) from None
 
 
-#: Files below this many bytes are read whole instead of memory-mapped:
-#: two syscalls (map + unmap) cost more than one small read.
-_MMAP_MIN_BYTES = 1 << 20
-
-
-def _open_v2(path: Path):
-    """Open a v2 segment: ``mmap``-backed for large files (zero-copy numpy
-    ``frombuffer`` reads), a plain ``read()`` for small ones."""
-    handle = path.open("rb")
-    try:
-        size = os.fstat(handle.fileno()).st_size
-        if size >= _MMAP_MIN_BYTES:
-            buffer = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            metrics.counter("segment.open.mmap").inc()
-        else:
-            buffer = handle.read()
-            metrics.counter("segment.open.read").inc()
-        try:
-            segment = _SegmentV2(path, buffer)
-        except SegmentCorrupted:
-            if isinstance(buffer, mmap.mmap):
-                buffer.close()
-            raise
-    finally:
-        handle.close()
-    return segment
-
-
-def _close_v2(segment: _SegmentV2) -> None:
-    if isinstance(segment.buffer, mmap.mmap):
-        segment.buffer.close()
-
-
 def read_columns_v2(path: Path, num_columns: int) -> list[tuple[Cell, ...]]:
     """All column arrays of a v2 segment, in header order."""
-    segment = _open_v2(path)
-    try:
-        if segment.cols != num_columns:
-            raise SegmentCorrupted(
-                f"segment {path} holds {segment.cols} columns, manifest says "
-                f"{num_columns}"
-            )
-        return [segment.cells_at(index) for index in range(segment.cols)]
-    finally:
-        _close_v2(segment)
+    segment = _SegmentV2(path, path.read_bytes())
+    if segment.cols != num_columns:
+        raise SegmentCorrupted(
+            f"segment {path} holds {segment.cols} columns, manifest says "
+            f"{num_columns}"
+        )
+    return [segment.cells_at(index) for index in range(segment.cols)]

@@ -6,7 +6,8 @@ order that descended from frozenset iteration, so near-tied tables
 ranked differently from one process to the next.  The same discovers are
 run here in two interpreters under different hash seeds and must produce
 byte-identical payloads (on the e2e benchmark's smoke lake, whose small
-key vocabulary produces the near-ties).
+key vocabulary produces the near-ties).  The store's posting artifact
+is built the same way and must come out byte-identical too.
 """
 
 from __future__ import annotations
@@ -37,20 +38,48 @@ print(json.dumps([
 """
 
 
-def discover_under(hash_seed: str) -> str:
+BUILD_SCRIPT = """
+import sys
+sys.path[:0] = sys.argv[2:]
+from test_shard_equivalence import make_lake
+from repro import Dialite
+from repro.store import LakeStore
+
+LakeStore.create(sys.argv[1]).ingest(make_lake(11))
+Dialite.open(sys.argv[1]).fit()
+"""
+
+
+def run_under(hash_seed: str, script: str, *args: str) -> str:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "benchmarks" / "e2e")],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr[-2000:]
     return done.stdout
 
 
+def discover_under(hash_seed: str) -> str:
+    return run_under(hash_seed, SCRIPT, str(ROOT / "benchmarks" / "e2e"))
+
+
 def test_discover_payloads_are_identical_under_two_hash_seeds():
     first, second = discover_under("1"), discover_under("2")
     assert '"santos"' in first  # SANTOS took part in the answers compared
     assert first == second
+
+
+def test_posting_artifact_is_identical_under_two_hash_seeds(tmp_path):
+    tests = Path(__file__).resolve().parents[1]
+    artifacts = []
+    for hash_seed in ("1", "2"):
+        store = tmp_path / f"seed{hash_seed}"
+        run_under(
+            hash_seed, BUILD_SCRIPT, str(store), str(tests), str(tests / "property")
+        )
+        artifacts.append((store / "postings" / "engine.post.jsonl").read_bytes())
+    assert artifacts[0] == artifacts[1]

@@ -188,6 +188,17 @@ def test_corrupted_v2_segment_raises_typed_error(tmp_path):
         segment.write_bytes(damage)
         load()
 
+    # A code past the dictionary's end, at the right size: code width 1
+    # and two column blocks of 3 codes + 1 bitmap byte, so byte -8 is
+    # column a's first code.
+    out_of_range = bytearray(pristine)
+    out_of_range[-8] = 0xFF
+    segment.write_bytes(bytes(out_of_range))
+    import pytest
+
+    with pytest.raises(SegmentCorrupted, match="holds code 255"):
+        LakeStore.open(store_dir, check_sketch=False).load_table("t0")
+
     # And the pristine bytes still load (the guard is not over-eager).
     segment.write_bytes(pristine)
     table = LakeStore.open(store_dir, check_sketch=False).load_table("t0")

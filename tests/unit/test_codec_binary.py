@@ -1,14 +1,12 @@
 """Binary cell codec fidelity audit (ISSUE 6 satellite).
 
 The v2 segment dictionary rides on :func:`encode_cells_binary` /
-:func:`decode_cells_binary`, which selects between two decoders -- a
-plain loop below ``_VECTOR_MIN_CELLS`` cells and a numpy group-decode
-from there up.  Every test takes each decoder *function* in turn, on
-small and on padded inputs alike, so neither is only ever seen on its
-own side of the threshold.  Both must reproduce every cell
-**bit-for-bit**: NaN keeps its payload, ``-0.0`` keeps its sign, ints
-beyond 2**53 don't round through a double, ``True`` never collapses
-into ``1``, and the two null kinds come back as the same singletons.
+:func:`decode_cells_binary`, a per-cell decode loop.  Every test runs it
+on small and on padded (>= 512-cell) inputs alike, and it must reproduce
+every cell **bit-for-bit**: NaN keeps its payload, ``-0.0`` keeps its
+sign, ints beyond 2**53 don't round through a double, ``True`` never
+collapses into ``1``, and the two null kinds come back as the same
+singletons.
 Corruption must raise :class:`BinaryCodecError`, never decode into
 plausible garbage and never leak another exception type.
 """
@@ -20,31 +18,32 @@ import struct
 
 import pytest
 
-from repro.store import codec, segment
+from repro.store import segment
 from repro.store.codec import (
-    _VECTOR_MIN_CELLS,
     BinaryCodecError,
-    _decode_cells_np,
-    _decode_cells_py,
     decode_cells_binary,
     encode_cells_binary,
 )
 from repro.store.segment import SegmentCorrupted, read_columns_v2, write_segment_v2
 from repro.table import MISSING, PRODUCED, Table
 
-DECODERS = {"loop": _decode_cells_py, "numpy": _decode_cells_np}
+DECODERS = {"loop": decode_cells_binary}
+
+#: The size the padded inputs reach: a dictionary this large is bigger
+#: than any e2e or benchmark table produces.
+PADDED_CELLS = 512
 
 
 @pytest.fixture(params=list(DECODERS))
 def backend(request):
-    """Each decoder function in turn, whatever the input size."""
+    """The one decoder, under the ``[loop]`` id these tests have carried."""
     return DECODERS[request.param]
 
 
 def pad_to_vector_width(cells):
-    """Enough filler to reach the size ``decode_cells_binary`` hands to
-    the numpy decoder (>= _VECTOR_MIN_CELLS)."""
-    filler = ["pad"] * max(0, _VECTOR_MIN_CELLS - len(cells))
+    """Filler up to ``PADDED_CELLS``, so the loop is checked on large
+    dictionaries as well as small ones."""
+    filler = ["pad"] * max(0, PADDED_CELLS - len(cells))
     return list(cells) + filler
 
 
@@ -133,27 +132,6 @@ class TestFidelity:
     def test_empty(self, backend):
         assert roundtrip(backend, []) == []
 
-    def test_backends_agree(self):
-        for cells in (EVERYTHING, pad_to_vector_width(EVERYTHING)):
-            buffer = encode_cells_binary(cells)
-            batched = _decode_cells_np(buffer, len(cells))
-            looped = _decode_cells_py(buffer, len(cells))
-            assert [bits(c) for c in batched] == [bits(c) for c in looped]
-
-    def test_entry_point_picks_each_side_of_the_threshold(self, monkeypatch):
-        picked = []
-
-        def spy(name):
-            decode = DECODERS[name]
-            return lambda buffer, count: picked.append(name) or decode(buffer, count)
-
-        monkeypatch.setattr(codec, "_decode_cells_py", spy("loop"))
-        monkeypatch.setattr(codec, "_decode_cells_np", spy("numpy"))
-        for count in (0, _VECTOR_MIN_CELLS - 1, _VECTOR_MIN_CELLS):
-            cells = ["pad"] * count
-            assert decode_cells_binary(encode_cells_binary(cells), count) == cells
-        assert picked == ["loop", "loop", "numpy"]
-
 
 #: Two strings whose payloads are 2 and 1 bytes: swapping their declared
 #: lengths keeps the total but splits the two-byte character.
@@ -170,9 +148,7 @@ def swap_first_two_lengths(buffer, count):
 
 class TestCorruption:
     def corpus(self):
-        """ASCII and non-ASCII, on both sides of the threshold (the numpy
-        decoder slices an ASCII string region in one piece and decodes a
-        non-ASCII one entry by entry)."""
+        """ASCII and non-ASCII, small and padded."""
         ascii_only = ["abcd", 7, 1.5, True, MISSING]
         return [
             ascii_only,
@@ -230,8 +206,8 @@ class TestCorruption:
                 backend(damaged, len(cells))
 
     def test_split_character_in_a_v2_dictionary_is_segment_corrupted(self, tmp_path):
-        """Through a segment whose dictionary is on the numpy side."""
-        values = ["é", "a"] + [f"ü{i}" for i in range(_VECTOR_MIN_CELLS)]
+        """Through a segment whose dictionary has padded size."""
+        values = ["é", "a"] + [f"ü{i}" for i in range(PADDED_CELLS)]
         path = tmp_path / "t.seg.bin"
         write_segment_v2(path, Table(["c"], [(value,) for value in values], name="t"))
         assert read_columns_v2(path, 1) == [tuple(values)]

@@ -23,6 +23,7 @@ from repro.discovery import JosieJoinSearch
 from repro.store import (
     IngestReport,
     LakeStore,
+    SegmentCorrupted,
     SketchConfig,
     SketchConfigMismatch,
     StoreError,
@@ -445,20 +446,6 @@ class TestVersionWatch:
 
 
 class TestStatsCacheBound:
-    def test_lru_capacity_bounds_hydrated_stats(self, store, lake):
-        bounded = LakeStore.open(store.path, stats_cache_capacity=1)
-        t2_stats = bounded.table_stats("T2")
-        t3_stats = bounded.table_stats("T3")  # evicts T2's snapshot
-        assert len(bounded._stats_cache) == 1
-        assert bounded._stats_cache.evictions == 1
-        # The still-cached T3 object is served as-is...
-        assert bounded.table_stats("T3") is t3_stats
-        # ...and re-requesting evicted T2 re-hydrates a fresh snapshot.
-        assert bounded.table_stats("T2") is not t2_stats
-        # Evicted-and-rehydrated stats still serve without raw scans.
-        assert bounded.table_stats("T2").column("City").distinct
-        assert sum(bounded.table_stats("T2").scan_counts.values()) == 0
-
     def test_unbounded_default_keeps_everything(self, store):
         store.table_stats("T2")
         store.table_stats("T3")
@@ -542,6 +529,35 @@ class TestSegmentFormats:
         segments = old_store.path / "segments"
         assert len(list(segments.glob("*.seg.bin"))) == 2
         assert not list(segments.glob("*.seg.jsonl"))
+
+    def test_damaged_v1_segment_raises_segment_corrupted(self, old_store):
+        """Each damage shape surfaces as the typed error a damaged v2
+        segment raises, not as a JSON / unicode / key error; a column's
+        length is checked against the manifest entry's ``num_rows``."""
+        manifest = json.loads((old_store.path / "manifest.json").read_text("utf-8"))
+        segment = old_store.path / manifest["tables"]["T2"]["segment"]
+        pristine = segment.read_bytes()
+        lines = pristine.splitlines(keepends=True)
+        first = json.loads(lines[0])
+
+        def with_first_line(cells):
+            line = json.dumps(cells, ensure_ascii=False).encode("utf-8") + b"\n"
+            return line + b"".join(lines[1:])
+
+        for damage in (
+            pristine[:-2],  # truncated inside the last line
+            b"\xff" + pristine,  # invalid UTF-8
+            pristine + lines[0],  # one column line too many
+            with_first_line(first[:-1]),  # a column one row short
+            with_first_line([{"kind": "missing"}, *first[1:]]),  # no null key
+            with_first_line(len(first)),  # a line that is not an array
+        ):
+            segment.write_bytes(damage)
+            with pytest.raises(SegmentCorrupted):
+                LakeStore.open(old_store.path).load_table("T2")
+
+        segment.write_bytes(pristine)
+        assert LakeStore.open(old_store.path).load_table("T2").num_rows == len(first)
 
     def test_migrate_is_idempotent(self, old_store):
         assert len(old_store.migrate()) == 2
