@@ -126,11 +126,14 @@ class HyperLogLog:
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "HyperLogLog":
-        """Inverse of :meth:`to_bytes` (byte-identical round trip)."""
+        """Inverse of :meth:`to_bytes` (byte-identical round trip).  A rank
+        :meth:`add` cannot produce (above ``65 - precision``) is rejected
+        in either encoding."""
         if not payload:
             raise ValueError("empty HyperLogLog payload")
         sketch = cls(payload[0] & ~_SPARSE)  # rejects precisions outside [4, 18]
         body = memoryview(payload)[1:]
+        max_rank = 65 - sketch.precision
         if not payload[0] & _SPARSE:
             if len(body) != len(sketch._registers):
                 raise ValueError(
@@ -138,6 +141,11 @@ class HyperLogLog:
                     f"but carries {len(body)} registers"
                 )
             sketch._registers = np.frombuffer(body, dtype=np.uint8).copy()
+            if sketch._registers.max() > max_rank:
+                raise ValueError(
+                    f"HyperLogLog payload holds a rank above {max_rank}, the "
+                    f"largest precision {sketch.precision} can produce"
+                )
             return sketch
         index_dtype = _sparse_index_dtype(sketch.precision)
         count, rest = divmod(len(body), index_dtype.itemsize + 1)
@@ -152,10 +160,11 @@ class HyperLogLog:
             indices[-1] >= len(sketch._registers)
             or np.any(indices[1:] <= indices[:-1])
             or not ranks.all()
+            or ranks.max() > max_rank
         ):
             raise ValueError(
                 "sparse HyperLogLog payload must list distinct in-range "
-                "indices in ascending order with non-zero ranks"
+                f"indices in ascending order with ranks in [1, {max_rank}]"
             )
         sketch._registers[indices] = ranks
         return sketch

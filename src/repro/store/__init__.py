@@ -9,7 +9,7 @@ layer:
   per-table columnar segment files mirroring ``Table.column_arrays``;
 * :mod:`repro.store.snapshot` -- serialized
   :class:`~repro.table.stats.ColumnStats` payloads (dtype, null counts,
-  distinct/token sets, normalized text, MinHash + HLL sketches) under a
+  distinct/token sets, MinHash + HLL sketches) under a
   pinned :class:`SketchConfig`, and the binary codec of the candidate
   engine's sketch artifact;
 * :mod:`repro.store.lakestore` -- the :class:`LakeStore` itself: a
@@ -35,6 +35,7 @@ from .lakestore import (
     IngestReport,
     LakeStore,
     SketchConfigMismatch,
+    StatsCorrupted,
     StoredDataLake,
     StoredLakeStats,
     StoreError,
@@ -53,6 +54,7 @@ __all__ = [
     "StoreNotFound",
     "SketchConfigMismatch",
     "SegmentCorrupted",
+    "StatsCorrupted",
     "SketchArtifactError",
     "BinaryCodecError",
     "table_content_hash",

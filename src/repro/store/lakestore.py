@@ -17,7 +17,13 @@ Layout of a store directory::
     stats/<t>.stats.json     the table's ColumnStats snapshot payloads
                              (sketches inside as base64: MinHash minima
                              as uint32, HyperLogLog registers as a sparse
-                             (index, rank) list when that is shorter)
+                             (index, rank) list when that is shorter).
+                             No normalized text domain: it is derived
+                             from ``distinct`` (older snapshots carry a
+                             ``text_values`` field, which is ignored).
+                             A hydrated column keeps the sketches as
+                             these bytes until first use; a damaged
+                             snapshot raises :class:`StatsCorrupted`
     indexes/<d>.pkl          one fitted discoverer index per file
     postings/engine.post.jsonl  the candidate engine's inverted posting
                              structures (column registry, token and
@@ -103,7 +109,7 @@ from .snapshot import (
     column_stats_payload,
     decode_signature_tables,
     encode_signature_tables,
-    hydrate_column_stats,
+    hydrate_table_stats,
 )
 
 __all__ = [
@@ -114,6 +120,7 @@ __all__ = [
     "StoreError",
     "StoreNotFound",
     "SketchConfigMismatch",
+    "StatsCorrupted",
 ]
 
 _WRITE_SEGMENT = inject.point("store.write_segment")
@@ -167,6 +174,12 @@ class StoreNotFound(StoreError):
 
 class SketchConfigMismatch(StoreError):
     """The snapshot's sketches were built under different parameters."""
+
+
+class StatsCorrupted(StoreError):
+    """A table's stats snapshot is damaged: not JSON, a field missing or
+    of the wrong type, counts that contradict each other or the manifest,
+    or a sketch that does not decode under the store's sketch config."""
 
 
 @dataclass(frozen=True)
@@ -816,16 +829,18 @@ class LakeStore:
         metrics.counter("store.stats_cache.rehydrates").inc()
         with trace.span("store.rehydrate_stats", table=name):
             entry = self._entry(name)
-            payloads = json.loads(
-                (self._path / entry["stats"]).read_text(encoding="utf-8")
-            )["columns"]
-            loaders = _column_loaders(self._path, entry)
-            by_name = {
-                column: hydrate_column_stats(
-                    name, column, payloads[column], self._sketch, loader
+            path = self._path / entry["stats"]
+            try:
+                by_name = hydrate_table_stats(
+                    name,
+                    entry["columns"],
+                    entry["num_rows"],
+                    path.read_text(encoding="utf-8"),
+                    self._sketch,
+                    _column_loaders(self._path, entry),
                 )
-                for column, loader in zip(entry["columns"], loaders)
-            }
+            except ValueError as error:  # JSON and UTF-8 errors included
+                raise StatsCorrupted(f"stats snapshot {path} is damaged: {error}") from None
             cached = TableStats.hydrated(name, entry["columns"], by_name)
             self._stats_cache.put(name, cached)
         return cached

@@ -2,9 +2,17 @@
 
 A stats snapshot captures everything :class:`repro.table.stats.ColumnStats`
 computes from a raw column -- dtype, null/missing counts, the distinct-value
-set, the domain token set, normalized text values, and the serialized
-MinHash / HyperLogLog sketches -- so a later process restores the whole
-cache with :meth:`ColumnStats.from_snapshot` and never re-scans a cell.
+set, the domain token set and the serialized MinHash / HyperLogLog
+sketches -- so a later process restores the whole cache with
+:meth:`ColumnStats.from_snapshot` and never re-scans a cell.  The
+normalized text domain is not written: it is derived from the distinct
+set.  Snapshots written before that still carry a ``text_values`` field,
+which the one reader ignores.
+
+Hydration validates every field and decodes every sketch, so a damaged
+snapshot fails there (with a :class:`ValueError` that the store turns
+into :class:`~repro.store.lakestore.StatsCorrupted`), never on first use;
+the column then keeps each sketch as its persisted bytes.
 
 Sketch parameters are pinned by :class:`SketchConfig` and recorded in the
 store manifest: MinHash signatures are only comparable under identical
@@ -18,6 +26,8 @@ serving incomparable sketches.
 from __future__ import annotations
 
 import base64
+import binascii
+import json
 import struct
 import zlib
 from dataclasses import asdict, dataclass
@@ -30,7 +40,7 @@ from ..sketch.hll import HyperLogLog
 from ..sketch.minhash import DEFAULT_NUM_PERM, DEFAULT_SEED, MinHasher, MinHashSignature
 from ..table.stats import ColumnStats
 from ..table.values import Cell
-from .codec import decode_cell, encode_cell
+from .codec import encode_cell
 
 __all__ = [
     "SketchConfig",
@@ -38,6 +48,7 @@ __all__ = [
     "SketchArtifactError",
     "column_stats_payload",
     "hydrate_column_stats",
+    "hydrate_table_stats",
     "encode_signature_tables",
     "decode_signature_tables",
 ]
@@ -100,37 +111,117 @@ def column_stats_payload(stats: ColumnStats, config: SketchConfig) -> dict[str, 
             encode_cell(cell) for cell in sorted(stats.distinct, key=_distinct_sort_key)
         ],
         "tokens": sorted(stats.tokens),
-        "text_values": sorted(stats.text_values()),
         "minhash": base64.b64encode(signature.to_bytes()).decode("ascii"),
         "hll": base64.b64encode(hll.to_bytes()).decode("ascii"),
     }
 
 
+#: Every dtype :func:`~repro.table.infer.infer_dtype` can name.
+_DTYPES = frozenset({"empty", "any", "string", "bool", "int", "float"})
+
+
+def _field(payload: Mapping[str, Any], key: str, kind: type | tuple[type, ...]) -> Any:
+    try:
+        value = payload[key]
+    except KeyError:
+        raise ValueError(f"field {key!r} is missing") from None
+    if not isinstance(value, kind) or type(value) is bool:  # no field is boolean
+        raise ValueError(f"field {key!r} has the wrong type: {value!r:.40}")
+    return value
+
+
+def _count(payload: Mapping[str, Any], key: str, ceiling: int) -> int:
+    value = _field(payload, key, int)
+    if not 0 <= value <= ceiling:
+        raise ValueError(f"field {key!r} is {value}, not a count in [0, {ceiling}]")
+    return value
+
+
+def _sketch_bytes(payload: Mapping[str, Any], key: str) -> bytes:
+    try:
+        return base64.b64decode(_field(payload, key, str), validate=True)
+    except binascii.Error as error:
+        raise ValueError(f"field {key!r} is not base64: {error}") from None
+
+
 def hydrate_column_stats(
     table_name: str,
     name: str,
-    payload: dict[str, Any],
+    payload: Mapping[str, Any],
     config: SketchConfig,
     array_loader: Callable[[], tuple[Cell, ...]],
+    num_rows: int,
 ) -> ColumnStats:
-    """Rebuild a fully-warmed :class:`ColumnStats` from its payload."""
-    signature = MinHashSignature.from_bytes(base64.b64decode(payload["minhash"]))
-    hll = HyperLogLog.from_bytes(base64.b64decode(payload["hll"]))
+    """Rebuild a fully-warmed :class:`ColumnStats` from its payload.
+
+    Every field is checked and both sketches are decoded here, so damage
+    raises :class:`ValueError` now, not on first use; the column keeps the
+    sketches as bytes.  *num_rows* is the row count the manifest states."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"column {name!r} payload is not an object")
+    dtype = _field(payload, "dtype", str)
+    if dtype not in _DTYPES:
+        raise ValueError(f"field 'dtype' is {dtype!r:.40}")
+    row_count = _field(payload, "row_count", int)
+    if row_count != num_rows:
+        raise ValueError(f"field 'row_count' is {row_count}, the manifest says {num_rows}")
+    null_count = _count(payload, "null_count", row_count)
+    missing_count = _count(payload, "missing_count", null_count)
+    numeric_fraction = _field(payload, "numeric_fraction", (int, float))
+    if not 0 <= numeric_fraction <= 1:
+        raise ValueError(f"field 'numeric_fraction' is {numeric_fraction!r}")
+    distinct = _field(payload, "distinct", list)
+    if len(distinct) > row_count - null_count or not all(
+        type(cell) in (str, int, float, bool) for cell in distinct
+    ):
+        raise ValueError("field 'distinct' is not a set of non-null cells")
+    tokens = _field(payload, "tokens", list)
+    if not all(type(token) is str for token in tokens):
+        raise ValueError("field 'tokens' holds a non-string")
+    minhash = _sketch_bytes(payload, "minhash")
+    if len(MinHashSignature.from_bytes(minhash).values) != config.minhash_num_perm:
+        raise ValueError("MinHash signature length differs from the sketch config")
+    hll = _sketch_bytes(payload, "hll")
+    if HyperLogLog.from_bytes(hll).precision != config.hll_precision:
+        raise ValueError("HyperLogLog precision differs from the sketch config")
     return ColumnStats.from_snapshot(
         table_name,
         name,
-        dtype=payload["dtype"],
-        row_count=payload["row_count"],
-        null_count=payload["null_count"],
-        missing_count=payload["missing_count"],
-        numeric_fraction=payload["numeric_fraction"],
-        distinct=[decode_cell(value) for value in payload["distinct"]],
-        tokens=payload["tokens"],
-        text_values=payload["text_values"],
-        minhash={(config.minhash_num_perm, config.minhash_seed): signature},
+        dtype=dtype,
+        row_count=row_count,
+        null_count=null_count,
+        missing_count=missing_count,
+        numeric_fraction=numeric_fraction,
+        distinct=distinct,
+        tokens=tokens,
+        minhash={(config.minhash_num_perm, config.minhash_seed): minhash},
         hll={config.hll_precision: hll},
         array_loader=array_loader,
     )
+
+
+def hydrate_table_stats(
+    table_name: str,
+    columns: Sequence[str],
+    num_rows: int,
+    document: str,
+    config: SketchConfig,
+    array_loaders: Sequence[Callable[[], tuple[Cell, ...]]],
+) -> dict[str, ColumnStats]:
+    """Every column of one table's stats *document* (the JSON text of its
+    ``stats`` file), hydrated; a damaged document raises
+    :class:`ValueError`.  *columns* and *num_rows* are what the manifest
+    says the table holds."""
+    payloads = json.loads(document)
+    payloads = payloads.get("columns") if isinstance(payloads, dict) else None
+    if not isinstance(payloads, dict) or sorted(payloads) != sorted(columns):
+        raise ValueError(f"the document does not hold exactly columns {list(columns)}")
+    return {
+        column: hydrate_column_stats(
+            table_name, column, payloads[column], config, loader, num_rows
+        )
+        for column, loader in zip(columns, array_loaders)
+    }
 
 
 # ----------------------------------------------------------------------

@@ -25,10 +25,12 @@ Hydration (the persistent lake store)
 -------------------------------------
 :mod:`repro.store` persists every :class:`ColumnStats` product to disk and
 restores it with :meth:`ColumnStats.from_snapshot`: a hydrated column is
-born ``scanned`` with all base statistics, token sets, normalized text and
-sketches pre-filled, and holds only a *loader* for its raw array -- cell
-data is paged in per column, on first raw access, and ``scan_count`` stays
-0 for the whole warm run (the observable warm-start guarantee).
+born ``scanned`` with all base statistics and the token set pre-filled,
+holds its sketches as their persisted bytes (each decoded on first use),
+and holds only a *loader* for its raw array -- cell data is paged in per
+column, on first raw access, and ``scan_count`` stays 0 for the whole warm
+run (the observable warm-start guarantee).  The full normalized text
+domain is not stored at all: it is derived from ``distinct``.
 
 Every consumer-facing product is immutable: ``distinct`` and ``tokens``
 are frozensets, column arrays are tuples, and the shared ``values`` /
@@ -127,8 +129,10 @@ class ColumnStats:
         self._scanned = False
         self._tokens: frozenset[str] | None = None
         self._text_values: dict[int | None, frozenset[str]] = {}
-        self._minhash: dict[tuple[int, int], "MinHashSignature"] = {}
-        self._hll: dict[int, "HyperLogLog"] = {}
+        # A hydrated column's sketches stay as their persisted bytes until
+        # first asked for; minhash() / hll() decode and keep the result.
+        self._minhash: dict[tuple[int, int], "MinHashSignature | bytes"] = {}
+        self._hll: dict[int, "HyperLogLog | bytes"] = {}
         self._column_list: list[Cell] | None = None
 
     @classmethod
@@ -144,19 +148,20 @@ class ColumnStats:
         numeric_fraction: float,
         distinct: Iterable[Cell],
         tokens: Iterable[str] | None = None,
-        text_values: Iterable[str] | None = None,
-        minhash: "Mapping[tuple[int, int], MinHashSignature] | None" = None,
-        hll: "Mapping[int, HyperLogLog] | None" = None,
+        minhash: "Mapping[tuple[int, int], bytes] | None" = None,
+        hll: "Mapping[int, bytes] | None" = None,
         array: tuple[Cell, ...] | None = None,
         array_loader: "Callable[[], tuple[Cell, ...]] | None" = None,
     ) -> "ColumnStats":
         """Rebuild fully-scanned column statistics from a persisted snapshot.
 
         The column is born with ``scan_count == 0`` and ``_scanned`` set:
-        every cached product (distinct set, tokens, sketches, normalized
-        text) is served from the snapshot, and the raw cell array -- the one
-        thing a snapshot deliberately does not duplicate -- is paged in
-        through *array_loader* only if a consumer actually asks for cells.
+        every cached product (distinct set, tokens, sketches) is served from
+        the snapshot -- the sketches, given as their persisted bytes, are
+        decoded on first use -- the full normalized text domain is derived
+        from ``distinct``, and the raw cell array -- the one thing a
+        snapshot deliberately does not duplicate -- is paged in through
+        *array_loader* only if a consumer actually asks for cells.
         """
         stats = cls(table_name, name, array, array_loader=array_loader)
         stats.row_count = row_count
@@ -167,8 +172,6 @@ class ColumnStats:
         stats.dtype = dtype
         if tokens is not None:
             stats._tokens = frozenset(tokens)
-        if text_values is not None:
-            stats._text_values[None] = frozenset(text_values)
         if minhash:
             stats._minhash.update(minhash)
         if hll:
@@ -285,18 +288,30 @@ class ColumnStats:
 
     def text_values(self, limit: int | None = None) -> frozenset[str]:
         """Normalized string values (TUS / alignment evidence), optionally
-        computed over only the first *limit* non-null values."""
+        computed over only the first *limit* non-null values.
+
+        Without a limit this is the normalized string members of
+        ``distinct``, so it reads no cells; a domain already in normal form
+        is ``distinct`` itself, not a second copy of it."""
         if limit is not None and limit >= self.non_null_count:
             limit = None
         cached = self._text_values.get(limit)
         if cached is None:
             from ..text.tokenize import normalize_token
 
-            values = self._ensure().values
-            sample = values if limit is None else values[:limit]
-            cached = frozenset(
-                normalize_token(str(v)) for v in sample if isinstance(v, str)
-            )
+            if limit is None:
+                distinct = self._ensure().distinct
+                cached = frozenset(
+                    normalize_token(v) for v in distinct if isinstance(v, str)
+                )
+                if cached == distinct:
+                    cached = distinct
+            else:
+                cached = frozenset(
+                    normalize_token(v)
+                    for v in self._ensure().values[:limit]
+                    if isinstance(v, str)
+                )
             self._text_values[limit] = cached
         return cached
 
@@ -312,18 +327,22 @@ class ColumnStats:
         if signature is None:
             signature = hasher.signature(self.tokens)
             self._minhash[key] = signature
+        elif isinstance(signature, bytes):
+            from ..sketch.minhash import MinHashSignature
+
+            signature = self._minhash[key] = MinHashSignature.from_bytes(signature)
         return signature
 
     def hll(self, precision: int = 12) -> "HyperLogLog":
         """A HyperLogLog over the non-null values (memoized per precision)."""
+        from ..sketch.hll import HyperLogLog
+
         sketch = self._hll.get(precision)
         if sketch is None:
-            from ..sketch.hll import HyperLogLog
-
-            sketch = HyperLogLog(precision=precision).update(
-                self._ensure().values
-            )
+            sketch = HyperLogLog(precision=precision).update(self._ensure().values)
             self._hll[precision] = sketch
+        elif isinstance(sketch, bytes):
+            sketch = self._hll[precision] = HyperLogLog.from_bytes(sketch)
         return sketch
 
     # ------------------------------------------------------------------

@@ -16,7 +16,8 @@ from repro.datalake import DataLake
 from repro.store import LakeStore, SketchConfig
 from repro.table import MISSING, PRODUCED, Table
 
-from old_store import downgrade_to_v1
+from deltas import deltas
+from old_store import add_text_values, downgrade_to_v1
 
 # ----------------------------------------------------------------------
 # Strategies: heterogeneous cells with both null kinds and unicode text
@@ -86,6 +87,68 @@ def test_roundtrip_arrays_stats_and_sketches(tmp_path_factory, lake):
             assert restored.hll(12).to_bytes() == reference.hll(12).to_bytes()
     # The whole verification above ran from hydrated snapshots: no scans.
     assert all(n == 0 for n in warm.stats.scan_counts().values())
+
+
+def assert_hydrated_like_scanned(store: LakeStore, lake: DataLake) -> None:
+    """Every product of each hydrated column equals the scanned column's.
+
+    Before the first call a hydrated column holds its sketches as bytes,
+    and the unlimited text domain reads no cells: no scan, no segment
+    decode.  A limited text domain may page cells in, so it comes last."""
+    config = SketchConfig()
+    hasher = config.hasher
+    decoded = deltas("store.decode.v1", "store.decode.v2")
+    hydrated = {name: store.table_stats(name) for name in lake}
+    for name, original in lake.items():
+        for column in original.columns:
+            restored = hydrated[name].column(column)
+            reference = original.stats.column(column)
+            sketches = [*restored._minhash.values(), *restored._hll.values()]
+            assert len(sketches) == 2
+            assert all(type(sketch) is bytes for sketch in sketches)
+            assert restored.text_values() == reference.text_values()
+            assert restored.distinct == reference.distinct
+            assert restored.tokens == reference.tokens
+        assert all(n == 0 for n in hydrated[name].scan_counts.values())
+    assert decoded() == {"store.decode.v1": 0, "store.decode.v2": 0}
+    for name, original in lake.items():
+        for column in original.columns:
+            restored = hydrated[name].column(column)
+            reference = original.stats.column(column)
+            assert (
+                restored.minhash(hasher).to_bytes()
+                == reference.minhash(hasher).to_bytes()
+            )
+            precision = config.hll_precision
+            assert (
+                restored.hll(precision).cardinality()
+                == reference.hll(precision).cardinality()
+            )
+            for limit in range(reference.row_count + 2):
+                assert restored.text_values(limit) == reference.text_values(limit)
+        assert all(n == 0 for n in hydrated[name].scan_counts.values())
+
+
+@settings(max_examples=25, deadline=None)
+@given(lakes())
+def test_hydrated_products_equal_the_scanned_columns(tmp_path_factory, lake):
+    store_dir = tmp_path_factory.mktemp("store") / "lake.store"
+    LakeStore.create(store_dir).ingest(lake)
+    assert_hydrated_like_scanned(LakeStore.open(store_dir), lake)
+
+
+@settings(max_examples=15, deadline=None)
+@given(lakes())
+def test_snapshots_carrying_text_values_hydrate_alike(tmp_path_factory, lake):
+    """Every store written before the text domain was derived carries it
+    as a ``text_values`` field; the one reader ignores the field and
+    serves identical products."""
+    store_dir = tmp_path_factory.mktemp("store") / "lake.store"
+    LakeStore.create(store_dir).ingest(lake)
+    add_text_values(store_dir)
+    snapshot = next((store_dir / "stats").glob("*.stats.json"))
+    assert '"text_values":' in snapshot.read_text(encoding="utf-8")
+    assert_hydrated_like_scanned(LakeStore.open(store_dir), lake)
 
 
 @settings(max_examples=15, deadline=None)
