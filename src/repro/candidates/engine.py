@@ -67,9 +67,7 @@ warm build.  The audit, structure by structure:
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Hashable, Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Iterator, Mapping
 
 from ..obs import metrics, trace
 from ..sketch.ensemble import LSHEnsemble
@@ -196,10 +194,12 @@ class CandidateEngine:
         self, num_perm: int, num_partitions: int, seed: int, min_size: int
     ) -> LSHEnsemble:
         """The banded sketch index under one parameter set (memoized, so
-        every discoverer with matching config shares the structure and
-        the column signatures behind it).  *num_partitions* is part of
-        the key -- the header of the persisted sketch artifact -- and
-        sizes nothing: an ensemble's partitions are size buckets."""
+        every discoverer with matching config shares the structure).  It
+        is stacked from :meth:`LakeStats.minhashes
+        <repro.datalake.stats.LakeStats.minhashes>`, table by table -- a
+        stored lake reads them off its stats snapshots without hydrating
+        them.  *num_partitions* is part of the key and sizes nothing: an
+        ensemble's partitions are size buckets."""
         params = (num_perm, num_partitions, seed, min_size)
         ensemble = self._ensembles.get(params)
         if ensemble is None:
@@ -207,49 +207,24 @@ class CandidateEngine:
                 ensemble = self._ensembles.get(params)
                 if ensemble is not None:
                     return ensemble
-                # Stacking (hydrated) signatures is cheap and is not
-                # counted as a posting-index rebuild: engine.build.tokens
-                # / .values track the registry / posting channels the
-                # store artifact replaces.  Built fully before
-                # publication, so concurrent readers only ever see a
-                # complete ensemble.
+                # Stacking signatures is not counted as a posting-index
+                # rebuild: engine.build.tokens / .values track the
+                # registry / posting channels the store artifact
+                # replaces.  Built fully before publication, so
+                # concurrent readers only ever see a complete ensemble.
                 metrics.counter("engine.build.ensemble").inc()
                 ensemble = LSHEnsemble(num_perm=num_perm, seed=seed)
-                hasher = ensemble.hasher
                 registry = self.registry
-                ensemble.index_signatures(
-                    (key, self._column_stats(key).minhash(hasher))
-                    for key in range(len(registry))
-                    if registry.token_sizes[key] >= min_size
-                )
+                entries: list[tuple[int, MinHashSignature]] = []
+                for table, keys in registry.by_table.items():
+                    keys = [key for key in keys if registry.token_sizes[key] >= min_size]
+                    if keys:
+                        columns = [registry.owner(key)[1] for key in keys]
+                        signatures = self._stats.minhashes(table, columns, ensemble.hasher)
+                        entries.extend(zip(keys, signatures))
+                ensemble.index_signatures(entries)
                 self._ensembles[params] = ensemble
         return ensemble
-
-    def materialized_ensembles(
-        self,
-    ) -> dict[tuple[int, int, int, int], tuple[list[int], np.ndarray, np.ndarray]]:
-        """The sketch ensembles built so far as signature tables -- per
-        parameter set the registry keys, their set sizes and the ``(n,
-        num_perm)`` signature matrix (what the lake store writes next to
-        the postings artifact)."""
-        return {
-            params: ensemble.signature_table()
-            for params, ensemble in self._ensembles.items()
-        }
-
-    def adopt_ensembles(
-        self,
-        tables: Mapping[
-            tuple[int, int, int, int], tuple[Sequence[int], np.ndarray, np.ndarray]
-        ],
-    ) -> None:
-        """Install persisted signature tables (store hydration); matching
-        parameter sets will never rebuild from stats."""
-        for params, (keys, sizes, matrix) in tables.items():
-            num_perm, _num_partitions, seed, _min_size = params
-            ensemble = LSHEnsemble(num_perm=num_perm, seed=seed)
-            ensemble.index_table(keys, sizes, matrix)
-            self._ensembles[tuple(params)] = ensemble
 
     def warm(self, channels: Iterable[str]) -> "CandidateEngine":
         """Materialize the posting channels *channels* now (idempotent).
@@ -609,10 +584,8 @@ class CandidateEngine:
         ``values``; channels nobody declared are neither built nor
         written).
 
-        Sketch ensembles serialize separately (the store writes their
-        signature tables next to this artifact): a matrix is not
-        JSONL-friendly, and restacking it would page in every stats
-        snapshot on a warm process's first sketch query.
+        Sketch ensembles are not persisted: a warm process restacks them
+        from the stats snapshots, which hold every column's signature.
         """
         wanted = set(channels)
         persisted = []

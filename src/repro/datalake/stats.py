@@ -30,8 +30,9 @@ unbounded.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
+from ..sketch.minhash import MinHasher, MinHashSignature
 from ..table.stats import ColumnStats, TableStats
 from ..table.table import Table
 
@@ -57,6 +58,15 @@ class LakeStats:
     def column(self, table_name: str, column: str) -> ColumnStats:
         """Stats of one column of one lake table."""
         return self.table(table_name).column(column)
+
+    def minhashes(
+        self, table_name: str, columns: Sequence[str], hasher: MinHasher
+    ) -> list[MinHashSignature]:
+        """The *hasher* signatures of *columns* of one lake table -- what
+        a candidate engine stacks into a sketch ensemble, table by table
+        (a stored lake's view reads them without hydrating the table)."""
+        stats = self.table(table_name)
+        return [stats.column(column).minhash(hasher) for column in columns]
 
     def __iter__(self) -> Iterator[tuple[str, TableStats]]:
         for name in self._lake:

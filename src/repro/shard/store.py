@@ -35,6 +35,7 @@ from typing import Any, Mapping, Sequence
 
 from ..discovery.base import Discoverer
 from ..faults import inject
+from ..sketch.minhash import MinHasher, MinHashSignature
 from ..store import journal
 from ..store.lakestore import (
     IngestReport,
@@ -501,6 +502,11 @@ class ShardedLakeStore:
 
     def table_stats(self, name: str) -> TableStats:
         return self.shard_for(name).table_stats(name)
+
+    def minhashes(
+        self, name: str, columns: Sequence[str], hasher: MinHasher
+    ) -> list[MinHashSignature]:
+        return self.shard_for(name).minhashes(name, columns, hasher)
 
     def lake(self) -> StoredDataLake:
         """The combined contents as a lazy, read-only :class:`DataLake`

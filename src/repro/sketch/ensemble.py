@@ -128,13 +128,6 @@ class LSHEnsemble:
         ``(num_perm, seed)`` so one signature serves every consumer."""
         return self._hasher
 
-    def signature_table(self) -> tuple[list[Hashable], np.ndarray, np.ndarray]:
-        """Everything indexed so far, in insertion order: the keys, their
-        set sizes (int64) and the ``(n, num_perm)`` uint32 signature
-        matrix.  :meth:`index_table` over the same three rebuilds an
-        ensemble that answers identically."""
-        return self._keys, self._sizes, self._matrix
-
     def index(self, entries: Iterable[tuple[Hashable, Iterable[Hashable]]]) -> None:
         """Bulk-index ``(key, token set)`` pairs."""
         self.index_signatures(
@@ -210,7 +203,7 @@ class LSHEnsemble:
         )
         if query_sig.size == 0:
             return []
-        keys, sizes, matrix = self.signature_table()
+        keys, sizes, matrix = self._keys, self._sizes, self._matrix
         matches = []
         for _, partition in sorted(self._buckets.items()):
             jaccard_threshold = self._containment_to_jaccard(

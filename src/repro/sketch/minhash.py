@@ -91,7 +91,9 @@ class MinHashSignature:
     @classmethod
     def from_bytes(cls, payload: bytes) -> "MinHashSignature":
         """Inverse of :meth:`to_bytes` (byte-identical round trip).  Also
-        accepts the earlier payload whose minima are uint64."""
+        accepts the earlier payload whose minima are uint64.  Minima no
+        hasher can produce -- above ``2**31 - 2``, or an empty set's
+        other than that sentinel -- raise :class:`ValueError`."""
         header = struct.calcsize("<IQ")
         if len(payload) < header:
             raise ValueError("truncated MinHash signature payload")
@@ -106,6 +108,11 @@ class MinHashSignature:
                 f"MinHash payload declares {num_perm} permutations but carries "
                 f"{len(body)} value bytes"
             )
+        # Checked before the cast: a uint64 minimum >= 2**32 would wrap.
+        if num_perm and values.max() > _MAX_HASH:
+            raise ValueError(f"MinHash minimum {values.max()} exceeds {_MAX_HASH}")
+        if size == 0 and not (values == _MAX_HASH).all():
+            raise ValueError("an empty-set MinHash carries minima other than its sentinel")
         return cls(values.astype(np.uint32), size)
 
 

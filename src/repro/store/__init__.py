@@ -10,8 +10,7 @@ layer:
 * :mod:`repro.store.snapshot` -- serialized
   :class:`~repro.table.stats.ColumnStats` payloads (dtype, null counts,
   distinct/token sets, MinHash + HLL sketches) under a
-  pinned :class:`SketchConfig`, and the binary codec of the candidate
-  engine's sketch artifact;
+  pinned :class:`SketchConfig` -- the one copy of every column sketch;
 * :mod:`repro.store.lakestore` -- the :class:`LakeStore` itself: a
   versioned manifest with per-table content hashes (incremental ingest
   rewrites only changed tables), persisted fitted discoverer indexes, and
@@ -42,7 +41,7 @@ from .lakestore import (
     StoreNotFound,
 )
 from .segment import SegmentCorrupted
-from .snapshot import DEFAULT_HLL_PRECISION, SketchArtifactError, SketchConfig
+from .snapshot import DEFAULT_HLL_PRECISION, SketchConfig
 
 __all__ = [
     "LakeStore",
@@ -55,7 +54,6 @@ __all__ = [
     "SketchConfigMismatch",
     "SegmentCorrupted",
     "StatsCorrupted",
-    "SketchArtifactError",
     "BinaryCodecError",
     "table_content_hash",
     "DEFAULT_HLL_PRECISION",

@@ -23,16 +23,14 @@ Layout of a store directory::
                              ``text_values`` field, which is ignored).
                              A hydrated column keeps the sketches as
                              these bytes until first use; a damaged
-                             snapshot raises :class:`StatsCorrupted`
+                             snapshot raises :class:`StatsCorrupted`.
+                             The only copy of each column's MinHash:
+                             sketch ensembles stack from these fields
+                             (:meth:`LakeStore.minhashes`)
     indexes/<d>.pkl          one fitted discoverer index per file
     postings/engine.post.jsonl  the candidate engine's inverted posting
                              structures (column registry, token and
                              normalized-value posting lists)
-    postings/engine.sketches.bin  the engine's sketch ensembles: per
-                             parameter set the registry keys, set sizes
-                             and one (n, num_perm) uint32 signature
-                             matrix, closed by a CRC-32 (see
-                             :func:`~repro.store.snapshot.encode_signature_tables`)
 
 The design goals, in order:
 
@@ -96,6 +94,7 @@ from ..datalake.stats import LakeStats
 from ..discovery.base import Discoverer
 from ..faults import inject
 from ..obs import metrics, trace
+from ..sketch.minhash import MinHasher, MinHashSignature
 from ..table.stats import TableStats
 from ..table.table import Table
 from ..table.values import Cell
@@ -104,12 +103,10 @@ from .codec import table_content_hash
 from .lru import LRUCache
 from .segment import read_columns, read_columns_v2, write_segment_v2
 from .snapshot import (
-    SketchArtifactError,
     SketchConfig,
     column_stats_payload,
-    decode_signature_tables,
-    encode_signature_tables,
     hydrate_table_stats,
+    snapshot_minhashes,
 )
 
 __all__ = [
@@ -829,21 +826,54 @@ class LakeStore:
         metrics.counter("store.stats_cache.rehydrates").inc()
         with trace.span("store.rehydrate_stats", table=name):
             entry = self._entry(name)
-            path = self._path / entry["stats"]
-            try:
-                by_name = hydrate_table_stats(
+            by_name = self._read_stats(
+                name,
+                lambda document: hydrate_table_stats(
                     name,
                     entry["columns"],
                     entry["num_rows"],
-                    path.read_text(encoding="utf-8"),
+                    document,
                     self._sketch,
                     _column_loaders(self._path, entry),
-                )
-            except ValueError as error:  # JSON and UTF-8 errors included
-                raise StatsCorrupted(f"stats snapshot {path} is damaged: {error}") from None
+                ),
+            )
             cached = TableStats.hydrated(name, entry["columns"], by_name)
             self._stats_cache.put(name, cached)
         return cached
+
+    def minhashes(
+        self, name: str, columns: Sequence[str], hasher: MinHasher
+    ) -> list[MinHashSignature]:
+        """The *hasher* signatures of *columns* of one table.
+
+        A table whose stats are hydrated already serves them.  Otherwise,
+        under the store's own sketch config, only the ``minhash`` fields
+        of its snapshot are read and decoded, and nothing is cached --
+        stacking a sketch ensemble hydrates no table.  Another hasher
+        hydrates.  A damaged signature raises :class:`StatsCorrupted`."""
+        stats = self._stats_cache.get(name)
+        config = self._sketch
+        if stats is None and (hasher.num_perm, hasher.seed) == (
+            config.minhash_num_perm,
+            config.minhash_seed,
+        ):
+            entry = self._entry(name)
+            signatures = self._read_stats(
+                name, lambda document: snapshot_minhashes(entry["columns"], document, config)
+            )
+            return [signatures[column] for column in columns]
+        if stats is None:
+            stats = self.table_stats(name)
+        return [stats.column(column).minhash(hasher) for column in columns]
+
+    def _read_stats(self, name: str, decode: Callable[[str], Any]) -> Any:
+        """*decode* of one table's stats document; any damage raises
+        :class:`StatsCorrupted` naming the file."""
+        path = self._path / self._entry(name)["stats"]
+        try:
+            return decode(path.read_text(encoding="utf-8"))
+        except ValueError as error:  # JSON and UTF-8 errors included
+            raise StatsCorrupted(f"stats snapshot {path} is damaged: {error}") from None
 
     def _entry(self, name: str) -> dict[str, Any]:
         try:
@@ -964,12 +994,13 @@ class LakeStore:
         them, exactly like discoverer index pickles).
 
         *channels* is the roster's declared channel union; posting
-        channels (``tokens``, ``values``) serialize as JSONL, materialized
-        sketch ensembles as a sibling binary artifact holding their
-        signature tables -- restacking them would otherwise force a warm
-        process to page in every table's stats snapshot on its first
-        sketch query.  Label namespaces ride inside their publishers'
-        index pickles.
+        channels (``tokens``, ``values``) serialize as JSONL.  Sketch
+        ensembles are not written: their signatures live once, in the
+        stats snapshots, and a warm process restacks from there
+        (:meth:`minhashes`).  Label namespaces ride inside their
+        publishers' index pickles.  The sketch file an older writer put
+        beside the postings, when the manifest still names one, is
+        unlinked by this save.
         """
         posting_rel = "postings/engine.post.jsonl"
         files = {
@@ -978,11 +1009,6 @@ class LakeStore:
                 for record in engine.to_records(channels)
             ).encode("utf-8")
         }
-        sketches_rel = None
-        tables = engine.materialized_ensembles()
-        if tables:
-            sketches_rel = "postings/engine.sketches.bin"
-            files[sketches_rel] = encode_signature_tables(tables)
         stats = engine.stats()
         owned = self._invalidate_postings()
         txn, stale = self._begin_artifacts("save_engine", files, owned)
@@ -992,7 +1018,6 @@ class LakeStore:
                 _WRITE_POSTINGS.fire()
             self._manifest["postings"] = {
                 "file": posting_rel,
-                "sketches": sketches_rel,
                 "lake_version": self.lake_version,
                 "columns": stats["columns"],
                 "tokens": (stats["token_postings"] or {}).get("tokens"),
@@ -1000,7 +1025,7 @@ class LakeStore:
                 "values": (stats["value_postings"] or {}).get("values"),
                 "value_entries": (stats["value_postings"] or {}).get("entries"),
                 # Band shapes recorded for `index info`; the signatures
-                # themselves live in the sketch artifact above.
+                # themselves live in the stats snapshots.
                 "ensembles": stats["ensembles"],
             }
             self._commit(txn, stale)
@@ -1013,9 +1038,9 @@ class LakeStore:
         saved or the lake has changed since it was built.  A hydrated
         engine's posting channels never rebuild (``engine.build.*`` stays put).
 
-        A sketch artifact that is missing, truncated, garbled or in an
-        earlier release's format is skipped: the engine restacks its
-        ensembles from the hydrated stats on first use."""
+        Its sketch ensembles stack on first use from the stats snapshots'
+        signatures (:meth:`minhashes`), hydrating no table.  A sketch file
+        an earlier release wrote beside the postings is never read."""
         from ..candidates.engine import CandidateEngine
 
         info = self._manifest.get("postings")
@@ -1029,18 +1054,12 @@ class LakeStore:
             lake = self.lake()
         with file.open("r", encoding="utf-8") as handle:
             records = (json.loads(line) for line in handle if line.strip())
-            engine = CandidateEngine.from_records(lake, records, stats=stats)
-        if info.get("sketches"):
-            try:
-                payload = (self._path / info["sketches"]).read_bytes()
-                engine.adopt_ensembles(decode_signature_tables(payload))
-            except (FileNotFoundError, SketchArtifactError):
-                metrics.counter("store.sketch_artifact.skipped").inc()
-        return engine
+            return CandidateEngine.from_records(lake, records, stats=stats)
 
     def _invalidate_postings(self) -> list[str]:
         """Mark the persisted posting artifacts stale; returns their paths
-        for unlinking after the manifest commits."""
+        for unlinking after the manifest commits (with the sketch file an
+        earlier release wrote, when the manifest still names one)."""
         info = self._manifest.get("postings")
         if not info:
             return []
@@ -1159,8 +1178,15 @@ class StoredLakeStats(LakeStats):
     data: every method goes through the store's ``table_stats``, which
     returns the same objects materialized tables adopt -- one coherent
     scan ledger either way.  (Hydrated snapshots are already warm, so
-    ``warm()`` ensures without scanning.)
+    ``warm()`` ensures without scanning.)  ``minhashes`` alone goes to
+    the store's :meth:`LakeStore.minhashes`, which reads signatures
+    without hydrating.
     """
 
     def table(self, name: str) -> TableStats:
         return self._lake.store.table_stats(name)
+
+    def minhashes(
+        self, table_name: str, columns: Sequence[str], hasher: MinHasher
+    ) -> list[MinHashSignature]:
+        return self._lake.store.minhashes(table_name, columns, hasher)

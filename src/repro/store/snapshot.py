@@ -12,7 +12,10 @@ which the one reader ignores.
 Hydration validates every field and decodes every sketch, so a damaged
 snapshot fails there (with a :class:`ValueError` that the store turns
 into :class:`~repro.store.lakestore.StatsCorrupted`), never on first use;
-the column then keeps each sketch as its persisted bytes.
+the column then keeps each sketch as its persisted bytes.  The snapshot
+holds the store's only copy of each column's MinHash:
+:func:`snapshot_minhashes` reads just those fields, checked the same way,
+so a sketch ensemble stacks without hydrating the table.
 
 Sketch parameters are pinned by :class:`SketchConfig` and recorded in the
 store manifest: MinHash signatures are only comparable under identical
@@ -28,13 +31,9 @@ from __future__ import annotations
 import base64
 import binascii
 import json
-import struct
-import zlib
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
-
-import numpy as np
 
 from ..sketch.hll import HyperLogLog
 from ..sketch.minhash import DEFAULT_NUM_PERM, DEFAULT_SEED, MinHasher, MinHashSignature
@@ -45,12 +44,10 @@ from .codec import encode_cell
 __all__ = [
     "SketchConfig",
     "DEFAULT_HLL_PRECISION",
-    "SketchArtifactError",
     "column_stats_payload",
     "hydrate_column_stats",
     "hydrate_table_stats",
-    "encode_signature_tables",
-    "decode_signature_tables",
+    "snapshot_minhashes",
 ]
 
 DEFAULT_HLL_PRECISION = 12
@@ -144,6 +141,16 @@ def _sketch_bytes(payload: Mapping[str, Any], key: str) -> bytes:
         raise ValueError(f"field {key!r} is not base64: {error}") from None
 
 
+def _minhash(payload: Mapping[str, Any], config: SketchConfig) -> tuple[bytes, MinHashSignature]:
+    """The column's MinHash as persisted, and decoded; raises
+    :class:`ValueError` unless it decodes to a *config* signature."""
+    data = _sketch_bytes(payload, "minhash")
+    signature = MinHashSignature.from_bytes(data)
+    if len(signature.values) != config.minhash_num_perm:
+        raise ValueError("MinHash signature length differs from the sketch config")
+    return data, signature
+
+
 def hydrate_column_stats(
     table_name: str,
     name: str,
@@ -157,8 +164,6 @@ def hydrate_column_stats(
     Every field is checked and both sketches are decoded here, so damage
     raises :class:`ValueError` now, not on first use; the column keeps the
     sketches as bytes.  *num_rows* is the row count the manifest states."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"column {name!r} payload is not an object")
     dtype = _field(payload, "dtype", str)
     if dtype not in _DTYPES:
         raise ValueError(f"field 'dtype' is {dtype!r:.40}")
@@ -178,9 +183,7 @@ def hydrate_column_stats(
     tokens = _field(payload, "tokens", list)
     if not all(type(token) is str for token in tokens):
         raise ValueError("field 'tokens' holds a non-string")
-    minhash = _sketch_bytes(payload, "minhash")
-    if len(MinHashSignature.from_bytes(minhash).values) != config.minhash_num_perm:
-        raise ValueError("MinHash signature length differs from the sketch config")
+    minhash, _ = _minhash(payload, config)
     hll = _sketch_bytes(payload, "hll")
     if HyperLogLog.from_bytes(hll).precision != config.hll_precision:
         raise ValueError("HyperLogLog precision differs from the sketch config")
@@ -200,6 +203,19 @@ def hydrate_column_stats(
     )
 
 
+def _column_payloads(document: str, columns: Sequence[str]) -> dict[str, dict[str, Any]]:
+    """The per-column payloads of one table's stats *document*; raises
+    :class:`ValueError` unless it holds an object for exactly *columns*."""
+    payloads = json.loads(document)
+    payloads = payloads.get("columns") if isinstance(payloads, dict) else None
+    if not isinstance(payloads, dict) or sorted(payloads) != sorted(columns):
+        raise ValueError(f"the document does not hold exactly columns {list(columns)}")
+    for column in columns:
+        if not isinstance(payloads[column], dict):
+            raise ValueError(f"column {column!r} payload is not an object")
+    return payloads
+
+
 def hydrate_table_stats(
     table_name: str,
     columns: Sequence[str],
@@ -212,10 +228,7 @@ def hydrate_table_stats(
     ``stats`` file), hydrated; a damaged document raises
     :class:`ValueError`.  *columns* and *num_rows* are what the manifest
     says the table holds."""
-    payloads = json.loads(document)
-    payloads = payloads.get("columns") if isinstance(payloads, dict) else None
-    if not isinstance(payloads, dict) or sorted(payloads) != sorted(columns):
-        raise ValueError(f"the document does not hold exactly columns {list(columns)}")
+    payloads = _column_payloads(document, columns)
     return {
         column: hydrate_column_stats(
             table_name, column, payloads[column], config, loader, num_rows
@@ -224,71 +237,11 @@ def hydrate_table_stats(
     }
 
 
-# ----------------------------------------------------------------------
-# The sketch artifact: the candidate engine's signature tables
-# ----------------------------------------------------------------------
-#: ``(num_perm, num_partitions, seed, min_size)`` of one sketch ensemble.
-EnsembleParams = tuple[int, int, int, int]
-#: Registry keys, their set sizes, and one signature row per key.
-SignatureTable = tuple[Sequence[int], np.ndarray, np.ndarray]
-
-_ARTIFACT_HEADER = struct.Struct("<4sBI")  # magic, format version, table count
-_ARTIFACT_MAGIC = b"RSKT"
-_ARTIFACT_VERSION = 1
-_TABLE_HEADER = struct.Struct("<IIqIQ")  # the four parameters, then the row count
-_CHECKSUM = struct.Struct("<I")  # CRC-32 of every byte before it
-
-
-class SketchArtifactError(ValueError):
-    """The bytes are not a complete, intact sketch artifact."""
-
-
-def encode_signature_tables(tables: Mapping[EnsembleParams, SignatureTable]) -> bytes:
-    """One binary document holding every table: per parameter set (in
-    sorted order) the registry keys as little-endian uint32, the set sizes
-    as uint64 and the ``(n, num_perm)`` signature matrix as one contiguous
-    uint32 block; a CRC-32 of everything closes it."""
-    parts = [_ARTIFACT_HEADER.pack(_ARTIFACT_MAGIC, _ARTIFACT_VERSION, len(tables))]
-    for params in sorted(tables):
-        keys, sizes, matrix = tables[params]
-        parts.append(_TABLE_HEADER.pack(*params, len(keys)))
-        parts.append(np.asarray(keys, dtype="<u4").tobytes())
-        parts.append(np.asarray(sizes, dtype="<u8").tobytes())
-        parts.append(np.ascontiguousarray(matrix, dtype="<u4").tobytes())
-    body = b"".join(parts)
-    return body + _CHECKSUM.pack(zlib.crc32(body))
-
-
-def decode_signature_tables(payload: bytes) -> dict[EnsembleParams, SignatureTable]:
-    """Inverse of :func:`encode_signature_tables`; anything but a complete
-    document with a matching checksum raises :class:`SketchArtifactError`."""
-    if len(payload) < _ARTIFACT_HEADER.size + _CHECKSUM.size:
-        raise SketchArtifactError("sketch artifact is truncated")
-    magic, version, count = _ARTIFACT_HEADER.unpack_from(payload)
-    if magic != _ARTIFACT_MAGIC or version != _ARTIFACT_VERSION:
-        raise SketchArtifactError("not a version-1 sketch artifact")
-    end = len(payload) - _CHECKSUM.size
-    if _CHECKSUM.unpack_from(payload, end)[0] != zlib.crc32(memoryview(payload)[:end]):
-        raise SketchArtifactError("sketch artifact checksum mismatch")
-    tables: dict[EnsembleParams, SignatureTable] = {}
-    offset = _ARTIFACT_HEADER.size
-    try:
-        for _ in range(count):
-            *params, rows = _TABLE_HEADER.unpack_from(payload, offset)
-            offset += _TABLE_HEADER.size
-            columns = []
-            for dtype, width in (("<u4", 1), ("<u8", 1), ("<u4", params[0])):
-                block = np.frombuffer(payload, dtype=dtype, count=rows * width, offset=offset)
-                offset += block.nbytes
-                columns.append(block)
-            keys, sizes, matrix = columns
-            tables[tuple(params)] = (
-                keys.tolist(),
-                sizes.astype(np.int64),
-                matrix.astype(np.uint32).reshape(rows, params[0]),
-            )
-    except (struct.error, ValueError) as error:
-        raise SketchArtifactError(f"sketch artifact is malformed: {error}") from None
-    if offset != end:
-        raise SketchArtifactError("sketch artifact has trailing bytes")
-    return tables
+def snapshot_minhashes(
+    columns: Sequence[str], document: str, config: SketchConfig
+) -> dict[str, MinHashSignature]:
+    """Every column's MinHash in one table's stats *document*, checked as
+    :func:`hydrate_column_stats` checks it; no other field is decoded.  A
+    damaged document or signature raises :class:`ValueError`."""
+    payloads = _column_payloads(document, columns)
+    return {column: _minhash(payloads[column], config)[1] for column in columns}

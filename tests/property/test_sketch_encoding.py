@@ -188,6 +188,45 @@ def test_minhash_rejects_a_body_of_neither_width():
             MinHashSignature.from_bytes(bad)
 
 
+def with_values(signature: MinHashSignature, values, size=None) -> MinHashSignature:
+    return MinHashSignature(np.asarray(values), signature.size if size is None else size)
+
+
+def test_minhash_uint32_payload_rejects_minima_no_hasher_produces():
+    signature = MinHasher(16).signature({"a", "b", "c"})
+    empty = MinHasher(16).signature(set())
+    payload = bytearray(signature.to_bytes())
+    payload[12 + 3] ^= 0x80  # the top bit of the first minimum
+    ceiling = signature.values.copy()
+    ceiling[5] = 2**31 - 1  # one above the largest residue mod 2**31 - 1
+    nonempty_minima = empty.values.copy()
+    nonempty_minima[0] = 7
+    for bad in (
+        bytes(payload),
+        with_values(signature, ceiling).to_bytes(),
+        with_values(empty, nonempty_minima, size=0).to_bytes(),
+    ):
+        with pytest.raises(ValueError):
+            MinHashSignature.from_bytes(bad)
+    assert MinHashSignature.from_bytes(empty.to_bytes()).size == 0
+
+
+def test_minhash_uint64_payload_rejects_minima_no_hasher_produces():
+    signature = MinHasher(16).signature({"a", "b", "c"})
+    empty = MinHasher(16).signature(set())
+    wrapped = signature.values.astype(np.uint64)
+    wrapped[2] += 2**32  # casts back to a plausible uint32 minimum
+    nonempty_minima = empty.values.astype(np.uint64)
+    nonempty_minima[-1] = 0
+    for bad in (
+        legacy_minhash_bytes(with_values(signature, wrapped)),
+        legacy_minhash_bytes(with_values(empty, nonempty_minima, size=0)),
+    ):
+        with pytest.raises(ValueError):
+            MinHashSignature.from_bytes(bad)
+    assert MinHashSignature.from_bytes(legacy_minhash_bytes(empty)).size == 0
+
+
 # ----------------------------------------------------------------------
 # Array-backed bands == one dict per band
 # ----------------------------------------------------------------------
@@ -253,7 +292,11 @@ def test_ensemble_rebuilt_from_its_signature_table_answers_identically():
     first = LSHEnsemble()
     first.index_signatures(enumerate(signatures))
     second = LSHEnsemble()
-    second.index_table(*first.signature_table())
+    second.index_table(
+        list(range(len(signatures))),
+        np.array([s.size for s in signatures]),
+        np.stack([s.values for s in signatures]),
+    )
     for probe in signatures[:10]:
         assert second.query(probe, threshold=0.3) == first.query(probe, threshold=0.3)
     # A later ``index`` call lands in the same table and invalidates

@@ -1,35 +1,40 @@
-"""The store's sketch artifact (``postings/engine.sketches.bin``).
+"""The engine's sketch artifact, which the store no longer writes.
 
-* the codec round-trips and is deterministic;
-* any truncation or flipped byte is a typed :class:`SketchArtifactError`,
-  which ``load_engine`` treats as "no artifact": the ensembles restack
-  from hydrated stats and every answer is unchanged;
-* a store written by the previous release -- uint64 / dense sketch
-  payloads in the stats files, a pickled ``engine.sketches.pkl`` -- still
-  opens and answers identically, and its first ingest leaves no ``.pkl``
-  behind.
+A stats snapshot holds the one copy of a column's MinHash; sketch
+ensembles stack from those.  Older stores are still served:
+
+* a store that still holds the sketch artifact
+  (``postings/engine.sketches.bin``, named by the manifest's
+  ``postings.sketches``) opens and answers as if it were not there --
+  truncated, flipped, deleted, a pickle, or a well-formed artifact of
+  wrong signatures -- and the next ``save_engine`` or content-changing
+  ingest unlinks it;
+* a store of an earlier release -- uint64 / dense sketch payloads in the
+  stats files, a pickled ``engine.sketches.pkl`` -- still opens and
+  answers identically, and its first ingest or save leaves no ``.pkl``
+  behind;
+* ``postings/`` holds no second copy of the signatures.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.core.pipeline import Dialite
 from repro.datalake.synth import SyntheticLakeBuilder
-from repro.sketch import HyperLogLog, MinHashSignature
-from repro.store import LakeStore, SketchArtifactError
-from repro.store.snapshot import decode_signature_tables, encode_signature_tables
+from repro.store import LakeStore
 from repro.table import Table
 from deltas import ENGINE_BUILDS, deltas
-from sketch_oracles import legacy_hll_bytes, legacy_minhash_bytes
-
-SKETCHES = "postings/engine.sketches.bin"
-LEGACY_SKETCHES = "postings/engine.sketches.pkl"
+from old_store import (
+    PICKLED_SKETCHES,
+    SKETCH_ARTIFACT,
+    as_previous_release,
+    plant_sketch_artifact,
+    zeroed_sketch_artifact,
+)
 
 
 @pytest.fixture(scope="module")
@@ -65,99 +70,59 @@ def answers(path, synth) -> list:
     return out
 
 
-def test_codec_round_trip_is_exact_and_deterministic():
-    rng = np.random.default_rng(0)
-    tables = {
-        (128, 8, 1, 2): (
-            [0, 3, 7],
-            np.array([2, 9, 17]),
-            rng.integers(0, 2**31 - 1, size=(3, 128), dtype=np.uint32),
-        ),
-        (16, 4, -5, 1): ([], np.empty(0, dtype=np.int64), np.empty((0, 16), dtype=np.uint32)),
-    }
-    payload = encode_signature_tables(tables)
-    decoded = decode_signature_tables(payload)
-    assert list(decoded) == sorted(tables)
-    for params, (keys, sizes, matrix) in tables.items():
-        got_keys, got_sizes, got_matrix = decoded[params]
-        assert got_keys == keys
-        assert got_sizes.tolist() == list(sizes) and got_sizes.dtype == np.int64
-        assert np.array_equal(got_matrix, matrix) and got_matrix.dtype == np.uint32
-    assert encode_signature_tables(decoded) == payload
-    assert encode_signature_tables(dict(reversed(tables.items()))) == payload
+def postings_info(path) -> dict:
+    return json.loads((path / "manifest.json").read_text(encoding="utf-8"))["postings"]
 
 
-def test_artifact_holds_one_uint32_matrix_per_ensemble(built):
+def test_a_current_store_writes_no_sketch_file(built):
     path, _ = built
-    store = LakeStore.open(path)
-    payload = (path / SKETCHES).read_bytes()
-    tables = decode_signature_tables(payload)
-    assert list(tables) == [(128, 8, 1, 2)]  # the default LSH Ensemble roster entry
-    keys, sizes, matrix = tables[(128, 8, 1, 2)]
-    assert matrix.shape == (len(keys), 128) and len(sizes) == len(keys)
-    # Nothing but the matrix, 12 bytes a row and the framing.
-    assert len(payload) == 9 + 28 + len(keys) * (4 + 8 + 128 * 4) + 4
-    built = deltas(*ENGINE_BUILDS)
-    engine = store.load_engine()
-    assert not any(built().values())
-    assert engine.materialized_ensembles().keys() == tables.keys()
-    assert not list(path.rglob("*.sketches.pkl"))
+    assert [f.name for f in (path / "postings").iterdir()] == ["engine.post.jsonl"]
+    assert "sketches" not in postings_info(path)
 
 
-def test_every_truncation_and_any_flipped_byte_is_a_typed_error(built):
-    path, _ = built
-    payload = (path / SKETCHES).read_bytes()
-    for cut in [*range(0, len(payload), 64), len(payload) - 1]:
-        with pytest.raises(SketchArtifactError):
-            decode_signature_tables(payload[:cut])
-    for position in [0, 3, 4, 8, 20, 40, len(payload) // 2, len(payload) - 5, len(payload) - 1]:
-        garbled = bytearray(payload)
-        garbled[position] ^= 0x21
-        with pytest.raises(SketchArtifactError):
-            decode_signature_tables(bytes(garbled))
-    with pytest.raises(SketchArtifactError):
-        decode_signature_tables(payload + b"\0")
-
-
-@pytest.mark.parametrize("damage", ["truncate", "flip", "delete", "pickle"])
+@pytest.mark.parametrize("damage", ["truncate", "flip", "delete", "pickle", "intact"])
 def test_load_engine_falls_back_and_answers_do_not_change(built, synth, damage):
+    """Whatever the artifact holds, the engine stacks its ensembles from
+    the stats snapshots; an intact one of all-zero signatures proves the
+    file is never read."""
     path, expected = built
-    file = path / SKETCHES
-    payload = file.read_bytes()
+    payload = zeroed_sketch_artifact(rows=postings_info(path)["columns"])
+    plant_sketch_artifact(path, payload)
+    file = path / SKETCH_ARTIFACT
     if damage == "truncate":
         file.write_bytes(payload[: len(payload) // 2])
     elif damage == "flip":
         file.write_bytes(payload[:100] + bytes([payload[100] ^ 0xFF]) + payload[101:])
     elif damage == "delete":
         file.unlink()
-    else:
+    elif damage == "pickle":
         file.write_bytes(pickle.dumps({"not": "a sketch artifact"}))
-    built = deltas(*ENGINE_BUILDS)
-    engine = LakeStore.open(path).load_engine()
-    assert engine is not None and engine.materialized_ensembles() == {}
-    assert not any(built().values())  # postings still hydrate; only sketches restack
+    built_channels = deltas(*ENGINE_BUILDS)
+    assert LakeStore.open(path).load_engine() is not None
+    assert answers(path, synth) == expected
+    assert not any(built_channels().values())  # the postings hydrate
+
+
+def test_the_next_save_engine_unlinks_a_planted_artifact(built, synth):
+    path, expected = built
+    plant_sketch_artifact(path, zeroed_sketch_artifact(rows=postings_info(path)["columns"]))
+    store = LakeStore.open(path)
+    pipeline = Dialite(store=store).fit()
+    pipeline.discover(synth.query, k=3)
+    pipeline.index.save_to_store(store)
+    assert not (path / SKETCH_ARTIFACT).exists()
+    assert "sketches" not in postings_info(path)
     assert answers(path, synth) == expected
 
 
-def as_previous_release(path) -> None:
-    """Rewrite a store in place into what the previous release wrote: the
-    stats files carry uint64 MinHash minima and dense HyperLogLog
-    registers, and the sketch ensembles sit in a pickle the manifest
-    points at."""
-    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
-    for entry in manifest["tables"].values():
-        file = path / entry["stats"]
-        document = json.loads(file.read_text(encoding="utf-8"))
-        for column in document["columns"].values():
-            signature = MinHashSignature.from_bytes(base64.b64decode(column["minhash"]))
-            sketch = HyperLogLog.from_bytes(base64.b64decode(column["hll"]))
-            column["minhash"] = base64.b64encode(legacy_minhash_bytes(signature)).decode()
-            column["hll"] = base64.b64encode(legacy_hll_bytes(sketch)).decode()
-        file.write_text(json.dumps(document), encoding="utf-8")
-    (path / SKETCHES).unlink()
-    (path / LEGACY_SKETCHES).write_bytes(pickle.dumps({"ensembles": "of an old class"}))
-    manifest["postings"]["sketches"] = LEGACY_SKETCHES
-    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+def test_a_content_changing_ingest_unlinks_a_planted_artifact(built):
+    path, _ = built
+    plant_sketch_artifact(path, b"\0" * 64)
+    store = LakeStore.open(path)
+    extra = Table(["City", "Country"], [("Oslo", "Norway"), ("Bergen", "Norway")], name="extra")
+    store.ingest({"extra": extra}, prune=False)
+    assert not (path / SKETCH_ARTIFACT).exists()
+    assert not list((path / "postings").glob("*"))  # the postings went stale too
 
 
 def test_previous_release_store_opens_answers_and_sheds_its_pickle(built, synth):
@@ -174,27 +139,26 @@ def test_previous_release_store_opens_answers_and_sheds_its_pickle(built, synth)
     name = store.table_names[0]
     column = store.table_stats(name).column(store.load_table(name).columns[0])
     assert len(column.minhash(store.sketch_config.hasher).to_bytes()) == 12 + 4 * 128
-    assert (path / LEGACY_SKETCHES).exists()  # nothing reads it, nothing has replaced it yet
+    assert (path / PICKLED_SKETCHES).exists()  # nothing reads it, nothing has replaced it yet
 
     extra = Table(["City", "Country"], [("Oslo", "Norway"), ("Bergen", "Norway")], name="extra")
     store.ingest({"extra": extra}, prune=False)
-    assert not (path / LEGACY_SKETCHES).exists()
+    assert not (path / PICKLED_SKETCHES).exists()
     Dialite(store=store).fit().index.save_to_store(store)
-    assert (path / SKETCHES).exists()
-    assert not [f for f in path.rglob("*") if f.suffix in (".pkl", ".tmp") and f.parent.name == "postings"]
+    assert [f.name for f in (path / "postings").iterdir()] == ["engine.post.jsonl"]
 
 
 def test_resave_on_a_previous_release_store_replaces_the_pickle(built, synth):
     """Saving again at the same lake version (``index update`` on an
-    unchanged lake) must not strand the pickle beside the new artifact."""
+    unchanged lake) must not strand the pickle beside the postings."""
     path, _ = built
     as_previous_release(path)
     store = LakeStore.open(path)
     pipeline = Dialite(store=store).fit()
-    pipeline.discover(synth.query, k=3)  # restacks the skipped ensemble
+    pipeline.discover(synth.query, k=3)
     pipeline.index.save_to_store(store)
-    assert (path / SKETCHES).exists() and not (path / LEGACY_SKETCHES).exists()
-    assert LakeStore.open(path).info()["postings"]["sketches"] == SKETCHES
+    assert [f.name for f in (path / "postings").iterdir()] == ["engine.post.jsonl"]
+    assert "sketches" not in LakeStore.open(path).info()["postings"]
 
 
 def test_index_info_prints_bytes_per_artifact_class(built, capsys):
@@ -210,3 +174,16 @@ def test_index_info_prints_bytes_per_artifact_class(built, capsys):
     assert sum(sizes.values()) == on_disk
     assert all(f"{kind} " in line for kind in sizes) and "total " in line
     assert f"postings {sizes['postings'] / 1e3:.1f} kB" in line
+
+
+#: ``postings/`` bytes per indexed column of the store ``built`` writes:
+#: 854.9 while ``save_engine`` also wrote every signature into the sketch
+#: artifact, 330.1 with the posting JSONL alone.  The bound is halfway.
+POSTING_BYTES_PER_COLUMN = 592
+
+
+def test_postings_hold_no_second_copy_of_the_signatures(built):
+    path, _ = built
+    store = LakeStore.open(path)
+    per_column = store.artifact_bytes()["postings"] / postings_info(path)["columns"]
+    assert per_column <= POSTING_BYTES_PER_COLUMN, f"{per_column:.1f} B per column"

@@ -8,9 +8,11 @@ zero-raw-scan guarantee of a warm discover run.
 
 from __future__ import annotations
 
+import base64
 import json
 import re
 
+import numpy as np
 import pytest
 
 from repro.core.pipeline import Dialite
@@ -20,7 +22,8 @@ from repro.datalake.fixtures import (
     covid_query_table,
     covid_unionable_table,
 )
-from repro.discovery import JosieJoinSearch
+from repro.discovery import JosieJoinSearch, LSHEnsembleJoinSearch
+from repro.sketch import MinHasher
 from repro.store import (
     IngestReport,
     LakeStore,
@@ -35,6 +38,7 @@ from repro.store import (
 from repro.store.codec import decode_column, encode_column
 from repro.table import MISSING, PRODUCED, Table
 
+from deltas import deltas
 from old_store import downgrade_to_v1
 
 
@@ -591,6 +595,10 @@ class TestSegmentFormats:
         assert top_k() == as_written
 
 
+def b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
 class TestStatsSnapshotDamage:
     """However a stats snapshot is damaged, ``table_stats`` raises
     :class:`StatsCorrupted` naming the file, at hydration: never a JSON,
@@ -721,6 +729,48 @@ class TestStatsSnapshotDamage:
             )
             self.assert_corrupted(path, stats_file, damaged)
 
+    #: Each way column ``b``'s ``minhash`` field is damaged: the edit of
+    #: its payload, given the pristine signature's bytes.
+    MINHASH_DAMAGE = {
+        "dropped": lambda payload, raw: payload.pop("minhash"),
+        "not-a-string": lambda payload, raw: payload.update(minhash=5),
+        "not-base64": lambda payload, raw: payload.update(minhash="!!!!"),
+        "no-signature": lambda payload, raw: payload.update(minhash="AAAA"),
+        "another-config": lambda payload, raw: payload.update(
+            minhash=b64(MinHasher(num_perm=64).signature({"x"}).to_bytes())
+        ),
+        "flipped-top-bit": lambda payload, raw: payload.update(
+            minhash=b64(raw[:15] + bytes([raw[15] ^ 0x80]) + raw[16:])
+        ),
+        "wrapped-uint64": lambda payload, raw: payload.update(
+            minhash=b64(raw[:12] + (np.frombuffer(raw[12:], "<u4") + np.uint64(2**32)).tobytes())
+        ),
+        "empty-not-sentinel": lambda payload, raw: payload.update(
+            minhash=b64(raw[:4] + bytes(8) + raw[12:])
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", ["hydration", "first-sketch-query"])
+    @pytest.mark.parametrize("damage", list(MINHASH_DAMAGE))
+    def test_a_damaged_minhash_at_either_entry_point(self, snapshot, entry, damage):
+        """Hydration and the signature reader (what a warm store's first
+        sketch query stacks its ensemble from) reject each damage alike."""
+        path, stats_file, pristine = snapshot
+        store = LakeStore.open(path)
+        LakeIndex(store.lake(), [LSHEnsembleJoinSearch()]).build().save_to_store(store)
+
+        def edit(document):
+            payload = document["columns"]["b"]
+            self.MINHASH_DAMAGE[damage](payload, base64.b64decode(payload["minhash"]))
+
+        stats_file.write_bytes(self.rewritten(pristine, edit))
+        with pytest.raises(StatsCorrupted, match=re.escape(str(stats_file))):
+            if entry == "hydration":
+                LakeStore.open(path).table_stats("t0")
+            else:
+                query = Table(["q"], [("x",), ("y",), ("Zürich",)], name="q")
+                LakeIndex.from_store(path).search(query, k=1, query_column="q")
+
     def test_a_damaged_document_shape(self, snapshot):
         path, stats_file, _ = snapshot
         for document in (b"[]", b'{"columns": []}', b'{"columns": {"a": [], "b": []}}', b""):
@@ -780,3 +830,29 @@ class TestHydratedFootprint:
         # is the distinct set itself, never a second copy of it.
         columns = [column for stats in held for column in stats]
         assert all(d is c.distinct for d, c in zip(domains, columns))
+
+
+def test_a_warm_sketch_query_hydrates_no_table(store, lake):
+    """The first LSH Ensemble discover on a warm store stacks its
+    ensemble from the snapshots' signatures alone: one ensemble build,
+    no table hydrated, and the answer a cold in-memory index gives."""
+    query = covid_query_table()
+    LakeIndex(store.lake(), [LSHEnsembleJoinSearch()]).build().save_to_store(store)
+    moved = deltas("engine.build.ensemble", "store.stats_cache.rehydrates")
+    warm = LakeIndex.from_store(LakeStore.open(store.path)).search(query, k=3, query_column="City")
+    assert moved() == {"engine.build.ensemble": 1, "store.stats_cache.rehydrates": 0}
+    cold = LakeIndex(lake, [LSHEnsembleJoinSearch()]).build().search(query, k=3, query_column="City")
+    assert warm == cold and warm["lsh_ensemble"]
+
+
+def test_a_sharded_lake_view_stacks_the_same_ensemble(tmp_path, lake):
+    from repro.shard.store import ShardedLakeStore
+
+    sharded = ShardedLakeStore.create(tmp_path / "sharded", num_shards=2)
+    sharded.ingest(lake)
+    query = covid_query_table()
+    results = [
+        LakeIndex(tables, [LSHEnsembleJoinSearch()]).build().search(query, k=3, query_column="City")
+        for tables in (sharded.lake(), lake)
+    ]
+    assert results[0] == results[1] and results[0]["lsh_ensemble"]
