@@ -30,7 +30,7 @@ The claims under test (ISSUE 8 acceptance):
    warm-start refits only the home shard.
 4. **The driver routes.**  Building both indexes and querying them
    decodes no segment and hydrates no stats snapshot in *this* process
-   (``store.decode.*`` and ``store.stats_cache.rehydrates`` do not
+   (``store.decode`` and ``store.stats_cache.rehydrates`` do not
    move): each shard is fitted, persisted and served by its own worker.
    Asserted at every scale.
 5. **A worker outlives its versions.**  An ingest through a live

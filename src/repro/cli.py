@@ -9,7 +9,6 @@ equivalent headless surface::
     python -m repro index build  --lake lake/ --store lake.store
     python -m repro index update --lake lake/ --store lake.store
     python -m repro index info   --store lake.store
-    python -m repro store migrate --store lake.store
     python -m repro discover   --store lake.store --query query.csv --column City
     python -m repro discover   --lake lake/ --query query.csv --column City -k 5
     python -m repro discover   --lake lake/ --queries q1.csv q2.csv --column City
@@ -110,13 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         "store", help="maintain a lake store's on-disk layout"
     )
     store_commands = store_cmd.add_subparsers(dest="store_command", required=True)
-    store_migrate = store_commands.add_parser(
-        "migrate",
-        help="upgrade a store written before the binary segment format: rewrite "
-        "every v1 (JSONL) table segment as v2; stats, sketches, lake version "
-        "and persisted indexes are untouched",
-    )
-    store_migrate.add_argument("--store", required=True, help="lake store directory")
     store_recover = store_commands.add_parser(
         "recover",
         help="settle a crashed writer's intent journal (roll an interrupted "
@@ -430,7 +422,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
             f"lake store: {info['path']}\n"
             f"format v{info['format_version']}, lake version {info['lake_version']}\n"
             f"{info['num_tables']} tables, {info['total_rows']} rows total\n"
-            f"segment formats: {_segment_mix(info['segment_format_counts'])}\n"
             f"sketch config: {info['sketch']}"
         )
         print(_bytes_line(store.artifact_bytes()))
@@ -477,19 +468,13 @@ def _cmd_index(args: argparse.Namespace) -> int:
         _print_live_service(args.store, info["lake_version"])
         if info["tables"]:
             rows = [
-                (
-                    name,
-                    entry["rows"],
-                    entry["columns"],
-                    entry["segment_format"],
-                    entry["content_hash"],
-                )
+                (name, entry["rows"], entry["columns"], entry["content_hash"])
                 for name, entry in sorted(info["tables"].items())
             ]
             print()
             print(
                 Table(
-                    ["table", "rows", "cols", "seg", "content_hash"], rows, name="store"
+                    ["table", "rows", "cols", "content_hash"], rows, name="store"
                 ).to_pretty(200)
             )
         return 0
@@ -531,12 +516,6 @@ def _bytes_line(sizes: dict[str, int]) -> str:
     return f"bytes on disk: {shown} (total {show(sum(sizes.values()))})"
 
 
-def _segment_mix(counts: dict[str, int]) -> str:
-    """How many table segments sit in each format, e.g. ``v1: 3, v2: 40``."""
-    mix = ", ".join(f"{fmt}: {n}" for fmt, n in sorted(counts.items()) if n)
-    return mix or "empty store"
-
-
 def _print_sharded_info(info: dict) -> None:
     """The `index info` / `store shard info` summary of a sharded lake."""
     print(
@@ -544,7 +523,6 @@ def _print_sharded_info(info: dict) -> None:
         f"format v{info['format_version']}, lake epoch {info['lake_version']}, "
         f"{info['num_shards']} shards (routing seed {info['routing_seed']})\n"
         f"{info['num_tables']} tables, {info['total_rows']} rows total\n"
-        f"segment formats: {_segment_mix(info['segment_format_counts'])}\n"
         f"sketch config: {info['sketch']}"
     )
     if info.get("indexes"):
@@ -570,11 +548,9 @@ def _print_sharded_info(info: dict) -> None:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from .shard import ShardedLakeStore, open_any_store
+    from .shard import ShardedLakeStore, recover_any_store
 
     if args.store_command == "recover":
-        from .shard import recover_any_store
-
         repairs = recover_any_store(args.store)
         if not repairs:
             print("clean: no interrupted operation found")
@@ -587,38 +563,29 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 + (f", {len(removed)} orphan file(s) removed" if removed else "")
             )
         return 0
-    if args.store_command == "shard":
-        if args.shard_command == "init":
-            seed = args.routing_seed if args.routing_seed is not None else 0
-            store = ShardedLakeStore.create(
-                args.store, num_shards=args.shards, routing_seed=seed
-            )
-            print(
-                f"created empty sharded lake at {store.path}: "
-                f"{store.num_shards} shards, routing seed {store.routing_seed}"
-            )
-            return 0
-        store = ShardedLakeStore.open(args.store, check_sketch=False)
-        if args.shard_command == "rebalance":
-            before = store.num_shards
-            store = store.rebalance(args.shards, routing_seed=args.routing_seed)
-            print(
-                f"rebalanced {len(store)} tables from {before} into "
-                f"{store.num_shards} shards (routing seed {store.routing_seed}); "
-                f"persisted indexes and global fit state dropped -- "
-                f"run `repro index build` to refit"
-            )
-            return 0
-        _print_sharded_info(store.info())  # shard info
+    # `store shard init | rebalance | info`, the one other verb
+    if args.shard_command == "init":
+        seed = args.routing_seed if args.routing_seed is not None else 0
+        store = ShardedLakeStore.create(
+            args.store, num_shards=args.shards, routing_seed=seed
+        )
+        print(
+            f"created empty sharded lake at {store.path}: "
+            f"{store.num_shards} shards, routing seed {store.routing_seed}"
+        )
         return 0
-
-    store = open_any_store(args.store, check_sketch=False)
-    rewritten = store.migrate()
-    print(
-        f"migrated {len(rewritten)} of {len(store)} table segments to v2 "
-        f"(now {_segment_mix(store.segment_format_counts())}); "
-        f"lake version {store.lake_version} unchanged"
-    )
+    store = ShardedLakeStore.open(args.store, check_sketch=False)
+    if args.shard_command == "rebalance":
+        before = store.num_shards
+        store = store.rebalance(args.shards, routing_seed=args.routing_seed)
+        print(
+            f"rebalanced {len(store)} tables from {before} into "
+            f"{store.num_shards} shards (routing seed {store.routing_seed}); "
+            f"persisted indexes and global fit state dropped -- "
+            f"run `repro index build` to refit"
+        )
+        return 0
+    _print_sharded_info(store.info())  # shard info
     return 0
 
 
@@ -1064,7 +1031,8 @@ _COMMANDS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code (2 for a store that is
-    missing, of the wrong layout or built under other sketch parameters)."""
+    missing, damaged, of the wrong layout or format generation, or built
+    under other sketch parameters)."""
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

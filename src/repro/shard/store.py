@@ -38,11 +38,13 @@ from ..faults import inject
 from ..sketch.minhash import MinHasher, MinHashSignature
 from ..store import journal
 from ..store.lakestore import (
+    FORMAT_VERSION,
     IngestReport,
     LakeStore,
     StoredDataLake,
     StoreError,
     StoreNotFound,
+    read_manifest,
 )
 from ..table.stats import TableStats
 from ..table.table import Table
@@ -60,7 +62,6 @@ _REBALANCE_MOVE = inject.point("shard.rebalance.move")
 _REBALANCE_COMMIT = inject.point("shard.rebalance.commit")
 
 _FORMAT = "repro-sharded-lake"
-_FORMAT_VERSION = 1
 _FIT_STATE_FILE = "global_fit.pkl"
 
 
@@ -204,7 +205,7 @@ class ShardedLakeStore:
         ]
         manifest = {
             "format": _FORMAT,
-            "format_version": _FORMAT_VERSION,
+            "format_version": FORMAT_VERSION,
             "num_shards": num_shards,
             "routing_seed": routing_seed,
             "shards": shard_names,
@@ -220,15 +221,7 @@ class ShardedLakeStore:
         manifest_path = path / "lake.json"
         if not manifest_path.exists():
             raise StoreNotFound(f"no sharded lake manifest at {path}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if manifest.get("format") != _FORMAT:
-            raise StoreError(f"{manifest_path} is not a {_FORMAT} manifest")
-        if manifest.get("format_version", 0) > _FORMAT_VERSION:
-            raise StoreError(
-                f"sharded lake at {path} uses format version "
-                f"{manifest['format_version']}, this library reads up to "
-                f"{_FORMAT_VERSION}"
-            )
+        manifest = read_manifest(manifest_path, _FORMAT)
         shards = [
             LakeStore.open(path / name, **shard_options)
             for name in manifest["shards"]
@@ -364,13 +357,6 @@ class ShardedLakeStore:
         """A fresh handle on the current on-disk state of every shard."""
         return type(self).open(self._path)
 
-    def segment_format_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for shard in self._shards:
-            for fmt, n in shard.segment_format_counts().items():
-                counts[fmt] = counts.get(fmt, 0) + n
-        return counts
-
     @property
     def table_names(self) -> list[str]:
         """Every table name, sorted (shard-order independent)."""
@@ -392,7 +378,6 @@ class ShardedLakeStore:
     def layout(self) -> dict[str, Any]:
         """:meth:`LakeStore.layout` plus the shard roster's versions."""
         return {
-            "segment_format_counts": self.segment_format_counts(),
             "num_shards": self.num_shards,
             "shard_versions": self.shard_versions(),
         }
@@ -414,7 +399,6 @@ class ShardedLakeStore:
             "num_shards": self.num_shards,
             "routing_seed": self.routing_seed,
             "lake_version": self.lake_version,
-            "segment_format_counts": self.segment_format_counts(),
             "num_tables": len(self),
             "total_rows": sum(i["total_rows"] for i in shard_infos),
             "sketch": self.sketch_config.to_json(),
@@ -489,10 +473,6 @@ class ShardedLakeStore:
         """Drop one table from its home shard (only that shard's version
         moves and only its artifacts invalidate)."""
         self.shard_for(name).remove(name)
-
-    def migrate(self) -> list[str]:
-        """:meth:`LakeStore.migrate` on every shard; the names, sorted."""
-        return sorted(name for shard in self._shards for name in shard.migrate())
 
     # ------------------------------------------------------------------
     # Reads (routed)

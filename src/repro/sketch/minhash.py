@@ -90,25 +90,21 @@ class MinHashSignature:
 
     @classmethod
     def from_bytes(cls, payload: bytes) -> "MinHashSignature":
-        """Inverse of :meth:`to_bytes` (byte-identical round trip).  Also
-        accepts the earlier payload whose minima are uint64.  Minima no
-        hasher can produce -- above ``2**31 - 2``, or an empty set's
-        other than that sentinel -- raise :class:`ValueError`."""
+        """Inverse of :meth:`to_bytes` (byte-identical round trip).  A body
+        of any width but ``4 * num_perm`` bytes, and minima no hasher can
+        produce -- above ``2**31 - 2``, or an empty set's other than that
+        sentinel -- raise :class:`ValueError`."""
         header = struct.calcsize("<IQ")
         if len(payload) < header:
             raise ValueError("truncated MinHash signature payload")
         num_perm, size = struct.unpack_from("<IQ", payload)
         body = payload[header:]
-        if len(body) == num_perm * 4:
-            values = np.frombuffer(body, dtype="<u4")
-        elif len(body) == num_perm * 8:
-            values = np.frombuffer(body, dtype="<u8")
-        else:
+        if len(body) != num_perm * 4:
             raise ValueError(
                 f"MinHash payload declares {num_perm} permutations but carries "
                 f"{len(body)} value bytes"
             )
-        # Checked before the cast: a uint64 minimum >= 2**32 would wrap.
+        values = np.frombuffer(body, dtype="<u4")
         if num_perm and values.max() > _MAX_HASH:
             raise ValueError(f"MinHash minimum {values.max()} exceeds {_MAX_HASH}")
         if size == 0 and not (values == _MAX_HASH).all():

@@ -38,6 +38,7 @@ from .lakestore import (
     StoredDataLake,
     StoredLakeStats,
     StoreError,
+    StoreFormatUnsupported,
     StoreNotFound,
 )
 from .segment import SegmentCorrupted
@@ -51,6 +52,7 @@ __all__ = [
     "SketchConfig",
     "StoreError",
     "StoreNotFound",
+    "StoreFormatUnsupported",
     "SketchConfigMismatch",
     "SegmentCorrupted",
     "StatsCorrupted",

@@ -1,11 +1,12 @@
 """Cell-level codec and canonical content hashing for the lake store.
 
-Everything the store writes is line-oriented JSON over this codec: a cell
-is a JSON scalar (``str`` / ``int`` / ``float`` / ``bool``) except nulls,
-which become single-key objects carrying their provenance kind -- JSON
-objects can never be confused with scalar cells, so the encoding is
-unambiguous and the paper's two-kind null model (``±`` missing vs ``⊥``
-produced) survives a round trip bit-for-bit.
+The JSON cell codec is what the wire, the stats snapshots' ``distinct``
+sets and the content hash speak: a cell is a JSON scalar (``str`` /
+``int`` / ``float`` / ``bool``) except nulls, which become single-key
+objects carrying their provenance kind -- JSON objects can never be
+confused with scalar cells, so the encoding is unambiguous and the
+paper's two-kind null model (``±`` missing vs ``⊥`` produced) survives a
+round trip bit-for-bit.
 
 The *content hash* is the store's change detector: a SHA-256 over a
 canonical serialization of a table's header and column arrays.  Two tables
@@ -34,7 +35,6 @@ __all__ = [
     "encode_cell",
     "decode_cell",
     "encode_column",
-    "decode_column",
     "encode_table",
     "decode_table",
     "table_content_hash",
@@ -65,17 +65,13 @@ def decode_cell(value: Any) -> Cell:
 
 
 def encode_column(array: tuple[Cell, ...]) -> str:
-    """One column array as a compact single-line JSON document."""
+    """One column array as a compact single-line JSON document (the
+    content hash's canonical form)."""
     return json.dumps(
         [encode_cell(cell) for cell in array],
         ensure_ascii=False,
         separators=(",", ":"),
     )
-
-
-def decode_column(line: str) -> tuple[Cell, ...]:
-    """Inverse of :func:`encode_column`."""
-    return tuple(decode_cell(value) for value in json.loads(line))
 
 
 def encode_table(table: Table) -> dict[str, Any]:
@@ -119,9 +115,9 @@ def decode_table(document: dict[str, Any]) -> Table:
 # of zero all survive), ints are arbitrary-precision two's-complement
 # bytes (no float64 detour, so ints beyond 2**53 stay exact), and bool
 # keeps its own tags so ``True`` can never collapse into ``1``.  Nulls
-# carry their kind in the tag.  Segment v2 stores its per-table value
-# dictionary under this codec; the JSON codec remains the v1 segment /
-# wire / content-hash format.
+# carry their kind in the tag.  A segment stores its per-table value
+# dictionary under this codec; the JSON codec remains the wire /
+# content-hash format.
 
 _TAG_FALSE = 0x01
 _TAG_TRUE = 0x02

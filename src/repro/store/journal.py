@@ -1,7 +1,7 @@
 """Intent journal + durable-write helpers for crash-consistent stores.
 
 The protocol (used by :class:`~repro.store.lakestore.LakeStore` for
-ingest/remove/migrate and by
+ingest/remove and by
 :class:`~repro.shard.store.ShardedLakeStore` for rebalance):
 
 1. before touching any file, the store writes ``journal.json`` at its
@@ -40,6 +40,10 @@ files, so the reader still sees a consistent store.
 fsync is on by default and can be disabled for benchmarks with
 ``REPRO_FSYNC=0`` (atomicity via tmp+replace is kept either way; only
 power-loss durability is traded).
+
+:class:`StoreError`, the root of every store failure, lives here too:
+this is the one store module the segment reader and the lake store both
+build on.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from ..faults import inject
 __all__ = [
     "JOURNAL_NAME",
     "LOCK_NAME",
+    "StoreError",
     "WriterLock",
     "acquire_writer_lock",
     "clear_journal",
@@ -77,6 +82,11 @@ __all__ = [
 
 _WRITE_JOURNAL = inject.point("store.write_journal")
 _CLEAR_JOURNAL = inject.point("store.clear_journal")
+
+
+class StoreError(RuntimeError):
+    """Any structural problem with a lake store on disk."""
+
 
 JOURNAL_NAME = "journal.json"
 LOCK_NAME = ".writer.lock"

@@ -9,11 +9,6 @@ Layout of a store directory::
                              fixed-width dictionary codes + per-table
                              value dictionary + null bitmaps -- the one
                              format written, always read whole
-    segments/<t>.seg.jsonl   v1, read-only: one JSON column per line, in
-                             stores written before v2 existed (entries
-                             without a ``segment_format`` tag); such a
-                             store opens and serves as it is, and
-                             :meth:`LakeStore.migrate` upgrades it
     stats/<t>.stats.json     the table's ColumnStats snapshot payloads
                              (sketches inside as base64: MinHash minima
                              as uint32, HyperLogLog registers as a sparse
@@ -31,6 +26,12 @@ Layout of a store directory::
     postings/engine.post.jsonl  the candidate engine's inverted posting
                              structures (column registry, token and
                              normalized-value posting lists)
+
+A store is read in exactly the format this code writes:
+``format_version`` 1 with ``.seg.bin`` segments.  :meth:`LakeStore.open`
+refuses any other version (or none), and a store whose entries name
+older segment files, with :class:`StoreFormatUnsupported`; such a store
+is rebuilt from its source CSVs with ``repro index build``.
 
 The design goals, in order:
 
@@ -64,7 +65,7 @@ small ``version.json`` sibling (written on every manifest commit) lets
 re-parsing the full manifest -- the watch hook the serving layer
 (:mod:`repro.service`) uses to detect foreign ingests and hot-reload.
 
-Multi-file mutations (ingest, remove, migrate) are additionally
+Multi-file mutations (ingest, remove) are additionally
 **crash-consistent as a unit**: the store records its intent in
 ``journal.json`` before the first write, fsyncs every data file (and its
 directory) before the manifest replace, stamps the manifest with the
@@ -100,8 +101,9 @@ from ..table.table import Table
 from ..table.values import Cell
 from . import journal
 from .codec import table_content_hash
+from .journal import StoreError
 from .lru import LRUCache
-from .segment import read_columns, read_columns_v2, write_segment_v2
+from .segment import read_columns_v2, write_segment_v2
 from .snapshot import (
     SketchConfig,
     column_stats_payload,
@@ -116,8 +118,11 @@ __all__ = [
     "IngestReport",
     "StoreError",
     "StoreNotFound",
+    "StoreFormatUnsupported",
     "SketchConfigMismatch",
     "StatsCorrupted",
+    "FORMAT_VERSION",
+    "read_manifest",
 ]
 
 _WRITE_SEGMENT = inject.point("store.write_segment")
@@ -129,17 +134,21 @@ _WRITE_VERSION = inject.point("store.write_version")
 _UNLINK_STALE = inject.point("store.unlink_stale")
 
 _FORMAT = "repro-lake-store"
-_FORMAT_VERSION = 1
+
+#: The one ``format_version`` this code writes and reads, in a plain
+#: store's ``manifest.json`` and a sharded root's ``lake.json`` alike.
+FORMAT_VERSION = 1
+
+_REBUILD_HINT = (
+    "rebuild it from the source CSVs into a fresh directory with "
+    "`repro index build --lake <csv dir> --store <new dir>`"
+)
 
 
 def _read_segment(root: Path, entry: Mapping[str, Any]) -> list[tuple[Cell, ...]]:
     """The column arrays of one manifest *entry*'s segment under *root*."""
-    segment_format = entry.get("segment_format", "v1")
-    metrics.counter(f"store.decode.{segment_format}").inc()
-    path, num_columns = root / entry["segment"], len(entry["columns"])
-    if segment_format == "v2":
-        return read_columns_v2(path, num_columns)
-    return read_columns(path, num_columns, entry["num_rows"])
+    metrics.counter("store.decode").inc()
+    return read_columns_v2(root / entry["segment"], len(entry["columns"]))
 
 
 def _column_loaders(
@@ -161,12 +170,38 @@ def _column_loaders(
     return [partial(load, position) for position in range(len(entry["columns"]))]
 
 
-class StoreError(RuntimeError):
-    """Any structural problem with a lake store on disk."""
-
-
 class StoreNotFound(StoreError):
     """The given path holds no store manifest."""
+
+
+class StoreFormatUnsupported(StoreError):
+    """The store on disk is of a format generation this code does not
+    read: a ``format_version`` other than :data:`FORMAT_VERSION` (or
+    none), or segment files of an older writer."""
+
+
+def read_manifest(manifest_path: Path, fmt: str) -> dict[str, Any]:
+    """The manifest at *manifest_path*, checked to be a *fmt* manifest
+    of :data:`FORMAT_VERSION`: the one check :meth:`LakeStore.open` and
+    the sharded store's ``open`` share.  Undecodable JSON or a non-object
+    raises :class:`StoreError`, any other version
+    :class:`StoreFormatUnsupported`; both name the file."""
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as error:  # JSON and UTF-8 errors included
+        raise StoreError(f"{manifest_path} is not valid JSON: {error}") from None
+    if not isinstance(manifest, dict):
+        raise StoreError(f"{manifest_path} does not hold a JSON object")
+    if manifest.get("format") != fmt:
+        raise StoreError(f"{manifest_path} is not a {fmt} manifest")
+    found = manifest.get("format_version")
+    if type(found) is not int or found != FORMAT_VERSION:
+        held = "no format_version" if found is None else f"format_version {found!r}"
+        raise StoreFormatUnsupported(
+            f"{manifest_path} holds {held}, but this code reads only "
+            f"format_version {FORMAT_VERSION}; {_REBUILD_HINT}"
+        )
+    return manifest
 
 
 class SketchConfigMismatch(StoreError):
@@ -238,7 +273,7 @@ class LakeStore:
         path.mkdir(parents=True, exist_ok=True)
         manifest = {
             "format": _FORMAT,
-            "format_version": _FORMAT_VERSION,
+            "format_version": FORMAT_VERSION,
             "lake_version": 0,
             "sketch": (sketch_config or SketchConfig()).to_json(),
             "tables": {},
@@ -270,14 +305,14 @@ class LakeStore:
         manifest_path = path / "manifest.json"
         if not manifest_path.exists():
             raise StoreNotFound(f"no lake store manifest at {path}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if manifest.get("format") != _FORMAT:
-            raise StoreError(f"{manifest_path} is not a {_FORMAT} manifest")
-        if manifest.get("format_version", 0) > _FORMAT_VERSION:
-            raise StoreError(
-                f"store at {path} uses format version {manifest['format_version']}, "
-                f"this library reads up to {_FORMAT_VERSION}"
-            )
+        manifest = read_manifest(manifest_path, _FORMAT)
+        for entry in manifest["tables"].values():
+            if not entry["segment"].endswith(".seg.bin"):
+                raise StoreFormatUnsupported(
+                    f"store at {path} holds segment {entry['segment']} of an "
+                    f"older format; this code reads only .seg.bin segments; "
+                    f"{_REBUILD_HINT}"
+                )
         store = cls(path, manifest)
         if check_sketch:
             expected = sketch_config or SketchConfig()
@@ -393,14 +428,6 @@ class LakeStore:
     def lake_version(self) -> int:
         return self._manifest["lake_version"]
 
-    def segment_format_counts(self) -> dict[str, int]:
-        """How many table entries sit in each segment format (an entry
-        without the tag is v1: it predates v2)."""
-        counts = {"v1": 0, "v2": 0}
-        for entry in self._manifest["tables"].values():
-            counts[entry.get("segment_format", "v1")] += 1
-        return counts
-
     def current_version(self) -> int:
         """The lake version currently committed **on disk** (cheap poll).
 
@@ -436,7 +463,7 @@ class LakeStore:
         snapshot this one has cached whose manifest entry is equal in the
         new manifest.  File names are content-addressed, so an equal entry
         names the same stats bytes and the segment the snapshot's loaders
-        read; a replaced, removed or migrated table carries nothing."""
+        read; a replaced or removed table carries nothing."""
         fresh = type(self).open(self._path, sketch_config=self._sketch)
         old, new = self._manifest["tables"], fresh._manifest["tables"]
         for name in self._stats_cache:
@@ -470,8 +497,9 @@ class LakeStore:
         return sum(e["num_rows"] for e in self._manifest["tables"].values())
 
     def layout(self) -> dict[str, Any]:
-        """The on-disk layout a serving generation reports (``stats`` op)."""
-        return {"segment_format_counts": self.segment_format_counts()}
+        """The on-disk layout a serving generation reports (``stats`` op):
+        nothing beyond the manifest for a plain store."""
+        return {}
 
     def __repr__(self) -> str:
         return f"LakeStore({str(self._path)!r}, v{self.lake_version}, {len(self)} tables)"
@@ -483,7 +511,6 @@ class LakeStore:
                 "rows": entry["num_rows"],
                 "columns": len(entry["columns"]),
                 "content_hash": entry["content_hash"][:12],
-                "segment_format": entry.get("segment_format", "v1"),
             }
             for name, entry in self._manifest["tables"].items()
         }
@@ -492,7 +519,6 @@ class LakeStore:
         return {
             "path": str(self._path),
             "format_version": self._manifest["format_version"],
-            "segment_format_counts": self.segment_format_counts(),
             "lake_version": self.lake_version,
             "sketch": self._sketch.to_json(),
             "num_tables": len(tables),
@@ -537,8 +563,6 @@ class LakeStore:
         new/changed -> write that table's segment + stats snapshot.  With
         ``prune``, tables absent from *lake* are dropped.  Any change bumps
         ``lake_version`` and invalidates persisted discoverer indexes.
-        Unchanged tables keep the segment they have, v1 ones included --
-        :meth:`migrate` rewrites those.
         """
         tables = self._manifest["tables"]
         added: list[str] = []
@@ -632,20 +656,15 @@ class LakeStore:
     def _segment_rel(stem: str) -> str:
         return f"segments/{stem}.seg.bin"
 
-    def _write_segment_file(self, name: str, segment_rel: str, table: Table) -> None:
-        """Write *name*'s segment to the store-relative *segment_rel*.
-
-        The segment writer fsyncs the data before its tmp->replace
-        rename; the directory fsync here makes the *entry* durable too,
-        so the manifest commit can never reference unsynced bytes."""
-        write_segment_v2(self._path / segment_rel, table)
-        journal.fsync_dir((self._path / segment_rel).parent)
-        _WRITE_SEGMENT.fire()
-
     def _write_table(self, name: str, table: Table, digest: str) -> dict[str, Any]:
         stem = self._file_stem(name, digest)
         segment_rel = self._segment_rel(stem)
-        self._write_segment_file(name, segment_rel, table)
+        # The segment writer fsyncs the data before its tmp->replace
+        # rename; the directory fsync makes the *entry* durable too, so
+        # the manifest commit can never reference unsynced bytes.
+        write_segment_v2(self._path / segment_rel, table)
+        journal.fsync_dir((self._path / segment_rel).parent)
+        _WRITE_SEGMENT.fire()
         stats_rel = f"stats/{stem}.stats.json"
         payload = {
             "columns": {
@@ -658,47 +677,10 @@ class LakeStore:
         return {
             "content_hash": digest,
             "segment": segment_rel,
-            "segment_format": "v2",
             "stats": stats_rel,
             "columns": list(table.columns),
             "num_rows": table.num_rows,
         }
-
-    def migrate(self) -> list[str]:
-        """Rewrite every segment that is not v2 (the one-way upgrade of a
-        store written before v2 existed); returns the migrated table
-        names (possibly empty).
-
-        Only segment files move: stats snapshots, content hashes and
-        ``lake_version`` are untouched -- hashes are computed over the
-        canonical JSON codec, not the on-disk encoding, so persisted
-        discoverer indexes and posting artifacts remain valid across a
-        migration.  The manifest commit is the atomic switch point; old
-        segment files are unlinked only after it lands.
-        """
-        tables = self._manifest["tables"]
-        plan = {  # table -> the v2 segment it gets
-            name: self._segment_rel(self._file_stem(name, entry["content_hash"]))
-            for name, entry in tables.items()
-            if entry.get("segment_format", "v1") != "v2"
-        }
-        if not plan:
-            return []
-        stale = [tables[name]["segment"] for name in plan]
-        txn = self._begin("migrate", list(plan.values()), stale)
-        try:
-            for name, segment_rel in plan.items():
-                self._write_segment_file(name, segment_rel, self.load_table(name))
-                entry = dict(tables[name], segment=segment_rel, segment_format="v2")
-                # The byte offsets a v1 writer recorded describe the old file.
-                entry.pop("column_offsets", None)
-                tables[name] = entry
-                # Its loaders read the segment about to be unlinked.
-                self._stats_cache.pop(name, None)
-            self._commit(txn, stale)
-        finally:
-            self._end()
-        return list(plan)
 
     def _unlink_all(self, relative_paths: Sequence[str]) -> None:
         for rel in relative_paths:
@@ -810,8 +792,7 @@ class LakeStore:
         """Materialize one table from its segment, with its hydrated stats
         snapshot attached (so its columns never need a raw re-scan)."""
         entry = self._entry(name)
-        segment_format = entry.get("segment_format", "v1")
-        with trace.span("store.load_table", table=name, format=segment_format):
+        with trace.span("store.load_table", table=name):
             arrays = _read_segment(self._path, entry)
             table = Table.from_columns(entry["columns"], arrays, name=name)
             return table.adopt_stats(self.table_stats(name))

@@ -1,7 +1,7 @@
-"""Columnar segment files: one written format, one older format read.
+"""Columnar segment files: one format, written and read.
 
-**v2** (``.seg.bin``) is the format every segment is written in, the
-binary dictionary-coded columnar layout::
+A segment (``.seg.bin``) is one table's cells in the binary
+dictionary-coded columnar layout (v2)::
 
     header   <4sBIIIQ>  magic b"RSG2", code width (1|2|4), rows, cols,
                         dictionary entry count, dictionary byte length
@@ -24,12 +24,6 @@ impossible code width, size mismatch, out-of-range code, undecodable
 dictionary) raises :class:`SegmentCorrupted` rather than yielding garbage
 cells.  A segment is always read whole: a column's cells cannot be
 decoded without the table's dictionary anyway.
-
-**v1** (``.seg.jsonl``) is read-only: line *i* is column *i*'s cell array
-under the JSON codec in :mod:`repro.store.codec`.  Stores written before
-v2 existed hold it; :func:`read_columns` keeps them readable until
-``LakeStore.migrate`` rewrites them.  Nothing in the library writes it.
-A damaged v1 segment raises :class:`SegmentCorrupted` too.
 """
 
 from __future__ import annotations
@@ -43,50 +37,19 @@ import numpy as np
 from . import journal
 from ..table.table import Table
 from ..table.values import MISSING, PRODUCED, Cell, is_null
-from .codec import (
-    BinaryCodecError,
-    decode_cells_binary,
-    decode_column,
-    encode_cells_binary,
-)
+from .codec import BinaryCodecError, decode_cells_binary, encode_cells_binary
 
 __all__ = [
-    "read_columns",
     "write_segment_v2",
     "read_columns_v2",
     "SegmentCorrupted",
 ]
 
 
-class SegmentCorrupted(RuntimeError):
+class SegmentCorrupted(journal.StoreError):
     """A segment file is structurally damaged (truncated, bad magic,
-    out-of-range dictionary codes, undecodable cells, a column count or
-    length other than the manifest's)."""
-
-
-def read_columns(
-    path: Path, num_columns: int, num_rows: int
-) -> list[tuple[Cell, ...]]:
-    """All column arrays of a v1 segment, in header order (one sequential
-    read), each checked against the manifest's *num_rows*."""
-    try:
-        with path.open("rb") as handle:
-            arrays = [decode_column(line.decode("utf-8")) for line in handle]
-    except (ValueError, KeyError, TypeError) as exc:
-        # JSON and UTF-8 errors are ValueErrors; a JSON object cell without
-        # the null key is a KeyError, a non-array line a TypeError.
-        raise SegmentCorrupted(f"segment {path} is undecodable: {exc!r}") from exc
-    if len(arrays) != num_columns:
-        raise SegmentCorrupted(
-            f"segment {path} holds {len(arrays)} columns, manifest says {num_columns}"
-        )
-    for index, array in enumerate(arrays):
-        if len(array) != num_rows:
-            raise SegmentCorrupted(
-                f"segment {path} column {index} holds {len(array)} cells, "
-                f"manifest says {num_rows} rows"
-            )
-    return arrays
+    out-of-range dictionary codes, undecodable cells, a column count
+    other than the manifest's)."""
 
 
 # ----------------------------------------------------------------------

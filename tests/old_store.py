@@ -1,11 +1,14 @@
 """Store shapes older writers left, rebuilt from a current store.
 
 ``downgrade_to_v1``: ``.seg.jsonl`` segments, ``column_offsets`` beside
-them, no ``segment_format`` key anywhere.  ``add_text_values``: stats
+them, no ``segment_format`` key anywhere -- a store the library refuses
+at open.  ``with_segment_format_tags``: every manifest entry tagged
+``"segment_format": "v2"``, as the writer before the tag was dropped
+left it; such a store is read as it is.  ``add_text_values``: stats
 snapshots that also carry the normalized text domain as ``text_values``.
 ``plant_sketch_artifact``: the engine's sketch ensembles in a file of
-their own beside the postings.  ``as_previous_release``: uint64 / dense
-sketch payloads in the stats files and the ensembles pickled.
+their own beside the postings.  ``as_previous_release``: dense
+HyperLogLog payloads in the stats files and the ensembles pickled.
 """
 import base64
 import json
@@ -15,11 +18,11 @@ import zlib
 
 import numpy as np
 
-from repro.sketch import HyperLogLog, MinHashSignature
+from repro.sketch import HyperLogLog
 from repro.store import LakeStore
 from repro.store.codec import encode_column
 from repro.text.tokenize import normalize_token
-from sketch_oracles import legacy_hll_bytes, legacy_minhash_bytes
+from sketch_oracles import legacy_hll_bytes
 
 
 def downgrade_to_v1(path) -> None:
@@ -32,8 +35,15 @@ def downgrade_to_v1(path) -> None:
         entry["segment"] = entry["segment"].removesuffix("bin") + "jsonl"
         (store.path / entry["segment"]).write_bytes(b"".join(lines))
         entry["column_offsets"] = [len(b"".join(lines[:i])) for i in range(len(lines))]
-        del entry["segment_format"]
+        entry.pop("segment_format", None)
     (store.path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def with_segment_format_tags(path) -> None:
+    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    for entry in manifest["tables"].values():
+        entry["segment_format"] = "v2"
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
 def add_text_values(path) -> None:
@@ -91,17 +101,14 @@ def zeroed_sketch_artifact(rows: int, params=(128, 8, 1, 2)) -> bytes:
 
 def as_previous_release(path) -> None:
     """Rewrite a store in place into what an earlier release wrote: the
-    stats files carry uint64 MinHash minima and dense HyperLogLog
-    registers, and the sketch ensembles sit in a pickle the manifest
-    points at."""
+    stats files carry dense HyperLogLog registers, and the sketch
+    ensembles sit in a pickle the manifest points at."""
     manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
     for entry in manifest["tables"].values():
         file = path / entry["stats"]
         document = json.loads(file.read_text(encoding="utf-8"))
         for column in document["columns"].values():
-            signature = MinHashSignature.from_bytes(base64.b64decode(column["minhash"]))
             sketch = HyperLogLog.from_bytes(base64.b64decode(column["hll"]))
-            column["minhash"] = base64.b64encode(legacy_minhash_bytes(signature)).decode()
             column["hll"] = base64.b64encode(legacy_hll_bytes(sketch)).decode()
         file.write_text(json.dumps(document), encoding="utf-8")
     plant_sketch_artifact(

@@ -21,8 +21,7 @@ After recovery:
   post-state.
 
 Covered operations: ``LakeStore.ingest`` (adds + an update, so both
-``pending`` and ``stale`` paths run), ``LakeStore.remove``,
-``LakeStore.migrate`` (a v1 store upgraded in place), the two
+``pending`` and ``stale`` paths run), ``LakeStore.remove``, the two
 artifact saves ``LakeStore.save_indexes`` / ``save_engine`` (index
 pickles, posting JSONL), and the journaled
 ``ShardedLakeStore.rebalance`` (whose crash windows include
@@ -44,7 +43,6 @@ from repro.store.lakestore import LakeStore
 from repro.table.table import Table
 
 from deltas import ENGINE_BUILDS, deltas
-from old_store import downgrade_to_v1
 
 
 @pytest.fixture(autouse=True)
@@ -184,24 +182,6 @@ def test_remove_crash_at_every_write_point(plain_store, tmp_path):
     )
     assert cases >= 4
     assert rollbacks and rollforwards
-
-
-def test_migrate_crash_at_every_write_point(plain_store, tmp_path):
-    """A v1 store killed anywhere inside its upgrade is still all v1 or
-    already all v2, never a manifest naming a segment that is not there."""
-    downgrade_to_v1(plain_store)
-
-    def operation(path):
-        LakeStore.open(path).migrate()
-
-    cases, rollbacks, rollforwards = crash_matrix(
-        plain_store, operation, LakeStore.open, tmp_path
-    )
-    assert cases >= 6  # journal, 2 segments, manifest, version, 2 unlinks, ...
-    assert rollbacks and rollforwards
-    upgraded = LakeStore.open(tmp_path / "clean")
-    assert upgraded.segment_format_counts() == {"v1": 0, "v2": 2}
-    assert upgraded.load_table("beta").rows == table("beta", 2).rows
 
 
 def test_artifact_saves_crash_at_every_write_point(plain_store, tmp_path):

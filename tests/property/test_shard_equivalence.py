@@ -51,7 +51,6 @@ from repro.store import LakeStore
 from repro.table import MISSING, Table
 
 from deltas import deltas
-from old_store import downgrade_to_v1
 
 SHARD_COUNTS = (1, 2, 4, 7)
 
@@ -311,39 +310,6 @@ def test_worker_persisted_artifacts_equal_an_in_process_build(tmp_path):
         twin = LakeStore.open(twin_path)
         LakeIndex(twin.lake(), adapted_roster(roster(), state)).build().save_to_store(twin)
         assert _artifact_bytes(twin_path) == _artifact_bytes(shard.path)
-
-
-def test_migrate_upgrades_only_the_old_format_shard(tmp_path):
-    """One shard of three is as the v1 writer left it: the lake answers
-    the same before and after ``migrate``, which rewrites that shard's
-    segments alone and moves no version, so nothing is refitted."""
-    root, query = tmp_path / "lake", make_query(seed=7)
-    store = ShardedLakeStore.create(root, num_shards=3)
-    store.ingest(make_lake(seed=7))
-
-    def answer():
-        index = ShardedLakeStore.open(root).open_index(roster())
-        try:
-            return index.fitted, comparable(index.search(query, k=5, query_column="Key"))
-        finally:
-            index.close()
-
-    fitted, as_written = answer()
-    assert fitted
-    old = store.shards[1]
-    downgrade_to_v1(old.path)
-    store = ShardedLakeStore.open(root)
-    assert store.segment_format_counts() == {"v1": len(old), "v2": len(store) - len(old)}
-    assert answer() == ({}, as_written)
-
-    versions, digests = store.shard_versions(), _shard_digests(store)
-    assert store.migrate() == sorted(old.table_names)
-    assert store.segment_format_counts() == {"v1": 0, "v2": len(store)}
-    assert store.shard_versions() == versions
-    after = _shard_digests(store)
-    assert (after[0], after[2]) == (digests[0], digests[2]) and after[1] != digests[1]
-    assert store.migrate() == []
-    assert answer() == ({}, as_written)
 
 
 # ----------------------------------------------------------------------

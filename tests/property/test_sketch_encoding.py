@@ -7,7 +7,9 @@ Three contracts (the reference sides live in ``tests/sketch_oracles.py``):
   (index, rank) list stops being shorter than the dense registers -- and
   every MinHash signature, and the bytes are a function of the content
   alone;
-* payloads written by earlier releases still decode to the same sketch;
+* the dense HyperLogLog payload -- all an earlier release wrote, and
+  what ``to_bytes`` still writes whenever it is shorter -- decodes to the
+  same sketch, while a MinHash body of any width but uint32 is refused;
 * :class:`BandedLSHIndex` and :class:`LSHEnsemble` over a signature
   matrix return exactly what one ``{band bytes: keys}`` dict per band
   returned, for every band width and every prefix of bands.
@@ -27,7 +29,6 @@ from sketch_oracles import (
     DictBandedLSHIndex,
     DictLSHEnsemble,
     legacy_hll_bytes,
-    legacy_minhash_bytes,
 )
 
 PRECISIONS = range(4, 19)
@@ -170,17 +171,6 @@ def test_minhash_bytes_ignore_token_order(tokens, rng):
     assert hasher.signature(ordered).to_bytes() == hasher.signature(shuffled).to_bytes()
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([16, 128]), token_sets)
-def test_minhash_decodes_the_earlier_uint64_payload(num_perm, tokens):
-    signature = MinHasher(num_perm).signature(tokens)
-    legacy = legacy_minhash_bytes(signature)
-    assert len(legacy) == 12 + 8 * num_perm
-    restored = MinHashSignature.from_bytes(legacy)
-    assert restored.size == signature.size
-    assert restored.to_bytes() == signature.to_bytes()
-
-
 def test_minhash_rejects_a_body_of_neither_width():
     payload = MinHasher(16).signature({"a"}).to_bytes()
     for bad in (payload[:-3], payload + b"\0" * 5, payload[:8]):
@@ -211,7 +201,16 @@ def test_minhash_uint32_payload_rejects_minima_no_hasher_produces():
     assert MinHashSignature.from_bytes(empty.to_bytes()).size == 0
 
 
+def uint64_payload(signature: MinHashSignature) -> bytes:
+    """The uint64-minima encoding an earlier release wrote."""
+    return signature.to_bytes()[:12] + signature.values.astype("<u8").tobytes()
+
+
 def test_minhash_uint64_payload_rejects_minima_no_hasher_produces():
+    """A uint64 body is refused whatever it holds -- minima that would wrap
+    to a plausible uint32, an empty set's non-sentinel minima, and the
+    well-formed payloads an earlier release wrote -- while the same
+    signatures in uint32 still decode."""
     signature = MinHasher(16).signature({"a", "b", "c"})
     empty = MinHasher(16).signature(set())
     wrapped = signature.values.astype(np.uint64)
@@ -219,12 +218,15 @@ def test_minhash_uint64_payload_rejects_minima_no_hasher_produces():
     nonempty_minima = empty.values.astype(np.uint64)
     nonempty_minima[-1] = 0
     for bad in (
-        legacy_minhash_bytes(with_values(signature, wrapped)),
-        legacy_minhash_bytes(with_values(empty, nonempty_minima, size=0)),
+        uint64_payload(with_values(signature, wrapped)),
+        uint64_payload(with_values(empty, nonempty_minima, size=0)),
+        uint64_payload(signature),
+        uint64_payload(empty),
     ):
         with pytest.raises(ValueError):
             MinHashSignature.from_bytes(bad)
-    assert MinHashSignature.from_bytes(legacy_minhash_bytes(empty)).size == 0
+    assert MinHashSignature.from_bytes(signature.to_bytes()).to_bytes() == signature.to_bytes()
+    assert MinHashSignature.from_bytes(empty.to_bytes()).size == 0
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.store import LakeStore, SketchConfig
 from repro.table import MISSING, PRODUCED, Table
 
 from deltas import deltas
-from old_store import add_text_values, downgrade_to_v1
+from old_store import add_text_values, with_segment_format_tags
 
 # ----------------------------------------------------------------------
 # Strategies: heterogeneous cells with both null kinds and unicode text
@@ -51,11 +51,15 @@ def lakes(draw):
 # Properties
 # ----------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
-@given(lakes())
-def test_roundtrip_arrays_stats_and_sketches(tmp_path_factory, lake):
+@given(lakes(), st.booleans())
+def test_roundtrip_arrays_stats_and_sketches(tmp_path_factory, lake, tagged):
+    """*tagged*: the manifest entries also carry the ``segment_format``
+    tag an earlier writer put there, which the reader ignores."""
     store_dir = tmp_path_factory.mktemp("store") / "lake.store"
     store = LakeStore.create(store_dir)
     store.ingest(lake)
+    if tagged:
+        with_segment_format_tags(store_dir)
 
     warm = LakeStore.open(store_dir).lake()
     hasher = SketchConfig().hasher
@@ -97,7 +101,7 @@ def assert_hydrated_like_scanned(store: LakeStore, lake: DataLake) -> None:
     decode.  A limited text domain may page cells in, so it comes last."""
     config = SketchConfig()
     hasher = config.hasher
-    decoded = deltas("store.decode.v1", "store.decode.v2")
+    decoded = deltas("store.decode")
     hydrated = {name: store.table_stats(name) for name in lake}
     for name, original in lake.items():
         for column in original.columns:
@@ -110,7 +114,7 @@ def assert_hydrated_like_scanned(store: LakeStore, lake: DataLake) -> None:
             assert restored.distinct == reference.distinct
             assert restored.tokens == reference.tokens
         assert all(n == 0 for n in hydrated[name].scan_counts.values())
-    assert decoded() == {"store.decode.v1": 0, "store.decode.v2": 0}
+    assert decoded() == {"store.decode": 0}
     for name, original in lake.items():
         for column in original.columns:
             restored = hydrated[name].column(column)
@@ -164,53 +168,6 @@ def test_reingest_is_a_fixed_point(tmp_path_factory, lake):
     assert not again.changed
     assert sorted(again.unchanged) == sorted(lake)
     assert again.lake_version == first.lake_version
-
-
-@settings(max_examples=10, deadline=None)
-@given(lakes(), st.booleans())
-def test_cross_format_migration_preserves_everything(
-    tmp_path_factory, lake, migrate
-):
-    """ISSUE 6 acceptance property: the segment format is invisible to
-    every consumer.  A store the v1 writer left, as it is or upgraded by
-    ``migrate``, serves cells and null kinds identical to the lake, equal
-    stats products and byte-identical sketches at an untouched lake
-    version, with zero raw-cell scans."""
-    store_dir = tmp_path_factory.mktemp("store") / "lake.store"
-    store = LakeStore.create(store_dir)
-    store.ingest(lake)
-    version_before = store.lake_version
-    downgrade_to_v1(store_dir)
-
-    old = LakeStore.open(store_dir)
-    assert old.segment_format_counts() == {"v1": len(lake), "v2": 0}
-    if migrate:
-        assert sorted(old.migrate()) == sorted(lake)
-        assert old.segment_format_counts() == {"v1": 0, "v2": len(lake)}
-    assert old.lake_version == version_before
-
-    warm = LakeStore.open(store_dir).lake()
-    hasher = SketchConfig().hasher
-    assert sorted(warm) == sorted(lake)
-    for name, original in lake.items():
-        stored = warm[name]
-        assert stored.column_arrays == original.column_arrays
-        for ours, theirs in zip(stored.column_arrays, original.column_arrays):
-            for a, b in zip(ours, theirs):
-                if a is MISSING or a is PRODUCED:
-                    assert a is b
-        for column in original.columns:
-            restored = stored.stats.column(column)
-            reference = original.stats.column(column)
-            assert restored.distinct == reference.distinct
-            assert restored.tokens == reference.tokens
-            assert restored.null_count == reference.null_count
-            assert (
-                restored.minhash(hasher).to_bytes()
-                == reference.minhash(hasher).to_bytes()
-            )
-            assert restored.hll(12).to_bytes() == reference.hll(12).to_bytes()
-    assert all(n == 0 for n in warm.stats.scan_counts().values())
 
 
 def test_corrupted_v2_segment_raises_typed_error(tmp_path):

@@ -1,11 +1,11 @@
 """Reference implementations the sketch tests compare against.
 
-Kept out of ``src/`` on purpose: these are the previous encoders and the
+Kept out of ``src/`` on purpose: these are the previous encoder and the
 previous dict-of-bytes band index, with no reader or caller in the
 library.  They pin three contracts:
 
-* payloads written by earlier releases (uint64 MinHash minima, dense
-  HyperLogLog registers) still decode;
+* the dense HyperLogLog register payload (all an earlier release wrote)
+  still decodes;
 * the array-backed :class:`repro.sketch.BandedLSHIndex` /
   :class:`repro.sketch.LSHEnsemble` return exactly what one hash bucket
   per band key returned;
@@ -20,15 +20,8 @@ from __future__ import annotations
 import struct
 from typing import Hashable, Iterable, Mapping
 
-import numpy as np
-
 from repro.sketch import HyperLogLog, LSHEnsemble, MinHashSignature, optimal_param
 from repro.sketch.ensemble import EnsembleMatch
-
-
-def legacy_minhash_bytes(signature: MinHashSignature) -> bytes:
-    values = np.ascontiguousarray(signature.values, dtype="<u8")
-    return struct.pack("<IQ", len(values), signature.size) + values.tobytes()
 
 
 def legacy_hll_bytes(sketch: HyperLogLog) -> bytes:

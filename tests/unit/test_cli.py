@@ -398,7 +398,7 @@ class TestIndexCommands:
         summary = capsys.readouterr().out
         assert summary.startswith(f"sharded lake store: {store}\n")
         assert "lake epoch 1, 2 shards (routing seed 0)" in summary
-        assert "2 tables, " in summary and "segment formats: v2: 2\n" in summary
+        assert "2 tables, " in summary
         assert "persisted indexes (union across shards): josie, lsh_ensemble, santos" in summary
         assert "shard-000" in summary and "shard-001" in summary
         # `index info` prints the same summary, then what is on disk.
@@ -708,44 +708,70 @@ class TestObs:
         assert "result cache: 1 entries, " in out and " bytes" in out
 
 
-class TestStoreMigrate:
-    """store migrate upgrades a v1 store in place; index info reports the
-    store's format mix before and after."""
+class TestStoreFormatBoundary:
+    """A store of any format generation but the one this code writes, or
+    one whose manifest or segment is damaged, is an ``error:`` line and
+    exit 2, never a traceback.  There is no ``store migrate`` verb."""
 
-    def test_migrate_round_trip_via_cli(self, lake_dir, query_csv, tmp_path, capsys):
-        store_dir = tmp_path / "lake.store"
-        assert main(["index", "build", "--lake", str(lake_dir), "--store", str(store_dir)]) == 0
+    @pytest.fixture(params=["plain", "sharded"])
+    def built(self, request, lake_dir, tmp_path, capsys):
+        store = tmp_path / "lake.store"
+        build = ["index", "build", "--lake", str(lake_dir), "--store", str(store)]
+        assert main(build + (["--shards", "2"] if request.param == "sharded" else [])) == 0
         capsys.readouterr()
+        return store, "manifest.json" if request.param == "plain" else "lake.json"
 
-        assert main(["index", "info", "--store", str(store_dir)]) == 0
-        assert "segment formats: v2: 2\n" in capsys.readouterr().out
+    @staticmethod
+    def refused(argv, capsys) -> str:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        return captured.err
 
-        downgrade_to_v1(store_dir)
-        assert main(["index", "info", "--store", str(store_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "segment formats: v1: 2\n" in out
-        assert "persisted indexes (current)" in out
+    @pytest.mark.parametrize("version", [None, 0, 2])
+    def test_any_other_format_version(self, built, version, capsys):
+        import json
 
-        assert main(["store", "migrate", "--store", str(store_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "migrated 2 of 2 table segments to v2 (now v2: 2)" in out
-        assert "lake version 1 unchanged" in out
+        store, name = built
+        manifest = json.loads((store / name).read_text(encoding="utf-8"))
+        if version is None:
+            del manifest["format_version"]
+        else:
+            manifest["format_version"] = version
+        (store / name).write_text(json.dumps(manifest), encoding="utf-8")
+        err = self.refused(["index", "info", "--store", str(store)], capsys)
+        found = "no format_version" if version is None else f"format_version {version},"
+        assert found in err and "reads only format_version 1" in err
 
-        # Migrating a store that is already v2 rewrites nothing.
-        assert main(["store", "migrate", "--store", str(store_dir)]) == 0
-        assert "migrated 0 of 2" in capsys.readouterr().out
-        assert main(["index", "info", "--store", str(store_dir)]) == 0
-        assert "persisted indexes (current)" in capsys.readouterr().out
+    def test_a_truncated_manifest(self, built, capsys):
+        store, name = built
+        text = (store / name).read_text(encoding="utf-8")
+        (store / name).write_text(text[: len(text) // 2], encoding="utf-8")
+        err = self.refused(["index", "info", "--store", str(store)], capsys)
+        assert f"{store / name} is not valid JSON" in err
 
-        # The migrated store still serves a warm discover.
-        code = main(
-            [
-                "discover",
-                "--store", str(store_dir),
-                "--query", str(query_csv),
-                "--column", "City",
-                "-k", "3",
-            ]
-        )
-        assert code == 0
-        assert "T2" in capsys.readouterr().out
+    def test_a_truncated_segment(self, built, query_csv, capsys):
+        store, _ = built
+        for segment in store.rglob("*.seg.bin"):
+            segment.write_bytes(segment.read_bytes()[:-3])
+        argv = ["integrate", "--store", str(store), "--query", str(query_csv),
+                "--column", "City"]
+        assert "error: segment " in self.refused(argv, capsys)
+
+    def test_a_pre_v2_store(self, lake_dir, query_csv, tmp_path, capsys):
+        store = tmp_path / "lake.store"
+        assert main(["index", "build", "--lake", str(lake_dir), "--store", str(store)]) == 0
+        capsys.readouterr()
+        downgrade_to_v1(store)
+        for argv in (
+            ["index", "info", "--store", str(store)],
+            ["discover", "--store", str(store), "--query", str(query_csv)],
+        ):
+            err = self.refused(argv, capsys)
+            assert ".seg.jsonl" in err and "index build" in err
+
+    def test_store_migrate_is_not_a_verb(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["store", "migrate", "--store", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err

@@ -142,9 +142,9 @@ class TestSynthesisReadsStats:
 
         tables = self.lake_tables()
         LakeStore.create(tmp_path / "lake.store").ingest(tables)
-        decodes = metrics.counter("store.decode.v2").value
+        decodes = metrics.counter("store.decode").value
         stored = self.synthesized(LakeStore.open(tmp_path / "lake.store").lake())
-        assert metrics.counter("store.decode.v2").value == decodes
+        assert metrics.counter("store.decode").value == decodes
         assert stored == self.synthesized(tables)
 
         class CellDomains:

@@ -480,7 +480,6 @@ class TestWireRepliesAreLayoutBlind:
         "ingests", "degraded",
         "queue_depth", "latency", "lake_version", "cache_entries",
         "cache_evictions", "cache_expirations", "workers",
-        "segment_format_counts",
     }
 
     @pytest.mark.parametrize("shards", [None, 2])

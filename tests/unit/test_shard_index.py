@@ -6,11 +6,15 @@ Supervision is for what happens *to* a shard worker (it died, it hung);
 These tests pin the two edges of that: an exception a worker's task
 *raises* is the caller's, exactly as a plain :class:`LakeIndex` would
 raise it, and a hung worker is replaced without ever being waited on.
+
+Before any worker exists, a sharded root of another format generation,
+or with an undecodable ``lake.json``, is refused at open.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import multiprocessing
 import os
 import signal
@@ -30,6 +34,7 @@ from repro.obs import metrics as obs_metrics
 from repro.service import LakeService
 from repro.shard import ShardedLakeIndex, ShardedLakeStore
 from repro.shard import worker as shard_worker
+from repro.store import StoreError, StoreFormatUnsupported
 from repro.table import Table
 
 from deltas import deltas
@@ -54,6 +59,38 @@ def sharded_index(tmp_path, num_shards: int, **options) -> ShardedLakeIndex:
     store = ShardedLakeStore.create(tmp_path / "lake", num_shards=num_shards)
     store.ingest(make_lake())
     return ShardedLakeIndex(store, roster(), **options).build()
+
+
+@pytest.mark.parametrize("file", ["lake.json", "shard-001/manifest.json"])
+@pytest.mark.parametrize("version", [None, 0, 2])
+def test_any_other_format_version_is_refused(tmp_path, file, version):
+    """The root's ``lake.json`` and every shard's ``manifest.json`` pass
+    the one check a plain store's manifest does."""
+    ShardedLakeStore.create(tmp_path / "lake", num_shards=2).ingest(make_lake())
+    path = tmp_path / "lake" / file
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if version is None:
+        del manifest["format_version"]
+    else:
+        manifest["format_version"] = version
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(StoreFormatUnsupported) as refused:
+        ShardedLakeStore.open(tmp_path / "lake")
+    found = "no format_version" if version is None else f"format_version {version},"
+    assert found in str(refused.value)
+    assert "reads only format_version 1" in str(refused.value)
+    assert str(path) in str(refused.value)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not an object"])
+def test_an_undecodable_lake_json_is_a_store_error(tmp_path, damage):
+    ShardedLakeStore.create(tmp_path / "lake", num_shards=2).ingest(make_lake())
+    path = tmp_path / "lake" / "lake.json"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) // 2] if damage == "truncated" else '"lake"')
+    with pytest.raises(StoreError) as refused:
+        ShardedLakeStore.open(tmp_path / "lake")
+    assert str(path) in str(refused.value)
 
 
 def answer(index, column: str = "City"):

@@ -9,7 +9,7 @@ ensembles stack from those.  Older stores are still served:
   truncated, flipped, deleted, a pickle, or a well-formed artifact of
   wrong signatures -- and the next ``save_engine`` or content-changing
   ingest unlinks it;
-* a store of an earlier release -- uint64 / dense sketch payloads in the
+* a store of an earlier release -- dense HyperLogLog payloads in the
   stats files, a pickled ``engine.sketches.pkl`` -- still opens and
   answers identically, and its first ingest or save leaves no ``.pkl``
   behind;

@@ -243,20 +243,3 @@ class TestReopenCarriesWhatDidNotMove:
         assert fresh.table_stats("t2").column("City").array == tuple(
             f"city2_{j}" for j in range(4)
         )
-
-    def test_a_migrated_table_carries_nothing(self, store):
-        from old_store import downgrade_to_v1
-        from repro.store import LakeStore
-
-        downgrade_to_v1(store.path)
-        old = LakeStore.open(store.path)
-        held = {name: old.table_stats(name) for name in old.table_names}
-        assert old.reopen().migrate() == sorted(held)
-        fresh = old.reopen()
-        before = self.rehydrates()
-        for name, stats in held.items():
-            # Same content hash, same stats file -- but the segment the
-            # old snapshot's loaders read is gone.
-            assert fresh.table_stats(name) is not stats
-            assert fresh.table_stats(name).column("City").array[0].startswith("city")
-        assert self.rehydrates() - before == len(held)

@@ -32,14 +32,15 @@ from repro.store import (
     SketchConfigMismatch,
     StatsCorrupted,
     StoreError,
+    StoreFormatUnsupported,
     StoreNotFound,
     table_content_hash,
 )
-from repro.store.codec import decode_column, encode_column
+from repro.store.codec import decode_table, encode_table
 from repro.table import MISSING, PRODUCED, Table
 
 from deltas import deltas
-from old_store import downgrade_to_v1
+from old_store import downgrade_to_v1, with_segment_format_tags
 
 
 @pytest.fixture
@@ -57,9 +58,10 @@ def store(tmp_path, lake):
 class TestCodec:
     def test_column_round_trip_preserves_null_kinds(self):
         array = ("x", 1, 2.5, True, False, MISSING, PRODUCED, "", "±")
-        restored = decode_column(encode_column(array))
-        assert restored == array
-        assert restored[5] is MISSING and restored[6] is PRODUCED
+        table = Table(["c"], [(cell,) for cell in array], name="t")
+        restored = decode_table(json.loads(json.dumps(encode_table(table))))
+        assert restored.name == "t" and restored.column_array("c") == array
+        assert restored.rows[5][0] is MISSING and restored.rows[6][0] is PRODUCED
 
     def test_content_hash_ignores_name_but_not_data(self):
         a = Table(["c"], [(1,), (2,)], name="a")
@@ -103,6 +105,35 @@ class TestCreateOpen:
         (target / "manifest.json").write_text(json.dumps({"format": "other"}))
         with pytest.raises(StoreError, match="manifest"):
             LakeStore.open(target)
+
+    @pytest.mark.parametrize("version", [None, 0, 2])
+    def test_any_other_format_version_is_refused(self, store, version):
+        """Only the ``format_version`` this code writes opens; the error
+        names the version found (or its absence) and the one it reads."""
+        manifest_path = store.path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        if version is None:
+            del manifest["format_version"]
+        else:
+            manifest["format_version"] = version
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(StoreFormatUnsupported) as refused:
+            LakeStore.open(store.path)
+        found = "no format_version" if version is None else f"format_version {version},"
+        assert found in str(refused.value)
+        assert "reads only format_version 1" in str(refused.value)
+        assert str(manifest_path) in str(refused.value)
+
+    @pytest.mark.parametrize("damage", ["truncated", "not an object"])
+    def test_an_undecodable_manifest_is_a_store_error(self, store, damage):
+        manifest_path = store.path / "manifest.json"
+        text = manifest_path.read_text("utf-8")
+        manifest_path.write_text(
+            text[: len(text) // 2] if damage == "truncated" else "[1, 2]",
+            encoding="utf-8",
+        )
+        with pytest.raises(StoreError, match=re.escape(str(manifest_path))):
+            LakeStore.open(store.path)
 
 
 class TestIncrementalIngest:
@@ -477,122 +508,51 @@ class TestStatsCacheBound:
 
 
 class TestSegmentFormats:
-    """Every segment is written v2 (binary columnar); a store the v1
-    (JSONL) writer left still opens and serves, and ``migrate`` upgrades
-    it without touching stats, hashes or versions."""
-
-    @pytest.fixture
-    def old_store(self, store):
-        downgrade_to_v1(store.path)
-        return LakeStore.open(store.path)
+    """Every segment is written and read in one format (``.seg.bin``).  A
+    store the v1 (JSONL) writer left is refused at open; one whose
+    entries still carry the ``segment_format`` tag a later writer added
+    is read as it is."""
 
     def test_ingest_default_is_v2(self, store):
-        assert store.segment_format_counts() == {"v1": 0, "v2": 2}
         manifest = json.loads((store.path / "manifest.json").read_text("utf-8"))
         assert "segment_format" not in manifest
         for entry in manifest["tables"].values():
-            assert entry["segment_format"] == "v2" and "column_offsets" not in entry
+            assert entry["segment"].endswith(".seg.bin")
+            assert "segment_format" not in entry and "column_offsets" not in entry
 
-    def test_old_store_serves_and_takes_v2_writes(self, old_store, lake):
-        assert old_store.segment_format_counts() == {"v1": 2, "v2": 0}
-        for name, original in lake.items():
-            assert old_store.load_table(name).column_arrays == original.column_arrays
-        stats = old_store.table_stats("T3").column("City")
-        assert stats.values == list(lake["T3"].column_array("City"))
-        # An ingest writes only v2; the untouched table keeps its v1 segment.
-        changed = Table(["c"], [(1,)], name="T2")
-        old_store.ingest({"T2": changed, "T3": lake["T3"]})
-        assert old_store.segment_format_counts() == {"v1": 1, "v2": 1}
-        reopened = LakeStore.open(old_store.path)
-        assert reopened.load_table("T2").rows == changed.rows
-        assert reopened.load_table("T3").rows == lake["T3"].rows
+    def test_a_damaged_segment_is_a_store_error(self, store):
+        segment = next(store.path.glob("segments/*.seg.bin"))
+        segment.write_bytes(segment.read_bytes()[:-3])
+        with pytest.raises(SegmentCorrupted, match=re.escape(str(segment))) as raised:
+            for name in store.table_names:
+                LakeStore.open(store.path).load_table(name)
+        assert isinstance(raised.value, StoreError)
 
-    def test_migrate_round_trip_preserves_content(self, old_store, lake):
-        # A store created as v1 after per-entry tags existed said so at
-        # the top level too; the key is tolerated and ignored.
-        old_store._manifest["segment_format"] = "v1"
-        old_store._write_manifest()
-        version = old_store.lake_version
-        before = {name: old_store.load_table(name) for name in old_store.table_names}
-        hashes = {
-            name: entry["content_hash"]
-            for name, entry in old_store.info()["tables"].items()
-        }
-
-        assert sorted(old_store.migrate()) == sorted(lake)
-        assert old_store.lake_version == version  # content did not change
-        assert old_store.segment_format_counts() == {"v1": 0, "v2": 2}
-
-        reopened = LakeStore.open(old_store.path)
-        for name, table in before.items():
-            after = reopened.load_table(name)
-            assert after.rows == table.rows
-            assert after.columns == table.columns
-            assert reopened.info()["tables"][name]["content_hash"] == hashes[name]
-        manifest = json.loads((old_store.path / "manifest.json").read_text("utf-8"))
-        assert not any("column_offsets" in e for e in manifest["tables"].values())
-        # The v1 segment files are gone; only v2 remains.
-        segments = old_store.path / "segments"
-        assert len(list(segments.glob("*.seg.bin"))) == 2
-        assert not list(segments.glob("*.seg.jsonl"))
-
-    def test_damaged_v1_segment_raises_segment_corrupted(self, old_store):
-        """Each damage shape surfaces as the typed error a damaged v2
-        segment raises, not as a JSON / unicode / key error; a column's
-        length is checked against the manifest entry's ``num_rows``."""
-        manifest = json.loads((old_store.path / "manifest.json").read_text("utf-8"))
-        segment = old_store.path / manifest["tables"]["T2"]["segment"]
-        pristine = segment.read_bytes()
-        lines = pristine.splitlines(keepends=True)
-        first = json.loads(lines[0])
-
-        def with_first_line(cells):
-            line = json.dumps(cells, ensure_ascii=False).encode("utf-8") + b"\n"
-            return line + b"".join(lines[1:])
-
-        for damage in (
-            pristine[:-2],  # truncated inside the last line
-            b"\xff" + pristine,  # invalid UTF-8
-            pristine + lines[0],  # one column line too many
-            with_first_line(first[:-1]),  # a column one row short
-            with_first_line([{"kind": "missing"}, *first[1:]]),  # no null key
-            with_first_line(len(first)),  # a line that is not an array
-        ):
-            segment.write_bytes(damage)
-            with pytest.raises(SegmentCorrupted):
-                LakeStore.open(old_store.path).load_table("T2")
-
-        segment.write_bytes(pristine)
-        assert LakeStore.open(old_store.path).load_table("T2").num_rows == len(first)
-
-    def test_migrate_is_idempotent(self, old_store):
-        assert len(old_store.migrate()) == 2
-        manifest = (old_store.path / "manifest.json").read_bytes()
-        assert old_store.migrate() == []
-        assert LakeStore.open(old_store.path).migrate() == []
-        assert (old_store.path / "manifest.json").read_bytes() == manifest
-
-    def test_persisted_indexes_survive_migration(self, store, lake):
-        roster = Dialite(DataLake()).discoverers.components()
-        LakeIndex(store.lake(), roster).build().save_to_store(store)
-
-        def top_k():
-            warm_store = LakeStore.open(store.path)
-            warm_lake = warm_store.lake()
-            index = LakeIndex.from_store(warm_store)
-            # Served from the saved indexes, without a single raw-cell scan.
-            assert index.is_built and not index.fitted
-            results = index.search_merged(covid_query_table(), k=3, query_column="City")
-            assert all(n == 0 for n in warm_lake.stats.scan_counts().values())
-            return results
-
-        as_written = top_k()
-        assert {r.table_name for r in as_written} == {"T2", "T3"}
+    def test_a_pre_v2_store_is_refused_naming_its_segment(self, store):
         downgrade_to_v1(store.path)
-        assert top_k() == as_written
-        # The saved indexes are not invalidated: content is unchanged.
-        assert len(LakeStore.open(store.path).migrate()) == 2
-        assert top_k() == as_written
+        with pytest.raises(StoreFormatUnsupported, match=r"\.seg\.jsonl") as refused:
+            LakeStore.open(store.path)
+        assert "index build" in str(refused.value)
+
+    def test_a_tagged_store_reads_alike_takes_an_ingest_and_reopens(self, store, lake):
+        """Stats and sketches of a tagged store are pinned over random
+        lakes by ``test_store_roundtrip``; here, its writes and reopen."""
+        with_segment_format_tags(store.path)
+        tagged = LakeStore.open(store.path)
+        for name, original in lake.items():
+            assert tagged.load_table(name).column_arrays == original.column_arrays
+        held = tagged.table_stats("T3")
+
+        changed = Table(["c"], [(1,)], name="T2")
+        tagged.ingest({"T2": changed, "T3": lake["T3"]})
+        entries = json.loads((store.path / "manifest.json").read_text("utf-8"))["tables"]
+        assert "segment_format" not in entries["T2"]  # written by this code
+        assert entries["T3"]["segment_format"] == "v2"  # untouched, still tagged
+
+        fresh = tagged.reopen()
+        assert fresh.table_stats("T3") is held  # its entry did not move
+        assert fresh.load_table("T2").rows == changed.rows
+        assert fresh.load_table("T3").rows == lake["T3"].rows
 
 
 def b64(data: bytes) -> str:
