@@ -105,7 +105,6 @@ class CandidateEngine:
         self._token_postings: PostingIndex | None = None
         self._value_postings: PostingIndex | None = None
         self._ensembles: dict[tuple[int, int, int, int], LSHEnsemble] = {}
-        self._hashers: dict[tuple[int, int], MinHasher] = {}
         self._labels: dict[str, Mapping[str, Iterable[str]]] = {}
         #: Query-time cap on candidate tables for specs without their own
         #: budget (the CLI's ``--candidate-budget``).  None = unbudgeted.
@@ -179,16 +178,6 @@ class CandidateEngine:
         if self._registry is None:
             self._registry = ColumnRegistry(owners, sizes)
         self._token_postings = PostingIndex(postings, sizes)
-
-    def hasher_for(self, num_perm: int, seed: int) -> MinHasher:
-        hasher = self._hashers.get((num_perm, seed))
-        if hasher is None:
-            with self._build_lock:
-                hasher = self._hashers.get((num_perm, seed))
-                if hasher is None:
-                    hasher = MinHasher(num_perm=num_perm, seed=seed)
-                    self._hashers[(num_perm, seed)] = hasher
-        return hasher
 
     def ensemble_for(
         self, num_perm: int, num_partitions: int, seed: int, min_size: int

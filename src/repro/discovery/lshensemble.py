@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..candidates.spec import CandidateSet, CandidateSpec
+from ..sketch.minhash import MinHasher
 from ..table.table import Table
 from .base import Discoverer, DiscoveryResult
 
@@ -92,7 +93,7 @@ class LSHEnsembleJoinSearch(Discoverer):
             candidates = engine.all_candidates(self.name, self.candidate_spec())
             candidates.context["probe_columns"] = probe_columns
             return candidates
-        hasher = engine.hasher_for(self.config.num_perm, self.config.seed)
+        hasher = MinHasher(self.config.num_perm, self.config.seed)
         evidence: dict[str, dict[int, float]] = {}
         probes = 0
         for column in probe_columns:
@@ -122,7 +123,7 @@ class LSHEnsembleJoinSearch(Discoverer):
         probe_columns = candidates.context.get(
             "probe_columns"
         ) or self._probe_columns(query, query_column)
-        hasher = engine.hasher_for(self.config.num_perm, self.config.seed)
+        hasher = MinHasher(self.config.num_perm, self.config.seed)
         allowed = candidates.table_set
         best_per_table: dict[str, tuple[float, str, str]] = {}
         for column in probe_columns:

@@ -32,7 +32,7 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .lsh import BandedLSHIndex, optimal_param
+from .lsh import BandedLSHIndex, optimal_param, sorted_unique
 from .minhash import MinHasher, MinHashSignature, containment_from_jaccard
 
 __all__ = ["LSHEnsemble", "EnsembleMatch"]
@@ -158,7 +158,7 @@ class LSHEnsemble:
         rows = self._append(keys, sizes, np.asarray(matrix, dtype=np.uint32))
         # frexp's exponent of a positive integer is its bit length.
         buckets = np.frexp(sizes.astype(np.float64))[1] - 1
-        for bucket in np.unique(buckets):
+        for bucket in sorted_unique(buckets):
             self._bucket_for(int(bucket)).add(rows[buckets == bucket])
 
     def _append(

@@ -13,6 +13,17 @@ import numpy as np
 __all__ = ["collision_probability", "optimal_param", "BandedLSHIndex"]
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct members of a 1-D array, ascending: numpy's ``unique``
+    without its import of ``numpy.ma``, which nothing else a serving
+    process runs needs."""
+    ordered = np.sort(values)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def collision_probability(similarity: float, b: int, r: int) -> float:
     """P[at least one band collides] for a pair with Jaccard *similarity*."""
     return 1.0 - (1.0 - similarity**r) ** b
@@ -113,6 +124,6 @@ class BandedLSHIndex:
         found = np.flatnonzero(stops > starts)
         if not len(found):
             return np.empty(0, dtype=np.intp)
-        return np.unique(
+        return sorted_unique(
             np.concatenate([self._rows[starts[band] : stops[band]] for band in found])
         )

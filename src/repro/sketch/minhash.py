@@ -11,7 +11,8 @@ joinability.
 from __future__ import annotations
 
 import struct
-from typing import Hashable, Iterable
+from functools import lru_cache
+from typing import Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -39,6 +40,108 @@ DEFAULT_SEED = 1
 # ample for column domains (collisions only bias Jaccard at ~1e5+ tokens).
 _MERSENNE_PRIME = np.uint64((1 << 31) - 1)
 _MAX_HASH = np.uint64((1 << 31) - 2)
+
+# ---------------------------------------------------------------------------
+# The permutation coefficients.  They are the exact stream numpy 2.x draws
+# for ``default_rng(seed).integers(1, p, num_perm)`` then
+# ``.integers(0, p, num_perm)``: SeedSequence entropy mixing seeds a PCG64
+# (128-bit LCG, XSL-RR output), whose 64-bit outputs are split into 32-bit
+# halves (low first) and bounded by Lemire's rejection method.  Drawing them
+# here keeps ``numpy.random`` out of every process that only hashes, and
+# pins the family: NumPy does not promise a stable stream across versions,
+# and a persisted signature must not move with it.
+# ---------------------------------------------------------------------------
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence(seed: int) -> tuple[int, int]:
+    """PCG64's 128-bit ``(initstate, initseq)`` from ``SeedSequence(seed)``:
+    the seed's 32-bit words mixed into a four-word pool, which then yields
+    four 64-bit words (``generate_state(4, np.uint64)``)."""
+    entropy = [seed & _M32]
+    while seed := seed >> 32:
+        entropy.append(seed & _M32)
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(value))
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _M32
+        value = value * hash_const & _M32
+        words.append(value ^ value >> 16)
+    # Little-endian pairs of 32-bit words make the four uint64 words; the
+    # first two are the state, the last two the stream selector.
+    w = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+    return w[0] << 64 | w[1], w[2] << 64 | w[3]
+
+
+def _pcg64_uint32s(seed: int) -> Iterator[int]:
+    """numpy's ``PCG64(SeedSequence(seed))`` as its ``next_uint32``
+    stream: each 64-bit XSL-RR output, low half first."""
+    initstate, initseq = _seed_sequence(seed)
+    inc = (initseq << 1 | 1) & _M128
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _M128
+    while True:
+        state = (state * _PCG64_MULT + inc) & _M128
+        value = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        value = (value >> rot | value << (64 - rot)) & _M64
+        yield value & _M32
+        yield value >> 32
+
+
+def _bounded(stream: Iterator[int], low: int, high: int, count: int) -> list[int]:
+    """*count* draws from ``[low, high)`` by Lemire's rejection, as
+    ``Generator.integers`` draws them when ``2 <= high - low < 2**32``."""
+    span = high - low
+    threshold = (1 << 32) % span
+    out = []
+    for _ in range(count):
+        product = next(stream) * span
+        while product & _M32 < threshold:
+            product = next(stream) * span
+        out.append(low + (product >> 32))
+    return out
+
+
+@lru_cache(maxsize=16)
+def _coefficients(num_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only multipliers and offsets of the ``(num_perm, seed)``
+    family, shared by every hasher of that family in the process."""
+    stream = _pcg64_uint32s(seed)
+    prime = int(_MERSENNE_PRIME)
+    a = np.array(_bounded(stream, 1, prime, num_perm), dtype=np.uint64)
+    b = np.array(_bounded(stream, 0, prime, num_perm), dtype=np.uint64)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 class MinHashSignature:
@@ -129,17 +232,21 @@ class MinHasher:
     """A family of ``num_perm`` universal-hash permutations with fixed seed.
 
     Signatures are only comparable when produced by hashers constructed with
-    the same ``num_perm`` and ``seed``.
+    the same ``num_perm`` and ``seed``.  The family is the one numpy's
+    ``default_rng(seed)`` draws (see :func:`_coefficients`); hashers of one
+    ``(num_perm, seed)`` share its coefficient arrays.
     """
 
     def __init__(self, num_perm: int = DEFAULT_NUM_PERM, seed: int = DEFAULT_SEED):
         if num_perm <= 0:
             raise ValueError("num_perm must be positive")
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise TypeError(f"seed must be an int, not {type(seed).__name__}")
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
         self.num_perm = num_perm
         self.seed = seed
-        rng = np.random.default_rng(seed)
-        self._a = rng.integers(1, int(_MERSENNE_PRIME), size=num_perm, dtype=np.uint64)
-        self._b = rng.integers(0, int(_MERSENNE_PRIME), size=num_perm, dtype=np.uint64)
+        self._a, self._b = _coefficients(num_perm, seed)
 
     def signature(self, tokens: Iterable[Hashable]) -> MinHashSignature:
         """MinHash signature of a token set (duplicates collapse)."""

@@ -241,7 +241,10 @@ class LakeStore:
     def __init__(self, path: Path, manifest: dict[str, Any]):
         self._path = Path(path)
         self._manifest = manifest
-        self._sketch = SketchConfig.from_json(manifest["sketch"])
+        try:
+            self._sketch = SketchConfig.from_json(manifest.get("sketch"))
+        except ValueError as error:
+            raise StoreError(f"{self._path / 'manifest.json'}: {error}") from None
         # Hydrated per-table stats, shared between :meth:`table_stats` and
         # the tables :meth:`load_table` materializes -- one object per
         # table name, so the lake-wide scan ledger is coherent.  Unbounded;

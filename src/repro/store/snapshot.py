@@ -32,7 +32,6 @@ import base64
 import binascii
 import json
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
 
 from ..sketch.hll import HyperLogLog
@@ -53,6 +52,16 @@ __all__ = [
 DEFAULT_HLL_PRECISION = 12
 
 
+#: Each :class:`SketchConfig` field's inclusive range: a signature's
+#: header holds ``num_perm`` in 32 bits, seeds are 64-bit, and
+#: :class:`HyperLogLog` takes precisions 4 to 18.
+_SKETCH_RANGES = {
+    "minhash_num_perm": (1, (1 << 32) - 1),
+    "minhash_seed": (0, (1 << 64) - 1),
+    "hll_precision": (4, 18),
+}
+
+
 @dataclass(frozen=True)
 class SketchConfig:
     """The sketch parameters a snapshot was built under.
@@ -68,20 +77,27 @@ class SketchConfig:
         return asdict(self)
 
     @classmethod
-    def from_json(cls, payload: dict[str, int]) -> "SketchConfig":
+    def from_json(cls, payload: Any) -> "SketchConfig":
+        """Inverse of :meth:`to_json`.  Anything but an object holding
+        exactly the three fields, each an int in its range, raises
+        :class:`ValueError`."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"the sketch block is not an object: {payload!r:.40}")
+        if set(payload) != set(_SKETCH_RANGES):
+            raise ValueError(
+                f"the sketch block has fields {sorted(payload)}, not {sorted(_SKETCH_RANGES)}"
+            )
+        for key, (low, high) in _SKETCH_RANGES.items():
+            value = payload[key]
+            if type(value) is not int or not low <= value <= high:
+                raise ValueError(
+                    f"the sketch block's {key!r} is not an int in [{low}, {high}]: {value!r:.40}"
+                )
         return cls(**payload)
 
     @property
     def hasher(self) -> MinHasher:
-        return _hasher(self.minhash_num_perm, self.minhash_seed)
-
-
-@lru_cache(maxsize=8)
-def _hasher(num_perm: int, seed: int) -> MinHasher:
-    # One hasher per parameter pair per process: constructing a MinHasher
-    # draws the permutation coefficients, which should happen once, not
-    # once per column of a 10k-table lake.
-    return MinHasher(num_perm=num_perm, seed=seed)
+        return MinHasher(num_perm=self.minhash_num_perm, seed=self.minhash_seed)
 
 
 def _distinct_sort_key(cell: Cell) -> tuple[str, str]:

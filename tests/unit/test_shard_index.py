@@ -93,6 +93,25 @@ def test_an_undecodable_lake_json_is_a_store_error(tmp_path, damage):
     assert str(path) in str(refused.value)
 
 
+@pytest.mark.parametrize("damage", ["extra field", "not an object"])
+def test_a_malformed_shard_sketch_block_is_a_store_error(tmp_path, damage, capsys):
+    from repro.cli import main
+
+    ShardedLakeStore.create(tmp_path / "lake", num_shards=2).ingest(make_lake())
+    path = tmp_path / "lake" / "shard-001" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    if damage == "extra field":
+        manifest["sketch"]["extra"] = 1
+    else:
+        manifest["sketch"] = list(manifest["sketch"].values())
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(StoreError) as refused:
+        ShardedLakeStore.open(tmp_path / "lake")
+    assert str(path) in str(refused.value) and "sketch block" in str(refused.value)
+    assert main(["index", "info", "--store", str(tmp_path / "lake")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}")
+
+
 def answer(index, column: str = "City"):
     found = index.search(QUERY, k=3, query_column=column)
     return {

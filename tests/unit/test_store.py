@@ -135,6 +135,44 @@ class TestCreateOpen:
         with pytest.raises(StoreError, match=re.escape(str(manifest_path))):
             LakeStore.open(store.path)
 
+    @pytest.mark.parametrize(
+        "sketch",
+        [
+            "missing",
+            [128, 1, 12],
+            {**SketchConfig().to_json(), "extra": 1},
+            {"minhash_num_perm": 128, "minhash_seed": 1},
+            {**SketchConfig().to_json(), "minhash_seed": True},
+            {**SketchConfig().to_json(), "minhash_seed": -1},
+            {**SketchConfig().to_json(), "minhash_seed": 2**64},
+            {**SketchConfig().to_json(), "minhash_num_perm": 0},
+            {**SketchConfig().to_json(), "hll_precision": 12.0},
+            {**SketchConfig().to_json(), "hll_precision": 19},
+        ],
+    )
+    def test_a_malformed_sketch_block_is_a_store_error(self, store, sketch, capsys):
+        """Not an object, a field too many or too few, or a field that
+        is no int in its range: a typed error naming the file, which the
+        CLI prints as ``error:`` and exits 2 on."""
+        from repro.cli import main
+
+        manifest_path = store.path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+        if sketch == "missing":
+            del manifest["sketch"]
+        else:
+            manifest["sketch"] = sketch
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(StoreError, match=re.escape(str(manifest_path))) as refused:
+            LakeStore.open(store.path)
+        assert "sketch block" in str(refused.value)
+        assert main(["index", "info", "--store", str(store.path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {manifest_path}")
+
+    def test_sketch_config_json_round_trip(self):
+        for config in (SketchConfig(), SketchConfig(7, 2**64 - 1, 18), SketchConfig(1, 0, 4)):
+            assert SketchConfig.from_json(config.to_json()) == config
+
 
 class TestIncrementalIngest:
     def test_first_ingest_adds_everything(self, tmp_path, lake):
