@@ -4,7 +4,7 @@ The claim under test (ISSUE 2 acceptance): at 1k synthetic tables, opening
 a prebuilt :class:`repro.store.LakeStore` and serving a discovery query
 (``Dialite.open(store).fit()`` + ``discover``) is **>= 5x faster** than the
 cold path that re-scans every column, rebuilds every token set and
-re-hashes every MinHash/HLL sketch (``Dialite(lake).fit()`` + ``discover``)
+re-hashes every MinHash sketch (``Dialite(lake).fit()`` + ``discover``)
 -- i.e. the cold-start cost is paid once per lake version, not once per
 process.
 

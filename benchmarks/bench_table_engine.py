@@ -151,24 +151,20 @@ def rowmajor_distinct(table: Table) -> Table:
 
 
 def rowmajor_profile(lake) -> Table:
-    """The seed profiler: fresh per-column scans and fresh HyperLogLogs."""
-    from repro.sketch.hll import HyperLogLog
+    """The seed profiler: fresh per-column scans and exact distinct counts."""
     from repro.text.normalize import numeric_fraction
 
-    header = ["table", "column", "dtype", "rows", "non_null", "distinct_est",
+    header = ["table", "column", "dtype", "rows", "non_null", "distinct",
               "numeric_frac", "examples"]
     rows = []
     for table in lake.values():
         for spec in table.schema:
             values = [row[table.column_index(spec.name)] for row in table.rows]
             non_null = [v for v in values if not is_null(v)]
-            sketch = HyperLogLog(precision=12)
-            for value in non_null:
-                sketch.add(value)
             examples = list(dict.fromkeys(str(v) for v in non_null))[:3]
             rows.append(
                 (table.name, spec.name, spec.dtype, len(values), len(non_null),
-                 len(sketch), round(numeric_fraction(non_null), 3),
+                 len(set(non_null)), round(numeric_fraction(non_null), 3),
                  ", ".join(examples))
             )
     return Table(header, rows, name="lake_profile")
@@ -193,6 +189,10 @@ def run_suite(sizes: list[int], repeats: int) -> dict:
         union_set = make_union_set(num_rows)
         union_table = ops.outer_union(union_set)
         union_table.rows  # pre-materialize for the row-major distinct
+        # Both profilers must report the same table, or the speedup
+        # compares unlike work.
+        lake = make_lake(num_rows)
+        assert rowmajor_profile(lake) == profile_lake(lake), "the profilers disagree"
 
         cases = {
             "hash_join": (

@@ -82,13 +82,10 @@ class SantosUnionSearch(Discoverer):
         "label, and all labels are published to the engine at fit time",
     )
 
-    #: The constructor's KB, never mutated (None: the built-in seed).  A
-    #: class default, so index pickles written before it existed hydrate.
-    _seed_kb: KnowledgeBase | None = None
-
     def __init__(self, kb: KnowledgeBase | None = None, config: SantosConfig | None = None):
         super().__init__()
         self.config = config or SantosConfig()
+        #: The constructor's KB, never mutated (None: the built-in seed).
         self._seed_kb = kb
         #: The KB annotation reads: the installed lake product.
         self._kb: KnowledgeBase | None = None

@@ -79,22 +79,13 @@ def shard_route(name: str, seed: int, num_shards: int) -> int:
 
 def load_fit_state(root: str | Path) -> dict[str, Any] | None:
     """:meth:`ShardedLakeStore.load_fit_state` by path (a shard worker
-    holds only its own shard, not the sharded store).  A payload written
-    before lake products existed (``{"kb": {...}, "idf": {...}}``: SANTOS
-    KBs and TUS IDFs by discoverer name) reads as the products it held."""
+    holds only its own shard, not the sharded store)."""
     file = Path(root) / _FIT_STATE_FILE
     if not file.exists():
         return None
     with file.open("rb") as handle:
         payload = pickle.load(handle)
-    if not isinstance(payload, dict):
-        return None
-    if "products" not in payload:
-        payload = {
-            "epoch": payload.get("epoch"),
-            "products": {**payload.get("kb", {}), **payload.get("idf", {})},
-        }
-    return payload
+    return payload if isinstance(payload, dict) else None
 
 
 def open_any_store(path: str | Path, **open_options: Any):

@@ -5,7 +5,6 @@ These back the joinable-table discoverer
 """
 
 from .ensemble import EnsembleMatch, LSHEnsemble
-from .hll import HyperLogLog
 from .lsh import BandedLSHIndex, collision_probability, optimal_param
 from .minhash import (
     DEFAULT_NUM_PERM,
@@ -26,5 +25,4 @@ __all__ = [
     "optimal_param",
     "LSHEnsemble",
     "EnsembleMatch",
-    "HyperLogLog",
 ]

@@ -1,7 +1,7 @@
 """Persistent lake store: versioned columnar segments + stats snapshots.
 
 The discovery pipeline's cold-start cost -- scanning every column, building
-every token set, hashing every MinHash/HLL sketch -- should be paid once
+every token set, hashing every MinHash sketch -- should be paid once
 per *lake version*, not once per process.  This package is that durable
 layer:
 
@@ -9,8 +9,8 @@ layer:
   per-table columnar segment files mirroring ``Table.column_arrays``;
 * :mod:`repro.store.snapshot` -- serialized
   :class:`~repro.table.stats.ColumnStats` payloads (dtype, null counts,
-  distinct/token sets, MinHash + HLL sketches) under a
-  pinned :class:`SketchConfig` -- the one copy of every column sketch;
+  distinct/token sets, the MinHash) under a pinned
+  :class:`SketchConfig` -- the one copy of every column sketch;
 * :mod:`repro.store.lakestore` -- the :class:`LakeStore` itself: a
   versioned manifest with per-table content hashes (incremental ingest
   rewrites only changed tables), persisted fitted discoverer indexes, and
@@ -42,7 +42,7 @@ from .lakestore import (
     StoreNotFound,
 )
 from .segment import SegmentCorrupted
-from .snapshot import DEFAULT_HLL_PRECISION, SketchConfig
+from .snapshot import SketchConfig
 
 __all__ = [
     "LakeStore",
@@ -58,5 +58,4 @@ __all__ = [
     "StatsCorrupted",
     "BinaryCodecError",
     "table_content_hash",
-    "DEFAULT_HLL_PRECISION",
 ]

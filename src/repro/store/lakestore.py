@@ -10,15 +10,12 @@ Layout of a store directory::
                              value dictionary + null bitmaps -- the one
                              format written, always read whole
     stats/<t>.stats.json     the table's ColumnStats snapshot payloads
-                             (sketches inside as base64: MinHash minima
-                             as uint32, HyperLogLog registers as a sparse
-                             (index, rank) list when that is shorter).
-                             No normalized text domain: it is derived
-                             from ``distinct`` (older snapshots carry a
-                             ``text_values`` field, which is ignored).
-                             A hydrated column keeps the sketches as
-                             these bytes until first use; a damaged
-                             snapshot raises :class:`StatsCorrupted`.
+                             (the MinHash inside as base64 uint32
+                             minima).  No normalized text domain: it is
+                             derived from ``distinct``.  A hydrated
+                             column keeps the MinHash as these bytes
+                             until first use; a damaged snapshot raises
+                             :class:`StatsCorrupted`.
                              The only copy of each column's MinHash:
                              sketch ensembles stack from these fields
                              (:meth:`LakeStore.minhashes`)
@@ -28,7 +25,7 @@ Layout of a store directory::
                              normalized-value posting lists)
 
 A store is read in exactly the format this code writes:
-``format_version`` 1 with ``.seg.bin`` segments.  :meth:`LakeStore.open`
+``format_version`` 2 with ``.seg.bin`` segments.  :meth:`LakeStore.open`
 refuses any other version (or none), and a store whose entries name
 older segment files, with :class:`StoreFormatUnsupported`; such a store
 is rebuilt from its source CSVs with ``repro index build``.
@@ -47,10 +44,10 @@ The design goals, in order:
   serves discovery from persisted sketches with **zero** raw-cell scans
   (``LakeStats.scan_counts()`` stays all-zero, the tested guarantee).
 * **Sketch compatibility.**  MinHash signatures only compare under one
-  ``(num_perm, seed)`` and HyperLogLogs only merge at one precision, so
-  the manifest records the :class:`~repro.store.snapshot.SketchConfig`
-  and :meth:`LakeStore.open` raises :class:`SketchConfigMismatch` rather
-  than hydrating incomparable sketches.
+  ``(num_perm, seed)``, so the manifest records the
+  :class:`~repro.store.snapshot.SketchConfig` and :meth:`LakeStore.open`
+  raises :class:`SketchConfigMismatch` rather than hydrating
+  incomparable sketches.
 
 Versioning: ``lake_version`` increments on every content-changing ingest;
 persisted discoverer indexes *and* the persisted posting artifact
@@ -137,7 +134,7 @@ _FORMAT = "repro-lake-store"
 
 #: The one ``format_version`` this code writes and reads, in a plain
 #: store's ``manifest.json`` and a sharded root's ``lake.json`` alike.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _REBUILD_HINT = (
     "rebuild it from the source CSVs into a fresh directory with "
@@ -297,10 +294,10 @@ class LakeStore:
         """Open an existing store; validates format and sketch parameters.
 
         *sketch_config* is what this process expects (library defaults when
-        omitted).  A snapshot built under a different MinHash seed /
-        permutation count or HLL precision raises
-        :class:`SketchConfigMismatch` -- hydrated sketches would silently
-        be incomparable with freshly computed ones otherwise.  Pass
+        omitted).  A snapshot built under a different MinHash seed or
+        permutation count raises :class:`SketchConfigMismatch` --
+        hydrated sketches would silently be incomparable with freshly
+        computed ones otherwise.  Pass
         ``check_sketch=False`` to adopt whatever the snapshot recorded.
         """
         path = Path(path)
@@ -709,8 +706,6 @@ class LakeStore:
         postings = self._manifest.get("postings")
         if postings:
             files.append(postings["file"])
-            if postings.get("sketches"):
-                files.append(postings["sketches"])
         return files
 
     def _begin(self, op: str, pending: Sequence[str], stale: Sequence[str]) -> str:
@@ -982,9 +977,7 @@ class LakeStore:
         ensembles are not written: their signatures live once, in the
         stats snapshots, and a warm process restacks from there
         (:meth:`minhashes`).  Label namespaces ride inside their
-        publishers' index pickles.  The sketch file an older writer put
-        beside the postings, when the manifest still names one, is
-        unlinked by this save.
+        publishers' index pickles.
         """
         posting_rel = "postings/engine.post.jsonl"
         files = {
@@ -1023,8 +1016,7 @@ class LakeStore:
         engine's posting channels never rebuild (``engine.build.*`` stays put).
 
         Its sketch ensembles stack on first use from the stats snapshots'
-        signatures (:meth:`minhashes`), hydrating no table.  A sketch file
-        an earlier release wrote beside the postings is never read."""
+        signatures (:meth:`minhashes`), hydrating no table."""
         from ..candidates.engine import CandidateEngine
 
         info = self._manifest.get("postings")
@@ -1041,17 +1033,13 @@ class LakeStore:
             return CandidateEngine.from_records(lake, records, stats=stats)
 
     def _invalidate_postings(self) -> list[str]:
-        """Mark the persisted posting artifacts stale; returns their paths
-        for unlinking after the manifest commits (with the sketch file an
-        earlier release wrote, when the manifest still names one)."""
+        """Mark the persisted posting artifact stale; returns its path for
+        unlinking after the manifest commits."""
         info = self._manifest.get("postings")
         if not info:
             return []
         self._manifest["postings"] = None
-        stale = [info["file"]]
-        if info.get("sketches"):
-            stale.append(info["sketches"])
-        return stale
+        return [info["file"]]
 
     # ------------------------------------------------------------------
     # Plumbing

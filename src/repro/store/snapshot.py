@@ -2,26 +2,23 @@
 
 A stats snapshot captures everything :class:`repro.table.stats.ColumnStats`
 computes from a raw column -- dtype, null/missing counts, the distinct-value
-set, the domain token set and the serialized MinHash / HyperLogLog
-sketches -- so a later process restores the whole cache with
-:meth:`ColumnStats.from_snapshot` and never re-scans a cell.  The
-normalized text domain is not written: it is derived from the distinct
-set.  Snapshots written before that still carry a ``text_values`` field,
-which the one reader ignores.
+set, the domain token set and the serialized MinHash -- so a later
+process restores the whole cache with :meth:`ColumnStats.from_snapshot`
+and never re-scans a cell.  The normalized text domain is not written:
+it is derived from the distinct set.
 
-Hydration validates every field and decodes every sketch, so a damaged
+Hydration validates every field and decodes the MinHash, so a damaged
 snapshot fails there (with a :class:`ValueError` that the store turns
 into :class:`~repro.store.lakestore.StatsCorrupted`), never on first use;
-the column then keeps each sketch as its persisted bytes.  The snapshot
+the column then keeps the MinHash as its persisted bytes.  The snapshot
 holds the store's only copy of each column's MinHash:
 :func:`snapshot_minhashes` reads just those fields, checked the same way,
 so a sketch ensemble stacks without hydrating the table.
 
 Sketch parameters are pinned by :class:`SketchConfig` and recorded in the
 store manifest: MinHash signatures are only comparable under identical
-``(num_perm, seed)`` and HyperLogLogs only merge at equal precision, so a
-snapshot built under one configuration must never be hydrated into a
-process expecting another -- the store raises
+``(num_perm, seed)``, so a snapshot built under one configuration must
+never be hydrated into a process expecting another -- the store raises
 :class:`~repro.store.lakestore.SketchConfigMismatch` instead of silently
 serving incomparable sketches.
 """
@@ -34,7 +31,6 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Mapping, Sequence
 
-from ..sketch.hll import HyperLogLog
 from ..sketch.minhash import DEFAULT_NUM_PERM, DEFAULT_SEED, MinHasher, MinHashSignature
 from ..table.stats import ColumnStats
 from ..table.values import Cell
@@ -42,23 +38,17 @@ from .codec import encode_cell
 
 __all__ = [
     "SketchConfig",
-    "DEFAULT_HLL_PRECISION",
     "column_stats_payload",
     "hydrate_column_stats",
     "hydrate_table_stats",
     "snapshot_minhashes",
 ]
 
-DEFAULT_HLL_PRECISION = 12
-
-
 #: Each :class:`SketchConfig` field's inclusive range: a signature's
-#: header holds ``num_perm`` in 32 bits, seeds are 64-bit, and
-#: :class:`HyperLogLog` takes precisions 4 to 18.
+#: header holds ``num_perm`` in 32 bits, and seeds are 64-bit.
 _SKETCH_RANGES = {
     "minhash_num_perm": (1, (1 << 32) - 1),
     "minhash_seed": (0, (1 << 64) - 1),
-    "hll_precision": (4, 18),
 }
 
 
@@ -71,7 +61,6 @@ class SketchConfig:
 
     minhash_num_perm: int = DEFAULT_NUM_PERM
     minhash_seed: int = DEFAULT_SEED
-    hll_precision: int = DEFAULT_HLL_PRECISION
 
     def to_json(self) -> dict[str, int]:
         return asdict(self)
@@ -79,7 +68,7 @@ class SketchConfig:
     @classmethod
     def from_json(cls, payload: Any) -> "SketchConfig":
         """Inverse of :meth:`to_json`.  Anything but an object holding
-        exactly the three fields, each an int in its range, raises
+        exactly the two fields, each an int in its range, raises
         :class:`ValueError`."""
         if not isinstance(payload, dict):
             raise ValueError(f"the sketch block is not an object: {payload!r:.40}")
@@ -113,7 +102,6 @@ def column_stats_payload(stats: ColumnStats, config: SketchConfig) -> dict[str, 
     (ingest time is exactly when that one scan is supposed to happen).
     """
     signature = stats.minhash(config.hasher)
-    hll = stats.hll(config.hll_precision)
     return {
         "dtype": stats.dtype,
         "row_count": stats.row_count,
@@ -125,7 +113,6 @@ def column_stats_payload(stats: ColumnStats, config: SketchConfig) -> dict[str, 
         ],
         "tokens": sorted(stats.tokens),
         "minhash": base64.b64encode(signature.to_bytes()).decode("ascii"),
-        "hll": base64.b64encode(hll.to_bytes()).decode("ascii"),
     }
 
 
@@ -150,17 +137,13 @@ def _count(payload: Mapping[str, Any], key: str, ceiling: int) -> int:
     return value
 
 
-def _sketch_bytes(payload: Mapping[str, Any], key: str) -> bytes:
-    try:
-        return base64.b64decode(_field(payload, key, str), validate=True)
-    except binascii.Error as error:
-        raise ValueError(f"field {key!r} is not base64: {error}") from None
-
-
 def _minhash(payload: Mapping[str, Any], config: SketchConfig) -> tuple[bytes, MinHashSignature]:
     """The column's MinHash as persisted, and decoded; raises
     :class:`ValueError` unless it decodes to a *config* signature."""
-    data = _sketch_bytes(payload, "minhash")
+    try:
+        data = base64.b64decode(_field(payload, "minhash", str), validate=True)
+    except binascii.Error as error:
+        raise ValueError(f"field 'minhash' is not base64: {error}") from None
     signature = MinHashSignature.from_bytes(data)
     if len(signature.values) != config.minhash_num_perm:
         raise ValueError("MinHash signature length differs from the sketch config")
@@ -177,9 +160,9 @@ def hydrate_column_stats(
 ) -> ColumnStats:
     """Rebuild a fully-warmed :class:`ColumnStats` from its payload.
 
-    Every field is checked and both sketches are decoded here, so damage
+    Every field is checked and the MinHash is decoded here, so damage
     raises :class:`ValueError` now, not on first use; the column keeps the
-    sketches as bytes.  *num_rows* is the row count the manifest states."""
+    MinHash as bytes.  *num_rows* is the row count the manifest states."""
     dtype = _field(payload, "dtype", str)
     if dtype not in _DTYPES:
         raise ValueError(f"field 'dtype' is {dtype!r:.40}")
@@ -200,9 +183,6 @@ def hydrate_column_stats(
     if not all(type(token) is str for token in tokens):
         raise ValueError("field 'tokens' holds a non-string")
     minhash, _ = _minhash(payload, config)
-    hll = _sketch_bytes(payload, "hll")
-    if HyperLogLog.from_bytes(hll).precision != config.hll_precision:
-        raise ValueError("HyperLogLog precision differs from the sketch config")
     return ColumnStats.from_snapshot(
         table_name,
         name,
@@ -214,7 +194,6 @@ def hydrate_column_stats(
         distinct=distinct,
         tokens=tokens,
         minhash={(config.minhash_num_perm, config.minhash_seed): minhash},
-        hll={config.hll_precision: hll},
         array_loader=array_loader,
     )
 

@@ -23,8 +23,8 @@ concatenates column runs instead of padding row tuples.
 
 On top of the arrays sits the per-column statistics cache
 (:mod:`repro.table.stats`): ``table.stats.column(name)`` memoizes dtype,
-null counts, the distinct-value set, the domain token set, MinHash and
-HyperLogLog sketches and normalized text values, each computed at most
+null counts, the distinct-value set, the domain token set, the MinHash
+sketch and normalized text values, each computed at most
 once per (table object, column).  ``Table.column`` /
 ``Table.column_values`` / ``Table.distinct_values`` serve **cached,
 read-only views** from that cache.

@@ -26,7 +26,7 @@ Hydration (the persistent lake store)
 :mod:`repro.store` persists every :class:`ColumnStats` product to disk and
 restores it with :meth:`ColumnStats.from_snapshot`: a hydrated column is
 born ``scanned`` with all base statistics and the token set pre-filled,
-holds its sketches as their persisted bytes (each decoded on first use),
+holds its MinHash as its persisted bytes (decoded on first use),
 and holds only a *loader* for its raw array -- cell data is paged in per
 column, on first raw access, and ``scan_count`` stays 0 for the whole warm
 run (the observable warm-start guarantee).  The full normalized text
@@ -43,13 +43,13 @@ touches each column's raw data exactly once.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from .infer import infer_dtype
 from .values import MISSING, Cell, is_null
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..sketch.hll import HyperLogLog
     from ..sketch.minhash import MinHasher, MinHashSignature
     from .table import Table
 
@@ -87,8 +87,8 @@ class ColumnStats:
 
     The base scan -- one pass over the raw column array -- fills the value
     list, null counts, distinct set, dtype and numeric fraction together.
-    Sketches (MinHash, HyperLogLog) and token sets derive from the scanned
-    values and are memoized separately, so nothing is ever computed twice.
+    The MinHash sketch and token set derive from the scanned values and
+    are memoized separately, so nothing is ever computed twice.
     """
 
     __slots__ = (
@@ -108,7 +108,6 @@ class ColumnStats:
         "_tokens",
         "_text_values",
         "_minhash",
-        "_hll",
         "_column_list",
     )
 
@@ -129,10 +128,9 @@ class ColumnStats:
         self._scanned = False
         self._tokens: frozenset[str] | None = None
         self._text_values: dict[int | None, frozenset[str]] = {}
-        # A hydrated column's sketches stay as their persisted bytes until
-        # first asked for; minhash() / hll() decode and keep the result.
+        # A hydrated column's MinHash stays as its persisted bytes until
+        # first asked for; minhash() decodes and keeps the result.
         self._minhash: dict[tuple[int, int], "MinHashSignature | bytes"] = {}
-        self._hll: dict[int, "HyperLogLog | bytes"] = {}
         self._column_list: list[Cell] | None = None
 
     @classmethod
@@ -149,15 +147,14 @@ class ColumnStats:
         distinct: Iterable[Cell],
         tokens: Iterable[str] | None = None,
         minhash: "Mapping[tuple[int, int], bytes] | None" = None,
-        hll: "Mapping[int, bytes] | None" = None,
         array: tuple[Cell, ...] | None = None,
         array_loader: "Callable[[], tuple[Cell, ...]] | None" = None,
     ) -> "ColumnStats":
         """Rebuild fully-scanned column statistics from a persisted snapshot.
 
         The column is born with ``scan_count == 0`` and ``_scanned`` set:
-        every cached product (distinct set, tokens, sketches) is served from
-        the snapshot -- the sketches, given as their persisted bytes, are
+        every cached product (distinct set, tokens, MinHash) is served from
+        the snapshot -- the MinHash, given as its persisted bytes, is
         decoded on first use -- the full normalized text domain is derived
         from ``distinct``, and the raw cell array -- the one thing a
         snapshot deliberately does not duplicate -- is paged in through
@@ -174,8 +171,6 @@ class ColumnStats:
             stats._tokens = frozenset(tokens)
         if minhash:
             stats._minhash.update(minhash)
-        if hll:
-            stats._hll.update(hll)
         stats._scanned = True
         return stats
 
@@ -276,14 +271,19 @@ class ColumnStats:
     @property
     def tokens(self) -> frozenset[str]:
         """The domain token set (what JOSIE / LSH Ensemble index and the
-        TF-IDF corpus counts)."""
+        TF-IDF corpus counts): ``column_token_set`` of the values."""
         if self._tokens is None:
-            from ..text.tokenize import cell_tokens
+            from ..text.tokenize import column_token_set
 
-            tokens: set[str] = set()
-            for value in self._ensure().distinct:
-                tokens.update(cell_tokens(value))
-            self._tokens = frozenset(tokens)
+            # Not ``distinct``: it keeps whichever of the equal cells
+            # ``True``, ``1`` and ``1.0`` (or ``0.0`` and ``-0.0``) comes
+            # first, and they tokenize apart.  Keyed by type and a float's
+            # sign too, each one is still tokenized once.
+            unique = {
+                (type(v), v, type(v) is float and math.copysign(1.0, v)): v
+                for v in self._ensure().values
+            }
+            self._tokens = frozenset(column_token_set(unique.values()))
         return self._tokens
 
     def text_values(self, limit: int | None = None) -> frozenset[str]:
@@ -332,18 +332,6 @@ class ColumnStats:
 
             signature = self._minhash[key] = MinHashSignature.from_bytes(signature)
         return signature
-
-    def hll(self, precision: int = 12) -> "HyperLogLog":
-        """A HyperLogLog over the non-null values (memoized per precision)."""
-        from ..sketch.hll import HyperLogLog
-
-        sketch = self._hll.get(precision)
-        if sketch is None:
-            sketch = HyperLogLog(precision=precision).update(self._ensure().values)
-            self._hll[precision] = sketch
-        elif isinstance(sketch, bytes):
-            sketch = self._hll[precision] = HyperLogLog.from_bytes(sketch)
-        return sketch
 
     # ------------------------------------------------------------------
     # Pickling: a lazy array loader is a live handle into a store on disk;

@@ -6,23 +6,30 @@ at open.  ``with_segment_format_tags``: every manifest entry tagged
 ``"segment_format": "v2"``, as the writer before the tag was dropped
 left it; such a store is read as it is.  ``add_text_values``: stats
 snapshots that also carry the normalized text domain as ``text_values``.
-``plant_sketch_artifact``: the engine's sketch ensembles in a file of
-their own beside the postings.  ``as_previous_release``: dense
-HyperLogLog payloads in the stats files and the ensembles pickled.
+``as_format_1``: what the format-1 writer left, plain or sharded -- a
+HyperLogLog in every stats payload and a three-field sketch block.
 """
 import base64
 import json
-import pickle
-import struct
-import zlib
 
-import numpy as np
+import pytest
 
-from repro.sketch import HyperLogLog
 from repro.store import LakeStore
 from repro.store.codec import encode_column
+from repro.store.lakestore import FORMAT_VERSION
 from repro.text.tokenize import normalize_token
-from sketch_oracles import legacy_hll_bytes
+
+#: Every ``format_version`` but the one this code reads: none at all, 0,
+#: and the generations on either side of it.
+OTHER_FORMAT_VERSIONS = [
+    None,
+    0,
+    pytest.param(FORMAT_VERSION - 1, id="previous"),
+    pytest.param(FORMAT_VERSION + 1, id="next"),
+]
+
+#: What every refusal of another ``format_version`` says it reads.
+READS_ONLY = f"reads only format_version {FORMAT_VERSION}"
 
 
 def downgrade_to_v1(path) -> None:
@@ -58,59 +65,38 @@ def add_text_values(path) -> None:
         for column, array in zip(table.columns, table.column_arrays):
             payload = document["columns"][column]
             text = sorted({normalize_token(v) for v in array if isinstance(v, str)})
-            rest = {key: payload.pop(key) for key in ("minhash", "hll")}
-            payload.update(text_values=text, **rest)
+            payload.update(text_values=text, minhash=payload.pop("minhash"))
         stats_path.write_text(
             json.dumps(document, ensure_ascii=False, separators=(",", ":")),
             encoding="utf-8",
         )
 
 
-#: Where a writer that still stored the engine's sketch ensembles put
-#: them: the typed binary artifact, and before that a pickle.
-SKETCH_ARTIFACT = "postings/engine.sketches.bin"
-PICKLED_SKETCHES = "postings/engine.sketches.pkl"
+#: The format-1 writer's ``hll`` payload of an empty precision-12 sketch
+#: (the sparse flag on the precision byte, no entries).  Nothing reads
+#: it before the version check refuses the store.
+EMPTY_HLL = base64.b64encode(bytes([12 | 0x80])).decode("ascii")
 
 
-def plant_sketch_artifact(path, payload: bytes, rel: str = SKETCH_ARTIFACT) -> None:
-    """Put *payload* at *rel* and name it in the manifest's
-    ``postings.sketches`` field, as the older writer's ``save_engine``
-    did; the store must already hold postings."""
+def as_format_1(path) -> None:
+    """Rewrite the plain or sharded store at *path* in place into the
+    format-1 layout: ``format_version`` 1 in every manifest, the sketch
+    block's third field ``hll_precision``, and an ``hll`` field in every
+    column's stats payload."""
+    if (path / "lake.json").exists():
+        lake = json.loads((path / "lake.json").read_text(encoding="utf-8"))
+        lake["format_version"] = 1
+        (path / "lake.json").write_text(json.dumps(lake), encoding="utf-8")
+        for shard in lake["shards"]:
+            as_format_1(path / shard)
+        return
     manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
-    (path / rel).write_bytes(payload)
-    manifest["postings"]["sketches"] = rel
-    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-
-
-def zeroed_sketch_artifact(rows: int, params=(128, 8, 1, 2)) -> bytes:
-    """A well-formed artifact in the older writer's format (magic,
-    version, one table of keys / sizes / signature matrix, CRC-32) whose
-    *rows* signatures are all zero: served, it would change answers."""
-    num_perm = params[0]
-    body = b"".join(
-        [
-            struct.pack("<4sBI", b"RSKT", 1, 1),
-            struct.pack("<IIqIQ", *params, rows),
-            np.arange(rows, dtype="<u4").tobytes(),
-            np.full(rows, 2, dtype="<u8").tobytes(),
-            np.zeros((rows, num_perm), dtype="<u4").tobytes(),
-        ]
-    )
-    return body + struct.pack("<I", zlib.crc32(body))
-
-
-def as_previous_release(path) -> None:
-    """Rewrite a store in place into what an earlier release wrote: the
-    stats files carry dense HyperLogLog registers, and the sketch
-    ensembles sit in a pickle the manifest points at."""
-    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    manifest["format_version"] = 1
+    manifest["sketch"]["hll_precision"] = 12
     for entry in manifest["tables"].values():
         file = path / entry["stats"]
         document = json.loads(file.read_text(encoding="utf-8"))
-        for column in document["columns"].values():
-            sketch = HyperLogLog.from_bytes(base64.b64decode(column["hll"]))
-            column["hll"] = base64.b64encode(legacy_hll_bytes(sketch)).decode()
+        for payload in document["columns"].values():
+            payload["hll"] = EMPTY_HLL
         file.write_text(json.dumps(document), encoding="utf-8")
-    plant_sketch_artifact(
-        path, pickle.dumps({"ensembles": "of an old class"}), rel=PICKLED_SKETCHES
-    )
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")

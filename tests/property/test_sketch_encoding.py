@@ -2,14 +2,9 @@
 
 Three contracts (the reference sides live in ``tests/sketch_oracles.py``):
 
-* ``to_bytes`` / ``from_bytes`` round-trip every HyperLogLog register
-  array -- in particular on both sides of the point where the sparse
-  (index, rank) list stops being shorter than the dense registers -- and
-  every MinHash signature, and the bytes are a function of the content
-  alone;
-* the dense HyperLogLog payload -- all an earlier release wrote, and
-  what ``to_bytes`` still writes whenever it is shorter -- decodes to the
-  same sketch, while a MinHash body of any width but uint32 is refused;
+* ``to_bytes`` / ``from_bytes`` round-trip every MinHash signature, and
+  the bytes are a function of the content alone;
+* a MinHash body of any width but uint32 is refused;
 * :class:`BandedLSHIndex` and :class:`LSHEnsemble` over a signature
   matrix return exactly what one ``{band bytes: keys}`` dict per band
   returned, for every band width and every prefix of bands.
@@ -24,116 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketch import BandedLSHIndex, HyperLogLog, LSHEnsemble, MinHasher, MinHashSignature
-from sketch_oracles import (
-    DictBandedLSHIndex,
-    DictLSHEnsemble,
-    legacy_hll_bytes,
-)
-
-PRECISIONS = range(4, 19)
-
-
-def sparse_entry_bytes(precision: int) -> int:
-    return (2 if precision <= 16 else 4) + 1
-
-
-def hll_with(precision: int, occupied: int, seed: int) -> HyperLogLog:
-    """A sketch with exactly *occupied* non-zero registers."""
-    rng = np.random.default_rng(seed)
-    sketch = HyperLogLog(precision)
-    where = rng.choice(1 << precision, size=occupied, replace=False)
-    sketch._registers[where] = rng.integers(1, 64 - precision + 2, size=occupied)
-    return sketch
-
-
-def crossover(precision: int) -> int:
-    """The smallest occupied count whose sparse list is no shorter than
-    the dense registers."""
-    return -(-(1 << precision) // sparse_entry_bytes(precision))
-
-
-@st.composite
-def register_fills(draw):
-    precision = draw(st.sampled_from(PRECISIONS))
-    edge = crossover(precision)
-    occupied = draw(
-        st.sampled_from([0, 1, edge - 1, edge, edge + 1, 1 << precision])
-        | st.integers(0, 1 << precision)
-    )
-    return precision, min(occupied, 1 << precision), draw(st.integers(0, 2**32 - 1))
-
-
-# ----------------------------------------------------------------------
-# HyperLogLog
-# ----------------------------------------------------------------------
-@settings(max_examples=120, deadline=None)
-@given(register_fills())
-def test_hll_round_trip_at_any_fill(fill):
-    precision, occupied, seed = fill
-    sketch = hll_with(precision, occupied, seed)
-    payload = sketch.to_bytes()
-    restored = HyperLogLog.from_bytes(payload)
-    assert restored.precision == precision
-    assert np.array_equal(restored._registers, sketch._registers)
-    assert restored.to_bytes() == payload
-    assert restored.cardinality() == sketch.cardinality()
-    dense = 1 + (1 << precision)
-    sparse = 1 + occupied * sparse_entry_bytes(precision)
-    assert len(payload) == min(dense, sparse)  # whichever is shorter, always
-
-
-@pytest.mark.parametrize("precision", PRECISIONS)
-def test_hll_switches_encoding_exactly_at_the_crossover(precision):
-    edge = crossover(precision)
-    below = hll_with(precision, edge - 1, seed=precision).to_bytes()
-    at = hll_with(precision, edge, seed=precision).to_bytes()
-    assert below[0] == precision | 0x80 and len(below) < 1 + (1 << precision)
-    assert at[0] == precision and len(at) == 1 + (1 << precision)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(PRECISIONS),
-    st.lists(st.text(max_size=6), max_size=60),
-    st.randoms(use_true_random=False),
-)
-def test_hll_bytes_ignore_insertion_order(precision, items, rng):
-    shuffled = list(items)
-    rng.shuffle(shuffled)
-    forward = HyperLogLog(precision).update(items).to_bytes()
-    assert HyperLogLog(precision).update(shuffled).to_bytes() == forward
-    assert HyperLogLog(precision).update(items + shuffled).to_bytes() == forward
-
-
-@settings(max_examples=60, deadline=None)
-@given(register_fills())
-def test_hll_decodes_the_earlier_dense_payload(fill):
-    precision, occupied, seed = fill
-    sketch = hll_with(precision, occupied, seed)
-    restored = HyperLogLog.from_bytes(legacy_hll_bytes(sketch))
-    assert np.array_equal(restored._registers, sketch._registers)
-    assert restored.to_bytes() == sketch.to_bytes()
-
-
-def test_hll_rejects_malformed_sparse_payloads():
-    head = bytes([12 | 0x80])
-
-    def entries(indices, ranks):
-        return head + np.array(indices, "<u2").tobytes() + bytes(ranks)
-
-    assert HyperLogLog.from_bytes(entries([3, 9], [1, 2]))._registers[9] == 2
-    for bad in (
-        entries([9, 3], [1, 2]),  # not ascending
-        entries([3, 3], [1, 2]),  # repeated index
-        entries([3, 4096], [1, 2]),  # index past the registers
-        entries([3, 9], [1, 0]),  # a zero rank is not an entry
-        entries([3, 9], [1, 2])[:-1],  # not a whole number of entries
-        bytes([3 | 0x80]),  # precision out of range
-    ):
-        with pytest.raises(ValueError):
-            HyperLogLog.from_bytes(bad)
-
+from repro.sketch import BandedLSHIndex, LSHEnsemble, MinHasher, MinHashSignature
+from sketch_oracles import DictBandedLSHIndex, DictLSHEnsemble
 
 # ----------------------------------------------------------------------
 # MinHash

@@ -1,11 +1,9 @@
 """Reference implementations the sketch tests compare against.
 
-Kept out of ``src/`` on purpose: these are the previous encoder and the
-previous dict-of-bytes band index, with no reader or caller in the
-library.  They pin three contracts:
+Kept out of ``src/`` on purpose: these are the previous dict-of-bytes
+band index and the plain posting-list walk, with no reader or caller in
+the library.  They pin two contracts:
 
-* the dense HyperLogLog register payload (all an earlier release wrote)
-  still decodes;
 * the array-backed :class:`repro.sketch.BandedLSHIndex` /
   :class:`repro.sketch.LSHEnsemble` return exactly what one hash bucket
   per band key returned;
@@ -17,15 +15,10 @@ library.  They pin three contracts:
 
 from __future__ import annotations
 
-import struct
 from typing import Hashable, Iterable, Mapping
 
-from repro.sketch import HyperLogLog, LSHEnsemble, MinHashSignature, optimal_param
+from repro.sketch import LSHEnsemble, MinHashSignature, optimal_param
 from repro.sketch.ensemble import EnsembleMatch
-
-
-def legacy_hll_bytes(sketch: HyperLogLog) -> bytes:
-    return struct.pack("<B", sketch.precision) + sketch._registers.tobytes()
 
 
 class DictBandedLSHIndex:

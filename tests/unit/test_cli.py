@@ -13,7 +13,7 @@ from repro.datalake.fixtures import (
 )
 from repro.table import read_csv, write_csv
 
-from old_store import downgrade_to_v1
+from old_store import OTHER_FORMAT_VERSIONS, READS_ONLY, as_format_1, downgrade_to_v1
 
 
 @pytest.fixture
@@ -50,7 +50,7 @@ class TestProfile:
     def test_profiles_every_column(self, lake_dir, capsys):
         assert main(["profile", "--lake", str(lake_dir)]) == 0
         out = capsys.readouterr().out
-        assert "distinct_est" in out
+        assert "distinct" in out and "distinct_est" not in out
         assert "Vaccination Rate" in out and "Death Rate" in out
 
     def test_single_table(self, lake_dir, capsys):
@@ -728,7 +728,7 @@ class TestStoreFormatBoundary:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         return captured.err
 
-    @pytest.mark.parametrize("version", [None, 0, 2])
+    @pytest.mark.parametrize("version", OTHER_FORMAT_VERSIONS)
     def test_any_other_format_version(self, built, version, capsys):
         import json
 
@@ -741,7 +741,20 @@ class TestStoreFormatBoundary:
         (store / name).write_text(json.dumps(manifest), encoding="utf-8")
         err = self.refused(["index", "info", "--store", str(store)], capsys)
         found = "no format_version" if version is None else f"format_version {version},"
-        assert found in err and "reads only format_version 1" in err
+        assert found in err and READS_ONLY in err
+
+    def test_a_format_1_store(self, built, capsys):
+        """What the format-1 writer left, plain or sharded: ``index
+        info`` and ``serve`` refuse it by its version and exit 2."""
+        store, name = built
+        as_format_1(store)
+        for argv in (
+            ["index", "info", "--store", str(store)],
+            ["serve", "--store", str(store), "--port", "0"],
+        ):
+            err = self.refused(argv, capsys)
+            assert f"{store / name} holds format_version 1," in err
+            assert "index build" in err and "sketch block" not in err
 
     def test_a_truncated_manifest(self, built, capsys):
         store, name = built

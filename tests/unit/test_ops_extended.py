@@ -1,10 +1,9 @@
-"""Unit tests for the extended relational operators and the HLL sketch."""
+"""Unit tests for the extended relational operators."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sketch import HyperLogLog
 from repro.table import MISSING, PRODUCED, Table, ops
 
 
@@ -124,36 +123,3 @@ class TestPivot:
         wide = ops.pivot(long_table, "city", "metric", "value", agg=len)
         boston = dict(zip(wide.columns, wide.rows[1]))
         assert boston["cases"] == 2
-
-
-class TestHyperLogLog:
-    def test_small_counts_near_exact(self):
-        hll = HyperLogLog(precision=12).update(f"v{i}" for i in range(100))
-        assert abs(len(hll) - 100) <= 3  # linear-counting regime
-
-    def test_large_counts_within_error(self):
-        n = 50_000
-        hll = HyperLogLog(precision=12).update(f"v{i}" for i in range(n))
-        assert abs(hll.cardinality() - n) / n < 3 * hll.relative_error
-
-    def test_duplicates_do_not_inflate(self):
-        hll = HyperLogLog()
-        for _ in range(5):
-            hll.update(f"v{i}" for i in range(500))
-        assert abs(len(hll) - 500) <= 25
-
-    def test_merge_equals_union(self):
-        a = HyperLogLog(precision=10).update(f"a{i}" for i in range(1000))
-        b = HyperLogLog(precision=10).update(f"b{i}" for i in range(1000))
-        merged = a.merge(b)
-        assert abs(merged.cardinality() - 2000) / 2000 < 3 * merged.relative_error
-
-    def test_merge_precision_mismatch(self):
-        with pytest.raises(ValueError):
-            HyperLogLog(10).merge(HyperLogLog(11))
-
-    def test_precision_bounds(self):
-        with pytest.raises(ValueError):
-            HyperLogLog(precision=3)
-        with pytest.raises(ValueError):
-            HyperLogLog(precision=19)

@@ -22,13 +22,13 @@ class TestProfiler:
     def test_profile_table_columns(self, table):
         profile = profile_table(table)
         assert profile.columns == (
-            "table", "column", "dtype", "rows", "non_null", "distinct_est",
+            "table", "column", "dtype", "rows", "non_null", "distinct",
             "numeric_frac", "examples",
         )
         city_row = dict(zip(profile.columns, profile.rows[0]))
         assert city_row["rows"] == 3
         assert city_row["non_null"] == 3
-        assert city_row["distinct_est"] == 2
+        assert city_row["distinct"] == 2
         assert "Berlin" in city_row["examples"]
 
     def test_null_and_numeric_accounting(self, table):

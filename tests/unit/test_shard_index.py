@@ -38,6 +38,7 @@ from repro.store import StoreError, StoreFormatUnsupported
 from repro.table import Table
 
 from deltas import deltas
+from old_store import OTHER_FORMAT_VERSIONS, READS_ONLY, as_format_1
 
 
 def roster():
@@ -62,7 +63,7 @@ def sharded_index(tmp_path, num_shards: int, **options) -> ShardedLakeIndex:
 
 
 @pytest.mark.parametrize("file", ["lake.json", "shard-001/manifest.json"])
-@pytest.mark.parametrize("version", [None, 0, 2])
+@pytest.mark.parametrize("version", OTHER_FORMAT_VERSIONS)
 def test_any_other_format_version_is_refused(tmp_path, file, version):
     """The root's ``lake.json`` and every shard's ``manifest.json`` pass
     the one check a plain store's manifest does."""
@@ -78,8 +79,19 @@ def test_any_other_format_version_is_refused(tmp_path, file, version):
         ShardedLakeStore.open(tmp_path / "lake")
     found = "no format_version" if version is None else f"format_version {version},"
     assert found in str(refused.value)
-    assert "reads only format_version 1" in str(refused.value)
+    assert READS_ONLY in str(refused.value)
     assert str(path) in str(refused.value)
+
+
+def test_a_format_1_store_is_refused_by_its_version(tmp_path):
+    """The root is refused first, before any shard's three-field sketch
+    block is read."""
+    ShardedLakeStore.create(tmp_path / "lake", num_shards=2).ingest(make_lake())
+    as_format_1(tmp_path / "lake")
+    with pytest.raises(StoreFormatUnsupported, match="format_version 1,") as refused:
+        ShardedLakeStore.open(tmp_path / "lake")
+    assert str(tmp_path / "lake" / "lake.json") in str(refused.value)
+    assert "index build" in str(refused.value)
 
 
 @pytest.mark.parametrize("damage", ["truncated", "not an object"])

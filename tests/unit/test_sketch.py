@@ -195,51 +195,3 @@ class TestSketchSerialization:
     def test_minhash_merge_rejects_mismatched_width(self):
         with pytest.raises(ValueError, match="different MinHashers"):
             MinHasher(16).signature({"a"}).merge(MinHasher(32).signature({"a"}))
-
-    def test_hll_round_trip_byte_identical(self):
-        from repro.sketch import HyperLogLog
-
-        sketch = HyperLogLog(precision=10).update(f"v{i}" for i in range(500))
-        payload = sketch.to_bytes()
-        restored = HyperLogLog.from_bytes(payload)
-        assert restored.to_bytes() == payload
-        assert restored.cardinality() == sketch.cardinality()
-
-    def test_hll_rejects_corrupt_payload(self):
-        from repro.sketch import HyperLogLog
-
-        with pytest.raises(ValueError):
-            HyperLogLog.from_bytes(b"")
-        with pytest.raises(ValueError):
-            HyperLogLog.from_bytes(HyperLogLog(8).to_bytes()[:-1])
-
-    def test_hll_sparse_payload_rejects_an_impossible_rank(self):
-        # add() ranks at most 65 - precision: 53 at p=12.
-        from repro.sketch import HyperLogLog
-
-        def sparse(rank):
-            return bytes([12 | 0x80]) + (7).to_bytes(2, "little") + bytes([rank])
-
-        assert HyperLogLog.from_bytes(sparse(53))._registers[7] == 53
-        for rank in (54, 200):
-            with pytest.raises(ValueError, match="ranks in"):
-                HyperLogLog.from_bytes(sparse(rank))
-
-    def test_hll_dense_payload_rejects_an_impossible_rank(self):
-        # add() ranks at most 65 - precision: 61 at p=4.
-        from repro.sketch import HyperLogLog
-
-        def dense(rank):
-            return bytes([4]) + bytes([1] * 15 + [rank])
-
-        assert HyperLogLog.from_bytes(dense(61))._registers[15] == 61
-        for rank in (62, 250):
-            with pytest.raises(ValueError, match="rank above 61"):
-                HyperLogLog.from_bytes(dense(rank))
-
-    def test_hll_merge_order_independent(self):
-        from repro.sketch import HyperLogLog
-
-        a = HyperLogLog(8).update(f"a{i}" for i in range(100))
-        b = HyperLogLog(8).update(f"b{i}" for i in range(100))
-        assert a.merge(b).to_bytes() == b.merge(a).to_bytes()

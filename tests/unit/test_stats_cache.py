@@ -8,13 +8,16 @@ the scan counter on :class:`repro.datalake.stats.LakeStats`.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.core.pipeline import Dialite
-from repro.datalake import DataLake, LakeStats, profile_lake, profile_table
+from repro.datalake import DataLake, LakeStats, profile_lake
 from repro.datalake.fixtures import covid_joinable_table, covid_query_table, covid_unionable_table
 from repro.sketch.minhash import MinHasher
 from repro.table import MISSING, Table
+from repro.text.tokenize import column_token_set
 
 
 @pytest.fixture
@@ -40,7 +43,6 @@ class TestColumnStats:
         assert stats.scan_count == 1
         # Derived products don't re-scan.
         assert "63" in stats.tokens
-        assert len(stats.hll(12)) == 2
         assert stats.minhash(MinHasher(16, seed=3)).size == len(stats.tokens)
         assert stats.scan_count == 1
 
@@ -59,10 +61,26 @@ class TestColumnStats:
     def test_sketches_memoized_per_parameters(self):
         table = Table(["c"], [("a",), ("b",)], name="T")
         stats = table.stats.column("c")
-        assert stats.hll(12) is stats.hll(12)
-        assert stats.hll(8) is not stats.hll(12)
         hasher = MinHasher(32, seed=1)
         assert stats.minhash(hasher) is stats.minhash(MinHasher(32, seed=1))
+        assert stats.minhash(hasher) is not stats.minhash(MinHasher(32, seed=2))
+
+    def test_tokens_do_not_depend_on_row_order(self):
+        """``True == 1 == 1.0`` and ``False == 0 == -0.0``, so ``distinct``
+        keeps whichever comes first; the tokens are every cell's, in any
+        order."""
+        hasher = MinHasher(32, seed=1)
+        found = []
+        for cells in ([1, True, 0, False, 1.0, "x"], [0.0, -0.0, False]):
+            seen = set()
+            for order in itertools.permutations(cells):
+                stats = Table(["c"], [(cell,) for cell in order], name="T").stats.column("c")
+                seen.add((stats.tokens, stats.minhash(hasher).to_bytes()))
+            [(tokens, _)] = seen
+            assert tokens == column_token_set(cells)
+            found.append(tokens)
+        assert {"true", "false", "1", "0"} <= found[0]
+        assert found[1] == {"0", "-0", "false"}
 
     def test_cached_views_are_read_only_but_list_like(self):
         table = Table(["c"], [(1,), (2,)], name="T")
@@ -114,14 +132,6 @@ class TestProfilerSharesTheCache:
         profile = profile_lake(lake)
         assert profile.num_rows == sum(t.num_columns for t in lake.values())
         assert all(count == 1 for count in lake.stats.scan_counts().values())
-
-    def test_profile_hll_is_the_indexed_sketch(self, lake):
-        table = lake["T2"]
-        profile_table(table)
-        stats = table.stats.column("City")
-        # The profiler's distinct estimate came from the cached sketch.
-        assert 12 in stats._hll
-        assert len(stats.hll(12)) == len(stats.distinct)
 
 
 class TestFullRunScansOnce:

@@ -40,7 +40,13 @@ from repro.store.codec import decode_table, encode_table
 from repro.table import MISSING, PRODUCED, Table
 
 from deltas import deltas
-from old_store import downgrade_to_v1, with_segment_format_tags
+from old_store import (
+    OTHER_FORMAT_VERSIONS,
+    READS_ONLY,
+    as_format_1,
+    downgrade_to_v1,
+    with_segment_format_tags,
+)
 
 
 @pytest.fixture
@@ -106,7 +112,7 @@ class TestCreateOpen:
         with pytest.raises(StoreError, match="manifest"):
             LakeStore.open(target)
 
-    @pytest.mark.parametrize("version", [None, 0, 2])
+    @pytest.mark.parametrize("version", OTHER_FORMAT_VERSIONS)
     def test_any_other_format_version_is_refused(self, store, version):
         """Only the ``format_version`` this code writes opens; the error
         names the version found (or its absence) and the one it reads."""
@@ -121,8 +127,17 @@ class TestCreateOpen:
             LakeStore.open(store.path)
         found = "no format_version" if version is None else f"format_version {version},"
         assert found in str(refused.value)
-        assert "reads only format_version 1" in str(refused.value)
+        assert READS_ONLY in str(refused.value)
         assert str(manifest_path) in str(refused.value)
+
+    def test_a_format_1_store_is_refused_by_its_version(self, store):
+        """The format-1 writer's sketch block has a third field; the
+        version check comes first, so the refusal says to rebuild."""
+        as_format_1(store.path)
+        with pytest.raises(StoreFormatUnsupported, match="format_version 1,") as refused:
+            LakeStore.open(store.path)
+        assert "index build" in str(refused.value)
+        assert "sketch block" not in str(refused.value)
 
     @pytest.mark.parametrize("damage", ["truncated", "not an object"])
     def test_an_undecodable_manifest_is_a_store_error(self, store, damage):
@@ -141,13 +156,13 @@ class TestCreateOpen:
             "missing",
             [128, 1, 12],
             {**SketchConfig().to_json(), "extra": 1},
-            {"minhash_num_perm": 128, "minhash_seed": 1},
+            {"minhash_num_perm": 128},
             {**SketchConfig().to_json(), "minhash_seed": True},
             {**SketchConfig().to_json(), "minhash_seed": -1},
             {**SketchConfig().to_json(), "minhash_seed": 2**64},
             {**SketchConfig().to_json(), "minhash_num_perm": 0},
-            {**SketchConfig().to_json(), "hll_precision": 12.0},
-            {**SketchConfig().to_json(), "hll_precision": 19},
+            {**SketchConfig().to_json(), "minhash_num_perm": 128.0},
+            {**SketchConfig().to_json(), "hll_precision": 12},
         ],
     )
     def test_a_malformed_sketch_block_is_a_store_error(self, store, sketch, capsys):
@@ -170,7 +185,7 @@ class TestCreateOpen:
         assert capsys.readouterr().err.startswith(f"error: {manifest_path}")
 
     def test_sketch_config_json_round_trip(self):
-        for config in (SketchConfig(), SketchConfig(7, 2**64 - 1, 18), SketchConfig(1, 0, 4)):
+        for config in (SketchConfig(), SketchConfig(7, 2**64 - 1), SketchConfig(1, 0)):
             assert SketchConfig.from_json(config.to_json()) == config
 
 
@@ -656,13 +671,12 @@ class TestStatsSnapshotDamage:
             for column in stats:
                 column.text_values(), column.tokens, column.distinct
                 column.minhash(hasher).to_bytes()
-                column.hll(12).cardinality()
         assert outcomes["corrupted"] and outcomes["hydrated"]
 
     @pytest.mark.parametrize(
         "field",
         ["dtype", "row_count", "null_count", "missing_count", "numeric_fraction",
-         "distinct", "tokens", "minhash", "hll"],
+         "distinct", "tokens", "minhash"],
     )
     def test_a_dropped_field(self, snapshot, field):
         path, stats_file, pristine = snapshot
@@ -700,8 +714,6 @@ class TestStatsSnapshotDamage:
             ("minhash", 5),
             ("minhash", "!!!!"),
             ("minhash", "AAAA"),  # base64, but no signature
-            ("hll", None),
-            ("hll", "AAAA"),  # precision 0
         ],
     )
     def test_a_wrong_type_or_value(self, snapshot, field, value):
@@ -712,20 +724,12 @@ class TestStatsSnapshotDamage:
     def test_a_sketch_of_another_config(self, snapshot):
         """A sketch that decodes but under other parameters fails now,
         not when a consumer compares it."""
-        import base64
-
-        from repro.sketch import HyperLogLog, MinHasher
-
         path, stats_file, pristine = snapshot
-        for field, sketch in (
-            ("hll", HyperLogLog(precision=10).update(["x"])),
-            ("minhash", MinHasher(num_perm=64).signature({"x"})),
-        ):
-            encoded = base64.b64encode(sketch.to_bytes()).decode("ascii")
-            damaged = self.rewritten(
-                pristine, lambda doc: doc["columns"]["a"].update({field: encoded})
-            )
-            self.assert_corrupted(path, stats_file, damaged)
+        encoded = b64(MinHasher(num_perm=64).signature({"x"}).to_bytes())
+        damaged = self.rewritten(
+            pristine, lambda doc: doc["columns"]["a"].update(minhash=encoded)
+        )
+        self.assert_corrupted(path, stats_file, damaged)
 
     #: Each way column ``b``'s ``minhash`` field is damaged: the edit of
     #: its payload, given the pristine signature's bytes.
