@@ -79,8 +79,9 @@ store-smoke:
 bench-store:
 	$(PYTHON) benchmarks/bench_store_warmstart.py --check --json .benchmarks/store_warmstart.json
 
-# Candidate-engine smoke: engine fan-out == full-scan results, warm
-# postings load with zero rebuild.  Unlike the other smokes this one
+# Candidate-engine smoke: engine fan-out == full-scan results, and a warm
+# open + fan-out decodes no segment and builds its token postings once
+# from the stats snapshots.  Unlike the other smokes this one
 # keeps --check (ISSUE 3 requires the CI smoke to assert the speedup
 # gate); the gate is relaxed to 1.5x (measured ~2.5x) to absorb CI
 # timing jitter -- the correctness assertions run regardless.

@@ -94,8 +94,9 @@ def run_warm(
     num_tables: int, store_dir: Path, k: int
 ) -> tuple[float, float, list, int]:
     """Open the store, hydrate indexes, one discover; returns the two
-    warm phases separately -- deserialization (open + fit: manifest,
-    stats, sketches, persisted indexes and postings off disk) vs serving
+    warm phases separately -- deserialization (open + fit: manifest and
+    persisted indexes off disk, token postings built from the stats
+    snapshots' token sets) vs serving
     (the discover itself) -- plus the number of raw-cell scans the warm
     run performed (must be 0)."""
     query = make_query(num_tables)

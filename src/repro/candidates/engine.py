@@ -18,12 +18,14 @@ path runs on:
   retrieval runs through one accounted structure.
 
 Channels build lazily from :class:`~repro.datalake.stats.LakeStats` --
-derived products only, never raw cells -- and the whole structure
-persists through :meth:`repro.store.LakeStore.save_engine` as a
-``postings/`` artifact pinned to the lake version, so a warm process
-serves sublinear retrieval with **zero** posting-index rebuild (the
-``engine.build.tokens`` / ``engine.build.values`` counters do not move,
-the tested observable).
+derived products only, never raw cells -- and nothing of them is
+persisted.  Over a stored lake the token channel inverts the stats
+snapshots' ``tokens`` fields (:meth:`LakeStats.token_sets
+<repro.datalake.stats.LakeStats.token_sets>`) and the sketch ensembles
+stack from their ``minhash`` fields, so a warm process builds them
+without hydrating a table or decoding a segment
+(:meth:`repro.store.LakeStore.load_engine` builds the token channel
+once, counted by ``engine.build.tokens``).
 
 ``force_exhaustive`` disables retrieval engine-wide: every discoverer
 scores the entire lake through its fallback path.  That is the
@@ -67,7 +69,7 @@ warm build.  The audit, structure by structure:
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Hashable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping
 
 from ..obs import metrics, trace
 from ..sketch.ensemble import LSHEnsemble
@@ -112,9 +114,6 @@ class CandidateEngine:
         #: Engine-wide kill switch: answer every retrieval with the whole
         #: lake (the full-scan baseline for benchmarks / equivalence tests).
         self.force_exhaustive = False
-        #: True when the posting structures were hydrated from a store
-        #: artifact instead of built from stats.
-        self.loaded_from_store = False
         # Serializes lazy channel construction under concurrent queries
         # (see the module docstring's audit); reads of built structures
         # never take it.
@@ -165,18 +164,14 @@ class CandidateEngine:
         owners: list[tuple[str, str]] = []
         sizes: list[int] = []
         postings: dict[str, list[int]] = {}
-        for table_name, table_stats in self._stats:
-            for column in table_stats.columns:
-                tokens = table_stats.column(column).tokens
+        for table_name in self._lake:
+            for column, tokens in self._stats.token_sets(table_name).items():
                 key = len(owners)
                 owners.append((table_name, column))
                 sizes.append(len(tokens))
                 for token in tokens:
                     postings.setdefault(token, []).append(key)
-        # Registry may already be hydrated (store artifact) while postings
-        # are not; keep the hydrated identity space in that case.
-        if self._registry is None:
-            self._registry = ColumnRegistry(owners, sizes)
+        self._registry = ColumnRegistry(owners, sizes)
         self._token_postings = PostingIndex(postings, sizes)
 
     def ensemble_for(
@@ -196,11 +191,10 @@ class CandidateEngine:
                 ensemble = self._ensembles.get(params)
                 if ensemble is not None:
                     return ensemble
-                # Stacking signatures is not counted as a posting-index
-                # rebuild: engine.build.tokens / .values track the
-                # registry / posting channels the store artifact
-                # replaces.  Built fully before publication, so
-                # concurrent readers only ever see a complete ensemble.
+                # Counted apart from engine.build.tokens / .values, the
+                # registry / posting channels.  Built fully before
+                # publication, so concurrent readers only ever see a
+                # complete ensemble.
                 metrics.counter("engine.build.ensemble").inc()
                 ensemble = LSHEnsemble(num_perm=num_perm, seed=seed)
                 registry = self.registry
@@ -561,86 +555,7 @@ class CandidateEngine:
             "ensembles": ensembles,
             "label_namespaces": self.label_namespaces,
             "default_budget": self.default_budget,
-            "loaded_from_store": self.loaded_from_store,
         }
-
-    # ------------------------------------------------------------------
-    # Persistence payload (the lake store's postings artifact)
-    # ------------------------------------------------------------------
-    def to_records(self, channels: Iterable[str] = ("tokens",)) -> Iterator[dict[str, Any]]:
-        """JSONL records describing the posting channels *channels* use
-        (token postings for ``tokens``/``sketch``, value postings for
-        ``values``; channels nobody declared are neither built nor
-        written).
-
-        Sketch ensembles are not persisted: a warm process restacks them
-        from the stats snapshots, which hold every column's signature.
-        """
-        wanted = set(channels)
-        persisted = []
-        if wanted & {"tokens", "sketch"}:
-            self.token_postings  # materialize before describing
-            persisted.append("tokens")
-        if "values" in wanted:
-            self.value_postings
-            persisted.append("values")
-        yield {
-            "kind": "meta",
-            "channels": sorted(persisted),
-            "columns": self.registry.to_json(),
-        }
-        if "tokens" in persisted:
-            yield from self.token_postings.to_records("token")
-        if "values" in persisted:
-            yield from self.value_postings.to_records("value")
-
-    @classmethod
-    def from_records(
-        cls,
-        lake: Mapping[str, "Table"],
-        records: Iterable[Mapping[str, Any]],
-        stats: "LakeStats | None" = None,
-    ) -> "CandidateEngine":
-        """Hydrate an engine from :meth:`to_records` output; the restored
-        channels never rebuild."""
-        engine = cls(lake, stats=stats)
-        token_records: list[Mapping[str, Any]] = []
-        value_records: list[Mapping[str, Any]] = []
-        token_sizes: list[int] = []
-        value_sizes: list[int] = []
-        channels: list[str] = []
-        saw_meta = False
-        for record in records:
-            kind = record.get("kind")
-            if kind == "meta":
-                engine._registry = ColumnRegistry.from_json(record["columns"])
-                channels = list(record.get("channels", ()))
-                saw_meta = True
-            elif kind == "token":
-                token_records.append(record)
-            elif kind == "token_sizes":
-                token_sizes = [int(s) for s in record["s"]]
-            elif kind == "value":
-                value_records.append(record)
-            elif kind == "value_sizes":
-                value_sizes = [int(s) for s in record["s"]]
-            else:
-                raise EngineError(f"unknown postings record kind {kind!r}")
-        if not saw_meta:
-            raise EngineError("postings artifact has no meta record")
-        # Only channels the artifact actually carries hydrate (the meta
-        # record is authoritative -- an empty lake legitimately persists
-        # empty posting lists); anything else stays lazy, never empty.
-        if "tokens" in channels:
-            engine._token_postings = PostingIndex.from_records(
-                token_sizes, token_records
-            )
-        if "values" in channels:
-            engine._value_postings = PostingIndex.from_records(
-                value_sizes, value_records
-            )
-        engine.loaded_from_store = True
-        return engine
 
     def __repr__(self) -> str:
         built = []

@@ -4,15 +4,14 @@ The core sublinear structure of the query path: a token (or normalized
 text value) maps to the list of column keys containing it, so probing a
 query's token set touches only the columns that share something with it
 -- sum-of-document-frequency work instead of one pass over every column
-of the lake.  Built once per lake from the shared
-:class:`~repro.table.stats.ColumnStats` products (never from raw cells),
-and persisted by the lake store as a version-pinned artifact so warm
-processes skip the build entirely.
+of the lake.  Built once per process from the shared column token sets
+and text domains (never from raw cells); a stored lake serves those from
+its stats snapshots, so nothing here is persisted.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, Iterator, Mapping
+from typing import Any, Hashable, Iterable, Iterator
 
 import numpy as np
 
@@ -57,21 +56,6 @@ class ColumnRegistry:
         for table in tables:
             yield from self.by_table.get(table, ())
 
-    def to_json(self) -> list[list[Any]]:
-        return [
-            [table, column, size]
-            for (table, column), size in zip(self.owners, self.token_sizes)
-        ]
-
-    @classmethod
-    def from_json(cls, payload: Iterable[Iterable[Any]]) -> "ColumnRegistry":
-        owners: list[tuple[str, str]] = []
-        sizes: list[int] = []
-        for table, column, size in payload:
-            owners.append((str(table), str(column)))
-            sizes.append(int(size))
-        return cls(owners, sizes)
-
 
 class PostingIndex:
     """token -> sorted list of column keys containing it."""
@@ -85,8 +69,8 @@ class PostingIndex:
         #: value channel) -- distinct from the registry's token sizes.
         self.sizes = sizes
         # Lazy per-probed-token contiguous int arrays for ``probe``;
-        # ``postings`` itself stays plain lists (the persisted JSONL
-        # shape and the public contract tests compare against).
+        # ``postings`` itself stays plain lists (the public contract
+        # tests compare against).
         self._arrays: dict[str, Any] = {}
 
     @classmethod
@@ -161,22 +145,6 @@ class PostingIndex:
         counts = np.bincount(np.concatenate(matched), minlength=len(self.sizes))
         nonzero = np.nonzero(counts)[0]
         return dict(zip(nonzero.tolist(), counts[nonzero].tolist()))
-
-    # ------------------------------------------------------------------
-    def to_records(self, kind: str) -> Iterator[dict[str, Any]]:
-        """JSONL-friendly records (one per token) for the store artifact,
-        in sorted token order: the build's insertion order follows set
-        iteration, which moves with the hash seed."""
-        yield {"kind": f"{kind}_sizes", "s": list(self.sizes)}
-        for token in sorted(self.postings):
-            yield {"kind": kind, "t": token, "p": self.postings[token]}
-
-    @classmethod
-    def from_records(
-        cls, sizes: Iterable[int], records: Iterable[Mapping[str, Any]]
-    ) -> "PostingIndex":
-        postings = {str(r["t"]): [int(k) for k in r["p"]] for r in records}
-        return cls(postings, [int(s) for s in sizes])
 
     def __repr__(self) -> str:
         return f"PostingIndex({self.num_tokens} tokens, {self.num_entries} entries)"

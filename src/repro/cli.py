@@ -434,31 +434,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
             print(f"persisted indexes ({staleness}): {', '.join(info['indexes'])}")
         else:
             print("persisted indexes: none")
-        postings = info.get("postings")
-        if postings:
-            staleness = (
-                "current"
-                if postings.get("lake_version") == info["lake_version"]
-                else f"stale (built at v{postings.get('lake_version')})"
-            )
-            values = (
-                f", {postings['values']} values / {postings['value_entries']} entries"
-                if postings.get("values") is not None
-                else ""
-            )
-            print(
-                f"persisted postings ({staleness}): {postings['columns']} columns, "
-                f"{postings['tokens']} tokens / {postings['token_entries']} entries"
-                f"{values}"
-            )
-            for ensemble in postings.get("ensembles") or []:
-                print(
-                    f"  sketch prefilter: {ensemble['indexed_columns']} columns, "
-                    f"{ensemble['bands']} LSH bands (num_perm={ensemble['num_perm']}, "
-                    f"{ensemble['num_partitions']} partitions)"
-                )
-        else:
-            print("persisted postings: none")
         for name, spec in sorted((info.get("candidate_specs") or {}).items()):
             budget = spec["budget"] if spec["budget"] is not None else "unbudgeted"
             print(

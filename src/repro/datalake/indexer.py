@@ -117,8 +117,7 @@ class LakeIndex:
         budget = stats["default_budget"]
         return (
             f"engine: {stats['tables']} tables, "
-            f"budget={'unbudgeted' if budget is None else budget}, "
-            f"postings loaded from store: {stats['loaded_from_store']}"
+            f"budget={'unbudgeted' if budget is None else budget}"
         )
 
     def close(self) -> None:
@@ -219,10 +218,10 @@ class LakeIndex:
         persisted roster is used verbatim (an error if none exist: nothing
         was ever built to warm-start from).
 
-        The candidate engine hydrates from the store's version-pinned
-        postings artifact when one exists, so a warm start performs zero
-        posting-index rebuild; otherwise a fresh engine builds lazily
-        from the hydrated stats snapshots (still zero raw-cell scans).
+        The candidate engine is :meth:`LakeStore.load_engine
+        <repro.store.LakeStore.load_engine>`'s: its token channel is built
+        once, from the stats snapshots' token sets, with no table hydrated
+        and no segment decoded.
         """
         from ..store.lakestore import LakeStore, StoreError
 
@@ -243,8 +242,7 @@ class LakeIndex:
         else:
             roster = [persisted.get(d.name, d) for d in discoverers]
         index = cls(lake, roster)
-        index._engine = store.load_engine(lake=lake, stats=index.stats)
-        engine = index.engine  # builds a cold engine when no artifact exists
+        index._engine = engine = store.load_engine(lake=lake, stats=index.stats)
         for discoverer in roster:
             if discoverer.is_fitted:
                 discoverer.bind_engine(engine)
@@ -254,12 +252,10 @@ class LakeIndex:
         return index
 
     def save_to_store(self, store) -> None:
-        """Persist every fitted discoverer index *and* the engine's posting
-        structures into a :class:`~repro.store.LakeStore` (building first
-        if needed), pinned to the store's current lake version for
-        staleness detection."""
+        """Persist every fitted discoverer index into a
+        :class:`~repro.store.LakeStore` (building first if needed), pinned
+        to the store's current lake version for staleness detection."""
         if not self._built:
             self.build()
         store.save_indexes(self._discoverers)
-        store.save_engine(self.engine, channels=self._roster_channels())
 

@@ -68,6 +68,13 @@ class LakeStats:
         stats = self.table(table_name)
         return [stats.column(column).minhash(hasher) for column in columns]
 
+    def token_sets(self, table_name: str) -> dict[str, frozenset[str]]:
+        """Every column's token set of one lake table, in column order --
+        what a candidate engine's token postings invert (a stored lake's
+        view reads them without hydrating the table)."""
+        stats = self.table(table_name)
+        return {column: stats.column(column).tokens for column in stats.columns}
+
     def __iter__(self) -> Iterator[tuple[str, TableStats]]:
         for name in self._lake:
             yield name, self.table(name)

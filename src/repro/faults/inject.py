@@ -65,7 +65,7 @@ __all__ = [
 FAULT_POINTS = frozenset({
     "store.write_journal", "store.clear_journal",
     "store.write_segment", "store.write_stats", "store.write_index",
-    "store.write_postings", "store.write_manifest", "store.write_version",
+    "store.write_manifest", "store.write_version",
     "store.unlink_stale",
     "shard.rebalance.stage", "shard.rebalance.backup",
     "shard.rebalance.move", "shard.rebalance.commit",

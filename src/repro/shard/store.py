@@ -9,12 +9,12 @@ Layout on disk::
 
 ``lake.json`` records the shard roster and the routing rule (seed +
 count); each shard keeps its own ``manifest.json`` / ``version.json`` /
-segments / postings exactly as an unsharded store would.  Routing is a
-stable content hash of the *table name* (sha1 of ``"<seed>:<name>"``
-mod N), so a table's home shard never depends on what else is in the
-lake, and an ingest or remove of one table touches exactly one shard --
-only that shard's ``lake_version`` moves and only its persisted
-postings/indexes invalidate.
+segments / stats / indexes exactly as an unsharded store would.  Routing
+is a stable content hash of the *table name* (sha1 of
+``"<seed>:<name>"`` mod N), so a table's home shard never depends on
+what else is in the lake, and an ingest or remove of one table touches
+exactly one shard -- only that shard's ``lake_version`` moves and only
+its persisted indexes invalidate.
 
 The *lake epoch* is the sum of the per-shard ``lake_version`` counters.
 Each counter is monotonic under its own commits, shards are disjoint,
@@ -411,7 +411,7 @@ class ShardedLakeStore:
     def artifact_bytes(self) -> dict[str, int]:
         """Bytes on disk per artifact class, summed over the shards; the
         lake-global fit state counts as an index."""
-        totals = {kind: 0 for kind in ("segments", "stats", "postings", "indexes")}
+        totals = {kind: 0 for kind in ("segments", "stats", "indexes")}
         for shard in self._shards:
             for kind, size in shard.artifact_bytes().items():
                 totals[kind] += size
@@ -478,6 +478,9 @@ class ShardedLakeStore:
         self, name: str, columns: Sequence[str], hasher: MinHasher
     ) -> list[MinHashSignature]:
         return self.shard_for(name).minhashes(name, columns, hasher)
+
+    def token_sets(self, name: str) -> dict[str, frozenset[str]]:
+        return self.shard_for(name).token_sets(name)
 
     def lake(self) -> StoredDataLake:
         """The combined contents as a lazy, read-only :class:`DataLake`

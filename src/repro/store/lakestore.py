@@ -16,16 +16,15 @@ Layout of a store directory::
                              column keeps the MinHash as these bytes
                              until first use; a damaged snapshot raises
                              :class:`StatsCorrupted`.
-                             The only copy of each column's MinHash:
-                             sketch ensembles stack from these fields
-                             (:meth:`LakeStore.minhashes`)
+                             The only copy of each column's MinHash and
+                             token set: sketch ensembles stack, and the
+                             token postings build, from these fields
+                             (:meth:`LakeStore.minhashes`,
+                             :meth:`LakeStore.token_sets`)
     indexes/<d>.pkl          one fitted discoverer index per file
-    postings/engine.post.jsonl  the candidate engine's inverted posting
-                             structures (column registry, token and
-                             normalized-value posting lists)
 
 A store is read in exactly the format this code writes:
-``format_version`` 2 with ``.seg.bin`` segments.  :meth:`LakeStore.open`
+``format_version`` 3 with ``.seg.bin`` segments.  :meth:`LakeStore.open`
 refuses any other version (or none), and a store whose entries name
 older segment files, with :class:`StoreFormatUnsupported`; such a store
 is rebuilt from its source CSVs with ``repro index build``.
@@ -50,9 +49,8 @@ The design goals, in order:
   incomparable sketches.
 
 Versioning: ``lake_version`` increments on every content-changing ingest;
-persisted discoverer indexes *and* the persisted posting artifact
-remember the version they were fitted/built against and are dropped
-(never silently served stale) when it moves on.
+persisted discoverer indexes remember the version they were fitted
+against and are dropped (never silently served stale) when it moves on.
 
 Readers and writers may share a store directory across processes: every
 file the store writes -- manifest included -- is committed with an atomic
@@ -105,7 +103,7 @@ from .snapshot import (
     SketchConfig,
     column_stats_payload,
     hydrate_table_stats,
-    snapshot_minhashes,
+    snapshot_field,
 )
 
 __all__ = [
@@ -125,7 +123,6 @@ __all__ = [
 _WRITE_SEGMENT = inject.point("store.write_segment")
 _WRITE_STATS = inject.point("store.write_stats")
 _WRITE_INDEX = inject.point("store.write_index")
-_WRITE_POSTINGS = inject.point("store.write_postings")
 _WRITE_MANIFEST = inject.point("store.write_manifest")
 _WRITE_VERSION = inject.point("store.write_version")
 _UNLINK_STALE = inject.point("store.unlink_stale")
@@ -134,7 +131,7 @@ _FORMAT = "repro-lake-store"
 
 #: The one ``format_version`` this code writes and reads, in a plain
 #: store's ``manifest.json`` and a sharded root's ``lake.json`` alike.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _REBUILD_HINT = (
     "rebuild it from the source CSVs into a fresh directory with "
@@ -278,7 +275,6 @@ class LakeStore:
             "sketch": (sketch_config or SketchConfig()).to_json(),
             "tables": {},
             "indexes": None,
-            "postings": None,
         }
         store = cls(path, manifest)
         store._write_manifest()
@@ -387,7 +383,7 @@ class LakeStore:
             if file.exists():
                 file.unlink()
                 removed.append(rel)
-        for sub in ("", "segments", "stats", "indexes", "postings"):
+        for sub in ("", "segments", "stats", "indexes"):
             directory = path / sub if sub else path
             if directory.is_dir():
                 for stray in directory.glob("*.tmp"):
@@ -531,19 +527,18 @@ class LakeStore:
                 for name, entry in discoverers.items()
                 if entry.get("spec")
             },
-            "postings": self._manifest.get("postings"),
         }
 
     def artifact_bytes(self) -> dict[str, int]:
         """Bytes on disk per artifact class -- the files under
-        ``segments/``, ``stats/``, ``postings/`` and ``indexes/``."""
+        ``segments/``, ``stats/`` and ``indexes/``."""
         return {
             kind: sum(
                 file.stat().st_size
                 for file in (self._path / kind).glob("*")
                 if file.is_file()
             )
-            for kind in ("segments", "stats", "postings", "indexes")
+            for kind in ("segments", "stats", "indexes")
         }
 
     # ------------------------------------------------------------------
@@ -623,7 +618,6 @@ class LakeStore:
                 self._stats_cache.pop(name, None)
             self._manifest["lake_version"] += 1
             self._invalidate_indexes()
-            self._invalidate_postings()
             self._commit(txn, stale)
         finally:
             self._end()
@@ -647,7 +641,6 @@ class LakeStore:
             self._stats_cache.pop(name, None)
             self._manifest["lake_version"] += 1
             self._invalidate_indexes()
-            self._invalidate_postings()
             self._commit(txn, stale)
         finally:
             self._end()
@@ -693,20 +686,14 @@ class LakeStore:
     # Crash-consistent commit protocol (see repro.store.journal)
     # ------------------------------------------------------------------
     def _artifact_files(self) -> list[str]:
-        """The files the persisted discoverer indexes and posting
-        artifacts own right now -- the part of a content-changing commit's
-        stale set that :meth:`_invalidate_indexes` / ``_postings`` will
-        disown.  Peek only: the manifest is not touched."""
-        files: list[str] = []
+        """The files the persisted discoverer indexes own right now -- the
+        part of a content-changing commit's stale set that
+        :meth:`_invalidate_indexes` will disown.  Peek only: the manifest
+        is not touched."""
         info = self._manifest.get("indexes")
-        if info:
-            files.extend(
-                entry["file"] for entry in (info.get("discoverers") or {}).values()
-            )
-        postings = self._manifest.get("postings")
-        if postings:
-            files.append(postings["file"])
-        return files
+        if not info:
+            return []
+        return [entry["file"] for entry in (info.get("discoverers") or {}).values()]
 
     def _begin(self, op: str, pending: Sequence[str], stale: Sequence[str]) -> str:
         """Journal intent before the first data write.  The txn id is
@@ -836,14 +823,32 @@ class LakeStore:
             config.minhash_num_perm,
             config.minhash_seed,
         ):
-            entry = self._entry(name)
-            signatures = self._read_stats(
-                name, lambda document: snapshot_minhashes(entry["columns"], document, config)
-            )
+            signatures = self._snapshot_field(name, "minhash")
             return [signatures[column] for column in columns]
         if stats is None:
             stats = self.table_stats(name)
         return [stats.column(column).minhash(hasher) for column in columns]
+
+    def token_sets(self, name: str) -> dict[str, frozenset[str]]:
+        """Every column's token set of one table, in column order: what
+        the candidate engine's token postings invert.
+
+        A table whose stats are hydrated already serves them.  Otherwise
+        only the ``tokens`` fields of its snapshot are read, and nothing
+        is cached -- building the token channel hydrates no table.  A
+        damaged field raises :class:`StatsCorrupted`."""
+        stats = self._stats_cache.get(name)
+        if stats is not None:
+            return {column: stats.column(column).tokens for column in stats.columns}
+        return self._snapshot_field(name, "tokens")
+
+    def _snapshot_field(self, name: str, field: str) -> dict[str, Any]:
+        """One field of every column of one table's snapshot, read alone
+        (:func:`~repro.store.snapshot.snapshot_field`)."""
+        columns = self._entry(name)["columns"]
+        return self._read_stats(
+            name, lambda document: snapshot_field(field, columns, document, self._sketch)
+        )
 
     def _read_stats(self, name: str, decode: Callable[[str], Any]) -> Any:
         """*decode* of one table's stats document; any damage raises
@@ -877,8 +882,8 @@ class LakeStore:
         ``repro index build``, each shard of a sharded lake): hydrate what
         is persisted at this version, fit the rest of *discoverers*
         (``None``: the persisted roster), persist what had to be fitted
-        (``index.fitted``) or a posting artifact that had to be rebuilt,
-        serve what was fitted.  The saves take the writer lock and raise
+        (``index.fitted``), serve what was fitted.  An open that fits
+        nothing writes nothing.  The saves take the writer lock and raise
         :class:`StoreError` if the store moved on meanwhile.  *previous*
         matters to a sharded store only (a moved version leaves nothing
         to keep here); *persisting* brackets the persist step with a
@@ -887,7 +892,7 @@ class LakeStore:
         from ..datalake.indexer import LakeIndex
 
         index = LakeIndex.from_store(self, discoverers)
-        if index.fitted or not index.engine.loaded_from_store:
+        if index.fitted:
             with persisting():
                 index.save_to_store(self)
         return index
@@ -963,83 +968,15 @@ class LakeStore:
         self._manifest["indexes"] = None
         return [entry["file"] for entry in (info.get("discoverers") or {}).values()]
 
-    # ------------------------------------------------------------------
-    # Persisted candidate-engine postings (the sublinear query path's
-    # offline artifact; see repro.candidates)
-    # ------------------------------------------------------------------
-    def save_engine(self, engine, channels: Iterable[str] = ("tokens",)) -> None:
-        """Persist the candidate engine's posting structures, pinned to the
-        current ``lake_version`` (a later content-changing ingest drops
-        them, exactly like discoverer index pickles).
-
-        *channels* is the roster's declared channel union; posting
-        channels (``tokens``, ``values``) serialize as JSONL.  Sketch
-        ensembles are not written: their signatures live once, in the
-        stats snapshots, and a warm process restacks from there
-        (:meth:`minhashes`).  Label namespaces ride inside their
-        publishers' index pickles.
-        """
-        posting_rel = "postings/engine.post.jsonl"
-        files = {
-            posting_rel: "".join(
-                json.dumps(record, ensure_ascii=False, separators=(",", ":")) + "\n"
-                for record in engine.to_records(channels)
-            ).encode("utf-8")
-        }
-        stats = engine.stats()
-        owned = self._invalidate_postings()
-        txn, stale = self._begin_artifacts("save_engine", files, owned)
-        try:
-            for rel, data in files.items():
-                self._write_bytes(self._path / rel, data)
-                _WRITE_POSTINGS.fire()
-            self._manifest["postings"] = {
-                "file": posting_rel,
-                "lake_version": self.lake_version,
-                "columns": stats["columns"],
-                "tokens": (stats["token_postings"] or {}).get("tokens"),
-                "token_entries": (stats["token_postings"] or {}).get("entries"),
-                "values": (stats["value_postings"] or {}).get("values"),
-                "value_entries": (stats["value_postings"] or {}).get("entries"),
-                # Band shapes recorded for `index info`; the signatures
-                # themselves live in the stats snapshots.
-                "ensembles": stats["ensembles"],
-            }
-            self._commit(txn, stale)
-        finally:
-            self._end()
-
     def load_engine(self, lake: Mapping[str, Table] | None = None, stats=None):
-        """The persisted, *current* candidate engine, hydrated over *lake*
-        (the store's lazy lake view by default); None when no artifact was
-        saved or the lake has changed since it was built.  A hydrated
-        engine's posting channels never rebuild (``engine.build.*`` stays put).
-
-        Its sketch ensembles stack on first use from the stats snapshots'
-        signatures (:meth:`minhashes`), hydrating no table."""
+        """The candidate engine over *lake* (the store's lazy lake view by
+        default), its token channel built from the snapshots' ``tokens``
+        fields (:meth:`token_sets`): no table is hydrated and no segment
+        decoded.  Its sketch ensembles stack on first use from the
+        snapshots' signatures (:meth:`minhashes`)."""
         from ..candidates.engine import CandidateEngine
 
-        info = self._manifest.get("postings")
-        if not info or info.get("lake_version") != self.lake_version:
-            return None
-        file = self._path / info["file"]
-        if not file.exists():
-            # Same crash window as orphaned index entries: treat as absent.
-            return None
-        if lake is None:
-            lake = self.lake()
-        with file.open("r", encoding="utf-8") as handle:
-            records = (json.loads(line) for line in handle if line.strip())
-            return CandidateEngine.from_records(lake, records, stats=stats)
-
-    def _invalidate_postings(self) -> list[str]:
-        """Mark the persisted posting artifact stale; returns its path for
-        unlinking after the manifest commits."""
-        info = self._manifest.get("postings")
-        if not info:
-            return []
-        self._manifest["postings"] = None
-        return [info["file"]]
+        return CandidateEngine(self.lake() if lake is None else lake, stats).warm(("tokens",))
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -1150,9 +1087,10 @@ class StoredLakeStats(LakeStats):
     data: every method goes through the store's ``table_stats``, which
     returns the same objects materialized tables adopt -- one coherent
     scan ledger either way.  (Hydrated snapshots are already warm, so
-    ``warm()`` ensures without scanning.)  ``minhashes`` alone goes to
-    the store's :meth:`LakeStore.minhashes`, which reads signatures
-    without hydrating.
+    ``warm()`` ensures without scanning.)  ``minhashes`` and
+    ``token_sets`` go to the store's :meth:`LakeStore.minhashes` and
+    :meth:`LakeStore.token_sets`, which read those snapshot fields without
+    hydrating.
     """
 
     def table(self, name: str) -> TableStats:
@@ -1162,3 +1100,6 @@ class StoredLakeStats(LakeStats):
         self, table_name: str, columns: Sequence[str], hasher: MinHasher
     ) -> list[MinHashSignature]:
         return self._lake.store.minhashes(table_name, columns, hasher)
+
+    def token_sets(self, table_name: str) -> dict[str, frozenset[str]]:
+        return self._lake.store.token_sets(table_name)

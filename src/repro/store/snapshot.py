@@ -11,9 +11,10 @@ Hydration validates every field and decodes the MinHash, so a damaged
 snapshot fails there (with a :class:`ValueError` that the store turns
 into :class:`~repro.store.lakestore.StatsCorrupted`), never on first use;
 the column then keeps the MinHash as its persisted bytes.  The snapshot
-holds the store's only copy of each column's MinHash:
-:func:`snapshot_minhashes` reads just those fields, checked the same way,
-so a sketch ensemble stacks without hydrating the table.
+holds the store's only copy of each column's MinHash and token set:
+:func:`snapshot_field` reads just one of those fields, checked the same
+way, so a sketch ensemble stacks, and the token postings build, without
+hydrating the table.
 
 Sketch parameters are pinned by :class:`SketchConfig` and recorded in the
 store manifest: MinHash signatures are only comparable under identical
@@ -41,7 +42,7 @@ __all__ = [
     "column_stats_payload",
     "hydrate_column_stats",
     "hydrate_table_stats",
-    "snapshot_minhashes",
+    "snapshot_field",
 ]
 
 #: Each :class:`SketchConfig` field's inclusive range: a signature's
@@ -150,6 +151,13 @@ def _minhash(payload: Mapping[str, Any], config: SketchConfig) -> tuple[bytes, M
     return data, signature
 
 
+def _tokens(payload: Mapping[str, Any]) -> list[str]:
+    tokens = _field(payload, "tokens", list)
+    if not all(type(token) is str for token in tokens):
+        raise ValueError("field 'tokens' holds a non-string")
+    return tokens
+
+
 def hydrate_column_stats(
     table_name: str,
     name: str,
@@ -179,9 +187,7 @@ def hydrate_column_stats(
         type(cell) in (str, int, float, bool) for cell in distinct
     ):
         raise ValueError("field 'distinct' is not a set of non-null cells")
-    tokens = _field(payload, "tokens", list)
-    if not all(type(token) is str for token in tokens):
-        raise ValueError("field 'tokens' holds a non-string")
+    tokens = _tokens(payload)
     minhash, _ = _minhash(payload, config)
     return ColumnStats.from_snapshot(
         table_name,
@@ -232,11 +238,21 @@ def hydrate_table_stats(
     }
 
 
-def snapshot_minhashes(
-    columns: Sequence[str], document: str, config: SketchConfig
-) -> dict[str, MinHashSignature]:
-    """Every column's MinHash in one table's stats *document*, checked as
-    :func:`hydrate_column_stats` checks it; no other field is decoded.  A
-    damaged document or signature raises :class:`ValueError`."""
+#: What :func:`snapshot_field` reads of a column payload, per field.
+_PARTIAL_READS: dict[str, Callable[[Mapping[str, Any], SketchConfig], Any]] = {
+    "minhash": lambda payload, config: _minhash(payload, config)[1],
+    "tokens": lambda payload, config: frozenset(_tokens(payload)),
+}
+
+
+def snapshot_field(
+    field: str, columns: Sequence[str], document: str, config: SketchConfig
+) -> dict[str, Any]:
+    """Every column's *field* in one table's stats *document*, in
+    *columns* order, checked as :func:`hydrate_column_stats` checks it: a
+    ``minhash`` decodes to a :class:`MinHashSignature`, ``tokens`` to a
+    frozenset.  No other field is decoded.  A damaged document or field
+    raises :class:`ValueError`."""
+    read = _PARTIAL_READS[field]
     payloads = _column_payloads(document, columns)
-    return {column: _minhash(payloads[column], config)[1] for column in columns}
+    return {column: read(payloads[column], config) for column in columns}

@@ -82,6 +82,30 @@ class ReadOnlyView(list):
         return (self.__class__, (list(self),))
 
 
+def _distinct(values: list[Cell]) -> frozenset[Cell]:
+    """The distinct non-null cells, one per class of equal cells.
+
+    ``frozenset`` alone keeps whichever of the equal cells ``True``, ``1``
+    and ``1.0`` (or ``0.0`` and ``-0.0``) comes first, so the set would
+    depend on row order.  Here each class keeps its least member by
+    ``(type name, repr)``, whatever the order.  A single-typed column
+    with no float zero has nothing equal to merge."""
+    distinct = frozenset(values)
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and (float not in kinds or 0.0 not in distinct):
+        return distinct
+    least: dict[Cell, Cell] = {}
+    for value in values:
+        held = least.setdefault(value, value)
+        if held is not value and _rank(value) < _rank(held):
+            least[value] = value
+    return frozenset(least.values())
+
+
+def _rank(cell: Cell) -> tuple[str, str]:
+    return (type(cell).__name__, repr(cell))
+
+
 class ColumnStats:
     """Memoized statistics of one column of one (immutable) table.
 
@@ -198,7 +222,7 @@ class ColumnStats:
         self.row_count = len(self.array)
         self.null_count = null_count
         self.missing_count = missing_count
-        self.distinct = frozenset(values)
+        self.distinct = _distinct(values)
         # Delegated to the one canonical implementation so table.schema and
         # the stats cache can never disagree on a column's dtype.
         self.dtype = infer_dtype(values)
@@ -275,9 +299,9 @@ class ColumnStats:
         if self._tokens is None:
             from ..text.tokenize import column_token_set
 
-            # Not ``distinct``: it keeps whichever of the equal cells
-            # ``True``, ``1`` and ``1.0`` (or ``0.0`` and ``-0.0``) comes
-            # first, and they tokenize apart.  Keyed by type and a float's
+            # Not ``distinct``: it keeps one of the equal cells ``True``,
+            # ``1`` and ``1.0`` (or ``0.0`` and ``-0.0``), and they
+            # tokenize apart.  Keyed by type and a float's
             # sign too, each one is still tokenized once.
             unique = {
                 (type(v), v, type(v) is float and math.copysign(1.0, v)): v

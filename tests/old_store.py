@@ -8,6 +8,8 @@ left it; such a store is read as it is.  ``add_text_values``: stats
 snapshots that also carry the normalized text domain as ``text_values``.
 ``as_format_1``: what the format-1 writer left, plain or sharded -- a
 HyperLogLog in every stats payload and a three-field sketch block.
+``as_format_2``: what the format-2 writer left, plain or sharded -- a
+posting artifact beside the indexes and a ``postings`` manifest block.
 """
 import base64
 import json
@@ -99,4 +101,29 @@ def as_format_1(path) -> None:
         for payload in document["columns"].values():
             payload["hll"] = EMPTY_HLL
         file.write_text(json.dumps(document), encoding="utf-8")
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def as_format_2(path) -> None:
+    """Rewrite the plain or sharded store at *path* in place into the
+    format-2 layout: ``format_version`` 2 in every manifest, and each
+    (shard) store's ``postings/engine.post.jsonl`` named by a
+    ``postings`` block."""
+    if (path / "lake.json").exists():
+        lake = json.loads((path / "lake.json").read_text(encoding="utf-8"))
+        lake["format_version"] = 2
+        (path / "lake.json").write_text(json.dumps(lake), encoding="utf-8")
+        for shard in lake["shards"]:
+            as_format_2(path / shard)
+        return
+    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    manifest["format_version"] = 2
+    manifest["postings"] = {
+        "file": "postings/engine.post.jsonl",
+        "lake_version": manifest["lake_version"],
+    }
+    (path / "postings").mkdir()
+    (path / "postings" / "engine.post.jsonl").write_text(
+        '{"kind":"meta","channels":[],"columns":[]}\n', encoding="utf-8"
+    )
     (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")

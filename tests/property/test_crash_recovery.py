@@ -21,9 +21,8 @@ After recovery:
   post-state.
 
 Covered operations: ``LakeStore.ingest`` (adds + an update, so both
-``pending`` and ``stale`` paths run), ``LakeStore.remove``, the two
-artifact saves ``LakeStore.save_indexes`` / ``save_engine`` (index
-pickles, posting JSONL), and the journaled
+``pending`` and ``stale`` paths run), ``LakeStore.remove``, the artifact
+save ``LakeStore.save_indexes`` (index pickles), and the journaled
 ``ShardedLakeStore.rebalance`` (whose crash windows include
 whole-directory backup renames and moves -- the "table in two shards"
 hazard the journal exists to close).
@@ -41,8 +40,6 @@ from repro.shard.store import ShardedLakeStore
 from repro.store import journal
 from repro.store.lakestore import LakeStore
 from repro.table.table import Table
-
-from deltas import ENGINE_BUILDS, deltas
 
 
 @pytest.fixture(autouse=True)
@@ -185,9 +182,9 @@ def test_remove_crash_at_every_write_point(plain_store, tmp_path):
 
 
 def test_artifact_saves_crash_at_every_write_point(plain_store, tmp_path):
-    """Index pickles and the posting JSONL are journaled like table
-    data: a crash between any two of their writes leaves no file the
-    manifest does not name, and the save can simply be run again."""
+    """Index pickles are journaled like table data: a crash between any
+    two of their writes leaves no file the manifest does not name, and
+    the save can simply be run again."""
     from repro.datalake.indexer import LakeIndex
     from repro.discovery import JosieJoinSearch, LSHEnsembleJoinSearch
 
@@ -198,30 +195,11 @@ def test_artifact_saves_crash_at_every_write_point(plain_store, tmp_path):
     def save_indexes(path):
         LakeStore.open(path).save_indexes(index.discoverers)
 
-    def save_engine(path):
-        LakeStore.open(path).save_engine(index.engine, channels=("tokens", "sketch"))
-
     cases, rollbacks, rollforwards = crash_matrix(
         plain_store, save_indexes, LakeStore.open, tmp_path / "indexes"
     )
     assert cases >= 6  # journal, 2 pickles, manifest, version, clear
     assert rollbacks and rollforwards
-
-    with_indexes = tmp_path / "with-indexes"
-    shutil.copytree(plain_store, with_indexes)
-    save_indexes(with_indexes)
-    cases, rollbacks, rollforwards = crash_matrix(
-        with_indexes, save_engine, LakeStore.open, tmp_path / "engine"
-    )
-    assert cases >= 5  # journal, postings, manifest, version, clear
-    assert rollbacks and rollforwards
-    # The crash-free run the matrix compared against wrote the postings
-    # (sketch ensembles restack from the stats snapshots), and they load.
-    saved = tmp_path / "engine" / "clean"
-    assert {f.name for f in (saved / "postings").iterdir()} == {"engine.post.jsonl"}
-    built = deltas(*ENGINE_BUILDS)
-    engine = LakeStore.open(saved).load_engine()
-    assert engine is not None and not any(built().values())
 
 
 def test_recovery_is_idempotent(plain_store, tmp_path):

@@ -287,7 +287,7 @@ def test_single_table_ingest_rewrites_exactly_one_shard(tmp_path):
 def _artifact_bytes(shard_path: Path) -> dict[str, bytes]:
     return {
         str(file.relative_to(shard_path)): file.read_bytes()
-        for kind in ("indexes", "postings")
+        for kind in ("indexes",)
         for file in sorted((shard_path / kind).iterdir())
     }
 
@@ -305,7 +305,7 @@ def test_worker_persisted_artifacts_equal_an_in_process_build(tmp_path):
         assert shard.info()["indexes_lake_version"] == shard.lake_version
         twin_path = tmp_path / "twin" / shard.path.name
         shutil.copytree(shard.path, twin_path)
-        for kind in ("indexes", "postings"):
+        for kind in ("indexes",):
             shutil.rmtree(twin_path / kind)
         twin = LakeStore.open(twin_path)
         LakeIndex(twin.lake(), adapted_roster(roster(), state)).build().save_to_store(twin)

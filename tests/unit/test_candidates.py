@@ -10,12 +10,11 @@ from repro.candidates import (
     CandidateEngine,
     CandidateSet,
     CandidateSpec,
-    ColumnRegistry,
     EngineError,
     PostingIndex,
 )
 from repro.core.pipeline import Dialite
-from repro.datalake import DataLake, fixtures
+from repro.datalake import DataLake, LakeIndex, fixtures
 from repro.shard import ShardedLakeStore
 from repro.store import LakeStore
 from repro.table import Table
@@ -78,15 +77,6 @@ class TestPostingIndex:
         with pytest.raises(ValueError, match="dense keys"):
             PostingIndex.build([(1, {"a"})])
 
-    def test_records_round_trip(self):
-        index = PostingIndex.build([(0, {"a"}), (1, {"a", "b"})])
-        records = list(index.to_records("token"))
-        sizes = next(r for r in records if r["kind"] == "token_sizes")["s"]
-        tokens = [r for r in records if r["kind"] == "token"]
-        restored = PostingIndex.from_records(sizes, tokens)
-        assert restored.postings == index.postings
-        assert restored.sizes == index.sizes
-
 
 class TestRegistry:
     def test_owner_resolution_and_table_grouping(self, engine):
@@ -96,12 +86,6 @@ class TestRegistry:
         assert set(registry.tables) == {"T1", "T2", "T3"}
         t2_keys = list(registry.keys_of(["T2"]))
         assert all(registry.owner(k)[0] == "T2" for k in t2_keys)
-
-    def test_json_round_trip(self, engine):
-        registry = engine.registry
-        restored = ColumnRegistry.from_json(registry.to_json())
-        assert restored.owners == registry.owners
-        assert restored.token_sizes == registry.token_sizes
 
 
 class TestGenericRetrieval:
@@ -256,37 +240,60 @@ class TestCandidateSet:
         assert list(cs) == ["a", "b"] and len(cs) == 2
 
 
-class TestEnginePersistence:
-    def test_records_round_trip(self, lake, engine, query):
-        engine.warm(("tokens", "values"))
-        records = [dict(r) for r in engine.to_records(("tokens", "values"))]
-        built = deltas(*ENGINE_BUILDS)
-        restored = CandidateEngine.from_records(lake, records)
-        assert restored.loaded_from_store and not any(built().values())
-        assert restored.token_postings.postings == engine.token_postings.postings
-        assert restored.value_postings.postings == engine.value_postings.postings
-        assert restored.registry.owners == engine.registry.owners
-        spec = CandidateSpec(channels=("tokens",))
-        a = engine.retrieve("d", spec, query, k=5, query_column="City")
-        b = restored.retrieve("d", spec, query, k=5, query_column="City")
-        assert a.tables == b.tables and a.evidence == b.evidence
-        assert not any(built().values())  # probing hydrated channels rebuilds nothing
+class TestWarmEngine:
+    """A stored lake's engine builds its token channel from the stats
+    snapshots' ``tokens`` fields: once, with no table hydrated and no
+    segment decoded, into what a cold in-memory engine builds."""
 
-    def test_store_save_load_and_version_pinning(self, lake, engine, tmp_path):
-        store = LakeStore.create(tmp_path / "lake.store")
-        store.ingest(lake)
-        engine.warm(("tokens",))
-        store.save_engine(engine, channels=("tokens",))
-        loaded = store.load_engine(lake=lake)
-        assert loaded is not None and loaded.loaded_from_store
-        assert loaded.token_postings.postings == engine.token_postings.postings
-        # A content-changing ingest invalidates the artifact (never stale).
-        smaller = {name: lake[name] for name in ["T1", "T2"]}
-        store.ingest(smaller)
-        assert store.load_engine(lake=smaller) is None
-        assert not (tmp_path / "lake.store" / "postings" / "engine.post.jsonl").exists()
+    MOVES = ("store.decode", "store.stats_cache.rehydrates", *ENGINE_BUILDS)
 
-    def test_missing_artifact_returns_none(self, lake, tmp_path):
-        store = LakeStore.create(tmp_path / "lake.store")
+    @staticmethod
+    def assert_same_token_channel(warm, cold):
+        assert warm.registry.owners == cold.registry.owners
+        assert warm.registry.token_sizes == cold.registry.token_sizes
+        assert warm.token_postings.postings == cold.token_postings.postings
+        assert warm.token_postings.sizes == cold.token_postings.sizes
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_from_store_builds_the_cold_token_channel_once(self, tmp_path, lake, shards):
+        if shards is None:
+            store = LakeStore.create(tmp_path / "lake")
+        else:
+            store = ShardedLakeStore.create(tmp_path / "lake", num_shards=shards)
         store.ingest(lake)
-        assert store.load_engine(lake=lake) is None
+        Dialite(store=store).fit().index.close()
+        reopened = LakeStore.open if shards is None else ShardedLakeStore.open
+        shards_of = (lambda s: [s]) if shards is None else (lambda s: s.shards)
+        for shard in shards_of(reopened(store.path)):
+            moved = deltas(*self.MOVES)
+            warm = LakeIndex.from_store(shard)
+            assert moved() == {
+                "store.decode": 0,
+                "store.stats_cache.rehydrates": 0,
+                "engine.build.tokens": 1,
+                "engine.build.values": 0,
+            }
+            assert not warm.fitted
+            own = DataLake([lake[name] for name in shard.table_names])
+            self.assert_same_token_channel(warm.engine, CandidateEngine(own))
+
+    def test_a_sharded_lake_view_reads_each_shards_snapshots(self, tmp_path, lake):
+        store = ShardedLakeStore.create(tmp_path / "lake", num_shards=2)
+        store.ingest(lake)
+        moved = deltas(*self.MOVES)
+        engine = CandidateEngine(ShardedLakeStore.open(store.path).lake()).warm(("tokens",))
+        assert moved()["store.stats_cache.rehydrates"] == 0
+        in_lake_order = DataLake([lake[name] for name in store.lake()])
+        self.assert_same_token_channel(engine, CandidateEngine(in_lake_order))
+
+    def test_a_hydrated_table_serves_its_own_token_sets(self, tmp_path, lake):
+        store = LakeStore.create(tmp_path / "lake")
+        store.ingest(lake)
+        store = LakeStore.open(store.path)
+        hydrated = store.table_stats("T1")
+        assert store.token_sets("T1") == {
+            column: hydrated.column(column).tokens for column in ("City", "Rate")
+        }
+        assert store.token_sets("T2") == {
+            column: lake["T2"].stats.column(column).tokens for column in ("City", "Pop")
+        }

@@ -13,7 +13,13 @@ from repro.datalake.fixtures import (
 )
 from repro.table import read_csv, write_csv
 
-from old_store import OTHER_FORMAT_VERSIONS, READS_ONLY, as_format_1, downgrade_to_v1
+from old_store import (
+    OTHER_FORMAT_VERSIONS,
+    READS_ONLY,
+    as_format_1,
+    as_format_2,
+    downgrade_to_v1,
+)
 
 
 @pytest.fixture
@@ -423,8 +429,8 @@ class TestIndexCommands:
 
 
 class TestCandidateEngineCli:
-    """ISSUE 3 surface: --candidate-budget, discover --explain, and the
-    posting/band/budget lines of ``index info``."""
+    """The candidate engine's CLI surface: --candidate-budget, discover
+    --explain, and the per-discoverer spec lines of ``index info``."""
 
     def test_discover_explain_reports_retrieval(self, lake_dir, query_csv, capsys):
         code = main(
@@ -464,35 +470,30 @@ class TestCandidateEngineCli:
         capsys.readouterr()
         assert main(["index", "info", "--store", str(store_dir)]) == 0
         out = capsys.readouterr().out
-        assert "persisted postings (current):" in out
-        assert "tokens" in out and "entries" in out
-        assert "LSH bands" in out
+        assert "persisted indexes (current):" in out
+        assert "postings" not in out  # nothing of the engine is persisted
         assert "josie: channels=tokens, budget=unbudgeted" in out
         assert "lsh_ensemble: channels=sketch" in out
         assert "santos: channels=labels" in out
 
     def test_warm_discover_uses_persisted_postings(self, lake_dir, query_csv, tmp_path, capsys):
+        """A warm discover answers what a cold one over the CSVs does."""
         store_dir = tmp_path / "lake.store"
         assert main(["index", "build", "--lake", str(lake_dir), "--store", str(store_dir)]) == 0
         capsys.readouterr()
-        code = main(
-            [
-                "discover",
-                "--store", str(store_dir),
-                "--query", str(query_csv),
-                "--column", "City",
-                "--explain",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "postings loaded from store: True" in out
+        answers = []
+        for source in (["--store", str(store_dir)], ["--lake", str(lake_dir)]):
+            argv = ["discover", *source, "--query", str(query_csv), "--column", "City"]
+            assert main(argv + ["--explain"]) == 0
+            out = capsys.readouterr().out
+            answers.append(out[: out.index("retrieval (candidates before scoring):")])
+        assert "josie" in answers[0] and answers[0] == answers[1]
 
 
     @pytest.mark.parametrize(
         "layout, line",
         [
-            ([], "engine: 2 tables, budget=unbudgeted, postings loaded from store: True"),
+            ([], "engine: 2 tables, budget=unbudgeted"),
             (["--shards", "2"], "sharded engine: 2 tables across 2 shards"),
         ],
     )
@@ -755,6 +756,19 @@ class TestStoreFormatBoundary:
             err = self.refused(argv, capsys)
             assert f"{store / name} holds format_version 1," in err
             assert "index build" in err and "sketch block" not in err
+
+    def test_a_format_2_store(self, built, query_csv, capsys):
+        """What the format-2 writer left, a posting artifact included, is
+        refused by its version with the rebuild hint, and exits 2."""
+        store, name = built
+        as_format_2(store)
+        for argv in (
+            ["index", "info", "--store", str(store)],
+            ["discover", "--store", str(store), "--query", str(query_csv), "--column", "City"],
+        ):
+            err = self.refused(argv, capsys)
+            assert f"{store / name} holds format_version 2," in err
+            assert "index build" in err
 
     def test_a_truncated_manifest(self, built, capsys):
         store, name = built

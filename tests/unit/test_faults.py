@@ -418,7 +418,7 @@ def _assert_shards_settled(path) -> None:
         owned = set(shard._artifact_files())
         on_disk = {
             f"{kind}/{file.name}"
-            for kind in ("indexes", "postings")
+            for kind in ("indexes",)
             if (shard.path / kind).is_dir()
             for file in (shard.path / kind).iterdir()
         }

@@ -12,8 +12,8 @@ The load-bearing guarantees pinned here:
 * single-flight -- identical concurrent requests of any cacheable op
   execute exactly once and fan out; distinct ones run side by side;
 * hot-swap reload -- in-process and foreign ingests move the serving
-  version, the swapped-in generation hydrates warm (no
-  ``engine.build.*`` counter moves), and in-flight work is never dropped.
+  version, the next process hydrates warm (it fits nothing and
+  rehydrates no table), and in-flight work is never dropped.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.shard import ShardedLakeStore, open_any_store
 from repro.store import LakeStore
 from repro.table.table import Table
 
-from deltas import ENGINE_BUILDS, deltas, values
+from deltas import deltas, values
 
 
 def canonical(payload: dict) -> str:
@@ -203,10 +203,10 @@ class TestVersioning:
         # disk at the served version, so the next process only hydrates.
         info = LakeStore.open(store_path).info()
         assert info["indexes_lake_version"] == info["lake_version"] == 2
-        assert info["postings"]["lake_version"] == 2
-        built = deltas(*ENGINE_BUILDS)
-        engine = Dialite.open(store_path).index.engine
-        assert not any(built().values()) and engine.loaded_from_store
+        moved = deltas("store.stats_cache.rehydrates", "store.decode")
+        index = Dialite.open(store_path).index
+        assert index.fitted == {}
+        assert moved() == {"store.stats_cache.rehydrates": 0, "store.decode": 0}
 
     def test_traced_ingest_fits_each_discoverer_once(self, service):
         """The plain reload is one ``open_index``: every roster member is

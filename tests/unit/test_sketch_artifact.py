@@ -1,8 +1,10 @@
-"""The engine's sketch artifact, which the store no longer writes.
+"""The engine's sketch and posting artifacts, which the store no longer
+writes.
 
-A stats snapshot holds the one copy of a column's MinHash; sketch
-ensembles stack from those, so ``postings/`` holds no second copy of
-the signatures and no ``postings/engine.sketches.bin``.
+A stats snapshot holds the one copy of a column's MinHash and token set;
+sketch ensembles stack, and the token postings build, from those, so a
+store has no ``postings/`` directory and its manifest no ``postings``
+block.
 """
 
 from __future__ import annotations
@@ -25,20 +27,17 @@ def synth():
 
 @pytest.fixture
 def path(tmp_path, synth):
-    """The path of a store with persisted indexes + engine."""
+    """The path of a store with persisted indexes."""
     store = LakeStore.create(tmp_path / "lake.store")
     store.ingest(synth.lake)
     Dialite(store=store).fit().index.save_to_store(store)
     return store.path
 
 
-def postings_info(path) -> dict:
-    return json.loads((path / "manifest.json").read_text(encoding="utf-8"))["postings"]
-
-
 def test_a_current_store_writes_no_sketch_file(path):
-    assert [f.name for f in (path / "postings").iterdir()] == ["engine.post.jsonl"]
-    assert "sketches" not in postings_info(path)
+    assert not (path / "postings").exists()
+    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    assert "postings" not in manifest and manifest["indexes"]
 
 
 def test_index_info_prints_bytes_per_artifact_class(path, capsys):
@@ -47,21 +46,10 @@ def test_index_info_prints_bytes_per_artifact_class(path, capsys):
     assert main(["index", "info", "--store", str(path)]) == 0
     line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("bytes on disk"))
     sizes = LakeStore.open(path).artifact_bytes()
-    assert list(sizes) == ["segments", "stats", "postings", "indexes"]
+    assert list(sizes) == ["segments", "stats", "indexes"]
     assert all(size > 0 for size in sizes.values())
     on_disk = sum(f.stat().st_size for f in path.rglob("*") if f.is_file() and f.parent != path)
     assert sum(sizes.values()) == on_disk
     assert all(f"{kind} " in line for kind in sizes) and "total " in line
-    assert f"postings {sizes['postings'] / 1e3:.1f} kB" in line
+    assert f"indexes {sizes['indexes'] / 1e3:.1f} kB" in line
 
-
-#: ``postings/`` bytes per indexed column of the store ``path`` holds:
-#: 854.9 while ``save_engine`` also wrote every signature into the sketch
-#: artifact, 330.1 with the posting JSONL alone.  The bound is halfway.
-POSTING_BYTES_PER_COLUMN = 592
-
-
-def test_postings_hold_no_second_copy_of_the_signatures(path):
-    store = LakeStore.open(path)
-    per_column = store.artifact_bytes()["postings"] / postings_info(path)["columns"]
-    assert per_column <= POSTING_BYTES_PER_COLUMN, f"{per_column:.1f} B per column"

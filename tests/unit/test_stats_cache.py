@@ -65,10 +65,27 @@ class TestColumnStats:
         assert stats.minhash(hasher) is stats.minhash(MinHasher(32, seed=1))
         assert stats.minhash(hasher) is not stats.minhash(MinHasher(32, seed=2))
 
+    def test_distinct_does_not_depend_on_row_order(self):
+        """``True == 1 == 1.0`` and ``False == 0 == 0.0 == -0.0``: each
+        class of equal cells keeps one member, the same in every order,
+        and so does the snapshot's ``distinct`` field."""
+        from repro.store.snapshot import SketchConfig, column_stats_payload
+
+        found = {}  # distinct members by type and repr -> a column holding them
+        for order in itertools.permutations([1, True, 0, False, 1.0, 0.0, -0.0, "x"]):
+            stats = Table(["c"], [(cell,) for cell in order], name="T").stats.column("c")
+            found.setdefault(frozenset((type(v), repr(v)) for v in stats.distinct), stats)
+        config = SketchConfig(minhash_num_perm=8)
+        persisted = {
+            repr(column_stats_payload(stats, config)["distinct"]) for stats in found.values()
+        }
+        assert len(found) == len(persisted) == 1
+        [members] = found
+        assert len(members) == 3 and (str, "'x'") in members
+
     def test_tokens_do_not_depend_on_row_order(self):
         """``True == 1 == 1.0`` and ``False == 0 == -0.0``, so ``distinct``
-        keeps whichever comes first; the tokens are every cell's, in any
-        order."""
+        keeps one of each; the tokens are every cell's, in any order."""
         hasher = MinHasher(32, seed=1)
         found = []
         for cells in ([1, True, 0, False, 1.0, "x"], [0.0, -0.0, False]):

@@ -773,6 +773,29 @@ class TestStatsSnapshotDamage:
                 query = Table(["q"], [("x",), ("y",), ("Zürich",)], name="q")
                 LakeIndex.from_store(path).search(query, k=1, query_column="q")
 
+    #: Each way column ``b``'s ``tokens`` field is damaged: the edit of its payload.
+    TOKENS_DAMAGE = {
+        "dropped": lambda payload: payload.pop("tokens"),
+        "not-a-list": lambda payload: payload.update(tokens="x"),
+        "non-string": lambda payload: payload.update(tokens=[*payload["tokens"], 1]),
+    }
+
+    @pytest.mark.parametrize("entry", ["hydration", "token-channel"])
+    @pytest.mark.parametrize("damage", list(TOKENS_DAMAGE))
+    def test_a_damaged_token_set_at_either_entry_point(self, snapshot, entry, damage):
+        """Hydration and the token-set reader (what a warm store's engine
+        builds its token postings from) reject each damage alike."""
+        path, stats_file, pristine = snapshot
+        damaged = self.rewritten(
+            pristine, lambda document: self.TOKENS_DAMAGE[damage](document["columns"]["b"])
+        )
+        stats_file.write_bytes(damaged)
+        with pytest.raises(StatsCorrupted, match=re.escape(str(stats_file))):
+            if entry == "hydration":
+                LakeStore.open(path).table_stats("t0")
+            else:
+                LakeStore.open(path).load_engine()
+
     def test_a_damaged_document_shape(self, snapshot):
         path, stats_file, _ = snapshot
         for document in (b"[]", b'{"columns": []}', b'{"columns": {"a": [], "b": []}}', b""):

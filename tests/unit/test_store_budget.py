@@ -38,7 +38,9 @@ def test_smoke_sharded_lake_stays_under_the_bytes_per_column_budget(tmp_path, mo
     columns = sum(len(table.columns) for table in tables)
     sizes = store.artifact_bytes()
     total = sum(f.stat().st_size for f in store.path.rglob("*") if f.is_file())
-    assert all(sizes[kind] > 0 for kind in ("segments", "stats", "postings", "indexes"))
+    assert list(sizes) == ["segments", "stats", "indexes"]
+    assert all(size > 0 for size in sizes.values())
+    assert not any(shard.path.joinpath("postings").exists() for shard in store.shards)
     assert total / columns <= BUDGET_BYTES_PER_COLUMN, (
         f"{total / columns:.0f} B/column over {columns} columns; by class: {sizes}"
     )
